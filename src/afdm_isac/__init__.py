@@ -1,8 +1,7 @@
 """AFDM integrated sensing and communication simulation laboratory.
 
 Modem, doubly dispersive channel, superimposed-pilot channel estimation,
-range-Doppler sensing, and closed-form bound/ambiguity analysis, plus a
-config-driven Monte Carlo experiment runner (``afdm-isac`` CLI).
+range-Doppler sensing, and closed-form bound/ambiguity analysis.
 """
 
 from .errors import AfdmError, ConfigurationError, NumericalError, ParameterError

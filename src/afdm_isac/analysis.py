@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import SensingTarget, apply_basis
+from .channel import SensingTarget, apply_basis, subcarrier_offset
 from .daft import AfdmConfig, build_daft_matrix, idaft
 from .errors import NumericalError, ParameterError
 from .modem import Constellation, FrameSpec
@@ -150,11 +150,6 @@ def ambiguity_decomposition(x_pilot, x_data, region, cfg: AfdmConfig) -> Ambigui
         nu_axis=np.asarray(nu_axis, dtype=np.int64),
         parts=parts,
     )
-
-
-def subcarrier_offset(tau: int, nu: int, cfg: AfdmConfig) -> int:
-    """Cyclic subcarrier shift 2*c1*tau*Nc - nu (mod Nc) induced by a path."""
-    return (cfg.two_c1_n * tau - nu) % cfg.n_sub
 
 
 def interference_coefficient(m1: int, m2: int, tau: int, nu: int, cfg: AfdmConfig) -> complex:

@@ -7,8 +7,9 @@ the prefix-free symbol as
 
 where gamma_tau is the prefix phase factor (identically 1 when 2*c1*Nc is an
 integer and Nc is even).  In the DAFT domain the same path is the unitary
-matrix A * Gamma * Pi^tau * Delta_nu * A^H scaled by alpha; time-domain
-application and the matrix route agree exactly, which the tests exploit.
+matrix A * Gamma * Pi^tau * Delta_nu * A^H scaled by alpha, which has one
+nonzero per row; ``PathChannel`` keeps a sum of such paths in that
+structured form, and the tests check it against the dense matrices.
 
 The radar echo follows the sampled receiver-clock model
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .daft import AfdmConfig, build_daft_matrix, daft, idaft, waveform_samples
+from .daft import AfdmConfig, daft, idaft, waveform_samples
 from .errors import ConfigurationError, ParameterError
 
 __all__ = [
@@ -38,9 +39,8 @@ __all__ = [
     "BasisGrid",
     "basis_grid",
     "apply_basis",
-    "basis_matrix",
-    "effective_channel_matrix",
-    "channel_matrix",
+    "subcarrier_offset",
+    "PathChannel",
     "apply_channel_time",
     "sample_channel",
     "sensing_echo",
@@ -154,32 +154,130 @@ def apply_basis(x, cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:
     return daft(_shift_and_rotate(idaft(x, cfg), cfg, tau, nu), cfg)
 
 
-def basis_matrix(cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:
-    """Dense unit-gain DAFT-domain path matrix A*Gamma*Pi^tau*Delta_nu*A^H."""
-    a = build_daft_matrix(cfg)
-    ah = a.conj().T
-    n = np.arange(cfg.n_sub)
-    stage = ah * np.exp(2j * np.pi * nu * n / cfg.n_sub)[:, None]
-    stage = np.roll(stage, tau, axis=0)
-    stage = stage * _prefix_factor(cfg, tau, n)[:, None]
-    return a @ stage
+def subcarrier_offset(tau, nu, cfg: AfdmConfig):
+    """Cyclic subcarrier shift 2*c1*tau*Nc - nu (mod Nc) induced by a path.
+
+    Works elementwise on integer arrays of delays and Dopplers.
+    """
+    return (cfg.two_c1_n * tau - nu) % cfg.n_sub
 
 
-def effective_channel_matrix(path: ChannelPath, cfg: AfdmConfig) -> np.ndarray:
-    """DAFT-domain matrix of one path (gain included)."""
-    if path.delay != int(path.delay):
-        raise ParameterError("effective channel matrices support integer delays only")
-    if not (0 <= path.delay < cfg.n_sub):
-        raise ParameterError(f"delay {path.delay} outside [0, Nc)")
-    return path.gain * basis_matrix(cfg, int(path.delay), path.doppler)
+def _integers(values, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or not np.all(np.isfinite(arr)) or np.any(arr != np.round(arr)):
+        raise ParameterError(f"{what} must be a 1-D array of integers, got {values!r}")
+    return arr.astype(np.int64)
 
 
-def channel_matrix(realization: ChannelRealization, cfg: AfdmConfig) -> np.ndarray:
-    """Sum of per-path DAFT-domain matrices."""
-    out = np.zeros((cfg.n_sub, cfg.n_sub), dtype=np.complex128)
-    for p in realization.paths:
-        out += effective_channel_matrix(p, cfg)
-    return out
+@dataclass(frozen=True, eq=False)
+class PathChannel:
+    """A sum of integer (tau, nu) paths, kept in structured form.
+
+    In the DAFT domain a path is one nonzero per row: row p reads subcarrier
+    q = <p + off>_Nc with off = ``subcarrier_offset(tau, nu)`` and phase
+
+        exp(j*2*pi*(c1*tau^2 - (q + nu)*tau/Nc - c2*(p^2 - q^2)))
+
+    (the prefix factor cancels the wrap of the chirp, so this holds for odd
+    and even Nc).  In the time domain the channel is
+    H_t = sum_tau diag(c_tau) Pi^tau, a cyclic band of width max(tau), and
+    the DAFT-domain matrix is A H_t A^H.  ``h @ x`` costs O(P*Nc),
+    ``np.asarray(h)`` gives the dense DAFT-domain matrix and
+    ``regularized_solve`` the banded time-domain normal-equation solve.
+    """
+
+    cfg: AfdmConfig
+    delays: np.ndarray
+    dopplers: np.ndarray
+    gains: np.ndarray
+
+    def __post_init__(self):
+        delays = _integers(self.delays, "delays")
+        dopplers = _integers(self.dopplers, "Dopplers")
+        gains = np.asarray(self.gains, dtype=np.complex128)
+        if not (delays.shape == dopplers.shape == gains.shape):
+            raise ParameterError("delays, dopplers and gains must have equal lengths")
+        if np.any((delays < 0) | (delays >= self.cfg.n_sub)):
+            raise ParameterError(f"delays must lie in [0, {self.cfg.n_sub})")
+        object.__setattr__(self, "delays", delays)
+        object.__setattr__(self, "dopplers", dopplers)
+        object.__setattr__(self, "gains", gains)
+
+    def _daft_taps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Source columns q and gain-weighted phases, both (paths, Nc)."""
+        n, cfg = self.cfg.n_sub, self.cfg
+        p = np.arange(n)
+        tau, nu = self.delays[:, None], self.dopplers[:, None]
+        q = (p + subcarrier_offset(tau, nu, cfg)) % n
+        phase = cfg.c1 * tau * tau - (q + nu) * tau / n - cfg.c2 * (p * p - q * q)
+        return q, self.gains[:, None] * np.exp(2j * np.pi * phase)
+
+    def _vector(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.complex128)
+        if x.shape != (self.cfg.n_sub,):
+            raise ConfigurationError(f"expected shape ({self.cfg.n_sub},), got {x.shape}")
+        return x
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = self._vector(x)
+        q, taps = self._daft_taps()
+        return np.sum(taps * x[q], axis=0)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        n = self.cfg.n_sub
+        q, taps = self._daft_taps()
+        out = np.zeros((n, n), dtype=np.complex128)
+        np.add.at(out, (np.broadcast_to(np.arange(n), q.shape), q), taps)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def _time_taps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct delays and their diagonals c_tau, so that H_t = sum diag(c_tau) Pi^tau."""
+        n = np.arange(self.cfg.n_sub)
+        taus, which = np.unique(self.delays, return_inverse=True)
+        src = (n - self.delays[:, None]) % self.cfg.n_sub
+        per_path = self.gains[:, None] * np.exp(
+            2j * np.pi * self.dopplers[:, None] * src / self.cfg.n_sub
+        )
+        taps = np.zeros((taus.size, n.size), dtype=np.complex128)
+        np.add.at(taps, which, per_path)
+        for k, tau in enumerate(taus):
+            taps[k] *= _prefix_factor(self.cfg, int(tau), n)
+        return taus, taps
+
+    def regularized_solve(self, r, lam: float) -> np.ndarray:
+        """Time-domain z = (H_t^H H_t + lam*I)^{-1} H_t^H r.
+
+        H_t^H H_t + lam*I is Hermitian with cyclic half-bandwidth at most
+        max(tau) - min(tau).  Ordering the unknowns as [0, Nc-1, 1, Nc-2, ...]
+        turns the cyclic band into an ordinary one about twice as wide, which
+        one banded Cholesky solve handles at O(Nc*tau_m^2).  Raises
+        ``numpy.linalg.LinAlgError`` when the matrix is not positive definite.
+        """
+        # scipy.linalg takes about 0.3 s to import and only this solve needs
+        # it, so importing it here keeps it out of every other caller's start-up.
+        from scipy.linalg import solveh_banded
+
+        n = self.cfg.n_sub
+        r = self._vector(r)
+        taus, taps = self._time_taps()
+        # M[a, <a + t1 - t2>] += conj(c_t1[<a + t1>]) * c_t2[<a + t1>]
+        a = np.arange(n)
+        reads = (a + taus[:, None]) % n
+        seen = np.take_along_axis(taps, reads, axis=1)
+        rhs = np.sum(np.conj(seen) * r[reads], axis=0)
+        values = np.conj(seen)[:, None, :] * taps[:, reads].swapaxes(0, 1)
+        cols = (a + (taus[:, None] - taus[None, :])[..., None]) % n
+        # position of unknown a in the order [0, Nc-1, 1, Nc-2, ...]
+        pos = np.where(a < (n + 1) // 2, 2 * a, 2 * (n - 1 - a) + 1)
+        row_pos, col_pos = np.broadcast_to(pos, values.shape), pos[cols]
+        lower = row_pos >= col_pos
+        k, j = (row_pos - col_pos)[lower], col_pos[lower]
+        band = np.zeros((int(k.max(initial=0)) + 1, n), dtype=np.complex128)
+        np.add.at(band, (k, j), values[lower])
+        band[0] += lam
+        rhs_perm = np.empty(n, dtype=np.complex128)
+        rhs_perm[pos] = rhs
+        return solveh_banded(band, rhs_perm, lower=True)[pos]
 
 
 def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, rng=None) -> np.ndarray:

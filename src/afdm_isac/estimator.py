@@ -9,22 +9,27 @@ matrix is unitary, the data-plus-noise term is white with per-sample variance
 (the data covariance sigma_d^2 I is preserved by each unitary path, and the
 path gains are uncorrelated under the prior), so the MMSE estimate reduces to
 a ridge-regularized least squares over Psi_p.  Detected paths are kept by
-magnitude thresholding and the channel matrix is rebuilt from the surviving
-coefficients.  Pilot-data interference can be peeled iteratively: demodulate
-with the current estimate, subtract the rebuilt data contribution, and
-re-estimate against the smaller residual noise.
+magnitude thresholding, and the channel estimate is the structured
+``PathChannel`` of the surviving (tau, nu, gain) triples: O(P*Nc) to apply,
+never a dense matrix.  The data are equalized by regularized least squares
+in the time domain, where the channel is a cyclic band of width tau_m, with
+one banded Cholesky solve.  This is exact: the DAFT matrix A is unitary, so
+with H = A H_t A^H the DAFT-domain solution (H^H H + lam I)^{-1} H^H r equals
+A (H_t^H H_t + lam I)^{-1} H_t^H A^H r.  Pilot-data interference can be
+peeled iteratively: demodulate with the current estimate, subtract the
+rebuilt data contribution, and re-estimate against the smaller residual
+noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .channel import BasisGrid, apply_basis, basis_matrix
-from .daft import AfdmConfig
+from .channel import BasisGrid, PathChannel, apply_basis
+from .daft import AfdmConfig, daft, idaft
 from .errors import NumericalError, ParameterError
 from .modem import FrameSpec, demap_symbols, map_bits
 
@@ -45,7 +50,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PriorModel:
-    """Diagonal gain prior and the white effective-noise variance."""
+    """Diagonal gain prior and the white effective-noise variance.
+
+    A gain variance of 0 means the coefficient is known to be 0: the
+    estimators pin it to 0 and give it posterior variance 0.  An infinite
+    variance is a flat prior (no regularization of that coefficient).
+    """
 
     gain_variances: np.ndarray
     noise_variance: float
@@ -71,7 +81,7 @@ class EstimationResult:
 
     alpha_hat: np.ndarray
     indicator: np.ndarray
-    h_eff_hat: np.ndarray
+    h_eff_hat: PathChannel  # kept paths; np.asarray gives the dense DAFT-domain matrix
     residual_norms: list[float]
     monotone: bool
     metadata: dict = field(default_factory=dict)
@@ -101,29 +111,36 @@ def effective_noise_covariance(
 _LS_NOISE_FLOOR = 1e-30
 
 
+def _free_columns(psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
+    """Columns with positive prior variance; zero-variance gains stay pinned at 0."""
+    psi_p = np.asarray(psi_p, dtype=np.complex128)
+    if prior.gain_variances.shape != (psi_p.shape[1],):
+        raise ParameterError(
+            f"{prior.gain_variances.shape} prior variances for {psi_p.shape[1]} columns"
+        )
+    free = prior.gain_variances > 0
+    return free, psi_p[:, free]
+
+
 def mmse_estimate(y, psi_p, prior: PriorModel) -> np.ndarray:
     """Linear MMSE gain estimate; degrades gracefully to least squares.
 
     With white effective noise c the estimate is
-    (Psi^H Psi / c + diag(1/prior))^{-1} Psi^H y / c.  A vanishing c (or an
+    (Psi^H Psi / c + diag(1/prior))^{-1} Psi^H y / c over the columns of
+    positive prior variance; the others are 0.  A vanishing c (or an
     infinite prior) removes the corresponding regularization.
     """
     y = np.asarray(y, dtype=np.complex128)
-    psi_p = np.asarray(psi_p, dtype=np.complex128)
-    if np.linalg.norm(y) == 0.0:
-        return np.zeros(psi_p.shape[1], dtype=np.complex128)
+    free, psi_f = _free_columns(psi_p, prior)
+    out = np.zeros(free.size, dtype=np.complex128)
+    if np.linalg.norm(y) == 0.0 or not free.any():
+        return out
     c = prior.noise_variance
     if c <= _LS_NOISE_FLOOR:
-        sol, *_ = np.linalg.lstsq(psi_p, y, rcond=None)
-        return sol
-    normal = psi_p.conj().T @ psi_p / c
-    inv_prior = np.where(
-        np.isfinite(prior.gain_variances) & (prior.gain_variances > 0),
-        1.0 / np.where(prior.gain_variances > 0, prior.gain_variances, 1.0),
-        0.0,
-    )
-    normal = normal + np.diag(inv_prior)
-    rhs = psi_p.conj().T @ y / c
+        out[free], *_ = np.linalg.lstsq(psi_f, y, rcond=None)
+        return out
+    normal = psi_f.conj().T @ psi_f / c + np.diag(1.0 / prior.gain_variances[free])
+    rhs = psi_f.conj().T @ y / c
     try:
         sol = np.linalg.solve(normal, rhs)
     except np.linalg.LinAlgError as exc:
@@ -134,17 +151,19 @@ def mmse_estimate(y, psi_p, prior: PriorModel) -> np.ndarray:
         raise NumericalError(
             f"non-finite estimate (cond={np.linalg.cond(normal):.3e})"
         )
-    return sol
+    out[free] = sol
+    return out
 
 
 def posterior_variances(psi_p, prior: PriorModel) -> np.ndarray:
-    """Diagonal of the posterior covariance of the gain estimate."""
-    psi_p = np.asarray(psi_p, dtype=np.complex128)
+    """Diagonal of the posterior covariance of the gain estimate (0 where pinned)."""
+    free, psi_f = _free_columns(psi_p, prior)
     c = max(prior.noise_variance, _LS_NOISE_FLOOR)
-    normal = psi_p.conj().T @ psi_p / c
-    inv_prior = np.where(prior.gain_variances > 0, 1.0 / prior.gain_variances, 0.0)
-    normal = normal + np.diag(inv_prior)
-    return np.real(np.diag(np.linalg.inv(normal)))
+    normal = psi_f.conj().T @ psi_f / c + np.diag(1.0 / prior.gain_variances[free])
+    out = np.zeros(free.size)
+    if free.any():
+        out[free] = np.real(np.diag(np.linalg.inv(normal)))
+    return out
 
 
 def threshold_paths(alpha_hat, eps) -> np.ndarray:
@@ -155,42 +174,42 @@ def threshold_paths(alpha_hat, eps) -> np.ndarray:
     return (np.abs(np.asarray(alpha_hat)) > eps_arr).astype(np.int8)
 
 
-@lru_cache(maxsize=8)
-def _basis_stack(cfg: AfdmConfig, tau_m: int, nu_m: int) -> np.ndarray:
-    grid = BasisGrid(tau_m=tau_m, nu_m=nu_m)
-    return np.stack(
-        [basis_matrix(cfg, tau, float(nu)) for tau, nu in grid.pairs], axis=0
-    )
-
-
-def reconstruct_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) -> np.ndarray:
-    """Rebuild the effective channel matrix from surviving coefficients."""
+def reconstruct_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) -> PathChannel:
+    """The structured channel estimate: the basis paths whose indicator is set,
+    with gains alpha_hat * indicator."""
     weights = np.asarray(alpha_hat, dtype=np.complex128) * np.asarray(indicator)
-    stack = _basis_stack(cfg, grid.tau_m, grid.nu_m)
-    return np.tensordot(weights, stack, axes=(0, 0))
+    if weights.shape != (len(grid),):
+        raise ParameterError(f"expected {len(grid)} coefficients, got {weights.shape}")
+    kept = np.flatnonzero(indicator)
+    pairs = np.asarray(grid.pairs, dtype=np.int64).reshape(-1, 2)[kept]
+    return PathChannel(cfg, pairs[:, 0], pairs[:, 1], weights[kept])
 
 
 def equalize_demod(
-    y, h_hat, x_pilot, spec: FrameSpec, noise_power: float
+    y, h_hat: PathChannel, x_pilot, spec: FrameSpec, noise_power: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Regularized linear equalizer plus hard demapping.
+    """Regularized linear (LMMSE) equalizer plus hard demapping.
 
     Returns (equalized data symbols, bits).  The pilot contribution through
-    the estimated channel is removed before equalization.
+    the estimated channel is removed, then the DAFT-domain solution
+    (H^H H + lam I)^{-1} H^H r, lam = noise power / data symbol power, is
+    computed as daft((H_t^H H_t + lam I)^{-1} H_t^H idaft(r)) with the
+    banded time-domain solve of ``PathChannel.regularized_solve``; the two
+    agree because A is unitary.  A matrix that is not positive definite
+    (lam = 0 on a singular channel) raises ``NumericalError``.
     """
+    if not isinstance(h_hat, PathChannel):
+        raise ParameterError("h_hat must be a PathChannel")
     y = np.asarray(y, dtype=np.complex128)
-    h_hat = np.asarray(h_hat, dtype=np.complex128)
-    if h_hat.shape[0] != h_hat.shape[1]:
-        raise ParameterError("channel matrix must be square")
     if spec.data_symbol_power <= 0:
         return np.zeros(y.shape, dtype=np.complex128), np.zeros(0, dtype=np.int64)
     lam = noise_power / spec.data_symbol_power
-    resid = y - h_hat @ np.asarray(x_pilot, dtype=np.complex128)
-    normal = h_hat.conj().T @ h_hat + lam * np.eye(h_hat.shape[0])
+    resid = y - h_hat @ x_pilot
     try:
-        x_d = np.linalg.solve(normal, h_hat.conj().T @ resid)
+        z = h_hat.regularized_solve(idaft(resid, h_hat.cfg), lam)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular equalizer matrix") from exc
+    x_d = daft(z, h_hat.cfg)
     bits = demap_symbols(x_d, spec)
     return x_d, bits
 
@@ -232,9 +251,6 @@ def iterative_estimate(
     )
     residuals: list[float] = []
     feedback = np.zeros(cfg.n_sub, dtype=np.complex128)
-    alpha_hat = np.zeros(len(grid), dtype=np.complex128)
-    indicator = np.zeros(len(grid), dtype=np.int8)
-    h_hat = np.zeros((cfg.n_sub, cfg.n_sub), dtype=np.complex128)
     for it in range(n_iter):
         prior_it = PriorModel(prior.gain_variances, c_it)
         observation = y if it == 0 else y - h_hat @ feedback
@@ -267,7 +283,11 @@ def iterative_estimate(
 
 
 def channel_mse(h_true, h_hat) -> float:
-    """Frobenius norm of the channel matrix error (single run, unsquared)."""
+    """Frobenius norm of the channel matrix error (single run, unsquared).
+
+    Either argument may be a ``PathChannel``; it is compared as its dense
+    DAFT-domain matrix.
+    """
     h_true = np.asarray(h_true)
     h_hat = np.asarray(h_hat)
     if h_true.shape != h_hat.shape:

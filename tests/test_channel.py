@@ -8,20 +8,25 @@ from afdm_isac.channel import (
     BasisGrid,
     ChannelPath,
     ChannelRealization,
+    PathChannel,
     SensingTarget,
     apply_basis,
     apply_channel_time,
     basis_grid,
-    basis_matrix,
-    channel_matrix,
     delay_doppler_to_range_velocity,
-    effective_channel_matrix,
     sample_channel,
     sensing_echo,
 )
-from afdm_isac.errors import ParameterError
+from afdm_isac.errors import ConfigurationError, ParameterError
 
 from conftest import random_unit_symbols
+from dense_oracle import (
+    basis_matrix,
+    channel_matrix,
+    effective_channel_matrix,
+    path_sum,
+    time_matrix,
+)
 
 
 CFG16 = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
@@ -72,6 +77,52 @@ class TestEffectiveMatrix:
     def test_fractional_delay_rejected(self):
         with pytest.raises(ParameterError):
             effective_channel_matrix(ChannelPath(1.0, 2.5, 0.0), CFG16)
+
+
+# (n_sub, 2*c1*n_sub): even and odd lengths up to 256
+PATH_CONFIGS = [(16, 4), (63, 5), (64, 8), (255, 13), (256, 32)]
+
+
+def random_path_channel(rng, cfg, grid, keep):
+    """PathChannel on a random subset of ``keep`` grid pairs, unit total power."""
+    picks = rng.choice(len(grid), size=keep, replace=False)
+    pairs = np.asarray(grid.pairs, dtype=np.int64).reshape(-1, 2)[picks]
+    gains = (rng.standard_normal(keep) + 1j * rng.standard_normal(keep)) / math.sqrt(2 * max(keep, 1))
+    return PathChannel(cfg, pairs[:, 0], pairs[:, 1], gains)
+
+
+class TestPathChannel:
+    @pytest.mark.parametrize("n_sub, two_c1_n", PATH_CONFIGS)
+    @pytest.mark.parametrize("keep", [0, 1, 4, 9])
+    def test_apply_and_dense_view_match_oracle(self, rng, n_sub, two_c1_n, keep):
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        h = random_path_channel(rng, cfg, basis_grid(tau_m=2, nu_m=1), keep)
+        oracle = path_sum(h)
+        x = random_unit_symbols(rng, n_sub)
+        assert np.max(np.abs(np.asarray(h) - oracle)) < 1e-10
+        assert np.max(np.abs(h @ x - oracle @ x)) < 1e-10
+
+    @pytest.mark.parametrize("n_sub, two_c1_n", PATH_CONFIGS)
+    def test_regularized_solve_matches_dense(self, rng, n_sub, two_c1_n):
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        h = random_path_channel(rng, cfg, basis_grid(tau_m=3, nu_m=2), 5)
+        h_t = path_sum(h, time_matrix)
+        r = random_unit_symbols(rng, n_sub)
+        lam = 0.1
+        expect = np.linalg.solve(h_t.conj().T @ h_t + lam * np.eye(n_sub), h_t.conj().T @ r)
+        assert np.max(np.abs(h.regularized_solve(r, lam) - expect)) < 1e-10
+
+    def test_invalid_paths_rejected(self):
+        with pytest.raises(ParameterError):
+            PathChannel(CFG16, [1], [0.5], [1.0])
+        with pytest.raises(ParameterError):
+            PathChannel(CFG16, [1.5], [0], [1.0])
+        with pytest.raises(ParameterError):
+            PathChannel(CFG16, [16], [0], [1.0])
+        with pytest.raises(ParameterError):
+            PathChannel(CFG16, [1, 2], [0], [1.0])
+        with pytest.raises(ConfigurationError):
+            PathChannel(CFG16, [1], [0], [1.0]) @ np.ones(15)
 
 
 class TestTimeDomainApplication:

@@ -5,12 +5,12 @@ import pytest
 
 from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp
 from afdm_isac.channel import (
+    PathChannel,
     apply_channel_time,
     basis_grid,
-    channel_matrix,
     sample_channel,
 )
-from afdm_isac.errors import ParameterError
+from afdm_isac.errors import NumericalError, ParameterError
 from afdm_isac.estimator import (
     PriorModel,
     build_psi,
@@ -23,10 +23,18 @@ from afdm_isac.estimator import (
     reconstruct_channel,
     threshold_paths,
 )
-from afdm_isac.modem import Constellation, FrameSpec, map_bits, random_data_vector
+from afdm_isac.modem import (
+    Constellation,
+    FrameSpec,
+    demap_symbols,
+    map_bits,
+    random_data_vector,
+)
 from afdm_isac.pilots import proposed_pilot
 
+import dense_oracle
 from conftest import random_unit_symbols
+from dense_oracle import basis_matrix, channel_matrix
 
 
 CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
@@ -39,6 +47,16 @@ def transmit(x_p, x_d, cfg):
 
 def receive(s_cpp, real, cfg, rng=None):
     return daft(remove_cpp(apply_channel_time(s_cpp, real, cfg, rng), cfg), cfg)
+
+
+def true_channel(real, cfg):
+    """The realization's paths as a PathChannel (perfect CSI)."""
+    return PathChannel(
+        cfg,
+        [p.delay for p in real.paths],
+        [p.doppler for p in real.paths],
+        [p.gain for p in real.paths],
+    )
 
 
 class TestBuildPsi:
@@ -75,11 +93,11 @@ class TestEffectiveNoise:
 
     def test_monte_carlo_covariance(self, rng):
         # sample covariance of the data-interference-plus-noise term
-        from afdm_isac.estimator import _basis_stack
-
         n_draws = 40_000
         gain_var = np.full(len(GRID), 1.0 / len(GRID))
-        stack = _basis_stack(CFG, GRID.tau_m, GRID.nu_m)
+        stack = np.stack(
+            [np.asarray(PathChannel(CFG, [tau], [nu], [1.0])) for tau, nu in GRID.pairs]
+        )
         pts = Constellation.QPSK.points
         x_d = pts[rng.integers(0, 4, size=(n_draws, 16))]
         alpha = (
@@ -133,6 +151,46 @@ class TestMmse:
         assert np.linalg.norm(est - oracle) < 1e-10
 
 
+class TestZeroVariancePrior:
+    """A zero prior variance pins its gain to 0 (it used to drop the regularization)."""
+
+    def problem(self, rng):
+        x_p = random_unit_symbols(rng, 16) * 2.0
+        psi = build_psi(x_p, GRID, CFG)
+        alpha = np.zeros(9, dtype=complex)
+        alpha[[1, 4, 7]] = [0.8, -0.5j, 0.3 + 0.3j]
+        y = psi @ alpha + 0.3 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        g_var = np.full(9, 1 / 3)
+        g_var[0] = 0.0
+        return psi, y, g_var
+
+    @pytest.mark.parametrize("c", [0.2, 0.0])
+    def test_pinned_coefficient_is_exactly_zero(self, rng, c):
+        # before the fix this coefficient came out at |alpha| ~ 0.05
+        psi, y, g_var = self.problem(rng)
+        est = mmse_estimate(y, psi, PriorModel(g_var, c))
+        assert est[0] == 0
+        free = mmse_estimate(y, psi[:, 1:], PriorModel(g_var[1:], c))
+        assert np.linalg.norm(est[1:] - free) < 1e-12
+
+    def test_pinned_posterior_variance_is_zero(self, rng):
+        psi, _, g_var = self.problem(rng)
+        post = posterior_variances(psi, PriorModel(g_var, 0.2))
+        assert post[0] == 0
+        assert np.allclose(post[1:], posterior_variances(psi[:, 1:], PriorModel(g_var[1:], 0.2)))
+
+    def test_all_pinned(self, rng):
+        psi, y, _ = self.problem(rng)
+        prior = PriorModel(np.zeros(9), 0.2)
+        assert np.all(mmse_estimate(y, psi, prior) == 0)
+        assert np.all(posterior_variances(psi, prior) == 0)
+
+    def test_prior_length_must_match(self, rng):
+        psi, y, _ = self.problem(rng)
+        with pytest.raises(ParameterError):
+            mmse_estimate(y, psi, PriorModel(np.ones(8), 0.2))
+
+
 class TestThreshold:
     def test_zero_eps_keeps_all(self):
         a = np.array([0.1, 1.0, 0.01j])
@@ -169,7 +227,7 @@ class TestThreshold:
 class TestReconstruct:
     def test_zero_indicator(self):
         h = reconstruct_channel(np.ones(9), np.zeros(9), GRID, CFG)
-        assert np.all(h == 0)
+        assert np.all(np.asarray(h) == 0)
 
     def test_exact_on_true_support(self, rng):
         real = sample_channel(L=3, tau_m=2, nu_m=1, rng=rng)
@@ -178,14 +236,12 @@ class TestReconstruct:
         for p in real.paths:
             alpha[GRID.index_of(p.delay, int(p.doppler))] = p.gain
         h_rec = reconstruct_channel(alpha, np.ones(9), GRID, CFG)
-        assert np.linalg.norm(h_rec - h_true) < 1e-10
+        assert np.linalg.norm(np.asarray(h_rec) - h_true) < 1e-10
 
     def test_matches_dense_oracle(self, rng):
-        from afdm_isac.channel import basis_matrix
-
         alpha = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         b = rng.integers(0, 2, 9)
-        h = reconstruct_channel(alpha, b, GRID, CFG)
+        h = np.asarray(reconstruct_channel(alpha, b, GRID, CFG))
         oracle = sum(
             alpha[i] * b[i] * basis_matrix(CFG, tau, float(nu))
             for i, (tau, nu) in enumerate(GRID.pairs)
@@ -197,7 +253,8 @@ class TestEqualize:
     def test_identity_channel_no_noise(self, rng):
         spec = FrameSpec(0.0, 1.0, Constellation.QPSK)
         bits, x_d = random_data_vector(16, spec, rng)
-        sym, out_bits = equalize_demod(x_d, np.eye(16, dtype=complex), np.zeros(16), spec, 0.0)
+        identity = PathChannel(CFG, [0], [0], [1.0])
+        sym, out_bits = equalize_demod(x_d, identity, np.zeros(16), spec, 0.0)
         assert np.linalg.norm(sym - x_d) < 1e-10
         assert np.array_equal(out_bits, bits)
 
@@ -208,7 +265,7 @@ class TestEqualize:
         total = 0
         for _ in range(200):
             real = sample_channel(L=3, tau_m=2, nu_m=1, rng=rng, noise_power=noise)
-            h = channel_matrix(real, CFG)
+            h = true_channel(real, CFG)
             bits, x_d = random_data_vector(16, spec, rng)
             s_cpp = transmit(np.zeros(16), x_d, CFG)
             y = receive(s_cpp, real, CFG, rng)
@@ -216,6 +273,56 @@ class TestEqualize:
             errors += np.sum(out_bits != bits)
             total += bits.size
         assert errors / total < 1e-3
+
+
+# (n_sub, 2*c1*n_sub): even and odd lengths up to 256
+EQ_CONFIGS = [(16, 4), (63, 5), (64, 8), (255, 13), (256, 32)]
+
+
+class TestEqualizeOracle:
+    """equalize_demod against the dense DAFT-domain normal equations."""
+
+    @pytest.mark.parametrize("n_sub, two_c1_n", EQ_CONFIGS)
+    @pytest.mark.parametrize("keep", [0, 3, 9])
+    def test_regularized_matches_dense(self, rng, n_sub, two_c1_n, keep):
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        spec = FrameSpec(float(n_sub), 1.0, Constellation.QPSK)
+        alpha = (rng.standard_normal(9) + 1j * rng.standard_normal(9)) / 3
+        indicator = np.zeros(9, dtype=np.int8)
+        indicator[rng.choice(9, size=keep, replace=False)] = 1
+        h = reconstruct_channel(alpha, indicator, GRID, cfg)
+        x_p = proposed_pilot(cfg, spec.pilot_power) if n_sub % 2 == 0 else random_unit_symbols(rng, n_sub)
+        y = random_unit_symbols(rng, n_sub) * 1.5
+        noise = 0.3
+        sym, bits = equalize_demod(y, h, x_p, spec, noise)
+        expect = dense_oracle.equalize(y, h, x_p, noise / spec.data_symbol_power)
+        assert np.max(np.abs(sym - expect)) < 1e-10
+        assert np.array_equal(bits, demap_symbols(expect, spec))
+
+    @pytest.mark.parametrize("n_sub, two_c1_n", EQ_CONFIGS)
+    def test_zero_forcing_on_invertible_channel(self, rng, n_sub, two_c1_n):
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        spec = FrameSpec(0.0, 1.0, Constellation.QPSK)
+        # a dominant path keeps the channel well conditioned
+        h = PathChannel(cfg, [0, 2, 1], [1, -1, 0], [1.0, 0.3j, -0.2])
+        bits, x_d = random_data_vector(n_sub, spec, rng)
+        y = h @ x_d
+        sym, out_bits = equalize_demod(y, h, np.zeros(n_sub), spec, 0.0)
+        expect = dense_oracle.equalize(y, h, np.zeros(n_sub), 0.0)
+        assert np.max(np.abs(sym - expect)) < 1e-10
+        assert np.max(np.abs(sym - x_d)) < 1e-10
+        assert np.array_equal(out_bits, bits)
+
+    def test_singular_zero_forcing_raises(self):
+        spec = FrameSpec(0.0, 1.0, Constellation.QPSK)
+        empty = reconstruct_channel(np.ones(9), np.zeros(9), GRID, CFG)
+        with pytest.raises(NumericalError):
+            equalize_demod(np.ones(16), empty, np.zeros(16), spec, 0.0)
+
+    def test_dense_matrix_rejected(self):
+        spec = FrameSpec(0.0, 1.0, Constellation.QPSK)
+        with pytest.raises(ParameterError):
+            equalize_demod(np.ones(16), np.eye(16), np.zeros(16), spec, 0.1)
 
 
 class TestIterative:
@@ -323,8 +430,34 @@ class TestIterative:
         y2 = receive(transmit(phase * x_p, np.zeros(32), cfg), real, cfg)
         res1 = iterative_estimate(y1, x_p, spec, grid, cfg, 0.0, n_iter=1, eps=0.0)
         res2 = iterative_estimate(y2, phase * x_p, spec, grid, cfg, 0.0, n_iter=1, eps=0.0)
-        assert np.linalg.norm(res1.h_eff_hat - res2.h_eff_hat) < 1e-8
+        assert np.linalg.norm(np.asarray(res1.h_eff_hat) - np.asarray(res2.h_eff_hat)) < 1e-8
         assert np.linalg.norm(res2.alpha_hat - res1.alpha_hat) < 1e-8
+
+
+class TestDenseRoute:
+    """The iterative estimator matches the dense-matrix route it replaced."""
+
+    @pytest.mark.parametrize("n_sub, two_c1_n, nu_m", [(64, 8, 1), (63, 5, 1), (256, 32, 2)])
+    def test_alpha_channel_and_bits_match(self, rng, n_sub, two_c1_n, nu_m):
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=8, c1=two_c1_n / (2 * n_sub))
+        grid = basis_grid(tau_m=3, nu_m=nu_m)
+        noise = 1.0
+        spec = FrameSpec(n_sub * 30.0, 30.0, Constellation.QPSK)
+        x_p = random_unit_symbols(rng, n_sub) * math.sqrt(30.0)
+        real = sample_channel(L=3, tau_m=3, nu_m=nu_m, rng=rng, noise_power=noise)
+        bits, x_d = random_data_vector(n_sub, spec, rng)
+        y = receive(transmit(x_p, x_d, cfg), real, cfg, rng)
+        res = iterative_estimate(y, x_p, spec, grid, cfg, noise, n_iter=2)
+        alpha, indicator, h_dense, bits_dense = dense_oracle.iterative_estimate(
+            y, x_p, spec, grid, cfg, noise, n_iter=2
+        )
+        _, bits_hat = equalize_demod(y, res.h_eff_hat, x_p, spec, noise)
+        v = random_unit_symbols(rng, n_sub)
+        assert np.max(np.abs(res.alpha_hat - alpha)) < 1e-10
+        assert np.array_equal(res.indicator, indicator)
+        assert np.max(np.abs(res.h_eff_hat @ v - h_dense @ v)) < 1e-10
+        assert np.array_equal(bits_hat, bits_dense)
+        assert np.count_nonzero(bits_hat != bits) < bits.size // 10
 
 
 class TestChannelMse:
