@@ -9,11 +9,18 @@ the fractional part
 
     frac_kernel(n, m) = frac(2*c1*(n - tau_bar) + m/Nc)
 
-which is what makes the chirp rate c1 shape the delay bound.  The delay and
-Doppler bounds are the exact 2x2 inverse of that block; range and velocity
-bounds follow by unit conversion.  Note: the gain-gain information entry is
-2*Pt/sigma_s^2, i.e. twice the waveform energy over the noise power, as the
-likelihood dictates (finite-difference tests pin this down).
+which is what makes the chirp rate c1 shape the delay bound.  With
+a = sum_m p_m sum_n frac^2, b = sum_m p_m sum_n frac*(n/Nc) and
+c = sum_m p_m sum_n (n/Nc)^2, the delay and Doppler bounds are the exact
+2x2 inverse of that block, front*c/D and front*a/D with D = a*c - b^2.  One
+private evaluator computes them for every public function (``fim``, ``crb``,
+``sensing_weights``, ``crb_distribution``) and rejects D <= 0 with
+``NumericalError``; range and velocity bounds follow by the unit conversion
+of ``channel.delay_doppler_to_range_velocity``.  The sensing weights are the
+closed-form gradient of the delay bound, not finite differences.  Note: the
+gain-gain information entry is 2*Pt/sigma_s^2, i.e. twice the waveform
+energy over the noise power, as the likelihood dictates (finite-difference
+tests pin this down).
 
 Ambiguity functions
 -------------------
@@ -27,12 +34,12 @@ closed-form DAFT-domain route (a single cyclic ridge at subcarrier offset
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import SensingTarget, apply_basis, subcarrier_offset
+from .channel import SensingTarget, apply_basis, delay_doppler_to_range_velocity, subcarrier_offset
 from .daft import AfdmConfig, build_daft_matrix, idaft
 from .errors import NumericalError, ParameterError
 from .modem import Constellation, FrameSpec
@@ -54,7 +61,6 @@ __all__ = [
     "verify_theorem_4",
     "fim",
     "crb",
-    "sensing_weight",
     "sensing_weights",
     "crb_distribution",
     "equal_allocation",
@@ -236,6 +242,12 @@ def ambiguity_moments_mc(
 # theorem reports
 
 
+# Acceptance windows of the theorem checks: the Monte Carlo log-log slope of
+# Theorem 3 and the relative Gram-identity residual of Theorem 4.
+_SLOPE_WINDOW = (-1.1, -0.9)
+_IDENTITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     passed: bool
@@ -293,35 +305,21 @@ def verify_theorem_3(
     n_frames: int = 0,
     rng=None,
     pilot_builder=None,
-    slope_window: tuple[float, float] = (-1.1, -0.9),
 ) -> TheoremReport:
     """Origin ambiguity variance decays like 1/Nc for constant-modulus data.
 
     Closed-form values are exactly 2*Pd*sigma_p^2/Nc; with ``n_frames`` the
     Monte Carlo log-log slope across the configs must fall in
-    ``slope_window``.
+    ``_SLOPE_WINDOW``.
     """
     n_subs = np.array([cfg.n_sub for cfg in cfgs], dtype=float)
-    closed = np.array(
+    specs = [FrameSpec(pilot_power, total_data_power / cfg.n_sub, Constellation.QPSK) for cfg in cfgs]
+    closed, closed_off = np.array(
         [
-            af_statistics_closed_form(
-                FrameSpec(pilot_power, total_data_power / cfg.n_sub, Constellation.QPSK),
-                cfg,
-                at_origin=True,
-            )[1]
-            for cfg in cfgs
+            [af_statistics_closed_form(spec, cfg, at_origin)[1] for at_origin in (True, False)]
+            for spec, cfg in zip(specs, cfgs)
         ]
-    )
-    closed_off = np.array(
-        [
-            af_statistics_closed_form(
-                FrameSpec(pilot_power, total_data_power / cfg.n_sub, Constellation.QPSK),
-                cfg,
-                at_origin=False,
-            )[1]
-            for cfg in cfgs
-        ]
-    )
+    ).T
     expected = 2 * total_data_power * pilot_power / n_subs
     expected_off = (2 * total_data_power * pilot_power + total_data_power**2) / n_subs
     closed_ok = np.allclose(closed, expected, rtol=1e-12) and np.allclose(
@@ -339,14 +337,13 @@ def verify_theorem_3(
         if rng is None or pilot_builder is None:
             raise ParameterError("Monte Carlo check needs rng and pilot_builder")
         mc_vars = []
-        for cfg in cfgs:
-            spec = FrameSpec(pilot_power, total_data_power / cfg.n_sub, Constellation.QPSK)
+        for spec, cfg in zip(specs, cfgs):
             mc = ambiguity_moments_mc(pilot_builder(cfg), spec, cfg, [(0, 0)], n_frames, rng)
             mc_vars.append(float(mc["variance"][0]))
         slope_mc = float(np.polyfit(np.log(n_subs), np.log(mc_vars), 1)[0])
         details["mc_variances"] = mc_vars
         details["slope_mc"] = slope_mc
-        passed = passed and slope_window[0] <= slope_mc <= slope_window[1]
+        passed = passed and _SLOPE_WINDOW[0] <= slope_mc <= _SLOPE_WINDOW[1]
     return TheoremReport(passed=passed, details=details)
 
 
@@ -354,8 +351,6 @@ def verify_theorem_4(
     x_pilot,
     cfg: AfdmConfig,
     pairs: Sequence[tuple[int, int]],
-    gram_tol: float = 1e-10,
-    identity_tol: float = 1e-9,
 ) -> TheoremReport:
     """Check the pilot Gram structure against the pilot ambiguity function.
 
@@ -363,41 +358,34 @@ def verify_theorem_4(
     entry, that the (i, j) Gram element equals
     exp(-j*2*pi*nu_j*(tau_j - tau_i)/Nc) * chi_p(tau_j - tau_i, nu_j - nu_i);
     an ideal pilot therefore yields a scaled-identity Gram.  ``passed``
-    reflects only the identity residual; consumers judge the off-diagonal
-    magnitudes via the report.
+    reflects only the identity residual (relative tolerance
+    ``_IDENTITY_TOL``); consumers judge the off-diagonal magnitudes via the
+    report.
     """
     x_pilot = np.asarray(x_pilot, dtype=np.complex128)
     pilot_power = float(np.linalg.norm(x_pilot) ** 2)
     cols = np.stack([apply_basis(x_pilot, cfg, t, float(v)) for t, v in pairs], axis=1)
     gram = cols.conj().T @ cols
+    taus, nus = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    tau_diff = taus[None, :] - taus[:, None]  # [i, j] = tau_j - tau_i
+    tau_hats, t_idx = np.unique(tau_diff % cfg.n_sub, return_inverse=True)
+    nu_hats, v_idx = np.unique(nus[None, :] - nus[:, None], return_inverse=True)
     s_p = idaft(x_pilot, cfg)
-    tau_hats = sorted({(tj - ti) % cfg.n_sub for ti, _ in pairs for tj, _ in pairs})
-    nu_hats = sorted({vj - vi for _, vi in pairs for _, vj in pairs})
-    chi = cross_ambiguity(s_p, s_p, np.array(tau_hats), np.array(nu_hats))
-    t_index = {t: i for i, t in enumerate(tau_hats)}
-    v_index = {v: i for i, v in enumerate(nu_hats)}
-    max_identity = 0.0
-    max_offdiag = 0.0
-    for i, (ti, vi) in enumerate(pairs):
-        for j, (tj, vj) in enumerate(pairs):
-            tau_hat = (tj - ti) % cfg.n_sub
-            chi_val = chi[t_index[tau_hat], v_index[vj - vi]]
-            predicted = np.exp(-2j * np.pi * vj * (tj - ti) / cfg.n_sub) * chi_val
-            max_identity = max(max_identity, abs(gram[i, j] - predicted))
-            if i != j:
-                max_offdiag = max(max_offdiag, abs(gram[i, j]))
+    chi = cross_ambiguity(s_p, s_p, tau_hats, nu_hats)
+    chi_pairs = chi[t_idx.reshape(tau_diff.shape), v_idx.reshape(tau_diff.shape)]
+    predicted = np.exp(-2j * np.pi * nus[None, :] * tau_diff / cfg.n_sub) * chi_pairs
+    offdiag = ~np.eye(len(taus), dtype=bool)
+    max_identity = float(np.max(np.abs(gram - predicted)))
+    max_offdiag = float(np.max(np.abs(gram[offdiag]), initial=0.0))
     diag_err = float(np.max(np.abs(np.diag(gram) - pilot_power)))
     details = {
         "max_identity_residual": max_identity,
         "max_offdiagonal": max_offdiag,
         "diag_error": diag_err,
         "pilot_power": pilot_power,
-        "gram_tol": gram_tol,
-        "identity_tol": identity_tol,
     }
-    passed = max_identity <= identity_tol * max(pilot_power, 1.0) and diag_err <= 1e-9 * max(
-        pilot_power, 1.0
-    )
+    scale = max(pilot_power, 1.0)
+    passed = max_identity <= _IDENTITY_TOL * scale and diag_err <= 1e-9 * scale
     return TheoremReport(passed=passed, details=details)
 
 
@@ -455,106 +443,87 @@ def _frac_kernel(cfg: AfdmConfig, tau_bar: float) -> np.ndarray:
     return val - np.floor(val)
 
 
-def _fim_sums(cfg: AfdmConfig, tau_bar: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-subcarrier kernels: (sum_n frac^2, sum_n frac*(n/Nc), sum_n (n/Nc)^2)."""
-    kern = _frac_kernel(cfg, tau_bar)
+def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
+    """Validated kernels (a_m, b_m, c0) and power-weighted sums (a, b, c).
+
+    a_m = sum_n frac^2, b_m = sum_n frac*(n/Nc), c0 = sum_n (n/Nc)^2;
+    a = p.a_m, b = p.b_m, c = sum(p)*c0.  ``powers`` is one allocation of
+    length Nc or a (draws, Nc) stack, and a, b, c follow its leading shape.
+    """
+    p = np.asarray(powers, dtype=np.float64)
+    if p.ndim not in (1, 2) or p.shape[-1] != cfg.n_sub:
+        raise ParameterError(f"allocation must have length n_sub={cfg.n_sub}, got shape {p.shape}")
+    if not np.all(np.isfinite(p)) or np.any(p < 0):
+        raise ParameterError("powers must be finite and non-negative")
+    total = p.sum(axis=-1)
+    if np.any(total <= 0):
+        raise ParameterError("total power must be positive")
+    if not 0 < target.noise_power < np.inf:
+        raise ParameterError("target noise power must be positive and finite")
+    if not 0 < abs(target.gain) < np.inf:
+        raise ParameterError("target gain must be nonzero and finite")
+    if not np.isfinite(target.delay_samples):
+        raise ParameterError("target delay must be finite")
+    kern = _frac_kernel(cfg, target.delay_samples)
     ramp = np.arange(cfg.n_sub, dtype=np.float64) / cfg.n_sub
     a_m = np.sum(kern * kern, axis=1)
     b_m = kern @ ramp
     c0 = float(np.sum(ramp * ramp))
-    return a_m, b_m, c0
+    return a_m, b_m, c0, p @ a_m, p @ b_m, total * c0
+
+
+def _crb_from_sums(a, b, c, target: SensingTarget, cfg: AfdmConfig):
+    """Delay and Doppler bounds front*c/D and front*a/D, elementwise in the sums.
+
+    D = a*c - b^2 is the delay-Doppler determinant up to scale; a block with
+    D <= 0 or non-finite D has no bound and raises ``NumericalError``.
+    """
+    det = a * c - b * b
+    if np.any(~np.isfinite(det) | (det <= 0)):
+        raise NumericalError(
+            f"degenerate delay-Doppler information block (a*c - b^2 = {np.min(det)})"
+        )
+    front = target.noise_power * cfg.n_sub / (8.0 * np.pi**2 * abs(target.gain) ** 2)
+    return front * c / det, front * a / det
+
+
+def _fim_matrix(total: float, a: float, b: float, c: float, target: SensingTarget, cfg: AfdmConfig):
+    """(gain, delay, Doppler) information matrix from the total power and the sums."""
+    scale = 2.0 / target.noise_power
+    g = scale * abs(target.gain) ** 2 * (2.0 * np.pi) ** 2 / cfg.n_sub
+    return np.array([[scale * total, 0.0, 0.0], [0.0, g * a, -g * b], [0.0, -g * b, g * c]])
 
 
 def fim(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> np.ndarray:
     """3x3 information matrix for (gain, delay, Doppler)."""
-    if target.noise_power <= 0:
-        raise ParameterError("target noise power must be positive")
-    a_m, b_m, c0 = _fim_sums(cfg, target.delay_samples)
-    p = power.powers
-    if p.size != cfg.n_sub:
-        raise ParameterError("allocation length must equal n_sub")
-    a = float(p @ a_m)
-    b = float(p @ b_m)
-    c = power.total * c0
-    beta2 = abs(target.gain) ** 2
-    four_pi2 = (2.0 * np.pi) ** 2
-    scale = 2.0 / target.noise_power
-    out = np.zeros((3, 3))
-    out[0, 0] = scale * power.total
-    out[1, 1] = scale * beta2 * four_pi2 * a / cfg.n_sub
-    out[2, 2] = scale * beta2 * four_pi2 * c / cfg.n_sub
-    out[1, 2] = out[2, 1] = -scale * beta2 * four_pi2 * b / cfg.n_sub
-    return out
-
-
-def _crb_from_sums(a: float, b: float, c: float, beta2: float, noise_power: float, n_sub: int):
-    det = a * c - b * b
-    if det <= 0 or not np.isfinite(det):
-        raise NumericalError(
-            f"degenerate delay-Doppler information block (a={a}, b={b}, c={c})"
-        )
-    front = noise_power * n_sub / (8.0 * np.pi**2 * beta2)
-    return front * c / det, front * a / det
+    *_, a, b, c = _fim_sums(power.powers, target, cfg)
+    return _fim_matrix(power.total, a, b, c, target, cfg)
 
 
 def crb(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> SensingBounds:
     """Delay/Doppler lower bounds and their range/velocity conversions."""
-    a_m, b_m, c0 = _fim_sums(cfg, target.delay_samples)
-    p = power.powers
-    a = float(p @ a_m)
-    b = float(p @ b_m)
-    c = power.total * c0
-    beta2 = abs(target.gain) ** 2
-    crb_tau, crb_nu = _crb_from_sums(a, b, c, beta2, target.noise_power, cfg.n_sub)
-    from .channel import SPEED_OF_LIGHT
-
-    crb_range = (SPEED_OF_LIGHT * cfg.t_s / 2.0) ** 2 * crb_tau
-    crb_velocity = (SPEED_OF_LIGHT * cfg.delta_f / (2.0 * cfg.f_c)) ** 2 * crb_nu
+    *_, a, b, c = _fim_sums(power.powers, target, cfg)
+    crb_tau, crb_nu = _crb_from_sums(a, b, c, target, cfg)
+    metres_per_sample, mps_per_bin = delay_doppler_to_range_velocity(1.0, 1.0, cfg)
     return SensingBounds(
-        fim=fim(power, target, cfg),
-        crb_tau=crb_tau,
-        crb_nu=crb_nu,
-        crb_range=crb_range,
-        crb_velocity=crb_velocity,
+        fim=_fim_matrix(power.total, a, b, c, target, cfg),
+        crb_tau=float(crb_tau),
+        crb_nu=float(crb_nu),
+        crb_range=float(metres_per_sample**2 * crb_tau),
+        crb_velocity=float(mps_per_bin**2 * crb_nu),
     )
 
 
-def sensing_weight(
-    power: PowerAllocation,
-    target: SensingTarget,
-    cfg: AfdmConfig,
-    m: int,
-    rel_step: float = 1e-4,
-) -> float:
-    """Central-difference sensitivity of the delay bound to subcarrier m's power.
+def sensing_weights(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> np.ndarray:
+    """Per-subcarrier sensitivities dCRB_tau/dp_m of the delay bound.
 
-    Evaluated as a plain partial derivative (total power is not held fixed),
-    with step rel_step * Pt / Nc.
+    Plain partial derivatives (total power is not held fixed), in closed
+    form: with D = a*c - b^2, dD/dp_m = a_m*c + a*c0 - 2*b*b_m and
+    dCRB_tau/dp_m = CRB_tau * (c0/c - (dD/dp_m)/D).
     """
-    return float(sensing_weights(power, target, cfg, rel_step=rel_step)[m])
-
-
-def sensing_weights(
-    power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig, rel_step: float = 1e-4
-) -> np.ndarray:
-    """Vector of per-subcarrier delay-bound sensitivities (central differences)."""
-    a_m, b_m, c0 = _fim_sums(cfg, target.delay_samples)
-    p = power.powers
-    a = float(p @ a_m)
-    b = float(p @ b_m)
-    c = power.total * c0
-    beta2 = abs(target.gain) ** 2
-    h = rel_step * power.total / cfg.n_sub
-    out = np.empty(cfg.n_sub)
-    for m in range(cfg.n_sub):
-        hi, _ = _crb_from_sums(
-            a + h * a_m[m], b + h * b_m[m], c + h * c0, beta2, target.noise_power, cfg.n_sub
-        )
-        lo, _ = _crb_from_sums(
-            a - h * a_m[m], b - h * b_m[m], c - h * c0, beta2, target.noise_power, cfg.n_sub
-        )
-        out[m] = (hi - lo) / (2.0 * h)
-    return out
+    a_m, b_m, c0, a, b, c = _fim_sums(power.powers, target, cfg)
+    crb_tau, _ = _crb_from_sums(a, b, c, target, cfg)
+    return crb_tau * (c0 / c - (a_m * c + a * c0 - 2.0 * b * b_m) / (a * c - b * b))
 
 
 def crb_distribution(
@@ -571,38 +540,27 @@ def crb_distribution(
     Draws allocations uniformly on the power simplex (scaled to the total),
     evaluates the delay bound for each, and reports the empirical
     distribution.  ``tail_mass`` is the fraction of draws exceeding twice the
-    equal-allocation baseline.  Pass ``allocations`` (rows summing to the
-    total) to evaluate a fixed set instead of drawing.
+    equal-allocation baseline at ``total_power``.  Pass ``allocations`` (one
+    allocation per row, each bounded at its own total) to evaluate a fixed
+    set instead of drawing.
     """
-    if n_draws < 1 and allocations is None:
-        raise ParameterError("n_draws must be >= 1")
-    a_m, b_m, c0 = _fim_sums(cfg, target.delay_samples)
-    if allocations is not None:
-        alloc = np.asarray(allocations, dtype=np.float64)
-    else:
-        alloc = rng.dirichlet(np.ones(cfg.n_sub), size=n_draws) * total_power
-    a = alloc @ a_m
-    b = alloc @ b_m
-    c = total_power * c0
-    beta2 = abs(target.gain) ** 2
-    det = a * c - b * b
-    front = target.noise_power * cfg.n_sub / (8.0 * np.pi**2 * beta2)
-    values = front * c / det
-    baseline, _ = _crb_from_sums(
-        float(np.full(cfg.n_sub, total_power / cfg.n_sub) @ a_m),
-        float(np.full(cfg.n_sub, total_power / cfg.n_sub) @ b_m),
-        c,
-        beta2,
-        target.noise_power,
-        cfg.n_sub,
-    )
+    if not 0 < total_power < np.inf:
+        raise ParameterError("total_power must be positive and finite")
+    if allocations is None:
+        if n_draws < 1:
+            raise ParameterError("n_draws must be >= 1")
+        allocations = rng.dirichlet(np.ones(cfg.n_sub), size=n_draws) * total_power
+    a_m, b_m, c0, a, b, c = _fim_sums(allocations, target, cfg)
+    values, _ = _crb_from_sums(a, b, c, target, cfg)
+    equal = np.full(cfg.n_sub, total_power / cfg.n_sub)
+    baseline, _ = _crb_from_sums(equal @ a_m, equal @ b_m, total_power * c0, target, cfg)
     hist, edges = np.histogram(values, bins=n_bins, density=True)
     return {
         "values": values,
         "mean": float(values.mean()),
         "variance": float(values.var()),
         "tail_mass": float(np.mean(values > 2.0 * baseline)),
-        "equal_allocation": baseline,
+        "equal_allocation": float(baseline),
         "density": hist,
         "bin_edges": edges,
     }

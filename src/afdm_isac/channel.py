@@ -85,20 +85,14 @@ class ChannelRealization:
 class SensingTarget:
     """Point target: complex gain, real delay in samples, normalized Doppler.
 
-    ``delay_samples`` may be fractional; range/velocity conversions use the
-    monostatic round trip 2R/c and 2Vf_c/c.
+    ``delay_samples`` may be fractional; ``delay_doppler_to_range_velocity``
+    converts delay and Doppler to range and velocity.
     """
 
     gain: complex
     delay_samples: float
     doppler_norm: float
     noise_power: float
-
-    def range_m(self, cfg: AfdmConfig) -> float:
-        return SPEED_OF_LIGHT * self.delay_samples * cfg.t_s / 2.0
-
-    def velocity_mps(self, cfg: AfdmConfig) -> float:
-        return SPEED_OF_LIGHT * self.doppler_norm * cfg.delta_f / (2.0 * cfg.f_c)
 
 
 @dataclass(frozen=True)
@@ -369,7 +363,10 @@ def sensing_echo(s_cpp, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.
 
 
 def delay_doppler_to_range_velocity(tau_hat: float, nu_hat: float, cfg: AfdmConfig) -> tuple[float, float]:
-    """Convert normalized estimates to range (m) and radial velocity (m/s)."""
+    """Convert normalized estimates to range (m) and radial velocity (m/s).
+
+    Monostatic round trip: delay 2R/c and Doppler shift 2*V*f_c/c.
+    """
     r = SPEED_OF_LIGHT * tau_hat * cfg.t_s / 2.0
     v = SPEED_OF_LIGHT * nu_hat * cfg.delta_f / (2.0 * cfg.f_c)
     return r, v

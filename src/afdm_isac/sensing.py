@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -84,8 +83,10 @@ class DetectionConfig:
     def __post_init__(self):
         if self.gamma <= 0:
             raise ParameterError("gamma must be positive")
-        if any(g < 0 for g in self.guard) or any(t <= 0 for t in self.train):
-            raise ParameterError("window half-widths must be non-negative")
+        if any(g < 0 for g in self.guard):
+            raise ParameterError(f"guard half-widths must be non-negative, got {self.guard}")
+        if any(t <= 0 for t in self.train):
+            raise ParameterError(f"train half-widths must be positive, got {self.train}")
 
 
 def sensing_grid(

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from afdm_isac import AfdmConfig, idaft
 from afdm_isac.analysis import (
@@ -30,6 +33,31 @@ from afdm_isac.modem import Constellation, FrameSpec
 from afdm_isac.pilots import proposed_pilot, select_c1_q, traditional_spi_pilot
 
 from conftest import random_unit_symbols
+
+
+def fd_sensing_weights(power, target, cfg):
+    """Central-difference delay-bound sensitivities (oracle for the closed form).
+
+    Rebuilds the frac kernel and the bound front*c/(a*c - b^2) independently
+    and steps each subcarrier's power by 1e-4 * Pt / Nc.
+    """
+    n = np.arange(cfg.n_sub)
+    val = 2 * cfg.c1 * (n[None, :] - target.delay_samples) + n[:, None] / cfg.n_sub
+    frac = val - np.floor(val)
+    ramp = n / cfg.n_sub
+    a_m, b_m, c0 = np.sum(frac * frac, axis=1), frac @ ramp, ramp @ ramp
+    p = power.powers
+    a, b, c = p @ a_m, p @ b_m, p.sum() * c0
+    front = target.noise_power * cfg.n_sub / (8 * np.pi**2 * abs(target.gain) ** 2)
+    h = 1e-4 * power.total / cfg.n_sub
+    out = np.empty(cfg.n_sub)
+    for m in range(cfg.n_sub):
+        hi_a, hi_b, hi_c = a + h * a_m[m], b + h * b_m[m], c + h * c0
+        lo_a, lo_b, lo_c = a - h * a_m[m], b - h * b_m[m], c - h * c0
+        hi = front * hi_c / (hi_a * hi_c - hi_b * hi_b)
+        lo = front * lo_c / (lo_a * lo_c - lo_b * lo_b)
+        out[m] = (hi - lo) / (2.0 * h)
+    return out
 
 
 def af_direct(s, tau, nu):
@@ -357,6 +385,15 @@ class TestNumericHessianOracle:
 
 
 class TestSensingWeights:
+    @pytest.mark.parametrize("n_sub", [16, 256])
+    def test_matches_fd_oracle_per_subcarrier(self, n_sub):
+        cfg = AfdmConfig(n_sub=n_sub, c1=4 / n_sub)
+        power = frame_power_profile(proposed_pilot(cfg, pilot_power=n_sub / 4, r=0), 1.0)
+        target = SensingTarget(1.0, 3.3, 0.7, 1.0)
+        np.testing.assert_allclose(
+            sensing_weights(power, target, cfg), fd_sensing_weights(power, target, cfg), rtol=1e-6
+        )
+
     def test_linearization(self):
         cfg = AfdmConfig(n_sub=16, c1=5 / 32)
         power = equal_allocation(16.0, 16)
@@ -379,6 +416,30 @@ class TestSensingWeights:
 
 
 class TestCrbDistribution:
+    def test_rows_match_crb_at_their_own_totals(self, rng):
+        cfg = AfdmConfig(n_sub=16, c1=5 / 32)
+        target = SensingTarget(1.0, 1.3, 0.2, 0.5)
+        rows = rng.uniform(0.1, 2.0, (4, 16))
+        out = crb_distribution(cfg, target, 16.0, 0, rng, allocations=rows)
+        for row, value in zip(rows, out["values"]):
+            assert value == pytest.approx(crb(PowerAllocation(row), target, cfg).crb_tau, rel=1e-12)
+
+    def test_degenerate_row_raises(self, rng):
+        # the delta allocation of TestCrb::test_degenerate_geometry_raises
+        cfg = AfdmConfig(n_sub=8, c1=0.0)
+        rows = np.ones((3, 8))
+        rows[1] = 0.0
+        rows[1, 0] = 1.0
+        with pytest.raises(NumericalError):
+            crb_distribution(cfg, SensingTarget(1.0, 0.0, 0.0, 1.0), 8.0, 0, rng, allocations=rows)
+
+    def test_negative_row_raises(self, rng):
+        cfg = AfdmConfig(n_sub=8, c1=1 / 8)
+        rows = np.ones((3, 8))
+        rows[2, 3] = -0.5
+        with pytest.raises(ParameterError):
+            crb_distribution(cfg, SensingTarget(1.0, 0.0, 0.0, 1.0), 8.0, 0, rng, allocations=rows)
+
     def test_point_mass_for_fixed_allocation(self, rng):
         cfg = AfdmConfig(n_sub=16, c1=5 / 32)
         target = SensingTarget(1.0, 0.0, 0.0, 1.0)
@@ -396,6 +457,54 @@ class TestCrbDistribution:
         )
         assert out_ofdm["variance"] > out_afdm["variance"]
         assert abs(out_ofdm["mean"] - out_afdm["mean"]) < 0.5 * out_afdm["mean"]
+
+
+CONTRACT_CFG = AfdmConfig(n_sub=16, c1=5 / 32)
+BOUND_CALLS = {
+    "fim": lambda p, t: fim(PowerAllocation(p), t, CONTRACT_CFG),
+    "crb": lambda p, t: crb(PowerAllocation(p), t, CONTRACT_CFG),
+    "sensing_weights": lambda p, t: sensing_weights(PowerAllocation(p), t, CONTRACT_CFG),
+    "crb_distribution": lambda p, t: crb_distribution(
+        CONTRACT_CFG, t, 16.0, 0, None, allocations=np.tile(p, (3, 1))
+    ),
+}
+
+
+class TestBoundContracts:
+    @pytest.mark.parametrize("name", sorted(BOUND_CALLS))
+    def test_rejects_bad_allocation_length_and_zero_gain(self, name):
+        call = BOUND_CALLS[name]
+        target = SensingTarget(1.0, 1.3, 0.2, 1.0)
+        call(np.ones(16), target)
+        with pytest.raises(ParameterError):
+            call(np.ones(15), target)
+        with pytest.raises(ParameterError):
+            call(np.ones(17), target)
+        with pytest.raises(ParameterError):
+            call(np.ones(16), SensingTarget(0.0, 1.3, 0.2, 1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log2_n=st.integers(3, 8),
+        two_c1_n=st.integers(0, 256),
+        powers=arrays(np.float64, 256, elements=st.floats(0.1, 10.0)),
+        tau=st.floats(0.0, 8.0),
+        nu=st.floats(-4.0, 4.0),
+        gain=st.floats(0.1, 10.0),
+        noise_power=st.floats(0.01, 10.0),
+    )
+    def test_closed_forms_match_oracles(self, log2_n, two_c1_n, powers, tau, nu, gain, noise_power):
+        n_sub = 2**log2_n
+        cfg = AfdmConfig(n_sub=n_sub, c1=(two_c1_n % (n_sub + 1)) / (2 * n_sub))
+        power = PowerAllocation(powers[:n_sub])
+        target = SensingTarget(gain, tau, nu, noise_power)
+        np.testing.assert_allclose(
+            sensing_weights(power, target, cfg), fd_sensing_weights(power, target, cfg), rtol=1e-6
+        )
+        bounds = crb(power, target, cfg)
+        inv = np.linalg.inv(fim(power, target, cfg))
+        assert bounds.crb_tau == pytest.approx(inv[1, 1], rel=1e-9)
+        assert bounds.crb_nu == pytest.approx(inv[2, 2], rel=1e-9)
 
 
 class TestPowerProfiles:

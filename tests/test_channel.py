@@ -281,9 +281,3 @@ class TestUnitConversion:
     def test_velocity_per_bin(self):
         _, v = delay_doppler_to_range_velocity(0.0, 1.0, self.CFG)
         assert v == pytest.approx(535.7, abs=0.1)
-
-    def test_target_round_trip(self):
-        target = SensingTarget(1.0, 3.0, -1.0, 1.0)
-        r, v = delay_doppler_to_range_velocity(3.0, -1.0, self.CFG)
-        assert target.range_m(self.CFG) == pytest.approx(r)
-        assert target.velocity_mps(self.CFG) == pytest.approx(v)

@@ -131,6 +131,23 @@ class TestRdf:
         assert abs(v_int - v_frac) < 1e-5 * abs(v_int)
 
 
+class TestDetectionConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"guard": (-1, 1)}, "guard half-widths must be non-negative"),
+            ({"train": (0, 2)}, "train half-widths must be positive"),
+            ({"train": (5, -1)}, "train half-widths must be positive"),
+        ],
+    )
+    def test_invalid_window_message(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            DetectionConfig(**kwargs)
+
+    def test_zero_guard_accepted(self):
+        assert DetectionConfig(guard=(0, 0), train=(1, 1)).guard == (0, 0)
+
+
 class TestNoiseFloor:
     def test_flat_map_constant(self):
         values = np.full((16, 5), 2.0, dtype=complex)
