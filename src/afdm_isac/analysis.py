@@ -39,7 +39,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import SensingTarget, apply_basis, delay_doppler_to_range_velocity, subcarrier_offset
+from .channel import (
+    SensingTarget,
+    _integers,
+    apply_basis,
+    delay_doppler_to_range_velocity,
+    subcarrier_offset,
+)
 from .daft import AfdmConfig, build_daft_matrix, idaft
 from .errors import NumericalError, ParameterError
 from .modem import Constellation, FrameSpec
@@ -107,8 +113,8 @@ def cross_ambiguity(a, b, tau_axis, nu_axis) -> np.ndarray:
     n = a.shape[0]
     if b.shape != (n,):
         raise ParameterError("signals must have equal length")
-    tau_axis = np.asarray(tau_axis, dtype=np.int64)
-    nu_axis = np.asarray(nu_axis, dtype=np.int64)
+    tau_axis = _integers(tau_axis, "delay axis")
+    nu_axis = _integers(nu_axis, "Doppler axis")
     idx = np.arange(n)
     shifted = b[(idx[None, :] - tau_axis[:, None]) % n]
     lag_products = np.conj(a)[None, :] * shifted
@@ -403,8 +409,8 @@ class PowerAllocation:
         p = np.asarray(self.powers, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ParameterError("powers must be a non-empty vector")
-        if np.any(p < 0):
-            raise ParameterError("powers must be non-negative")
+        if not np.all((p >= 0) & np.isfinite(p)):
+            raise ParameterError("powers must be finite and non-negative")
         if p.sum() <= 0:
             raise ParameterError("total power must be positive")
         object.__setattr__(self, "powers", p)

@@ -16,9 +16,9 @@ The radar echo follows the sampled receiver-clock model
     r[n] = beta * s((n - tau_bar) * Ts) * exp(j*2*pi*nu_bar*n/Nc) + noise
 
 whose fractional delays are evaluated with the frequency-wrapped chirp model
-(``waveform_samples``).  For integer delays the two conventions differ only
-by the constant phase exp(j*2*pi*nu*tau/Nc), which is absorbed by the path
-gain.
+(``waveform_samples``, an exact O(Nc log Nc) closed form on the prefix-free
+symbol).  For integer delays the two conventions differ only by the
+constant phase exp(j*2*pi*nu*tau/Nc), which is absorbed by the path gain.
 """
 
 from __future__ import annotations
@@ -336,8 +336,8 @@ def sensing_echo(s_cpp, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.
 
     r[n] = beta * s((n - tau_bar)*Ts) * exp(j*2*pi*nu_bar*n/Nc) + w[n].
     Integer delays read the prefixed record directly; fractional delays
-    evaluate the chirp waveform model, which agrees with the record at
-    integer instants.
+    evaluate the chirp waveform model on the record's prefix-free part
+    (``waveform_samples``), which agrees with the record at integer delays.
     """
     s_cpp = np.asarray(s_cpp, dtype=np.complex128)
     if s_cpp.shape != (cfg.n_sub + cfg.n_cpp,):
@@ -353,8 +353,7 @@ def sensing_echo(s_cpp, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.
     if float(tau).is_integer():
         delayed = s_cpp[cfg.n_cpp + n - int(tau)]
     else:
-        x = daft(s_cpp[cfg.n_cpp :], cfg)
-        delayed = waveform_samples(x, cfg, n - tau)
+        delayed = waveform_samples(s_cpp[cfg.n_cpp :], cfg, tau)
     r = target.gain * delayed * np.exp(2j * np.pi * target.doppler_norm * n / cfg.n_sub)
     if rng is not None and target.noise_power > 0:
         scale = math.sqrt(target.noise_power / 2.0)

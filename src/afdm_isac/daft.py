@@ -20,11 +20,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParameterError
 
 __all__ = [
     "AfdmConfig",
@@ -70,6 +71,13 @@ class AfdmConfig:
     f_c: float = 28.0e9
 
     def __post_init__(self):
+        for name in ("n_sub", "n_cpp"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name in ("c1", "c2", "delta_f", "f_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_sub < 1:
             raise ConfigurationError(f"n_sub must be positive, got {self.n_sub}")
         if self.n_cpp < 0:
@@ -173,29 +181,52 @@ def remove_cpp(r, cfg: AfdmConfig) -> np.ndarray:
     return r[cfg.n_cpp :].copy()
 
 
-def waveform_samples(x, cfg: AfdmConfig, instants) -> np.ndarray:
-    """Evaluate the transmitted chirp waveform at arbitrary sample instants.
+def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
+    """The transmitted chirp waveform delayed by ``tau`` samples.
 
-    ``instants`` are real-valued positions on the sample axis of the
-    prefix-free symbol (0..Nc-1 are the nominal samples; negative values
-    reach into the chirp-periodic prefix).  The evaluation uses the
-    frequency-wrapped instantaneous phase of each chirp subcarrier
+    ``s`` is the prefix-free time symbol (``idaft`` output) and the result
+    is s((n - tau)*Ts) for n = 0..Nc-1: shape (Nc,) for a scalar delay and
+    (len(tau), Nc) for a 1-D array of delays.  The waveform is the sum of
+    the chirp subcarriers with frequency-wrapped instantaneous phase
 
         g_m(t) = c1 t^2 + m t / Nc - floor(2 c1 t + m/Nc) t
 
-    so that fractional delays behave like the physical DAC output rather
-    than a naive quadratic-phase extrapolation.  At integer instants this
-    coincides with idaft + chirp-periodic extension.  Cost is O(len * Nc).
+    (plus c2 m^2), so that fractional delays behave like the physical DAC
+    output rather than a naive quadratic-phase extrapolation; at integer
+    delays it is the chirp-periodic record ``add_cpp`` builds.  With
+    K = 2*c1*Nc, A = ceil(K*tau) and t = n - tau the wrap index is
+    floor((m + K*n - A)/Nc) for every m, which gives the exact closed form
+
+        s(t) = (1/Nc) exp(j2pi[c1 t^2 + (A - K n) t/Nc + K n^2/(2Nc)])
+               * sum_k s[k] exp(-j2pi A k/Nc) h(n - k),
+        h(d) = D(d - tau) exp(-j pi K d^2/Nc),  D(u) = sum_{r<Nc} exp(j2pi r u/Nc).
+
+    D is the periodic sinc exp(j pi u (Nc-1)/Nc) sin(pi u)/sin(pi u/Nc)
+    (Nc at u = 0 mod Nc), and h(d + Nc) = (-1)^(K Nc) h(d), so h(d) (-1)^(K d)
+    is Nc-periodic for either parity of K*Nc.  Splitting (-1)^(K d) into
+    (-1)^(K n) (-1)^(K k) turns the sum over lags d in (-Nc, Nc) into one
+    cyclic convolution of length Nc, evaluated by FFT at O(Nc log Nc) per
+    delay.
     """
-    x = _as_vector(x, cfg.n_sub, "DAFT-domain vector")
-    t = np.atleast_1d(np.asarray(instants, dtype=np.float64)).reshape(-1, 1)
-    m = np.arange(cfg.n_sub, dtype=np.float64).reshape(1, -1)
-    wrap = np.floor(2.0 * cfg.c1 * t + m / cfg.n_sub)
-    phase = cfg.c1 * t * t + m * t / cfg.n_sub - wrap * t + cfg.c2 * m * m
-    out = np.exp(2j * np.pi * phase) @ x / math.sqrt(cfg.n_sub)
-    if np.isscalar(instants) or np.ndim(instants) == 0:
-        return out[0]
-    return out
+    s = _as_vector(s, cfg.n_sub, "time-domain vector")
+    tau = np.asarray(tau, dtype=np.float64)
+    if tau.ndim > 1 or not np.all(np.isfinite(tau)):
+        raise ParameterError(f"delay must be a finite scalar or 1-D array, got {tau!r}")
+    n_sub, k_rate = cfg.n_sub, cfg.two_c1_n
+    n = np.arange(n_sub)
+    taus = np.atleast_1d(tau)[:, None]
+    a_int = np.ceil(k_rate * taus)
+    t = n - taus
+    # the lag d - tau for d = 0..Nc-1, reduced to [-Nc/2, Nc/2] (D is Nc-periodic)
+    u = t - n_sub * np.round(t / n_sub)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinc = np.where(u == 0, n_sub, np.sin(np.pi * u) / np.sin(np.pi * u / n_sub))
+    kernel = sinc * np.exp(1j * np.pi * (u * (n_sub - 1) - k_rate * n * (n - n_sub)) / n_sub)
+    spread = s * np.exp(1j * np.pi * (k_rate * n - 2.0 * a_int * n / n_sub))
+    conv = np.fft.ifft(np.fft.fft(spread) * np.fft.fft(kernel))
+    phase = cfg.c1 * (t * t + n * n) + (a_int - k_rate * n) * t / n_sub - k_rate * n / 2.0
+    out = np.exp(2j * np.pi * phase) * conv / n_sub
+    return out if tau.ndim else out[0]
 
 
 def chirp_rate_bounds(tau_m: int, nu_m: int, n_sub: int) -> tuple[float, float]:

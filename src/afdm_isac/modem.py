@@ -78,8 +78,8 @@ class FrameSpec:
     constellation: Constellation = Constellation.QPSK
 
     def __post_init__(self):
-        if self.pilot_power < 0 or self.data_symbol_power < 0:
-            raise ParameterError("powers must be non-negative")
+        if not (0 <= self.pilot_power < math.inf and 0 <= self.data_symbol_power < math.inf):
+            raise ParameterError("powers must be finite and non-negative")
 
     def total_power(self, n_sub: int) -> float:
         """P_t = sigma_p^2 + Nc * sigma_d^2."""

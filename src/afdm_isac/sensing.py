@@ -100,20 +100,14 @@ def sensing_grid(
 
 def _delayed_reference(record: TransmitRecord, cfg: AfdmConfig, taus: np.ndarray) -> np.ndarray:
     """Matrix s[n - tau] with shape (Nc, len(taus))."""
-    n = np.arange(cfg.n_sub)
     out = np.empty((cfg.n_sub, taus.size), dtype=np.complex128)
-    frac_mask = ~np.isclose(taus, np.round(taus))
-    for j in np.flatnonzero(~frac_mask):
-        tau = int(round(taus[j]))
-        if tau < -cfg.n_sub or tau > cfg.n_cpp:
-            raise ParameterError(f"delay {tau} outside the prefixed record")
-        out[:, j] = record.s_cpp[cfg.n_cpp + n - tau]
-    if np.any(frac_mask):
-        frac_taus = taus[frac_mask]
-        vals = np.stack(
-            [waveform_samples(record.x, cfg, n - tau) for tau in frac_taus], axis=1
-        )
-        out[:, frac_mask] = vals
+    frac = ~np.isclose(taus, np.round(taus))
+    lags = np.round(taus[~frac]).astype(np.int64)
+    if np.any((lags < 0) | (lags > cfg.n_cpp)):
+        raise ParameterError(f"delays {lags} outside the prefixed record [0, {cfg.n_cpp}]")
+    out[:, ~frac] = record.s_cpp[cfg.n_cpp + np.arange(cfg.n_sub)[:, None] - lags]
+    if np.any(frac):
+        out[:, frac] = waveform_samples(record.s, cfg, taus[frac]).T
     return out
 
 
@@ -137,38 +131,62 @@ def rdf(r_s, record: TransmitRecord, grid, cfg: AfdmConfig) -> RangeDopplerMap:
     return RangeDopplerMap(values=values, tau_axis=tau_axis, nu_axis=nu_axis)
 
 
-def _window_offsets(half: tuple[int, int], shape: tuple[int, int]) -> set:
-    dt_range = range(-half[0], half[0] + 1)
-    dv_range = range(-half[1], half[1] + 1)
-    return {(dt % shape[0], dv % shape[1]) for dt in dt_range for dv in dv_range}
+def _window(half: int, size: int) -> np.ndarray:
+    """0/1 indicator of the offsets -half..half modulo ``size``."""
+    hit = np.zeros(size)
+    hit[np.arange(-half, half + 1) % size] = 1.0
+    return hit
+
+
+def _circulant(hit: np.ndarray) -> np.ndarray:
+    """0/1 matrix C with C[i, <i + d>] = hit[d], so (C @ p)[i] sums p over the offsets."""
+    i = np.arange(hit.size)
+    return hit[(i[None, :] - i[:, None]) % hit.size]
 
 
 def noise_floor(rd_map: RangeDopplerMap, det: DetectionConfig) -> np.ndarray:
     """Local average of |E|^2 around each cell, guard box excluded, cyclic wrap.
 
-    On axes shorter than the training window the wrap collapses the window to
-    whole-axis averaging, which is the intended degenerate behavior.
+    Per axis, the training offsets T and the guard offsets G are taken
+    modulo the axis length, so offsets that wrap onto the same cell count
+    once, and the window is (T0 x T1) minus (G0 x G1).  That is the disjoint
+    union (T0 - G0) x T1 plus (T0 & G0) x (T1 - G1), so the window sum is
+    two products with circulant 0/1 matrices per axis,
+    C(T0 - G0) P C(T1)^T + C(T0 & G0) P C(T1 - G1)^T.  Both are sums of
+    non-negative terms, so nothing cancels and a cell whose window holds no
+    power gets a floor of exactly 0.  On axes shorter than the training window the wrap
+    collapses the window to whole-axis averaging, which is the intended
+    degenerate behavior.
     """
     power = np.abs(rd_map.values) ** 2
-    shape = power.shape
-    offsets = _window_offsets(det.train, shape) - _window_offsets(det.guard, shape)
-    if not offsets:
+    train = [_window(h, size) for h, size in zip(det.train, power.shape)]
+    guard = [t * _window(h, size) for t, h, size in zip(train, det.guard, power.shape)]
+    count = train[0].sum() * train[1].sum() - guard[0].sum() * guard[1].sum()
+    if count == 0:
         raise ParameterError(
-            f"guard {det.guard} swallows the whole {shape} grid: no training cells"
+            f"guard {det.guard} swallows the whole {power.shape} grid: no training cells"
         )
-    acc = np.zeros_like(power)
-    for dt, dv in offsets:
-        acc += np.roll(power, (-dt, -dv), axis=(0, 1))
-    return acc / len(offsets)
+    acc = _circulant(train[0] - guard[0]) @ power @ _circulant(train[1]).T
+    acc += _circulant(guard[0]) @ power @ _circulant(train[1] - guard[1]).T
+    return acc / count
+
+
+def _statistic(values: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """|E|^2 / noise floor: 0 where |E| vanishes, inf where only the floor does."""
+    power = np.abs(values) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = power / noise
+    return np.where(power == 0, 0.0, stat)
 
 
 def detect(rd_map: RangeDopplerMap, noise: np.ndarray, gamma: float) -> list:
     """Cells whose |E|^2 / noise ratio exceeds gamma, strongest first.
 
     Returns (tau, nu, statistic) triples.  The statistic is invariant to any
-    global phase of the echo.
+    global phase of the echo; a cell with no power has statistic 0 and one
+    with power over a zero floor has statistic inf.
     """
-    stat = np.abs(rd_map.values) ** 2 / noise
+    stat = _statistic(rd_map.values, noise)
     hits = np.argwhere(stat > gamma)
     out = [
         (float(rd_map.tau_axis[i]), float(rd_map.nu_axis[j]), float(stat[i, j]))
@@ -225,24 +243,23 @@ class SensingScenario:
         )
 
 
-def _detection_trial(scenario: SensingScenario, rng) -> tuple[float, bool, float]:
-    """One Monte Carlo detection trial.
+def _detection_trial(
+    scenario: SensingScenario, x_p: np.ndarray, grid, rng
+) -> tuple[float, bool, float]:
+    """One Monte Carlo detection trial with pilot vector ``x_p`` on ``grid``.
 
     Returns (statistic at the global argmax, whether the argmax lies within
     one cell of the truth in both coordinates, maximum statistic outside that
     neighborhood).
     """
     cfg = scenario.cfg
-    x_p = pilot_vector(scenario.pilot, cfg)
     _, x_d = random_data_vector(cfg.n_sub, scenario.frame_spec, rng)
     record = transmit_record(x_p + x_d, cfg)
     total_power = float(np.linalg.norm(record.x) ** 2)
     target = scenario.draw_target(rng, total_power)
     echo = sensing_echo(record.s_cpp, cfg, target, rng)
-    grid = sensing_grid(scenario.tau_m, scenario.nu_m)
     rd_map = rdf(echo, record, grid, cfg)
-    noise = noise_floor(rd_map, scenario.detection)
-    stat = np.abs(rd_map.values) ** 2 / noise
+    stat = _statistic(rd_map.values, noise_floor(rd_map, scenario.detection))
     i, j = np.unravel_index(np.argmax(stat), stat.shape)
     near = (
         abs(rd_map.tau_axis[i] - target.delay_samples) <= 1.0
@@ -269,8 +286,10 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     peak = np.empty(n_trials)
     near = np.empty(n_trials, dtype=bool)
     out_max = np.empty(n_trials)
+    x_p = pilot_vector(scenario.pilot, scenario.cfg)
+    grid = sensing_grid(scenario.tau_m, scenario.nu_m)
     for t in range(n_trials):
-        peak[t], near[t], out_max[t] = _detection_trial(scenario, rng)
+        peak[t], near[t], out_max[t] = _detection_trial(scenario, x_p, grid, rng)
     rows = np.empty((gamma_grid.size, 3))
     for k, gamma in enumerate(gamma_grid):
         pd = float(np.mean((peak > gamma) & near))

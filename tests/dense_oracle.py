@@ -1,9 +1,13 @@
-"""Dense N x N channel matrices, kept only as test oracles.
+"""Dense N x N channel matrices and waveform sums, kept only as test oracles.
 
 Each path is built as the explicit time-domain matrix Gamma * Pi^tau * Delta_nu
 of the channel model and mapped to the DAFT domain with the dense matrix A,
-independently of the structured ``PathChannel`` it checks.
+independently of the structured ``PathChannel`` it checks.  The fractional-delay
+waveform is the explicit frequency-wrapped subcarrier sum, independently of
+the FFT closed form of ``waveform_samples``.
 """
+
+import math
 
 import numpy as np
 
@@ -32,6 +36,21 @@ def time_matrix(cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:
     h = np.zeros((nc, nc), dtype=np.complex128)
     h[n, src] = prefix * np.exp(2j * np.pi * nu * src / nc)
     return h
+
+
+def waveform_dense(x, cfg: AfdmConfig, instants) -> np.ndarray:
+    """The chirp waveform of DAFT-domain ``x`` at real sample instants, O(len * Nc).
+
+    Sums the subcarriers with frequency-wrapped instantaneous phase
+    c1 t^2 + m t/Nc - floor(2 c1 t + m/Nc) t + c2 m^2.  The wrap index is
+    evaluated as floor((K t + m)/Nc) with the integer K = 2 c1 Nc, which is
+    exact at ties (K t an integer) where 2 c1 t + m/Nc can round below one.
+    """
+    t = np.asarray(instants, dtype=np.float64).reshape(-1, 1)
+    m = np.arange(cfg.n_sub, dtype=np.float64).reshape(1, -1)
+    wrap = np.floor((cfg.two_c1_n * t + m) / cfg.n_sub)
+    phase = cfg.c1 * t * t + m * t / cfg.n_sub - wrap * t + cfg.c2 * m * m
+    return np.exp(2j * np.pi * phase) @ np.asarray(x, dtype=np.complex128) / math.sqrt(cfg.n_sub)
 
 
 def basis_matrix(cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:

@@ -95,6 +95,12 @@ class TestAmbiguityFunction:
         energy = np.linalg.norm(s) ** 2
         assert np.sum(np.abs(chi) ** 2) == pytest.approx(8 * energy**2, rel=1e-10)
 
+    @pytest.mark.parametrize("taus, nus", [([1], [0.5]), ([0.5], [1])])
+    def test_fractional_axis_rejected(self, rng, taus, nus):
+        s = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        with pytest.raises(ParameterError):
+            cross_ambiguity(s, s, taus, nus)
+
     def test_decomposition_identity(self, rng):
         # bilinearity: the four parts reassemble the total-signal surface
         cfg = AfdmConfig(n_sub=32, c1=1 / 16)
@@ -517,3 +523,10 @@ class TestPowerProfiles:
     def test_negative_power_rejected(self):
         with pytest.raises(ParameterError):
             PowerAllocation(np.array([1.0, -0.1]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_power_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            PowerAllocation(np.array([1.0, bad]))
+        with pytest.raises(ParameterError, match="finite"):
+            equal_allocation(bad, 8)

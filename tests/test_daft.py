@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from afdm_isac import (
     AfdmConfig,
     ConfigurationError,
+    ParameterError,
     add_cpp,
     build_daft_matrix,
     chirp_rate_bounds,
@@ -41,6 +43,23 @@ class TestConfig:
     def test_prefix_longer_than_symbol_rejected(self):
         with pytest.raises(ConfigurationError):
             AfdmConfig(n_sub=8, n_cpp=8)
+
+    @pytest.mark.parametrize("field", ["c1", "c2", "delta_f", "f_c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_or_frequency_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            AfdmConfig(n_sub=16, **{field: value})
+
+    @pytest.mark.parametrize("field", ["n_sub", "n_cpp"])
+    @pytest.mark.parametrize("value", [16.5, 4.0, "4"])
+    def test_non_integer_size_rejected(self, field, value):
+        sizes = {"n_sub": 32, "n_cpp": 4, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            AfdmConfig(**sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = AfdmConfig(n_sub=np.int64(16), n_cpp=np.int32(4), c1=1 / 8)
+        assert cfg.two_c1_n == 4
 
     def test_chirp_rate_bounds(self):
         lo, hi = chirp_rate_bounds(tau_m=2, nu_m=2, n_sub=128)
@@ -161,12 +180,13 @@ class TestPrefix:
             assert np.array_equal(remove_cpp(add_cpp(s, cfg), cfg), s)
 
     def test_prefix_matches_chirp_periodic_extension(self, rng):
-        # the prefix equals the waveform model evaluated at negative instants
+        # the prefix equals the waveform model delayed by whole samples
         cfg = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
         x = random_unit_symbols(rng, 16)
         s_cpp = add_cpp(idaft(x, cfg), cfg)
-        model = waveform_samples(x, cfg, np.arange(-4, 16))
-        assert np.linalg.norm(s_cpp - model) < 1e-10
+        for tau in range(cfg.n_cpp + 1):
+            model = waveform_samples(s_cpp[4:], cfg, tau)
+            assert np.linalg.norm(s_cpp[4 - tau : 20 - tau] - model) < 1e-10
 
 
 class TestWaveformSamples:
@@ -174,12 +194,39 @@ class TestWaveformSamples:
         cfg = AfdmConfig(n_sub=32, c1=1 / 16)
         x = random_unit_symbols(rng, 32)
         s = idaft(x, cfg)
-        model = waveform_samples(x, cfg, np.arange(32))
+        model = waveform_samples(s, cfg, 0.0)
         assert np.linalg.norm(s - model) < 1e-10
 
     def test_scalar_instant(self, rng):
+        # a scalar delay gives one window; delay -3 puts instant 3 at n = 0
         cfg = AfdmConfig(n_sub=16, c1=1 / 8)
         x = random_unit_symbols(rng, 16)
-        val = waveform_samples(x, cfg, 3.0)
-        assert np.isscalar(val) or val.shape == ()
-        assert abs(val - idaft(x, cfg)[3]) < 1e-10
+        val = waveform_samples(idaft(x, cfg), cfg, -3.0)
+        assert val.shape == (16,)
+        assert abs(val[0] - idaft(x, cfg)[3]) < 1e-10
+
+    @pytest.mark.parametrize("n_sub", [16, 63, 64, 255, 256])
+    @pytest.mark.parametrize("two_c1_n", [1, 2, 3, 4])
+    def test_matches_dense_oracle(self, rng, n_sub, two_c1_n):
+        # odd and even K*N; fractional, integer, near-integer and negative delays
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=min(16, n_sub - 1), c1=two_c1_n / (2 * n_sub))
+        x = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
+        s = idaft(x, cfg)
+        taus = np.concatenate(
+            [rng.uniform(-20.0, 20.0, 4), [0.0, 1.0, 5.0, -3.0, 2.0 + 1e-12, 0.5]]
+        )
+        batch = waveform_samples(s, cfg, taus)
+        assert batch.shape == (taus.size, n_sub)
+        n = np.arange(n_sub)
+        for row, tau in zip(batch, taus):
+            ref = dense_oracle.waveform_dense(x, cfg, n - tau)
+            assert np.max(np.abs(row - ref)) <= 1e-10 * np.max(np.abs(s))
+            single = waveform_samples(s, cfg, tau)
+            assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, [[0.5]]])
+    def test_rejects_bad_delay(self, rng, tau):
+        cfg = AfdmConfig(n_sub=16, c1=1 / 8)
+        s = idaft(random_unit_symbols(rng, 16), cfg)
+        with pytest.raises(ParameterError):
+            waveform_samples(s, cfg, tau)

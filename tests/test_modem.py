@@ -109,6 +109,13 @@ class TestFrame:
         se = np.std(powers) / math.sqrt(n_frames)
         assert abs(np.mean(powers) - spec.total_power(n_sub)) < 3 * se
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_bad_power_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            FrameSpec(bad, 1.0, Constellation.QPSK)
+        with pytest.raises(ParameterError):
+            FrameSpec(1.0, bad, Constellation.QPSK)
+
     def test_length_mismatch(self):
         spec = spec_for(Constellation.QPSK)
         with pytest.raises(ParameterError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,22 @@ class TestRdf:
         v_frac = rdf(echo, record, grid_f, CFG).values[0, 0]
         assert abs(v_int - v_frac) < 1e-5 * abs(v_int)
 
+    def test_fractional_grid_matches_single_delays(self, rng):
+        # the batched reference equals one map per delay
+        record = transmit_record(random_unit_symbols(rng, 64), CFG)
+        echo = sensing_echo(record.s_cpp, CFG, SensingTarget(1.0, 2.3, 0.4, 0.0))
+        taus, nus = np.array([0.25, 1.0, 2.3, 3.75]), np.array([0.0, 0.4])
+        rd = rdf(echo, record, (taus, nus), CFG)
+        for i in range(taus.size):
+            one = rdf(echo, record, (taus[i : i + 1], nus), CFG).values[0]
+            assert np.allclose(rd.values[i], one, rtol=0, atol=1e-12 * np.abs(one).max())
+
+    @pytest.mark.parametrize("tau", [-1.0, 17.0])
+    def test_lag_outside_record_rejected(self, rng, tau):
+        record = transmit_record(random_unit_symbols(rng, 64), CFG)
+        with pytest.raises(ParameterError):
+            rdf(record.s, record, (np.array([tau]), np.array([0.0])), CFG)
+
 
 class TestDetectionConfig:
     @pytest.mark.parametrize(
@@ -148,7 +165,49 @@ class TestDetectionConfig:
         assert DetectionConfig(guard=(0, 0), train=(1, 1)).guard == (0, 0)
 
 
+def roll_noise_floor(power, det):
+    """The window average as a loop of cyclic shifts over the offset set."""
+    shape = power.shape
+
+    def offsets(half):
+        return {
+            (dt % shape[0], dv % shape[1])
+            for dt in range(-half[0], half[0] + 1)
+            for dv in range(-half[1], half[1] + 1)
+        }
+
+    window = offsets(det.train) - offsets(det.guard)
+    acc = np.zeros_like(power)
+    for dt, dv in window:
+        acc += np.roll(power, (-dt, -dv), axis=(0, 1))
+    return acc / len(window)
+
+
 class TestNoiseFloor:
+    @pytest.mark.parametrize(
+        "shape, guard, train",
+        [
+            ((16, 7), (2, 1), (5, 2)),
+            ((16, 5), (0, 0), (1, 1)),
+            ((6, 5), (1, 1), (5, 2)),
+            ((3, 2), (0, 0), (5, 2)),
+            ((9, 4), (4, 0), (2, 3)),
+            ((1, 1), (0, 0), (1, 1)),
+        ],
+    )
+    def test_matches_roll_loop(self, rng, shape, guard, train):
+        # includes grids shorter than the window and guards wider than it
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rd = RangeDopplerMap(values, np.arange(float(shape[0])), np.arange(float(shape[1])))
+        det = DetectionConfig(gamma=1.0, guard=guard, train=train)
+        if shape == (1, 1):
+            with pytest.raises(ParameterError):
+                noise_floor(rd, det)
+            return
+        ref = roll_noise_floor(np.abs(values) ** 2, det)
+        assert np.max(np.abs(noise_floor(rd, det) - ref)) <= 1e-12 * np.max(ref)
+
+
     def test_flat_map_constant(self):
         values = np.full((16, 5), 2.0, dtype=complex)
         rd = RangeDopplerMap(values, np.arange(16.0), np.arange(-2.0, 3.0))
@@ -204,6 +263,25 @@ class TestDetect:
         echo = sensing_echo(record.s_cpp, CFG, target, rng)
         rd = rdf(echo, record, sensing_grid(5, 2), CFG)
         return rd, noise_floor(rd, DetectionConfig(gamma=1.0))
+
+    def test_all_zero_echo_detects_nothing_without_warning(self):
+        record = pilot_record()
+        rd = rdf(np.zeros(64), record, sensing_grid(5, 2), CFG)
+        floor = noise_floor(rd, DetectionConfig(gamma=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert detect(rd, floor, gamma=1e-12) == []
+
+    def test_power_over_zero_floor_is_infinite(self):
+        values = np.zeros((16, 5), dtype=complex)
+        values[8, 2] = 3.0
+        rd = RangeDopplerMap(values, np.arange(16.0), np.arange(-2.0, 3.0))
+        floor = noise_floor(rd, DetectionConfig(gamma=1.0))
+        assert floor[8, 2] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = detect(rd, floor, gamma=1e12)
+        assert hits == [(8.0, 0.0, math.inf)]
 
     def test_zero_gamma_returns_all_cells(self, rng):
         rd, floor = self.make_map_and_floor(rng)
