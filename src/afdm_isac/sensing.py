@@ -154,9 +154,9 @@ def noise_floor(rd_map: RangeDopplerMap, det: DetectionConfig) -> np.ndarray:
     two products with circulant 0/1 matrices per axis,
     C(T0 - G0) P C(T1)^T + C(T0 & G0) P C(T1 - G1)^T.  Both are sums of
     non-negative terms, so nothing cancels and a cell whose window holds no
-    power gets a floor of exactly 0.  On axes shorter than the training window the wrap
-    collapses the window to whole-axis averaging, which is the intended
-    degenerate behavior.
+    power gets a floor of exactly 0.  On axes shorter than the training
+    window the wrap collapses the window to whole-axis averaging, which is
+    the intended degenerate behavior.
     """
     power = np.abs(rd_map.values) ** 2
     train = [_window(h, size) for h, size in zip(det.train, power.shape)]
