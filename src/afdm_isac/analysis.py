@@ -24,11 +24,14 @@ tests pin this down).
 
 Ambiguity functions
 -------------------
-All ambiguity functions here are cyclic: delays act modulo Nc, consistent
-with the chirp-periodic prefix.  ``ambiguity_function`` evaluates the
-correlation sums directly; ``interference_coefficient`` provides the
-closed-form DAFT-domain route (a single cyclic ridge at subcarrier offset
-2*c1*tau*Nc - nu), and the tests cross-check the two.
+All ambiguity functions here delay a signal by the chirp-periodic prefix
+rule of ``daft``, s[n - tau] = s[<n - tau>_Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)):
+cyclic when K = 2*c1*Nc makes K*Nc even, Nc-antiperiodic when it is odd.
+It is the channel's shift, so Theorem 4 holds at either parity.
+``ambiguity_function`` evaluates the correlation sums directly;
+``interference_coefficient`` provides the closed-form DAFT-domain route (a
+single cyclic ridge at subcarrier offset 2*c1*tau*Nc - nu), and the tests
+cross-check the two.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .channel import (
     delay_doppler_to_range_velocity,
     subcarrier_offset,
 )
-from .daft import AfdmConfig, build_daft_matrix, idaft
+from .daft import AfdmConfig, _chirp_periodic, build_daft_matrix, idaft
 from .errors import NumericalError, ParameterError
 from .modem import Constellation, FrameSpec
 
@@ -80,7 +83,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AmbiguitySurface:
-    """Cyclic ambiguity values on a delay-Doppler grid (delays x Dopplers)."""
+    """Ambiguity values on a delay-Doppler grid (delays x Dopplers)."""
 
     values: np.ndarray
     tau_axis: np.ndarray
@@ -106,33 +109,32 @@ def ambiguity_region(tau_m: int, nu_m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(-tau_m, tau_m + 1), np.arange(-2 * nu_m, 2 * nu_m + 1)
 
 
-def cross_ambiguity(a, b, tau_axis, nu_axis) -> np.ndarray:
-    """sum_n a*[n] b[<n-tau>] exp(j*2*pi*nu*n/N) on the given integer axes."""
+def cross_ambiguity(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
+    """sum_n a*[n] b[n - tau] exp(j*2*pi*nu*n/Nc) on the given integer axes.
+
+    b[n - tau] reads the chirp-periodic extension of ``b``.
+    """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    n = a.shape[0]
-    if b.shape != (n,):
-        raise ParameterError("signals must have equal length")
+    if a.shape != (cfg.n_sub,) or b.shape != (cfg.n_sub,):
+        raise ParameterError(f"signals must have length {cfg.n_sub}")
     tau_axis = _integers(tau_axis, "delay axis")
     nu_axis = _integers(nu_axis, "Doppler axis")
-    idx = np.arange(n)
-    shifted = b[(idx[None, :] - tau_axis[:, None]) % n]
+    idx = np.arange(cfg.n_sub)
+    shifted = _chirp_periodic(b, cfg, idx[None, :] - tau_axis[:, None])
     lag_products = np.conj(a)[None, :] * shifted
-    phases = np.exp(2j * np.pi * np.outer(idx, nu_axis) / n)
+    phases = np.exp(2j * np.pi * np.outer(idx, nu_axis) / cfg.n_sub)
     return lag_products @ phases
 
 
 def ambiguity_function(s, region, cfg: AfdmConfig) -> AmbiguitySurface:
-    """Cyclic auto-ambiguity surface of a time-domain signal over ``region``.
+    """Auto-ambiguity surface of a time-domain signal over ``region``.
 
     ``region`` is a (tau_axis, nu_axis) pair of integer arrays, e.g. from
     ``ambiguity_region``.
     """
     tau_axis, nu_axis = region
-    s = np.asarray(s, dtype=np.complex128)
-    if s.shape != (cfg.n_sub,):
-        raise ParameterError(f"signal must have length {cfg.n_sub}")
-    values = cross_ambiguity(s, s, tau_axis, nu_axis)
+    values = cross_ambiguity(s, s, tau_axis, nu_axis, cfg)
     return AmbiguitySurface(
         values=values,
         tau_axis=np.asarray(tau_axis, dtype=np.int64),
@@ -150,10 +152,10 @@ def ambiguity_decomposition(x_pilot, x_data, region, cfg: AfdmConfig) -> Ambigui
     s_p = idaft(np.asarray(x_pilot, dtype=np.complex128), cfg)
     s_d = idaft(np.asarray(x_data, dtype=np.complex128), cfg)
     parts = {
-        "pilot": cross_ambiguity(s_p, s_p, tau_axis, nu_axis),
-        "data": cross_ambiguity(s_d, s_d, tau_axis, nu_axis),
-        "data_pilot": cross_ambiguity(s_d, s_p, tau_axis, nu_axis),
-        "pilot_data": cross_ambiguity(s_p, s_d, tau_axis, nu_axis),
+        "pilot": cross_ambiguity(s_p, s_p, tau_axis, nu_axis, cfg),
+        "data": cross_ambiguity(s_d, s_d, tau_axis, nu_axis, cfg),
+        "data_pilot": cross_ambiguity(s_d, s_p, tau_axis, nu_axis, cfg),
+        "pilot_data": cross_ambiguity(s_p, s_d, tau_axis, nu_axis, cfg),
     }
     values = parts["pilot"] + parts["data"] + parts["data_pilot"] + parts["pilot_data"]
     return AmbiguitySurface(
@@ -231,7 +233,7 @@ def ambiguity_moments_mc(
     idx = np.arange(n)
     values = np.empty((len(points), n_frames), dtype=np.complex128)
     for j, (tau, nu) in enumerate(points):
-        shifted = s_all[:, (idx - tau) % n]
+        shifted = _chirp_periodic(s_all, cfg, idx - tau)
         values[j] = np.sum(
             np.conj(s_all) * shifted * np.exp(2j * np.pi * nu * idx / n)[None, :], axis=1
         )
@@ -374,10 +376,10 @@ def verify_theorem_4(
     gram = cols.conj().T @ cols
     taus, nus = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     tau_diff = taus[None, :] - taus[:, None]  # [i, j] = tau_j - tau_i
-    tau_hats, t_idx = np.unique(tau_diff % cfg.n_sub, return_inverse=True)
+    tau_hats, t_idx = np.unique(tau_diff, return_inverse=True)
     nu_hats, v_idx = np.unique(nus[None, :] - nus[:, None], return_inverse=True)
     s_p = idaft(x_pilot, cfg)
-    chi = cross_ambiguity(s_p, s_p, tau_hats, nu_hats)
+    chi = cross_ambiguity(s_p, s_p, tau_hats, nu_hats, cfg)
     chi_pairs = chi[t_idx.reshape(tau_diff.shape), v_idx.reshape(tau_diff.shape)]
     predicted = np.exp(-2j * np.pi * nus[None, :] * tau_diff / cfg.n_sub) * chi_pairs
     offdiag = ~np.eye(len(taus), dtype=bool)
@@ -442,11 +444,13 @@ def frame_power_profile(x_pilot, data_symbol_power: float) -> PowerAllocation:
 
 
 def _frac_kernel(cfg: AfdmConfig, tau_bar: float) -> np.ndarray:
-    """frac(2*c1*(n - tau_bar) + m/Nc) with shape (Nc subcarriers, Nc samples)."""
+    """frac(2*c1*(n - tau_bar) + m/Nc) with shape (Nc subcarriers, Nc samples).
+
+    Evaluated as ((K*(n - tau_bar) + m) mod Nc)/Nc, K = 2*c1*Nc, exact at ties.
+    """
     n = np.arange(cfg.n_sub, dtype=np.float64)[None, :]
     m = np.arange(cfg.n_sub, dtype=np.float64)[:, None]
-    val = 2.0 * cfg.c1 * (n - tau_bar) + m / cfg.n_sub
-    return val - np.floor(val)
+    return np.mod(cfg.two_c1_n * (n - tau_bar) + m, cfg.n_sub) / cfg.n_sub
 
 
 def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):

@@ -3,10 +3,11 @@
 A path with integer delay tau, normalized Doppler nu and gain alpha acts on
 the prefix-free symbol as
 
-    y[n] = alpha * gamma_tau[n] * s[<n - tau>_Nc] * exp(j*2*pi*nu*<n - tau>_Nc/Nc)
+    y[n] = alpha * s[n - tau] * exp(j*2*pi*nu*<n - tau>_Nc/Nc)
 
-where gamma_tau is the prefix phase factor (identically 1 when 2*c1*Nc is an
-integer and Nc is even).  In the DAFT domain the same path is the unitary
+where s[n - tau] reads the chirp-periodic extension of the symbol (the
+record ``add_cpp`` builds): s[<n - tau>_Nc], negated when n - tau < 0 and
+K*Nc is odd (K = 2*c1*Nc).  In the DAFT domain the same path is the unitary
 matrix A * Gamma * Pi^tau * Delta_nu * A^H scaled by alpha, which has one
 nonzero per row; ``PathChannel`` keeps a sum of such paths in that
 structured form, and the tests check it against the dense matrices.
@@ -15,10 +16,11 @@ The radar echo follows the sampled receiver-clock model
 
     r[n] = beta * s((n - tau_bar) * Ts) * exp(j*2*pi*nu_bar*n/Nc) + noise
 
-whose fractional delays are evaluated with the frequency-wrapped chirp model
-(``waveform_samples``, an exact O(Nc log Nc) closed form on the prefix-free
-symbol).  For integer delays the two conventions differ only by the
-constant phase exp(j*2*pi*nu*tau/Nc), which is absorbed by the path gain.
+whose delays are evaluated with the frequency-wrapped chirp model
+(``waveform_samples``: the same chirp-periodic extension at whole-sample
+delays, an exact O(Nc log Nc) closed form at fractional ones).  For integer
+delays the two conventions differ only by the constant phase
+exp(j*2*pi*nu*tau/Nc), which is absorbed by the path gain.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .daft import AfdmConfig, daft, idaft, waveform_samples
+from .daft import AfdmConfig, _chirp_periodic, daft, idaft, waveform_samples
 from .errors import ConfigurationError, ParameterError
 
 __all__ = [
@@ -125,27 +127,24 @@ def basis_grid(tau_m: int, nu_m: int) -> BasisGrid:
     return BasisGrid(tau_m=tau_m, nu_m=nu_m)
 
 
-def _prefix_factor(cfg: AfdmConfig, tau: int, n: np.ndarray) -> np.ndarray:
-    out = np.ones(n.shape, dtype=np.complex128)
-    early = n < tau
-    if np.any(early):
-        nc = cfg.n_sub
-        out[early] = np.exp(-2j * np.pi * cfg.c1 * (nc * nc + 2.0 * nc * (n[early] - tau)))
-    return out
+def _path_terms(s, cfg: AfdmConfig, delays, dopplers, gains, n: np.ndarray) -> np.ndarray:
+    """Per-path terms gain * s[n - tau] * exp(j*2*pi*nu*<n - tau>_Nc/Nc), shape (paths, len(n)).
 
-
-def _shift_and_rotate(s: np.ndarray, cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:
-    """Unit-gain path action on the prefix-free window (cyclic form)."""
-    n = np.arange(cfg.n_sub)
-    src = (n - tau) % cfg.n_sub
-    return _prefix_factor(cfg, tau, n) * s[src] * np.exp(2j * np.pi * nu * src / cfg.n_sub)
+    s[n - tau] reads the chirp-periodic extension, so ``n`` may reach into
+    the prefix.  With s all ones the terms are the path taps c, so that the
+    path maps s to c * s[<n - tau>_Nc].
+    """
+    lag = n - np.asarray(delays)[:, None]
+    ramp = np.exp(2j * np.pi * np.asarray(dopplers)[:, None] * (lag % cfg.n_sub) / cfg.n_sub)
+    return np.asarray(gains)[:, None] * ramp * _chirp_periodic(s, cfg, lag)
 
 
 def apply_basis(x, cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:
     """DAFT-domain action of a unit-gain (tau, nu) path, via chirp-FFT ops."""
     if tau < 0 or tau >= cfg.n_sub:
         raise ParameterError(f"delay must lie in [0, Nc), got {tau}")
-    return daft(_shift_and_rotate(idaft(x, cfg), cfg, tau, nu), cfg)
+    s = idaft(x, cfg)
+    return daft(_path_terms(s, cfg, [tau], [nu], [1.0], np.arange(cfg.n_sub))[0], cfg)
 
 
 def subcarrier_offset(tau, nu, cfg: AfdmConfig):
@@ -172,8 +171,8 @@ class PathChannel:
 
         exp(j*2*pi*(c1*tau^2 - (q + nu)*tau/Nc - c2*(p^2 - q^2)))
 
-    (the prefix factor cancels the wrap of the chirp, so this holds for odd
-    and even Nc).  In the time domain the channel is
+    (the prefix sign cancels the wrap of the chirp, so this holds for either
+    parity of K*Nc).  In the time domain the channel is
     H_t = sum_tau diag(c_tau) Pi^tau, a cyclic band of width max(tau), and
     the DAFT-domain matrix is A H_t A^H.  ``h @ x`` costs O(P*Nc),
     ``np.asarray(h)`` gives the dense DAFT-domain matrix and
@@ -226,16 +225,13 @@ class PathChannel:
 
     def _time_taps(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct delays and their diagonals c_tau, so that H_t = sum diag(c_tau) Pi^tau."""
-        n = np.arange(self.cfg.n_sub)
+        n = self.cfg.n_sub
         taus, which = np.unique(self.delays, return_inverse=True)
-        src = (n - self.delays[:, None]) % self.cfg.n_sub
-        per_path = self.gains[:, None] * np.exp(
-            2j * np.pi * self.dopplers[:, None] * src / self.cfg.n_sub
+        per_path = _path_terms(
+            np.ones(n), self.cfg, self.delays, self.dopplers, self.gains, np.arange(n)
         )
-        taps = np.zeros((taus.size, n.size), dtype=np.complex128)
+        taps = np.zeros((taus.size, n), dtype=np.complex128)
         np.add.at(taps, which, per_path)
-        for k, tau in enumerate(taus):
-            taps[k] *= _prefix_factor(self.cfg, int(tau), n)
         return taus, taps
 
     def regularized_solve(self, r, lam: float) -> np.ndarray:
@@ -288,22 +284,18 @@ def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, 
         raise ConfigurationError(
             f"expected prefixed signal of length {cfg.n_sub + cfg.n_cpp}, got {s_cpp.shape}"
         )
-    for p in realization.paths:
-        if p.delay > cfg.n_cpp:
-            raise ParameterError(
-                f"path delay {p.delay} exceeds prefix length {cfg.n_cpp}"
-            )
-    s = s_cpp[cfg.n_cpp :]
-    n_full = np.arange(-cfg.n_cpp, cfg.n_sub)
-    y = np.zeros(n_full.size, dtype=np.complex128)
-    for p in realization.paths:
-        src = (n_full - p.delay) % cfg.n_sub
-        y += (
-            p.gain
-            * _prefix_factor(cfg, p.delay, n_full)
-            * s[src]
-            * np.exp(2j * np.pi * p.doppler * src / cfg.n_sub)
-        )
+    paths = realization.paths
+    delays = np.array([p.delay for p in paths])
+    if delays.max() > cfg.n_cpp:
+        raise ParameterError(f"path delay {delays.max()} exceeds prefix length {cfg.n_cpp}")
+    y = _path_terms(
+        s_cpp[cfg.n_cpp :],
+        cfg,
+        delays,
+        [p.doppler for p in paths],
+        [p.gain for p in paths],
+        np.arange(-cfg.n_cpp, cfg.n_sub),
+    ).sum(axis=0)
     if rng is not None and realization.noise_power > 0:
         scale = math.sqrt(realization.noise_power / 2.0)
         y += scale * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
@@ -335,9 +327,8 @@ def sensing_echo(s_cpp, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.
     """Target echo over the post-prefix window (Nc samples).
 
     r[n] = beta * s((n - tau_bar)*Ts) * exp(j*2*pi*nu_bar*n/Nc) + w[n].
-    Integer delays read the prefixed record directly; fractional delays
-    evaluate the chirp waveform model on the record's prefix-free part
-    (``waveform_samples``), which agrees with the record at integer delays.
+    The delayed copy is ``waveform_samples`` of the record's prefix-free
+    part, which reads the record itself at whole-sample delays.
     """
     s_cpp = np.asarray(s_cpp, dtype=np.complex128)
     if s_cpp.shape != (cfg.n_sub + cfg.n_cpp,):
@@ -350,10 +341,7 @@ def sensing_echo(s_cpp, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.
             f"target delay {tau} samples outside the prefix budget [0, {cfg.n_cpp}]"
         )
     n = np.arange(cfg.n_sub)
-    if float(tau).is_integer():
-        delayed = s_cpp[cfg.n_cpp + n - int(tau)]
-    else:
-        delayed = waveform_samples(s_cpp[cfg.n_cpp :], cfg, tau)
+    delayed = waveform_samples(s_cpp[cfg.n_cpp :], cfg, tau)
     r = target.gain * delayed * np.exp(2j * np.pi * target.doppler_norm * n / cfg.n_sub)
     if rng is not None and target.noise_power > 0:
         scale = math.sqrt(target.noise_power / 2.0)

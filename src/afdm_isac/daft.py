@@ -13,8 +13,10 @@ Conventions used throughout the package:
 * forward/analysis direction carries exp(-j...), synthesis exp(+j...);
 * the 1/sqrt(Nc) factor sits on both directions (unitary pair);
 * ``c2`` defaults to pi - 3; any real value is accepted;
-* 2*c1*Nc must be an integer, which makes the chirp-periodic prefix a pure
-  phase-rotated copy of the symbol tail.
+* K = 2*c1*Nc must be an integer, so the prefix phase
+  exp(-j*2*pi*c1*(Nc^2 + 2*Nc*i)) is (-1)^(K*Nc): at any integer index i the
+  chirp-periodic extension of a symbol is s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)),
+  and every delayed copy in the package reads it through one helper.
 """
 
 from __future__ import annotations
@@ -140,34 +142,41 @@ def daft(s, cfg: AfdmConfig) -> np.ndarray:
 def build_daft_matrix(cfg: AfdmConfig) -> np.ndarray:
     """Dense analysis matrix A with A[m, n] = exp(-j2pi(c1 n^2 + mn/Nc + c2 m^2))/sqrt(Nc).
 
-    Intended as a test oracle; the FFT path is the production path.  Guarded
-    to n_sub <= 4096 to bound memory.
+    The DFT part is read at the exact index (m*n) mod Nc, so no phase grows
+    with m*n.  Intended as a test oracle; the FFT path is the production
+    path.  Guarded to n_sub <= 4096 to bound memory.
     """
     n = cfg.n_sub
     if n > _DENSE_MATRIX_CAP:
         raise ConfigurationError(
             f"dense matrix limited to n_sub <= {_DENSE_MATRIX_CAP}, got {n}"
         )
-    m = np.arange(n).reshape(-1, 1)
-    t = np.arange(n).reshape(1, -1)
-    phase = cfg.c1 * t * t + m * t / n + cfg.c2 * m * m
-    return np.exp(-2j * np.pi * phase) / math.sqrt(n)
+    k = np.arange(n)
+    dft = np.exp(-2j * np.pi * k / n)[np.outer(k, k) % n]
+    return _chirp(cfg.c2, n)[:, None] * dft * (_chirp(cfg.c1, n) / math.sqrt(n))
+
+
+def _chirp_periodic(s: np.ndarray, cfg: AfdmConfig, idx) -> np.ndarray:
+    """The chirp-periodic extension s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)) at integer ``idx``.
+
+    ``s`` holds Nc samples on its last axis; the result has shape
+    s.shape[:-1] + idx.shape.
+    """
+    n = cfg.n_sub
+    out = s[..., idx % n]
+    if cfg.two_c1_n * n % 2:
+        out = np.where(idx // n % 2 == 0, out, -out)
+    return out
 
 
 def add_cpp(s, cfg: AfdmConfig) -> np.ndarray:
     """Prepend the chirp-periodic prefix.
 
-    The prefix sample at position n in [-n_cpp, -1] is
-    s[Nc + n] * exp(-j*2*pi*c1*(Nc^2 + 2*Nc*n)).
+    The prefix sample at position n in [-n_cpp, -1] is the extension's
+    s[Nc + n] * (-1)^(K*Nc): the symbol tail, sign-flipped when K*Nc is odd.
     """
     s = _as_vector(s, cfg.n_sub, "time-domain vector")
-    if cfg.n_cpp == 0:
-        return s.copy()
-    n = cfg.n_sub
-    idx = np.arange(-cfg.n_cpp, 0)
-    factor = np.exp(-2j * np.pi * cfg.c1 * (n * n + 2.0 * n * idx))
-    prefix = s[n + idx] * factor
-    return np.concatenate([prefix, s])
+    return _chirp_periodic(s, cfg, np.arange(-cfg.n_cpp, cfg.n_sub))
 
 
 def remove_cpp(r, cfg: AfdmConfig) -> np.ndarray:
@@ -192,10 +201,12 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
         g_m(t) = c1 t^2 + m t / Nc - floor(2 c1 t + m/Nc) t
 
     (plus c2 m^2), so that fractional delays behave like the physical DAC
-    output rather than a naive quadratic-phase extrapolation; at integer
-    delays it is the chirp-periodic record ``add_cpp`` builds.  With
-    K = 2*c1*Nc, A = ceil(K*tau) and t = n - tau the wrap index is
-    floor((m + K*n - A)/Nc) for every m, which gives the exact closed form
+    output rather than a naive quadratic-phase extrapolation.  At integer
+    instants it is the chirp-periodic extension, so whole-sample delays are
+    answered by that gather, bit for bit the record ``add_cpp`` builds.
+    Fractional delays use the exact closed form: with K = 2*c1*Nc,
+    A = ceil(K*tau) and t = n - tau the wrap index is floor((m + K*n - A)/Nc)
+    for every m, so
 
         s(t) = (1/Nc) exp(j2pi[c1 t^2 + (A - K n) t/Nc + K n^2/(2Nc)])
                * sum_k s[k] exp(-j2pi A k/Nc) h(n - k),
@@ -214,18 +225,25 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
         raise ParameterError(f"delay must be a finite scalar or 1-D array, got {tau!r}")
     n_sub, k_rate = cfg.n_sub, cfg.two_c1_n
     n = np.arange(n_sub)
-    taus = np.atleast_1d(tau)[:, None]
-    a_int = np.ceil(k_rate * taus)
-    t = n - taus
-    # the lag d - tau for d = 0..Nc-1, reduced to [-Nc/2, Nc/2] (D is Nc-periodic)
-    u = t - n_sub * np.round(t / n_sub)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinc = np.where(u == 0, n_sub, np.sin(np.pi * u) / np.sin(np.pi * u / n_sub))
-    kernel = sinc * np.exp(1j * np.pi * (u * (n_sub - 1) - k_rate * n * (n - n_sub)) / n_sub)
-    spread = s * np.exp(1j * np.pi * (k_rate * n - 2.0 * a_int * n / n_sub))
-    conv = np.fft.ifft(np.fft.fft(spread) * np.fft.fft(kernel))
-    phase = cfg.c1 * (t * t + n * n) + (a_int - k_rate * n) * t / n_sub - k_rate * n / 2.0
-    out = np.exp(2j * np.pi * phase) * conv / n_sub
+    taus = np.atleast_1d(tau)
+    whole = taus == np.round(taus)
+    out = np.empty((taus.size, n_sub), dtype=np.complex128)
+    # mod 2Nc keeps i mod Nc and the parity of floor(i/Nc), and fits int64 for any delay
+    lags = (n - np.mod(taus[whole, None], 2 * n_sub)).astype(np.int64)
+    out[whole] = _chirp_periodic(s, cfg, lags)
+    if not np.all(whole):
+        frac = taus[~whole, None]
+        a_int = np.ceil(k_rate * frac)
+        t = n - frac
+        # the lag d - tau for d = 0..Nc-1, reduced to [-Nc/2, Nc/2] (D is Nc-periodic)
+        u = t - n_sub * np.round(t / n_sub)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sinc = np.where(u == 0, n_sub, np.sin(np.pi * u) / np.sin(np.pi * u / n_sub))
+        kernel = sinc * np.exp(1j * np.pi * (u * (n_sub - 1) - k_rate * n * (n - n_sub)) / n_sub)
+        spread = s * np.exp(1j * np.pi * (k_rate * n - 2.0 * a_int * n / n_sub))
+        conv = np.fft.ifft(np.fft.fft(spread) * np.fft.fft(kernel))
+        phase = cfg.c1 * (t * t + n * n) + (a_int - k_rate * n) * t / n_sub - k_rate * n / 2.0
+        out[~whole] = np.exp(2j * np.pi * phase) * conv / n_sub
     return out if tau.ndim else out[0]
 
 

@@ -7,8 +7,8 @@ delay-shifted, Doppler-compensated copies of the known transmit signal:
 
 (the echo is the conjugated factor, so a target of gain beta peaks with
 value conj(beta) * total power; magnitude-based detection is unaffected).
-Delayed references come from the prefixed transmit record for integer lags
-and from the chirp waveform model for fractional lags, so oversampled grids
+Delayed references come from the chirp waveform model (``waveform_samples``,
+the prefixed transmit record at whole-sample lags), so oversampled grids
 stay consistent with the channel's fractional-delay convention.  Detection
 normalizes |E|^2 by a local noise floor (cell-averaging window with a guard
 box, cyclic wrap) and thresholds the ratio.
@@ -98,31 +98,21 @@ def sensing_grid(
     return taus, nus
 
 
-def _delayed_reference(record: TransmitRecord, cfg: AfdmConfig, taus: np.ndarray) -> np.ndarray:
-    """Matrix s[n - tau] with shape (Nc, len(taus))."""
-    out = np.empty((cfg.n_sub, taus.size), dtype=np.complex128)
-    frac = ~np.isclose(taus, np.round(taus))
-    lags = np.round(taus[~frac]).astype(np.int64)
-    if np.any((lags < 0) | (lags > cfg.n_cpp)):
-        raise ParameterError(f"delays {lags} outside the prefixed record [0, {cfg.n_cpp}]")
-    out[:, ~frac] = record.s_cpp[cfg.n_cpp + np.arange(cfg.n_sub)[:, None] - lags]
-    if np.any(frac):
-        out[:, frac] = waveform_samples(record.s, cfg, taus[frac]).T
-    return out
-
-
 def rdf(r_s, record: TransmitRecord, grid, cfg: AfdmConfig) -> RangeDopplerMap:
     """Range-Doppler correlation of an echo against the transmit record.
 
     ``grid`` is a (tau_axis, nu_axis) pair; both axes may be fractional
-    (oversampled).  The echo must cover the prefix-free window.
+    (oversampled) and every delay must lie in [0, n_cpp].  The echo must
+    cover the prefix-free window.
     """
     r_s = np.asarray(r_s, dtype=np.complex128)
     if r_s.shape != (cfg.n_sub,):
         raise ParameterError(f"echo must have length {cfg.n_sub}")
     tau_axis = np.asarray(grid[0], dtype=np.float64)
     nu_axis = np.asarray(grid[1], dtype=np.float64)
-    ref = _delayed_reference(record, cfg, tau_axis)
+    if np.any((tau_axis < 0) | (tau_axis > cfg.n_cpp)):
+        raise ParameterError(f"delays {tau_axis} outside the prefixed record [0, {cfg.n_cpp}]")
+    ref = waveform_samples(record.s, cfg, tau_axis).T
     n = np.arange(cfg.n_sub)
     comp = np.conj(r_s)[None, :] * np.exp(
         2j * np.pi * nu_axis[:, None] * n[None, :] / cfg.n_sub
@@ -261,16 +251,12 @@ def _detection_trial(
     rd_map = rdf(echo, record, grid, cfg)
     stat = _statistic(rd_map.values, noise_floor(rd_map, scenario.detection))
     i, j = np.unravel_index(np.argmax(stat), stat.shape)
-    near = (
-        abs(rd_map.tau_axis[i] - target.delay_samples) <= 1.0
-        and abs(rd_map.nu_axis[j] - target.doppler_norm) <= 1.0
-    )
     near_mask = (
         np.abs(rd_map.tau_axis[:, None] - target.delay_samples) <= 1.0
     ) & (np.abs(rd_map.nu_axis[None, :] - target.doppler_norm) <= 1.0)
     outside = stat[~near_mask]
     max_outside = float(outside.max()) if outside.size else 0.0
-    return float(stat[i, j]), bool(near), max_outside
+    return float(stat[i, j]), bool(near_mask[i, j]), max_outside
 
 
 def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.ndarray:
@@ -290,12 +276,10 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     grid = sensing_grid(scenario.tau_m, scenario.nu_m)
     for t in range(n_trials):
         peak[t], near[t], out_max[t] = _detection_trial(scenario, x_p, grid, rng)
-    rows = np.empty((gamma_grid.size, 3))
-    for k, gamma in enumerate(gamma_grid):
-        pd = float(np.mean((peak > gamma) & near))
-        pfa = float(np.mean(out_max > gamma))
-        rows[k] = (gamma, pfa, pd)
-    return rows
+    gammas = gamma_grid[:, None]
+    pfa = np.mean(out_max > gammas, axis=1)
+    pd = np.mean((peak > gammas) & near, axis=1)
+    return np.column_stack([gamma_grid, pfa, pd])
 
 
 def pd_at_pfa(curve: np.ndarray, pfa_targets) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from afdm_isac import AfdmConfig, idaft
 from afdm_isac.analysis import (
     PowerAllocation,
+    _frac_kernel,
     af_statistics_closed_form,
     ambiguity_decomposition,
     ambiguity_function,
@@ -91,7 +92,7 @@ class TestAmbiguityFunction:
         s = idaft(random_unit_symbols(rng, 8), cfg)
         taus = np.arange(8)
         nus = np.arange(8)
-        chi = cross_ambiguity(s, s, taus, nus)
+        chi = cross_ambiguity(s, s, taus, nus, cfg)
         energy = np.linalg.norm(s) ** 2
         assert np.sum(np.abs(chi) ** 2) == pytest.approx(8 * energy**2, rel=1e-10)
 
@@ -99,7 +100,7 @@ class TestAmbiguityFunction:
     def test_fractional_axis_rejected(self, rng, taus, nus):
         s = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         with pytest.raises(ParameterError):
-            cross_ambiguity(s, s, taus, nus)
+            cross_ambiguity(s, s, taus, nus, AfdmConfig(n_sub=16))
 
     def test_decomposition_identity(self, rng):
         # bilinearity: the four parts reassemble the total-signal surface
@@ -230,11 +231,13 @@ class TestTheorem4:
         assert report.details["max_offdiagonal"] <= 1e-10 * 100.0
 
     def test_identity_for_arbitrary_pilot(self, rng):
-        cfg = AfdmConfig(n_sub=64, n_cpp=16, c1=1 / 16)
-        x_p = random_unit_symbols(rng, 64) * rng.uniform(0.5, 2.0, 64)
-        grid = basis_grid(tau_m=3, nu_m=2)
-        report = verify_theorem_4(x_p, cfg, grid.pairs)
-        assert report.passed  # identity holds even though the Gram is not diagonal
+        # K*N even (64, 1/16) and odd (63, 1/126), (65, 3/130)
+        for n_sub, c1 in [(64, 1 / 16), (63, 1 / 126), (65, 3 / 130)]:
+            cfg = AfdmConfig(n_sub=n_sub, n_cpp=16, c1=c1)
+            x_p = random_unit_symbols(rng, n_sub) * rng.uniform(0.5, 2.0, n_sub)
+            grid = basis_grid(tau_m=3, nu_m=2)
+            report = verify_theorem_4(x_p, cfg, grid.pairs)
+            assert report.passed  # identity holds even though the Gram is not diagonal
 
     def test_overreached_traditional_pilot_couples(self):
         cfg = AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32)
@@ -271,6 +274,16 @@ class TestFim:
             )
             eigs = np.linalg.eigvalsh(fim(p, target, self.CFG))
             assert eigs.min() > -1e-9
+
+    @pytest.mark.parametrize("n_sub, two_c1_n, tau_bar", [(63, 1, 0), (63, 2, -2), (96, 1, 0)])
+    def test_frac_kernel_exact_at_ties(self, n_sub, two_c1_n, tau_bar):
+        # integer tau_bar puts 2*c1*(n - tau_bar) + m/N on exact ties, where frac is 0, not 1
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        exact = [
+            [((two_c1_n * (n - tau_bar) + m) % n_sub) / n_sub for n in range(n_sub)]
+            for m in range(n_sub)
+        ]
+        assert np.max(np.abs(_frac_kernel(cfg, float(tau_bar)) - exact)) <= 1e-15
 
 
 class TestCrb:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp
+from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp, waveform_samples
 from afdm_isac.channel import (
     BasisGrid,
     ChannelPath,
@@ -177,6 +179,42 @@ class TestTimeDomainApplication:
         )
         with pytest.raises(ParameterError):
             apply_channel_time(s_cpp, real, CFG16)
+
+
+class TestChirpPeriodicRule:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_sub=st.integers(2, 40),
+        two_c1_n=st.integers(0, 9),
+        cpp_share=st.floats(0.0, 1.0),
+        n_paths=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_time_and_daft_routes_match_dense_oracle(self, n_sub, two_c1_n, cpp_share, n_paths, seed):
+        # N odd or even and K*N odd or even; the oracle's prefix is the exp form
+        rng = np.random.default_rng(seed)
+        n_cpp = min(int(cpp_share * n_sub), n_sub - 1)
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=n_cpp, c1=two_c1_n / (2 * n_sub))
+        x = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
+        paths = tuple(
+            ChannelPath(complex(rng.standard_normal(), rng.standard_normal()),
+                        int(rng.integers(0, n_cpp + 1)), float(rng.integers(-3, 4)))
+            for _ in range(n_paths)
+        )
+        real = ChannelRealization(paths, 0.0, tau_m=n_cpp, nu_m=3)
+        s = idaft(x, cfg)
+        s_cpp = add_cpp(s, cfg)
+        y = daft(remove_cpp(apply_channel_time(s_cpp, real, cfg), cfg), cfg)
+        scale = np.linalg.norm(x)
+        assert np.max(np.abs(y - channel_matrix(real, cfg) @ x)) <= 1e-10 * scale
+        for p in paths:
+            expect = basis_matrix(cfg, p.delay, p.doppler) @ x
+            assert np.max(np.abs(apply_basis(x, cfg, p.delay, p.doppler) - expect)) <= 1e-10 * scale
+        sign = (-1.0) ** (two_c1_n * n_sub)
+        assert np.array_equal(s_cpp[:n_cpp], sign * s[n_sub - n_cpp :])
+        delayed = waveform_samples(s, cfg, np.arange(n_cpp + 1.0))
+        records = [s_cpp[n_cpp - tau : n_cpp - tau + n_sub] for tau in range(n_cpp + 1)]
+        assert np.array_equal(delayed, records)
 
 
 class TestSampleChannel:

@@ -145,6 +145,12 @@ class TestDenseMatrix:
                 x = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
                 assert np.linalg.norm(idaft(x, cfg) - a.conj().T @ x) < 1e-10
 
+    def test_matches_fft_path_at_large_n(self, rng):
+        cfg = AfdmConfig(n_sub=1024, c1=5 / 2048)
+        s = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        ref = daft(s, cfg)
+        assert np.max(np.abs(build_daft_matrix(cfg) @ s - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_size_guard(self):
         cfg = AfdmConfig(n_sub=8192, c1=0.0)
         with pytest.raises(ConfigurationError):
@@ -223,6 +229,16 @@ class TestWaveformSamples:
             assert np.max(np.abs(row - ref)) <= 1e-10 * np.max(np.abs(s))
             single = waveform_samples(s, cfg, tau)
             assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("n_sub, two_c1_n", [(16, 2), (15, 1)])
+    def test_huge_whole_delay_reads_the_extension(self, rng, n_sub, two_c1_n):
+        # 2^60 + 3*2^8 is an exact float; the extension is evaluated with Python integers
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        s = idaft(random_unit_symbols(rng, n_sub), cfg)
+        tau = 2**60 + 768
+        expect = [s[(n - tau) % n_sub] * (1 - 2 * (two_c1_n * n_sub * ((n - tau) // n_sub) % 2))
+                  for n in range(n_sub)]
+        assert np.array_equal(waveform_samples(s, cfg, float(tau)), expect)
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, [[0.5]]])
     def test_rejects_bad_delay(self, rng, tau):

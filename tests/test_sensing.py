@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from afdm_isac import AfdmConfig, idaft
+from afdm_isac import AfdmConfig, idaft, waveform_samples
 from afdm_isac.analysis import ambiguity_function, ambiguity_region
 from afdm_isac.channel import SensingTarget, sensing_echo
 from afdm_isac.errors import ParameterError
@@ -141,7 +141,18 @@ class TestRdf:
             one = rdf(echo, record, (taus[i : i + 1], nus), CFG).values[0]
             assert np.allclose(rd.values[i], one, rtol=0, atol=1e-12 * np.abs(one).max())
 
-    @pytest.mark.parametrize("tau", [-1.0, 17.0])
+    def test_near_integer_lag_is_not_snapped(self, rng):
+        # lag 2 + 1e-6 correlates against the waveform at that lag, not the lag-2 record
+        record = transmit_record(random_unit_symbols(rng, 64), CFG)
+        echo = sensing_echo(record.s_cpp, CFG, SensingTarget(1.0, 2.3, 0.0, 0.0))
+        lag = 2.0 + 1e-6
+        value = rdf(echo, record, (np.array([lag]), np.array([0.0])), CFG).values[0, 0]
+        expect = np.conj(echo) @ waveform_samples(record.s, CFG, lag)
+        assert abs(value - expect) <= 1e-12 * abs(expect)
+        at_two = rdf(echo, record, (np.array([2.0]), np.array([0.0])), CFG).values[0, 0]
+        assert abs(value - at_two) > 1e-9 * abs(at_two)
+
+    @pytest.mark.parametrize("tau", [-1.0, 17.0, 16.5])
     def test_lag_outside_record_rejected(self, rng, tau):
         record = transmit_record(random_unit_symbols(rng, 64), CFG)
         with pytest.raises(ParameterError):
