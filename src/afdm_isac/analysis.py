@@ -446,11 +446,21 @@ def frame_power_profile(x_pilot, data_symbol_power: float) -> PowerAllocation:
 def _frac_kernel(cfg: AfdmConfig, tau_bar: float) -> np.ndarray:
     """frac(2*c1*(n - tau_bar) + m/Nc) with shape (Nc subcarriers, Nc samples).
 
-    Evaluated as ((K*(n - tau_bar) + m) mod Nc)/Nc, K = 2*c1*Nc, exact at ties.
+    K*tau_bar (K = 2*c1*Nc) is split exactly, by integer arithmetic on the
+    ratio of the float tau_bar, into an integer w and a fraction f in [0, 1).
+    With the integer j = <K*n + m - w>_Nc an entry is (j - f)/Nc, or
+    (Nc - f)/Nc when j = 0 < f.  So every entry is the exact value for the
+    float tau_bar to about an ulp: 0 at a tie, and just past one (tau_bar
+    slightly above a tie) the value just below 1, which reads 1.0 when it
+    lies within about an ulp of 1.  The kernel lies in [0, 1].
     """
-    n = np.arange(cfg.n_sub, dtype=np.float64)[None, :]
-    m = np.arange(cfg.n_sub, dtype=np.float64)[:, None]
-    return np.mod(cfg.two_c1_n * (n - tau_bar) + m, cfg.n_sub) / cfg.n_sub
+    nc, k = cfg.n_sub, cfg.two_c1_n
+    num, den = float(tau_bar).as_integer_ratio()
+    whole, rest = divmod(k * num, den)
+    f = rest / den
+    j = (k * np.arange(nc) - whole % nc)[None, :] + np.arange(nc)[:, None]
+    j %= nc
+    return (np.where((j == 0) & (f > 0), nc, j) - f) / nc
 
 
 def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
@@ -536,13 +546,16 @@ def sensing_weights(power: PowerAllocation, target: SensingTarget, cfg: AfdmConf
     return crb_tau * (c0 / c - (a_m * c + a * c0 - 2.0 * b * b_m) / (a * c - b * b))
 
 
+# histogram bins of the delay-bound density reported by crb_distribution
+_CRB_BINS = 60
+
+
 def crb_distribution(
     cfg: AfdmConfig,
     target: SensingTarget,
     total_power: float,
     n_draws: int,
     rng,
-    n_bins: int = 60,
     allocations: Optional[np.ndarray] = None,
 ) -> dict:
     """Delay-bound statistics under symmetric-Dirichlet random allocations.
@@ -552,7 +565,7 @@ def crb_distribution(
     distribution.  ``tail_mass`` is the fraction of draws exceeding twice the
     equal-allocation baseline at ``total_power``.  Pass ``allocations`` (one
     allocation per row, each bounded at its own total) to evaluate a fixed
-    set instead of drawing.
+    set instead of drawing.  ``density`` is a 60-bin histogram of the bounds.
     """
     if not 0 < total_power < np.inf:
         raise ParameterError("total_power must be positive and finite")
@@ -564,7 +577,7 @@ def crb_distribution(
     values, _ = _crb_from_sums(a, b, c, target, cfg)
     equal = np.full(cfg.n_sub, total_power / cfg.n_sub)
     baseline, _ = _crb_from_sums(equal @ a_m, equal @ b_m, total_power * c0, target, cfg)
-    hist, edges = np.histogram(values, bins=n_bins, density=True)
+    hist, edges = np.histogram(values, bins=_CRB_BINS, density=True)
     return {
         "values": values,
         "mean": float(values.mean()),

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .daft import AfdmConfig, _chirp_periodic, daft, idaft, waveform_samples
+from .daft import AfdmConfig, _chirp, _chirp_periodic, daft, idaft, waveform_samples
 from .errors import ConfigurationError, ParameterError
 
 __all__ = [
@@ -52,6 +52,13 @@ __all__ = [
 SPEED_OF_LIGHT = 3.0e8
 
 
+def _integers(values, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or not np.all(np.isfinite(arr)) or np.any(arr != np.round(arr)):
+        raise ParameterError(f"{what} must be a 1-D array of integers, got {values!r}")
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class ChannelPath:
     """One propagation path: complex gain, integer delay (samples), real Doppler."""
@@ -59,6 +66,9 @@ class ChannelPath:
     gain: complex
     delay: int
     doppler: float
+
+    def __post_init__(self):
+        _integers([self.delay], "path delay")
 
 
 @dataclass(frozen=True)
@@ -155,13 +165,6 @@ def subcarrier_offset(tau, nu, cfg: AfdmConfig):
     return (cfg.two_c1_n * tau - nu) % cfg.n_sub
 
 
-def _integers(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)) or np.any(arr != np.round(arr)):
-        raise ParameterError(f"{what} must be a 1-D array of integers, got {values!r}")
-    return arr.astype(np.int64)
-
-
 @dataclass(frozen=True, eq=False)
 class PathChannel:
     """A sum of integer (tau, nu) paths, kept in structured form.
@@ -197,13 +200,19 @@ class PathChannel:
         object.__setattr__(self, "gains", gains)
 
     def _daft_taps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source columns q and gain-weighted phases, both (paths, Nc)."""
+        """Source columns q and gain-weighted phases, both (paths, Nc).
+
+        The c2 factor exp(-j*2*pi*c2*(p^2 - q^2)) is read from the chirp
+        table that ``daft`` uses: c2*(p^2 - q^2) as one float phase loses
+        about 2e-9 at Nc = 4096.
+        """
         n, cfg = self.cfg.n_sub, self.cfg
         p = np.arange(n)
         tau, nu = self.delays[:, None], self.dopplers[:, None]
         q = (p + subcarrier_offset(tau, nu, cfg)) % n
-        phase = cfg.c1 * tau * tau - (q + nu) * tau / n - cfg.c2 * (p * p - q * q)
-        return q, self.gains[:, None] * np.exp(2j * np.pi * phase)
+        chirp = _chirp(cfg.c2, n)
+        phase = np.exp(2j * np.pi * (cfg.c1 * tau * tau - (q + nu) * tau / n))
+        return q, self.gains[:, None] * phase * chirp * np.conj(chirp[q])
 
     def _vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)

@@ -8,13 +8,16 @@ matrix is unitary, the data-plus-noise term is white with per-sample variance
 
 (the data covariance sigma_d^2 I is preserved by each unitary path, and the
 path gains are uncorrelated under the prior), so the MMSE estimate reduces to
-a ridge-regularized least squares over Psi_p.  Detected paths are kept by
-magnitude thresholding, and the channel estimate is the structured
-``PathChannel`` of the surviving (tau, nu, gain) triples: O(P*Nc) to apply,
-never a dense matrix.  The data are equalized by regularized least squares
-in the time domain, where the channel is a cyclic band of width tau_m, with
-one banded Cholesky solve.  This is exact: the DAFT matrix A is unitary, so
-with H = A H_t A^H the DAFT-domain solution (H^H H + lam I)^{-1} H^H r equals
+a ridge-regularized least squares over Psi_p.  One inverse of its normal
+matrix gives both the estimate and the posterior variances (for the proposed
+pilot Psi_p^H Psi_p = sigma_p^2 I, Theorem 4, so the matrix is diagonal).  A
+path is kept when its gain lies more than 3 posterior standard deviations
+from 0, and the channel estimate is the structured ``PathChannel`` of the
+surviving (tau, nu, gain) triples: O(P*Nc) to apply, never a dense matrix.
+The data are equalized by regularized least squares in the time domain,
+where the channel is a cyclic band of width tau_m, with one banded Cholesky
+solve.  This is exact: the DAFT matrix A is unitary, so with
+H = A H_t A^H the DAFT-domain solution (H^H H + lam I)^{-1} H^H r equals
 A (H_t^H H_t + lam I)^{-1} H_t^H A^H r.  Pilot-data interference can be
 peeled iteratively: demodulate with the current estimate, subtract the
 rebuilt data contribution, and re-estimate against the smaller residual
@@ -23,7 +26,7 @@ noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,12 +41,10 @@ __all__ = [
     "build_psi",
     "effective_noise_covariance",
     "mmse_estimate",
-    "posterior_variances",
     "threshold_paths",
     "reconstruct_channel",
     "equalize_demod",
     "iterative_estimate",
-    "channel_mse",
 ]
 
 
@@ -68,10 +69,10 @@ class PriorModel:
         object.__setattr__(self, "gain_variances", g)
 
     @staticmethod
-    def uniform(grid: BasisGrid, noise_variance: float, total_gain_power: float = 1.0):
-        """Spread a total gain power uniformly over the basis."""
+    def uniform(grid: BasisGrid, noise_variance: float):
+        """Spread a unit total gain power uniformly over the basis."""
         n = len(grid)
-        return PriorModel(np.full(n, total_gain_power / n), noise_variance)
+        return PriorModel(np.full(n, 1.0 / n), noise_variance)
 
 
 @dataclass
@@ -82,8 +83,6 @@ class EstimationResult:
     indicator: np.ndarray
     h_eff_hat: PathChannel  # kept paths; np.asarray gives the dense DAFT-domain matrix
     residual_norms: list[float]
-    monotone: bool
-    metadata: dict = field(default_factory=dict)
 
 
 def build_psi(x, grid: BasisGrid, cfg: AfdmConfig) -> np.ndarray:
@@ -107,62 +106,47 @@ def effective_noise_covariance(
     return data_symbol_power * total + noise_power
 
 
-_LS_NOISE_FLOOR = 1e-30
+# c is floored here so that a noiseless model (or c = 0) keeps the normal
+# matrix finite; the regularization then vanishes against Psi^H Psi / c.
+_NOISE_FLOOR = 1e-30
+# a gain is kept when it lies this many posterior standard deviations from 0
+_EPS_SCALE = 3.0
 
 
-def _free_columns(psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
-    """Columns with positive prior variance; zero-variance gains stay pinned at 0."""
-    psi_p = np.asarray(psi_p, dtype=np.complex128)
-    if prior.gain_variances.shape != (psi_p.shape[1],):
-        raise ParameterError(
-            f"{prior.gain_variances.shape} prior variances for {psi_p.shape[1]} columns"
-        )
-    free = prior.gain_variances > 0
-    return free, psi_p[:, free]
+def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
+    """Linear MMSE gain estimate and its posterior variances.
 
-
-def mmse_estimate(y, psi_p, prior: PriorModel) -> np.ndarray:
-    """Linear MMSE gain estimate; degrades gracefully to least squares.
-
-    With white effective noise c the estimate is
-    (Psi^H Psi / c + diag(1/prior))^{-1} Psi^H y / c over the columns of
-    positive prior variance; the others are 0.  A vanishing c (or an
-    infinite prior) removes the corresponding regularization.
+    Over the columns of positive prior variance g, with the white effective
+    noise c floored at 1e-30, the posterior covariance is
+    S = (Psi^H Psi / c + diag(1/g))^{-1}; the estimate is S Psi^H y / c and
+    the variances are diag(S).  Pinned gains (g = 0) come out as 0 with
+    variance 0, and an infinite g drops that gain's regularization.  A
+    singular normal matrix or a non-finite result raises ``NumericalError``.
     """
     y = np.asarray(y, dtype=np.complex128)
-    free, psi_f = _free_columns(psi_p, prior)
-    out = np.zeros(free.size, dtype=np.complex128)
-    if np.linalg.norm(y) == 0.0 or not free.any():
-        return out
-    c = prior.noise_variance
-    if c <= _LS_NOISE_FLOOR:
-        out[free], *_ = np.linalg.lstsq(psi_f, y, rcond=None)
-        return out
-    normal = psi_f.conj().T @ psi_f / c + np.diag(1.0 / prior.gain_variances[free])
-    rhs = psi_f.conj().T @ y / c
+    psi_p = np.asarray(psi_p, dtype=np.complex128)
+    g = prior.gain_variances
+    if g.shape != (psi_p.shape[1],):
+        raise ParameterError(f"{g.shape} prior variances for {psi_p.shape[1]} columns")
+    free = g > 0
+    alpha = np.zeros(free.size, dtype=np.complex128)
+    variances = np.zeros(free.size)
+    if not free.any():
+        return alpha, variances
+    c = max(prior.noise_variance, _NOISE_FLOOR)
+    psi_f = psi_p[:, free]
+    normal = psi_f.conj().T @ psi_f / c + np.diag(1.0 / g[free])
     try:
-        sol = np.linalg.solve(normal, rhs)
+        cov = np.linalg.inv(normal)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"singular normal matrix (cond={np.linalg.cond(normal):.3e})"
         ) from exc
-    if not np.all(np.isfinite(sol)):
-        raise NumericalError(
-            f"non-finite estimate (cond={np.linalg.cond(normal):.3e})"
-        )
-    out[free] = sol
-    return out
-
-
-def posterior_variances(psi_p, prior: PriorModel) -> np.ndarray:
-    """Diagonal of the posterior covariance of the gain estimate (0 where pinned)."""
-    free, psi_f = _free_columns(psi_p, prior)
-    c = max(prior.noise_variance, _LS_NOISE_FLOOR)
-    normal = psi_f.conj().T @ psi_f / c + np.diag(1.0 / prior.gain_variances[free])
-    out = np.zeros(free.size)
-    if free.any():
-        out[free] = np.real(np.diag(np.linalg.inv(normal)))
-    return out
+    alpha[free] = cov @ (psi_f.conj().T @ y / c)
+    variances[free] = cov.diagonal().real
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(variances))):
+        raise NumericalError("non-finite posterior of the gains")
+    return alpha, variances
 
 
 def threshold_paths(alpha_hat, eps) -> np.ndarray:
@@ -222,19 +206,20 @@ def iterative_estimate(
     noise_power: float,
     n_iter: int = 2,
     prior: PriorModel | None = None,
-    eps_scale: float = 3.0,
     eps: float | None = None,
-    channel_power: float = 1.0,
     known_data=None,
 ) -> EstimationResult:
     """Estimate, demodulate, cancel, and re-estimate.
 
-    Iteration 1 models the data as white interference of power
-    sigma_d^2 * channel_power per sample; each later iteration subtracts the
-    demodulated data pushed through the current channel estimate and sets the
-    interference model from the measured residual of the previous fit (so a
-    failed cancellation does not make the next pass overconfident).  The
-    ``monotone`` flag reports whether the fit residual never increased.
+    Each iteration makes one ``mmse_estimate`` call, keeps the gains more
+    than 3 posterior standard deviations from 0 (or above ``eps`` when it is
+    given), and equalizes with the channel they form.  Iteration 1 models the
+    data as white interference of power sigma_d^2 * sum(prior variances) per
+    sample (``effective_noise_covariance``); each later iteration subtracts
+    the demodulated data pushed through the current channel estimate and sets
+    the interference model from the measured residual of the previous fit
+    (so a failed cancellation does not make the next pass overconfident).
+    The prior defaults to a unit gain power spread uniformly over the grid.
     ``known_data`` replaces the demodulated feedback with a given data vector
     (diagnostic genie for isolating the cancellation algebra).
     """
@@ -245,20 +230,13 @@ def iterative_estimate(
     psi_p = build_psi(x_pilot, grid, cfg)
     if prior is None:
         prior = PriorModel.uniform(grid, noise_variance=0.0)
-    c_it = effective_noise_covariance(
-        np.asarray([channel_power]), spec.data_symbol_power, noise_power
-    )
+    c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
     residuals: list[float] = []
     feedback = np.zeros(cfg.n_sub, dtype=np.complex128)
     for it in range(n_iter):
-        prior_it = PriorModel(prior.gain_variances, c_it)
         observation = y if it == 0 else y - h_hat @ feedback
-        alpha_hat = mmse_estimate(observation, psi_p, prior_it)
-        if eps is None:
-            post = posterior_variances(psi_p, prior_it)
-            eps_it = eps_scale * np.sqrt(np.maximum(post, 0.0))
-        else:
-            eps_it = eps
+        alpha_hat, post = mmse_estimate(observation, psi_p, PriorModel(prior.gain_variances, c_it))
+        eps_it = _EPS_SCALE * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps
         indicator = threshold_paths(alpha_hat, eps_it)
         h_hat = reconstruct_channel(alpha_hat, indicator, grid, cfg)
         x_d_hat, bits = equalize_demod(y, h_hat, x_pilot, spec, noise_power)
@@ -270,25 +248,9 @@ def iterative_estimate(
         # unexplained power per sample, corrected for the fitted coefficients
         dof = max(cfg.n_sub - int(indicator.sum()), cfg.n_sub // 4)
         c_it = max(noise_power, resid * resid / dof)
-    monotone = all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
     return EstimationResult(
         alpha_hat=alpha_hat,
         indicator=indicator,
         h_eff_hat=h_hat,
         residual_norms=residuals,
-        monotone=monotone,
-        metadata={"equalizer": "regularized-linear", "n_iter": n_iter, "eps_scale": eps_scale},
     )
-
-
-def channel_mse(h_true, h_hat) -> float:
-    """Frobenius norm of the channel matrix error (single run, unsquared).
-
-    Either argument may be a ``PathChannel``; it is compared as its dense
-    DAFT-domain matrix.
-    """
-    h_true = np.asarray(h_true)
-    h_hat = np.asarray(h_hat)
-    if h_true.shape != h_hat.shape:
-        raise ParameterError(f"shape mismatch: {h_true.shape} vs {h_hat.shape}")
-    return float(np.linalg.norm(h_true - h_hat))

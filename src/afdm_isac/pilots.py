@@ -158,17 +158,15 @@ def traditional_spi_pilot(
     nu_m: int = 0,
     spacing: Optional[int] = None,
     n_pilots: Optional[int] = None,
-    zc_root: Optional[int] = None,
 ) -> np.ndarray:
     """Conventional superimposed pilot comb.
 
     By default the spacing follows the delay-Doppler footprint rule; both
     ``spacing`` and ``n_pilots`` can be pinned independently to reproduce
     published baselines that fix Np regardless of the channel budget.  The
-    nonzero entries carry equal phases by default, which makes the comb's
-    delay ambiguity outside its validity region explicit (delay offsets of
-    one comb period collide coherently); pass ``zc_root`` to place a ZC
-    sequence on the comb instead.  Within the validity region any
+    nonzero entries carry equal phases, which makes the comb's delay
+    ambiguity outside its validity region explicit (delay offsets of one
+    comb period collide coherently).  Within the validity region any
     unit-modulus phases give zero inter-pilot interference.
     """
     if spacing is None:
@@ -182,12 +180,8 @@ def traditional_spi_pilot(
         raise ParameterError(
             f"{n_p} pilots at spacing {spacing} do not fit in Nc={cfg.n_sub}"
         )
-    if zc_root is None:
-        z = np.ones(n_p, dtype=np.complex128)
-    else:
-        z = zc_sequence(ZcParams(length=n_p, root=zc_root))
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
-    x[np.arange(n_p) * spacing] = math.sqrt(pilot_power / n_p) * z
+    x[np.arange(n_p) * spacing] = math.sqrt(pilot_power / n_p)
     return x
 
 
@@ -222,8 +216,6 @@ class PilotScheme:
     nu_m: int = 0
     spacing: Optional[int] = None
     n_pilots: Optional[int] = None
-    zc_root: int = 1
-    traditional_zc_root: Optional[int] = None
 
     def __post_init__(self):
         if self.variant not in ("proposed", "traditional_spi", "single"):
@@ -235,7 +227,7 @@ class PilotScheme:
 def pilot_vector(scheme: PilotScheme, cfg: AfdmConfig) -> np.ndarray:
     """Build the DAFT-domain pilot vector for a scheme."""
     if scheme.variant == "proposed":
-        return proposed_pilot(cfg, scheme.pilot_power, r=scheme.r, zc_root=scheme.zc_root)
+        return proposed_pilot(cfg, scheme.pilot_power, r=scheme.r)
     if scheme.variant == "traditional_spi":
         return traditional_spi_pilot(
             cfg,
@@ -244,7 +236,6 @@ def pilot_vector(scheme: PilotScheme, cfg: AfdmConfig) -> np.ndarray:
             nu_m=scheme.nu_m,
             spacing=scheme.spacing,
             n_pilots=scheme.n_pilots,
-            zc_root=scheme.traditional_zc_root,
         )
     return single_pilot(cfg, scheme.pilot_power)
 

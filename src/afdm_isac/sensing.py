@@ -194,13 +194,17 @@ def estimate_target(rd_map: RangeDopplerMap) -> tuple[float, float]:
     return float(rd_map.tau_axis[i]), float(rd_map.nu_axis[j])
 
 
+# distance in cells between a drawn target and the edge of the search region
+_EDGE_MARGIN = 0.5
+
+
 @dataclass(frozen=True)
 class SensingScenario:
     """Monostatic single-target detection setting for Monte Carlo runs.
 
-    The target's delay is drawn uniformly over [margin, tau_m - margin] and
-    its Doppler over [-nu_m + margin, nu_m - margin] (continuous), with a
-    uniformly random gain phase; the gain magnitude realizes
+    The target's delay is drawn uniformly over [0.5, tau_m - 0.5] and its
+    Doppler over [-nu_m + 0.5, nu_m - 0.5] (continuous), with a uniformly
+    random gain phase; the gain magnitude realizes
     ``receive_snr_db`` = |beta|^2 * Pt / (Nc * noise_power) in dB.
     """
 
@@ -212,18 +216,12 @@ class SensingScenario:
     receive_snr_db: float
     noise_power: float = 1.0
     detection: DetectionConfig = field(default_factory=DetectionConfig)
-    edge_margin: float = 0.5
-    integer_targets: bool = False
 
     def draw_target(self, rng, total_power: float) -> SensingTarget:
         snr = 10.0 ** (self.receive_snr_db / 10.0)
         beta_mag = math.sqrt(snr * self.cfg.n_sub * self.noise_power / total_power)
-        if self.integer_targets:
-            tau = float(rng.integers(0, self.tau_m + 1))
-            nu = float(rng.integers(-self.nu_m, self.nu_m + 1))
-        else:
-            tau = rng.uniform(self.edge_margin, self.tau_m - self.edge_margin)
-            nu = rng.uniform(-self.nu_m + self.edge_margin, self.nu_m - self.edge_margin)
+        tau = rng.uniform(_EDGE_MARGIN, self.tau_m - _EDGE_MARGIN)
+        nu = rng.uniform(-self.nu_m + _EDGE_MARGIN, self.nu_m - _EDGE_MARGIN)
         gain = beta_mag * np.exp(2j * np.pi * rng.uniform())
         return SensingTarget(
             gain=complex(gain),

@@ -19,7 +19,6 @@ from afdm_isac.estimator import (
     build_psi,
     effective_noise_covariance,
     mmse_estimate,
-    posterior_variances,
     threshold_paths,
 )
 from afdm_isac.modem import demap_symbols, map_bits
@@ -99,13 +98,12 @@ def iterative_estimate(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2):
     stack = np.stack([basis_matrix(cfg, tau, float(nu)) for tau, nu in grid.pairs])
     psi_p = build_psi(x_pilot, grid, cfg)
     prior = PriorModel.uniform(grid, noise_variance=0.0)
-    c_it = effective_noise_covariance([1.0], spec.data_symbol_power, noise_power)
+    c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
     feedback = np.zeros(cfg.n_sub, dtype=np.complex128)
     h = np.zeros((cfg.n_sub, cfg.n_sub), dtype=np.complex128)
     for _ in range(n_iter):
-        prior_it = PriorModel(prior.gain_variances, c_it)
-        alpha = mmse_estimate(y - h @ feedback, psi_p, prior_it)
-        indicator = threshold_paths(alpha, 3.0 * np.sqrt(posterior_variances(psi_p, prior_it)))
+        alpha, post = mmse_estimate(y - h @ feedback, psi_p, PriorModel(prior.gain_variances, c_it))
+        indicator = threshold_paths(alpha, 3.0 * np.sqrt(post))
         h = np.tensordot(alpha * indicator, stack, axes=(0, 0))
         x_d = equalize(y, h, x_pilot, noise_power / spec.data_symbol_power)
         bits = demap_symbols(x_d, spec)

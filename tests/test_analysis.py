@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,15 +37,27 @@ from afdm_isac.pilots import proposed_pilot, select_c1_q, traditional_spi_pilot
 from conftest import random_unit_symbols
 
 
+def exact_frac_kernel(cfg, tau_bar):
+    """frac(2*c1*(n - tau_bar) + m/Nc) in exact rational arithmetic, rounded once.
+
+    2*c1*(n - tau_bar) + m/Nc is (r - K*tau_bar)/Nc plus an integer, with
+    K = 2*c1*Nc and r = <K*n + m>_Nc, so the kernel reads a table of Nc
+    values, each the fractional part of a ``Fraction`` of the float tau_bar.
+    """
+    k, n = cfg.two_c1_n, np.arange(cfg.n_sub)
+    shift = k * Fraction(tau_bar)
+    table = np.array([float(((r - shift) / cfg.n_sub) % 1) for r in range(cfg.n_sub)])
+    return table[(k * n[None, :] + n[:, None]) % cfg.n_sub]
+
+
 def fd_sensing_weights(power, target, cfg):
     """Central-difference delay-bound sensitivities (oracle for the closed form).
 
-    Rebuilds the frac kernel and the bound front*c/(a*c - b^2) independently
-    and steps each subcarrier's power by 1e-4 * Pt / Nc.
+    Rebuilds the frac kernel exactly and the bound front*c/(a*c - b^2)
+    independently and steps each subcarrier's power by 1e-4 * Pt / Nc.
     """
     n = np.arange(cfg.n_sub)
-    val = 2 * cfg.c1 * (n[None, :] - target.delay_samples) + n[:, None] / cfg.n_sub
-    frac = val - np.floor(val)
+    frac = exact_frac_kernel(cfg, target.delay_samples)
     ramp = n / cfg.n_sub
     a_m, b_m, c0 = np.sum(frac * frac, axis=1), frac @ ramp, ramp @ ramp
     p = power.powers
@@ -275,15 +288,18 @@ class TestFim:
             eigs = np.linalg.eigvalsh(fim(p, target, self.CFG))
             assert eigs.min() > -1e-9
 
-    @pytest.mark.parametrize("n_sub, two_c1_n, tau_bar", [(63, 1, 0), (63, 2, -2), (96, 1, 0)])
+    @pytest.mark.parametrize("n_sub, two_c1_n, tau_bar", [
+        (63, 1, 0), (63, 2, -2), (96, 1, 0),
+        # just past a tie the exact value lies just below 1, where a float mod
+        # of K*(n - tau_bar) + m rounds onto the tie at n > 0 and reads 0
+        (8, 1, 5e-324), (63, 5, 1e-300), (96, 1, 3 + 5e-16), (8, 1, 3 - 1e-16), (63, 5, 3 - 5e-16),
+    ])
     def test_frac_kernel_exact_at_ties(self, n_sub, two_c1_n, tau_bar):
         # integer tau_bar puts 2*c1*(n - tau_bar) + m/N on exact ties, where frac is 0, not 1
         cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
-        exact = [
-            [((two_c1_n * (n - tau_bar) + m) % n_sub) / n_sub for n in range(n_sub)]
-            for m in range(n_sub)
-        ]
-        assert np.max(np.abs(_frac_kernel(cfg, float(tau_bar)) - exact)) <= 1e-15
+        kern = _frac_kernel(cfg, float(tau_bar))
+        assert np.max(np.abs(kern - exact_frac_kernel(cfg, tau_bar))) <= 1e-15
+        assert 0.0 <= kern.min() and kern.max() <= 1.0
 
 
 class TestCrb:
@@ -512,6 +528,10 @@ class TestBoundContracts:
         gain=st.floats(0.1, 10.0),
         noise_power=st.floats(0.01, 10.0),
     )
+    @example(log2_n=3, two_c1_n=1, powers=np.ones(256), tau=5e-324, nu=0.0, gain=1.0,
+             noise_power=1.0)
+    @example(log2_n=3, two_c1_n=1, powers=np.ones(256), tau=3 - 1e-16, nu=0.0, gain=1.0,
+             noise_power=1.0)
     def test_closed_forms_match_oracles(self, log2_n, two_c1_n, powers, tau, nu, gain, noise_power):
         n_sub = 2**log2_n
         cfg = AfdmConfig(n_sub=n_sub, c1=(two_c1_n % (n_sub + 1)) / (2 * n_sub))

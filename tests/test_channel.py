@@ -126,6 +126,15 @@ class TestPathChannel:
         with pytest.raises(ConfigurationError):
             PathChannel(CFG16, [1], [0], [1.0]) @ np.ones(15)
 
+    def test_apply_matches_fft_route_at_large_n(self, rng):
+        # a small K = 2*c1*N keeps the FFT route's own c1-chirp rounding,
+        # which grows with K, below the tolerance
+        cfg = AfdmConfig(n_sub=4096, c1=1 / 4096)
+        x = random_unit_symbols(rng, 4096)
+        for tau, nu in [(0, 0), (3, -2), (8, 2)]:
+            h = PathChannel(cfg, [tau], [nu], [1.0])
+            assert np.max(np.abs(h @ x - apply_basis(x, cfg, tau, float(nu)))) < 1e-11
+
 
 class TestTimeDomainApplication:
     def test_identity_path(self, rng):
@@ -179,6 +188,10 @@ class TestTimeDomainApplication:
         )
         with pytest.raises(ParameterError):
             apply_channel_time(s_cpp, real, CFG16)
+
+    def test_fractional_delay_rejected(self):
+        with pytest.raises(ParameterError):
+            ChannelRealization((ChannelPath(1.0, 2.5, 0.0),), 0.0, 4, 0)
 
 
 class TestChirpPeriodicRule:

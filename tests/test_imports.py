@@ -1,0 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = ("errors", "daft", "modem", "pilots", "channel", "estimator", "sensing", "analysis")
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy.linalg takes about 0.3 s to import; only the banded equalizer
+    # solve uses it, and it imports it there
+    code = "\n".join(
+        ["import sys", "import afdm_isac"]
+        + [f"import afdm_isac.{name}" for name in MODULES]
+        + ["print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"]
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
