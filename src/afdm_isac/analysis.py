@@ -24,11 +24,15 @@ tests pin this down).
 
 Ambiguity functions
 -------------------
-All ambiguity functions here delay a signal by the chirp-periodic prefix
-rule of ``daft``, s[n - tau] = s[<n - tau>_Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)):
-cyclic when K = 2*c1*Nc makes K*Nc even, Nc-antiperiodic when it is odd.
-It is the channel's shift, so Theorem 4 holds at either parity.
-``ambiguity_function`` evaluates the correlation sums directly;
+The ambiguity function is the receiver's range-Doppler correlation taken
+between two known symbols, so ``cross_ambiguity`` checks its integer axes
+and calls the one correlation in ``sensing``, and the surfaces come back as
+a ``sensing.RangeDopplerMap``.  At integer delays that correlation reads
+the chirp-periodic prefix rule of ``daft``,
+s[n - tau] = s[<n - tau>_Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)): cyclic when
+K = 2*c1*Nc makes K*Nc even, Nc-antiperiodic when it is odd.  It is the
+channel's shift, so Theorem 4 holds at either parity.  Leading axes batch:
+the Monte Carlo moments correlate a stack of frames in one call.
 ``interference_coefficient`` provides the closed-form DAFT-domain route (a
 single cyclic ridge at subcarrier offset 2*c1*tau*Nc - nu), and the tests
 cross-check the two.
@@ -49,20 +53,19 @@ from .channel import (
     delay_doppler_to_range_velocity,
     subcarrier_offset,
 )
-from .daft import AfdmConfig, _chirp_periodic, build_daft_matrix, idaft
+from .daft import AfdmConfig, build_daft_matrix, idaft
 from .errors import NumericalError, ParameterError
 from .modem import Constellation, FrameSpec
+from .sensing import RangeDopplerMap, _correlate
 
 __all__ = [
     "PowerAllocation",
     "SensingBounds",
-    "AmbiguitySurface",
     "ambiguity_region",
     "ambiguity_function",
     "cross_ambiguity",
     "ambiguity_decomposition",
     "interference_coefficient",
-    "subcarrier_offset",
     "af_statistics_closed_form",
     "ambiguity_moments_mc",
     "verify_theorem_2",
@@ -81,29 +84,6 @@ __all__ = [
 # ambiguity functions
 
 
-@dataclass(frozen=True)
-class AmbiguitySurface:
-    """Ambiguity values on a delay-Doppler grid (delays x Dopplers)."""
-
-    values: np.ndarray
-    tau_axis: np.ndarray
-    nu_axis: np.ndarray
-    parts: Optional[dict] = None
-
-    def at(self, tau: int, nu: int) -> complex:
-        ti = int(np.flatnonzero(self.tau_axis == tau)[0])
-        vi = int(np.flatnonzero(self.nu_axis == nu)[0])
-        return complex(self.values[ti, vi])
-
-    def max_off_origin(self) -> float:
-        mag = np.abs(self.values).copy()
-        ti = np.flatnonzero(self.tau_axis == 0)
-        vi = np.flatnonzero(self.nu_axis == 0)
-        if ti.size and vi.size:
-            mag[int(ti[0]), int(vi[0])] = 0.0
-        return float(mag.max())
-
-
 def ambiguity_region(tau_m: int, nu_m: int) -> tuple[np.ndarray, np.ndarray]:
     """Delay/Doppler axes [-tau_m, tau_m] x [-2*nu_m, 2*nu_m]."""
     return np.arange(-tau_m, tau_m + 1), np.arange(-2 * nu_m, 2 * nu_m + 1)
@@ -112,58 +92,46 @@ def ambiguity_region(tau_m: int, nu_m: int) -> tuple[np.ndarray, np.ndarray]:
 def cross_ambiguity(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     """sum_n a*[n] b[n - tau] exp(j*2*pi*nu*n/Nc) on the given integer axes.
 
-    b[n - tau] reads the chirp-periodic extension of ``b``.
+    b[n - tau] reads the chirp-periodic extension of ``b``.  ``a`` and ``b``
+    are two symbols of length Nc or two stacks of equal shape (..., Nc); the
+    result has shape (..., delays, Dopplers).
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if a.shape != (cfg.n_sub,) or b.shape != (cfg.n_sub,):
-        raise ParameterError(f"signals must have length {cfg.n_sub}")
+    if a.shape != b.shape or a.shape[-1:] != (cfg.n_sub,):
+        raise ParameterError(
+            f"signals must share a shape (..., {cfg.n_sub}), got {a.shape} and {b.shape}"
+        )
     tau_axis = _integers(tau_axis, "delay axis")
     nu_axis = _integers(nu_axis, "Doppler axis")
-    idx = np.arange(cfg.n_sub)
-    shifted = _chirp_periodic(b, cfg, idx[None, :] - tau_axis[:, None])
-    lag_products = np.conj(a)[None, :] * shifted
-    phases = np.exp(2j * np.pi * np.outer(idx, nu_axis) / cfg.n_sub)
-    return lag_products @ phases
+    return _correlate(a, b, tau_axis, nu_axis, cfg)
 
 
-def ambiguity_function(s, region, cfg: AfdmConfig) -> AmbiguitySurface:
+def ambiguity_function(s, region, cfg: AfdmConfig) -> RangeDopplerMap:
     """Auto-ambiguity surface of a time-domain signal over ``region``.
 
     ``region`` is a (tau_axis, nu_axis) pair of integer arrays, e.g. from
     ``ambiguity_region``.
     """
-    tau_axis, nu_axis = region
-    values = cross_ambiguity(s, s, tau_axis, nu_axis, cfg)
-    return AmbiguitySurface(
-        values=values,
-        tau_axis=np.asarray(tau_axis, dtype=np.int64),
-        nu_axis=np.asarray(nu_axis, dtype=np.int64),
-    )
+    tau_axis, nu_axis = (_integers(axis, "ambiguity axis") for axis in region)
+    return RangeDopplerMap(cross_ambiguity(s, s, tau_axis, nu_axis, cfg), tau_axis, nu_axis)
 
 
-def ambiguity_decomposition(x_pilot, x_data, region, cfg: AfdmConfig) -> AmbiguitySurface:
-    """Ambiguity surface of a superimposed frame with its four bilinear parts.
+def ambiguity_decomposition(
+    x_pilot, x_data, region, cfg: AfdmConfig
+) -> tuple[RangeDopplerMap, dict]:
+    """Ambiguity surface of a superimposed frame and its four bilinear parts.
 
-    values = pilot + data + data_pilot + pilot_data, where the mixed terms
-    conjugate the first-named component.
+    Returns (surface, parts) with surface values = pilot + data + data_pilot
+    + pilot_data, where the mixed terms conjugate the first-named component.
     """
-    tau_axis, nu_axis = region
-    s_p = idaft(np.asarray(x_pilot, dtype=np.complex128), cfg)
-    s_d = idaft(np.asarray(x_data, dtype=np.complex128), cfg)
-    parts = {
-        "pilot": cross_ambiguity(s_p, s_p, tau_axis, nu_axis, cfg),
-        "data": cross_ambiguity(s_d, s_d, tau_axis, nu_axis, cfg),
-        "data_pilot": cross_ambiguity(s_d, s_p, tau_axis, nu_axis, cfg),
-        "pilot_data": cross_ambiguity(s_p, s_d, tau_axis, nu_axis, cfg),
-    }
-    values = parts["pilot"] + parts["data"] + parts["data_pilot"] + parts["pilot_data"]
-    return AmbiguitySurface(
-        values=values,
-        tau_axis=np.asarray(tau_axis, dtype=np.int64),
-        nu_axis=np.asarray(nu_axis, dtype=np.int64),
-        parts=parts,
+    tau_axis, nu_axis = (_integers(axis, "ambiguity axis") for axis in region)
+    s_p, s_d = idaft(x_pilot, cfg), idaft(x_data, cfg)
+    stack = cross_ambiguity(
+        np.stack([s_p, s_d, s_d, s_p]), np.stack([s_p, s_d, s_p, s_d]), tau_axis, nu_axis, cfg
     )
+    parts = dict(zip(("pilot", "data", "data_pilot", "pilot_data"), stack))
+    return RangeDopplerMap(stack.sum(axis=0), tau_axis, nu_axis), parts
 
 
 def interference_coefficient(m1: int, m2: int, tau: int, nu: int, cfg: AfdmConfig) -> complex:
@@ -230,13 +198,9 @@ def ambiguity_moments_mc(
     data = symbols[rng.integers(0, k, size=(n_frames, n))] * sd
     frames = data + x_pilot[None, :]
     s_all = frames @ np.conj(a)  # rows are time-domain signals
-    idx = np.arange(n)
     values = np.empty((len(points), n_frames), dtype=np.complex128)
     for j, (tau, nu) in enumerate(points):
-        shifted = _chirp_periodic(s_all, cfg, idx - tau)
-        values[j] = np.sum(
-            np.conj(s_all) * shifted * np.exp(2j * np.pi * nu * idx / n)[None, :], axis=1
-        )
+        values[j] = cross_ambiguity(s_all, s_all, [tau], [nu], cfg)[:, 0, 0]
     mean = values.mean(axis=1)
     centered = values - mean[:, None]
     var = np.mean(np.abs(centered) ** 2, axis=1)
@@ -371,10 +335,13 @@ def verify_theorem_4(
     report.
     """
     x_pilot = np.asarray(x_pilot, dtype=np.complex128)
+    pairs = np.asarray(pairs, dtype=np.float64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs):
+        raise ParameterError(f"pairs must be a non-empty list of (delay, Doppler), got {pairs!r}")
+    taus, nus = _integers(pairs[:, 0], "pair delays"), _integers(pairs[:, 1], "pair Dopplers")
     pilot_power = float(np.linalg.norm(x_pilot) ** 2)
-    cols = np.stack([apply_basis(x_pilot, cfg, t, float(v)) for t, v in pairs], axis=1)
+    cols = np.stack([apply_basis(x_pilot, cfg, t, float(v)) for t, v in zip(taus, nus)], axis=1)
     gram = cols.conj().T @ cols
-    taus, nus = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     tau_diff = taus[None, :] - taus[:, None]  # [i, j] = tau_j - tau_i
     tau_hats, t_idx = np.unique(tau_diff, return_inverse=True)
     nu_hats, v_idx = np.unique(nus[None, :] - nus[:, None], return_inverse=True)

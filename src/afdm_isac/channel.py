@@ -12,14 +12,16 @@ matrix A * Gamma * Pi^tau * Delta_nu * A^H scaled by alpha, which has one
 nonzero per row; ``PathChannel`` keeps a sum of such paths in that
 structured form, and the tests check it against the dense matrices.
 
-The radar echo follows the sampled receiver-clock model
+The radar echo over the post-prefix window follows the sampled
+receiver-clock model
 
     r[n] = beta * s((n - tau_bar) * Ts) * exp(j*2*pi*nu_bar*n/Nc) + noise
 
-whose delays are evaluated with the frequency-wrapped chirp model
-(``waveform_samples``: the same chirp-periodic extension at whole-sample
-delays, an exact O(Nc log Nc) closed form at fractional ones).  For integer
-delays the two conventions differ only by the constant phase
+and ``sensing_echo`` builds it from the prefix-free symbol alone: the delays
+are evaluated with the frequency-wrapped chirp model (``waveform_samples``:
+the same chirp-periodic extension at whole-sample delays, so no prefixed
+record is needed, and an exact O(Nc log Nc) closed form at fractional ones).
+For integer delays the two conventions differ only by the constant phase
 exp(j*2*pi*nu*tau/Nc), which is absorbed by the path gain.
 """
 
@@ -332,25 +334,24 @@ def sample_channel(
     )
 
 
-def sensing_echo(s_cpp, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndarray:
-    """Target echo over the post-prefix window (Nc samples).
+def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndarray:
+    """Target echo over the post-prefix window (Nc samples) of the symbol ``s``.
 
-    r[n] = beta * s((n - tau_bar)*Ts) * exp(j*2*pi*nu_bar*n/Nc) + w[n].
-    The delayed copy is ``waveform_samples`` of the record's prefix-free
-    part, which reads the record itself at whole-sample delays.
+    r[n] = beta * s((n - tau_bar)*Ts) * exp(j*2*pi*nu_bar*n/Nc) + w[n], with
+    ``s`` the prefix-free time symbol (``idaft`` output).  The delayed copy
+    is ``waveform_samples`` of ``s``, which at whole-sample delays reads the
+    samples ``add_cpp`` would have put in front of it.
     """
-    s_cpp = np.asarray(s_cpp, dtype=np.complex128)
-    if s_cpp.shape != (cfg.n_sub + cfg.n_cpp,):
-        raise ConfigurationError(
-            f"expected prefixed signal of length {cfg.n_sub + cfg.n_cpp}, got {s_cpp.shape}"
-        )
+    s = np.asarray(s, dtype=np.complex128)
+    if s.shape != (cfg.n_sub,):
+        raise ConfigurationError(f"expected a symbol of length {cfg.n_sub}, got {s.shape}")
     tau = target.delay_samples
     if tau < 0 or tau > cfg.n_cpp:
         raise ParameterError(
             f"target delay {tau} samples outside the prefix budget [0, {cfg.n_cpp}]"
         )
     n = np.arange(cfg.n_sub)
-    delayed = waveform_samples(s_cpp[cfg.n_cpp :], cfg, tau)
+    delayed = waveform_samples(s, cfg, tau)
     r = target.gain * delayed * np.exp(2j * np.pi * target.doppler_norm * n / cfg.n_sub)
     if rng is not None and target.noise_power > 0:
         scale = math.sqrt(target.noise_power / 2.0)

@@ -120,6 +120,16 @@ def _chirp(rate: float, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * rate * k * k)
 
 
+def _c1_chirp(cfg: AfdmConfig) -> np.ndarray:
+    """exp(-j*2*pi*c1*k^2) for k = 0..Nc-1, its phase exact in integers.
+
+    K = 2*c1*Nc is an integer, so c1*k^2 mod 1 = (K*k^2 mod 2Nc)/(2Nc).
+    """
+    n2 = 2 * cfg.n_sub
+    k = np.arange(cfg.n_sub, dtype=np.int64)
+    return np.exp((-1j * np.pi / cfg.n_sub) * (k * k % n2 * (cfg.two_c1_n % n2) % n2))
+
+
 def idaft(x, cfg: AfdmConfig) -> np.ndarray:
     """Synthesize the time-domain signal from a DAFT-domain vector.
 
@@ -128,14 +138,14 @@ def idaft(x, cfg: AfdmConfig) -> np.ndarray:
     x = _as_vector(x, cfg.n_sub, "DAFT-domain vector")
     n = cfg.n_sub
     inner = np.fft.ifft(x * np.conj(_chirp(cfg.c2, n))) * math.sqrt(n)
-    return np.conj(_chirp(cfg.c1, n)) * inner
+    return np.conj(_c1_chirp(cfg)) * inner
 
 
 def daft(s, cfg: AfdmConfig) -> np.ndarray:
     """Analyze a time-domain signal into the DAFT domain (adjoint of idaft)."""
     s = _as_vector(s, cfg.n_sub, "time-domain vector")
     n = cfg.n_sub
-    inner = np.fft.fft(s * _chirp(cfg.c1, n)) / math.sqrt(n)
+    inner = np.fft.fft(s * _c1_chirp(cfg)) / math.sqrt(n)
     return _chirp(cfg.c2, n) * inner
 
 
@@ -153,7 +163,7 @@ def build_daft_matrix(cfg: AfdmConfig) -> np.ndarray:
         )
     k = np.arange(n)
     dft = np.exp(-2j * np.pi * k / n)[np.outer(k, k) % n]
-    return _chirp(cfg.c2, n)[:, None] * dft * (_chirp(cfg.c1, n) / math.sqrt(n))
+    return _chirp(cfg.c2, n)[:, None] * dft * (_c1_chirp(cfg) / math.sqrt(n))
 
 
 def _chirp_periodic(s: np.ndarray, cfg: AfdmConfig, idx) -> np.ndarray:
@@ -193,10 +203,11 @@ def remove_cpp(r, cfg: AfdmConfig) -> np.ndarray:
 def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     """The transmitted chirp waveform delayed by ``tau`` samples.
 
-    ``s`` is the prefix-free time symbol (``idaft`` output) and the result
-    is s((n - tau)*Ts) for n = 0..Nc-1: shape (Nc,) for a scalar delay and
-    (len(tau), Nc) for a 1-D array of delays.  The waveform is the sum of
-    the chirp subcarriers with frequency-wrapped instantaneous phase
+    ``s`` is the prefix-free time symbol (``idaft`` output), or a stack of
+    them with shape (..., Nc), and the result is s((n - tau)*Ts) for
+    n = 0..Nc-1: shape (..., Nc) for a scalar delay and (..., len(tau), Nc)
+    for a 1-D array of delays.  The waveform is the sum of the chirp
+    subcarriers with frequency-wrapped instantaneous phase
 
         g_m(t) = c1 t^2 + m t / Nc - floor(2 c1 t + m/Nc) t
 
@@ -217,9 +228,11 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     is Nc-periodic for either parity of K*Nc.  Splitting (-1)^(K d) into
     (-1)^(K n) (-1)^(K k) turns the sum over lags d in (-Nc, Nc) into one
     cyclic convolution of length Nc, evaluated by FFT at O(Nc log Nc) per
-    delay.
+    delay and signal.
     """
-    s = _as_vector(s, cfg.n_sub, "time-domain vector")
+    s = np.asarray(s, dtype=np.complex128)
+    if s.shape[-1:] != (cfg.n_sub,):
+        raise ConfigurationError(f"signals must have shape (..., {cfg.n_sub}), got {s.shape}")
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim > 1 or not np.all(np.isfinite(tau)):
         raise ParameterError(f"delay must be a finite scalar or 1-D array, got {tau!r}")
@@ -227,24 +240,25 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     n = np.arange(n_sub)
     taus = np.atleast_1d(tau)
     whole = taus == np.round(taus)
-    out = np.empty((taus.size, n_sub), dtype=np.complex128)
+    out = np.empty(s.shape[:-1] + (taus.size, n_sub), dtype=np.complex128)
     # mod 2Nc keeps i mod Nc and the parity of floor(i/Nc), and fits int64 for any delay
     lags = (n - np.mod(taus[whole, None], 2 * n_sub)).astype(np.int64)
-    out[whole] = _chirp_periodic(s, cfg, lags)
+    out[..., whole, :] = _chirp_periodic(s, cfg, lags)
     if not np.all(whole):
         frac = taus[~whole, None]
         a_int = np.ceil(k_rate * frac)
         t = n - frac
         # the lag d - tau for d = 0..Nc-1, reduced to [-Nc/2, Nc/2] (D is Nc-periodic)
         u = t - n_sub * np.round(t / n_sub)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sinc = np.where(u == 0, n_sub, np.sin(np.pi * u) / np.sin(np.pi * u / n_sub))
+        # sin(pi u)/sin(pi u/Nc) as Nc sinc(u)/sinc(u/Nc): the quotient of the two
+        # sines loses every digit at a subnormal u, the normalized sincs read 1 there
+        sinc = n_sub * np.sinc(u) / np.sinc(u / n_sub)
         kernel = sinc * np.exp(1j * np.pi * (u * (n_sub - 1) - k_rate * n * (n - n_sub)) / n_sub)
-        spread = s * np.exp(1j * np.pi * (k_rate * n - 2.0 * a_int * n / n_sub))
+        spread = s[..., None, :] * np.exp(1j * np.pi * (k_rate * n - 2.0 * a_int * n / n_sub))
         conv = np.fft.ifft(np.fft.fft(spread) * np.fft.fft(kernel))
         phase = cfg.c1 * (t * t + n * n) + (a_int - k_rate * n) * t / n_sub - k_rate * n / 2.0
-        out[~whole] = np.exp(2j * np.pi * phase) * conv / n_sub
-    return out if tau.ndim else out[0]
+        out[..., ~whole, :] = np.exp(2j * np.pi * phase) * conv / n_sub
+    return out if tau.ndim else out[..., 0, :]
 
 
 def chirp_rate_bounds(tau_m: int, nu_m: int, n_sub: int) -> tuple[float, float]:

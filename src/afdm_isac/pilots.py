@@ -127,7 +127,7 @@ def proposed_pilot(
     z = zc_sequence(ZcParams(length=n_p, root=zc_root))
     positions = np.arange(n_p) * spacing
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
-    amp = math.sqrt(pilot_power / n_p)
+    amp = _amplitude(pilot_power, n_p)
     if chirp_correction:
         m = positions.astype(np.float64)
         psi = m * m * 2**r / (2.0 * spacing * cfg.n_sub) - cfg.c2 * m * m
@@ -181,14 +181,14 @@ def traditional_spi_pilot(
             f"{n_p} pilots at spacing {spacing} do not fit in Nc={cfg.n_sub}"
         )
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
-    x[np.arange(n_p) * spacing] = math.sqrt(pilot_power / n_p)
+    x[np.arange(n_p) * spacing] = _amplitude(pilot_power, n_p)
     return x
 
 
 def single_pilot(cfg: AfdmConfig, pilot_power: float) -> np.ndarray:
     """All pilot energy on subcarrier 0."""
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
-    x[0] = math.sqrt(pilot_power)
+    x[0] = _amplitude(pilot_power, 1)
     return x
 
 
@@ -238,6 +238,13 @@ def pilot_vector(scheme: PilotScheme, cfg: AfdmConfig) -> np.ndarray:
             n_pilots=scheme.n_pilots,
         )
     return single_pilot(cfg, scheme.pilot_power)
+
+
+def _amplitude(pilot_power: float, n_p: int) -> float:
+    """Per-pilot amplitude sqrt(pilot_power/n_p) of a finite, non-negative pilot power."""
+    if not 0 <= pilot_power < math.inf:
+        raise ParameterError(f"pilot_power must be finite and non-negative, got {pilot_power!r}")
+    return math.sqrt(pilot_power / n_p)
 
 
 def _require_pow2(value: int, what: str = "Nc") -> int:

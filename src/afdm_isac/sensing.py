@@ -1,17 +1,16 @@
-"""Range-Doppler correlation, detection, and target parameter estimation.
+"""Delay-Doppler correlation, detection, and target parameter estimation.
 
-The range-Doppler function correlates the conjugated echo against
-delay-shifted, Doppler-compensated copies of the known transmit signal:
+One correlation serves the receiver and the ambiguity analysis:
 
-    E(tau, nu) = sum_n conj(r[n]) * s[n - tau] * exp(j*2*pi*nu*n/Nc)
+    E(tau, nu) = sum_n conj(a[n]) * b(n - tau) * exp(j*2*pi*nu*n/Nc)
 
-(the echo is the conjugated factor, so a target of gain beta peaks with
-value conj(beta) * total power; magnitude-based detection is unaffected).
-Delayed references come from the chirp waveform model (``waveform_samples``,
-the prefixed transmit record at whole-sample lags), so oversampled grids
-stay consistent with the channel's fractional-delay convention.  Detection
-normalizes |E|^2 by a local noise floor (cell-averaging window with a guard
-box, cyclic wrap) and thresholds the ratio.
+with b(n - tau) the chirp waveform of the prefix-free symbol ``b``
+(``waveform_samples``), so oversampled grids follow the channel's
+fractional-delay convention.  ``rdf`` takes a = echo and b = transmitted
+symbol (a target of gain beta peaks at conj(beta) * total power),
+``analysis.cross_ambiguity`` any two symbols on integer axes; both give a
+``RangeDopplerMap``.  Detection normalizes |E|^2 by a local noise floor
+(cell-averaging window with a guard box, cyclic wrap) and thresholds it.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SensingTarget, sensing_echo
-from .daft import AfdmConfig, add_cpp, idaft, waveform_samples
+from .channel import SensingTarget, _integers, sensing_echo
+from .daft import AfdmConfig, idaft, waveform_samples
 from .errors import ParameterError
 from .modem import FrameSpec, random_data_vector
 from .pilots import PilotScheme, pilot_vector
@@ -30,8 +29,6 @@ from .pilots import PilotScheme, pilot_vector
 __all__ = [
     "RangeDopplerMap",
     "DetectionConfig",
-    "TransmitRecord",
-    "transmit_record",
     "sensing_grid",
     "rdf",
     "noise_floor",
@@ -44,27 +41,38 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TransmitRecord:
-    """A transmitted frame in all three forms the sensor needs."""
-
-    x: np.ndarray
-    s: np.ndarray
-    s_cpp: np.ndarray
-
-
-def transmit_record(x, cfg: AfdmConfig) -> TransmitRecord:
-    x = np.asarray(x, dtype=np.complex128)
-    s = idaft(x, cfg)
-    return TransmitRecord(x=x, s=s, s_cpp=add_cpp(s, cfg))
-
-
-@dataclass(frozen=True)
 class RangeDopplerMap:
     """Correlation values on a delay-Doppler grid (delays x Dopplers)."""
 
     values: np.ndarray
     tau_axis: np.ndarray
     nu_axis: np.ndarray
+
+    def at(self, tau, nu) -> complex:
+        """The value at the grid point (tau, nu)."""
+        ti = int(np.flatnonzero(self.tau_axis == tau)[0])
+        vi = int(np.flatnonzero(self.nu_axis == nu)[0])
+        return complex(self.values[ti, vi])
+
+    def max_off_origin(self) -> float:
+        """Largest magnitude on the grid outside the point (0, 0)."""
+        mag = np.abs(self.values).copy()
+        ti = np.flatnonzero(self.tau_axis == 0)
+        vi = np.flatnonzero(self.nu_axis == 0)
+        if ti.size and vi.size:
+            mag[int(ti[0]), int(vi[0])] = 0.0
+        return float(mag.max())
+
+
+def _correlate(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
+    """sum_n conj(a[..., n]) * b(n - tau) * exp(j*2*pi*nu*n/Nc), shape (..., delays, Dopplers).
+
+    b(n - tau) is ``waveform_samples`` of ``b``; leading axes of ``a`` and ``b`` broadcast.
+    """
+    n = np.arange(cfg.n_sub)
+    comp = np.conj(a)[..., None, :] * np.exp(2j * np.pi * nu_axis[:, None] * n / cfg.n_sub)
+    ref = waveform_samples(b, cfg, tau_axis)
+    return np.swapaxes(comp @ np.swapaxes(ref, -1, -2), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -92,33 +100,33 @@ class DetectionConfig:
 def sensing_grid(
     tau_m: int, nu_m: int, os_tau: int = 1, os_nu: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Delay axis [0, tau_m] and Doppler axis [-nu_m, nu_m] with oversampling."""
+    """Delay axis [0, tau_m] and Doppler axis [-nu_m, nu_m] with integer oversampling."""
+    tau_m, nu_m, os_tau, os_nu = _integers([tau_m, nu_m, os_tau, os_nu], "grid parameters")
+    if min(tau_m, nu_m) < 0 or min(os_tau, os_nu) < 1:
+        raise ParameterError("need tau_m, nu_m >= 0 and os_tau, os_nu >= 1")
     taus = np.arange(0, tau_m * os_tau + 1) / os_tau
     nus = np.arange(-nu_m * os_nu, nu_m * os_nu + 1) / os_nu
     return taus, nus
 
 
-def rdf(r_s, record: TransmitRecord, grid, cfg: AfdmConfig) -> RangeDopplerMap:
-    """Range-Doppler correlation of an echo against the transmit record.
+def rdf(r_s, s, grid, cfg: AfdmConfig) -> RangeDopplerMap:
+    """Range-Doppler correlation of an echo against the transmitted symbol ``s``.
 
-    ``grid`` is a (tau_axis, nu_axis) pair; both axes may be fractional
-    (oversampled) and every delay must lie in [0, n_cpp].  The echo must
-    cover the prefix-free window.
+    ``s`` is the prefix-free symbol (``idaft`` output) and the echo covers
+    the prefix-free window.  ``grid`` is a (tau_axis, nu_axis) pair of
+    finite 1-D axes; both may be fractional (oversampled) and every delay
+    must lie in [0, n_cpp], the delays the prefix covers.
     """
     r_s = np.asarray(r_s, dtype=np.complex128)
-    if r_s.shape != (cfg.n_sub,):
-        raise ParameterError(f"echo must have length {cfg.n_sub}")
-    tau_axis = np.asarray(grid[0], dtype=np.float64)
-    nu_axis = np.asarray(grid[1], dtype=np.float64)
+    s = np.asarray(s, dtype=np.complex128)
+    if r_s.shape != (cfg.n_sub,) or s.shape != (cfg.n_sub,):
+        raise ParameterError(f"echo and symbol must have length {cfg.n_sub}")
+    tau_axis, nu_axis = (np.asarray(axis, dtype=np.float64) for axis in grid)
+    if any(axis.ndim != 1 or not np.all(np.isfinite(axis)) for axis in (tau_axis, nu_axis)):
+        raise ParameterError(f"grid axes must be finite 1-D arrays, got {grid!r}")
     if np.any((tau_axis < 0) | (tau_axis > cfg.n_cpp)):
-        raise ParameterError(f"delays {tau_axis} outside the prefixed record [0, {cfg.n_cpp}]")
-    ref = waveform_samples(record.s, cfg, tau_axis).T
-    n = np.arange(cfg.n_sub)
-    comp = np.conj(r_s)[None, :] * np.exp(
-        2j * np.pi * nu_axis[:, None] * n[None, :] / cfg.n_sub
-    )
-    values = (comp @ ref).T
-    return RangeDopplerMap(values=values, tau_axis=tau_axis, nu_axis=nu_axis)
+        raise ParameterError(f"delays {tau_axis} outside the prefix budget [0, {cfg.n_cpp}]")
+    return RangeDopplerMap(_correlate(r_s, s, tau_axis, nu_axis, cfg), tau_axis, nu_axis)
 
 
 def _window(half: int, size: int) -> np.ndarray:
@@ -242,11 +250,11 @@ def _detection_trial(
     """
     cfg = scenario.cfg
     _, x_d = random_data_vector(cfg.n_sub, scenario.frame_spec, rng)
-    record = transmit_record(x_p + x_d, cfg)
-    total_power = float(np.linalg.norm(record.x) ** 2)
-    target = scenario.draw_target(rng, total_power)
-    echo = sensing_echo(record.s_cpp, cfg, target, rng)
-    rd_map = rdf(echo, record, grid, cfg)
+    x = x_p + x_d
+    s = idaft(x, cfg)
+    target = scenario.draw_target(rng, float(np.linalg.norm(x) ** 2))
+    echo = sensing_echo(s, cfg, target, rng)
+    rd_map = rdf(echo, s, grid, cfg)
     stat = _statistic(rd_map.values, noise_floor(rd_map, scenario.detection))
     i, j = np.unravel_index(np.argmax(stat), stat.shape)
     near_mask = (

@@ -24,12 +24,11 @@ from afdm_isac.analysis import (
     frame_power_profile,
     interference_coefficient,
     sensing_weights,
-    subcarrier_offset,
     verify_theorem_2,
     verify_theorem_3,
     verify_theorem_4,
 )
-from afdm_isac.channel import SensingTarget, basis_grid
+from afdm_isac.channel import SensingTarget, basis_grid, subcarrier_offset
 from afdm_isac.errors import NumericalError, ParameterError
 from afdm_isac.modem import Constellation, FrameSpec
 from afdm_isac.pilots import proposed_pilot, select_c1_q, traditional_spi_pilot
@@ -122,10 +121,10 @@ class TestAmbiguityFunction:
         for _ in range(20):
             x_p = proposed_pilot(cfg, pilot_power=4.0, r=0)
             x_d = random_unit_symbols(rng, 32)
-            surf = ambiguity_decomposition(x_p, x_d, region, cfg)
+            surf, parts = ambiguity_decomposition(x_p, x_d, region, cfg)
             total = ambiguity_function(idaft(x_p + x_d, cfg), region, cfg)
             assert np.max(np.abs(surf.values - total.values)) < 1e-10
-            recombined = sum(surf.parts.values())
+            recombined = sum(parts.values())
             assert np.max(np.abs(surf.values - recombined)) < 1e-10
 
 
@@ -209,6 +208,13 @@ class TestAfStatistics:
             assert abs(mc["mean"][j] - mean_cf) < 3 * mc["se_mean"][j] + 1e-9
             assert abs(mc["variance"][j] - var_cf) < 3 * mc["se_variance"][j]
 
+    @pytest.mark.parametrize("point", [(0.5, 0), (1, 0.5)])
+    def test_mc_rejects_fractional_points(self, rng, point):
+        spec = FrameSpec(16.0, 1.0, Constellation.QPSK)
+        x_p = proposed_pilot(self.CFG, pilot_power=16.0, r=0)
+        with pytest.raises(ParameterError):
+            ambiguity_moments_mc(x_p, spec, self.CFG, [(0, 0), point], n_frames=10, rng=rng)
+
 
 class TestTheorem2And3:
     def test_theorem_2_closed_and_mc(self, rng):
@@ -251,6 +257,12 @@ class TestTheorem4:
             grid = basis_grid(tau_m=3, nu_m=2)
             report = verify_theorem_4(x_p, cfg, grid.pairs)
             assert report.passed  # identity holds even though the Gram is not diagonal
+
+    @pytest.mark.parametrize("pairs", [[], [(0, 0), (1.5, 0)], [(0, 0), (1, 0.5)]])
+    def test_malformed_pairs_rejected(self, pairs):
+        cfg = AfdmConfig(n_sub=64, n_cpp=16, c1=1 / 16)
+        with pytest.raises(ParameterError):
+            verify_theorem_4(proposed_pilot(cfg, pilot_power=4.0), cfg, pairs)
 
     def test_overreached_traditional_pilot_couples(self):
         cfg = AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32)

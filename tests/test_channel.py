@@ -127,13 +127,11 @@ class TestPathChannel:
             PathChannel(CFG16, [1], [0], [1.0]) @ np.ones(15)
 
     def test_apply_matches_fft_route_at_large_n(self, rng):
-        # a small K = 2*c1*N keeps the FFT route's own c1-chirp rounding,
-        # which grows with K, below the tolerance
-        cfg = AfdmConfig(n_sub=4096, c1=1 / 4096)
+        cfg = AfdmConfig(n_sub=4096, c1=1 / 1024)
         x = random_unit_symbols(rng, 4096)
         for tau, nu in [(0, 0), (3, -2), (8, 2)]:
             h = PathChannel(cfg, [tau], [nu], [1.0])
-            assert np.max(np.abs(h @ x - apply_basis(x, cfg, tau, float(nu)))) < 1e-11
+            assert np.max(np.abs(h @ x - apply_basis(x, cfg, tau, float(nu)))) < 1e-13
 
 
 class TestTimeDomainApplication:
@@ -259,19 +257,19 @@ class TestSampleChannel:
 class TestSensingEcho:
     def test_zero_target_is_identity(self, rng):
         x = random_unit_symbols(rng, 16)
-        s_cpp = add_cpp(idaft(x, CFG16), CFG16)
+        s = idaft(x, CFG16)
         target = SensingTarget(1.0, 0.0, 0.0, 0.0)
-        r = sensing_echo(s_cpp, CFG16, target)
-        assert np.linalg.norm(r - s_cpp[4:]) < 1e-12
+        r = sensing_echo(s, CFG16, target)
+        assert np.linalg.norm(r - s) < 1e-12
 
     def test_integer_target_matches_matrix_model(self, rng):
         # the echo equals the unit-gain path model up to the constant
         # phase exp(j*2*pi*nu*tau/Nc) that separates the two ramp origins
         x = random_unit_symbols(rng, 16)
-        s_cpp = add_cpp(idaft(x, CFG16), CFG16)
+        s = idaft(x, CFG16)
         beta = 0.7 + 0.2j
         target = SensingTarget(beta, 3.0, 1.0, 0.0)
-        r = sensing_echo(s_cpp, CFG16, target)
+        r = sensing_echo(s, CFG16, target)
         h = basis_matrix(CFG16, 3, 1.0)
         expected = beta * np.exp(2j * np.pi * 1.0 * 3.0 / 16) * idaft(h @ x, CFG16)
         assert np.linalg.norm(r - expected) < 1e-10
@@ -279,11 +277,11 @@ class TestSensingEcho:
     def test_fractional_delay_consistent_at_integers(self, rng):
         # fractional path evaluated at an integer equals the lookup path
         x = random_unit_symbols(rng, 16)
-        s_cpp = add_cpp(idaft(x, CFG16), CFG16)
+        s = idaft(x, CFG16)
         t_int = SensingTarget(1.0, 2.0, 0.5, 0.0)
-        r_int = sensing_echo(s_cpp, CFG16, t_int)
+        r_int = sensing_echo(s, CFG16, t_int)
         t_frac = SensingTarget(1.0, 2.0 + 1e-12, 0.5, 0.0)
-        r_frac = sensing_echo(s_cpp, CFG16, t_frac)
+        r_frac = sensing_echo(s, CFG16, t_frac)
         assert np.linalg.norm(r_int - r_frac) < 1e-7
 
     def test_receive_snr_definition(self, rng):
@@ -296,25 +294,25 @@ class TestSensingEcho:
             x = random_unit_symbols(rng, 32) * 2.0
             pt = np.linalg.norm(x) ** 2
             beta = math.sqrt(snr * 32 * noise_power / pt)
-            s_cpp = add_cpp(idaft(x, cfg), cfg)
+            s = idaft(x, cfg)
             target = SensingTarget(beta, 1.0, 0.5, 0.0)
-            r = sensing_echo(s_cpp, cfg, target)
+            r = sensing_echo(s, cfg, target)
             ratios[i] = np.linalg.norm(r) ** 2 / (32 * noise_power)
         se = np.std(ratios) / math.sqrt(n_trials)
         assert abs(np.mean(ratios) - snr) < 3 * se + 1e-9
 
     def test_echo_energy_scaling(self, rng):
         x = random_unit_symbols(rng, 16) * 3.0
-        s_cpp = add_cpp(idaft(x, CFG16), CFG16)
+        s = idaft(x, CFG16)
         target = SensingTarget(2.0, 1.0, 1.0, 0.0)
-        r = sensing_echo(s_cpp, CFG16, target)
+        r = sensing_echo(s, CFG16, target)
         assert np.linalg.norm(r) ** 2 == pytest.approx(4.0 * np.linalg.norm(x) ** 2, rel=1e-10)
 
     def test_delay_budget(self, rng):
         x = random_unit_symbols(rng, 16)
-        s_cpp = add_cpp(idaft(x, CFG16), CFG16)
+        s = idaft(x, CFG16)
         with pytest.raises(ParameterError):
-            sensing_echo(s_cpp, CFG16, SensingTarget(1.0, 5.0, 0.0, 0.0))
+            sensing_echo(s, CFG16, SensingTarget(1.0, 5.0, 0.0, 0.0))
 
 
 class TestUnitConversion:

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -25,3 +26,13 @@ def test_importing_the_package_leaves_scipy_unloaded():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_modules_import_only_earlier_modules():
+    # MODULES lists the layers bottom-up, so the package has no import cycle
+    for i, name in enumerate(MODULES):
+        tree = ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text())
+        imported = {
+            node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+        }
+        assert imported <= set(MODULES[:i]), (name, imported - set(MODULES[:i]))

@@ -187,7 +187,7 @@ class TestSinglePilot:
 
     def test_ambiguity_is_offset_indicator(self):
         # |chi| = sigma_p^2 exactly where the cyclic subcarrier offset is 0
-        from afdm_isac.analysis import subcarrier_offset
+        from afdm_isac.channel import subcarrier_offset
 
         x = single_pilot(self.CFG, 100.0)
         s = idaft(x, self.CFG)
@@ -212,6 +212,17 @@ class TestDelayBudget:
         cfg = AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32)
         assert max_unambiguous_delay(8, 2, 1 / 32, 128) == 0
         assert proposed_delay_limit(cfg) == 15
+
+
+@pytest.mark.parametrize("build", [
+    lambda cfg, power: proposed_pilot(cfg, power),
+    lambda cfg, power: traditional_spi_pilot(cfg, power, tau_m=3, nu_m=2),
+    single_pilot,
+])
+@pytest.mark.parametrize("power", [-1.0, math.nan, math.inf])
+def test_pilot_power_must_be_finite_and_non_negative(build, power):
+    with pytest.raises(ParameterError, match="pilot_power"):
+        build(AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32), power)
 
 
 class TestSchemeDispatch:

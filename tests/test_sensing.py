@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_oracle
 from afdm_isac import AfdmConfig, idaft, waveform_samples
-from afdm_isac.analysis import ambiguity_function, ambiguity_region
+from afdm_isac.analysis import ambiguity_function, ambiguity_region, cross_ambiguity
 from afdm_isac.channel import SensingTarget, sensing_echo
 from afdm_isac.errors import ParameterError
 from afdm_isac.modem import Constellation, FrameSpec
@@ -21,7 +24,6 @@ from afdm_isac.sensing import (
     rdf,
     roc_curve,
     sensing_grid,
-    transmit_record,
 )
 
 from conftest import random_unit_symbols
@@ -30,24 +32,24 @@ from conftest import random_unit_symbols
 CFG = AfdmConfig(n_sub=64, n_cpp=16, c1=1 / 16)
 
 
-def pilot_record(pilot_power=100.0, r=0):
-    return transmit_record(proposed_pilot(CFG, pilot_power, r=r), CFG)
+def pilot_symbol(pilot_power=100.0, r=0):
+    return idaft(proposed_pilot(CFG, pilot_power, r=r), CFG)
 
 
 class TestRdf:
     def test_zero_target_peak_is_total_power(self, rng):
         x = random_unit_symbols(rng, 64) * 1.3
-        record = transmit_record(x, CFG)
+        s = idaft(x, CFG)
         pt = np.linalg.norm(x) ** 2
-        rd = rdf(record.s, record, sensing_grid(3, 2), CFG)
+        rd = rdf(s, s, sensing_grid(3, 2), CFG)
         assert abs(rd.values[0, rd.nu_axis.size // 2]) == pytest.approx(pt, rel=1e-10)
 
     def test_pilot_only_single_cell(self):
         # clean comb pilot: the only grid response is at the true target cell
-        record = pilot_record()
+        s = pilot_symbol()
         target = SensingTarget(1.0, 3.0, 1.0, 0.0)
-        echo = sensing_echo(record.s_cpp, CFG, target)
-        rd = rdf(echo, record, sensing_grid(3, 2), CFG)
+        echo = sensing_echo(s, CFG, target)
+        rd = rdf(echo, s, sensing_grid(3, 2), CFG)
         mags = np.abs(rd.values)
         ti = int(np.flatnonzero(rd.tau_axis == 3.0)[0])
         vi = int(np.flatnonzero(rd.nu_axis == 1.0)[0])
@@ -59,12 +61,12 @@ class TestRdf:
         # the map is the frame ambiguity surface translated to the target
         # and scaled by the conjugate gain, up to a unit-modulus constant
         x = random_unit_symbols(rng, 64) * 2.0
-        record = transmit_record(x, CFG)
+        s = idaft(x, CFG)
         beta = 0.8 * np.exp(0.4j)
         target = SensingTarget(beta, 2.0, -1.0, 0.0)
-        echo = sensing_echo(record.s_cpp, CFG, target)
-        rd = rdf(echo, record, sensing_grid(3, 2), CFG)
-        surf = ambiguity_function(record.s, ambiguity_region(5, 2), CFG)
+        echo = sensing_echo(s, CFG, target)
+        rd = rdf(echo, s, sensing_grid(3, 2), CFG)
+        surf = ambiguity_function(s, ambiguity_region(5, 2), CFG)
         for ti, tau in enumerate(rd.tau_axis):
             for vi, nu in enumerate(rd.nu_axis):
                 expect = np.conj(beta) * surf.at(int(tau - 2), int(nu + 1))
@@ -80,22 +82,22 @@ class TestRdf:
 
         for _ in range(n_trials):
             _, x_d = random_data_vector(64, spec, rng)
-            record = transmit_record(x_p + x_d, CFG)
+            s = idaft(x_p + x_d, CFG)
             w = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * math.sqrt(sigma_s2 / 2)
-            rd = rdf(w, record, (np.array([2.0]), np.array([1.0])), CFG)
+            rd = rdf(w, s, (np.array([2.0]), np.array([1.0])), CFG)
             acc.append(abs(rd.values[0, 0]) ** 2)
         pt = spec.total_power(64)
         se = np.std(acc) / math.sqrt(n_trials)
         assert abs(np.mean(acc) - pt * sigma_s2) < 3 * se
 
     def test_statistic_phase_invariance(self, rng):
-        record = pilot_record()
+        s = pilot_symbol()
         target = SensingTarget(1.0, 2.0, 0.0, 0.05)
-        echo = sensing_echo(record.s_cpp, CFG, target, rng)
+        echo = sensing_echo(s, CFG, target, rng)
         grid = sensing_grid(3, 2)
         det = DetectionConfig(gamma=1.0)
-        rd1 = rdf(echo, record, grid, CFG)
-        rd2 = rdf(echo * np.exp(1.23j), record, grid, CFG)
+        rd1 = rdf(echo, s, grid, CFG)
+        rd2 = rdf(echo * np.exp(1.23j), s, grid, CFG)
         s1 = np.abs(rd1.values) ** 2 / noise_floor(rd1, det)
         s2 = np.abs(rd2.values) ** 2 / noise_floor(rd2, det)
         assert np.allclose(s1, s2, rtol=1e-9)
@@ -111,9 +113,9 @@ class TestRdf:
         vals = np.empty(n_frames, dtype=complex)
         for i in range(n_frames):
             _, x_d = random_data_vector(64, spec, rng)
-            record = transmit_record(x_p + x_d, CFG)
-            echo = sensing_echo(record.s_cpp, CFG, SensingTarget(1.0, 0.0, 0.0, 0.0))
-            rd = rdf(echo, record, (np.array([2.0]), np.array([1.0])), CFG)
+            s = idaft(x_p + x_d, CFG)
+            echo = sensing_echo(s, CFG, SensingTarget(1.0, 0.0, 0.0, 0.0))
+            rd = rdf(echo, s, (np.array([2.0]), np.array([1.0])), CFG)
             vals[i] = rd.values[0, 0]
         _, var_cf = af_statistics_closed_form(spec, CFG, at_origin=False)
         var_mc = np.mean(np.abs(vals - vals.mean()) ** 2)
@@ -123,40 +125,98 @@ class TestRdf:
 
     def test_fractional_reference_continuity(self, rng):
         x = random_unit_symbols(rng, 64)
-        record = transmit_record(x, CFG)
-        echo = sensing_echo(record.s_cpp, CFG, SensingTarget(1.0, 2.0, 0.0, 0.0))
+        s = idaft(x, CFG)
+        echo = sensing_echo(s, CFG, SensingTarget(1.0, 2.0, 0.0, 0.0))
         grid_c = (np.array([2.0]), np.array([0.0]))
         grid_f = (np.array([2.0 + 1e-9]), np.array([0.0]))
-        v_int = rdf(echo, record, grid_c, CFG).values[0, 0]
-        v_frac = rdf(echo, record, grid_f, CFG).values[0, 0]
+        v_int = rdf(echo, s, grid_c, CFG).values[0, 0]
+        v_frac = rdf(echo, s, grid_f, CFG).values[0, 0]
         assert abs(v_int - v_frac) < 1e-5 * abs(v_int)
 
     def test_fractional_grid_matches_single_delays(self, rng):
         # the batched reference equals one map per delay
-        record = transmit_record(random_unit_symbols(rng, 64), CFG)
-        echo = sensing_echo(record.s_cpp, CFG, SensingTarget(1.0, 2.3, 0.4, 0.0))
+        s = idaft(random_unit_symbols(rng, 64), CFG)
+        echo = sensing_echo(s, CFG, SensingTarget(1.0, 2.3, 0.4, 0.0))
         taus, nus = np.array([0.25, 1.0, 2.3, 3.75]), np.array([0.0, 0.4])
-        rd = rdf(echo, record, (taus, nus), CFG)
+        rd = rdf(echo, s, (taus, nus), CFG)
         for i in range(taus.size):
-            one = rdf(echo, record, (taus[i : i + 1], nus), CFG).values[0]
+            one = rdf(echo, s, (taus[i : i + 1], nus), CFG).values[0]
             assert np.allclose(rd.values[i], one, rtol=0, atol=1e-12 * np.abs(one).max())
 
     def test_near_integer_lag_is_not_snapped(self, rng):
         # lag 2 + 1e-6 correlates against the waveform at that lag, not the lag-2 record
-        record = transmit_record(random_unit_symbols(rng, 64), CFG)
-        echo = sensing_echo(record.s_cpp, CFG, SensingTarget(1.0, 2.3, 0.0, 0.0))
+        s = idaft(random_unit_symbols(rng, 64), CFG)
+        echo = sensing_echo(s, CFG, SensingTarget(1.0, 2.3, 0.0, 0.0))
         lag = 2.0 + 1e-6
-        value = rdf(echo, record, (np.array([lag]), np.array([0.0])), CFG).values[0, 0]
-        expect = np.conj(echo) @ waveform_samples(record.s, CFG, lag)
+        value = rdf(echo, s, (np.array([lag]), np.array([0.0])), CFG).values[0, 0]
+        expect = np.conj(echo) @ waveform_samples(s, CFG, lag)
         assert abs(value - expect) <= 1e-12 * abs(expect)
-        at_two = rdf(echo, record, (np.array([2.0]), np.array([0.0])), CFG).values[0, 0]
+        at_two = rdf(echo, s, (np.array([2.0]), np.array([0.0])), CFG).values[0, 0]
         assert abs(value - at_two) > 1e-9 * abs(at_two)
 
     @pytest.mark.parametrize("tau", [-1.0, 17.0, 16.5])
     def test_lag_outside_record_rejected(self, rng, tau):
-        record = transmit_record(random_unit_symbols(rng, 64), CFG)
+        s = idaft(random_unit_symbols(rng, 64), CFG)
         with pytest.raises(ParameterError):
-            rdf(record.s, record, (np.array([tau]), np.array([0.0])), CFG)
+            rdf(s, s, (np.array([tau]), np.array([0.0])), CFG)
+
+
+    @pytest.mark.parametrize("nus", [[np.nan], [0.0, np.inf], [[0.0]]])
+    def test_bad_doppler_axis_rejected(self, rng, nus):
+        s = idaft(random_unit_symbols(rng, 64), CFG)
+        with pytest.raises(ParameterError):
+            rdf(s, s, (np.array([1.0]), np.array(nus)), CFG)
+
+
+class TestOneCorrelation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sub=st.integers(1, 64),
+        two_c1_n=st.integers(-16, 48),
+        cpp_share=st.floats(0.0, 1.0),
+        batch=st.integers(1, 3),
+        delay_shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        whole=st.lists(st.integers(0, 63), max_size=3),
+        nus=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+        lags=st.lists(st.integers(-64, 64), min_size=1, max_size=4),
+        bins=st.lists(st.integers(-8, 8), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rdf_ambiguity_and_waveform_share_one_sum(
+        self, n_sub, two_c1_n, cpp_share, batch, delay_shares, whole, nus, lags, bins, seed
+    ):
+        # N odd or even, K of either sign and parity, delays anywhere in [0, n_cpp]
+        rng = np.random.default_rng(seed)
+        n_cpp = min(int(cpp_share * n_sub), n_sub - 1)
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=n_cpp, c1=two_c1_n / (2 * n_sub))
+        taus = np.array([f * n_cpp for f in delay_shares] + [w % (n_cpp + 1) for w in whole])
+        nus = np.array(nus)
+        x = rng.standard_normal((batch, n_sub)) + 1j * rng.standard_normal((batch, n_sub))
+        r = rng.standard_normal((batch, n_sub)) + 1j * rng.standard_normal((batch, n_sub))
+        s = np.stack([idaft(row, cfg) for row in x])
+        n = np.arange(n_sub)
+        doppler = np.exp(2j * np.pi * np.outer(nus, n) / n_sub)
+        for x_i, s_i, r_i in zip(x, s, r):
+            ref = np.stack([dense_oracle.waveform_dense(x_i, cfg, n - tau) for tau in taus])
+            expect = np.einsum("n,tn,vn->tv", np.conj(r_i), ref, doppler)
+            got = rdf(r_i, s_i, (taus, nus), cfg).values
+            assert np.max(np.abs(got - expect)) <= 1e-10 * np.abs(r_i).sum() * np.abs(ref).max()
+
+        waves = waveform_samples(s, cfg, taus)
+        chi = cross_ambiguity(r, s, lags, bins, cfg)
+        whole_delay = taus == np.round(taus)
+        for i in range(batch):
+            one = waveform_samples(s[i], cfg, taus)
+            assert np.array_equal(waves[i, whole_delay], one[whole_delay])
+            assert np.max(np.abs(waves[i] - one)) <= 1e-12 * np.abs(s[i]).max()
+            assert np.array_equal(chi[i], cross_ambiguity(r[i], s[i], lags, bins, cfg))
+
+
+class TestSensingGrid:
+    @pytest.mark.parametrize("args", [(-3, 2), (3, -1), (3, 2, 0), (3, 2, 1, 0), (2.5, 1)])
+    def test_invalid_budget_or_oversampling_rejected(self, args):
+        with pytest.raises(ParameterError):
+            sensing_grid(*args)
 
 
 class TestDetectionConfig:
@@ -263,15 +323,15 @@ class TestNoiseFloor:
 
 class TestDetect:
     def make_map_and_floor(self, rng):
-        record = pilot_record()
+        s = pilot_symbol()
         target = SensingTarget(1.0, 2.0, 1.0, 0.02)
-        echo = sensing_echo(record.s_cpp, CFG, target, rng)
-        rd = rdf(echo, record, sensing_grid(5, 2), CFG)
+        echo = sensing_echo(s, CFG, target, rng)
+        rd = rdf(echo, s, sensing_grid(5, 2), CFG)
         return rd, noise_floor(rd, DetectionConfig(gamma=1.0))
 
     def test_all_zero_echo_detects_nothing_without_warning(self):
-        record = pilot_record()
-        rd = rdf(np.zeros(64), record, sensing_grid(5, 2), CFG)
+        s = pilot_symbol()
+        rd = rdf(np.zeros(64), s, sensing_grid(5, 2), CFG)
         floor = noise_floor(rd, DetectionConfig(gamma=1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -300,14 +360,14 @@ class TestDetect:
     def test_strong_target_detected_at_calibrated_threshold(self, rng):
         # calibrate gamma for ~1% false alarms on noise-only maps, then
         # check >= 99% detection at 0 dB receive SNR
-        record = pilot_record()
+        s = pilot_symbol()
         det = DetectionConfig(gamma=1.0)
         grid = sensing_grid(5, 2)
         noise_power = 1.0
         fa_stats = []
         for _ in range(400):
             w = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * math.sqrt(noise_power / 2)
-            rd = rdf(w, record, grid, CFG)
+            rd = rdf(w, s, grid, CFG)
             stat = np.abs(rd.values) ** 2 / noise_floor(rd, det)
             fa_stats.append(stat.max())
         gamma = float(np.quantile(fa_stats, 0.99))
@@ -318,8 +378,8 @@ class TestDetect:
         n_trials = 1000
         for _ in range(n_trials):
             target = SensingTarget(beta, 3.0, 1.0, noise_power)
-            echo = sensing_echo(record.s_cpp, CFG, target, rng)
-            rd = rdf(echo, record, grid, CFG)
+            echo = sensing_echo(s, CFG, target, rng)
+            rd = rdf(echo, s, grid, CFG)
             hits = detect(rd, noise_floor(rd, det), gamma)
             if hits and abs(hits[0][0] - 3.0) <= 1 and abs(hits[0][1] - 1.0) <= 1:
                 detected += 1
@@ -328,23 +388,23 @@ class TestDetect:
 
 class TestEstimateTarget:
     def test_noiseless_integer_recovery(self):
-        record = pilot_record()
+        s = pilot_symbol()
         target = SensingTarget(1.0, 4.0, -2.0, 0.0)
-        echo = sensing_echo(record.s_cpp, CFG, target)
-        rd = rdf(echo, record, sensing_grid(5, 2), CFG)
+        echo = sensing_echo(s, CFG, target)
+        rd = rdf(echo, s, sensing_grid(5, 2), CFG)
         assert estimate_target(rd) == (4.0, -2.0)
 
     def test_fractional_recovery_with_oversampling(self):
-        record = pilot_record()
+        s = pilot_symbol()
         target = SensingTarget(1.0, 2.5, 0.25, 0.0)
-        echo = sensing_echo(record.s_cpp, CFG, target)
-        rd = rdf(echo, record, sensing_grid(5, 2, os_tau=8, os_nu=8), CFG)
+        echo = sensing_echo(s, CFG, target)
+        rd = rdf(echo, s, sensing_grid(5, 2, os_tau=8, os_nu=8), CFG)
         tau_hat, nu_hat = estimate_target(rd)
         assert abs(tau_hat - 2.5) <= 1 / 16
         assert abs(nu_hat - 0.25) <= 1 / 16
 
     def test_rmse_decreases_with_snr(self, rng):
-        record = pilot_record()
+        s = pilot_symbol()
         grid = sensing_grid(5, 2, os_tau=4, os_nu=4)
         rmse = []
         for snr_db in (0.0, 10.0, 20.0):
@@ -354,8 +414,8 @@ class TestEstimateTarget:
             for _ in range(150):
                 tau = rng.uniform(1.0, 4.0)
                 target = SensingTarget(beta, tau, 0.0, 1.0)
-                echo = sensing_echo(record.s_cpp, CFG, target, rng)
-                tau_hat, _ = estimate_target(rdf(echo, record, grid, CFG))
+                echo = sensing_echo(s, CFG, target, rng)
+                tau_hat, _ = estimate_target(rdf(echo, s, grid, CFG))
                 errs.append((tau_hat - tau) ** 2)
             rmse.append(math.sqrt(np.mean(errs)))
         assert rmse[0] > rmse[1] > rmse[2] or rmse[0] > rmse[2]
