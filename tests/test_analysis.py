@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dense_oracle
 from afdm_isac import AfdmConfig, idaft
 from afdm_isac.analysis import (
     PowerAllocation,
-    _frac_kernel,
+    _fim_sums,
+    _frac_table,
     af_statistics_closed_form,
     ambiguity_decomposition,
     ambiguity_function,
@@ -107,6 +109,14 @@ class TestAmbiguityFunction:
         chi = cross_ambiguity(s, s, taus, nus, cfg)
         energy = np.linalg.norm(s) ** 2
         assert np.sum(np.abs(chi) ** 2) == pytest.approx(8 * energy**2, rel=1e-10)
+
+    @pytest.mark.parametrize("tau, nu", [(9, 0), (0, 3), (0.5, 0)])
+    def test_point_off_the_axes_rejected(self, rng, tau, nu):
+        cfg = AfdmConfig(n_sub=16, c1=1 / 8)
+        s = idaft(random_unit_symbols(rng, 16), cfg)
+        surf = ambiguity_function(s, ambiguity_region(2, 1), cfg)
+        with pytest.raises(ParameterError):
+            surf.at(tau, nu)
 
     @pytest.mark.parametrize("taus, nus", [([1], [0.5]), ([0.5], [1])])
     def test_fractional_axis_rejected(self, rng, taus, nus):
@@ -208,6 +218,18 @@ class TestAfStatistics:
             assert abs(mc["mean"][j] - mean_cf) < 3 * mc["se_mean"][j] + 1e-9
             assert abs(mc["variance"][j] - var_cf) < 3 * mc["se_variance"][j]
 
+    def test_mc_runs_above_the_dense_matrix_size(self):
+        # the origin value of a frame is its energy (the DAFT is unitary); the
+        # data draws are replayed from the same seed
+        cfg = AfdmConfig(n_sub=8192, c1=4 / 8192)
+        spec = FrameSpec(64.0, 1.0, Constellation.QPSK)
+        x_p = proposed_pilot(cfg, pilot_power=64.0)
+        mc = ambiguity_moments_mc(x_p, spec, cfg, [(0, 0)], 4, np.random.default_rng(7))
+        draws = np.random.default_rng(7).integers(0, 4, size=(4, 8192))
+        frames = spec.constellation.points[draws] * spec.sigma_d + x_p
+        energies = np.sum(np.abs(frames) ** 2, axis=1)
+        assert mc["mean"][0] == pytest.approx(energies.mean(), rel=1e-12)
+
     @pytest.mark.parametrize("point", [(0.5, 0), (1, 0.5)])
     def test_mc_rejects_fractional_points(self, rng, point):
         spec = FrameSpec(16.0, 1.0, Constellation.QPSK)
@@ -258,7 +280,9 @@ class TestTheorem4:
             report = verify_theorem_4(x_p, cfg, grid.pairs)
             assert report.passed  # identity holds even though the Gram is not diagonal
 
-    @pytest.mark.parametrize("pairs", [[], [(0, 0), (1.5, 0)], [(0, 0), (1, 0.5)]])
+    @pytest.mark.parametrize(
+        "pairs", [[], [(0, 0), (1.5, 0)], [(0, 0), (1, 0.5)], [(0, 0), (1, 0, 2)]]
+    )
     def test_malformed_pairs_rejected(self, pairs):
         cfg = AfdmConfig(n_sub=64, n_cpp=16, c1=1 / 16)
         with pytest.raises(ParameterError):
@@ -309,9 +333,35 @@ class TestFim:
     def test_frac_kernel_exact_at_ties(self, n_sub, two_c1_n, tau_bar):
         # integer tau_bar puts 2*c1*(n - tau_bar) + m/N on exact ties, where frac is 0, not 1
         cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
-        kern = _frac_kernel(cfg, float(tau_bar))
+        h, u = _frac_table(cfg, float(tau_bar))
+        kern = h[(u[None, :] + np.arange(n_sub)[:, None]) % n_sub]
         assert np.max(np.abs(kern - exact_frac_kernel(cfg, tau_bar))) <= 1e-15
         assert 0.0 <= kern.min() and kern.max() <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sub=st.integers(1, 160),
+        two_c1_n=st.integers(-200, 400),
+        tau_num=st.integers(-64, 64),
+        tau_den=st.sampled_from([1, 2, 3, 8]),
+        nudge=st.sampled_from([0, 1, -1]),
+    )
+    @example(n_sub=100, two_c1_n=0, tau_num=5, tau_den=1, nudge=0)
+    @example(n_sub=63, two_c1_n=130, tau_num=7, tau_den=3, nudge=0)
+    @example(n_sub=8, two_c1_n=1, tau_num=0, tau_den=1, nudge=1)
+    @example(n_sub=96, two_c1_n=1, tau_num=3, tau_den=1, nudge=1)
+    def test_kernel_sums_match_dense_oracle(self, n_sub, two_c1_n, tau_num, tau_den, nudge):
+        # K*tau_bar = K*num/den is a tie when den divides K*num (den = 3 gives a
+        # near-tie), and the nudge steps one ulp off it; K = 0 and K >= N included
+        tau = tau_num / tau_den
+        if nudge:
+            tau = float(np.nextafter(tau, nudge * np.inf))
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        a_m, b_m, *_ = _fim_sums(np.ones(n_sub), SensingTarget(1.0, tau, 0.0, 1.0), cfg)
+        kern = dense_oracle.frac_kernel(cfg, tau)
+        ramp = np.arange(n_sub) / n_sub
+        for fast, dense in ((a_m, np.sum(kern * kern, axis=1)), (b_m, kern @ ramp)):
+            assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(dense)
 
 
 class TestCrb:
@@ -348,6 +398,23 @@ class TestCrb:
             (3e8 * cfg.t_s / 2) ** 2 * front * c / det, rel=1e-9
         )
 
+    def test_equal_allocation_closed_form_at_large_n(self):
+        # at equal allocation each sample reads every table entry once, so with
+        # f = frac(K*tau_bar) > 0 the sums are sum_j h_j = sum_{j=1..N} (j - f)/N
+        # and sum_j h_j^2 = sum_{j=1..N} (j - f)^2/N^2, in exact arithmetic here
+        n, k, tau, total = 65536, 8, 3.3, 65536.0
+        cfg = AfdmConfig(n_sub=n, c1=k / (2 * n))
+        f = k * Fraction(tau) % 1
+        sum_h = (Fraction(n * (n + 1), 2) - n * f) / n
+        sum_h2 = (Fraction(n * (n + 1) * (2 * n + 1), 6) - f * n * (n + 1) + n * f * f) / n**2
+        a = Fraction(total) * sum_h2
+        b = Fraction(total) / n * sum_h * Fraction(n - 1, 2)
+        c = Fraction(total) * Fraction((n - 1) * (2 * n - 1), 6 * n)
+        front = n / (8 * math.pi**2)
+        bounds = crb(equal_allocation(total, n), SensingTarget(1.0, tau, 0.0, 1.0), cfg)
+        assert bounds.crb_tau == pytest.approx(front * float(c / (a * c - b * b)), rel=1e-9)
+        assert bounds.crb_nu == pytest.approx(front * float(a / (a * c - b * b)), rel=1e-9)
+
     def test_gain_quartering(self):
         power = equal_allocation(8.0, 32)
         b1 = crb(power, SensingTarget(1.0, 1.2, 0.0, 1.0), self.CFG)
@@ -365,11 +432,12 @@ class TestCrb:
 
     def test_degenerate_geometry_raises(self):
         # a delta allocation on subcarrier 0 with c1=0 gives frac == 0
-        cfg = AfdmConfig(n_sub=8, c1=0.0)
-        powers = np.zeros(8)
-        powers[0] = 1.0
-        with pytest.raises(NumericalError):
-            crb(PowerAllocation(powers), SensingTarget(1.0, 0.0, 0.0, 1.0), cfg)
+        for n_sub in (8, 100):
+            cfg = AfdmConfig(n_sub=n_sub, c1=0.0)
+            powers = np.zeros(n_sub)
+            powers[0] = 1.0
+            with pytest.raises(NumericalError):
+                crb(PowerAllocation(powers), SensingTarget(1.0, 0.0, 0.0, 1.0), cfg)
 
 
 class TestNumericHessianOracle:

@@ -80,6 +80,23 @@ class TestEffectiveMatrix:
         with pytest.raises(ParameterError):
             effective_channel_matrix(ChannelPath(1.0, 2.5, 0.0), CFG16)
 
+    @pytest.mark.parametrize("n_sub, two_c1_n", [(16, 4), (63, 5), (64, 8)])
+    def test_batched_apply_basis_equals_per_pair_calls(self, rng, n_sub, two_c1_n):
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        x = random_unit_symbols(rng, n_sub)
+        pairs = np.array(basis_grid(tau_m=3, nu_m=2).pairs)
+        rows = apply_basis(x, cfg, pairs[:, 0], pairs[:, 1].astype(float))
+        assert rows.shape == (len(pairs), n_sub)
+        single = [apply_basis(x, cfg, int(tau), float(nu)) for tau, nu in pairs]
+        assert np.array_equal(rows, single)
+
+    @pytest.mark.parametrize(
+        "taus, nus", [([0, 16], [0, 0]), ([-1, 0], [0, 0]), (16, 0), ([0, 1], [0]), (1.5, 0)]
+    )
+    def test_apply_basis_rejects_bad_delays(self, taus, nus):
+        with pytest.raises(ParameterError):
+            apply_basis(np.ones(16), CFG16, taus, nus)
+
 
 # (n_sub, 2*c1*n_sub): even and odd lengths up to 256
 PATH_CONFIGS = [(16, 4), (63, 5), (64, 8), (255, 13), (256, 32)]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_oracle
 from afdm_isac import (
@@ -123,6 +125,43 @@ class TestTransformPair:
             idaft(np.zeros(8, dtype=complex), cfg)
         with pytest.raises(ConfigurationError):
             daft(np.zeros(17, dtype=complex), cfg)
+        # a stack is read along its last axis
+        for bad in (np.zeros((3, 15)), np.zeros((16, 3)), np.zeros(())):
+            for transform in (idaft, daft):
+                with pytest.raises(ConfigurationError):
+                    transform(bad, cfg)
+
+
+VALID_CONFIGS = dict(
+    n_sub=st.integers(1, 96),
+    two_c1_n=st.integers(-200, 200),
+    c2=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestBatchedTransforms:
+    @settings(max_examples=40, deadline=None)
+    @given(lead=st.sampled_from([(1,), (3,), (2, 3)]), **VALID_CONFIGS)
+    def test_stack_equals_row_by_row(self, lead, n_sub, two_c1_n, c2, seed):
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub), c2=c2)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(lead + (n_sub,)) + 1j * rng.standard_normal(lead + (n_sub,))
+        for transform in (idaft, daft):
+            rows = [transform(row, cfg) for row in x.reshape(-1, n_sub)]
+            assert np.array_equal(transform(x, cfg), np.reshape(rows, x.shape))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**VALID_CONFIGS)
+    def test_round_trip_and_unitarity(self, n_sub, two_c1_n, c2, seed):
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub), c2=c2)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
+        s = idaft(x, cfg)
+        norm = np.linalg.norm(x)
+        assert np.linalg.norm(s) == pytest.approx(norm, rel=1e-12)
+        assert np.linalg.norm(daft(x, cfg)) == pytest.approx(norm, rel=1e-12)
+        assert np.linalg.norm(daft(s, cfg) - x) <= 1e-12 * norm
 
 
 class TestDenseMatrix:

@@ -36,3 +36,15 @@ def test_modules_import_only_earlier_modules():
             node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
         }
         assert imported <= set(MODULES[:i]), (name, imported - set(MODULES[:i]))
+
+
+def test_no_module_calls_the_dense_daft_matrix():
+    # the N x N DAFT matrix is a test oracle: the package transforms by FFT
+    for path in sorted((SRC / "afdm_isac").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        called = {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert "build_daft_matrix" not in called, path.name
