@@ -22,13 +22,13 @@ with h^2 and the sample counts, but u_n hits every j = u_0 (mod g),
 g = gcd(K, Nc), exactly g times, so a_m is g times the sum of h^2 over one
 residue class mod g: O(Nc), and exactly 0 where the kernel is.  One
 private evaluator computes them for every public function (``fim``,
-``crb``, ``sensing_weights``, ``crb_distribution``) and rejects D <= 0 with
-``NumericalError``; range and velocity bounds follow by the unit conversion
-of ``channel.delay_doppler_to_range_velocity``.  The sensing weights are the
-closed-form gradient of the delay bound, not finite differences.  Note: the
-gain-gain information entry is 2*Pt/sigma_s^2, i.e. twice the waveform
-energy over the noise power, as the likelihood dictates (finite-difference
-tests pin this down).
+``crb``, ``sensing_weights``, ``crb_distribution``) and rejects
+D <= 1e-12*a*c with ``NumericalError``; range and velocity bounds follow by
+the unit conversion of ``channel.delay_doppler_to_range_velocity``.  The
+sensing weights are the closed-form gradient of the delay bound, not finite
+differences.  Note: the gain-gain information entry is 2*Pt/sigma_s^2, i.e.
+twice the waveform energy over the noise power, as the likelihood dictates
+(finite-difference tests pin this down).
 
 Ambiguity functions
 -------------------
@@ -147,13 +147,15 @@ def ambiguity_decomposition(
 def interference_coefficient(m1: int, m2: int, tau: int, nu: int, cfg: AfdmConfig) -> complex:
     """Closed-form inter-subcarrier coupling for integer (tau, nu).
 
-    Nonzero (magnitude Nc) only when <m2 - m1> equals the subcarrier offset of
-    the (tau, nu) pair.
+    Nc*c2_chirp[m1]*conj(c2_chirp[m2]) when <m2 - m1> equals the subcarrier
+    offset of the (tau, nu) pair, else 0; m1 and m2 must lie in [0, Nc).
     """
+    m1, m2 = _integers([m1, m2], "subcarrier indices")
+    if min(m1, m2) < 0 or max(m1, m2) >= cfg.n_sub:
+        raise ParameterError(f"subcarrier indices must lie in [0, {cfg.n_sub}), got {m1}, {m2}")
     if (m2 - m1) % cfg.n_sub != subcarrier_offset(tau, nu, cfg):
         return 0.0 + 0.0j
-    phase = cfg.c2 * (m2 * m2 - m1 * m1)
-    return cfg.n_sub * complex(np.exp(2j * np.pi * phase))
+    return cfg.n_sub * complex(cfg.c2_chirp[m1] * np.conj(cfg.c2_chirp[m2]))
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +483,11 @@ def _crb_from_sums(a, b, c, target: SensingTarget, cfg: AfdmConfig):
     """Delay and Doppler bounds front*c/D and front*a/D, elementwise in the sums.
 
     D = a*c - b^2 is the delay-Doppler determinant up to scale; a block with
-    D <= 0 or non-finite D has no bound and raises ``NumericalError``.
+    D <= 1e-12*a*c (D/(a*c) is a squared sine, exactly 0 where the kernel is
+    n/Nc times a constant) or a non-finite D raises ``NumericalError``.
     """
     det = a * c - b * b
-    if np.any(~np.isfinite(det) | (det <= 0)):
+    if np.any(~np.isfinite(det) | (det <= 1e-12 * a * c)):
         raise NumericalError(
             f"degenerate delay-Doppler information block (a*c - b^2 = {np.min(det)})"
         )

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .daft import AfdmConfig, _chirp, _chirp_periodic, daft, idaft, waveform_samples
+from .daft import AfdmConfig, _chirp_periodic, daft, idaft, waveform_samples
 from .errors import ConfigurationError, ParameterError
 
 __all__ = [
@@ -187,7 +187,9 @@ class PathChannel:
         exp(j*2*pi*(c1*tau^2 - (q + nu)*tau/Nc - c2*(p^2 - q^2)))
 
     (the prefix sign cancels the wrap of the chirp, so this holds for either
-    parity of K*Nc).  In the time domain the channel is
+    parity of K*Nc); it is conj(c1_chirp[tau]) * c2_chirp[p] * conj(c2_chirp[q])
+    from the config's tables times the DFT factor at ((q + nu)*tau mod Nc)/Nc,
+    the product reduced in integers.  In the time domain the channel is
     H_t = sum_tau diag(c_tau) Pi^tau, a cyclic band of width max(tau), and
     the DAFT-domain matrix is A H_t A^H.  ``h @ x`` costs O(P*Nc),
     ``np.asarray(h)`` gives the dense DAFT-domain matrix and
@@ -212,19 +214,12 @@ class PathChannel:
         object.__setattr__(self, "gains", gains)
 
     def _daft_taps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source columns q and gain-weighted phases, both (paths, Nc).
-
-        The c2 factor exp(-j*2*pi*c2*(p^2 - q^2)) is read from the chirp
-        table that ``daft`` uses: c2*(p^2 - q^2) as one float phase loses
-        about 2e-9 at Nc = 4096.
-        """
+        """Source columns q and gain-weighted phases, both (paths, Nc)."""
         n, cfg = self.cfg.n_sub, self.cfg
-        p = np.arange(n)
         tau, nu = self.delays[:, None], self.dopplers[:, None]
-        q = (p + subcarrier_offset(tau, nu, cfg)) % n
-        chirp = _chirp(cfg.c2, n)
-        phase = np.exp(2j * np.pi * (cfg.c1 * tau * tau - (q + nu) * tau / n))
-        return q, self.gains[:, None] * phase * chirp * np.conj(chirp[q])
+        q = (np.arange(n) + subcarrier_offset(tau, nu, cfg)) % n
+        phase = np.conj(cfg.c1_chirp[tau]) * np.exp(-2j * np.pi * ((q + nu) * tau % n) / n)
+        return q, self.gains[:, None] * phase * cfg.c2_chirp * np.conj(cfg.c2_chirp[q])
 
     def _vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)

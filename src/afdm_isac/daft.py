@@ -17,6 +17,8 @@ Conventions used throughout the package:
 * forward/analysis direction carries exp(-j...), synthesis exp(+j...);
 * the 1/sqrt(Nc) factor sits on both directions (unitary pair);
 * ``c2`` defaults to pi - 3; any real value is accepted;
+* every chirp phase at an integer index reads the tables ``c1_chirp`` and
+  ``c2_chirp`` of ``AfdmConfig``; no other module reads c1 or c2;
 * K = 2*c1*Nc must be an integer, so the prefix phase
   exp(-j*2*pi*c1*(Nc^2 + 2*Nc*i)) is (-1)^(K*Nc): at any integer index i the
   chirp-periodic extension of a symbol is s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)),
@@ -25,6 +27,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -67,6 +70,8 @@ class AfdmConfig:
         Subcarrier spacing in Hz.
     f_c : float
         Carrier frequency in Hz.
+
+    ``c1_chirp`` and ``c2_chirp`` are read-only tables built once per config.
     """
 
     n_sub: int
@@ -110,28 +115,29 @@ class AfdmConfig:
         """The integer 2*c1*n_sub."""
         return round(2.0 * self.c1 * self.n_sub)
 
+    @functools.cached_property
+    def c1_chirp(self) -> np.ndarray:
+        """exp(-j*2*pi*c1*k^2), k < Nc, phase (K*k^2 mod 2Nc)/(2Nc) exact in int64 for Nc < 2^30."""
+        n2 = 2 * self.n_sub
+        k = np.arange(self.n_sub, dtype=np.int64)
+        table = np.exp((-1j * np.pi / self.n_sub) * (k * k % n2 * (self.two_c1_n % n2) % n2))
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def c2_chirp(self) -> np.ndarray:
+        """exp(-j*2*pi*c2*k^2), k < Nc (analysis-direction sign)."""
+        k = np.arange(self.n_sub, dtype=np.float64)
+        table = np.exp(-2j * np.pi * self.c2 * k * k)
+        table.flags.writeable = False
+        return table
+
 
 def _as_stack(x, n: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape[-1:] != (n,):
         raise ConfigurationError(f"{what} must have shape (..., {n}), got {x.shape}")
     return x
-
-
-def _chirp(rate: float, n: int) -> np.ndarray:
-    """exp(-j*2*pi*rate*k^2) for k = 0..n-1 (analysis-direction sign)."""
-    k = np.arange(n, dtype=np.float64)
-    return np.exp(-2j * np.pi * rate * k * k)
-
-
-def _c1_chirp(cfg: AfdmConfig) -> np.ndarray:
-    """exp(-j*2*pi*c1*k^2) for k = 0..Nc-1, its phase exact in integers.
-
-    K = 2*c1*Nc is an integer, so c1*k^2 mod 1 = (K*k^2 mod 2Nc)/(2Nc).
-    """
-    n2 = 2 * cfg.n_sub
-    k = np.arange(cfg.n_sub, dtype=np.int64)
-    return np.exp((-1j * np.pi / cfg.n_sub) * (k * k % n2 * (cfg.two_c1_n % n2) % n2))
 
 
 def idaft(x, cfg: AfdmConfig) -> np.ndarray:
@@ -142,9 +148,8 @@ def idaft(x, cfg: AfdmConfig) -> np.ndarray:
     and each row of a stack comes out bit for bit as its own call would.
     """
     x = _as_stack(x, cfg.n_sub, "DAFT-domain vector")
-    n = cfg.n_sub
-    inner = np.fft.ifft(x * np.conj(_chirp(cfg.c2, n))) * math.sqrt(n)
-    return np.conj(_c1_chirp(cfg)) * inner
+    inner = np.fft.ifft(x * np.conj(cfg.c2_chirp)) * math.sqrt(cfg.n_sub)
+    return np.conj(cfg.c1_chirp) * inner
 
 
 def daft(s, cfg: AfdmConfig) -> np.ndarray:
@@ -153,9 +158,8 @@ def daft(s, cfg: AfdmConfig) -> np.ndarray:
     Batches like ``idaft``: ``s`` has shape (Nc,) or (..., Nc).
     """
     s = _as_stack(s, cfg.n_sub, "time-domain vector")
-    n = cfg.n_sub
-    inner = np.fft.fft(s * _c1_chirp(cfg)) / math.sqrt(n)
-    return _chirp(cfg.c2, n) * inner
+    inner = np.fft.fft(s * cfg.c1_chirp) / math.sqrt(cfg.n_sub)
+    return cfg.c2_chirp * inner
 
 
 def build_daft_matrix(cfg: AfdmConfig) -> np.ndarray:
@@ -173,7 +177,7 @@ def build_daft_matrix(cfg: AfdmConfig) -> np.ndarray:
         )
     k = np.arange(n)
     dft = np.exp(-2j * np.pi * k / n)[np.outer(k, k) % n]
-    return _chirp(cfg.c2, n)[:, None] * dft * (_c1_chirp(cfg) / math.sqrt(n))
+    return cfg.c2_chirp[:, None] * dft * (cfg.c1_chirp / math.sqrt(n))
 
 
 def _chirp_periodic(s: np.ndarray, cfg: AfdmConfig, idx) -> np.ndarray:
@@ -242,7 +246,7 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     is Nc-periodic for either parity of K*Nc.  Splitting (-1)^(K d) into
     (-1)^(K n) (-1)^(K k) turns the sum over lags d in (-Nc, Nc) into one
     cyclic convolution of length Nc, evaluated by FFT at O(Nc log Nc) per
-    delay and signal.
+    delay and signal.  Its phases stay in floats: n - tau is no table index.
     """
     s = _as_stack(s, cfg.n_sub, "signals")
     tau = np.asarray(tau, dtype=np.float64)

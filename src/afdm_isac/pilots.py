@@ -119,21 +119,21 @@ def proposed_pilot(
 
     Nonzero entries sit at m = 0, Q, ..., (Np-1)*Q with
     x[m] = sqrt(sigma_p^2/Np) * z[m/Q] * exp(j*2*pi*psi[m]) and
-    psi[m] = m^2*2^r/(2*Q*Nc) - c2*m^2.  ``chirp_correction=False`` drops the
+    psi[m] = m^2*2^r/(2*Q*Nc) - c2*m^2 = m^2/(2*K*Nc) - c2*m^2 (Q = K*2^r).
+    The first term is reduced in integers and the second read from
+    ``c2_chirp``, the table ``idaft`` removes, so it cancels the transform's
+    c2 chirp to rounding at any Nc.  ``chirp_correction=False`` drops the
     psi phase (places the raw ZC values on the comb), which breaks the
     zero-sidelobe property for nonzero Doppler — useful as a counterexample.
     """
     spacing, n_p = proposed_spacing(cfg, r)
-    z = zc_sequence(ZcParams(length=n_p, root=zc_root))
     positions = np.arange(n_p) * spacing
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
-    amp = _amplitude(pilot_power, n_p)
+    x[positions] = _amplitude(pilot_power, n_p) * zc_sequence(ZcParams(n_p, zc_root))
     if chirp_correction:
-        m = positions.astype(np.float64)
-        psi = m * m * 2**r / (2.0 * spacing * cfg.n_sub) - cfg.c2 * m * m
-        x[positions] = amp * z * np.exp(2j * np.pi * psi)
-    else:
-        x[positions] = amp * z
+        period = 2 * cfg.two_c1_n * cfg.n_sub
+        quadratic = np.exp(2j * np.pi * (positions**2 % period) / period)
+        x[positions] *= quadratic * cfg.c2_chirp[positions]
     return x
 
 

@@ -171,6 +171,11 @@ class TestInterferenceCoefficient:
             closed = interference_coefficient(m1, m2, tau, nu, cfg)
             assert abs(direct - closed) < 1e-9 * 32
 
+    @pytest.mark.parametrize("m1, m2", [(-1, 7), (7, -1), (128, 0), (0, 128), (0.5, 8)])
+    def test_subcarrier_outside_the_symbol_rejected(self, m1, m2):
+        with pytest.raises(ParameterError):
+            interference_coefficient(m1, m2, 1, 0, self.CFG)
+
 
 class TestAfStatistics:
     CFG = AfdmConfig(n_sub=64, n_cpp=16, c1=1 / 16)
@@ -438,6 +443,20 @@ class TestCrb:
             powers[0] = 1.0
             with pytest.raises(NumericalError):
                 crb(PowerAllocation(powers), SensingTarget(1.0, 0.0, 0.0, 1.0), cfg)
+
+    def test_ramp_kernel_is_degenerate(self):
+        # a delta on subcarrier 0 with K = 1 and tau_bar = 0 has frac(n, 0) = n/Nc,
+        # the Doppler ramp itself, so D = a*c - b^2 is exactly 0 and only rounding
+        # decides its computed sign; on subcarrier 1 the kernel is no ramp
+        target = SensingTarget(1.0, 0.0, 0.0, 1.0)
+        for n_sub in (8, 16, 63, 64, 100, 1000):
+            cfg = AfdmConfig(n_sub=n_sub, c1=1 / (2 * n_sub))
+            powers = np.zeros(n_sub)
+            powers[0] = 1.0
+            with pytest.raises(NumericalError):
+                crb(PowerAllocation(powers), target, cfg)
+            bounds = crb(PowerAllocation(np.roll(powers, 1)), target, cfg)
+            assert np.isfinite(bounds.crb_tau) and bounds.crb_tau > 0
 
 
 class TestNumericHessianOracle:

@@ -164,6 +164,36 @@ class TestBatchedTransforms:
         assert np.linalg.norm(daft(s, cfg) - x) <= 1e-12 * norm
 
 
+class TestChirpTables:
+    def test_built_once_and_read_only(self):
+        cfg = AfdmConfig(n_sub=16, c1=3 / 32)
+        for name in ("c1_chirp", "c2_chirp"):
+            table = getattr(cfg, name)
+            assert table is getattr(cfg, name)
+            assert table.shape == (16,)
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        # the tables are not fields: equality and hashing see the parameters only
+        fresh = AfdmConfig(n_sub=16, c1=3 / 32)
+        assert fresh == cfg and hash(fresh) == hash(cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**VALID_CONFIGS)
+    def test_transforms_keep_the_chirp_expressions(self, n_sub, two_c1_n, c2, seed):
+        # the c2 chirp in floats and the c1 chirp in integers, written out as
+        # the transforms evaluated them before the tables moved onto the config
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub), c2=c2)
+        k, n2 = np.arange(n_sub), 2 * n_sub
+        c2_chirp = np.exp(-2j * np.pi * c2 * k.astype(np.float64) * k)
+        c1_chirp = np.exp((-1j * np.pi / n_sub) * (k * k % n2 * (two_c1_n % n2) % n2))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, n_sub)) + 1j * rng.standard_normal((2, n_sub))
+        synth = np.conj(c1_chirp) * (np.fft.ifft(x * np.conj(c2_chirp)) * math.sqrt(n_sub))
+        analysis = c2_chirp * (np.fft.fft(x * c1_chirp) / math.sqrt(n_sub))
+        assert np.array_equal(idaft(x, cfg), synth)
+        assert np.array_equal(daft(x, cfg), analysis)
+
+
 class TestDenseMatrix:
     def test_two_point_dft(self):
         cfg = AfdmConfig(n_sub=2, c1=0.0, c2=0.0)

@@ -48,3 +48,13 @@ def test_no_module_calls_the_dense_daft_matrix():
             if isinstance(node, ast.Call)
         }
         assert "build_daft_matrix" not in called, path.name
+
+
+def test_only_daft_reads_the_chirp_rates():
+    # every chirp phase reads AfdmConfig's tables, so c1 and c2 are read in one module
+    for path in sorted((SRC / "afdm_isac").glob("*.py")):
+        if path.name == "daft.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not read & {"c1", "c2"}, path.name

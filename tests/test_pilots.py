@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from afdm_isac import AfdmConfig, idaft
 from afdm_isac.analysis import ambiguity_function, ambiguity_region
@@ -20,6 +22,28 @@ from afdm_isac.pilots import (
     traditional_spi_pilot,
     zc_sequence,
 )
+
+
+@st.composite
+def pilot_designs(draw):
+    """(Nc, nu_m, r, root) of a proposed pilot: Nc = 2^p <= 1024, 2*c1*Nc <= Nc."""
+    p = draw(st.integers(2, 10))
+    nu_m = draw(st.integers(1, (2**p - 1) // 2))
+    q = math.ceil(math.log2(2 * nu_m + 1))
+    r = draw(st.integers(0, p - q))
+    # the comb holds 2^(p-q-r) pilots, so any odd root is coprime with it
+    return 2**p, nu_m, r, 2 * draw(st.integers(0, 64)) + 1
+
+
+def _examples(inputs):
+    """Stack one hypothesis ``@example(design=...)`` per input."""
+
+    def apply(test):
+        for design in inputs:
+            test = example(design=design)(test)
+        return test
+
+    return apply
 
 
 class TestZcSequence:
@@ -97,20 +121,31 @@ class TestProposedPilot:
         with pytest.raises(ParameterError):
             proposed_pilot(cfg, 100.0, r=0)
 
-    def test_ideal_ambiguity_within_delay_limit(self):
-        # zero sidelobes over the full supported delay span, several roots
-        for n_sub in (64, 128):
-            for nu_m in (1, 2):
-                cfg = AfdmConfig(n_sub=n_sub, n_cpp=n_sub // 4, c1=select_c1_q(nu_m, AfdmConfig(n_sub=n_sub, c1=0.0))[0])
-                limit = proposed_delay_limit(cfg)
-                region = ambiguity_region(limit, nu_m)
-                p = int(math.log2(n_sub))
-                q = int(math.log2(cfg.two_c1_n))
-                for r in range(p - q + 1):
-                    for root in (1, 3):
-                        x = proposed_pilot(cfg, 100.0, r=r, zc_root=root)
-                        surf = ambiguity_function(idaft(x, cfg), region, cfg)
-                        assert surf.max_off_origin() <= 1e-10 * 100.0
+    @settings(max_examples=40, deadline=None)
+    @given(design=pilot_designs())
+    @_examples(
+        (n_sub, nu_m, r, root)
+        for n_sub in (64, 128)
+        for nu_m in (1, 2)
+        for r in range(int(math.log2(n_sub)) - math.ceil(math.log2(2 * nu_m + 1)) + 1)
+        for root in (1, 3)
+    )
+    def test_ideal_ambiguity_within_delay_limit(self, design):
+        # zero sidelobes over the whole zero region, |tau| <= 1/(2 c1) - 1 and
+        # |nu| <= 2*c1*Nc - 1: the correction cancels the c2 chirp of idaft
+        n_sub, nu_m, r, root = design
+        c1, _ = select_c1_q(nu_m, AfdmConfig(n_sub=n_sub))
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=n_sub // 4, c1=c1)
+        limit, k = proposed_delay_limit(cfg), cfg.two_c1_n
+        region = (np.arange(-limit, limit + 1), np.arange(1 - k, k))
+        x = proposed_pilot(cfg, 100.0, r=r, zc_root=root)
+        assert ambiguity_function(idaft(x, cfg), region, cfg).max_off_origin() <= 1e-12 * 100.0
+
+    def test_ideal_ambiguity_at_large_n(self):
+        cfg = AfdmConfig(n_sub=65536, c1=select_c1_q(2, AfdmConfig(n_sub=65536))[0])
+        x = proposed_pilot(cfg, 100.0)
+        surf = ambiguity_function(idaft(x, cfg), ambiguity_region(8, 2), cfg)
+        assert surf.max_off_origin() <= 1e-14 * 100.0
 
     def test_recurrence_peak_at_delay_limit_plus_one(self):
         # the comb recurs one sample past the supported span
