@@ -27,6 +27,7 @@ exp(j*2*pi*nu*tau/Nc), which is absorbed by the path gain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -194,6 +195,10 @@ class PathChannel:
     the DAFT-domain matrix is A H_t A^H.  ``h @ x`` costs O(P*Nc),
     ``np.asarray(h)`` gives the dense DAFT-domain matrix and
     ``regularized_solve`` the banded time-domain normal-equation solve.
+    The DAFT-domain taps are built once, on first use, and every array is
+    frozen: ``delays``, ``dopplers`` and ``gains`` are read-only copies of
+    the arguments, so a later write to the caller's arrays cannot change
+    the channel or make its taps stale.
     """
 
     cfg: AfdmConfig
@@ -204,22 +209,26 @@ class PathChannel:
     def __post_init__(self):
         delays = _integers(self.delays, "delays")
         dopplers = _integers(self.dopplers, "Dopplers")
-        gains = np.asarray(self.gains, dtype=np.complex128)
+        gains = np.array(self.gains, dtype=np.complex128)
         if not (delays.shape == dopplers.shape == gains.shape):
             raise ParameterError("delays, dopplers and gains must have equal lengths")
         if np.any((delays < 0) | (delays >= self.cfg.n_sub)):
             raise ParameterError(f"delays must lie in [0, {self.cfg.n_sub})")
-        object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "dopplers", dopplers)
-        object.__setattr__(self, "gains", gains)
+        for name, value in (("delays", delays), ("dopplers", dopplers), ("gains", gains)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
+    @functools.cached_property
     def _daft_taps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source columns q and gain-weighted phases, both (paths, Nc)."""
+        """Source columns q and gain-weighted phases, both (paths, Nc) and read-only."""
         n, cfg = self.cfg.n_sub, self.cfg
         tau, nu = self.delays[:, None], self.dopplers[:, None]
         q = (np.arange(n) + subcarrier_offset(tau, nu, cfg)) % n
         phase = np.conj(cfg.c1_chirp[tau]) * np.exp(-2j * np.pi * ((q + nu) * tau % n) / n)
-        return q, self.gains[:, None] * phase * cfg.c2_chirp * np.conj(cfg.c2_chirp[q])
+        taps = self.gains[:, None] * phase * cfg.c2_chirp * np.conj(cfg.c2_chirp[q])
+        q.flags.writeable = False
+        taps.flags.writeable = False
+        return q, taps
 
     def _vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
@@ -229,12 +238,12 @@ class PathChannel:
 
     def __matmul__(self, x) -> np.ndarray:
         x = self._vector(x)
-        q, taps = self._daft_taps()
+        q, taps = self._daft_taps
         return np.sum(taps * x[q], axis=0)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         n = self.cfg.n_sub
-        q, taps = self._daft_taps()
+        q, taps = self._daft_taps
         out = np.zeros((n, n), dtype=np.complex128)
         np.add.at(out, (np.broadcast_to(np.arange(n), q.shape), q), taps)
         return out if dtype is None else out.astype(dtype, copy=False)

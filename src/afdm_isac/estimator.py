@@ -10,7 +10,12 @@ matrix is unitary, the data-plus-noise term is white with per-sample variance
 path gains are uncorrelated under the prior), so the MMSE estimate reduces to
 a ridge-regularized least squares over Psi_p.  One inverse of its normal
 matrix gives both the estimate and the posterior variances (for the proposed
-pilot Psi_p^H Psi_p = sigma_p^2 I, Theorem 4, so the matrix is diagonal).  A
+pilot Psi_p^H Psi_p = sigma_p^2 I, Theorem 4, so the matrix is diagonal).
+Psi_p and its Gram depend only on the pilot, the grid and the config, so
+``iterative_estimate`` builds them once per pilot: a bounded cache keyed on
+(cfg, grid, pilot bytes) holds the last 4 pilot models, read-only, each about
+L*Nc*16 bytes (45*Nc*16 B on the 45-path grid, 368 KB at Nc = 512), and a
+frame only correlates its observation with Psi_p.  A
 path is kept when its gain lies more than 3 posterior standard deviations
 from 0, and the channel estimate is the structured ``PathChannel`` of the
 surviving (tau, nu, gain) triples: O(P*Nc) to apply, never a dense matrix.
@@ -26,13 +31,16 @@ noise.
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import BasisGrid, PathChannel, apply_basis
 from .daft import AfdmConfig, daft, idaft
-from .errors import NumericalError, ParameterError
+from .errors import ConfigurationError, NumericalError, ParameterError
 from .modem import FrameSpec, demap_symbols, map_bits
 
 __all__ = [
@@ -113,6 +121,46 @@ _NOISE_FLOOR = 1e-30
 _EPS_SCALE = 3.0
 
 
+# at most 4 pilot models, each about L*Nc*16 bytes (Psi_p)
+@functools.lru_cache(maxsize=4)
+def _pilot_model(cfg: AfdmConfig, grid: BasisGrid, pilot: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Psi_p of the complex128 pilot with these bytes and its Gram Psi_p^H Psi_p, read-only.
+
+    The pilot is rebuilt from the key, so a caller's later write to its own
+    array cannot reach an entry.
+    """
+    psi = build_psi(np.frombuffer(pilot, dtype=np.complex128), grid, cfg)
+    gram = psi.conj().T @ psi
+    psi.flags.writeable = False
+    gram.flags.writeable = False
+    return psi, gram
+
+
+def _posterior(corr, gram, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
+    """Gain estimate and posterior variances from corr = Psi^H y and gram = Psi^H Psi."""
+    g = prior.gain_variances
+    if g.shape != corr.shape:
+        raise ParameterError(f"{g.shape} prior variances for {corr.size} columns")
+    free = g > 0
+    alpha = np.zeros(free.size, dtype=np.complex128)
+    variances = np.zeros(free.size)
+    if not free.any():
+        return alpha, variances
+    c = max(prior.noise_variance, _NOISE_FLOOR)
+    normal = gram[np.ix_(free, free)] / c + np.diag(1.0 / g[free])
+    try:
+        cov = np.linalg.inv(normal)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"singular normal matrix (cond={np.linalg.cond(normal):.3e})"
+        ) from exc
+    alpha[free] = cov @ (corr[free] / c)
+    variances[free] = cov.diagonal().real
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(variances))):
+        raise NumericalError("non-finite posterior of the gains")
+    return alpha, variances
+
+
 def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
     """Linear MMSE gain estimate and its posterior variances.
 
@@ -121,32 +169,18 @@ def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
     S = (Psi^H Psi / c + diag(1/g))^{-1}; the estimate is S Psi^H y / c and
     the variances are diag(S).  Pinned gains (g = 0) come out as 0 with
     variance 0, and an infinite g drops that gain's regularization.  A
-    singular normal matrix or a non-finite result raises ``NumericalError``.
+    singular normal matrix or a non-finite result raises ``NumericalError``;
+    a ``y`` whose length is not the row count of ``psi_p`` raises
+    ``ParameterError``.  This forms Psi^H y and Psi^H Psi on every call;
+    ``iterative_estimate`` instead reuses the Psi_p and Gram it caches per
+    pilot (at most 4 pilots, about L*Nc*16 bytes each).
     """
     y = np.asarray(y, dtype=np.complex128)
     psi_p = np.asarray(psi_p, dtype=np.complex128)
-    g = prior.gain_variances
-    if g.shape != (psi_p.shape[1],):
-        raise ParameterError(f"{g.shape} prior variances for {psi_p.shape[1]} columns")
-    free = g > 0
-    alpha = np.zeros(free.size, dtype=np.complex128)
-    variances = np.zeros(free.size)
-    if not free.any():
-        return alpha, variances
-    c = max(prior.noise_variance, _NOISE_FLOOR)
-    psi_f = psi_p[:, free]
-    normal = psi_f.conj().T @ psi_f / c + np.diag(1.0 / g[free])
-    try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular normal matrix (cond={np.linalg.cond(normal):.3e})"
-        ) from exc
-    alpha[free] = cov @ (psi_f.conj().T @ y / c)
-    variances[free] = cov.diagonal().real
-    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(variances))):
-        raise NumericalError("non-finite posterior of the gains")
-    return alpha, variances
+    if psi_p.ndim != 2 or y.shape != psi_p.shape[:1]:
+        raise ParameterError(f"y of shape {y.shape} for a Psi of shape {psi_p.shape}")
+    psi_h = psi_p.conj().T
+    return _posterior(psi_h @ y, psi_h @ psi_p, prior)
 
 
 def threshold_paths(alpha_hat, eps) -> np.ndarray:
@@ -211,9 +245,13 @@ def iterative_estimate(
 ) -> EstimationResult:
     """Estimate, demodulate, cancel, and re-estimate.
 
-    Each iteration makes one ``mmse_estimate`` call, keeps the gains more
-    than 3 posterior standard deviations from 0 (or above ``eps`` when it is
-    given), and equalizes with the channel they form.  Iteration 1 models the
+    Each iteration makes one posterior solve, keeps the gains more than 3
+    posterior standard deviations from 0 (or above ``eps`` when it is
+    given), and equalizes with the channel they form.  Psi_p and its Gram are
+    built once per (cfg, grid, pilot) and cached, at most 4 pilot models of
+    about L*Nc*16 bytes each, so a frame with a known pilot makes no
+    ``build_psi`` call and no Gram product: each iteration only forms
+    Psi_p^H times its observation.  Iteration 1 models the
     data as white interference of power sigma_d^2 * sum(prior variances) per
     sample (``effective_noise_covariance``); each later iteration subtracts
     the demodulated data pushed through the current channel estimate and sets
@@ -221,13 +259,21 @@ def iterative_estimate(
     (so a failed cancellation does not make the next pass overconfident).
     The prior defaults to a unit gain power spread uniformly over the grid.
     ``known_data`` replaces the demodulated feedback with a given data vector
-    (diagnostic genie for isolating the cancellation algebra).
+    (diagnostic genie for isolating the cancellation algebra).  ``y`` and
+    ``x_pilot`` must have shape (Nc,) (else ``ConfigurationError``),
+    ``noise_power`` must be finite and >= 0 and ``n_iter`` an integer >= 1
+    (else ``ParameterError``).
     """
-    if n_iter < 1:
-        raise ParameterError("n_iter must be >= 1")
+    if isinstance(n_iter, bool) or not isinstance(n_iter, numbers.Integral) or n_iter < 1:
+        raise ParameterError(f"n_iter must be an integer >= 1, got {n_iter!r}")
+    if not 0 <= noise_power < math.inf:
+        raise ParameterError(f"noise_power must be finite and non-negative, got {noise_power!r}")
     y = np.asarray(y, dtype=np.complex128)
     x_pilot = np.asarray(x_pilot, dtype=np.complex128)
-    psi_p = build_psi(x_pilot, grid, cfg)
+    for name, v in (("y", y), ("x_pilot", x_pilot)):
+        if v.shape != (cfg.n_sub,):
+            raise ConfigurationError(f"{name} must have shape ({cfg.n_sub},), got {v.shape}")
+    psi_p, gram = _pilot_model(cfg, grid, x_pilot.tobytes())
     if prior is None:
         prior = PriorModel.uniform(grid, noise_variance=0.0)
     c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
@@ -235,7 +281,9 @@ def iterative_estimate(
     feedback = np.zeros(cfg.n_sub, dtype=np.complex128)
     for it in range(n_iter):
         observation = y if it == 0 else y - h_hat @ feedback
-        alpha_hat, post = mmse_estimate(observation, psi_p, PriorModel(prior.gain_variances, c_it))
+        alpha_hat, post = _posterior(
+            psi_p.conj().T @ observation, gram, PriorModel(prior.gain_variances, c_it)
+        )
         eps_it = _EPS_SCALE * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps
         indicator = threshold_paths(alpha_hat, eps_it)
         h_hat = reconstruct_channel(alpha_hat, indicator, grid, cfg)

@@ -102,10 +102,6 @@ class Frame:
     def x(self) -> np.ndarray:
         return self.x_pilot + self.x_data
 
-    @property
-    def expected_total_power(self) -> float:
-        return self.spec.total_power(self.x_pilot.shape[0])
-
 
 def map_bits(bits, spec: FrameSpec) -> np.ndarray:
     """Map a bit stream to sigma_d-scaled Gray-coded symbols."""

@@ -69,14 +69,14 @@ def zc_sequence(params: ZcParams) -> np.ndarray:
     """Unit-modulus Zadoff-Chu sequence with zero periodic autocorrelation.
 
     Even lengths use exp(-j*pi*u*n^2/N); odd lengths use the standard
-    exp(-j*pi*u*n*(n+1)/N) form so the sequence stays N-periodic.
+    exp(-j*pi*u*n*(n+1)/N) form so the sequence stays N-periodic.  The
+    phase numerator is reduced mod 2N in integers, so a large root or length
+    loses no precision to the float phase.
     """
-    n = np.arange(params.length, dtype=np.float64)
-    if params.length % 2 == 0:
-        phase = params.root * n * n / params.length
-    else:
-        phase = params.root * n * (n + 1) / params.length
-    return np.exp(-1j * np.pi * phase)
+    period = 2 * params.length
+    n = np.arange(params.length, dtype=np.int64)
+    quadratic = n * (n + params.length % 2) % period
+    return np.exp((-1j * np.pi / params.length) * (quadratic * (params.root % period) % period))
 
 
 def select_c1_q(nu_m: int, cfg: AfdmConfig) -> tuple[float, int]:
@@ -193,11 +193,20 @@ def single_pilot(cfg: AfdmConfig, pilot_power: float) -> np.ndarray:
 
 
 def max_unambiguous_delay(spacing: int, nu_m: int, c1: float, n_sub: int) -> int:
-    """Largest delay the conventional comb tolerates: floor((Q-2*nu_m-1)/(2*c1*Nc))."""
+    """Largest delay the conventional comb tolerates: floor((Q-2*nu_m-1)/K), K = 2*c1*Nc.
+
+    K must be an integer to within 1e-9, as in ``AfdmConfig`` (else
+    ``ParameterError``), and the floor is taken in integers; K <= 0 bounds
+    the delay by Nc - 1 alone.
+    """
+    two_c1_n = 2.0 * c1 * n_sub
+    if not math.isfinite(two_c1_n) or abs(two_c1_n - round(two_c1_n)) > 1e-9:
+        raise ParameterError(f"2*c1*n_sub must be an integer, got {two_c1_n!r}")
+    k = round(two_c1_n)
     margin = spacing - 2 * nu_m - 1
     if margin < 0:
         return 0
-    return int(margin // (2.0 * c1 * n_sub)) if c1 > 0 else n_sub - 1
+    return margin // k if k > 0 else n_sub - 1
 
 
 @dataclass(frozen=True)

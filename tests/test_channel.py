@@ -143,6 +143,28 @@ class TestPathChannel:
         with pytest.raises(ConfigurationError):
             PathChannel(CFG16, [1], [0], [1.0]) @ np.ones(15)
 
+    def test_arrays_and_taps_are_read_only(self, rng):
+        h = random_path_channel(rng, CFG16, basis_grid(tau_m=2, nu_m=1), 3)
+        h @ np.ones(16)
+        q, taps = h._daft_taps
+        assert h._daft_taps[1] is taps
+        for arr in (h.delays, h.dopplers, h.gains, q, taps):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("apply_first", [False, True])
+    def test_callers_gains_do_not_reach_the_channel(self, rng, apply_first):
+        delays, dopplers = np.array([0, 2]), np.array([1, -1])
+        gains = np.array([1.0, 0.3j])
+        x = random_unit_symbols(rng, 16)
+        expect = PathChannel(CFG16, delays, dopplers, gains.copy()) @ x
+        h = PathChannel(CFG16, delays, dopplers, gains)
+        if apply_first:
+            h @ x
+        gains *= 2.0
+        delays[0] = 1
+        assert np.array_equal(h @ x, expect)
+
     def test_apply_matches_fft_route_at_large_n(self, rng):
         cfg = AfdmConfig(n_sub=4096, c1=1 / 1024)
         x = random_unit_symbols(rng, 4096)

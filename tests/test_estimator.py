@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp
+from afdm_isac import AfdmConfig, add_cpp, daft, estimator, idaft, remove_cpp
 from afdm_isac.channel import (
     PathChannel,
     apply_channel_time,
     basis_grid,
     sample_channel,
 )
-from afdm_isac.errors import NumericalError, ParameterError
+from afdm_isac.errors import ConfigurationError, NumericalError, ParameterError
 from afdm_isac.estimator import (
     PriorModel,
     build_psi,
@@ -28,7 +28,7 @@ from afdm_isac.modem import (
     map_bits,
     random_data_vector,
 )
-from afdm_isac.pilots import proposed_pilot
+from afdm_isac.pilots import proposed_pilot, select_c1_q
 
 import dense_oracle
 from conftest import random_unit_symbols
@@ -194,6 +194,11 @@ class TestZeroVariancePrior:
         with pytest.raises(ParameterError):
             mmse_estimate(y, psi, PriorModel(np.ones(8), 0.2))
 
+    def test_observation_length_must_match(self, rng):
+        psi, y, g_var = self.problem(rng)
+        with pytest.raises(ParameterError):
+            mmse_estimate(y[:-1], psi, PriorModel(g_var, 0.2))
+
 
 class TestThreshold:
     def test_zero_eps_keeps_all(self):
@@ -330,16 +335,6 @@ class TestEqualizeOracle:
 
 
 class TestIterative:
-    def make_setup(self, rng, noise_power, sigma_d2, pilot_power=100.0):
-        cfg = AfdmConfig(n_sub=32, n_cpp=8, c1=5 / 32)
-        grid = basis_grid(tau_m=2, nu_m=2)
-        spec = FrameSpec(pilot_power, sigma_d2, Constellation.QPSK)
-        x_p = proposed_pilot(
-            AfdmConfig(n_sub=32, n_cpp=8, c1=8 / 64), pilot_power
-        )  # power-of-two rate for the comb
-        # use the comb pilot on the working config (same Nc)
-        return cfg, grid, spec, x_p
-
     def test_single_iteration_equals_plain_mmse(self, rng):
         cfg = AfdmConfig(n_sub=32, n_cpp=8, c1=4 / 32)
         grid = basis_grid(tau_m=2, nu_m=1)
@@ -465,3 +460,117 @@ class TestDenseRoute:
         assert np.array_equal(bits_hat, bits_dense)
         assert np.count_nonzero(bits_hat != bits) < bits.size // 10
 
+
+def link_frame(rng, cfg, grid, x_p):
+    """A superimposed frame through 3 random grid paths at noise power 1: (y, spec)."""
+    spec = FrameSpec(float(np.linalg.norm(x_p) ** 2), 30.0, Constellation.QPSK)
+    real = sample_channel(L=3, tau_m=grid.tau_m, nu_m=grid.nu_m, rng=rng, noise_power=1.0)
+    _, x_d = random_data_vector(cfg.n_sub, spec, rng)
+    return receive(transmit(x_p, x_d, cfg), real, cfg, rng), spec
+
+
+class TestIterativeContracts:
+    """Malformed input raises before the pilot model is looked up."""
+
+    def run(self, rng, reshape=lambda y, x_p: (y, x_p), **options):
+        x_p = random_unit_symbols(rng, 16) * 4.0
+        y, spec = link_frame(rng, CFG, GRID, x_p)
+        y, x_p = reshape(y, x_p)
+        iterative_estimate(y, x_p, spec, GRID, CFG, **{"noise_power": 1.0, **options})
+
+    @pytest.mark.parametrize("reshape", [
+        lambda y, x_p: (y[:-1], x_p),
+        lambda y, x_p: (np.stack([y, y]), x_p),
+        lambda y, x_p: (y, x_p[None, :]),
+        lambda y, x_p: (y, x_p[:-1]),
+    ])
+    def test_shapes(self, rng, reshape):
+        before = estimator._pilot_model.cache_info()
+        with pytest.raises(ConfigurationError):
+            self.run(rng, reshape)
+        after = estimator._pilot_model.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    @pytest.mark.parametrize("noise_power", [-1.0, math.nan, math.inf])
+    def test_noise_power(self, rng, noise_power):
+        with pytest.raises(ParameterError, match="noise_power"):
+            self.run(rng, noise_power=noise_power)
+
+    @pytest.mark.parametrize("n_iter", [0, 2.5, True])
+    def test_n_iter(self, rng, n_iter):
+        with pytest.raises(ParameterError, match="n_iter"):
+            self.run(rng, n_iter=n_iter)
+
+
+class TestPilotModel:
+    """Psi_p and its Gram are built once per (cfg, grid, pilot), and never reused stale."""
+
+    CFG64 = AfdmConfig(n_sub=64, n_cpp=8, c1=4 / 64)
+    GRID64 = basis_grid(tau_m=3, nu_m=1)
+
+    def test_pilot_written_in_place_is_not_stale(self, rng):
+        x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0)
+        x_p *= np.exp(0.3j) * random_unit_symbols(rng, 64) * math.sqrt(2.0)
+        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0)
+        alpha, indicator, h_dense, _ = dense_oracle.iterative_estimate(
+            y, x_p, spec, self.GRID64, self.CFG64, 1.0
+        )
+        v = random_unit_symbols(rng, 64)
+        assert np.max(np.abs(res.alpha_hat - alpha)) < 1e-10
+        assert np.array_equal(res.indicator, indicator)
+        assert np.max(np.abs(res.h_eff_hat @ v - h_dense @ v)) < 1e-10
+
+    def test_grid_and_config_are_part_of_the_key(self, rng):
+        x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        # the same pilot bytes each time: only the rest of the key tells these apart
+        variants = [
+            (self.CFG64, self.GRID64),
+            (self.CFG64, basis_grid(tau_m=1, nu_m=3)),
+            (AfdmConfig(n_sub=64, n_cpp=8, c1=6 / 64), self.GRID64),
+            (AfdmConfig(n_sub=64, n_cpp=8, c1=4 / 64, c2=0.3), self.GRID64),
+        ]
+        for cfg, grid in variants:
+            res = iterative_estimate(y, x_p, spec, grid, cfg, 1.0, n_iter=1)
+            prior = PriorModel.uniform(grid, 0.0)
+            c = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, 1.0)
+            direct, _ = mmse_estimate(y, build_psi(x_p, grid, cfg), PriorModel(prior.gain_variances, c))
+            assert np.max(np.abs(res.alpha_hat - direct)) < 1e-12
+
+    def test_two_frames_build_psi_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_psi(*args)
+
+        monkeypatch.setattr(estimator, "build_psi", counting)
+        estimator._pilot_model.cache_clear()
+        x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        for _ in range(2):
+            y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+            iterative_estimate(y, x_p.copy(), spec, self.GRID64, self.CFG64, 1.0)
+        assert len(calls) == 1
+
+    def test_model_is_read_only(self, rng):
+        x_p = random_unit_symbols(rng, 64)
+        psi, gram = estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())
+        assert estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())[0] is psi
+        for arr in (psi, gram):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+
+    @pytest.mark.parametrize("n_sub, nu_m, tau_m", [(64, 1, 7), (256, 2, 8), (512, 2, 8), (1024, 3, 16)])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_proposed_pilot_gram_is_scaled_identity(self, n_sub, nu_m, tau_m, r):
+        # Theorem 4: the proposed pilot's basis images are orthogonal, each of energy sigma_p^2
+        c1, _ = select_c1_q(nu_m, AfdmConfig(n_sub=n_sub))
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=tau_m, c1=c1)
+        power = 37.5
+        x_p = proposed_pilot(cfg, power, r=r)
+        grid = basis_grid(tau_m, nu_m)
+        _, gram = estimator._pilot_model(cfg, grid, x_p.tobytes())
+        assert np.max(np.abs(gram - power * np.eye(len(grid)))) <= 1e-12 * power

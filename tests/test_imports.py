@@ -58,3 +58,26 @@ def test_only_daft_reads_the_chirp_rates():
         tree = ast.parse(path.read_text())
         read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not read & {"c1", "c2"}, path.name
+
+
+def test_caches_stay_where_they_are_listed():
+    # one bounded cache (the estimator's pilot model), and cached properties
+    # only on the two frozen types whose cached arrays are read-only
+    caches, cached_properties = [], set()
+    for path in sorted((SRC / "afdm_isac").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            child: node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for child in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            name = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+            name = getattr(node, name) if name else None
+            if name in ("lru_cache", "cache"):
+                caches.append((path.name, owner.get(node)))
+            elif name == "cached_property":
+                cached_properties.add(owner.get(node))
+    assert caches == [("estimator.py", None)]
+    assert cached_properties == {"AfdmConfig", "PathChannel"}

@@ -123,6 +123,7 @@ class TestProposedPilot:
 
     @settings(max_examples=40, deadline=None)
     @given(design=pilot_designs())
+    @example(design=(1024, 1, 0, 127))  # a float ZC phase left 1.5e-12 of sigma_p^2 here
     @_examples(
         (n_sub, nu_m, r, root)
         for n_sub in (64, 128)
@@ -240,6 +241,20 @@ class TestDelayBudget:
 
     def test_no_margin(self):
         assert max_unambiguous_delay(5, 2, 1 / 32, 128) == 0
+
+    def test_floor_is_exact(self):
+        # 2*c1*Nc = 2 * 0.14 * 25 rounds to 7.000000000000001 in floats
+        assert max_unambiguous_delay(8, 0, 7 / 50, 25) == 1
+        for n_sub in range(1, 300):
+            for k in range(1, 12):
+                for spacing in range(1, 60):
+                    got = max_unambiguous_delay(spacing, 0, k / (2 * n_sub), n_sub)
+                    assert got == (spacing - 1) // k, (spacing, k, n_sub)
+
+    @pytest.mark.parametrize("c1", [0.013, math.nan, math.inf])
+    def test_fractional_chirp_rate_rejected(self, c1):
+        with pytest.raises(ParameterError, match="2\\*c1"):
+            max_unambiguous_delay(8, 0, c1, 25)
 
     def test_proposed_escapes_spacing_rule(self):
         # spacing-based budget says 0, yet the pilot is clean out to the
