@@ -22,9 +22,12 @@ with h^2 and the sample counts, but u_n hits every j = u_0 (mod g),
 g = gcd(K, Nc), exactly g times, so a_m is g times the sum of h^2 over one
 residue class mod g: O(Nc), and exactly 0 where the kernel is.  One
 private evaluator computes them for every public function (``fim``,
-``crb``, ``sensing_weights``, ``crb_distribution``) and rejects
-D <= 1e-12*a*c with ``NumericalError``; range and velocity bounds follow by
-the unit conversion of ``channel.delay_doppler_to_range_velocity``.  The
+``crb``, ``sensing_weights``, ``crb_distribution``).  D is a
+Cauchy-Schwarz gap, 0 exactly when every loaded column frac(., m) is one
+multiple of n/Nc; that is decided in integers on the table, so at any Nc,
+and such a singular block raises ``NumericalError``.  Range and velocity
+bounds follow by the unit conversion of
+``channel.delay_doppler_to_range_velocity``.  The
 sensing weights are the closed-form gradient of the delay bound, not finite
 differences.  Note: the gain-gain information entry is 2*Pt/sigma_s^2, i.e.
 twice the waveform energy over the noise power, as the likelihood dictates
@@ -430,10 +433,11 @@ def _frac_table(cfg: AfdmConfig, tau_bar: float) -> tuple[np.ndarray, np.ndarray
     K*tau_bar (K = 2*c1*Nc) is split exactly, by integer arithmetic on the
     ratio of the float tau_bar, into an integer w and a fraction f in [0, 1).
     Then u_n = <K*n - w>_Nc and h[j] = (j - f)/Nc, or (Nc - f)/Nc at
-    j = 0 < f.  So every kernel entry is the exact value for the float
-    tau_bar to about an ulp: 0 at a tie, and just past one (tau_bar slightly
-    above a tie) the value just below 1, which reads 1.0 when it lies within
-    about an ulp of 1.  The table lies in [0, 1].
+    j = 0 < f, so h vanishes only at j = 0 with f = 0.  So every kernel
+    entry is the exact value for the float tau_bar to about an ulp: 0 at a
+    tie, and just past one (tau_bar slightly above a tie) the value just
+    below 1, which reads 1.0 when it lies within about an ulp of 1.  The
+    table lies in [0, 1].
     """
     nc, k = cfg.n_sub, cfg.two_c1_n
     num, den = float(tau_bar).as_integer_ratio()
@@ -444,12 +448,29 @@ def _frac_table(cfg: AfdmConfig, tau_bar: float) -> tuple[np.ndarray, np.ndarray
     return h, (k % nc * j - whole % nc) % nc
 
 
+def _ramp_column(h: np.ndarray, u: np.ndarray) -> int:
+    """The subcarrier whose kernel column is an exact multiple of n/Nc, else -1.
+
+    Column m is h[<u_n + m>_Nc].  It can be a multiple of n/Nc only if it
+    vanishes at n = 0, and h vanishes only at index 0 with f = 0, so only
+    m = <-u_0> with h[0] = 0 qualifies.  That column reads
+    h[i_n] = i_n/Nc with the integers i_n = <u_n - u_0>_Nc, a multiple of
+    n/Nc exactly when i_n = i_1*n for every n.
+    """
+    n = u.size
+    i = (u - u[0]) % n
+    if n < 2 or h[0] != 0 or not np.array_equal(i, i[1] * np.arange(n)):
+        return -1
+    return int(-u[0] % n)
+
+
 def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
-    """Validated kernels (a_m, b_m, c0) and power-weighted sums (a, b, c).
+    """Validated kernels (a_m, b_m, c0), power-weighted sums (a, b, c) and the ramp column.
 
     a_m = sum_n frac^2, b_m = sum_n frac*(n/Nc), c0 = sum_n (n/Nc)^2;
     a = p.a_m, b = p.b_m, c = sum(p)*c0.  ``powers`` is one allocation of
     length Nc or a (draws, Nc) stack, and a, b, c follow its leading shape.
+    The ramp column is ``_ramp_column`` of the kernel.
     """
     p = np.asarray(powers, dtype=np.float64)
     if p.ndim not in (1, 2) or p.shape[-1] != cfg.n_sub:
@@ -476,18 +497,25 @@ def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
     wt = np.bincount(u, weights=ramp, minlength=n)
     b_m = np.fft.irfft(np.conj(np.fft.rfft(wt)) * np.fft.rfft(h), n)
     c0 = float(np.sum(ramp * ramp))
-    return a_m, b_m, c0, p @ a_m, p @ b_m, total * c0
+    return a_m, b_m, c0, p @ a_m, p @ b_m, total * c0, _ramp_column(h, u)
 
 
-def _crb_from_sums(a, b, c, target: SensingTarget, cfg: AfdmConfig):
+def _crb_from_sums(a, b, c, powers, ramp: int, target: SensingTarget, cfg: AfdmConfig):
     """Delay and Doppler bounds front*c/D and front*a/D, elementwise in the sums.
 
-    D = a*c - b^2 is the delay-Doppler determinant up to scale; a block with
-    D <= 1e-12*a*c (D/(a*c) is a squared sine, exactly 0 where the kernel is
-    n/Nc times a constant) or a non-finite D raises ``NumericalError``.
+    D = a*c - b^2 is the delay-Doppler determinant up to scale.  It is 0
+    exactly when every subcarrier the allocation ``powers`` loads has its
+    kernel column equal to one multiple of n/Nc (Cauchy-Schwarz): for
+    Nc = 1, where n/Nc is 0, or for an allocation whose only load is the
+    ``ramp`` column.  Such a block, a non-finite D, or a D that rounding
+    leaves non-positive raises ``NumericalError``.
     """
+    p = np.asarray(powers)
     det = a * c - b * b
-    if np.any(~np.isfinite(det) | (det <= 1e-12 * a * c)):
+    singular = cfg.n_sub == 1 or (
+        ramp >= 0 and np.any((np.count_nonzero(p, axis=-1) == 1) & (p[..., ramp] > 0))
+    )
+    if singular or np.any(~np.isfinite(det) | (det <= 0)):
         raise NumericalError(
             f"degenerate delay-Doppler information block (a*c - b^2 = {np.min(det)})"
         )
@@ -504,14 +532,14 @@ def _fim_matrix(total: float, a: float, b: float, c: float, target: SensingTarge
 
 def fim(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> np.ndarray:
     """3x3 information matrix for (gain, delay, Doppler)."""
-    *_, a, b, c = _fim_sums(power.powers, target, cfg)
+    *_, a, b, c, _ = _fim_sums(power.powers, target, cfg)
     return _fim_matrix(power.total, a, b, c, target, cfg)
 
 
 def crb(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> SensingBounds:
     """Delay/Doppler lower bounds and their range/velocity conversions."""
-    *_, a, b, c = _fim_sums(power.powers, target, cfg)
-    crb_tau, crb_nu = _crb_from_sums(a, b, c, target, cfg)
+    *_, a, b, c, ramp = _fim_sums(power.powers, target, cfg)
+    crb_tau, crb_nu = _crb_from_sums(a, b, c, power.powers, ramp, target, cfg)
     metres_per_sample, mps_per_bin = delay_doppler_to_range_velocity(1.0, 1.0, cfg)
     return SensingBounds(
         fim=_fim_matrix(power.total, a, b, c, target, cfg),
@@ -529,8 +557,8 @@ def sensing_weights(power: PowerAllocation, target: SensingTarget, cfg: AfdmConf
     form: with D = a*c - b^2, dD/dp_m = a_m*c + a*c0 - 2*b*b_m and
     dCRB_tau/dp_m = CRB_tau * (c0/c - (dD/dp_m)/D).
     """
-    a_m, b_m, c0, a, b, c = _fim_sums(power.powers, target, cfg)
-    crb_tau, _ = _crb_from_sums(a, b, c, target, cfg)
+    a_m, b_m, c0, a, b, c, ramp = _fim_sums(power.powers, target, cfg)
+    crb_tau, _ = _crb_from_sums(a, b, c, power.powers, ramp, target, cfg)
     return crb_tau * (c0 / c - (a_m * c + a * c0 - 2.0 * b * b_m) / (a * c - b * b))
 
 
@@ -561,10 +589,12 @@ def crb_distribution(
         if n_draws < 1:
             raise ParameterError("n_draws must be >= 1")
         allocations = rng.dirichlet(np.ones(cfg.n_sub), size=n_draws) * total_power
-    a_m, b_m, c0, a, b, c = _fim_sums(allocations, target, cfg)
-    values, _ = _crb_from_sums(a, b, c, target, cfg)
+    a_m, b_m, c0, a, b, c, ramp = _fim_sums(allocations, target, cfg)
+    values, _ = _crb_from_sums(a, b, c, allocations, ramp, target, cfg)
     equal = np.full(cfg.n_sub, total_power / cfg.n_sub)
-    baseline, _ = _crb_from_sums(equal @ a_m, equal @ b_m, total_power * c0, target, cfg)
+    baseline, _ = _crb_from_sums(
+        equal @ a_m, equal @ b_m, total_power * c0, equal, ramp, target, cfg
+    )
     hist, edges = np.histogram(values, bins=_CRB_BINS, density=True)
     return {
         "values": values,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .daft import AfdmConfig, _chirp_periodic, daft, idaft, waveform_samples
+from .daft import AfdmConfig, _broadcasts_to, _chirp_periodic, daft, idaft, waveform_samples
 from .errors import ConfigurationError, ParameterError
 
 __all__ = [
@@ -101,7 +101,9 @@ class SensingTarget:
     """Point target: complex gain, real delay in samples, normalized Doppler.
 
     ``delay_samples`` may be fractional; ``delay_doppler_to_range_velocity``
-    converts delay and Doppler to range and velocity.
+    converts delay and Doppler to range and velocity.  Gain, delay and
+    Doppler may also be arrays, one target per row of a symbol stack
+    (``sensing_echo``).
     """
 
     gain: complex
@@ -354,22 +356,32 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndar
     r[n] = beta * s((n - tau_bar)*Ts) * exp(j*2*pi*nu_bar*n/Nc) + w[n], with
     ``s`` the prefix-free time symbol (``idaft`` output).  The delayed copy
     is ``waveform_samples`` of ``s``, which at whole-sample delays reads the
-    samples ``add_cpp`` would have put in front of it.
+    samples ``add_cpp`` would have put in front of it.  ``s`` may be a stack
+    (..., Nc); the target's delay, Doppler and gain are then scalars or
+    arrays that broadcast over its leading axes, one target per row, and
+    the noise is drawn for the whole stack, real parts first.
     """
     s = np.asarray(s, dtype=np.complex128)
-    if s.shape != (cfg.n_sub,):
-        raise ConfigurationError(f"expected a symbol of length {cfg.n_sub}, got {s.shape}")
-    tau = target.delay_samples
-    if tau < 0 or tau > cfg.n_cpp:
+    if s.shape[-1:] != (cfg.n_sub,):
+        raise ConfigurationError(f"expected symbols of length {cfg.n_sub}, got {s.shape}")
+    tau, nu, gain = (
+        np.asarray(v) for v in (target.delay_samples, target.doppler_norm, target.gain)
+    )
+    if not all(_broadcasts_to(v.shape, s.shape[:-1]) for v in (tau, nu, gain)):
+        raise ParameterError(
+            f"target parameters of shapes {tau.shape}, {nu.shape}, {gain.shape} do not "
+            f"broadcast over the symbols' leading axes {s.shape[:-1]}"
+        )
+    if np.any((tau < 0) | (tau > cfg.n_cpp)):
         raise ParameterError(
             f"target delay {tau} samples outside the prefix budget [0, {cfg.n_cpp}]"
         )
     n = np.arange(cfg.n_sub)
-    delayed = waveform_samples(s, cfg, tau)
-    r = target.gain * delayed * np.exp(2j * np.pi * target.doppler_norm * n / cfg.n_sub)
+    delayed = waveform_samples(s, cfg, tau[..., None])[..., 0, :]
+    r = gain[..., None] * delayed * np.exp(2j * np.pi * nu[..., None] * n / cfg.n_sub)
     if rng is not None and target.noise_power > 0:
         scale = math.sqrt(target.noise_power / 2.0)
-        r = r + scale * (rng.standard_normal(cfg.n_sub) + 1j * rng.standard_normal(cfg.n_sub))
+        r = r + scale * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape))
     return r
 
 

@@ -180,14 +180,19 @@ def build_daft_matrix(cfg: AfdmConfig) -> np.ndarray:
     return cfg.c2_chirp[:, None] * dft * (cfg.c1_chirp / math.sqrt(n))
 
 
-def _chirp_periodic(s: np.ndarray, cfg: AfdmConfig, idx) -> np.ndarray:
+def _chirp_periodic(s: np.ndarray, cfg: AfdmConfig, idx, per_row: bool = False) -> np.ndarray:
     """The chirp-periodic extension s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)) at integer ``idx``.
 
     ``s`` holds Nc samples on its last axis; the result has shape
-    s.shape[:-1] + idx.shape.
+    s.shape[:-1] + idx.shape.  With ``per_row`` ``idx`` has one axis more
+    than ``s`` and its leading axes pick rows of ``s`` instead: the result
+    is the broadcast of s.shape[:-1] and idx.shape[:-2], plus idx.shape[-2:].
     """
     n = cfg.n_sub
-    out = s[..., idx % n]
+    if per_row:
+        out = np.take_along_axis(s[..., None, :], idx % n, axis=-1)
+    else:
+        out = np.take(s, idx % n, axis=-1)
     if cfg.two_c1_n * n % 2:
         out = np.where(idx // n % 2 == 0, out, -out)
     return out
@@ -223,9 +228,13 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
 
     ``s`` is the prefix-free time symbol (``idaft`` output), or a stack of
     them with shape (..., Nc), and the result is s((n - tau)*Ts) for
-    n = 0..Nc-1: shape (..., Nc) for a scalar delay and (..., len(tau), Nc)
-    for a 1-D array of delays.  The waveform is the sum of the chirp
-    subcarriers with frequency-wrapped instantaneous phase
+    n = 0..Nc-1.  A scalar delay gives shape (..., Nc).  An array of delays
+    lists them on its last axis and gives s.shape[:-1] + (delays, Nc); its
+    leading axes broadcast against the leading axes of ``s`` (and may not
+    add to them), so a 1-D array delays every signal by every delay, and a
+    (B, 1) array gives each of B signals its own delay.  The waveform is
+    the sum of the chirp subcarriers with frequency-wrapped instantaneous
+    phase
 
         g_m(t) = c1 t^2 + m t / Nc - floor(2 c1 t + m/Nc) t
 
@@ -250,18 +259,23 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     """
     s = _as_stack(s, cfg.n_sub, "signals")
     tau = np.asarray(tau, dtype=np.float64)
-    if tau.ndim > 1 or not np.all(np.isfinite(tau)):
-        raise ParameterError(f"delay must be a finite scalar or 1-D array, got {tau!r}")
+    lead = s.shape[:-1]
+    if not np.all(np.isfinite(tau)) or (tau.ndim and not _broadcasts_to(tau.shape[:-1], lead)):
+        raise ParameterError(
+            f"delays must be finite, a scalar or an array whose leading axes broadcast "
+            f"to the signals' {lead}, got {tau!r}"
+        )
     n_sub, k_rate = cfg.n_sub, cfg.two_c1_n
     n = np.arange(n_sub)
     taus = np.atleast_1d(tau)
     whole = taus == np.round(taus)
-    out = np.empty(s.shape[:-1] + (taus.size, n_sub), dtype=np.complex128)
-    # mod 2Nc keeps i mod Nc and the parity of floor(i/Nc), and fits int64 for any delay
-    lags = (n - np.mod(taus[whole, None], 2 * n_sub)).astype(np.int64)
-    out[..., whole, :] = _chirp_periodic(s, cfg, lags)
-    if not np.all(whole):
-        frac = taus[~whole, None]
+    # a delay column whole in every row is gathered, the others take the closed form
+    cols = np.all(whole, axis=tuple(range(whole.ndim - 1)))
+    out = np.empty(lead + (taus.shape[-1], n_sub), dtype=np.complex128)
+    if np.any(cols):
+        out[..., cols, :] = _whole_delays(s, cfg, taus[..., cols])
+    if not np.all(cols):
+        frac = taus[..., ~cols, None]
         a_int = np.ceil(k_rate * frac)
         t = n - frac
         # the lag d - tau for d = 0..Nc-1, reduced to [-Nc/2, Nc/2] (D is Nc-periodic)
@@ -273,8 +287,34 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
         spread = s[..., None, :] * np.exp(1j * np.pi * (k_rate * n - 2.0 * a_int * n / n_sub))
         conv = np.fft.ifft(np.fft.fft(spread) * np.fft.fft(kernel))
         phase = cfg.c1 * (t * t + n * n) + (a_int - k_rate * n) * t / n_sub - k_rate * n / 2.0
-        out[..., ~whole, :] = np.exp(2j * np.pi * phase) * conv / n_sub
+        part = np.exp(2j * np.pi * phase) * conv / n_sub
+        # a whole delay in a column with fractional ones is still answered by the gather
+        stray = whole[..., ~cols, None]
+        if np.any(stray):
+            part = np.where(stray, _whole_delays(s, cfg, taus[..., ~cols]), part)
+        out[..., ~cols, :] = part
     return out if tau.ndim else out[..., 0, :]
+
+
+def _broadcasts_to(shape: tuple, target: tuple) -> bool:
+    """Whether an array of ``shape`` broadcasts to ``target`` without enlarging it."""
+    return len(shape) <= len(target) and all(
+        a in (1, b) for a, b in zip(shape[::-1], target[::-1])
+    )
+
+
+def _whole_delays(s: np.ndarray, cfg: AfdmConfig, taus: np.ndarray) -> np.ndarray:
+    """The extension at n - tau for integer ``taus`` (delays on the last axis).
+
+    A 1-D ``taus`` delays every signal of the stack by each delay; leading
+    axes of ``taus`` pick one row of delays per signal.
+    """
+    n = cfg.n_sub
+    # mod 2Nc keeps i mod Nc and the parity of floor(i/Nc), and fits int64 for any delay
+    lags = (np.arange(n) - np.mod(taus[..., None], 2 * n)).astype(np.int64)
+    if taus.ndim == 1:
+        return _chirp_periodic(s, cfg, lags)
+    return _chirp_periodic(s, cfg, lags.reshape((1,) * (s.ndim - taus.ndim) + lags.shape), True)
 
 
 def chirp_rate_bounds(tau_m: int, nu_m: int, n_sub: int) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Constellation mapping and superimposed frame assembly.
+"""Constellation mapping and superimposed-frame power bookkeeping.
 
 Gray mappings are fixed so that bit-error curves reproduce exactly under a
 fixed seed:
@@ -25,10 +25,8 @@ from .errors import ParameterError
 __all__ = [
     "Constellation",
     "FrameSpec",
-    "Frame",
     "map_bits",
     "demap_symbols",
-    "assemble_frame",
     "random_data_vector",
 ]
 
@@ -90,19 +88,6 @@ class FrameSpec:
         return math.sqrt(self.data_symbol_power)
 
 
-@dataclass(frozen=True)
-class Frame:
-    """DAFT-domain frame: superposition of a pilot and a data vector."""
-
-    x_pilot: np.ndarray
-    x_data: np.ndarray
-    spec: FrameSpec
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x_pilot + self.x_data
-
-
 def map_bits(bits, spec: FrameSpec) -> np.ndarray:
     """Map a bit stream to sigma_d-scaled Gray-coded symbols."""
     bits = np.asarray(bits, dtype=np.int64).ravel()
@@ -132,13 +117,3 @@ def random_data_vector(n_sub: int, spec: FrameSpec, rng) -> tuple[np.ndarray, np
     bits = rng.integers(0, 2, n_sub * spec.constellation.bits_per_symbol)
     return bits, map_bits(bits, spec)
 
-
-def assemble_frame(x_p, x_d, spec: FrameSpec) -> Frame:
-    """Superimpose pilot and data vectors into a frame."""
-    x_p = np.asarray(x_p, dtype=np.complex128)
-    x_d = np.asarray(x_d, dtype=np.complex128)
-    if x_p.shape != x_d.shape or x_p.ndim != 1:
-        raise ParameterError(
-            f"pilot and data must be equal-length vectors, got {x_p.shape} vs {x_d.shape}"
-        )
-    return Frame(x_pilot=x_p, x_data=x_d, spec=spec)

@@ -192,21 +192,17 @@ def single_pilot(cfg: AfdmConfig, pilot_power: float) -> np.ndarray:
     return x
 
 
-def max_unambiguous_delay(spacing: int, nu_m: int, c1: float, n_sub: int) -> int:
+def max_unambiguous_delay(spacing: int, nu_m: int, cfg: AfdmConfig) -> int:
     """Largest delay the conventional comb tolerates: floor((Q-2*nu_m-1)/K), K = 2*c1*Nc.
 
-    K must be an integer to within 1e-9, as in ``AfdmConfig`` (else
-    ``ParameterError``), and the floor is taken in integers; K <= 0 bounds
-    the delay by Nc - 1 alone.
+    K is the config's integer ``two_c1_n`` and the floor is taken in
+    integers; K <= 0 bounds the delay by Nc - 1 alone.
     """
-    two_c1_n = 2.0 * c1 * n_sub
-    if not math.isfinite(two_c1_n) or abs(two_c1_n - round(two_c1_n)) > 1e-9:
-        raise ParameterError(f"2*c1*n_sub must be an integer, got {two_c1_n!r}")
-    k = round(two_c1_n)
+    k = cfg.two_c1_n
     margin = spacing - 2 * nu_m - 1
     if margin < 0:
         return 0
-    return margin // k if k > 0 else n_sub - 1
+    return margin // k if k > 0 else cfg.n_sub - 1
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,13 @@ symbol (a target of gain beta peaks at conj(beta) * total power),
 ``analysis.cross_ambiguity`` any two symbols on integer axes; both give a
 ``RangeDopplerMap``.  Detection normalizes |E|^2 by a local noise floor
 (cell-averaging window with a guard box, cyclic wrap) and thresholds it.
+
+``rdf`` and ``noise_floor`` batch over leading axes: echoes and symbols
+(..., Nc) give maps (..., delays, Dopplers).  ``roc_curve`` runs its trials
+in blocks on that axis, sized by the byte budget ``_BLOCK_BYTES`` of a
+block's (trials, delays, Nc) reference stack.  Only the random draws loop
+per trial, in a lone trial's order (bits, target uniforms, noise), so a
+seed gives the same curve at any block size.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 from .channel import SensingTarget, _integers, sensing_echo
 from .daft import AfdmConfig, idaft, waveform_samples
 from .errors import ParameterError
-from .modem import FrameSpec, random_data_vector
+from .modem import FrameSpec, map_bits
 from .pilots import PilotScheme, pilot_vector
 
 __all__ = [
@@ -48,16 +55,25 @@ class RangeDopplerMap:
     tau_axis: np.ndarray
     nu_axis: np.ndarray
 
+    def _single(self) -> np.ndarray:
+        """The values of a single map; ``ParameterError`` for a stack of maps."""
+        if self.values.ndim != 2:
+            raise ParameterError(
+                f"need a single map, got a stack of shape {self.values.shape}"
+            )
+        return self.values
+
     def at(self, tau, nu) -> complex:
         """The value at the grid point (tau, nu); ``ParameterError`` off the axes."""
+        values = self._single()
         ti, vi = np.flatnonzero(self.tau_axis == tau), np.flatnonzero(self.nu_axis == nu)
         if not (ti.size and vi.size):
             raise ParameterError(f"({tau}, {nu}) is not a point of the map's axes")
-        return complex(self.values[ti[0], vi[0]])
+        return complex(values[ti[0], vi[0]])
 
     def max_off_origin(self) -> float:
         """Largest magnitude on the grid outside the point (0, 0)."""
-        mag = np.abs(self.values).copy()
+        mag = np.abs(self._single())
         ti = np.flatnonzero(self.tau_axis == 0)
         vi = np.flatnonzero(self.nu_axis == 0)
         if ti.size and vi.size:
@@ -116,12 +132,16 @@ def rdf(r_s, s, grid, cfg: AfdmConfig) -> RangeDopplerMap:
     ``s`` is the prefix-free symbol (``idaft`` output) and the echo covers
     the prefix-free window.  ``grid`` is a (tau_axis, nu_axis) pair of
     finite 1-D axes; both may be fractional (oversampled) and every delay
-    must lie in [0, n_cpp], the delays the prefix covers.
+    must lie in [0, n_cpp], the delays the prefix covers.  Echo and symbol
+    may be stacks of equal shape (..., Nc), each echo correlated with its
+    own symbol, and the map's values then have shape (..., delays, Dopplers).
     """
     r_s = np.asarray(r_s, dtype=np.complex128)
     s = np.asarray(s, dtype=np.complex128)
-    if r_s.shape != (cfg.n_sub,) or s.shape != (cfg.n_sub,):
-        raise ParameterError(f"echo and symbol must have length {cfg.n_sub}")
+    if r_s.shape != s.shape or s.shape[-1:] != (cfg.n_sub,):
+        raise ParameterError(
+            f"echo and symbol must share a shape (..., {cfg.n_sub}), got {r_s.shape} and {s.shape}"
+        )
     tau_axis, nu_axis = (np.asarray(axis, dtype=np.float64) for axis in grid)
     if any(axis.ndim != 1 or not np.all(np.isfinite(axis)) for axis in (tau_axis, nu_axis)):
         raise ParameterError(f"grid axes must be finite 1-D arrays, got {grid!r}")
@@ -155,15 +175,17 @@ def noise_floor(rd_map: RangeDopplerMap, det: DetectionConfig) -> np.ndarray:
     non-negative terms, so nothing cancels and a cell whose window holds no
     power gets a floor of exactly 0.  On axes shorter than the training
     window the wrap collapses the window to whole-axis averaging, which is
-    the intended degenerate behavior.
+    the intended degenerate behavior.  A stack of maps (..., delays,
+    Dopplers) gets one floor per map.
     """
     power = np.abs(rd_map.values) ** 2
-    train = [_window(h, size) for h, size in zip(det.train, power.shape)]
-    guard = [t * _window(h, size) for t, h, size in zip(train, det.guard, power.shape)]
+    shape = power.shape[-2:]
+    train = [_window(h, size) for h, size in zip(det.train, shape)]
+    guard = [t * _window(h, size) for t, h, size in zip(train, det.guard, shape)]
     count = train[0].sum() * train[1].sum() - guard[0].sum() * guard[1].sum()
     if count == 0:
         raise ParameterError(
-            f"guard {det.guard} swallows the whole {power.shape} grid: no training cells"
+            f"guard {det.guard} swallows the whole {shape} grid: no training cells"
         )
     acc = _circulant(train[0] - guard[0]) @ power @ _circulant(train[1]).T
     acc += _circulant(guard[0]) @ power @ _circulant(train[1] - guard[1]).T
@@ -185,7 +207,7 @@ def detect(rd_map: RangeDopplerMap, noise: np.ndarray, gamma: float) -> list:
     global phase of the echo; a cell with no power has statistic 0 and one
     with power over a zero floor has statistic inf.
     """
-    stat = _statistic(rd_map.values, noise)
+    stat = _statistic(rd_map._single(), noise)
     hits = np.argwhere(stat > gamma)
     out = [
         (float(rd_map.tau_axis[i]), float(rd_map.nu_axis[j]), float(stat[i, j]))
@@ -197,9 +219,10 @@ def detect(rd_map: RangeDopplerMap, noise: np.ndarray, gamma: float) -> list:
 
 def estimate_target(rd_map: RangeDopplerMap) -> tuple[float, float]:
     """Delay/Doppler location of the strongest correlation magnitude."""
-    if rd_map.values.size == 0:
+    values = rd_map._single()
+    if values.size == 0:
         raise ParameterError("empty range-Doppler map")
-    i, j = np.unravel_index(np.argmax(np.abs(rd_map.values)), rd_map.values.shape)
+    i, j = np.unravel_index(np.argmax(np.abs(values)), values.shape)
     return float(rd_map.tau_axis[i]), float(rd_map.nu_axis[j])
 
 
@@ -226,44 +249,62 @@ class SensingScenario:
     noise_power: float = 1.0
     detection: DetectionConfig = field(default_factory=DetectionConfig)
 
-    def draw_target(self, rng, total_power: float) -> SensingTarget:
-        snr = 10.0 ** (self.receive_snr_db / 10.0)
-        beta_mag = math.sqrt(snr * self.cfg.n_sub * self.noise_power / total_power)
+    def _draw_uniforms(self, rng) -> tuple[float, float, float]:
+        """The target's three draws, in order: delay, Doppler, gain phase (cycles)."""
         tau = rng.uniform(_EDGE_MARGIN, self.tau_m - _EDGE_MARGIN)
         nu = rng.uniform(-self.nu_m + _EDGE_MARGIN, self.nu_m - _EDGE_MARGIN)
-        gain = beta_mag * np.exp(2j * np.pi * rng.uniform())
+        return tau, nu, rng.uniform()
+
+    def _target(self, tau, nu, phase, total_power) -> SensingTarget:
+        """One target per frame of a stack, from its draws and the frames' energies."""
+        snr = 10.0 ** (self.receive_snr_db / 10.0)
+        beta_mag = np.sqrt(snr * self.cfg.n_sub * self.noise_power / total_power)
+        gain = beta_mag * np.exp(2j * np.pi * phase)
         return SensingTarget(
-            gain=complex(gain),
-            delay_samples=tau,
-            doppler_norm=nu,
-            noise_power=self.noise_power,
+            gain=gain, delay_samples=tau, doppler_norm=nu, noise_power=self.noise_power
         )
 
 
-def _detection_trial(
-    scenario: SensingScenario, x_p: np.ndarray, grid, rng
-) -> tuple[float, bool, float]:
-    """One Monte Carlo detection trial with pilot vector ``x_p`` on ``grid``.
+# bytes of the largest complex intermediate of one block of ROC trials, the
+# (trials, delays, Nc) stack of delayed symbols that ``rdf`` correlates against
+_BLOCK_BYTES = 1 << 20
 
-    Returns (statistic at the global argmax, whether the argmax lies within
-    one cell of the truth in both coordinates, maximum statistic outside that
-    neighborhood).
+
+def _detection_block(
+    scenario: SensingScenario, x_p: np.ndarray, grid, size: int, rng
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``size`` Monte Carlo detection trials with pilot vector ``x_p`` on ``grid``.
+
+    Per trial: the statistic at the global argmax, whether that argmax lies
+    within one cell of the truth in both coordinates, and the maximum
+    statistic outside that neighborhood.
     """
-    cfg = scenario.cfg
-    _, x_d = random_data_vector(cfg.n_sub, scenario.frame_spec, rng)
-    x = x_p + x_d
+    cfg, spec = scenario.cfg, scenario.frame_spec
+    n_bits = cfg.n_sub * spec.constellation.bits_per_symbol
+    noisy = scenario.noise_power > 0
+    bits = np.empty((size, n_bits), dtype=np.int64)
+    uniforms = np.empty((3, size))
+    noise = np.empty((2, size, cfg.n_sub))
+    for t in range(size):
+        bits[t] = rng.integers(0, 2, n_bits)
+        uniforms[:, t] = scenario._draw_uniforms(rng)
+        if noisy:
+            rng.standard_normal(out=noise[0, t])
+            rng.standard_normal(out=noise[1, t])
+    x = x_p + map_bits(bits, spec).reshape(size, cfg.n_sub)
     s = idaft(x, cfg)
-    target = scenario.draw_target(rng, float(np.linalg.norm(x) ** 2))
-    echo = sensing_echo(s, cfg, target, rng)
+    target = scenario._target(*uniforms, np.linalg.norm(x, axis=-1) ** 2)
+    echo = sensing_echo(s, cfg, target)
+    if noisy:
+        echo = echo + math.sqrt(scenario.noise_power / 2.0) * (noise[0] + 1j * noise[1])
     rd_map = rdf(echo, s, grid, cfg)
-    stat = _statistic(rd_map.values, noise_floor(rd_map, scenario.detection))
-    i, j = np.unravel_index(np.argmax(stat), stat.shape)
+    stat = _statistic(rd_map.values, noise_floor(rd_map, scenario.detection)).reshape(size, -1)
     near_mask = (
-        np.abs(rd_map.tau_axis[:, None] - target.delay_samples) <= 1.0
-    ) & (np.abs(rd_map.nu_axis[None, :] - target.doppler_norm) <= 1.0)
-    outside = stat[~near_mask]
-    max_outside = float(outside.max()) if outside.size else 0.0
-    return float(stat[i, j]), bool(near_mask[i, j]), max_outside
+        np.abs(rd_map.tau_axis[:, None] - target.delay_samples[:, None, None]) <= 1.0
+    ) & (np.abs(rd_map.nu_axis - target.doppler_norm[:, None, None]) <= 1.0)
+    near_mask = near_mask.reshape(size, -1)
+    best = (np.arange(size), np.argmax(stat, axis=1))
+    return stat[best], near_mask[best], np.where(near_mask, 0.0, stat).max(axis=1)
 
 
 def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.ndarray:
@@ -271,18 +312,24 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
 
     A trial detects when the strongest cell exceeds gamma and lies within one
     cell of the true target in both delay and Doppler; a false alarm fires
-    when any cell outside that neighborhood exceeds gamma.
+    when any cell outside that neighborhood exceeds gamma.  Trials run in
+    blocks on a leading batch axis, as many per block as keep the complex
+    (trials, delays, Nc) reference stack within ``_BLOCK_BYTES`` (at least
+    one).  Each trial draws from ``rng`` in the order of a lone trial (data
+    bits, then the target's delay, Doppler and phase uniforms, then the real
+    and the imaginary noise), so the curve does not depend on the block size.
     """
     if n_trials < 100:
         raise ParameterError("n_trials must be >= 100 for a usable curve")
     gamma_grid = np.asarray(gamma_grid, dtype=np.float64)
-    peak = np.empty(n_trials)
-    near = np.empty(n_trials, dtype=bool)
-    out_max = np.empty(n_trials)
     x_p = pilot_vector(scenario.pilot, scenario.cfg)
     grid = sensing_grid(scenario.tau_m, scenario.nu_m)
-    for t in range(n_trials):
-        peak[t], near[t], out_max[t] = _detection_trial(scenario, x_p, grid, rng)
+    block = max(1, _BLOCK_BYTES // (16 * grid[0].size * scenario.cfg.n_sub))
+    blocks = [
+        _detection_block(scenario, x_p, grid, min(block, n_trials - start), rng)
+        for start in range(0, n_trials, block)
+    ]
+    peak, near, out_max = (np.concatenate(part) for part in zip(*blocks))
     gammas = gamma_grid[:, None]
     pfa = np.mean(out_max > gammas, axis=1)
     pd = np.mean((peak > gammas) & near, axis=1)

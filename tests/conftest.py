@@ -1,5 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run (derandomize also turns
+# the example database off), so a tier-1 result depends on the code alone.
+# HYPOTHESIS_PROFILE=explore draws fresh random examples on each run instead.
+settings.register_profile("deterministic", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "deterministic"))
 
 
 @pytest.fixture

@@ -459,6 +459,26 @@ class TestCrb:
             assert np.isfinite(bounds.crb_tau) and bounds.crb_tau > 0
 
 
+    def test_offset_ramp_kernel_is_regular_at_large_n(self):
+        # a delta on subcarrier 1 with K = 1 and tau_bar = 1/2 has frac(n, 1) = (n + 1/2)/Nc,
+        # affine in n but no multiple of n/Nc: D = (Nc^2 - 1)/(48 Nc^2) > 0 while a*c
+        # grows as Nc^2/9, so a threshold on D/(a*c) would call it singular at large
+        # Nc.  On subcarrier 0 with tau_bar = 0 the kernel is the ramp itself.
+        n = 2**20
+        cfg = AfdmConfig(n_sub=n, c1=1 / (2 * n))
+        powers = np.zeros(n)
+        powers[1] = 1.0
+        bounds = crb(PowerAllocation(powers), SensingTarget(1.0, 0.5, 0.0, 1.0), cfg)
+        det = Fraction(n * n - 1, 48 * n * n)
+        a = Fraction(sum((2 * k + 1) ** 2 for k in range(n)), 4 * n * n)
+        c = Fraction((n - 1) * (2 * n - 1), 6 * n)
+        front = n / (8 * math.pi**2)
+        # a*c - b^2 cancels about 2e11-fold in floats at this size
+        assert bounds.crb_tau == pytest.approx(front * float(c / det), rel=1e-3)
+        assert bounds.crb_nu == pytest.approx(front * float(a / det), rel=1e-3)
+        with pytest.raises(NumericalError):
+            crb(PowerAllocation(np.roll(powers, -1)), SensingTarget(1.0, 0.0, 0.0, 1.0), cfg)
+
 class TestNumericHessianOracle:
     def test_fim_matches_fd_hessian(self, rng):
         # noise-averaged negative log-likelihood curvature, averaged over

@@ -354,6 +354,50 @@ class TestSensingEcho:
             sensing_echo(s, CFG16, SensingTarget(1.0, 5.0, 0.0, 0.0))
 
 
+class TestBatchedSensingEcho:
+    def make_stack(self, rng):
+        x = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+        return idaft(x, CFG16)
+
+    def test_rows_match_single_calls(self, rng):
+        s = self.make_stack(rng)
+        delays = np.array([0.0, 1.25, 3.0, 3.9])
+        dopplers = np.array([0.5, -1.0, 0.0, 2.3])
+        gains = np.array([1.0, 0.5j, -2.0, 0.3 + 0.4j])
+        batch = sensing_echo(s, CFG16, SensingTarget(gains, delays, dopplers, 0.0))
+        assert batch.shape == (4, 16)
+        for i in range(4):
+            single = sensing_echo(s[i], CFG16, SensingTarget(gains[i], delays[i], dopplers[i], 0.0))
+            assert np.max(np.abs(batch[i] - single)) <= 1e-12 * np.max(np.abs(single))
+        # scalar parameters broadcast over the stack
+        shared = sensing_echo(s, CFG16, SensingTarget(0.5j, delays, 1.0, 0.0))
+        single = sensing_echo(s[1], CFG16, SensingTarget(0.5j, delays[1], 1.0, 0.0))
+        assert np.max(np.abs(shared[1] - single)) <= 1e-12 * np.max(np.abs(single))
+
+    def test_stack_noise_is_drawn_real_parts_first(self, rng):
+        s = self.make_stack(rng)
+        target = SensingTarget(np.ones(4), np.full(4, 1.5), np.zeros(4), 0.5)
+        seed = int(rng.integers(2**32))
+        noisy = sensing_echo(s, CFG16, target, np.random.default_rng(seed))
+        draws = np.random.default_rng(seed)
+        noise = math.sqrt(0.25) * (draws.standard_normal((4, 16)) + 1j * draws.standard_normal((4, 16)))
+        assert np.array_equal(noisy, sensing_echo(s, CFG16, target) + noise)
+
+    @pytest.mark.parametrize("delays", [[0.0, 1.0, 4.5, 2.0], [0.0, -0.25, 1.0, 2.0]])
+    def test_delay_outside_budget_rejected(self, rng, delays):
+        s = self.make_stack(rng)
+        with pytest.raises(ParameterError, match="prefix budget"):
+            sensing_echo(s, CFG16, SensingTarget(1.0, np.array(delays), 0.0, 0.0))
+
+    @pytest.mark.parametrize("field", ["gain", "delay_samples", "doppler_norm"])
+    def test_parameters_must_broadcast_over_the_stack(self, rng, field):
+        s = self.make_stack(rng)
+        kwargs = {"gain": 1.0, "delay_samples": 1.0, "doppler_norm": 0.0, "noise_power": 0.0}
+        kwargs[field] = np.ones(3)
+        with pytest.raises(ParameterError, match="broadcast"):
+            sensing_echo(s, CFG16, SensingTarget(**kwargs))
+
+
 class TestUnitConversion:
     CFG = AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32, delta_f=1e5, f_c=28e9)
 

@@ -309,6 +309,29 @@ class TestWaveformSamples:
                   for n in range(n_sub)]
         assert np.array_equal(waveform_samples(s, cfg, float(tau)), expect)
 
+    @pytest.mark.parametrize("n_sub, two_c1_n", [(64, 8), (63, 1)])
+    def test_per_row_delays_match_single_calls(self, rng, n_sub, two_c1_n):
+        # a (rows, delays) array gives each signal its own delays; a column that
+        # mixes whole and fractional delays still gathers the whole ones
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=16, c1=two_c1_n / (2 * n_sub))
+        s = idaft(rng.standard_normal((4, n_sub)) + 1j * rng.standard_normal((4, n_sub)), cfg)
+        taus = np.array([[0.3, 2.0, 5.0], [2.0, 2.0, 1.5], [7.7, 2.0, 0.0], [16.0, 2.0, 3.25]])
+        batch = waveform_samples(s, cfg, taus)
+        assert batch.shape == (4, 3, n_sub)
+        for i, j in np.ndindex(taus.shape):
+            single = waveform_samples(s[i], cfg, taus[i, j])
+            assert np.max(np.abs(batch[i, j] - single)) <= 1e-12 * np.max(np.abs(single))
+        # a (rows, 1) column broadcasts one delay row over a (2, rows, Nc) stack
+        stack = np.stack([s, 2.0 * s])
+        assert np.array_equal(waveform_samples(stack, cfg, taus[:, :1])[1], 2.0 * batch[:, :1])
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 4, 1), (4, 2, 1)])
+    def test_delay_rows_must_broadcast_to_the_stack(self, rng, shape):
+        cfg = AfdmConfig(n_sub=16, c1=1 / 8)
+        s = idaft(rng.standard_normal((4, 16)) + 0j, cfg)
+        with pytest.raises(ParameterError):
+            waveform_samples(s, cfg, np.full(shape, 0.5))
+
     @pytest.mark.parametrize("tau", [np.nan, np.inf, [[0.5]]])
     def test_rejects_bad_delay(self, rng, tau):
         cfg = AfdmConfig(n_sub=16, c1=1 / 8)

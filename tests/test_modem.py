@@ -6,9 +6,7 @@ import pytest
 from afdm_isac.errors import ParameterError
 from afdm_isac.modem import (
     Constellation,
-    Frame,
     FrameSpec,
-    assemble_frame,
     demap_symbols,
     map_bits,
     random_data_vector,
@@ -79,19 +77,6 @@ class TestMapping:
 
 
 class TestFrame:
-    def test_data_only(self, rng):
-        spec = spec_for(Constellation.QPSK)
-        _, x_d = random_data_vector(8, spec, rng)
-        f = assemble_frame(np.zeros(8), x_d, spec)
-        assert np.array_equal(f.x, x_d)
-
-    def test_pilot_only(self):
-        spec = spec_for(Constellation.QPSK, sigma_d2=0.0, sigma_p2=4.0)
-        x_p = np.zeros(8, dtype=complex)
-        x_p[0] = 2.0
-        f = assemble_frame(x_p, np.zeros(8), spec)
-        assert np.array_equal(f.x, x_p)
-
     def test_total_power_bookkeeping(self):
         # sigma_p^2 = 100 (20 dB) with Nc = 128
         spec = FrameSpec(pilot_power=100.0, data_symbol_power=0.5)
@@ -115,8 +100,3 @@ class TestFrame:
             FrameSpec(bad, 1.0, Constellation.QPSK)
         with pytest.raises(ParameterError):
             FrameSpec(1.0, bad, Constellation.QPSK)
-
-    def test_length_mismatch(self):
-        spec = spec_for(Constellation.QPSK)
-        with pytest.raises(ParameterError):
-            assemble_frame(np.zeros(8), np.zeros(9), spec)

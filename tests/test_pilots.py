@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from afdm_isac import AfdmConfig, idaft
 from afdm_isac.analysis import ambiguity_function, ambiguity_region
-from afdm_isac.errors import ParameterError
+from afdm_isac.errors import ConfigurationError, ParameterError
 from afdm_isac.pilots import (
     PilotScheme,
     ZcParams,
@@ -237,30 +237,32 @@ class TestSinglePilot:
 
 class TestDelayBudget:
     def test_formula(self):
-        assert max_unambiguous_delay(21, 2, 1 / 32, 128) == 2
+        assert max_unambiguous_delay(21, 2, AfdmConfig(n_sub=128, c1=1 / 32)) == 2
 
     def test_no_margin(self):
-        assert max_unambiguous_delay(5, 2, 1 / 32, 128) == 0
+        assert max_unambiguous_delay(5, 2, AfdmConfig(n_sub=128, c1=1 / 32)) == 0
 
     def test_floor_is_exact(self):
         # 2*c1*Nc = 2 * 0.14 * 25 rounds to 7.000000000000001 in floats
-        assert max_unambiguous_delay(8, 0, 7 / 50, 25) == 1
+        assert max_unambiguous_delay(8, 0, AfdmConfig(n_sub=25, c1=7 / 50)) == 1
         for n_sub in range(1, 300):
             for k in range(1, 12):
+                cfg = AfdmConfig(n_sub=n_sub, c1=k / (2 * n_sub))
                 for spacing in range(1, 60):
-                    got = max_unambiguous_delay(spacing, 0, k / (2 * n_sub), n_sub)
+                    got = max_unambiguous_delay(spacing, 0, cfg)
                     assert got == (spacing - 1) // k, (spacing, k, n_sub)
 
     @pytest.mark.parametrize("c1", [0.013, math.nan, math.inf])
     def test_fractional_chirp_rate_rejected(self, c1):
-        with pytest.raises(ParameterError, match="2\\*c1"):
-            max_unambiguous_delay(8, 0, c1, 25)
+        # the budget reads K from a config, and no config holds a fractional 2*c1*Nc
+        with pytest.raises(ConfigurationError, match="c1"):
+            max_unambiguous_delay(8, 0, AfdmConfig(n_sub=25, c1=c1))
 
     def test_proposed_escapes_spacing_rule(self):
         # spacing-based budget says 0, yet the pilot is clean out to the
         # chirp-rate limit
         cfg = AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32)
-        assert max_unambiguous_delay(8, 2, 1 / 32, 128) == 0
+        assert max_unambiguous_delay(8, 2, cfg) == 0
         assert proposed_delay_limit(cfg) == 15
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -11,9 +12,10 @@ from afdm_isac import AfdmConfig, idaft, waveform_samples
 from afdm_isac.analysis import ambiguity_function, ambiguity_region, cross_ambiguity
 from afdm_isac.channel import SensingTarget, sensing_echo
 from afdm_isac.errors import ParameterError
-from afdm_isac.modem import Constellation, FrameSpec
-from afdm_isac.pilots import PilotScheme, proposed_pilot
+from afdm_isac.modem import Constellation, FrameSpec, random_data_vector
+from afdm_isac.pilots import PilotScheme, pilot_vector, proposed_pilot
 from afdm_isac.sensing import (
+    _statistic,
     DetectionConfig,
     RangeDopplerMap,
     SensingScenario,
@@ -78,8 +80,6 @@ class TestRdf:
         n_trials = 10_000
         acc = []
         x_p = proposed_pilot(CFG, 16.0, r=0)
-        from afdm_isac.modem import random_data_vector
-
         for _ in range(n_trials):
             _, x_d = random_data_vector(64, spec, rng)
             s = idaft(x_p + x_d, CFG)
@@ -210,6 +210,52 @@ class TestOneCorrelation:
             assert np.array_equal(waves[i, whole_delay], one[whole_delay])
             assert np.max(np.abs(waves[i] - one)) <= 1e-12 * np.abs(s[i]).max()
             assert np.array_equal(chi[i], cross_ambiguity(r[i], s[i], lags, bins, cfg))
+
+
+class TestBatchedMaps:
+    """Stacks of echoes and symbols give stacks of maps, row for row the single calls."""
+
+    def make_stack(self, rng, rows=3):
+        s = idaft(random_unit_symbols(rng, rows * 64).reshape(rows, 64), CFG)
+        delays = rng.uniform(0.0, 7.0, rows)
+        dopplers = rng.uniform(-2.0, 2.0, rows)
+        gains = np.exp(2j * np.pi * rng.uniform(size=rows))
+        echo = sensing_echo(s, CFG, SensingTarget(gains, delays, dopplers, 1.0), rng)
+        return echo, s
+
+    @pytest.mark.parametrize("os_tau", [1, 2])
+    def test_rows_match_single_calls(self, rng, os_tau):
+        echo, s = self.make_stack(rng)
+        grid = sensing_grid(7, 2, os_tau=os_tau)
+        det = DetectionConfig()
+        rd = rdf(echo, s, grid, CFG)
+        floor = noise_floor(rd, det)
+        assert rd.values.shape == floor.shape == (3, grid[0].size, grid[1].size)
+        for i in range(3):
+            one = rdf(echo[i], s[i], grid, CFG)
+            assert np.max(np.abs(rd.values[i] - one.values)) <= 1e-12 * np.max(np.abs(one.values))
+            one_floor = noise_floor(one, det)
+            assert np.max(np.abs(floor[i] - one_floor)) <= 1e-12 * np.max(one_floor)
+
+    @pytest.mark.parametrize("echo_shape, symbol_shape", [
+        ((3, 64), (2, 64)), ((64,), (2, 64)), ((2, 64), (64,)), ((2, 1, 64), (2, 64)),
+    ])
+    def test_mismatched_stacks_rejected(self, rng, echo_shape, symbol_shape):
+        echo = np.ones(echo_shape, dtype=complex)
+        s = np.ones(symbol_shape, dtype=complex)
+        with pytest.raises(ParameterError, match="share a shape"):
+            rdf(echo, s, sensing_grid(3, 2), CFG)
+
+    @pytest.mark.parametrize("ask", [
+        lambda rd: rd.at(0.0, 0.0),
+        lambda rd: rd.max_off_origin(),
+        estimate_target,
+        lambda rd: detect(rd, noise_floor(rd, DetectionConfig()), 1.0),
+    ])
+    def test_single_map_questions_refuse_a_stack(self, rng, ask):
+        echo, s = self.make_stack(rng)
+        with pytest.raises(ParameterError, match="single map"):
+            ask(rdf(echo, s, sensing_grid(7, 2), CFG))
 
 
 class TestSensingGrid:
@@ -426,6 +472,38 @@ class TestEstimateTarget:
             estimate_target(rd)
 
 
+def per_trial_roc(scenario, gamma_grid, n_trials, rng):
+    """``roc_curve`` one trial at a time, with the target drawn and scaled inline.
+
+    The reference for the blocked form: same draws, same statistics.
+    """
+    cfg = scenario.cfg
+    x_p = pilot_vector(scenario.pilot, cfg)
+    grid = sensing_grid(scenario.tau_m, scenario.nu_m)
+    snr = 10.0 ** (scenario.receive_snr_db / 10.0)
+    rows = []
+    for _ in range(n_trials):
+        _, x_d = random_data_vector(cfg.n_sub, scenario.frame_spec, rng)
+        x = x_p + x_d
+        s = idaft(x, cfg)
+        beta_mag = math.sqrt(snr * cfg.n_sub * scenario.noise_power / np.linalg.norm(x) ** 2)
+        tau = rng.uniform(0.5, scenario.tau_m - 0.5)
+        nu = rng.uniform(-scenario.nu_m + 0.5, scenario.nu_m - 0.5)
+        gain = beta_mag * np.exp(2j * np.pi * rng.uniform())
+        echo = sensing_echo(s, cfg, SensingTarget(gain, tau, nu, scenario.noise_power), rng)
+        rd_map = rdf(echo, s, grid, cfg)
+        stat = _statistic(rd_map.values, noise_floor(rd_map, scenario.detection))
+        i, j = np.unravel_index(np.argmax(stat), stat.shape)
+        near = (np.abs(grid[0][:, None] - tau) <= 1.0) & (np.abs(grid[1][None, :] - nu) <= 1.0)
+        outside = stat[~near]
+        rows.append((stat[i, j], near[i, j], outside.max() if outside.size else 0.0))
+    peak, hit, out_max = (np.array(column) for column in zip(*rows))
+    gammas = np.asarray(gamma_grid, dtype=np.float64)[:, None]
+    pfa = np.mean(out_max > gammas, axis=1)
+    pd = np.mean((peak > gammas) & hit, axis=1)
+    return np.column_stack([gammas[:, 0], pfa, pd])
+
+
 class TestRoc:
     def make_scenario(self, snr_db):
         return SensingScenario(
@@ -448,6 +526,37 @@ class TestRoc:
         curve = roc_curve(self.make_scenario(0.0), gammas, 200, rng)
         assert np.all(np.diff(curve[:, 1]) <= 1e-12)
         assert np.all(np.diff(curve[:, 2]) <= 1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n_sub, pilot", [(64, "proposed"), (63, "single")])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_blocks_match_per_trial_oracle(self, monkeypatch, seed, n_sub, pilot, budget):
+        # K*Nc is 8*64 (even) and 1*63 (odd).  The default budget makes blocks of
+        # 64 and 65 trials, so 150 trials end on a partial block; budget 1 makes
+        # blocks of one trial.  Curves and the generator's final state agree.
+        if budget is not None:
+            monkeypatch.setattr("afdm_isac.sensing._BLOCK_BYTES", budget)
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=16, c1=(8 if n_sub == 64 else 1) / (2 * n_sub))
+        scenario = SensingScenario(
+            cfg=cfg,
+            frame_spec=FrameSpec(float(n_sub), 1.0, Constellation.QPSK),
+            pilot=PilotScheme(pilot, float(n_sub)),
+            tau_m=15,
+            nu_m=2,
+            receive_snr_db=-5.0,
+        )
+        gammas = np.logspace(0.0, 3.0, 25)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        curve = roc_curve(scenario, gammas, 150, rng)
+        assert np.array_equal(curve, per_trial_roc(scenario, gammas, 150, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_noiseless_scenario_draws_no_noise(self):
+        scenario = dataclasses.replace(self.make_scenario(0.0), noise_power=0.0)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        curve = roc_curve(scenario, [0.5, 2.0], 100, rng)
+        assert np.array_equal(curve, per_trial_roc(scenario, [0.5, 2.0], 100, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_trial_floor(self, rng):
         with pytest.raises(ParameterError):
