@@ -42,23 +42,27 @@ a ``sensing.RangeDopplerMap``.  At integer delays that correlation reads
 the chirp-periodic prefix rule of ``daft``,
 s[n - tau] = s[<n - tau>_Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)): cyclic when
 K = 2*c1*Nc makes K*Nc even, Nc-antiperiodic when it is odd.  It is the
-channel's shift, so Theorem 4 holds at either parity.  Leading axes batch:
-the Monte Carlo moments synthesize a stack of frames with one ``idaft`` and
-correlate it in one call.
-``interference_coefficient`` provides the closed-form DAFT-domain route (a
-single cyclic ridge at subcarrier offset 2*c1*tau*Nc - nu), and the tests
-cross-check the two.
+channel's shift, so Theorem 4 holds at either parity.  Leading axes batch.
+The Monte Carlo moments never leave the DAFT domain: the transform is
+unitary and an integer (tau, nu) is one channel path, so each point is
+x^H H x with H a one-path ``channel.PathChannel`` applied to the whole frame
+stack, one gather and one row dot per point, and the origin is the frame
+energy.  ``interference_coefficient`` provides the closed-form DAFT-domain
+route (a single cyclic ridge at subcarrier offset 2*c1*tau*Nc - nu), and the
+tests cross-check the two.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .channel import (
+    PathChannel,
     SensingTarget,
     _integers,
     apply_basis,
@@ -67,7 +71,7 @@ from .channel import (
 )
 # build_daft_matrix is unused here; the benchmark's tracer test requires this binding
 from .daft import AfdmConfig, build_daft_matrix, idaft  # noqa: F401
-from .errors import NumericalError, ParameterError
+from .errors import ConfigurationError, NumericalError, ParameterError
 from .modem import Constellation, FrameSpec
 from .sensing import RangeDopplerMap, _correlate
 
@@ -196,6 +200,17 @@ def af_statistics_closed_form(
     return mean, variance
 
 
+def _delay_doppler_pairs(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Integer delays and Dopplers of a non-empty list of (delay, Doppler) pairs."""
+    try:
+        arr = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or non-numeric pairs
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
+        raise ParameterError(f"{what} must be a non-empty list of (delay, Doppler), got {pairs!r}")
+    return _integers(arr[:, 0], "pair delays"), _integers(arr[:, 1], "pair Dopplers")
+
+
 def ambiguity_moments_mc(
     x_pilot, spec: FrameSpec, cfg: AfdmConfig, points: Sequence[tuple[int, int]], n_frames: int, rng
 ) -> dict:
@@ -203,18 +218,44 @@ def ambiguity_moments_mc(
 
     Returns arrays aligned with ``points`` plus standard errors of both
     estimates (the variance SE uses the empirical fourth central moment).
+    Each point is read in the DAFT domain, with no synthesis and no delayed
+    frame stack.  The DAFT is unitary and s[n - tau] * exp(j*2*pi*nu*n/Nc)
+    is the channel path s[n - tau] * exp(j*2*pi*nu*<n - tau>_Nc/Nc) times
+    exp(j*2*pi*nu*tau/Nc), so with t = <tau>_Nc and w = floor(tau/Nc)
+
+        A(tau, nu) = sum_n conj(s[n]) s[n - tau] exp(j*2*pi*nu*n/Nc) = x^H H x,
+
+    H the ``PathChannel`` of the one path (t, nu) with gain
+    (-1)^(K*Nc*w) * exp(j*2*pi*nu*t/Nc): the chirp-periodic extension flips
+    sign once per whole symbol of delay when K*Nc is odd (K = 2*c1*Nc).  A
+    point costs one gather of the frame stack and one row dot.  At the origin
+    H is the identity and the value is the frame energy, read as such.
+
+    ``x_pilot`` must have shape (Nc,), ``points`` be a non-empty list of
+    integer (delay, Doppler) pairs and ``n_frames`` an integer >= 1; all
+    three are checked before any draw.
     """
-    x_pilot = np.asarray(x_pilot, dtype=np.complex128)
     n = cfg.n_sub
-    symbols = spec.constellation.points
-    sd = spec.sigma_d
-    k = symbols.shape[0]
-    data = symbols[rng.integers(0, k, size=(n_frames, n))] * sd
-    frames = data + x_pilot[None, :]
-    s_all = idaft(frames, cfg)  # rows are time-domain signals
-    values = np.empty((len(points), n_frames), dtype=np.complex128)
-    for j, (tau, nu) in enumerate(points):
-        values[j] = cross_ambiguity(s_all, s_all, [tau], [nu], cfg)[:, 0, 0]
+    x_pilot = np.asarray(x_pilot, dtype=np.complex128)
+    if x_pilot.shape != (n,):
+        raise ConfigurationError(f"pilot must have shape ({n},), got {x_pilot.shape}")
+    if isinstance(n_frames, bool) or not isinstance(n_frames, numbers.Integral) or n_frames < 1:
+        raise ParameterError(f"n_frames must be an integer >= 1, got {n_frames!r}")
+    taus, nus = _delay_doppler_pairs(points, "ambiguity points")
+    # scaling the constellation before the gather gives the same products at
+    # one multiply per point instead of one per frame sample
+    symbols = spec.constellation.points * spec.sigma_d
+    frames = symbols[rng.integers(0, symbols.shape[0], size=(n_frames, n))]
+    frames += x_pilot
+    values = np.empty((len(taus), n_frames), dtype=np.complex128)
+    for j, (tau, nu) in enumerate(zip(taus.tolist(), nus.tolist())):
+        shifted = frames  # H is the identity at the origin
+        if tau or nu:
+            whole, t = divmod(tau, n)
+            sign = -1.0 if cfg.two_c1_n * n * whole % 2 else 1.0
+            gain = sign * np.exp(2j * np.pi * (nu * t % n) / n)
+            shifted = PathChannel(cfg, [t], [nu], [gain]) @ frames
+        values[j] = np.vecdot(frames, shifted)
     mean = values.mean(axis=1)
     centered = values - mean[:, None]
     var = np.mean(np.abs(centered) ** 2, axis=1)
@@ -349,13 +390,7 @@ def verify_theorem_4(
     report.
     """
     x_pilot = np.asarray(x_pilot, dtype=np.complex128)
-    try:
-        arr = np.asarray(pairs, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged or non-numeric pairs
-        arr = np.empty(0)
-    if arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
-        raise ParameterError(f"pairs must be a non-empty list of (delay, Doppler), got {pairs!r}")
-    taus, nus = _integers(arr[:, 0], "pair delays"), _integers(arr[:, 1], "pair Dopplers")
+    taus, nus = _delay_doppler_pairs(pairs, "pairs")
     pilot_power = float(np.linalg.norm(x_pilot) ** 2)
     rows = apply_basis(x_pilot, cfg, taus, nus)  # row i is column i of the Nc x L matrix
     gram = rows.conj() @ rows.T

@@ -33,7 +33,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .daft import AfdmConfig, _broadcasts_to, _chirp_periodic, daft, idaft, waveform_samples
+from .daft import (
+    AfdmConfig,
+    _as_stack,
+    _broadcasts_to,
+    _chirp_periodic,
+    daft,
+    idaft,
+    waveform_samples,
+)
 from .errors import ConfigurationError, ParameterError
 
 __all__ = [
@@ -103,13 +111,24 @@ class SensingTarget:
     ``delay_samples`` may be fractional; ``delay_doppler_to_range_velocity``
     converts delay and Doppler to range and velocity.  Gain, delay and
     Doppler may also be arrays, one target per row of a symbol stack
-    (``sensing_echo``).
+    (``sensing_echo``); the noise power is one scalar.  Every value must be
+    finite and the noise power non-negative; the bounds of ``analysis``
+    require more of it.
     """
 
     gain: complex
     delay_samples: float
     doppler_norm: float
     noise_power: float
+
+    def __post_init__(self):
+        for name in ("gain", "delay_samples", "doppler_norm"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ParameterError(f"target {name} must be finite, got {getattr(self, name)!r}")
+        if not 0 <= self.noise_power < math.inf:
+            raise ParameterError(
+                f"target noise power must be finite and non-negative, got {self.noise_power!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -194,7 +213,10 @@ class PathChannel:
     from the config's tables times the DFT factor at ((q + nu)*tau mod Nc)/Nc,
     the product reduced in integers.  In the time domain the channel is
     H_t = sum_tau diag(c_tau) Pi^tau, a cyclic band of width max(tau), and
-    the DAFT-domain matrix is A H_t A^H.  ``h @ x`` costs O(P*Nc),
+    the DAFT-domain matrix is A H_t A^H.  ``h @ x`` costs O(P*Nc) per
+    vector and takes one vector (Nc,) or a stack (..., Nc), applying the
+    channel to each row along the last axis: one gather of the stack and one
+    in-place product per path, each row bit for bit its own call.
     ``np.asarray(h)`` gives the dense DAFT-domain matrix and
     ``regularized_solve`` the banded time-domain normal-equation solve.
     The DAFT-domain taps are built once, on first use, and every array is
@@ -239,9 +261,19 @@ class PathChannel:
         return x
 
     def __matmul__(self, x) -> np.ndarray:
-        x = self._vector(x)
+        x = _as_stack(x, self.cfg.n_sub, "DAFT-domain vector")
         q, taps = self._daft_taps
-        return np.sum(taps * x[q], axis=0)
+        if not len(q):
+            return np.zeros(x.shape, dtype=np.complex128)
+        # one gather and one in-place product per path, taps first: numpy's SIMD
+        # complex product rounds a*b and b*a differently
+        out = x.take(q[0], axis=-1)
+        np.multiply(taps[0], out, out)
+        for row_q, row_taps in zip(q[1:], taps[1:]):
+            term = x.take(row_q, axis=-1)
+            np.multiply(row_taps, term, term)
+            out += term
+        return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         n = self.cfg.n_sub

@@ -6,14 +6,17 @@ independently of the structured ``PathChannel`` it checks.  The fractional-delay
 waveform is the explicit frequency-wrapped subcarrier sum, independently of
 the FFT closed form of ``waveform_samples``.  The Fisher ``frac`` kernel is the
 explicit Nc x Nc array whose row sums ``analysis._fim_sums`` computes from one
-table of Nc values.
+table of Nc values.  The ambiguity moments are read in the time domain, by
+synthesizing every frame and correlating it with its delayed copy, which
+``analysis.ambiguity_moments_mc`` answers in the DAFT domain instead.
 """
 
 import math
 
 import numpy as np
 
-from afdm_isac import AfdmConfig, build_daft_matrix
+from afdm_isac import AfdmConfig, build_daft_matrix, idaft
+from afdm_isac.analysis import cross_ambiguity
 from afdm_isac.channel import ChannelPath, ChannelRealization
 from afdm_isac.errors import ParameterError
 from afdm_isac.estimator import (
@@ -69,6 +72,30 @@ def frac_kernel(cfg: AfdmConfig, tau_bar: float) -> np.ndarray:
     j = (k * np.arange(nc) - whole % nc)[None, :] + np.arange(nc)[:, None]
     j %= nc
     return (np.where((j == 0) & (f > 0), nc, j) - f) / nc
+
+
+def ambiguity_moments_time_domain(x_pilot, spec, cfg: AfdmConfig, points, n_frames, rng) -> dict:
+    """``ambiguity_moments_mc`` on the time-domain route, with the same draws.
+
+    Synthesizes the frame stack with ``idaft`` and evaluates each point with
+    ``cross_ambiguity``, which delays the whole stack.
+    """
+    symbols = spec.constellation.points
+    data = symbols[rng.integers(0, symbols.shape[0], size=(n_frames, cfg.n_sub))] * spec.sigma_d
+    s_all = idaft(data + np.asarray(x_pilot, dtype=np.complex128), cfg)
+    values = np.array(
+        [cross_ambiguity(s_all, s_all, [tau], [nu], cfg)[:, 0, 0] for tau, nu in points]
+    )
+    mean = values.mean(axis=1)
+    centered = values - mean[:, None]
+    var = np.mean(np.abs(centered) ** 2, axis=1)
+    m4 = np.mean(np.abs(centered) ** 4, axis=1)
+    return {
+        "mean": mean,
+        "variance": var,
+        "se_mean": np.sqrt(var / n_frames),
+        "se_variance": np.sqrt(np.maximum(m4 - var**2, 0.0) / n_frames),
+    }
 
 
 def basis_matrix(cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:

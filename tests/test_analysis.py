@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dense_oracle
-from afdm_isac import AfdmConfig, idaft
+from afdm_isac import AfdmConfig, analysis, idaft
 from afdm_isac.analysis import (
     PowerAllocation,
     _fim_sums,
@@ -31,7 +31,7 @@ from afdm_isac.analysis import (
     verify_theorem_4,
 )
 from afdm_isac.channel import SensingTarget, basis_grid, subcarrier_offset
-from afdm_isac.errors import NumericalError, ParameterError
+from afdm_isac.errors import ConfigurationError, NumericalError, ParameterError
 from afdm_isac.modem import Constellation, FrameSpec
 from afdm_isac.pilots import proposed_pilot, select_c1_q, traditional_spi_pilot
 
@@ -241,6 +241,77 @@ class TestAfStatistics:
         x_p = proposed_pilot(self.CFG, pilot_power=16.0, r=0)
         with pytest.raises(ParameterError):
             ambiguity_moments_mc(x_p, spec, self.CFG, [(0, 0), point], n_frames=10, rng=rng)
+
+
+class TestAmbiguityMomentsInTheDaftDomain:
+    CFG = AfdmConfig(n_sub=16, c1=5 / 32)
+    SPEC = FrameSpec(16.0, 1.0, Constellation.QPSK)
+    PILOT = np.full(16, 1.0 + 0.0j)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_sub=st.sampled_from([2**k for k in range(1, 11)] + [15, 63]),
+        k_frac=st.floats(0.0, 1.0),
+        qam16=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        points=st.lists(
+            st.tuples(st.floats(-2.5, 2.5), st.floats(-1.0, 1.0)), min_size=1, max_size=5
+        ),
+    )
+    @example(n_sub=64, k_frac=0.0, qam16=False, seed=1, points=[(0.0, 0.0), (-0.05, 0.1)])
+    @example(n_sub=63, k_frac=5 / 63, qam16=True, seed=2, points=[(1.02, -0.1), (-1.5, 0.2)])
+    def test_matches_the_time_domain_oracle(self, n_sub, k_frac, qam16, seed, points):
+        # odd Nc with odd K = 2*c1*Nc makes the extension antiperiodic; points are
+        # drawn as fractions of Nc, so delays reach past one symbol either way
+        cfg = AfdmConfig(n_sub=n_sub, c1=round(k_frac * n_sub) / (2 * n_sub))
+        pts = [(round(t * n_sub), round(v * n_sub)) for t, v in points]
+        spec = FrameSpec(4.0, 0.5, Constellation.QAM16 if qam16 else Constellation.QPSK)
+        draws = np.random.default_rng(seed)
+        x_p = draws.standard_normal(n_sub) + 1j * draws.standard_normal(n_sub)
+        mc = ambiguity_moments_mc(x_p, spec, cfg, pts, 6, np.random.default_rng(seed))
+        oracle = dense_oracle.ambiguity_moments_time_domain(
+            x_p, spec, cfg, pts, 6, np.random.default_rng(seed)
+        )
+        # |A(tau, nu)| is at most the frame energy (Cauchy-Schwarz; |16-QAM|^2 <= 1.8)
+        scale = np.linalg.norm(x_p) ** 2 + 2.0 * n_sub * spec.data_symbol_power
+        for key, power in (("mean", 1), ("se_mean", 1), ("variance", 2), ("se_variance", 2)):
+            np.testing.assert_allclose(
+                mc[key], oracle[key], rtol=1e-10, atol=1e-10 * scale**power, err_msg=key
+            )
+
+    @pytest.mark.parametrize("n_frames", [0, -1, 2.5, True, "4"])
+    def test_bad_frame_count_rejected_before_any_draw(self, rng, n_frames):
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="n_frames"):
+            ambiguity_moments_mc(self.PILOT, self.SPEC, self.CFG, [(0, 0)], n_frames, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("points", [[], [(1, 2, 3)], [(0, 0), (1,)], [[0, 1], 2], "ab", (1, 2)])
+    def test_empty_or_malformed_points_rejected_before_any_draw(self, rng, points):
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError):
+            ambiguity_moments_mc(self.PILOT, self.SPEC, self.CFG, points, 4, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("shape", [(15,), (17,), (2, 16), ()])
+    def test_pilot_of_the_wrong_shape_rejected_before_any_draw(self, rng, shape):
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError):
+            ambiguity_moments_mc(np.ones(shape), self.SPEC, self.CFG, [(0, 0)], 4, rng)
+        assert rng.bit_generator.state == state
+
+    def test_monte_carlo_makes_no_transform_and_no_delayed_stack(self, monkeypatch, rng):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the ambiguity Monte Carlo must stay in the DAFT domain")
+
+        monkeypatch.setattr(analysis, "idaft", forbidden)
+        monkeypatch.setattr(analysis, "cross_ambiguity", forbidden)
+        cfg = AfdmConfig(n_sub=64, c1=1 / 16)
+        x_p = proposed_pilot(cfg, pilot_power=16.0, r=0)
+        mc = ambiguity_moments_mc(x_p, self.SPEC, cfg, [(0, 0), (3, -1), (-70, 2)], 50, rng)
+        assert np.all(np.isfinite(mc["variance"]))
+        report = verify_theorem_2(cfg, 16.0, 64.0, n_frames=200, rng=rng, x_pilot=x_p)
+        assert "mc_origin" in report.details
 
 
 class TestTheorem2And3:

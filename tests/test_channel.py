@@ -165,6 +165,29 @@ class TestPathChannel:
         delays[0] = 1
         assert np.array_equal(h @ x, expect)
 
+    @pytest.mark.parametrize("n_sub, two_c1_n", PATH_CONFIGS)
+    @pytest.mark.parametrize("keep", [1, 4, 9])
+    @pytest.mark.parametrize("lead", [(5,), (3, 2)])
+    def test_stack_rows_are_the_single_call(self, rng, n_sub, two_c1_n, keep, lead):
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        h = random_path_channel(rng, cfg, basis_grid(tau_m=2, nu_m=1), keep)
+        x = rng.standard_normal(lead + (n_sub,)) + 1j * rng.standard_normal(lead + (n_sub,))
+        out = h @ x
+        assert out.shape == x.shape
+        for i in np.ndindex(lead):
+            assert np.array_equal(out[i], h @ x[i])
+
+    @pytest.mark.parametrize("shape", [(16,), (4, 16), (2, 3, 16)])
+    def test_zero_path_channel_gives_zeros_of_the_stack_shape(self, shape):
+        h = PathChannel(CFG16, [], [], [])
+        out = h @ np.ones(shape)
+        assert out.shape == shape and out.dtype == np.complex128 and not np.any(out)
+
+    @pytest.mark.parametrize("shape", [(4, 15), (2, 3, 17), (16, 4), ()])
+    def test_stack_with_a_wrong_last_axis_rejected(self, shape):
+        with pytest.raises(ConfigurationError):
+            PathChannel(CFG16, [1], [0], [1.0]) @ np.ones(shape)
+
     def test_apply_matches_fft_route_at_large_n(self, rng):
         cfg = AfdmConfig(n_sub=4096, c1=1 / 1024)
         x = random_unit_symbols(rng, 4096)
@@ -352,6 +375,28 @@ class TestSensingEcho:
         s = idaft(x, CFG16)
         with pytest.raises(ParameterError):
             sensing_echo(s, CFG16, SensingTarget(1.0, 5.0, 0.0, 0.0))
+
+
+class TestSensingTargetContract:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_power", -1.0),
+            ("noise_power", math.nan),
+            ("noise_power", math.inf),
+            ("gain", complex(math.nan, 0.0)),
+            ("gain", np.array([1.0, math.inf])),
+            ("delay_samples", math.nan),
+            ("delay_samples", np.array([0.5, math.nan])),
+            ("doppler_norm", math.inf),
+            ("doppler_norm", np.array([-math.inf, 0.0])),
+        ],
+    )
+    def test_non_finite_or_negative_values_rejected(self, field, value):
+        kwargs = {"gain": 1.0, "delay_samples": 1.0, "doppler_norm": 0.0, "noise_power": 0.0}
+        kwargs[field] = value
+        with pytest.raises(ParameterError, match="target"):
+            SensingTarget(**kwargs)
 
 
 class TestBatchedSensingEcho:
