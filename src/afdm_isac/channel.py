@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .daft import (
     AfdmConfig,
@@ -210,25 +211,33 @@ class PathChannel:
 
     (the prefix sign cancels the wrap of the chirp, so this holds for either
     parity of K*Nc); it is conj(c1_chirp[tau]) * c2_chirp[p] * conj(c2_chirp[q])
-    from the config's tables times the DFT factor at ((q + nu)*tau mod Nc)/Nc,
-    the product reduced in integers.  In the time domain the channel is
-    H_t = sum_tau diag(c_tau) Pi^tau, a cyclic band of width max(tau), and
-    the DAFT-domain matrix is A H_t A^H.  ``h @ x`` costs O(P*Nc) per
-    vector and takes one vector (Nc,) or a stack (..., Nc), applying the
-    channel to each row along the last axis: one gather of the stack and one
-    in-place product per path, each row bit for bit its own call.
+    from the config's tables times its ``dft_twiddle`` entry at
+    (q + nu)*tau mod Nc, the product reduced in integers.  In the time
+    domain the channel is H_t = sum_tau diag(c_tau) Pi^tau, a cyclic band
+    of width max(tau), and the DAFT-domain matrix is A H_t A^H.  ``h @ x``
+    costs O(P*Nc) per vector and takes one vector (Nc,) or a stack
+    (..., Nc), applying the channel to each row along the last axis: one
+    gather of the stack and one in-place product per path, each row bit for
+    bit its own call.
     ``np.asarray(h)`` gives the dense DAFT-domain matrix and
     ``regularized_solve`` the banded time-domain normal-equation solve.
     The DAFT-domain taps are built once, on first use, and every array is
     frozen: ``delays``, ``dopplers`` and ``gains`` are read-only copies of
     the arguments, so a later write to the caller's arrays cannot change
-    the channel or make its taps stale.
+    the channel or make its taps stale.  The solve's lam-free parts, the
+    time taps and the cyclic diagonals of H_t^H H_t, are built once too,
+    (spread + 1)*Nc*16 bytes each with spread = max(tau) - min(tau), and
+    the channel keeps the banded Cholesky factor of the last lam,
+    (2*spread + 1)*Nc*16 bytes: about 140 KB at Nc = 512 with a spread of
+    8, and about 71 MB at Nc = 2^18.
     """
 
     cfg: AfdmConfig
     delays: np.ndarray
     dopplers: np.ndarray
     gains: np.ndarray
+    # (lam, banded Cholesky factor) of the last regularized_solve
+    _factor: tuple[float, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         delays = _integers(self.delays, "delays")
@@ -248,7 +257,7 @@ class PathChannel:
         n, cfg = self.cfg.n_sub, self.cfg
         tau, nu = self.delays[:, None], self.dopplers[:, None]
         q = (np.arange(n) + subcarrier_offset(tau, nu, cfg)) % n
-        phase = np.conj(cfg.c1_chirp[tau]) * np.exp(-2j * np.pi * ((q + nu) * tau % n) / n)
+        phase = np.conj(cfg.c1_chirp[tau]) * cfg.dft_twiddle[(q + nu) * tau % n]
         taps = self.gains[:, None] * phase * cfg.c2_chirp * np.conj(cfg.c2_chirp[q])
         q.flags.writeable = False
         taps.flags.writeable = False
@@ -282,51 +291,123 @@ class PathChannel:
         np.add.at(out, (np.broadcast_to(np.arange(n), q.shape), q), taps)
         return out if dtype is None else out.astype(dtype, copy=False)
 
-    def _time_taps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct delays and their diagonals c_tau, so that H_t = sum diag(c_tau) Pi^tau."""
+    @functools.cached_property
+    def _time_taps(self) -> tuple[int, np.ndarray]:
+        """Smallest delay tau_0 and the taps V, (spread + 1, Nc), read-only.
+
+        Row t belongs to the delay tau = tau_0 + t and holds its diagonal
+        c_tau read from the input side, V[t, a] = c_tau[<a + tau>_Nc], so
+        that H_t[<a + tau>, a] = V[t, a]; a delay no path has is a zero row.
+        A path adds gain * exp(j*2*pi*nu*a/Nc), the phase reduced in
+        integers, negated where a + tau wraps past Nc when K*Nc is odd: that
+        output reads the symbol through the chirp-periodic prefix.
+        """
+        n, cfg = self.cfg.n_sub, self.cfg
+        tau_0 = int(self.delays.min()) if self.delays.size else 0
+        tau_1 = int(self.delays.max()) if self.delays.size else 0
+        a = np.arange(n)
+        phase = self.dopplers[:, None] % n * a % n
+        per_path = self.gains[:, None] * np.conj(cfg.dft_twiddle[phase])
+        if cfg.two_c1_n * n % 2:
+            per_path[a + self.delays[:, None] >= n] *= -1
+        taps = np.zeros((tau_1 - tau_0 + 1, n), dtype=np.complex128)
+        for t, row in zip(self.delays - tau_0, per_path):
+            taps[t] += row
+        taps.flags.writeable = False
+        return tau_0, taps
+
+    @functools.cached_property
+    def _gram_diagonals(self) -> np.ndarray:
+        """Cyclic diagonals D[m, a] = (H_t^H H_t)[a, <a + m>_Nc], read-only.
+
+        m runs over [0, m_max] with m_max = min(spread, Nc // 2); the rest
+        follow by Hermitian symmetry.  The entry sums
+        conj(V[t1, a]) * V[t2, <a + m>] over the delay pairs with
+        t1 - t2 = m or m - Nc: once the spread reaches Nc/2 both lags land on
+        one cyclic diagonal and add.
+        """
         n = self.cfg.n_sub
-        taus, which = np.unique(self.delays, return_inverse=True)
-        per_path = _path_terms(
-            np.ones(n), self.cfg, self.delays, self.dopplers, self.gains, np.arange(n)
-        )
-        taps = np.zeros((taus.size, n), dtype=np.complex128)
-        np.add.at(taps, which, per_path)
-        return taus, taps
+        taps = self._time_taps[1]
+        spread, m_max = len(taps) - 1, min(len(taps) - 1, n // 2)
+        ahead = np.concatenate([taps, taps[:, :m_max]], axis=1)  # ahead[t, a + m] = V[t, <a + m>]
+        diags = np.empty((m_max + 1, n), dtype=np.complex128)
+        conj = np.conj(taps)
+        for m in range(m_max + 1):
+            diags[m] = (conj[m:] * ahead[: spread + 1 - m, m : m + n]).sum(axis=0)
+            if n - m <= spread:
+                diags[m] += (conj[: spread + 1 - n + m] * ahead[n - m :, m : m + n]).sum(axis=0)
+        diags.flags.writeable = False
+        return diags
+
+    def _band(self, lam: float) -> np.ndarray:
+        """Lower band of H_t^H H_t + lam*I with the unknowns ordered [0, Nc-1, 1, Nc-2, ...].
+
+        Position 2a holds the front unknown a < ceil(Nc/2) and position
+        2i+1 the back unknown Nc-1-i, so an even band row 2m pairs unknowns
+        m apart on one side (the diagonals read at stride 2), and an odd row
+        pairs a front unknown with a back one, which couple only across the
+        two wraps: in the first and last m_max columns of the row.
+        """
+        n = self.cfg.n_sub
+        diags = self._gram_diagonals
+        m_max, n_front, n_back = len(diags) - 1, (n + 1) // 2, n // 2
+        width = min(2 * m_max, n - 1)
+        band = np.zeros((width + 1, n), dtype=np.complex128)
+        for m in range(width // 2 + 1):
+            band[2 * m, 0 : 2 * (n_front - m) : 2] = np.conj(diags[m, : n_front - m])
+            band[2 * m, 1 : 2 * (n_back - m) : 2] = diags[m, n_front : n - m][::-1]
+        # Odd row k = 2m+1 pairs unknowns lag = j + 1 apart across a wrap, for
+        # m <= j < m_max: at column j - m the back one of the pair reads D (the
+        # wrap at 0), at column Nc - m - 2 - j the front one (the wrap at
+        # Nc/2); the value is conjugated when that unknown is the column.
+        m, j = np.nonzero(np.tri(m_max, dtype=bool).T)
+        k, lag = 2 * m + 1, j + 1
+        start, end = j - m, n - m - 2 - j
+        at_back = diags[lag, n - 1 - np.where(start % 2, start, start + k) // 2]
+        band[k, start] = np.where(start % 2, np.conj(at_back), at_back)
+        at_front = diags[lag, np.where(end % 2, end + k, end) // 2]
+        band[k, end] = np.where(end % 2, at_front, np.conj(at_front))
+        band[0] += lam
+        return band
 
     def regularized_solve(self, r, lam: float) -> np.ndarray:
         """Time-domain z = (H_t^H H_t + lam*I)^{-1} H_t^H r.
 
         H_t^H H_t + lam*I is Hermitian with cyclic half-bandwidth at most
-        max(tau) - min(tau).  Ordering the unknowns as [0, Nc-1, 1, Nc-2, ...]
-        turns the cyclic band into an ordinary one about twice as wide, which
-        one banded Cholesky solve handles at O(Nc*tau_m^2).  Raises
-        ``numpy.linalg.LinAlgError`` when the matrix is not positive definite.
+        the spread max(tau) - min(tau).  Ordering the unknowns as
+        [0, Nc-1, 1, Nc-2, ...] turns the cyclic band into an ordinary one
+        twice as wide, built from the channel's cached cyclic diagonals and
+        factored by one banded Cholesky decomposition at O(Nc*spread^2).
+        The channel keeps the factor of the last lam, (2*spread + 1)*Nc*16
+        bytes, so a repeat call with the same lam costs H_t^H r and two
+        triangular solves.  ``lam`` must be finite and >= 0 (else
+        ``ParameterError``); a matrix that is not positive definite raises
+        ``numpy.linalg.LinAlgError`` on every call, and a non-finite ``r``
+        scipy's ``ValueError``.
         """
         # scipy.linalg takes about 0.3 s to import and only this solve needs
         # it, so importing it here keeps it out of every other caller's start-up.
-        from scipy.linalg import solveh_banded
+        from scipy.linalg import cho_solve_banded, cholesky_banded
 
+        if not 0 <= lam < math.inf:
+            raise ParameterError(f"lam must be finite and non-negative, got {lam!r}")
         n = self.cfg.n_sub
         r = self._vector(r)
-        taus, taps = self._time_taps()
-        # M[a, <a + t1 - t2>] += conj(c_t1[<a + t1>]) * c_t2[<a + t1>]
-        a = np.arange(n)
-        reads = (a + taus[:, None]) % n
-        seen = np.take_along_axis(taps, reads, axis=1)
-        rhs = np.sum(np.conj(seen) * r[reads], axis=0)
-        values = np.conj(seen)[:, None, :] * taps[:, reads].swapaxes(0, 1)
-        cols = (a + (taus[:, None] - taus[None, :])[..., None]) % n
-        # position of unknown a in the order [0, Nc-1, 1, Nc-2, ...]
-        pos = np.where(a < (n + 1) // 2, 2 * a, 2 * (n - 1 - a) + 1)
-        row_pos, col_pos = np.broadcast_to(pos, values.shape), pos[cols]
-        lower = row_pos >= col_pos
-        k, j = (row_pos - col_pos)[lower], col_pos[lower]
-        band = np.zeros((int(k.max(initial=0)) + 1, n), dtype=np.complex128)
-        np.add.at(band, (k, j), values[lower])
-        band[0] += lam
-        rhs_perm = np.empty(n, dtype=np.complex128)
-        rhs_perm[pos] = rhs
-        return solveh_banded(band, rhs_perm, lower=True)[pos]
+        tau_0, taps = self._time_taps
+        # H_t^H r at a: conj(V[t, a]) times r read at <a + tau_0 + t>
+        reads = sliding_window_view(np.concatenate([r, r]), n)[tau_0 : tau_0 + len(taps)]
+        rhs = np.vecdot(taps, reads, axis=0)
+        half = (n + 1) // 2
+        ordered = np.empty(n, dtype=np.complex128)
+        ordered[0::2], ordered[1::2] = rhs[:half], rhs[half:][::-1]
+        cached = self._factor
+        if cached is None or cached[0] != lam:
+            factor = cholesky_banded(self._band(lam), overwrite_ab=True, lower=True)
+            factor.flags.writeable = False
+            cached = (lam, factor)
+            object.__setattr__(self, "_factor", cached)
+        z = cho_solve_banded((cached[1], True), ordered)
+        return np.concatenate([z[0::2], z[1::2][::-1]])
 
 
 def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, rng=None) -> np.ndarray:

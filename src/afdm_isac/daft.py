@@ -71,7 +71,8 @@ class AfdmConfig:
     f_c : float
         Carrier frequency in Hz.
 
-    ``c1_chirp`` and ``c2_chirp`` are read-only tables built once per config.
+    ``c1_chirp``, ``c2_chirp`` and ``dft_twiddle`` are read-only tables built
+    once per config.
     """
 
     n_sub: int
@@ -129,6 +130,13 @@ class AfdmConfig:
         """exp(-j*2*pi*c2*k^2), k < Nc (analysis-direction sign)."""
         k = np.arange(self.n_sub, dtype=np.float64)
         table = np.exp(-2j * np.pi * self.c2 * k * k)
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def dft_twiddle(self) -> np.ndarray:
+        """exp(-j*2*pi*k/Nc), k < Nc: the DFT factor of an integer phase reduced mod Nc."""
+        table = np.exp(-2j * np.pi * np.arange(self.n_sub) / self.n_sub)
         table.flags.writeable = False
         return table
 

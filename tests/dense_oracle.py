@@ -129,6 +129,13 @@ def path_sum(h, path_matrix=basis_matrix) -> np.ndarray:
     return out
 
 
+def regularized_solve(h, r, lam: float) -> np.ndarray:
+    """Dense time-domain normal equations (H_t^H H_t + lam I)^{-1} H_t^H r of a PathChannel."""
+    h_t = path_sum(h, time_matrix)
+    normal = h_t.conj().T @ h_t + lam * np.eye(h.cfg.n_sub)
+    return np.linalg.solve(normal, h_t.conj().T @ r)
+
+
 def equalize(y, h, x_pilot, lam: float) -> np.ndarray:
     """Dense DAFT-domain regularized least squares (H^H H + lam I)^{-1} H^H (y - H x_p)."""
     h = np.asarray(h)

@@ -1,8 +1,11 @@
+import ast
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp, waveform_samples
@@ -21,13 +24,13 @@ from afdm_isac.channel import (
 )
 from afdm_isac.errors import ConfigurationError, ParameterError
 
+import dense_oracle
 from conftest import random_unit_symbols
 from dense_oracle import (
     basis_matrix,
     channel_matrix,
     effective_channel_matrix,
     path_sum,
-    time_matrix,
 )
 
 
@@ -125,10 +128,9 @@ class TestPathChannel:
     def test_regularized_solve_matches_dense(self, rng, n_sub, two_c1_n):
         cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
         h = random_path_channel(rng, cfg, basis_grid(tau_m=3, nu_m=2), 5)
-        h_t = path_sum(h, time_matrix)
         r = random_unit_symbols(rng, n_sub)
         lam = 0.1
-        expect = np.linalg.solve(h_t.conj().T @ h_t + lam * np.eye(n_sub), h_t.conj().T @ r)
+        expect = dense_oracle.regularized_solve(h, r, lam)
         assert np.max(np.abs(h.regularized_solve(r, lam) - expect)) < 1e-10
 
     def test_invalid_paths_rejected(self):
@@ -146,9 +148,11 @@ class TestPathChannel:
     def test_arrays_and_taps_are_read_only(self, rng):
         h = random_path_channel(rng, CFG16, basis_grid(tau_m=2, nu_m=1), 3)
         h @ np.ones(16)
+        h.regularized_solve(np.ones(16), 0.1)
         q, taps = h._daft_taps
         assert h._daft_taps[1] is taps
-        for arr in (h.delays, h.dopplers, h.gains, q, taps):
+        solve_parts = (h._time_taps[1], h._gram_diagonals, h._factor[1])
+        for arr in (h.delays, h.dopplers, h.gains, q, taps, *solve_parts):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -194,6 +198,59 @@ class TestPathChannel:
         for tau, nu in [(0, 0), (3, -2), (8, 2)]:
             h = PathChannel(cfg, [tau], [nu], [1.0])
             assert np.max(np.abs(h @ x - apply_basis(x, cfg, tau, float(nu)))) < 1e-13
+
+
+class TestRegularizedSolve:
+    """The banded solve against the dense normal equations, and its per-lam factor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sub=st.integers(2, 128),
+        two_c1_n=st.integers(0, 9),
+        delays=st.lists(st.integers(0, 2**20), min_size=1, max_size=5),
+        lams=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 2*spread >= Nc: lags d and d - Nc share a cyclic diagonal
+    @example(n_sub=8, two_c1_n=1, delays=[0, 5], lams=(0.1, 2.0), seed=1)
+    @example(n_sub=8, two_c1_n=3, delays=[0, 3, 7], lams=(0.1, 2.0), seed=2)
+    @example(n_sub=16, two_c1_n=4, delays=[0, 15], lams=(0.1, 2.0), seed=3)
+    @example(n_sub=2, two_c1_n=1, delays=[1], lams=(0.1, 2.0), seed=4)
+    def test_matches_dense_normal_equations(self, n_sub, two_c1_n, delays, lams, seed):
+        # N odd or even, K*N odd or even, delay spreads up to N - 1; calls
+        # alternate lam and r on one channel and each equals a fresh channel's
+        rng = np.random.default_rng(seed)
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        paths = len(delays)
+        args = (
+            cfg,
+            np.asarray(delays) % n_sub,
+            rng.integers(-3, 4, paths),
+            (rng.standard_normal(paths) + 1j * rng.standard_normal(paths)) / math.sqrt(2 * paths),
+        )
+        h = PathChannel(*args)
+        rs = rng.standard_normal((2, n_sub)) + 1j * rng.standard_normal((2, n_sub))
+        for lam, r in [(lams[0], rs[0]), (lams[0], rs[1]), (lams[1], rs[0]), (lams[0], rs[0])]:
+            z = h.regularized_solve(r, lam)
+            assert np.array_equal(z, PathChannel(*args).regularized_solve(r, lam))
+            assert np.max(np.abs(z - dense_oracle.regularized_solve(h, r, lam))) < 1e-10
+
+    @pytest.mark.parametrize("lam", [-0.1, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_lam_rejected(self, lam):
+        with pytest.raises(ParameterError, match="lam"):
+            PathChannel(CFG16, [0, 2], [1, -1], [1.0, 0.3j]).regularized_solve(np.ones(16), lam)
+
+    def test_solve_path_makes_no_scatter(self):
+        # the band is read from the cyclic diagonals, never accumulated with np.add.at
+        solve_path = {"_time_taps", "_gram_diagonals", "_band", "regularized_solve"}
+        tree = ast.parse(textwrap.dedent(inspect.getsource(PathChannel)))
+        found = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in solve_path:
+                found.add(node.name)
+                called = {ast.unparse(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
+                assert "np.add.at" not in called, node.name
+        assert found == solve_path
 
 
 class TestTimeDomainApplication:

@@ -435,6 +435,33 @@ class TestIterative:
         assert np.linalg.norm(res2.alpha_hat - res1.alpha_hat) < 1e-8
 
 
+class TestNoiseLevels:
+    """The effective noise c of each iteration, returned beside the residual norms."""
+
+    CFG64 = AfdmConfig(n_sub=64, n_cpp=8, c1=4 / 64)
+    GRID64 = basis_grid(tau_m=3, nu_m=1)
+
+    @pytest.mark.parametrize("noise_power", [0.0, 0.3, 1.0, 4.0])
+    def test_first_is_the_prior_model_and_later_ones_at_least_the_noise(self, rng, noise_power):
+        x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, noise_power, n_iter=4)
+        prior = PriorModel.uniform(self.GRID64, 0.0)
+        first = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
+        assert len(res.noise_levels) == len(res.residual_norms) == 4
+        assert all(type(c) is float for c in res.noise_levels)
+        assert res.noise_levels[0] == first
+        assert all(c >= noise_power for c in res.noise_levels[1:])
+
+    def test_first_follows_a_callers_prior(self, rng):
+        x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        prior = PriorModel(np.linspace(0.0, 0.1, len(self.GRID64)), 0.0)
+        res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0, prior=prior)
+        assert res.noise_levels[0] == effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, 1.0)
+        assert res.noise_levels[1] >= 1.0
+
+
 class TestDenseRoute:
     """The iterative estimator matches the dense-matrix route it replaced."""
 
@@ -500,6 +527,92 @@ class TestIterativeContracts:
     def test_n_iter(self, rng, n_iter):
         with pytest.raises(ParameterError, match="n_iter"):
             self.run(rng, n_iter=n_iter)
+
+
+class TestEqualizeContracts:
+    """Malformed input raises before the channel is applied or factored."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work done before the input check")
+
+        monkeypatch.setattr(PathChannel, "__matmul__", refuse)
+        monkeypatch.setattr(PathChannel, "regularized_solve", refuse)
+
+    SPEC = FrameSpec(16.0, 1.0, Constellation.QPSK)
+    H = PathChannel(CFG, [0, 1], [0, 1], [1.0, 0.2j])
+
+    @pytest.mark.parametrize("noise_power", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("data_power", [1.0, 0.0])
+    def test_noise_power(self, noise_power, data_power):
+        spec = FrameSpec(16.0, data_power, Constellation.QPSK)
+        with pytest.raises(ParameterError, match="noise_power"):
+            equalize_demod(np.ones(16), self.H, np.zeros(16), spec, noise_power)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)])
+    def test_non_finite_y(self, bad):
+        y = np.ones(16, dtype=complex)
+        y[5] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            equalize_demod(y, self.H, np.zeros(16), self.SPEC, 0.1)
+
+    @pytest.mark.parametrize("shape", [(15,), (17,), (2, 16), (16, 1), ()])
+    @pytest.mark.parametrize("data_power", [1.0, 0.0])
+    def test_y_shape(self, shape, data_power):
+        spec = FrameSpec(16.0, data_power, Constellation.QPSK)
+        with pytest.raises(ConfigurationError):
+            equalize_demod(np.ones(shape), self.H, np.zeros(16), spec, 0.1)
+
+
+class TestEqualizerFactor:
+    """Each channel estimate factors its banded matrix once per lam."""
+
+    CFG64 = AfdmConfig(n_sub=64, n_cpp=8, c1=4 / 64)
+    GRID64 = basis_grid(tau_m=3, nu_m=1)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import scipy.linalg
+
+        counts = {"factor": 0, "solve": 0}
+        for name, key in (("cholesky_banded", "factor"), ("cho_solve_banded", "solve")):
+            def counting(*args, _inner=getattr(scipy.linalg, name), _key=key, **kwargs):
+                counts[_key] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counting)
+        return counts
+
+    def test_frame_makes_two_factorizations_for_three_solves(self, rng, calls):
+        x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0, n_iter=2)
+        assert calls == {"factor": 2, "solve": 2}
+        equalize_demod(y, res.h_eff_hat, x_p, spec, 1.0)
+        assert calls == {"factor": 2, "solve": 3}
+
+    def test_a_second_lam_refactors(self, rng, calls):
+        h = reconstruct_channel(np.arange(9) + 1j, np.ones(9), GRID, CFG)
+        r = random_unit_symbols(rng, 16)
+        for lam, factors in [(0.1, 1), (0.1, 1), (0.2, 2), (0.2, 2), (0.1, 3)]:
+            z = h.regularized_solve(r, lam)
+            assert calls["factor"] == factors
+            assert np.max(np.abs(z - dense_oracle.regularized_solve(h, r, lam))) < 1e-10
+        assert calls["solve"] == 5
+
+    def test_failed_factorization_is_not_kept(self, calls):
+        # H = 0: lam = 0 leaves a zero matrix, any lam > 0 solves to zero
+        empty = reconstruct_channel(np.ones(9), np.zeros(9), GRID, CFG)
+        spec = FrameSpec(0.0, 1.0, Constellation.QPSK)
+        for attempt in (1, 2):
+            with pytest.raises(NumericalError):
+                equalize_demod(np.ones(16), empty, np.zeros(16), spec, 0.0)
+            assert calls == {"factor": attempt, "solve": 0}
+        assert np.array_equal(empty.regularized_solve(np.ones(16), 0.5), np.zeros(16))
+        with pytest.raises(np.linalg.LinAlgError):
+            empty.regularized_solve(np.ones(16), 0.0)
+        assert calls == {"factor": 4, "solve": 1}
 
 
 class TestPilotModel:
