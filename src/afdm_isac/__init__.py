@@ -9,7 +9,6 @@ from .daft import (
     AfdmConfig,
     add_cpp,
     build_daft_matrix,
-    chirp_rate_bounds,
     daft,
     idaft,
     remove_cpp,
@@ -30,6 +29,5 @@ __all__ = [
     "add_cpp",
     "remove_cpp",
     "waveform_samples",
-    "chirp_rate_bounds",
     "__version__",
 ]

@@ -44,7 +44,6 @@ __all__ = [
     "add_cpp",
     "remove_cpp",
     "waveform_samples",
-    "chirp_rate_bounds",
 ]
 
 DEFAULT_C2 = math.pi - 3.0
@@ -323,14 +322,3 @@ def _whole_delays(s: np.ndarray, cfg: AfdmConfig, taus: np.ndarray) -> np.ndarra
     if taus.ndim == 1:
         return _chirp_periodic(s, cfg, lags)
     return _chirp_periodic(s, cfg, lags.reshape((1,) * (s.ndim - taus.ndim) + lags.shape), True)
-
-
-def chirp_rate_bounds(tau_m: int, nu_m: int, n_sub: int) -> tuple[float, float]:
-    """Valid c1 interval for a channel with maximum delay/Doppler (tau_m, nu_m).
-
-    Lower bound keeps distinct paths separated in the DAFT domain; upper
-    bound keeps the delay range unambiguous.
-    """
-    lo = (2 * nu_m + 1) / (2.0 * n_sub)
-    hi = 1.0 / (2.0 * (tau_m + 1))
-    return lo, hi

@@ -15,20 +15,24 @@ symbol (a target of gain beta peaks at conj(beta) * total power),
 ``rdf`` and ``noise_floor`` batch over leading axes: echoes and symbols
 (..., Nc) give maps (..., delays, Dopplers).  ``roc_curve`` runs its trials
 in blocks on that axis, sized by the byte budget ``_BLOCK_BYTES`` of a
-block's (trials, delays, Nc) reference stack.  Only the random draws loop
-per trial, in a lone trial's order (bits, target uniforms, noise), so a
-seed gives the same curve at any block size.
+block's (trials, delays, Nc) reference stack.  The budget bounds that
+stack on fractional (oversampled) delay axes only: an axis of whole delays
+reads a window view of one chirp-periodic extension of the symbol.  Only
+the random draws loop per trial, in a lone trial's order (bits, target
+uniforms, noise), so a seed gives the same curve at any block size.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import SensingTarget, _integers, sensing_echo
-from .daft import AfdmConfig, idaft, waveform_samples
+from .daft import AfdmConfig, _chirp_periodic, idaft, waveform_samples
 from .errors import ParameterError
 from .modem import FrameSpec, map_bits
 from .pilots import PilotScheme, pilot_vector
@@ -45,6 +49,11 @@ __all__ = [
     "roc_curve",
     "pd_at_pfa",
 ]
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer (numpy integers too, bools not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -84,12 +93,42 @@ class RangeDopplerMap:
 def _correlate(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     """sum_n conj(a[..., n]) * b(n - tau) * exp(j*2*pi*nu*n/Nc), shape (..., delays, Dopplers).
 
-    b(n - tau) is ``waveform_samples`` of ``b``; leading axes of ``a`` and ``b`` broadcast.
+    b(n - tau) comes from ``_delayed``: a window view on an integer delay
+    axis, a (..., delays, Nc) stack on a fractional one (the stack that
+    ``_BLOCK_BYTES`` bounds in ``roc_curve``).  Leading axes of ``a`` and
+    ``b`` broadcast.
     """
     n = np.arange(cfg.n_sub)
     comp = np.conj(a)[..., None, :] * np.exp(2j * np.pi * nu_axis[:, None] * n / cfg.n_sub)
-    ref = waveform_samples(b, cfg, tau_axis)
+    ref = _delayed(b, tau_axis, cfg)
+    if nu_axis.size == 1:
+        # numpy multiplies a lone row by a strided matrix in its own loop, not by BLAS
+        # as for a contiguous stack; the copy keeps the product bit for bit the same
+        ref = np.ascontiguousarray(ref)
     return np.swapaxes(comp @ np.swapaxes(ref, -1, -2), -1, -2)
+
+
+def _delayed(b, tau_axis, cfg: AfdmConfig) -> np.ndarray:
+    """b(n - tau) for each delay of ``tau_axis``, shape b.shape[:-1] + (delays, Nc).
+
+    A fractional axis is ``waveform_samples`` of ``b``, a (..., delays, Nc)
+    stack.  An axis of whole delays reads a window view of the chirp-periodic
+    extension instead, bit for bit the same samples: reduced mod 2Nc (which
+    keeps i mod Nc and the parity of floor(i/Nc)) the delays lie in
+    [lo, hi], the extension is built once over [-hi, Nc - lo), and window k
+    of length Nc is b(n - (hi - k)).  Consecutive ascending delays are the
+    reversed windows, a view with no copy; any other set picks its rows.
+    """
+    if not np.all(tau_axis == np.round(tau_axis)):
+        return waveform_samples(b, cfg, tau_axis)
+    n = cfg.n_sub
+    lags = np.mod(tau_axis, 2 * n).astype(np.int64)
+    hi, lo = (int(lags.max()), int(lags.min())) if lags.size else (0, 0)
+    ext = _chirp_periodic(b, cfg, np.arange(-hi, n - lo))
+    windows = sliding_window_view(ext, n, axis=-1)
+    if lags.size and np.all(np.diff(lags) == 1):
+        return windows[..., ::-1, :]
+    return windows[..., hi - lags, :]
 
 
 @dataclass(frozen=True)
@@ -106,8 +145,12 @@ class DetectionConfig:
     train: tuple[int, int] = (5, 2)
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ParameterError("gamma must be positive")
+        if not self.gamma > 0:
+            raise ParameterError(f"gamma must be positive, got {self.gamma!r}")
+        for name in ("guard", "train"):
+            widths = getattr(self, name)
+            if np.ndim(widths) != 1 or len(widths) != 2 or not all(map(_is_integer, widths)):
+                raise ParameterError(f"{name} must be two integer half-widths, got {widths!r}")
         if any(g < 0 for g in self.guard):
             raise ParameterError(f"guard half-widths must be non-negative, got {self.guard}")
         if any(t <= 0 for t in self.train):
@@ -205,9 +248,18 @@ def detect(rd_map: RangeDopplerMap, noise: np.ndarray, gamma: float) -> list:
 
     Returns (tau, nu, statistic) triples.  The statistic is invariant to any
     global phase of the echo; a cell with no power has statistic 0 and one
-    with power over a zero floor has statistic inf.
+    with power over a zero floor has statistic inf.  ``noise`` has the
+    map's shape; a NaN ``gamma`` is refused.
     """
-    stat = _statistic(rd_map._single(), noise)
+    values = rd_map._single()
+    noise = np.asarray(noise)
+    if noise.shape != values.shape:
+        raise ParameterError(
+            f"noise floor of shape {noise.shape} for a map of shape {values.shape}"
+        )
+    if np.isnan(gamma):
+        raise ParameterError("gamma must not be NaN")
+    stat = _statistic(values, noise)
     hits = np.argwhere(stat > gamma)
     out = [
         (float(rd_map.tau_axis[i]), float(rd_map.nu_axis[j]), float(stat[i, j]))
@@ -237,7 +289,10 @@ class SensingScenario:
     The target's delay is drawn uniformly over [0.5, tau_m - 0.5] and its
     Doppler over [-nu_m + 0.5, nu_m - 0.5] (continuous), with a uniformly
     random gain phase; the gain magnitude realizes
-    ``receive_snr_db`` = |beta|^2 * Pt / (Nc * noise_power) in dB.
+    ``receive_snr_db`` = |beta|^2 * Pt / (Nc * noise_power) in dB.  The
+    budgets are integers with 1 <= tau_m <= cfg.n_cpp, so every delay of the
+    search grid lies within the prefix; the SNR is finite and the noise power
+    finite and non-negative (0 is a noiseless scenario).
     """
 
     cfg: AfdmConfig
@@ -248,6 +303,22 @@ class SensingScenario:
     receive_snr_db: float
     noise_power: float = 1.0
     detection: DetectionConfig = field(default_factory=DetectionConfig)
+
+    def __post_init__(self):
+        for name in ("tau_m", "nu_m"):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.tau_m > self.cfg.n_cpp:
+            raise ParameterError(
+                f"tau_m ({self.tau_m}) exceeds the prefix budget n_cpp ({self.cfg.n_cpp})"
+            )
+        if not math.isfinite(self.receive_snr_db):
+            raise ParameterError(f"receive_snr_db must be finite, got {self.receive_snr_db!r}")
+        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
+            raise ParameterError(
+                f"noise_power must be finite and non-negative, got {self.noise_power!r}"
+            )
 
     def _draw_uniforms(self, rng) -> tuple[float, float, float]:
         """The target's three draws, in order: delay, Doppler, gain phase (cycles)."""
@@ -265,8 +336,9 @@ class SensingScenario:
         )
 
 
-# bytes of the largest complex intermediate of one block of ROC trials, the
-# (trials, delays, Nc) stack of delayed symbols that ``rdf`` correlates against
+# byte budget of the (trials, delays, Nc) stack of delayed symbols of one block
+# of ROC trials; ``rdf`` builds that stack on fractional delay axes only, so on
+# ``roc_curve``'s integer grid the budget just sizes the block
 _BLOCK_BYTES = 1 << 20
 
 
@@ -313,15 +385,25 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     A trial detects when the strongest cell exceeds gamma and lies within one
     cell of the true target in both delay and Doppler; a false alarm fires
     when any cell outside that neighborhood exceeds gamma.  Trials run in
-    blocks on a leading batch axis, as many per block as keep the complex
-    (trials, delays, Nc) reference stack within ``_BLOCK_BYTES`` (at least
-    one).  Each trial draws from ``rng`` in the order of a lone trial (data
-    bits, then the target's delay, Doppler and phase uniforms, then the real
-    and the imaginary noise), so the curve does not depend on the block size.
+    blocks on a leading batch axis, as many per block as a complex
+    (trials, delays, Nc) reference stack fits in ``_BLOCK_BYTES`` (at least
+    one).  The grid's delays are whole, so ``rdf`` reads its reference as a
+    view and builds no such stack; the budget only fixes the block size.
+    Each trial draws from ``rng`` in the order of a lone trial (data bits,
+    then the target's delay, Doppler and phase uniforms, then the real and
+    the imaginary noise), so the curve does not depend on the block size.
+    ``n_trials`` is an integer >= 100 and ``gamma_grid`` a non-empty finite
+    1-D array, both checked before any draw.
     """
-    if n_trials < 100:
-        raise ParameterError("n_trials must be >= 100 for a usable curve")
+    if not _is_integer(n_trials) or n_trials < 100:
+        raise ParameterError(
+            f"n_trials must be an integer >= 100 for a usable curve, got {n_trials!r}"
+        )
     gamma_grid = np.asarray(gamma_grid, dtype=np.float64)
+    if gamma_grid.ndim != 1 or gamma_grid.size == 0 or not np.all(np.isfinite(gamma_grid)):
+        raise ParameterError(
+            f"gamma_grid must be a non-empty finite 1-D array, got {gamma_grid!r}"
+        )
     x_p = pilot_vector(scenario.pilot, scenario.cfg)
     grid = sensing_grid(scenario.tau_m, scenario.nu_m)
     block = max(1, _BLOCK_BYTES // (16 * grid[0].size * scenario.cfg.n_sub))
@@ -337,7 +419,13 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
 
 
 def pd_at_pfa(curve: np.ndarray, pfa_targets) -> np.ndarray:
-    """Interpolate detection probability at given false-alarm levels."""
+    """Interpolate detection probability at given false-alarm levels.
+
+    ``curve`` holds (gamma, Pfa, Pd) rows, as ``roc_curve`` returns them.
+    """
+    curve = np.asarray(curve, dtype=np.float64)
+    if curve.ndim != 2 or curve.shape[0] < 1 or curve.shape[1] != 3:
+        raise ParameterError(f"need a curve of (gamma, Pfa, Pd) rows, got shape {curve.shape}")
     order = np.argsort(curve[:, 1])
     pfa = curve[order, 1]
     pd = curve[order, 2]

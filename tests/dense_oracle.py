@@ -8,14 +8,17 @@ the FFT closed form of ``waveform_samples``.  The Fisher ``frac`` kernel is the
 explicit Nc x Nc array whose row sums ``analysis._fim_sums`` computes from one
 table of Nc values.  The ambiguity moments are read in the time domain, by
 synthesizing every frame and correlating it with its delayed copy, which
-``analysis.ambiguity_moments_mc`` answers in the DAFT domain instead.
+``analysis.ambiguity_moments_mc`` answers in the DAFT domain instead.  The
+delay-Doppler correlation gathers its (..., delays, Nc) stack of delayed
+symbols with ``waveform_samples``, where ``sensing._correlate`` reads whole
+delays as a window view.
 """
 
 import math
 
 import numpy as np
 
-from afdm_isac import AfdmConfig, build_daft_matrix, idaft
+from afdm_isac import AfdmConfig, build_daft_matrix, idaft, waveform_samples
 from afdm_isac.analysis import cross_ambiguity
 from afdm_isac.channel import ChannelPath, ChannelRealization
 from afdm_isac.errors import ParameterError
@@ -72,6 +75,18 @@ def frac_kernel(cfg: AfdmConfig, tau_bar: float) -> np.ndarray:
     j = (k * np.arange(nc) - whole % nc)[None, :] + np.arange(nc)[:, None]
     j %= nc
     return (np.where((j == 0) & (f > 0), nc, j) - f) / nc
+
+
+def correlate_by_gather(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
+    """``sensing._correlate`` with the delayed symbols gathered by ``waveform_samples``.
+
+    The same product on a (..., delays, Nc) stack of b(n - tau) built for
+    every delay, whole or fractional.
+    """
+    n = np.arange(cfg.n_sub)
+    comp = np.conj(a)[..., None, :] * np.exp(2j * np.pi * nu_axis[:, None] * n / cfg.n_sub)
+    ref = waveform_samples(b, cfg, tau_axis)
+    return np.swapaxes(comp @ np.swapaxes(ref, -1, -2), -1, -2)
 
 
 def ambiguity_moments_time_domain(x_pilot, spec, cfg: AfdmConfig, points, n_frames, rng) -> dict:

@@ -12,7 +12,6 @@ from afdm_isac import (
     ParameterError,
     add_cpp,
     build_daft_matrix,
-    chirp_rate_bounds,
     daft,
     idaft,
     remove_cpp,
@@ -62,11 +61,6 @@ class TestConfig:
     def test_numpy_integer_sizes_accepted(self):
         cfg = AfdmConfig(n_sub=np.int64(16), n_cpp=np.int32(4), c1=1 / 8)
         assert cfg.two_c1_n == 4
-
-    def test_chirp_rate_bounds(self):
-        lo, hi = chirp_rate_bounds(tau_m=2, nu_m=2, n_sub=128)
-        assert lo == pytest.approx(5 / 256)
-        assert hi == pytest.approx(1 / 6)
 
 
 class TestTransformPair:

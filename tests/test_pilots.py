@@ -90,6 +90,16 @@ class TestChirpRateSelection:
         assert q == 2
         assert c1 == pytest.approx(4 / 256)
 
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(0, 20), nu_m=st.integers(0, 10_000))
+    def test_chirp_rate_covers_doppler_budget(self, p, nu_m):
+        # K = 2*c1*Nc = 2^q separates 2*nu_m + 1 Doppler bins, and is the smallest
+        # power of two that does
+        cfg = AfdmConfig(n_sub=2**p)
+        c1, q = select_c1_q(nu_m, cfg)
+        k_rate = 2 * c1 * cfg.n_sub
+        assert k_rate == 2**q >= 2 * nu_m + 1 > k_rate / 2
+
 
 class TestProposedPilot:
     CFG = AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32)

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from afdm_isac import AfdmConfig, idaft, waveform_samples
+from afdm_isac import AfdmConfig, idaft, sensing, waveform_samples
 from afdm_isac.analysis import ambiguity_function, ambiguity_region, cross_ambiguity
 from afdm_isac.channel import SensingTarget, sensing_echo
 from afdm_isac.errors import ParameterError
 from afdm_isac.modem import Constellation, FrameSpec, random_data_vector
 from afdm_isac.pilots import PilotScheme, pilot_vector, proposed_pilot
 from afdm_isac.sensing import (
+    _correlate,
     _statistic,
     DetectionConfig,
     RangeDopplerMap,
@@ -212,6 +213,78 @@ class TestOneCorrelation:
             assert np.array_equal(chi[i], cross_ambiguity(r[i], s[i], lags, bins, cfg))
 
 
+class TestWindowedDelays:
+    """Whole delays read a window view, bit for bit the gathered stack of delayed symbols."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_sub=st.integers(1, 64),
+        two_c1_n=st.integers(-16, 48),
+        cpp_share=st.floats(0.0, 1.0),
+        rows=st.integers(0, 3),
+        start=st.integers(-200, 200),
+        length=st.integers(1, 8),
+        scattered=st.lists(st.integers(-200, 200), min_size=1, max_size=5),
+        nus=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+        bins=st.lists(st.integers(-8, 8), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_gathered_stack(
+        self, n_sub, two_c1_n, cpp_share, rows, start, length, scattered, nus, bins, seed
+    ):
+        # N odd or even, K of either sign and parity; rows 0 is a lone symbol, else a
+        # stack.  Delays: a consecutive run, and an unsorted set with a duplicate, both
+        # anywhere in [-200, 207], so negative and beyond +-Nc and +-2Nc
+        rng = np.random.default_rng(seed)
+        n_cpp = min(int(cpp_share * n_sub), n_sub - 1)
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=n_cpp, c1=two_c1_n / (2 * n_sub))
+        shape = (rows, n_sub) if rows else (n_sub,)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        nus, bins = np.array(nus), np.array(bins, dtype=np.int64)
+        run = np.arange(start, start + length)
+        scattered = np.array(scattered + scattered[:1])
+        gather = dense_oracle.correlate_by_gather
+        for taus in (run, scattered):
+            for axis in (taus, taus.astype(np.float64)):
+                got = _correlate(a, b, axis, nus, cfg)
+                assert np.array_equal(got, gather(a, b, axis, nus, cfg))
+            chi = cross_ambiguity(a, b, taus, bins, cfg)
+            assert np.array_equal(chi, gather(a, b, taus, bins, cfg))
+        # rdf's delays lie in [0, n_cpp]: a run from the same start, and the set wrapped
+        lo = start % (n_cpp + 1)
+        for taus in (np.arange(lo, min(lo + length, n_cpp + 1)), scattered % (n_cpp + 1)):
+            taus = taus.astype(np.float64)
+            got = rdf(a, b, (taus, nus), cfg).values
+            assert np.array_equal(got, gather(a, b, taus, nus, cfg))
+
+    def test_integer_axes_make_no_waveform_call(self, monkeypatch, rng):
+        s = idaft(random_unit_symbols(rng, 2 * 64).reshape(2, 64), CFG)
+        echo = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+        grid, lags, bins = sensing_grid(7, 2), [3, -70, 3, 200, 0], [-2, 0, 5]
+        expect_map = dense_oracle.correlate_by_gather(echo, s, *grid, CFG)
+        expect_chi = dense_oracle.correlate_by_gather(echo, s, np.array(lags), np.array(bins), CFG)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("waveform_samples called")
+
+        monkeypatch.setattr(sensing, "waveform_samples", forbidden)
+        assert np.array_equal(rdf(echo, s, grid, CFG).values, expect_map)
+        assert np.array_equal(cross_ambiguity(echo, s, lags, bins, CFG), expect_chi)
+        with pytest.raises(AssertionError, match="waveform_samples called"):
+            rdf(echo, s, sensing_grid(7, 2, os_tau=2), CFG)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("n_sub, pilot", [(64, "proposed"), (63, "single")])
+    def test_roc_curve_matches_gathered_correlation(self, monkeypatch, seed, n_sub, pilot):
+        scenario = parity_scenario(n_sub, pilot)
+        gammas = np.logspace(0.0, 3.0, 25)
+        curve = roc_curve(scenario, gammas, 150, np.random.default_rng(seed))
+        monkeypatch.setattr(sensing, "_correlate", dense_oracle.correlate_by_gather)
+        expect = roc_curve(scenario, gammas, 150, np.random.default_rng(seed))
+        assert np.array_equal(curve, expect)
+
+
 class TestBatchedMaps:
     """Stacks of echoes and symbols give stacks of maps, row for row the single calls."""
 
@@ -272,6 +345,13 @@ class TestDetectionConfig:
             ({"guard": (-1, 1)}, "guard half-widths must be non-negative"),
             ({"train": (0, 2)}, "train half-widths must be positive"),
             ({"train": (5, -1)}, "train half-widths must be positive"),
+            ({"guard": (2.5, 1)}, "guard must be two integer half-widths"),
+            ({"guard": (True, 1)}, "guard must be two integer half-widths"),
+            ({"train": (5.0, 2)}, "train must be two integer half-widths"),
+            ({"train": (5,)}, "train must be two integer half-widths"),
+            ({"train": (5, 2, 1)}, "train must be two integer half-widths"),
+            ({"gamma": math.nan}, "gamma must be positive"),
+            ({"gamma": 0.0}, "gamma must be positive"),
         ],
     )
     def test_invalid_window_message(self, kwargs, message):
@@ -403,6 +483,17 @@ class TestDetect:
         rd, floor = self.make_map_and_floor(rng)
         assert detect(rd, floor, gamma=1e12) == []
 
+    def test_nan_gamma_rejected(self, rng):
+        rd, floor = self.make_map_and_floor(rng)
+        with pytest.raises(ParameterError, match="NaN"):
+            detect(rd, floor, gamma=math.nan)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (6,), (1, 6, 5)])
+    def test_floor_of_another_shape_rejected(self, rng, shape):
+        rd, _ = self.make_map_and_floor(rng)
+        with pytest.raises(ParameterError, match="noise floor of shape"):
+            detect(rd, np.ones(shape), gamma=1.0)
+
     def test_strong_target_detected_at_calibrated_threshold(self, rng):
         # calibrate gamma for ~1% false alarms on noise-only maps, then
         # check >= 99% detection at 0 dB receive SNR
@@ -504,6 +595,19 @@ def per_trial_roc(scenario, gamma_grid, n_trials, rng):
     return np.column_stack([gammas[:, 0], pfa, pd])
 
 
+def parity_scenario(n_sub, pilot):
+    """A scenario with K*Nc even (8*64) at n_sub 64 and odd (1*63) at n_sub 63."""
+    cfg = AfdmConfig(n_sub=n_sub, n_cpp=16, c1=(8 if n_sub == 64 else 1) / (2 * n_sub))
+    return SensingScenario(
+        cfg=cfg,
+        frame_spec=FrameSpec(float(n_sub), 1.0, Constellation.QPSK),
+        pilot=PilotScheme(pilot, float(n_sub)),
+        tau_m=15,
+        nu_m=2,
+        receive_snr_db=-5.0,
+    )
+
+
 class TestRoc:
     def make_scenario(self, snr_db):
         return SensingScenario(
@@ -536,15 +640,7 @@ class TestRoc:
         # blocks of one trial.  Curves and the generator's final state agree.
         if budget is not None:
             monkeypatch.setattr("afdm_isac.sensing._BLOCK_BYTES", budget)
-        cfg = AfdmConfig(n_sub=n_sub, n_cpp=16, c1=(8 if n_sub == 64 else 1) / (2 * n_sub))
-        scenario = SensingScenario(
-            cfg=cfg,
-            frame_spec=FrameSpec(float(n_sub), 1.0, Constellation.QPSK),
-            pilot=PilotScheme(pilot, float(n_sub)),
-            tau_m=15,
-            nu_m=2,
-            receive_snr_db=-5.0,
-        )
+        scenario = parity_scenario(n_sub, pilot)
         gammas = np.logspace(0.0, 3.0, 25)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         curve = roc_curve(scenario, gammas, 150, rng)
@@ -562,7 +658,46 @@ class TestRoc:
         with pytest.raises(ParameterError):
             roc_curve(self.make_scenario(0.0), [1.0], 10, rng)
 
+    @pytest.mark.parametrize("n_trials, gammas", [
+        (100.5, [1.0]), (100.0, [1.0]), (True, [1.0]), (99, [1.0]),
+        (150, [math.nan]), (150, [1.0, math.inf]), (150, [[1.0]]), (150, []), (150, 1.0),
+    ])
+    def test_bad_inputs_rejected_before_any_draw(self, n_trials, gammas):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="n_trials|gamma_grid"):
+            roc_curve(self.make_scenario(0.0), gammas, n_trials, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("change, message", [
+        ({"tau_m": 0}, "tau_m must be an integer >= 1"),
+        ({"nu_m": 0}, "nu_m must be an integer >= 1"),
+        ({"tau_m": 2.5}, "tau_m must be an integer"),
+        ({"tau_m": 7.0}, "tau_m must be an integer"),
+        ({"nu_m": True}, "nu_m must be an integer"),
+        ({"tau_m": 17}, "exceeds the prefix budget"),
+        ({"receive_snr_db": math.nan}, "receive_snr_db must be finite"),
+        ({"receive_snr_db": -math.inf}, "receive_snr_db must be finite"),
+        ({"noise_power": -1.0}, "noise_power must be finite and non-negative"),
+        ({"noise_power": math.nan}, "noise_power must be finite and non-negative"),
+        ({"noise_power": math.inf}, "noise_power must be finite and non-negative"),
+    ])
+    def test_scenario_checked_at_construction(self, change, message):
+        with pytest.raises(ParameterError, match=message):
+            dataclasses.replace(self.make_scenario(0.0), **change)
+
+    def test_scenario_edges_accepted(self):
+        scenario = dataclasses.replace(
+            self.make_scenario(0.0), tau_m=np.int64(16), nu_m=1, noise_power=0.0
+        )
+        assert scenario.tau_m == CFG.n_cpp
+
     def test_pd_at_pfa_interpolation(self):
         curve = np.array([[10.0, 0.01, 0.5], [3.0, 0.1, 0.8], [1.0, 1.0, 1.0]])
         out = pd_at_pfa(curve, [0.01, 0.1, 1.0])
         assert out == pytest.approx([0.5, 0.8, 1.0])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 2), (3,), (2, 3, 1)])
+    def test_pd_at_pfa_rejects_a_non_curve(self, shape):
+        with pytest.raises(ParameterError, match="rows"):
+            pd_at_pfa(np.zeros(shape), [0.1])
