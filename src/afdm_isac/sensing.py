@@ -16,10 +16,11 @@ symbol (a target of gain beta peaks at conj(beta) * total power),
 (..., Nc) give maps (..., delays, Dopplers).  ``roc_curve`` runs its trials
 in blocks on that axis, sized by the byte budget ``_BLOCK_BYTES`` of a
 block's (trials, delays, Nc) reference stack.  The budget bounds that
-stack on fractional (oversampled) delay axes only: an axis of whole delays
-reads a window view of one chirp-periodic extension of the symbol.  Only
-the random draws loop per trial, in a lone trial's order (bits, target
-uniforms, noise), so a seed gives the same curve at any block size.
+stack on fractional (oversampled) delay axes and on scattered whole delays;
+a run of consecutive whole delays, such as the search grid, reads a window
+view of one chirp-periodic extension of the symbol.  Only the random draws
+loop per trial, in a lone trial's order (bits, target uniforms, noise), so
+a seed gives the same curve at any block size.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import SensingTarget, _integers, sensing_echo
+from .channel import SensingTarget, sensing_echo
 from .daft import AfdmConfig, _chirp_periodic, idaft, waveform_samples
 from .errors import ParameterError
 from .modem import FrameSpec, map_bits
@@ -93,8 +94,9 @@ class RangeDopplerMap:
 def _correlate(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     """sum_n conj(a[..., n]) * b(n - tau) * exp(j*2*pi*nu*n/Nc), shape (..., delays, Dopplers).
 
-    b(n - tau) comes from ``_delayed``: a window view on an integer delay
-    axis, a (..., delays, Nc) stack on a fractional one (the stack that
+    b(n - tau) comes from ``_delayed``: a window view on a run of
+    consecutive whole delays, otherwise a (..., delays, Nc) stack of picked
+    windows or, on a fractional axis, of waveform samples (the stack that
     ``_BLOCK_BYTES`` bounds in ``roc_curve``).  Leading axes of ``a`` and
     ``b`` broadcast.
     """
@@ -112,23 +114,25 @@ def _delayed(b, tau_axis, cfg: AfdmConfig) -> np.ndarray:
     """b(n - tau) for each delay of ``tau_axis``, shape b.shape[:-1] + (delays, Nc).
 
     A fractional axis is ``waveform_samples`` of ``b``, a (..., delays, Nc)
-    stack.  An axis of whole delays reads a window view of the chirp-periodic
-    extension instead, bit for bit the same samples: reduced mod 2Nc (which
-    keeps i mod Nc and the parity of floor(i/Nc)) the delays lie in
-    [lo, hi], the extension is built once over [-hi, Nc - lo), and window k
-    of length Nc is b(n - (hi - k)).  Consecutive ascending delays are the
-    reversed windows, a view with no copy; any other set picks its rows.
+    stack.  An axis of whole delays reads windows of the chirp-periodic
+    extension instead, bit for bit the same samples.  With the delays in
+    [lo, hi], the extension is built once over [-hi, Nc - lo) and window k
+    of length Nc is b(n - (hi - k)).  A run of consecutive ascending delays
+    (every ``sensing_grid`` and ``ambiguity_region`` axis, wherever it lies)
+    is the reversed windows, a view with no copy.  Any other set is first
+    reduced mod 2Nc, which keeps i mod Nc and the parity of floor(i/Nc) and
+    bounds the extension, and then picks its rows.
     """
     if not np.all(tau_axis == np.round(tau_axis)):
         return waveform_samples(b, cfg, tau_axis)
     n = cfg.n_sub
-    lags = np.mod(tau_axis, 2 * n).astype(np.int64)
+    taus = tau_axis.astype(np.int64)
+    run = taus.size > 0 and bool(np.all(np.diff(taus) == 1))
+    lags = taus if run else np.mod(taus, 2 * n)
     hi, lo = (int(lags.max()), int(lags.min())) if lags.size else (0, 0)
     ext = _chirp_periodic(b, cfg, np.arange(-hi, n - lo))
     windows = sliding_window_view(ext, n, axis=-1)
-    if lags.size and np.all(np.diff(lags) == 1):
-        return windows[..., ::-1, :]
-    return windows[..., hi - lags, :]
+    return windows[..., ::-1, :] if run else windows[..., hi - lags, :]
 
 
 @dataclass(frozen=True)
@@ -160,8 +164,15 @@ class DetectionConfig:
 def sensing_grid(
     tau_m: int, nu_m: int, os_tau: int = 1, os_nu: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Delay axis [0, tau_m] and Doppler axis [-nu_m, nu_m] with integer oversampling."""
-    tau_m, nu_m, os_tau, os_nu = _integers([tau_m, nu_m, os_tau, os_nu], "grid parameters")
+    """Delay axis [0, tau_m] and Doppler axis [-nu_m, nu_m] with integer oversampling.
+
+    All four parameters are integers (numpy integers too, bools and whole
+    floats not), the rule of every integer budget in this module.
+    """
+    if not all(map(_is_integer, (tau_m, nu_m, os_tau, os_nu))):
+        raise ParameterError(
+            f"grid parameters must be integers, got {(tau_m, nu_m, os_tau, os_nu)!r}"
+        )
     if min(tau_m, nu_m) < 0 or min(os_tau, os_nu) < 1:
         raise ParameterError("need tau_m, nu_m >= 0 and os_tau, os_nu >= 1")
     taus = np.arange(0, tau_m * os_tau + 1) / os_tau
@@ -387,8 +398,9 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     when any cell outside that neighborhood exceeds gamma.  Trials run in
     blocks on a leading batch axis, as many per block as a complex
     (trials, delays, Nc) reference stack fits in ``_BLOCK_BYTES`` (at least
-    one).  The grid's delays are whole, so ``rdf`` reads its reference as a
-    view and builds no such stack; the budget only fixes the block size.
+    one).  The grid's delays are a run of whole delays, so ``rdf`` reads its
+    reference as a view and builds no such stack; the budget only fixes the
+    block size.
     Each trial draws from ``rng`` in the order of a lone trial (data bits,
     then the target's delay, Doppler and phase uniforms, then the real and
     the imaginary noise), so the curve does not depend on the block size.

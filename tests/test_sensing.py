@@ -214,7 +214,7 @@ class TestOneCorrelation:
 
 
 class TestWindowedDelays:
-    """Whole delays read a window view, bit for bit the gathered stack of delayed symbols."""
+    """Whole delays read windows of one extension, bit for bit the gathered stack."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -257,6 +257,21 @@ class TestWindowedDelays:
             taus = taus.astype(np.float64)
             got = rdf(a, b, (taus, nus), cfg).values
             assert np.array_equal(got, gather(a, b, taus, nus, cfg))
+
+    @pytest.mark.parametrize("axis", [
+        sensing_grid(7, 2)[0],
+        ambiguity_region(7, 2)[0],
+        ambiguity_region(70, 1)[0],
+        np.arange(-200, -190),
+        np.arange(126, 131),
+    ])
+    def test_runs_read_reversed_windows(self, rng, axis):
+        # a run crossing zero or a multiple of 2Nc is still read as one view:
+        # consecutive windows of one extension, walked backwards
+        b = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+        ref = sensing._delayed(b, axis, CFG)
+        assert ref.strides[-2] == -ref.itemsize
+        assert np.array_equal(ref, waveform_samples(b, CFG, axis.astype(np.float64)))
 
     def test_integer_axes_make_no_waveform_call(self, monkeypatch, rng):
         s = idaft(random_unit_symbols(rng, 2 * 64).reshape(2, 64), CFG)
@@ -332,10 +347,17 @@ class TestBatchedMaps:
 
 
 class TestSensingGrid:
-    @pytest.mark.parametrize("args", [(-3, 2), (3, -1), (3, 2, 0), (3, 2, 1, 0), (2.5, 1)])
+    @pytest.mark.parametrize("args", [
+        (-3, 2), (3, -1), (3, 2, 0), (3, 2, 1, 0), (2.5, 1), (7.0, 2), (3, True), (3, 2, 2.0)
+    ])
     def test_invalid_budget_or_oversampling_rejected(self, args):
         with pytest.raises(ParameterError):
             sensing_grid(*args)
+
+    def test_numpy_integers_accepted(self):
+        got = sensing_grid(np.int64(3), np.int32(2), os_tau=np.int64(2))
+        for axis, expect in zip(got, sensing_grid(3, 2, os_tau=2)):
+            assert np.array_equal(axis, expect)
 
 
 class TestDetectionConfig:
