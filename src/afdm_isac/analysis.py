@@ -55,7 +55,6 @@ tests cross-check the two.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -70,7 +69,7 @@ from .channel import (
     subcarrier_offset,
 )
 # build_daft_matrix is unused here; the benchmark's tracer test requires this binding
-from .daft import AfdmConfig, build_daft_matrix, idaft  # noqa: F401
+from .daft import AfdmConfig, build_daft_matrix, idaft, is_integer  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ParameterError
 from .modem import Constellation, FrameSpec
 from .sensing import RangeDopplerMap, _correlate
@@ -239,7 +238,7 @@ def ambiguity_moments_mc(
     x_pilot = np.asarray(x_pilot, dtype=np.complex128)
     if x_pilot.shape != (n,):
         raise ConfigurationError(f"pilot must have shape ({n},), got {x_pilot.shape}")
-    if isinstance(n_frames, bool) or not isinstance(n_frames, numbers.Integral) or n_frames < 1:
+    if not is_integer(n_frames) or n_frames < 1:
         raise ParameterError(f"n_frames must be an integer >= 1, got {n_frames!r}")
     taus, nus = _delay_doppler_pairs(points, "ambiguity points")
     # scaling the constellation before the gather gives the same products at
@@ -252,7 +251,7 @@ def ambiguity_moments_mc(
         shifted = frames  # H is the identity at the origin
         if tau or nu:
             whole, t = divmod(tau, n)
-            sign = -1.0 if cfg.two_c1_n * n * whole % 2 else 1.0
+            sign = -1.0 if cfg.prefix_flips and whole % 2 else 1.0
             gain = sign * np.exp(2j * np.pi * (nu * t % n) / n)
             shifted = PathChannel(cfg, [t], [nu], [gain]) @ frames
         values[j] = np.vecdot(frames, shifted)

@@ -65,9 +65,10 @@ SPEED_OF_LIGHT = 3.0e8
 
 
 def _integers(values, what: str) -> np.ndarray:
+    """``values`` as a 1-D int64 array; ``ParameterError`` unless each is a whole |x| < 2^63."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or not np.all(np.isfinite(arr)) or np.any(arr != np.round(arr)):
-        raise ParameterError(f"{what} must be a 1-D array of integers, got {values!r}")
+    if arr.ndim != 1 or not np.all(np.abs(arr) < 2.0**63) or np.any(arr != np.round(arr)):
+        raise ParameterError(f"{what} must be a 1-D array of int64 integers, got {values!r}")
     return arr.astype(np.int64)
 
 
@@ -308,7 +309,7 @@ class PathChannel:
         a = np.arange(n)
         phase = self.dopplers[:, None] % n * a % n
         per_path = self.gains[:, None] * np.conj(cfg.dft_twiddle[phase])
-        if cfg.two_c1_n * n % 2:
+        if cfg.prefix_flips:
             per_path[a + self.delays[:, None] >= n] *= -1
         taps = np.zeros((tau_1 - tau_0 + 1, n), dtype=np.complex128)
         for t, row in zip(self.delays - tau_0, per_path):

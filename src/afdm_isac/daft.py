@@ -22,7 +22,8 @@ Conventions used throughout the package:
 * K = 2*c1*Nc must be an integer, so the prefix phase
   exp(-j*2*pi*c1*(Nc^2 + 2*Nc*i)) is (-1)^(K*Nc): at any integer index i the
   chirp-periodic extension of a symbol is s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)),
-  and every delayed copy in the package reads it through one helper.
+  whose sign ``AfdmConfig.prefix_flips`` owns; every delayed copy in the
+  package reads the extension through ``_chirp_periodic``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, ParameterError
 
@@ -49,6 +51,11 @@ __all__ = [
 DEFAULT_C2 = math.pi - 3.0
 
 _DENSE_MATRIX_CAP = 4096
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer (numpy integers too, bools and whole floats not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,7 @@ class AfdmConfig:
         Carrier frequency in Hz.
 
     ``c1_chirp``, ``c2_chirp`` and ``dft_twiddle`` are read-only tables built
-    once per config.
+    once per config; ``prefix_flips`` is the parity of K*Nc.
     """
 
     n_sub: int
@@ -84,7 +91,7 @@ class AfdmConfig:
     def __post_init__(self):
         for name in ("n_sub", "n_cpp"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         for name in ("c1", "c2", "delta_f", "f_c"):
             if not math.isfinite(getattr(self, name)):
@@ -114,6 +121,11 @@ class AfdmConfig:
     def two_c1_n(self) -> int:
         """The integer 2*c1*n_sub."""
         return round(2.0 * self.c1 * self.n_sub)
+
+    @property
+    def prefix_flips(self) -> bool:
+        """Whether (-1)^(K*Nc) is -1: the extension flips sign once per symbol of delay."""
+        return bool(self.two_c1_n * self.n_sub % 2)
 
     @functools.cached_property
     def c1_chirp(self) -> np.ndarray:
@@ -187,20 +199,15 @@ def build_daft_matrix(cfg: AfdmConfig) -> np.ndarray:
     return cfg.c2_chirp[:, None] * dft * (cfg.c1_chirp / math.sqrt(n))
 
 
-def _chirp_periodic(s: np.ndarray, cfg: AfdmConfig, idx, per_row: bool = False) -> np.ndarray:
+def _chirp_periodic(s: np.ndarray, cfg: AfdmConfig, idx) -> np.ndarray:
     """The chirp-periodic extension s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)) at integer ``idx``.
 
     ``s`` holds Nc samples on its last axis; the result has shape
-    s.shape[:-1] + idx.shape.  With ``per_row`` ``idx`` has one axis more
-    than ``s`` and its leading axes pick rows of ``s`` instead: the result
-    is the broadcast of s.shape[:-1] and idx.shape[:-2], plus idx.shape[-2:].
+    s.shape[:-1] + idx.shape.
     """
     n = cfg.n_sub
-    if per_row:
-        out = np.take_along_axis(s[..., None, :], idx % n, axis=-1)
-    else:
-        out = np.take(s, idx % n, axis=-1)
-    if cfg.two_c1_n * n % 2:
+    out = np.take(s, idx % n, axis=-1)
+    if cfg.prefix_flips:
         out = np.where(idx // n % 2 == 0, out, -out)
     return out
 
@@ -248,7 +255,9 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     (plus c2 m^2), so that fractional delays behave like the physical DAC
     output rather than a naive quadratic-phase extrapolation.  At integer
     instants it is the chirp-periodic extension, so whole-sample delays are
-    answered by that gather, bit for bit the record ``add_cpp`` builds.
+    read from windows of it, bit for bit the record ``add_cpp`` builds.
+    All-whole delays may come back as a read-only view of those windows (a
+    1-D run of consecutive ascending delays does); copy before writing.
     Fractional delays use the exact closed form: with K = 2*c1*Nc,
     A = ceil(K*tau) and t = n - tau the wrap index is floor((m + K*n - A)/Nc)
     for every m, so
@@ -276,7 +285,10 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     n = np.arange(n_sub)
     taus = np.atleast_1d(tau)
     whole = taus == np.round(taus)
-    # a delay column whole in every row is gathered, the others take the closed form
+    if np.all(whole):
+        out = _whole_delays(s, cfg, taus)
+        return out if tau.ndim else out[..., 0, :]
+    # a delay column whole in every row is read from windows, the others take the closed form
     cols = np.all(whole, axis=tuple(range(whole.ndim - 1)))
     out = np.empty(lead + (taus.shape[-1], n_sub), dtype=np.complex128)
     if np.any(cols):
@@ -295,7 +307,7 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
         conv = np.fft.ifft(np.fft.fft(spread) * np.fft.fft(kernel))
         phase = cfg.c1 * (t * t + n * n) + (a_int - k_rate * n) * t / n_sub - k_rate * n / 2.0
         part = np.exp(2j * np.pi * phase) * conv / n_sub
-        # a whole delay in a column with fractional ones is still answered by the gather
+        # a whole delay in a column with fractional ones is still read from the windows
         stray = whole[..., ~cols, None]
         if np.any(stray):
             part = np.where(stray, _whole_delays(s, cfg, taus[..., ~cols]), part)
@@ -311,14 +323,26 @@ def _broadcasts_to(shape: tuple, target: tuple) -> bool:
 
 
 def _whole_delays(s: np.ndarray, cfg: AfdmConfig, taus: np.ndarray) -> np.ndarray:
-    """The extension at n - tau for integer ``taus`` (delays on the last axis).
+    """The extension at n - tau for whole ``taus`` (delays on the last axis).
 
     A 1-D ``taus`` delays every signal of the stack by each delay; leading
-    axes of ``taus`` pick one row of delays per signal.
+    axes of ``taus`` pick one row of delays per signal.  Each delay is
+    reduced mod 2Nc in floats (exact; it keeps i mod Nc and the parity of
+    floor(i/Nc)), a 1-D run of consecutive ascending delays as a whole, so
+    it stays a run.  With the lags in [lo, hi], window k of the extension
+    over [-hi, Nc - lo) is s(n - (hi - k)): a run is the reversed windows,
+    a read-only view, and any other set picks rows of them.
     """
     n = cfg.n_sub
-    # mod 2Nc keeps i mod Nc and the parity of floor(i/Nc), and fits int64 for any delay
-    lags = (np.arange(n) - np.mod(taus[..., None], 2 * n)).astype(np.int64)
-    if taus.ndim == 1:
-        return _chirp_periodic(s, cfg, lags)
-    return _chirp_periodic(s, cfg, lags.reshape((1,) * (s.ndim - taus.ndim) + lags.shape), True)
+    lags = np.mod(taus, 2 * n)
+    run = taus.ndim == 1 and taus.size > 0 and bool(np.all(np.diff(taus) == 1))
+    if run:
+        lags = lags[0] + np.arange(taus.size)
+    lags = lags.astype(np.int64)
+    hi = int(lags.max(initial=0))
+    lo = int(lags.min(initial=hi))
+    windows = sliding_window_view(_chirp_periodic(s, cfg, np.arange(-hi, n - lo)), n, axis=-1)
+    if run:
+        return windows[..., ::-1, :]
+    rows = (hi - lags).reshape((1,) * (s.ndim - taus.ndim) + lags.shape + (1,))
+    return np.take_along_axis(windows, rows, axis=-2)

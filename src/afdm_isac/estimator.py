@@ -13,9 +13,9 @@ matrix gives both the estimate and the posterior variances (for the proposed
 pilot Psi_p^H Psi_p = sigma_p^2 I, Theorem 4, so the matrix is diagonal).
 Psi_p and its Gram depend only on the pilot, the grid and the config, so
 ``iterative_estimate`` builds them once per pilot: a bounded cache keyed on
-(cfg, grid, pilot bytes) holds the last 4 pilot models, read-only, each about
-L*Nc*16 bytes (45*Nc*16 B on the 45-path grid, 368 KB at Nc = 512), and a
-frame only correlates its observation with Psi_p.  A
+(cfg, grid, pilot bytes) holds the last 4 pilot models (Psi_p^H and the
+Gram), read-only, each about L*Nc*16 bytes (45*Nc*16 B on the 45-path grid,
+368 KB at Nc = 512), and a frame only multiplies its observation by Psi_p^H.  A
 path is kept when its gain lies more than 3 posterior standard deviations
 from 0, and the channel estimate is the structured ``PathChannel`` of the
 surviving (tau, nu, gain) triples: O(P*Nc) to apply, never a dense matrix.
@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import BasisGrid, PathChannel, apply_basis
-from .daft import AfdmConfig, daft, idaft
+from .daft import AfdmConfig, daft, idaft, is_integer
 from .errors import ConfigurationError, NumericalError, ParameterError
 from .modem import FrameSpec, demap_symbols, map_bits
 
@@ -128,19 +127,20 @@ _NOISE_FLOOR = 1e-30
 _EPS_SCALE = 3.0
 
 
-# at most 4 pilot models, each about L*Nc*16 bytes (Psi_p)
+# at most 4 pilot models, each about L*Nc*16 bytes (Psi_p^H)
 @functools.lru_cache(maxsize=4)
 def _pilot_model(cfg: AfdmConfig, grid: BasisGrid, pilot: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Psi_p of the complex128 pilot with these bytes and its Gram Psi_p^H Psi_p, read-only.
+    """Psi_p^H of the complex128 pilot with these bytes and its Gram Psi_p^H Psi_p, read-only.
 
     The pilot is rebuilt from the key, so a caller's later write to its own
     array cannot reach an entry.
     """
     psi = build_psi(np.frombuffer(pilot, dtype=np.complex128), grid, cfg)
-    gram = psi.conj().T @ psi
-    psi.flags.writeable = False
+    psi_h = psi.conj().T
+    gram = psi_h @ psi
+    psi_h.flags.writeable = False
     gram.flags.writeable = False
-    return psi, gram
+    return psi_h, gram
 
 
 def _posterior(corr, gram, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +179,7 @@ def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
     singular normal matrix or a non-finite result raises ``NumericalError``;
     a ``y`` whose length is not the row count of ``psi_p`` raises
     ``ParameterError``.  This forms Psi^H y and Psi^H Psi on every call;
-    ``iterative_estimate`` instead reuses the Psi_p and Gram it caches per
+    ``iterative_estimate`` instead reuses the Psi_p^H and Gram it caches per
     pilot (at most 4 pilots, about L*Nc*16 bytes each).
     """
     y = np.asarray(y, dtype=np.complex128)
@@ -265,7 +265,7 @@ def iterative_estimate(
 
     Each iteration makes one posterior solve, keeps the gains more than 3
     posterior standard deviations from 0 (or above ``eps`` when it is
-    given), and equalizes with the channel they form.  Psi_p and its Gram are
+    given), and equalizes with the channel they form.  Psi_p^H and the Gram are
     built once per (cfg, grid, pilot) and cached, at most 4 pilot models of
     about L*Nc*16 bytes each, so a frame with a known pilot makes no
     ``build_psi`` call and no Gram product: each iteration only forms
@@ -284,7 +284,7 @@ def iterative_estimate(
     ``noise_power`` must be finite and >= 0 and ``n_iter`` an integer >= 1
     (else ``ParameterError``).
     """
-    if isinstance(n_iter, bool) or not isinstance(n_iter, numbers.Integral) or n_iter < 1:
+    if not is_integer(n_iter) or n_iter < 1:
         raise ParameterError(f"n_iter must be an integer >= 1, got {n_iter!r}")
     if not 0 <= noise_power < math.inf:
         raise ParameterError(f"noise_power must be finite and non-negative, got {noise_power!r}")
@@ -293,7 +293,7 @@ def iterative_estimate(
     for name, v in (("y", y), ("x_pilot", x_pilot)):
         if v.shape != (cfg.n_sub,):
             raise ConfigurationError(f"{name} must have shape ({cfg.n_sub},), got {v.shape}")
-    psi_p, gram = _pilot_model(cfg, grid, x_pilot.tobytes())
+    psi_h, gram = _pilot_model(cfg, grid, x_pilot.tobytes())
     if prior is None:
         prior = PriorModel.uniform(grid, noise_variance=0.0)
     c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
@@ -304,7 +304,7 @@ def iterative_estimate(
         noise_levels.append(float(c_it))
         observation = y if it == 0 else y - h_hat @ feedback
         alpha_hat, post = _posterior(
-            psi_p.conj().T @ observation, gram, PriorModel(prior.gain_variances, c_it)
+            psi_h @ observation, gram, PriorModel(prior.gain_variances, c_it)
         )
         eps_it = _EPS_SCALE * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps
         indicator = threshold_paths(alpha_hat, eps_it)

@@ -17,8 +17,9 @@ symbol (a target of gain beta peaks at conj(beta) * total power),
 in blocks on that axis, sized by the byte budget ``_BLOCK_BYTES`` of a
 block's (trials, delays, Nc) reference stack.  The budget bounds that
 stack on fractional (oversampled) delay axes and on scattered whole delays;
-a run of consecutive whole delays, such as the search grid, reads a window
-view of one chirp-periodic extension of the symbol.  Only the random draws
+on a run of consecutive whole delays, such as the search grid,
+``waveform_samples`` returns a window view of one chirp-periodic extension
+of the symbol instead.  Only the random draws
 loop per trial, in a lone trial's order (bits, target uniforms, noise), so
 a seed gives the same curve at any block size.
 """
@@ -26,14 +27,12 @@ a seed gives the same curve at any block size.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import SensingTarget, sensing_echo
-from .daft import AfdmConfig, _chirp_periodic, idaft, waveform_samples
+from .daft import AfdmConfig, idaft, is_integer, waveform_samples
 from .errors import ParameterError
 from .modem import FrameSpec, map_bits
 from .pilots import PilotScheme, pilot_vector
@@ -50,11 +49,6 @@ __all__ = [
     "roc_curve",
     "pd_at_pfa",
 ]
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer (numpy integers too, bools not)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -94,45 +88,20 @@ class RangeDopplerMap:
 def _correlate(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     """sum_n conj(a[..., n]) * b(n - tau) * exp(j*2*pi*nu*n/Nc), shape (..., delays, Dopplers).
 
-    b(n - tau) comes from ``_delayed``: a window view on a run of
+    b(n - tau) is ``waveform_samples`` of ``b``: a window view on a run of
     consecutive whole delays, otherwise a (..., delays, Nc) stack of picked
-    windows or, on a fractional axis, of waveform samples (the stack that
+    windows or, on a fractional axis, of closed-form samples (the stack that
     ``_BLOCK_BYTES`` bounds in ``roc_curve``).  Leading axes of ``a`` and
     ``b`` broadcast.
     """
     n = np.arange(cfg.n_sub)
     comp = np.conj(a)[..., None, :] * np.exp(2j * np.pi * nu_axis[:, None] * n / cfg.n_sub)
-    ref = _delayed(b, tau_axis, cfg)
+    ref = waveform_samples(b, cfg, tau_axis)
     if nu_axis.size == 1:
         # numpy multiplies a lone row by a strided matrix in its own loop, not by BLAS
         # as for a contiguous stack; the copy keeps the product bit for bit the same
         ref = np.ascontiguousarray(ref)
     return np.swapaxes(comp @ np.swapaxes(ref, -1, -2), -1, -2)
-
-
-def _delayed(b, tau_axis, cfg: AfdmConfig) -> np.ndarray:
-    """b(n - tau) for each delay of ``tau_axis``, shape b.shape[:-1] + (delays, Nc).
-
-    A fractional axis is ``waveform_samples`` of ``b``, a (..., delays, Nc)
-    stack.  An axis of whole delays reads windows of the chirp-periodic
-    extension instead, bit for bit the same samples.  With the delays in
-    [lo, hi], the extension is built once over [-hi, Nc - lo) and window k
-    of length Nc is b(n - (hi - k)).  A run of consecutive ascending delays
-    (every ``sensing_grid`` and ``ambiguity_region`` axis, wherever it lies)
-    is the reversed windows, a view with no copy.  Any other set is first
-    reduced mod 2Nc, which keeps i mod Nc and the parity of floor(i/Nc) and
-    bounds the extension, and then picks its rows.
-    """
-    if not np.all(tau_axis == np.round(tau_axis)):
-        return waveform_samples(b, cfg, tau_axis)
-    n = cfg.n_sub
-    taus = tau_axis.astype(np.int64)
-    run = taus.size > 0 and bool(np.all(np.diff(taus) == 1))
-    lags = taus if run else np.mod(taus, 2 * n)
-    hi, lo = (int(lags.max()), int(lags.min())) if lags.size else (0, 0)
-    ext = _chirp_periodic(b, cfg, np.arange(-hi, n - lo))
-    windows = sliding_window_view(ext, n, axis=-1)
-    return windows[..., ::-1, :] if run else windows[..., hi - lags, :]
 
 
 @dataclass(frozen=True)
@@ -153,7 +122,7 @@ class DetectionConfig:
             raise ParameterError(f"gamma must be positive, got {self.gamma!r}")
         for name in ("guard", "train"):
             widths = getattr(self, name)
-            if np.ndim(widths) != 1 or len(widths) != 2 or not all(map(_is_integer, widths)):
+            if np.ndim(widths) != 1 or len(widths) != 2 or not all(map(is_integer, widths)):
                 raise ParameterError(f"{name} must be two integer half-widths, got {widths!r}")
         if any(g < 0 for g in self.guard):
             raise ParameterError(f"guard half-widths must be non-negative, got {self.guard}")
@@ -169,7 +138,7 @@ def sensing_grid(
     All four parameters are integers (numpy integers too, bools and whole
     floats not), the rule of every integer budget in this module.
     """
-    if not all(map(_is_integer, (tau_m, nu_m, os_tau, os_nu))):
+    if not all(map(is_integer, (tau_m, nu_m, os_tau, os_nu))):
         raise ParameterError(
             f"grid parameters must be integers, got {(tau_m, nu_m, os_tau, os_nu)!r}"
         )
@@ -318,7 +287,7 @@ class SensingScenario:
     def __post_init__(self):
         for name in ("tau_m", "nu_m"):
             value = getattr(self, name)
-            if not _is_integer(value) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
         if self.tau_m > self.cfg.n_cpp:
             raise ParameterError(
@@ -348,8 +317,9 @@ class SensingScenario:
 
 
 # byte budget of the (trials, delays, Nc) stack of delayed symbols of one block
-# of ROC trials; ``rdf`` builds that stack on fractional delay axes only, so on
-# ``roc_curve``'s integer grid the budget just sizes the block
+# of ROC trials; ``waveform_samples`` builds that stack on fractional delay axes
+# and scattered whole ones only, so on ``roc_curve``'s run of whole delays the
+# budget just sizes the block
 _BLOCK_BYTES = 1 << 20
 
 
@@ -398,16 +368,16 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     when any cell outside that neighborhood exceeds gamma.  Trials run in
     blocks on a leading batch axis, as many per block as a complex
     (trials, delays, Nc) reference stack fits in ``_BLOCK_BYTES`` (at least
-    one).  The grid's delays are a run of whole delays, so ``rdf`` reads its
-    reference as a view and builds no such stack; the budget only fixes the
-    block size.
+    one).  The grid's delays are a run of whole delays, so ``waveform_samples``
+    returns ``rdf``'s reference as a window view and builds no such stack;
+    the budget only fixes the block size.
     Each trial draws from ``rng`` in the order of a lone trial (data bits,
     then the target's delay, Doppler and phase uniforms, then the real and
     the imaginary noise), so the curve does not depend on the block size.
     ``n_trials`` is an integer >= 100 and ``gamma_grid`` a non-empty finite
     1-D array, both checked before any draw.
     """
-    if not _is_integer(n_trials) or n_trials < 100:
+    if not is_integer(n_trials) or n_trials < 100:
         raise ParameterError(
             f"n_trials must be an integer >= 100 for a usable curve, got {n_trials!r}"
         )

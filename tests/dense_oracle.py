@@ -9,9 +9,11 @@ explicit Nc x Nc array whose row sums ``analysis._fim_sums`` computes from one
 table of Nc values.  The ambiguity moments are read in the time domain, by
 synthesizing every frame and correlating it with its delayed copy, which
 ``analysis.ambiguity_moments_mc`` answers in the DAFT domain instead.  The
-delay-Doppler correlation gathers its (..., delays, Nc) stack of delayed
-symbols with ``waveform_samples``, where ``sensing._correlate`` reads whole
-delays as a window view.
+delay-Doppler correlation builds a contiguous (..., delays, Nc) stack of
+delayed symbols, at whole delays from the explicit chirp-periodic extension
+s[(n - tau) mod Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)) in Python integers,
+where ``sensing._correlate`` reads windows of the extension through
+``waveform_samples`` (often a strided view).
 """
 
 import math
@@ -77,15 +79,37 @@ def frac_kernel(cfg: AfdmConfig, tau_bar: float) -> np.ndarray:
     return (np.where((j == 0) & (f > 0), nc, j) - f) / nc
 
 
+def delayed_stack(b, cfg: AfdmConfig, tau_axis) -> np.ndarray:
+    """b(n - tau) for each delay of the 1-D ``tau_axis``, a contiguous (..., delays, Nc) stack.
+
+    A whole delay reads s[(n - tau) mod Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)),
+    the index and the sign worked out in Python integers, so any whole delay
+    is exact; a fractional one is the closed form of ``waveform_samples``.
+    """
+    b = np.asarray(b, dtype=np.complex128)
+    taus = np.asarray(tau_axis, dtype=np.float64)
+    nc = cfg.n_sub
+    frac = taus != np.round(taus)
+    ref = np.empty(b.shape[:-1] + (taus.size, nc), dtype=np.complex128)
+    if np.any(frac):
+        ref[..., frac, :] = waveform_samples(b, cfg, taus[frac])
+    for j in np.flatnonzero(~frac):
+        lag = [k - int(taus[j]) for k in range(nc)]
+        vals = b[..., [i % nc for i in lag]]
+        flip = np.array([cfg.two_c1_n * nc * (i // nc) % 2 for i in lag], dtype=bool)
+        ref[..., j, :] = np.where(flip, -vals, vals)
+    return ref
+
+
 def correlate_by_gather(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
-    """``sensing._correlate`` with the delayed symbols gathered by ``waveform_samples``.
+    """``sensing._correlate`` on the contiguous stack of ``delayed_stack``.
 
     The same product on a (..., delays, Nc) stack of b(n - tau) built for
     every delay, whole or fractional.
     """
     n = np.arange(cfg.n_sub)
     comp = np.conj(a)[..., None, :] * np.exp(2j * np.pi * nu_axis[:, None] * n / cfg.n_sub)
-    ref = waveform_samples(b, cfg, tau_axis)
+    ref = delayed_stack(b, cfg, tau_axis)
     return np.swapaxes(comp @ np.swapaxes(ref, -1, -2), -1, -2)
 
 

@@ -124,6 +124,15 @@ class TestAmbiguityFunction:
         with pytest.raises(ParameterError):
             cross_ambiguity(s, s, taus, nus, AfdmConfig(n_sub=16))
 
+    @pytest.mark.parametrize(
+        "taus, nus", [([1e19], [0]), ([1e19, 1e19 + 2048], [0]), ([0], [-1e19])]
+    )
+    def test_axis_beyond_int64_rejected(self, rng, taus, nus):
+        # a whole float at or beyond 2^63 has no int64 value, so it is refused, not wrapped
+        s = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+        with pytest.raises(ParameterError):
+            cross_ambiguity(s, s, taus, nus, AfdmConfig(n_sub=15, c1=1 / 30))
+
     def test_decomposition_identity(self, rng):
         # bilinearity: the four parts reassemble the total-signal surface
         cfg = AfdmConfig(n_sub=32, c1=1 / 16)

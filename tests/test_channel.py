@@ -310,6 +310,11 @@ class TestTimeDomainApplication:
         with pytest.raises(ParameterError):
             ChannelRealization((ChannelPath(1.0, 2.5, 0.0),), 0.0, 4, 0)
 
+    @pytest.mark.parametrize("delay", [1e19, -1e19, 2.0**63])
+    def test_delay_beyond_int64_rejected(self, delay):
+        with pytest.raises(ParameterError):
+            ChannelPath(1.0, delay, 0.0)
+
 
 class TestChirpPeriodicRule:
     @settings(max_examples=40, deadline=None)

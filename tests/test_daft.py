@@ -62,6 +62,16 @@ class TestConfig:
         cfg = AfdmConfig(n_sub=np.int64(16), n_cpp=np.int32(4), c1=1 / 8)
         assert cfg.two_c1_n == 4
 
+    @pytest.mark.parametrize(
+        "n_sub, two_c1_n, flips", [(16, 1, False), (15, 1, True), (15, 2, False), (15, -3, True)]
+    )
+    def test_prefix_flips_is_the_parity_of_k_nc(self, n_sub, two_c1_n, flips):
+        # (-1)^(K*Nc): the prefix is the symbol tail, negated when K*Nc is odd
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=2, c1=two_c1_n / (2 * n_sub))
+        assert cfg.prefix_flips is flips
+        s = np.arange(1.0, n_sub + 1.0) + 0j
+        assert np.array_equal(add_cpp(s, cfg)[:2], (-1.0 if flips else 1.0) * s[-2:])
+
 
 class TestTransformPair:
     def test_zero_chirp_impulse_is_flat(self):
@@ -294,14 +304,38 @@ class TestWaveformSamples:
             assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(s))
 
     @pytest.mark.parametrize("n_sub, two_c1_n", [(16, 2), (15, 1)])
-    def test_huge_whole_delay_reads_the_extension(self, rng, n_sub, two_c1_n):
-        # 2^60 + 3*2^8 is an exact float; the extension is evaluated with Python integers
+    @pytest.mark.parametrize("taus", [
+        2.0**60 + 768,
+        [1e19],
+        [1e19, 1e19 + 2048],
+        [1e19 + 2048, -1e19],
+        2.0**53 - 8 + np.arange(8),
+        -(2.0**52) + np.arange(4),
+    ])
+    def test_huge_whole_delay_reads_the_extension(self, rng, n_sub, two_c1_n, taus):
+        # every delay is reduced mod 2Nc before any integer cast, so whole delays far
+        # beyond int64, a run of them too, read the extension the oracle evaluates
+        # with Python integers
         cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
         s = idaft(random_unit_symbols(rng, n_sub), cfg)
-        tau = 2**60 + 768
-        expect = [s[(n - tau) % n_sub] * (1 - 2 * (two_c1_n * n_sub * ((n - tau) // n_sub) % 2))
-                  for n in range(n_sub)]
-        assert np.array_equal(waveform_samples(s, cfg, float(tau)), expect)
+        got = waveform_samples(s, cfg, taus)
+        expect = dense_oracle.delayed_stack(s, cfg, np.atleast_1d(taus))
+        assert np.array_equal(got, expect.reshape(got.shape))
+
+    def test_per_row_whole_delays_read_the_extension(self, rng):
+        # leading delay axes pick one row of whole delays per signal, also far out
+        cfg = AfdmConfig(n_sub=63, n_cpp=16, c1=1 / 126)
+        s = idaft(rng.standard_normal((4, 63)) + 1j * rng.standard_normal((4, 63)), cfg)
+        taus = np.array([[0.0, 2.0, 5.0], [-70.0, 2.0, 1e19], [7.0, 130.0, 0.0], [16.0, 2.0, 3.0]])
+        batch = waveform_samples(s, cfg, taus)
+        for row, s_i, taus_i in zip(batch, s, taus):
+            assert np.array_equal(row, dense_oracle.delayed_stack(s_i, cfg, taus_i))
+        stack = np.stack([s, -s])
+        got = waveform_samples(stack, cfg, taus[:, 1:2])
+        assert got.shape == (2, 4, 1, 63)
+        for k, i in np.ndindex(2, 4):
+            expect = dense_oracle.delayed_stack(stack[k, i], cfg, taus[i, 1:2])
+            assert np.array_equal(got[k, i], expect)
 
     @pytest.mark.parametrize("n_sub, two_c1_n", [(64, 8), (63, 1)])
     def test_per_row_delays_match_single_calls(self, rng, n_sub, two_c1_n):

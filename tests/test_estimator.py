@@ -669,10 +669,12 @@ class TestPilotModel:
         assert len(calls) == 1
 
     def test_model_is_read_only(self, rng):
+        # the model keeps Psi_p^H, so an iteration multiplies by it without a conjugate copy
         x_p = random_unit_symbols(rng, 64)
-        psi, gram = estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())
-        assert estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())[0] is psi
-        for arr in (psi, gram):
+        psi_h, gram = estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())
+        assert estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())[0] is psi_h
+        assert np.array_equal(psi_h, build_psi(x_p, self.GRID64, self.CFG64).conj().T)
+        for arr in (psi_h, gram):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0
 

@@ -38,6 +38,21 @@ def test_modules_import_only_earlier_modules():
         assert imported <= set(MODULES[:i]), (name, imported - set(MODULES[:i]))
 
 
+def test_only_channel_imports_private_daft_names():
+    # every other module reads a delayed copy through waveform_samples, so the
+    # chirp-periodic extension and its whole-delay reader have one caller outside daft
+    for name in MODULES:
+        tree = ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text())
+        private = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "daft"
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        assert name == "channel" or not private, (name, private)
+
+
 def test_no_module_calls_the_dense_daft_matrix():
     # the N x N DAFT matrix is a test oracle: the package transforms by FFT
     for path in sorted((SRC / "afdm_isac").glob("*.py")):

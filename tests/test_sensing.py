@@ -267,27 +267,24 @@ class TestWindowedDelays:
     ])
     def test_runs_read_reversed_windows(self, rng, axis):
         # a run crossing zero or a multiple of 2Nc is still read as one view:
-        # consecutive windows of one extension, walked backwards
+        # consecutive windows of one extension, walked backwards, read-only
         b = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
-        ref = sensing._delayed(b, axis, CFG)
+        ref = waveform_samples(b, CFG, axis)
         assert ref.strides[-2] == -ref.itemsize
-        assert np.array_equal(ref, waveform_samples(b, CFG, axis.astype(np.float64)))
+        assert not ref.flags.writeable
+        assert np.array_equal(ref, dense_oracle.delayed_stack(b, CFG, axis))
 
-    def test_integer_axes_make_no_waveform_call(self, monkeypatch, rng):
+    def test_integer_axes_match_the_explicit_extension(self, rng):
+        # the search grid, a scattered lag set and an oversampled grid, each
+        # against the contiguous stack of the explicit formula
         s = idaft(random_unit_symbols(rng, 2 * 64).reshape(2, 64), CFG)
         echo = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
         grid, lags, bins = sensing_grid(7, 2), [3, -70, 3, 200, 0], [-2, 0, 5]
-        expect_map = dense_oracle.correlate_by_gather(echo, s, *grid, CFG)
         expect_chi = dense_oracle.correlate_by_gather(echo, s, np.array(lags), np.array(bins), CFG)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("waveform_samples called")
-
-        monkeypatch.setattr(sensing, "waveform_samples", forbidden)
-        assert np.array_equal(rdf(echo, s, grid, CFG).values, expect_map)
+        for axes in (grid, sensing_grid(7, 2, os_tau=2)):
+            expect_map = dense_oracle.correlate_by_gather(echo, s, *axes, CFG)
+            assert np.array_equal(rdf(echo, s, axes, CFG).values, expect_map)
         assert np.array_equal(cross_ambiguity(echo, s, lags, bins, CFG), expect_chi)
-        with pytest.raises(AssertionError, match="waveform_samples called"):
-            rdf(echo, s, sensing_grid(7, 2, os_tau=2), CFG)
 
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("n_sub, pilot", [(64, "proposed"), (63, "single")])
