@@ -45,11 +45,22 @@ K = 2*c1*Nc makes K*Nc even, Nc-antiperiodic when it is odd.  It is the
 channel's shift, so Theorem 4 holds at either parity.  Leading axes batch.
 The Monte Carlo moments never leave the DAFT domain: the transform is
 unitary and an integer (tau, nu) is one channel path, so each point is
-x^H H x with H a one-path ``channel.PathChannel`` applied to the whole frame
-stack, one gather and one row dot per point, and the origin is the frame
-energy.  ``interference_coefficient`` provides the closed-form DAFT-domain
-route (a single cyclic ridge at subcarrier offset 2*c1*tau*Nc - nu), and the
-tests cross-check the two.
+x^H H x with H a one-path ``channel.PathChannel``, one gather and one row
+dot per point, and the origin is the frame energy.  ``interference_coefficient``
+provides the closed-form DAFT-domain route (a single cyclic ridge at
+subcarrier offset 2*c1*tau*Nc - nu), and the tests cross-check the two.
+Theorem 4's path-shifted pilots are the same closed-form paths, one gather
+each.
+
+Monte Carlo
+-----------
+``ambiguity_moments_mc`` and ``crb_distribution`` stream over their leading
+axis in blocks sized by the package's one byte budget,
+``sensing._BLOCK_BYTES`` (1 MiB), so no (frames or draws) x Nc stack is
+built: beyond the frames' symbol-index draw, each holds about one budget of
+temporaries.  The random stream does not depend on the block size, and
+Dirichlet(1, ..., 1) allocations are drawn as the normalised unit
+exponentials that ``rng.dirichlet`` itself draws.
 """
 
 from __future__ import annotations
@@ -64,7 +75,6 @@ from .channel import (
     PathChannel,
     SensingTarget,
     _integers,
-    apply_basis,
     delay_doppler_to_range_velocity,
     subcarrier_offset,
 )
@@ -72,7 +82,7 @@ from .channel import (
 from .daft import AfdmConfig, build_daft_matrix, idaft, is_integer  # noqa: F401
 from .errors import ConfigurationError, NumericalError, ParameterError
 from .modem import Constellation, FrameSpec
-from .sensing import RangeDopplerMap, _correlate
+from .sensing import _BLOCK_BYTES, RangeDopplerMap, _correlate
 
 __all__ = [
     "PowerAllocation",
@@ -227,8 +237,15 @@ def ambiguity_moments_mc(
     H the ``PathChannel`` of the one path (t, nu) with gain
     (-1)^(K*Nc*w) * exp(j*2*pi*nu*t/Nc): the chirp-periodic extension flips
     sign once per whole symbol of delay when K*Nc is odd (K = 2*c1*Nc).  A
-    point costs one gather of the frame stack and one row dot.  At the origin
-    H is the identity and the value is the frame energy, read as such.
+    point costs one gather of the frames and one row dot.  At the origin H
+    is the identity and the value is the frame energy, read as such.
+
+    The symbol indices of all frames are drawn in one call (8*n_frames*Nc
+    bytes), so the draws do not depend on the block size.  The frames are
+    then built and read in blocks of rows, as many per block as a complex
+    block and one point's product of it fit in ``sensing._BLOCK_BYTES``
+    (at least one frame): no (n_frames, Nc) frame stack is built.  Every
+    frame's value is bit for bit the same at any block size.
 
     ``x_pilot`` must have shape (Nc,), ``points`` be a non-empty list of
     integer (delay, Doppler) pairs and ``n_frames`` an integer >= 1; all
@@ -241,20 +258,29 @@ def ambiguity_moments_mc(
     if not is_integer(n_frames) or n_frames < 1:
         raise ParameterError(f"n_frames must be an integer >= 1, got {n_frames!r}")
     taus, nus = _delay_doppler_pairs(points, "ambiguity points")
+    channels = []  # None at the origin, where H is the identity
+    for tau, nu in zip(taus.tolist(), nus.tolist()):
+        whole, t = divmod(tau, n)
+        sign = -1.0 if cfg.prefix_flips and whole % 2 else 1.0
+        gain = sign * np.exp(2j * np.pi * (nu * t % n) / n)
+        channels.append(PathChannel(cfg, [t], [nu], [gain]) if tau or nu else None)
     # scaling the constellation before the gather gives the same products at
     # one multiply per point instead of one per frame sample
     symbols = spec.constellation.points * spec.sigma_d
-    frames = symbols[rng.integers(0, symbols.shape[0], size=(n_frames, n))]
-    frames += x_pilot
-    values = np.empty((len(taus), n_frames), dtype=np.complex128)
-    for j, (tau, nu) in enumerate(zip(taus.tolist(), nus.tolist())):
-        shifted = frames  # H is the identity at the origin
-        if tau or nu:
-            whole, t = divmod(tau, n)
-            sign = -1.0 if cfg.prefix_flips and whole % 2 else 1.0
-            gain = sign * np.exp(2j * np.pi * (nu * t % n) / n)
-            shifted = PathChannel(cfg, [t], [nu], [gain]) @ frames
-        values[j] = np.vecdot(frames, shifted)
+    index = rng.integers(0, symbols.shape[0], size=(n_frames, n))
+    block = max(1, _BLOCK_BYTES // (2 * 16 * n))
+    buffer = np.empty((min(block, n_frames), n), dtype=np.complex128)
+    values = np.empty((len(channels), n_frames), dtype=np.complex128)
+    for start in range(0, n_frames, block):
+        rows = index[start : start + block]
+        frames = buffer[: len(rows)]
+        # the indices are in range; mode "raise" would gather into a copy of out
+        np.take(symbols, rows, out=frames, mode="clip")
+        frames += x_pilot
+        for j, h in enumerate(channels):  # each product is freed before the next
+            values[j, start : start + len(rows)] = np.vecdot(
+                frames, frames if h is None else h @ frames
+            )
     mean = values.mean(axis=1)
     centered = values - mean[:, None]
     var = np.mean(np.abs(centered) ** 2, axis=1)
@@ -373,6 +399,17 @@ def verify_theorem_3(
     return TheoremReport(passed=passed, details=details)
 
 
+def _basis_rows(x, cfg: AfdmConfig, taus, nus) -> np.ndarray:
+    """Unit-gain paths (taus[i], nus[i]) applied to x, one row per path, (L, Nc).
+
+    Each path has one nonzero per row in the DAFT domain, so row i is
+    taps[i] * x[q[i]] with the closed-form taps of a ``PathChannel``: one
+    gather, no transform.
+    """
+    q, taps = PathChannel(cfg, taus, nus, np.ones(len(taus)))._daft_taps
+    return taps * x[q]
+
+
 def verify_theorem_4(
     x_pilot,
     cfg: AfdmConfig,
@@ -380,8 +417,9 @@ def verify_theorem_4(
 ) -> TheoremReport:
     """Check the pilot Gram structure against the pilot ambiguity function.
 
-    Builds the Nc x L matrix of path-shifted pilots and verifies, entry by
-    entry, that the (i, j) Gram element equals
+    Builds the Nc x L matrix of path-shifted pilots in closed form
+    (``_basis_rows``) and verifies, entry by entry, that the (i, j) Gram
+    element equals
     exp(-j*2*pi*nu_j*(tau_j - tau_i)/Nc) * chi_p(tau_j - tau_i, nu_j - nu_i);
     an ideal pilot therefore yields a scaled-identity Gram.  ``passed``
     reflects only the identity residual (relative tolerance
@@ -389,9 +427,11 @@ def verify_theorem_4(
     report.
     """
     x_pilot = np.asarray(x_pilot, dtype=np.complex128)
+    if x_pilot.shape != (cfg.n_sub,):
+        raise ConfigurationError(f"pilot must have shape ({cfg.n_sub},), got {x_pilot.shape}")
     taus, nus = _delay_doppler_pairs(pairs, "pairs")
     pilot_power = float(np.linalg.norm(x_pilot) ** 2)
-    rows = apply_basis(x_pilot, cfg, taus, nus)  # row i is column i of the Nc x L matrix
+    rows = _basis_rows(x_pilot, cfg, taus, nus)  # row i is column i of the Nc x L matrix
     gram = rows.conj() @ rows.T
     tau_diff = taus[None, :] - taus[:, None]  # [i, j] = tau_j - tau_i
     tau_hats, t_idx = np.unique(tau_diff, return_inverse=True)
@@ -498,22 +538,22 @@ def _ramp_column(h: np.ndarray, u: np.ndarray) -> int:
     return int(-u[0] % n)
 
 
-def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
-    """Validated kernels (a_m, b_m, c0), power-weighted sums (a, b, c) and the ramp column.
-
-    a_m = sum_n frac^2, b_m = sum_n frac*(n/Nc), c0 = sum_n (n/Nc)^2;
-    a = p.a_m, b = p.b_m, c = sum(p)*c0.  ``powers`` is one allocation of
-    length Nc or a (draws, Nc) stack, and a, b, c follow its leading shape.
-    The ramp column is ``_ramp_column`` of the kernel.
-    """
-    p = np.asarray(powers, dtype=np.float64)
-    if p.ndim not in (1, 2) or p.shape[-1] != cfg.n_sub:
-        raise ParameterError(f"allocation must have length n_sub={cfg.n_sub}, got shape {p.shape}")
+def _row_totals(p: np.ndarray) -> np.ndarray:
+    """Totals over the last axis of finite, non-negative allocations, each checked positive."""
     if not np.all(np.isfinite(p)) or np.any(p < 0):
         raise ParameterError("powers must be finite and non-negative")
     total = p.sum(axis=-1)
     if np.any(total <= 0):
         raise ParameterError("total power must be positive")
+    return total
+
+
+def _fim_kernels(target: SensingTarget, cfg: AfdmConfig):
+    """Kernels (a_m, b_m, c0) of a validated target and the ramp column: no allocation.
+
+    a_m = sum_n frac^2, b_m = sum_n frac*(n/Nc), c0 = sum_n (n/Nc)^2.  The
+    ramp column is ``_ramp_column`` of the kernel.
+    """
     if not 0 < target.noise_power < np.inf:
         raise ParameterError("target noise power must be positive and finite")
     if not 0 < abs(target.gain) < np.inf:
@@ -531,7 +571,22 @@ def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
     wt = np.bincount(u, weights=ramp, minlength=n)
     b_m = np.fft.irfft(np.conj(np.fft.rfft(wt)) * np.fft.rfft(h), n)
     c0 = float(np.sum(ramp * ramp))
-    return a_m, b_m, c0, p @ a_m, p @ b_m, total * c0, _ramp_column(h, u)
+    return a_m, b_m, c0, _ramp_column(h, u)
+
+
+def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
+    """Validated kernels (a_m, b_m, c0), power-weighted sums (a, b, c) and the ramp column.
+
+    The kernels and the ramp column are those of ``_fim_kernels``;
+    a = p.a_m, b = p.b_m, c = sum(p)*c0.  ``powers`` is one allocation of
+    length Nc or a (draws, Nc) stack, and a, b, c follow its leading shape.
+    """
+    p = np.asarray(powers, dtype=np.float64)
+    if p.ndim not in (1, 2) or p.shape[-1] != cfg.n_sub:
+        raise ParameterError(f"allocation must have length n_sub={cfg.n_sub}, got shape {p.shape}")
+    total = _row_totals(p)
+    a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
+    return a_m, b_m, c0, p @ a_m, p @ b_m, total * c0, ramp
 
 
 def _crb_from_sums(a, b, c, powers, ramp: int, target: SensingTarget, cfg: AfdmConfig):
@@ -615,21 +670,53 @@ def crb_distribution(
     distribution.  ``tail_mass`` is the fraction of draws exceeding twice the
     equal-allocation baseline at ``total_power``.  Pass ``allocations`` (one
     allocation per row, each bounded at its own total) to evaluate a fixed
-    set instead of drawing.  ``density`` is a 60-bin histogram of the bounds.
+    set instead of drawing.  ``density`` is a 60-bin histogram of the bounds;
+    bounds that agree to below float resolution are binned as numpy bins
+    equal values, over their range widened by 0.5 on each side (or by 1e-9
+    relative, where that is wider).
+
+    A Dirichlet(1, ..., 1) draw is Nc i.i.d. unit exponentials divided by
+    their sum, and ``rng.dirichlet`` at alpha = 1 draws exactly those
+    exponentials in the same order, so the draws are read from
+    ``rng.standard_exponential`` and leave ``rng`` as ``rng.dirichlet``
+    would.  A delay bound needs only a = p.a_m, b = p.b_m and the total, so
+    each block of draws, as many as fit in ``sensing._BLOCK_BYTES`` (at
+    least one), is reduced by one product against the kernels and scaled by
+    total_power over its sum: no (n_draws, Nc) allocation matrix is built.
+    ``n_draws`` is an integer >= 1, checked before any draw; it is not read
+    when ``allocations`` is given.
     """
     if not 0 < total_power < np.inf:
         raise ParameterError("total_power must be positive and finite")
-    if allocations is None:
-        if n_draws < 1:
-            raise ParameterError("n_draws must be >= 1")
-        allocations = rng.dirichlet(np.ones(cfg.n_sub), size=n_draws) * total_power
-    a_m, b_m, c0, a, b, c, ramp = _fim_sums(allocations, target, cfg)
-    values, _ = _crb_from_sums(a, b, c, allocations, ramp, target, cfg)
+    if allocations is not None:
+        a_m, b_m, c0, a, b, c, ramp = _fim_sums(allocations, target, cfg)
+        values, _ = _crb_from_sums(a, b, c, allocations, ramp, target, cfg)
+    elif not is_integer(n_draws) or n_draws < 1:
+        raise ParameterError(f"n_draws must be an integer >= 1, got {n_draws!r}")
+    else:
+        a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
+        kernels = np.column_stack([a_m, b_m])
+        block = max(1, _BLOCK_BYTES // (8 * cfg.n_sub))
+        buffer = np.empty((min(block, n_draws), cfg.n_sub))
+        values = np.empty(n_draws)
+        for start in range(0, n_draws, block):
+            draws = rng.standard_exponential(out=buffer[: min(block, n_draws - start)])
+            a, b = (draws @ kernels).T * (total_power / _row_totals(draws))
+            # the draws load the subcarriers their allocations load, which is
+            # all the degeneracy test reads of them
+            values[start : start + len(draws)], _ = _crb_from_sums(
+                a, b, total_power * c0, draws, ramp, target, cfg
+            )
     equal = np.full(cfg.n_sub, total_power / cfg.n_sub)
     baseline, _ = _crb_from_sums(
         equal @ a_m, equal @ b_m, total_power * c0, equal, ramp, target, cfg
     )
-    hist, edges = np.histogram(values, bins=_CRB_BINS, density=True)
+    lo, hi = values.min(), values.max()
+    span = None  # numpy's own range, unless its bins would not be increasing
+    if not np.all(np.diff(np.linspace(lo, hi, _CRB_BINS + 1)) > 0):
+        pad = max(0.5, 1e-9 * abs(hi))
+        span = (lo - pad, hi + pad)
+    hist, edges = np.histogram(values, bins=_CRB_BINS, range=span, density=True)
     return {
         "values": values,
         "mean": float(values.mean()),

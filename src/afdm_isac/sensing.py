@@ -316,10 +316,12 @@ class SensingScenario:
         )
 
 
-# byte budget of the (trials, delays, Nc) stack of delayed symbols of one block
-# of ROC trials; ``waveform_samples`` builds that stack on fractional delay axes
-# and scattered whole ones only, so on ``roc_curve``'s run of whole delays the
-# budget just sizes the block
+# the package's one byte budget for a block of a Monte Carlo loop, sized to stay
+# in cache.  Here it bounds the (trials, delays, Nc) stack of delayed symbols of
+# one block of ROC trials; ``waveform_samples`` builds that stack on fractional
+# delay axes and scattered whole ones only, so on ``roc_curve``'s run of whole
+# delays the budget just sizes the block.  ``analysis`` sizes the blocks of its
+# frame and allocation draws by it too.
 _BLOCK_BYTES = 1 << 20
 
 

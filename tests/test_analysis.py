@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import dense_oracle
 from afdm_isac import AfdmConfig, analysis, idaft
 from afdm_isac.analysis import (
     PowerAllocation,
+    _basis_rows,
     _fim_sums,
     _frac_table,
     af_statistics_closed_form,
@@ -30,7 +32,7 @@ from afdm_isac.analysis import (
     verify_theorem_3,
     verify_theorem_4,
 )
-from afdm_isac.channel import SensingTarget, basis_grid, subcarrier_offset
+from afdm_isac.channel import SensingTarget, apply_basis, basis_grid, subcarrier_offset
 from afdm_isac.errors import ConfigurationError, NumericalError, ParameterError
 from afdm_isac.modem import Constellation, FrameSpec
 from afdm_isac.pilots import proposed_pilot, select_c1_q, traditional_spi_pilot
@@ -373,6 +375,24 @@ class TestTheorem4:
         with pytest.raises(ParameterError):
             verify_theorem_4(proposed_pilot(cfg, pilot_power=4.0), cfg, pairs)
 
+    @pytest.mark.parametrize("n_sub, two_c1_n", [(64, 4), (16, 1), (63, 5), (65, 3), (15, 2), (8, 0)])
+    def test_closed_form_rows_match_apply_basis(self, rng, n_sub, two_c1_n):
+        # K*Nc even for (64, 4), (16, 1), (15, 2), (8, 0) and odd for (63, 5), (65, 3)
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        x = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
+        taus = rng.integers(0, n_sub, 12)
+        nus = rng.integers(-n_sub, n_sub + 1, 12)
+        rows = _basis_rows(x, cfg, taus, nus)
+        ref = apply_basis(x, cfg, taus, nus.astype(float))
+        assert rows.shape == (12, n_sub)
+        assert np.max(np.abs(rows - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(63,), (65,), (2, 64), ()])
+    def test_pilot_of_the_wrong_shape_rejected(self, shape):
+        cfg = AfdmConfig(n_sub=64, n_cpp=16, c1=1 / 16)
+        with pytest.raises(ConfigurationError):
+            verify_theorem_4(np.ones(shape), cfg, [(0, 0), (1, 1)])
+
     def test_overreached_traditional_pilot_couples(self):
         cfg = AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32)
         x_p = traditional_spi_pilot(cfg, 100.0, spacing=16, n_pilots=8)
@@ -681,6 +701,34 @@ class TestCrbDistribution:
         out = crb_distribution(cfg, target, 16.0, 0, rng, allocations=fixed)
         assert out["variance"] == pytest.approx(0.0, abs=1e-24)
 
+    @pytest.mark.parametrize("n_draws", [2.5, True, 0, -1, "4"])
+    def test_bad_draw_count_rejected_before_any_draw(self, rng, n_draws):
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match="n_draws"):
+            crb_distribution(AfdmConfig(n_sub=16, c1=5 / 32), SensingTarget(1.0, 1.3, 0.2, 1.0),
+                             16.0, n_draws, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("c1, scales, noise_power", [
+        (1 / 128, [1.0, 1.0, 1.0], 1.0),
+        (5 / 128, [1 - 1e-15, 1.0, 1 + 1e-15], 1.0),
+        (1 / 128, [1.0, 1.0, 1.0], 1e20),  # bounds near 1e17, where 0.5 is below an ulp
+    ])
+    def test_near_equal_bounds_give_a_finite_density(self, c1, scales, noise_power):
+        # the bounds differ below float resolution, where np.histogram's own
+        # range cannot hold 60 increasing bins
+        cfg = AfdmConfig(n_sub=64, c1=c1)
+        rows = np.ones((3, 64)) * np.array(scales)[:, None]
+        out = crb_distribution(cfg, SensingTarget(1.0, 1.3, 0.0, noise_power), 64.0, 0, None,
+                               allocations=rows)
+        with pytest.raises(ValueError, match="Too many bins"):
+            np.histogram(out["values"], bins=60)
+        density, edges = out["density"], out["bin_edges"]
+        assert density.shape == (60,) and np.all(np.isfinite(density))
+        assert edges.shape == (61,) and np.all(np.diff(edges) > 0)
+        assert edges[0] <= out["values"].min() and out["values"].max() <= edges[-1]
+        assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, rel=1e-12)
+
     def test_ofdm_variance_exceeds_afdm(self, rng):
         target = SensingTarget(1.0, 0.0, 0.0, 1.0)
         out_afdm = crb_distribution(
@@ -691,6 +739,76 @@ class TestCrbDistribution:
         )
         assert out_ofdm["variance"] > out_afdm["variance"]
         assert abs(out_ofdm["mean"] - out_afdm["mean"]) < 0.5 * out_afdm["mean"]
+
+
+class TestMonteCarloBlocks:
+    """The byte budget sizes the blocks of both Monte Carlo loops, never their results."""
+
+    BUDGETS = [1, 1 << 40]  # one frame or draw per block, and one block
+
+    def test_ambiguity_moments_do_not_depend_on_the_block_size(self, monkeypatch):
+        # odd K*Nc, so the point past one symbol reads the flipped extension
+        cfg = AfdmConfig(n_sub=63, c1=5 / 126)
+        spec = FrameSpec(4.0, 0.5, Constellation.QAM16)
+        x_p = np.exp(2j * np.pi * np.arange(63) ** 2 / 63)
+        points = [(0, 0), (1, 0), (2, -3), (63 + 4, 1), (-2 * 63 - 1, 2)]
+
+        def run():
+            rng = np.random.default_rng(21)
+            return ambiguity_moments_mc(x_p, spec, cfg, points, 37, rng), rng.random()
+
+        expected, after = run()
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(analysis, "_BLOCK_BYTES", budget)
+            moments, next_draw = run()
+            for key, value in expected.items():
+                np.testing.assert_array_equal(moments[key], value, err_msg=f"{budget}: {key}")
+            assert next_draw == after
+
+    @pytest.mark.parametrize("budget", [1, None, 1 << 40])
+    def test_drawn_bounds_are_those_of_dirichlet_draws(self, monkeypatch, budget):
+        cfg = AfdmConfig(n_sub=64, c1=5 / 128)
+        target = SensingTarget(1.0, 1.3, 0.2, 0.5)
+        if budget is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(22)
+        out = crb_distribution(cfg, target, 64.0, 41, rng)
+        ref_rng = np.random.default_rng(22)
+        rows = ref_rng.dirichlet(np.ones(64), size=41) * 64.0
+        expected = [crb(PowerAllocation(row), target, cfg).crb_tau for row in rows]
+        np.testing.assert_allclose(out["values"], expected, rtol=1e-12, atol=0)
+        assert rng.random() == ref_rng.random()
+
+
+class TestMonteCarloMemory:
+    """Traced peak allocations of the Monte Carlo loops at the benchmark's N = 1024."""
+
+    CFG = AfdmConfig(n_sub=1024, c1=2 / 2048)
+
+    @staticmethod
+    def traced_peak(call) -> float:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("points", [[(0, 0), (1, 0), (0, 1), (3, 2)], [(0, 0)]])
+    def test_ambiguity_moments_hold_no_frame_stack(self, rng, points):
+        # the 500 x 1024 index draw takes 4.1 MB; a frame stack would add 8.2 MB
+        spec = FrameSpec(256.0, 1.0, Constellation.QPSK)
+        x_p = proposed_pilot(self.CFG, pilot_power=256.0)
+        peak = self.traced_peak(lambda: ambiguity_moments_mc(x_p, spec, self.CFG, points, 500, rng))
+        assert peak <= 6.0
+
+    def test_crb_distribution_holds_no_allocation_matrix(self, rng):
+        # 2000 Dirichlet allocations of 1024 subcarriers would take 16.4 MB
+        target = SensingTarget(1.0, 3.3, 0.7, 1.0)
+        peak = self.traced_peak(lambda: crb_distribution(self.CFG, target, 2048.0, 2000, rng))
+        assert peak <= 2.0
 
 
 CONTRACT_CFG = AfdmConfig(n_sub=16, c1=5 / 32)
