@@ -74,13 +74,13 @@ import numpy as np
 from .channel import (
     PathChannel,
     SensingTarget,
-    _integers,
     delay_doppler_to_range_velocity,
     subcarrier_offset,
 )
+from .daft import AfdmConfig, idaft
 # build_daft_matrix is unused here; the benchmark's tracer test requires this binding
-from .daft import AfdmConfig, build_daft_matrix, idaft, is_integer  # noqa: F401
-from .errors import ConfigurationError, NumericalError, ParameterError
+from .daft import build_daft_matrix  # noqa: F401
+from .errors import NumericalError, ParameterError, check_count, check_integers, check_vector
 from .modem import Constellation, FrameSpec
 from .sensing import _BLOCK_BYTES, RangeDopplerMap, _correlate
 
@@ -128,8 +128,8 @@ def cross_ambiguity(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
         raise ParameterError(
             f"signals must share a shape (..., {cfg.n_sub}), got {a.shape} and {b.shape}"
         )
-    tau_axis = _integers(tau_axis, "delay axis")
-    nu_axis = _integers(nu_axis, "Doppler axis")
+    tau_axis = check_integers(tau_axis, "delay axis")
+    nu_axis = check_integers(nu_axis, "Doppler axis")
     return _correlate(a, b, tau_axis, nu_axis, cfg)
 
 
@@ -139,7 +139,7 @@ def ambiguity_function(s, region, cfg: AfdmConfig) -> RangeDopplerMap:
     ``region`` is a (tau_axis, nu_axis) pair of integer arrays, e.g. from
     ``ambiguity_region``.
     """
-    tau_axis, nu_axis = (_integers(axis, "ambiguity axis") for axis in region)
+    tau_axis, nu_axis = (check_integers(axis, "ambiguity axis") for axis in region)
     return RangeDopplerMap(cross_ambiguity(s, s, tau_axis, nu_axis, cfg), tau_axis, nu_axis)
 
 
@@ -151,7 +151,7 @@ def ambiguity_decomposition(
     Returns (surface, parts) with surface values = pilot + data + data_pilot
     + pilot_data, where the mixed terms conjugate the first-named component.
     """
-    tau_axis, nu_axis = (_integers(axis, "ambiguity axis") for axis in region)
+    tau_axis, nu_axis = (check_integers(axis, "ambiguity axis") for axis in region)
     s_p, s_d = idaft(x_pilot, cfg), idaft(x_data, cfg)
     stack = cross_ambiguity(
         np.stack([s_p, s_d, s_d, s_p]), np.stack([s_p, s_d, s_p, s_d]), tau_axis, nu_axis, cfg
@@ -166,7 +166,7 @@ def interference_coefficient(m1: int, m2: int, tau: int, nu: int, cfg: AfdmConfi
     Nc*c2_chirp[m1]*conj(c2_chirp[m2]) when <m2 - m1> equals the subcarrier
     offset of the (tau, nu) pair, else 0; m1 and m2 must lie in [0, Nc).
     """
-    m1, m2 = _integers([m1, m2], "subcarrier indices")
+    m1, m2 = (check_integers([m], "subcarrier indices")[0] for m in (m1, m2))
     if min(m1, m2) < 0 or max(m1, m2) >= cfg.n_sub:
         raise ParameterError(f"subcarrier indices must lie in [0, {cfg.n_sub}), got {m1}, {m2}")
     if (m2 - m1) % cfg.n_sub != subcarrier_offset(tau, nu, cfg):
@@ -217,7 +217,7 @@ def _delay_doppler_pairs(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
         arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
         raise ParameterError(f"{what} must be a non-empty list of (delay, Doppler), got {pairs!r}")
-    return _integers(arr[:, 0], "pair delays"), _integers(arr[:, 1], "pair Dopplers")
+    return check_integers(arr[:, 0], "pair delays"), check_integers(arr[:, 1], "pair Dopplers")
 
 
 def ambiguity_moments_mc(
@@ -252,11 +252,8 @@ def ambiguity_moments_mc(
     three are checked before any draw.
     """
     n = cfg.n_sub
-    x_pilot = np.asarray(x_pilot, dtype=np.complex128)
-    if x_pilot.shape != (n,):
-        raise ConfigurationError(f"pilot must have shape ({n},), got {x_pilot.shape}")
-    if not is_integer(n_frames) or n_frames < 1:
-        raise ParameterError(f"n_frames must be an integer >= 1, got {n_frames!r}")
+    x_pilot = check_vector(x_pilot, n, "pilot")
+    check_count(n_frames, "n_frames")
     taus, nus = _delay_doppler_pairs(points, "ambiguity points")
     channels = []  # None at the origin, where H is the identity
     for tau, nu in zip(taus.tolist(), nus.tolist()):
@@ -426,9 +423,7 @@ def verify_theorem_4(
     ``_IDENTITY_TOL``); consumers judge the off-diagonal magnitudes via the
     report.
     """
-    x_pilot = np.asarray(x_pilot, dtype=np.complex128)
-    if x_pilot.shape != (cfg.n_sub,):
-        raise ConfigurationError(f"pilot must have shape ({cfg.n_sub},), got {x_pilot.shape}")
+    x_pilot = check_vector(x_pilot, cfg.n_sub, "pilot")
     taus, nus = _delay_doppler_pairs(pairs, "pairs")
     pilot_power = float(np.linalg.norm(x_pilot) ** 2)
     rows = _basis_rows(x_pilot, cfg, taus, nus)  # row i is column i of the Nc x L matrix
@@ -469,10 +464,7 @@ class PowerAllocation:
         p = np.asarray(self.powers, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ParameterError("powers must be a non-empty vector")
-        if not np.all((p >= 0) & np.isfinite(p)):
-            raise ParameterError("powers must be finite and non-negative")
-        if p.sum() <= 0:
-            raise ParameterError("total power must be positive")
+        _row_totals(p)
         object.__setattr__(self, "powers", p)
 
     @property
@@ -691,9 +683,8 @@ def crb_distribution(
     if allocations is not None:
         a_m, b_m, c0, a, b, c, ramp = _fim_sums(allocations, target, cfg)
         values, _ = _crb_from_sums(a, b, c, allocations, ramp, target, cfg)
-    elif not is_integer(n_draws) or n_draws < 1:
-        raise ParameterError(f"n_draws must be an integer >= 1, got {n_draws!r}")
     else:
+        check_count(n_draws, "n_draws")
         a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
         kernels = np.column_stack([a_m, b_m])
         block = max(1, _BLOCK_BYTES // (8 * cfg.n_sub))

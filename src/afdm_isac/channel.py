@@ -27,8 +27,10 @@ exp(j*2*pi*nu*tau/Nc), which is absorbed by the path gain.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,14 +38,20 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .daft import (
     AfdmConfig,
-    _as_stack,
     _broadcasts_to,
     _chirp_periodic,
     daft,
     idaft,
     waveform_samples,
 )
-from .errors import ConfigurationError, ParameterError
+from .errors import (
+    ParameterError,
+    check_count,
+    check_integers,
+    check_nonnegative,
+    check_stack,
+    check_vector,
+)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -64,29 +72,26 @@ __all__ = [
 SPEED_OF_LIGHT = 3.0e8
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as a 1-D int64 array; ``ParameterError`` unless each is a whole |x| < 2^63."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or not np.all(np.abs(arr) < 2.0**63) or np.any(arr != np.round(arr)):
-        raise ParameterError(f"{what} must be a 1-D array of int64 integers, got {values!r}")
-    return arr.astype(np.int64)
-
-
 @dataclass(frozen=True)
 class ChannelPath:
-    """One propagation path: complex gain, integer delay (samples), real Doppler."""
+    """One propagation path: finite complex gain, integer delay (samples), finite real Doppler."""
 
     gain: complex
     delay: int
     doppler: float
 
     def __post_init__(self):
-        _integers([self.delay], "path delay")
+        check_integers([self.delay], "path delay")
+        gain, doppler = self.gain, self.doppler
+        if isinstance(gain, bool) or not (isinstance(gain, numbers.Complex) and cmath.isfinite(gain)):
+            raise ParameterError(f"path gain must be a finite number, got {gain!r}")
+        if isinstance(doppler, bool) or not (isinstance(doppler, numbers.Real) and math.isfinite(doppler)):
+            raise ParameterError(f"path Doppler must be a finite real number, got {doppler!r}")
 
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """A set of paths plus the communication noise power and grid bounds."""
+    """A set of paths plus the communication noise power and the integer grid bounds."""
 
     paths: tuple[ChannelPath, ...]
     noise_power: float
@@ -94,6 +99,9 @@ class ChannelRealization:
     nu_m: int
 
     def __post_init__(self):
+        check_nonnegative(self.noise_power, "noise_power")
+        check_count(self.tau_m, "tau_m", least=0)
+        check_count(self.nu_m, "nu_m", least=0)
         if not self.paths:
             raise ParameterError("realization must contain at least one path")
         if len(self.paths) > self.max_paths:
@@ -127,10 +135,7 @@ class SensingTarget:
         for name in ("gain", "delay_samples", "doppler_norm"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ParameterError(f"target {name} must be finite, got {getattr(self, name)!r}")
-        if not 0 <= self.noise_power < math.inf:
-            raise ParameterError(
-                f"target noise power must be finite and non-negative, got {self.noise_power!r}"
-            )
+        check_nonnegative(self.noise_power, "target noise power")
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ class BasisGrid:
     """Integer delay-Doppler basis covering [0, tau_m] x [-nu_m, nu_m].
 
     Pair i (0-based) has tau_i = i // (2*nu_m + 1) and
-    nu_i = i % (2*nu_m + 1) - nu_m.
+    nu_i = i % (2*nu_m + 1) - nu_m.  Both bounds are integers >= 0.
     """
 
     tau_m: int
@@ -146,6 +151,8 @@ class BasisGrid:
     pairs: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
+        check_count(self.tau_m, "tau_m", least=0)
+        check_count(self.nu_m, "nu_m", least=0)
         span = 2 * self.nu_m + 1
         pairs = tuple(
             (i // span, i % span - self.nu_m) for i in range(span * (self.tau_m + 1))
@@ -241,11 +248,13 @@ class PathChannel:
     _factor: tuple[float, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        delays = _integers(self.delays, "delays")
-        dopplers = _integers(self.dopplers, "Dopplers")
+        delays = check_integers(self.delays, "delays")
+        dopplers = check_integers(self.dopplers, "Dopplers")
         gains = np.array(self.gains, dtype=np.complex128)
         if not (delays.shape == dopplers.shape == gains.shape):
             raise ParameterError("delays, dopplers and gains must have equal lengths")
+        if not np.all(np.isfinite(gains)):
+            raise ParameterError("gains must be finite")
         if np.any((delays < 0) | (delays >= self.cfg.n_sub)):
             raise ParameterError(f"delays must lie in [0, {self.cfg.n_sub})")
         for name, value in (("delays", delays), ("dopplers", dopplers), ("gains", gains)):
@@ -264,14 +273,8 @@ class PathChannel:
         taps.flags.writeable = False
         return q, taps
 
-    def _vector(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (self.cfg.n_sub,):
-            raise ConfigurationError(f"expected shape ({self.cfg.n_sub},), got {x.shape}")
-        return x
-
     def __matmul__(self, x) -> np.ndarray:
-        x = _as_stack(x, self.cfg.n_sub, "DAFT-domain vector")
+        x = check_stack(x, self.cfg.n_sub, "DAFT-domain vector")
         q, taps = self._daft_taps
         if not len(q):
             return np.zeros(x.shape, dtype=np.complex128)
@@ -390,10 +393,9 @@ class PathChannel:
         # it, so importing it here keeps it out of every other caller's start-up.
         from scipy.linalg import cho_solve_banded, cholesky_banded
 
-        if not 0 <= lam < math.inf:
-            raise ParameterError(f"lam must be finite and non-negative, got {lam!r}")
+        check_nonnegative(lam, "lam")
         n = self.cfg.n_sub
-        r = self._vector(r)
+        r = check_vector(r, n, "r")
         tau_0, taps = self._time_taps
         # H_t^H r at a: conj(V[t, a]) times r read at <a + tau_0 + t>
         reads = sliding_window_view(np.concatenate([r, r]), n)[tau_0 : tau_0 + len(taps)]
@@ -420,11 +422,7 @@ def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, 
     window equals the DAFT-domain matrix model exactly.  With rng given,
     circularly symmetric Gaussian noise of the realization's power is added.
     """
-    s_cpp = np.asarray(s_cpp, dtype=np.complex128)
-    if s_cpp.shape != (cfg.n_sub + cfg.n_cpp,):
-        raise ConfigurationError(
-            f"expected prefixed signal of length {cfg.n_sub + cfg.n_cpp}, got {s_cpp.shape}"
-        )
+    s_cpp = check_vector(s_cpp, cfg.n_sub + cfg.n_cpp, "prefixed signal")
     paths = realization.paths
     delays = np.array([p.delay for p in paths])
     if delays.max() > cfg.n_cpp:
@@ -447,8 +445,7 @@ def sample_channel(
     L: int, tau_m: int, nu_m: int, rng, noise_power: float = 0.0
 ) -> ChannelRealization:
     """Draw L distinct integer (tau, nu) pairs and CN(0, 1/L) gains."""
-    if L < 1:
-        raise ParameterError("L must be >= 1")
+    check_count(L, "L")
     grid = basis_grid(tau_m, nu_m)
     if L > len(grid):
         raise ParameterError(f"L={L} exceeds the {len(grid)}-pair grid")
@@ -475,9 +472,7 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndar
     arrays that broadcast over its leading axes, one target per row, and
     the noise is drawn for the whole stack, real parts first.
     """
-    s = np.asarray(s, dtype=np.complex128)
-    if s.shape[-1:] != (cfg.n_sub,):
-        raise ConfigurationError(f"expected symbols of length {cfg.n_sub}, got {s.shape}")
+    s = check_stack(s, cfg.n_sub, "symbols")
     tau, nu, gain = (
         np.asarray(v) for v in (target.delay_samples, target.doppler_norm, target.gain)
     )

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, check_stack, check_vector, is_integer
 
 __all__ = [
     "AfdmConfig",
@@ -51,11 +50,6 @@ __all__ = [
 DEFAULT_C2 = math.pi - 3.0
 
 _DENSE_MATRIX_CAP = 4096
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an integer (numpy integers too, bools and whole floats not)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -152,13 +146,6 @@ class AfdmConfig:
         return table
 
 
-def _as_stack(x, n: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[-1:] != (n,):
-        raise ConfigurationError(f"{what} must have shape (..., {n}), got {x.shape}")
-    return x
-
-
 def idaft(x, cfg: AfdmConfig) -> np.ndarray:
     """Synthesize the time-domain signal from a DAFT-domain vector.
 
@@ -166,7 +153,7 @@ def idaft(x, cfg: AfdmConfig) -> np.ndarray:
     the last axis: ``x`` is one vector of length Nc or a stack (..., Nc),
     and each row of a stack comes out bit for bit as its own call would.
     """
-    x = _as_stack(x, cfg.n_sub, "DAFT-domain vector")
+    x = check_stack(x, cfg.n_sub, "DAFT-domain vector")
     inner = np.fft.ifft(x * np.conj(cfg.c2_chirp)) * math.sqrt(cfg.n_sub)
     return np.conj(cfg.c1_chirp) * inner
 
@@ -176,7 +163,7 @@ def daft(s, cfg: AfdmConfig) -> np.ndarray:
 
     Batches like ``idaft``: ``s`` has shape (Nc,) or (..., Nc).
     """
-    s = _as_stack(s, cfg.n_sub, "time-domain vector")
+    s = check_stack(s, cfg.n_sub, "time-domain vector")
     inner = np.fft.fft(s * cfg.c1_chirp) / math.sqrt(cfg.n_sub)
     return cfg.c2_chirp * inner
 
@@ -218,22 +205,13 @@ def add_cpp(s, cfg: AfdmConfig) -> np.ndarray:
     The prefix sample at position n in [-n_cpp, -1] is the extension's
     s[Nc + n] * (-1)^(K*Nc): the symbol tail, sign-flipped when K*Nc is odd.
     """
-    s = np.asarray(s, dtype=np.complex128)
-    if s.shape != (cfg.n_sub,):
-        raise ConfigurationError(
-            f"time-domain vector must have shape ({cfg.n_sub},), got {s.shape}"
-        )
+    s = check_vector(s, cfg.n_sub, "time-domain vector")
     return _chirp_periodic(s, cfg, np.arange(-cfg.n_cpp, cfg.n_sub))
 
 
 def remove_cpp(r, cfg: AfdmConfig) -> np.ndarray:
     """Drop the chirp-periodic prefix, keeping the last n_sub samples."""
-    r = np.asarray(r, dtype=np.complex128)
-    expected = cfg.n_sub + cfg.n_cpp
-    if r.shape != (expected,):
-        raise ConfigurationError(
-            f"prefixed signal must have shape ({expected},), got {r.shape}"
-        )
+    r = check_vector(r, cfg.n_sub + cfg.n_cpp, "prefixed signal")
     return r[cfg.n_cpp :].copy()
 
 
@@ -273,7 +251,7 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     cyclic convolution of length Nc, evaluated by FFT at O(Nc log Nc) per
     delay and signal.  Its phases stay in floats: n - tau is no table index.
     """
-    s = _as_stack(s, cfg.n_sub, "signals")
+    s = check_stack(s, cfg.n_sub, "signals")
     tau = np.asarray(tau, dtype=np.float64)
     lead = s.shape[:-1]
     if not np.all(np.isfinite(tau)) or (tau.ndim and not _broadcasts_to(tau.shape[:-1], lead)):

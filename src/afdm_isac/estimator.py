@@ -37,14 +37,13 @@ estimate.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import BasisGrid, PathChannel, apply_basis
-from .daft import AfdmConfig, daft, idaft, is_integer
-from .errors import ConfigurationError, NumericalError, ParameterError
+from .daft import AfdmConfig, daft, idaft
+from .errors import NumericalError, ParameterError, check_count, check_nonnegative, check_vector
 from .modem import FrameSpec, demap_symbols, map_bits
 
 __all__ = [
@@ -66,7 +65,7 @@ class PriorModel:
 
     A gain variance of 0 means the coefficient is known to be 0: the
     estimators pin it to 0 and give it posterior variance 0.  An infinite
-    variance is a flat prior (no regularization of that coefficient).
+    variance is a flat prior (no regularization of that coefficient); NaN is refused.
     """
 
     gain_variances: np.ndarray
@@ -74,10 +73,9 @@ class PriorModel:
 
     def __post_init__(self):
         g = np.asarray(self.gain_variances, dtype=np.float64)
-        if np.any(g < 0):
-            raise ParameterError("prior variances must be non-negative")
-        if self.noise_variance < 0:
-            raise ParameterError("noise variance must be non-negative")
+        if not np.all(g >= 0):
+            raise ParameterError("prior variances must be non-negative, not NaN")
+        check_nonnegative(self.noise_variance, "noise variance")
         object.__setattr__(self, "gain_variances", g)
 
     @staticmethod
@@ -191,10 +189,10 @@ def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def threshold_paths(alpha_hat, eps) -> np.ndarray:
-    """Binary path indicator: keep coefficients with |alpha| above eps."""
+    """Binary path indicator: keep coefficients with |alpha| above eps (>= 0, not NaN)."""
     eps_arr = np.asarray(eps, dtype=np.float64)
-    if np.any(eps_arr < 0):
-        raise ParameterError("threshold must be non-negative")
+    if not np.all(eps_arr >= 0):
+        raise ParameterError("threshold must be non-negative, not NaN")
     return (np.abs(np.asarray(alpha_hat)) > eps_arr).astype(np.int8)
 
 
@@ -223,17 +221,15 @@ def equalize_demod(
     its last lam, so equalizing a second frame with the same channel and
     noise power makes no new factorization.  A matrix that is not positive
     definite (lam = 0 on a singular channel) raises ``NumericalError``.
-    Before any work, a ``y`` not of shape (Nc,) raises
+    Before any work, a ``y`` or ``x_pilot`` not of shape (Nc,) raises
     ``ConfigurationError``, and a non-finite ``y`` or a ``noise_power``
     that is not finite and >= 0 raises ``ParameterError``.
     """
     if not isinstance(h_hat, PathChannel):
         raise ParameterError("h_hat must be a PathChannel")
-    if not 0 <= noise_power < math.inf:
-        raise ParameterError(f"noise_power must be finite and non-negative, got {noise_power!r}")
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape != (h_hat.cfg.n_sub,):
-        raise ConfigurationError(f"y must have shape ({h_hat.cfg.n_sub},), got {y.shape}")
+    check_nonnegative(noise_power, "noise_power")
+    y = check_vector(y, h_hat.cfg.n_sub, "y")
+    x_pilot = check_vector(x_pilot, h_hat.cfg.n_sub, "x_pilot")
     if not np.all(np.isfinite(y)):
         raise ParameterError("y must be finite")
     if spec.data_symbol_power <= 0:
@@ -284,15 +280,10 @@ def iterative_estimate(
     ``noise_power`` must be finite and >= 0 and ``n_iter`` an integer >= 1
     (else ``ParameterError``).
     """
-    if not is_integer(n_iter) or n_iter < 1:
-        raise ParameterError(f"n_iter must be an integer >= 1, got {n_iter!r}")
-    if not 0 <= noise_power < math.inf:
-        raise ParameterError(f"noise_power must be finite and non-negative, got {noise_power!r}")
-    y = np.asarray(y, dtype=np.complex128)
-    x_pilot = np.asarray(x_pilot, dtype=np.complex128)
-    for name, v in (("y", y), ("x_pilot", x_pilot)):
-        if v.shape != (cfg.n_sub,):
-            raise ConfigurationError(f"{name} must have shape ({cfg.n_sub},), got {v.shape}")
+    check_count(n_iter, "n_iter")
+    check_nonnegative(noise_power, "noise_power")
+    y = check_vector(y, cfg.n_sub, "y")
+    x_pilot = check_vector(x_pilot, cfg.n_sub, "x_pilot")
     psi_h, gram = _pilot_model(cfg, grid, x_pilot.tobytes())
     if prior is None:
         prior = PriorModel.uniform(grid, noise_variance=0.0)

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_nonnegative
 
 __all__ = [
     "Constellation",
@@ -76,8 +76,8 @@ class FrameSpec:
     constellation: Constellation = Constellation.QPSK
 
     def __post_init__(self):
-        if not (0 <= self.pilot_power < math.inf and 0 <= self.data_symbol_power < math.inf):
-            raise ParameterError("powers must be finite and non-negative")
+        check_nonnegative(self.pilot_power, "pilot_power")
+        check_nonnegative(self.data_symbol_power, "data_symbol_power")
 
     def total_power(self, n_sub: int) -> float:
         """P_t = sigma_p^2 + Nc * sigma_d^2."""

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .daft import AfdmConfig
-from .errors import ParameterError
+from .errors import ParameterError, check_count, check_nonnegative
 
 __all__ = [
     "ZcParams",
@@ -57,8 +57,7 @@ class ZcParams:
     root: int = 1
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ParameterError(f"ZC length must be >= 1, got {self.length}")
+        check_count(self.length, "ZC length")
         if math.gcd(self.length, self.root) != 1:
             raise ParameterError(
                 f"ZC root {self.root} must be coprime with length {self.length}"
@@ -85,8 +84,7 @@ def select_c1_q(nu_m: int, cfg: AfdmConfig) -> tuple[float, int]:
     Returns (c1, q) with c1 = 2^q/(2*Nc) and q the smallest integer such
     that 2^(q-1) < 2*nu_m + 1 <= 2^q.  Requires Nc to be a power of two.
     """
-    if nu_m < 0:
-        raise ParameterError("nu_m must be non-negative")
+    check_count(nu_m, "nu_m", least=0)
     _require_pow2(cfg.n_sub)
     target = 2 * nu_m + 1
     q = max(0, math.ceil(math.log2(target)))
@@ -174,8 +172,7 @@ def traditional_spi_pilot(
     else:
         derived_np = cfg.n_sub // spacing
     n_p = derived_np if n_pilots is None else n_pilots
-    if n_p < 1:
-        raise ParameterError("pilot count must be >= 1")
+    check_count(n_p, "pilot count")
     if (n_p - 1) * spacing >= cfg.n_sub:
         raise ParameterError(
             f"{n_p} pilots at spacing {spacing} do not fit in Nc={cfg.n_sub}"
@@ -247,8 +244,7 @@ def pilot_vector(scheme: PilotScheme, cfg: AfdmConfig) -> np.ndarray:
 
 def _amplitude(pilot_power: float, n_p: int) -> float:
     """Per-pilot amplitude sqrt(pilot_power/n_p) of a finite, non-negative pilot power."""
-    if not 0 <= pilot_power < math.inf:
-        raise ParameterError(f"pilot_power must be finite and non-negative, got {pilot_power!r}")
+    check_nonnegative(pilot_power, "pilot_power")
     return math.sqrt(pilot_power / n_p)
 
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import SensingTarget, sensing_echo
-from .daft import AfdmConfig, idaft, is_integer, waveform_samples
-from .errors import ParameterError
+from .daft import AfdmConfig, idaft, waveform_samples
+from .errors import ParameterError, check_count, check_nonnegative, is_integer
 from .modem import FrameSpec, map_bits
 from .pilots import PilotScheme, pilot_vector
 
@@ -285,20 +285,15 @@ class SensingScenario:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
 
     def __post_init__(self):
-        for name in ("tau_m", "nu_m"):
-            value = getattr(self, name)
-            if not is_integer(value) or value < 1:
-                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+        check_count(self.tau_m, "tau_m")
+        check_count(self.nu_m, "nu_m")
         if self.tau_m > self.cfg.n_cpp:
             raise ParameterError(
                 f"tau_m ({self.tau_m}) exceeds the prefix budget n_cpp ({self.cfg.n_cpp})"
             )
         if not math.isfinite(self.receive_snr_db):
             raise ParameterError(f"receive_snr_db must be finite, got {self.receive_snr_db!r}")
-        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
-            raise ParameterError(
-                f"noise_power must be finite and non-negative, got {self.noise_power!r}"
-            )
+        check_nonnegative(self.noise_power, "noise_power")
 
     def _draw_uniforms(self, rng) -> tuple[float, float, float]:
         """The target's three draws, in order: delay, Doppler, gain phase (cycles)."""
@@ -379,10 +374,7 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     ``n_trials`` is an integer >= 100 and ``gamma_grid`` a non-empty finite
     1-D array, both checked before any draw.
     """
-    if not is_integer(n_trials) or n_trials < 100:
-        raise ParameterError(
-            f"n_trials must be an integer >= 100 for a usable curve, got {n_trials!r}"
-        )
+    check_count(n_trials, "n_trials", least=100)
     gamma_grid = np.asarray(gamma_grid, dtype=np.float64)
     if gamma_grid.ndim != 1 or gamma_grid.size == 0 or not np.all(np.isfinite(gamma_grid)):
         raise ParameterError(

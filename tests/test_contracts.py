@@ -1,0 +1,222 @@
+"""Every public entry point answers malformed arguments with an ``AfdmError``.
+
+One table lists each site of the shared argument checks in ``errors``.  Each
+site is fed the same malformed values, skipping those it legitimately takes,
+and must raise its own ``AfdmError`` subclass with a message that names the
+argument.  The regression tests below pin the inputs that were accepted, or
+raised a bare ``TypeError`` or ``ValueError``, before the checks were shared.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp, waveform_samples
+from afdm_isac.analysis import (
+    ambiguity_function,
+    ambiguity_moments_mc,
+    crb_distribution,
+    interference_coefficient,
+    verify_theorem_4,
+)
+from afdm_isac.channel import (
+    ChannelPath,
+    ChannelRealization,
+    PathChannel,
+    SensingTarget,
+    apply_channel_time,
+    basis_grid,
+    sample_channel,
+    sensing_echo,
+)
+from afdm_isac.errors import ConfigurationError, ParameterError
+from afdm_isac.estimator import PriorModel, equalize_demod, iterative_estimate, threshold_paths
+from afdm_isac.modem import FrameSpec
+from afdm_isac.pilots import (
+    PilotScheme,
+    ZcParams,
+    select_c1_q,
+    single_pilot,
+    traditional_spi_pilot,
+)
+from afdm_isac.sensing import SensingScenario, roc_curve
+
+CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
+SPEC = FrameSpec(16.0, 1.0)
+GRID = basis_grid(2, 1)
+H = PathChannel(CFG, [0, 1], [0, 1], [1.0, 0.2j])
+X_P = single_pilot(CFG, 16.0)
+ONES = np.ones(CFG.n_sub, dtype=complex)
+TARGET = SensingTarget(1.0, 1.0, 0.0, 1.0)
+PATH = ChannelPath(1.0, 0, 0.0)
+
+# the malformed values fed to every site
+VALUES = {
+    "wrong shape": np.ones((2, 3)),
+    "-1": -1,
+    "nan": math.nan,
+    "+inf": math.inf,
+    "-inf": -math.inf,
+    "None": None,
+    "'1'": "1",
+    "1j": 1j,
+    "2 elements": np.ones(2),
+    "2.5": 2.5,
+    "True": True,
+}
+
+
+def scenario(**change):
+    kwargs = dict(tau_m=2, nu_m=1, receive_snr_db=10.0, noise_power=1.0)
+    return SensingScenario(CFG, SPEC, PilotScheme("single", 16.0), **{**kwargs, **change})
+
+
+def rng():
+    return np.random.default_rng(7)
+
+
+# (site, call with the value in place, error class, message pattern, values the site takes)
+NONNEGATIVE = {"2.5"}
+SITES = [
+    # a complex (n,) vector
+    ("add_cpp", lambda v: add_cpp(v, CFG), ConfigurationError, "^time-domain vector", set()),
+    ("remove_cpp", lambda v: remove_cpp(v, CFG), ConfigurationError, "^prefixed signal", set()),
+    ("apply_channel_time", lambda v: apply_channel_time(v, ChannelRealization((PATH,), 0.0, 2, 1), CFG),
+     ConfigurationError, "^prefixed signal", set()),
+    ("regularized_solve.r", lambda v: H.regularized_solve(v, 0.1), ConfigurationError, "^r must", set()),
+    ("ambiguity_moments_mc.x_pilot", lambda v: ambiguity_moments_mc(v, SPEC, CFG, [(0, 0)], 4, rng()),
+     ConfigurationError, "^pilot", set()),
+    ("verify_theorem_4.x_pilot", lambda v: verify_theorem_4(v, CFG, [(0, 0)]),
+     ConfigurationError, "^pilot", set()),
+    ("equalize_demod.y", lambda v: equalize_demod(v, H, X_P, SPEC, 0.1), ConfigurationError, "^y must", set()),
+    ("equalize_demod.x_pilot", lambda v: equalize_demod(ONES, H, v, SPEC, 0.1),
+     ConfigurationError, "^x_pilot", set()),
+    ("iterative_estimate.y", lambda v: iterative_estimate(v, X_P, SPEC, GRID, CFG, 0.1),
+     ConfigurationError, "^y must", set()),
+    ("iterative_estimate.x_pilot", lambda v: iterative_estimate(ONES, v, SPEC, GRID, CFG, 0.1),
+     ConfigurationError, "^x_pilot", set()),
+    # a complex (..., n) stack
+    ("idaft", lambda v: idaft(v, CFG), ConfigurationError, "^DAFT-domain vector", set()),
+    ("daft", lambda v: daft(v, CFG), ConfigurationError, "^time-domain vector", set()),
+    ("waveform_samples", lambda v: waveform_samples(v, CFG, 1.0), ConfigurationError, "^signals", set()),
+    ("PathChannel @", lambda v: H @ v, ConfigurationError, "^DAFT-domain vector", set()),
+    ("sensing_echo", lambda v: sensing_echo(v, CFG, TARGET), ConfigurationError, "^symbols", set()),
+    # a finite, non-negative real scalar
+    ("FrameSpec.pilot_power", lambda v: FrameSpec(v, 1.0), ParameterError, "^pilot_power", NONNEGATIVE),
+    ("FrameSpec.data_symbol_power", lambda v: FrameSpec(1.0, v), ParameterError,
+     "^data_symbol_power", NONNEGATIVE),
+    ("single_pilot.pilot_power", lambda v: single_pilot(CFG, v), ParameterError, "^pilot_power", NONNEGATIVE),
+    ("SensingTarget.noise_power", lambda v: SensingTarget(1.0, 1.0, 0.0, v), ParameterError,
+     "^target noise power", NONNEGATIVE),
+    ("SensingScenario.noise_power", lambda v: scenario(noise_power=v), ParameterError,
+     "^noise_power", NONNEGATIVE),
+    ("ChannelRealization.noise_power", lambda v: ChannelRealization((PATH,), v, 2, 1), ParameterError,
+     "^noise_power", NONNEGATIVE),
+    ("PriorModel.noise_variance", lambda v: PriorModel(np.ones(2), v), ParameterError,
+     "^noise variance", NONNEGATIVE),
+    ("regularized_solve.lam", lambda v: H.regularized_solve(ONES, v), ParameterError, "^lam", NONNEGATIVE),
+    ("equalize_demod.noise_power", lambda v: equalize_demod(ONES, H, X_P, SPEC, v), ParameterError,
+     "^noise_power", NONNEGATIVE),
+    ("iterative_estimate.noise_power", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, v),
+     ParameterError, "^noise_power", NONNEGATIVE),
+    # an integer >= k
+    ("iterative_estimate.n_iter", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, n_iter=v),
+     ParameterError, "^n_iter", set()),
+    ("ambiguity_moments_mc.n_frames", lambda v: ambiguity_moments_mc(X_P, SPEC, CFG, [(0, 0)], v, rng()),
+     ParameterError, "^n_frames", set()),
+    ("crb_distribution.n_draws", lambda v: crb_distribution(CFG, TARGET, 16.0, v, rng()),
+     ParameterError, "^n_draws", set()),
+    ("roc_curve.n_trials", lambda v: roc_curve(scenario(), [1.0], v, rng()), ParameterError,
+     "^n_trials", set()),
+    ("SensingScenario.tau_m", lambda v: scenario(tau_m=v), ParameterError, "^tau_m", set()),
+    ("SensingScenario.nu_m", lambda v: scenario(nu_m=v), ParameterError, "^nu_m", set()),
+    ("ChannelRealization.tau_m", lambda v: ChannelRealization((PATH,), 0.0, v, 1), ParameterError,
+     "^tau_m", set()),
+    ("ChannelRealization.nu_m", lambda v: ChannelRealization((PATH,), 0.0, 2, v), ParameterError,
+     "^nu_m", set()),
+    ("basis_grid.tau_m", lambda v: basis_grid(v, 1), ParameterError, "^tau_m", set()),
+    ("basis_grid.nu_m", lambda v: basis_grid(2, v), ParameterError, "^nu_m", set()),
+    ("sample_channel.L", lambda v: sample_channel(v, 2, 1, rng()), ParameterError, "^L must", set()),
+    ("ZcParams.length", lambda v: ZcParams(v), ParameterError, "^ZC length", set()),
+    ("select_c1_q.nu_m", lambda v: select_c1_q(v, CFG), ParameterError, "^nu_m", set()),
+    ("traditional_spi_pilot.n_pilots", lambda v: traditional_spi_pilot(CFG, 16.0, spacing=4, n_pilots=v),
+     ParameterError, "^pilot count", {"None"}),
+    # an int64 integer array
+    ("PathChannel.delays", lambda v: PathChannel(CFG, v, [0], [1.0]), ParameterError, "delays", set()),
+    ("PathChannel.dopplers", lambda v: PathChannel(CFG, [0], v, [1.0]), ParameterError, "(?i)dopplers", set()),
+    ("ambiguity_function.region", lambda v: ambiguity_function(idaft(X_P, CFG), (v, [0]), CFG),
+     ParameterError, "^ambiguity axis", {"2 elements"}),
+    ("interference_coefficient.m1", lambda v: interference_coefficient(v, 0, 0, 0, CFG), ParameterError,
+     "^subcarrier indices", set()),
+    ("ChannelPath.delay", lambda v: ChannelPath(1.0, v, 0.0), ParameterError, "^path delay", {"-1"}),
+    # the path contracts: a finite complex gain and a finite real Doppler
+    ("ChannelPath.gain", lambda v: ChannelPath(v, 0, 0.0), ParameterError, "^path gain", {"-1", "1j", "2.5"}),
+    ("ChannelPath.doppler", lambda v: ChannelPath(1.0, 0, v), ParameterError, "^path Doppler", {"-1", "2.5"}),
+    # finite gains, one per path: the value is the one path's gain
+    ("PathChannel.gains", lambda v: PathChannel(CFG, [0], [0], [v]), ParameterError, "gains",
+     {"-1", "'1'", "1j", "2.5", "True"}),
+]
+
+
+CASES = [
+    pytest.param(call, error, message, VALUES[label], id=f"{site}-{label}")
+    for site, call, error, message, takes in SITES
+    for label in VALUES
+    if label not in takes
+]
+
+
+@pytest.mark.parametrize("call, error, message, value", CASES)
+def test_malformed_argument_is_refused(call, error, message, value):
+    with pytest.raises(error, match=message):
+        call(value)
+
+
+def test_table_values_are_taken_where_listed():
+    # a site's skipped values are valid arguments there, so the skips hide no defect
+    for site, call, _, _, takes in SITES:
+        for label in takes:
+            call(VALUES[label])
+
+
+DEFECTS = {
+    # accepted, then an all-NaN signal
+    "path gain NaN": lambda: ChannelPath(complex(math.nan, 0.0), 1, 0.0),
+    "path Doppler NaN": lambda: ChannelPath(1.0, 1, math.nan),
+    # accepted, then NaN and a RuntimeWarning
+    "path Doppler inf": lambda: ChannelPath(1.0, 1, math.inf),
+    # accepted, then an all-NaN h @ x
+    "PathChannel gain NaN": lambda: PathChannel(CFG, [1], [0], [math.nan]),
+    # accepted, then no noise added
+    "realization noise -1": lambda: ChannelRealization((PATH,), -1.0, 2, 1),
+    # accepted, max_paths 7.5
+    "realization tau_m 1.5": lambda: ChannelRealization((PATH,), 0.0, 1.5, 1),
+    # an empty grid, then ZeroDivisionError in PriorModel.uniform
+    "grid tau_m -1": lambda: basis_grid(-1, 0),
+    # bare TypeError
+    "grid tau_m 1.5": lambda: basis_grid(1.5, 0),
+    "sample_channel L 2.5": lambda: sample_channel(2.5, 2, 1, rng()),
+    "sample_channel L True": lambda: sample_channel(True, 2, 1, rng()),
+    # accepted, then the gain pinned to 0 without a word
+    "prior variance NaN": lambda: PriorModel(np.array([math.nan, 1.0]), 1.0),
+    "prior noise variance NaN": lambda: PriorModel(np.ones(2), math.nan),
+    # accepted, then no path kept
+    "threshold NaN": lambda: threshold_paths(np.array([1.0, 2.0]), math.nan),
+    # bare TypeError
+    "FrameSpec pilot_power '1'": lambda: FrameSpec("1", 1.0),
+    "FrameSpec pilot_power 1j": lambda: FrameSpec(1j, 1.0),
+    "equalize_demod noise_power None": lambda: equalize_demod(ONES, H, X_P, SPEC, None),
+    "regularized_solve lam None": lambda: H.regularized_solve(ONES, None),
+    "iterative_estimate noise_power '1'": lambda: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, "1"),
+    # bare ValueError
+    "equalize_demod noise_power 2 elements": lambda: equalize_demod(ONES, H, X_P, SPEC, np.ones(2)),
+    "SensingTarget noise_power 2 elements": lambda: SensingTarget(1.0, 1.0, 0.0, np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("defect", list(DEFECTS))
+def test_defect_is_refused(defect):
+    with pytest.raises(ParameterError):
+        DEFECTS[defect]()
+

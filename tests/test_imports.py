@@ -96,3 +96,32 @@ def test_caches_stay_where_they_are_listed():
                 cached_properties.add(owner.get(node))
     assert caches == [("estimator.py", None)]
     assert cached_properties == {"AfdmConfig", "PathChannel"}
+
+
+def test_every_imported_name_is_used():
+    # the package's __init__ re-exports what it imports; elsewhere a name kept
+    # only for an outside reader is marked "# noqa: F401" on its import
+    for name in MODULES:
+        source = (SRC / "afdm_isac" / f"{name}.py").read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            and not any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (name, imported - used)
+
+
+def test_argument_checks_are_defined_only_in_errors():
+    # the vector, stack, scalar, count and integer-array contracts have one home
+    checks = {"is_integer", "check_vector", "check_stack", "check_nonnegative", "check_count",
+              "check_integers", "_as_stack", "_integers", "_vector"}
+    for name in MODULES[1:]:
+        tree = ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert not defined & checks, (name, defined & checks)
