@@ -43,14 +43,14 @@ the chirp-periodic prefix rule of ``daft``,
 s[n - tau] = s[<n - tau>_Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)): cyclic when
 K = 2*c1*Nc makes K*Nc even, Nc-antiperiodic when it is odd.  It is the
 channel's shift, so Theorem 4 holds at either parity.  Leading axes batch.
-The Monte Carlo moments never leave the DAFT domain: the transform is
-unitary and an integer (tau, nu) is one channel path, so each point is
-x^H H x with H a one-path ``channel.PathChannel``, one gather and one row
-dot per point, and the origin is the frame energy.  ``interference_coefficient``
-provides the closed-form DAFT-domain route (a single cyclic ridge at
-subcarrier offset 2*c1*tau*Nc - nu), and the tests cross-check the two.
-Theorem 4's path-shifted pilots are the same closed-form paths, one gather
-each.
+The Monte Carlo moments never leave the DAFT domain: the transform is unitary
+and an integer (tau, nu) is one channel path, so each point is x^H H x with H
+that path.  One ``channel.PathChannel`` holds the paths of all points, and a
+block of frames costs one ``images`` call and one batched row dot; the origin
+is the frame energy.  ``interference_coefficient`` provides the closed-form
+DAFT-domain route (a single cyclic ridge at subcarrier offset
+2*c1*tau*Nc - nu), and the tests cross-check the two.  Theorem 4's
+path-shifted pilots are ``images`` of the pilot, one gather.
 
 Monte Carlo
 -----------
@@ -111,7 +111,9 @@ __all__ = [
 
 
 def ambiguity_region(tau_m: int, nu_m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Delay/Doppler axes [-tau_m, tau_m] x [-2*nu_m, 2*nu_m]."""
+    """Delay/Doppler axes [-tau_m, tau_m] x [-2*nu_m, 2*nu_m] of integers tau_m, nu_m >= 0."""
+    check_count(tau_m, "tau_m", least=0)
+    check_count(nu_m, "nu_m", least=0)
     return np.arange(-tau_m, tau_m + 1), np.arange(-2 * nu_m, 2 * nu_m + 1)
 
 
@@ -234,18 +236,19 @@ def ambiguity_moments_mc(
 
         A(tau, nu) = sum_n conj(s[n]) s[n - tau] exp(j*2*pi*nu*n/Nc) = x^H H x,
 
-    H the ``PathChannel`` of the one path (t, nu) with gain
-    (-1)^(K*Nc*w) * exp(j*2*pi*nu*t/Nc): the chirp-periodic extension flips
-    sign once per whole symbol of delay when K*Nc is odd (K = 2*c1*Nc).  A
-    point costs one gather of the frames and one row dot.  At the origin H
+    H the path (t, nu) with gain (-1)^(K*Nc*w) * exp(j*2*pi*nu*t/Nc): the
+    chirp-periodic extension flips sign once per whole symbol of delay when
+    K*Nc is odd (K = 2*c1*Nc), and the phase is the config's ``dft_twiddle``
+    at (nu mod Nc)*t mod Nc, reduced in int64 without overflow.  One
+    ``PathChannel`` holds the paths of every point but the origin, where H
     is the identity and the value is the frame energy, read as such.
 
     The symbol indices of all frames are drawn in one call (8*n_frames*Nc
     bytes), so the draws do not depend on the block size.  The frames are
     then built and read in blocks of rows, as many per block as a complex
-    block and one point's product of it fit in ``sensing._BLOCK_BYTES``
-    (at least one frame): no (n_frames, Nc) frame stack is built.  Every
-    frame's value is bit for bit the same at any block size.
+    block and its (block, points, Nc) images fit in ``sensing._BLOCK_BYTES``
+    (at least one frame), each by one ``images`` call and one batched row
+    dot.  Every frame's value is bit for bit the same at any block size.
 
     ``x_pilot`` must have shape (Nc,), ``points`` be a non-empty list of
     integer (delay, Doppler) pairs and ``n_frames`` an integer >= 1; all
@@ -255,29 +258,25 @@ def ambiguity_moments_mc(
     x_pilot = check_vector(x_pilot, n, "pilot")
     check_count(n_frames, "n_frames")
     taus, nus = _delay_doppler_pairs(points, "ambiguity points")
-    channels = []  # None at the origin, where H is the identity
-    for tau, nu in zip(taus.tolist(), nus.tolist()):
-        whole, t = divmod(tau, n)
-        sign = -1.0 if cfg.prefix_flips and whole % 2 else 1.0
-        gain = sign * np.exp(2j * np.pi * (nu * t % n) / n)
-        channels.append(PathChannel(cfg, [t], [nu], [gain]) if tau or nu else None)
+    off = (taus != 0) | (nus != 0)  # the origin reads the frame energy
+    whole, t = np.divmod(taus[off], n)
+    sign = np.where(cfg.prefix_flips & (whole % 2 == 1), -1.0, 1.0)
+    h = PathChannel(cfg, t, nus[off], sign * np.conj(cfg.dft_twiddle[nus[off] % n * t % n]))
     # scaling the constellation before the gather gives the same products at
     # one multiply per point instead of one per frame sample
     symbols = spec.constellation.points * spec.sigma_d
     index = rng.integers(0, symbols.shape[0], size=(n_frames, n))
-    block = max(1, _BLOCK_BYTES // (2 * 16 * n))
+    block = max(1, _BLOCK_BYTES // (16 * n * (1 + len(t))))
     buffer = np.empty((min(block, n_frames), n), dtype=np.complex128)
-    values = np.empty((len(channels), n_frames), dtype=np.complex128)
+    values = np.empty((len(taus), n_frames), dtype=np.complex128)
     for start in range(0, n_frames, block):
         rows = index[start : start + block]
         frames = buffer[: len(rows)]
         # the indices are in range; mode "raise" would gather into a copy of out
         np.take(symbols, rows, out=frames, mode="clip")
         frames += x_pilot
-        for j, h in enumerate(channels):  # each product is freed before the next
-            values[j, start : start + len(rows)] = np.vecdot(
-                frames, frames if h is None else h @ frames
-            )
+        values[off, start : start + len(rows)] = np.vecdot(frames[:, None], h.images(frames)).T
+        values[~off, start : start + len(rows)] = np.vecdot(frames, frames)
     mean = values.mean(axis=1)
     centered = values - mean[:, None]
     var = np.mean(np.abs(centered) ** 2, axis=1)
@@ -396,17 +395,6 @@ def verify_theorem_3(
     return TheoremReport(passed=passed, details=details)
 
 
-def _basis_rows(x, cfg: AfdmConfig, taus, nus) -> np.ndarray:
-    """Unit-gain paths (taus[i], nus[i]) applied to x, one row per path, (L, Nc).
-
-    Each path has one nonzero per row in the DAFT domain, so row i is
-    taps[i] * x[q[i]] with the closed-form taps of a ``PathChannel``: one
-    gather, no transform.
-    """
-    q, taps = PathChannel(cfg, taus, nus, np.ones(len(taus)))._daft_taps
-    return taps * x[q]
-
-
 def verify_theorem_4(
     x_pilot,
     cfg: AfdmConfig,
@@ -414,9 +402,9 @@ def verify_theorem_4(
 ) -> TheoremReport:
     """Check the pilot Gram structure against the pilot ambiguity function.
 
-    Builds the Nc x L matrix of path-shifted pilots in closed form
-    (``_basis_rows``) and verifies, entry by entry, that the (i, j) Gram
-    element equals
+    Builds the Nc x L matrix of path-shifted pilots in closed form, the
+    ``images`` of the pilot through the unit-gain ``PathChannel`` of the
+    pairs, and verifies, entry by entry, that the (i, j) Gram element equals
     exp(-j*2*pi*nu_j*(tau_j - tau_i)/Nc) * chi_p(tau_j - tau_i, nu_j - nu_i);
     an ideal pilot therefore yields a scaled-identity Gram.  ``passed``
     reflects only the identity residual (relative tolerance
@@ -426,7 +414,7 @@ def verify_theorem_4(
     x_pilot = check_vector(x_pilot, cfg.n_sub, "pilot")
     taus, nus = _delay_doppler_pairs(pairs, "pairs")
     pilot_power = float(np.linalg.norm(x_pilot) ** 2)
-    rows = _basis_rows(x_pilot, cfg, taus, nus)  # row i is column i of the Nc x L matrix
+    rows = PathChannel(cfg, taus, nus, np.ones(len(taus))).images(x_pilot)  # row i: column i
     gram = rows.conj() @ rows.T
     tau_diff = taus[None, :] - taus[:, None]  # [i, j] = tau_j - tau_i
     tau_hats, t_idx = np.unique(tau_diff, return_inverse=True)
@@ -546,12 +534,12 @@ def _fim_kernels(target: SensingTarget, cfg: AfdmConfig):
     a_m = sum_n frac^2, b_m = sum_n frac*(n/Nc), c0 = sum_n (n/Nc)^2.  The
     ramp column is ``_ramp_column`` of the kernel.
     """
+    if any(np.ndim(v) for v in (target.gain, target.delay_samples, target.doppler_norm)):
+        raise ParameterError("the bounds take one target: scalar gain, delay and Doppler")
     if not 0 < target.noise_power < np.inf:
         raise ParameterError("target noise power must be positive and finite")
     if not 0 < abs(target.gain) < np.inf:
         raise ParameterError("target gain must be nonzero and finite")
-    if not np.isfinite(target.delay_samples):
-        raise ParameterError("target delay must be finite")
     n = cfg.n_sub
     h, u = _frac_table(cfg, target.delay_samples)
     ramp = np.arange(n, dtype=np.float64) / n

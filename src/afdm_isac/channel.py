@@ -51,6 +51,7 @@ from .errors import (
     check_nonnegative,
     check_stack,
     check_vector,
+    is_real,
 )
 
 __all__ = [
@@ -74,18 +75,19 @@ SPEED_OF_LIGHT = 3.0e8
 
 @dataclass(frozen=True)
 class ChannelPath:
-    """One propagation path: finite complex gain, integer delay (samples), finite real Doppler."""
+    """One propagation path: finite complex gain, whole delay >= 0 (samples), finite real Doppler."""
 
     gain: complex
     delay: int
     doppler: float
 
     def __post_init__(self):
-        check_integers([self.delay], "path delay")
+        if check_integers([self.delay], "path delay")[0] < 0:
+            raise ParameterError(f"path delay must be >= 0, got {self.delay!r}")
         gain, doppler = self.gain, self.doppler
         if isinstance(gain, bool) or not (isinstance(gain, numbers.Complex) and cmath.isfinite(gain)):
             raise ParameterError(f"path gain must be a finite number, got {gain!r}")
-        if isinstance(doppler, bool) or not (isinstance(doppler, numbers.Real) and math.isfinite(doppler)):
+        if not (is_real(doppler) and math.isfinite(doppler)):
             raise ParameterError(f"path Doppler must be a finite real number, got {doppler!r}")
 
 
@@ -122,8 +124,8 @@ class SensingTarget:
     converts delay and Doppler to range and velocity.  Gain, delay and
     Doppler may also be arrays, one target per row of a symbol stack
     (``sensing_echo``); the noise power is one scalar.  Every value must be
-    finite and the noise power non-negative; the bounds of ``analysis``
-    require more of it.
+    finite (delay and Doppler real) and the noise power non-negative; the
+    bounds of ``analysis`` take scalars only and require more of them.
     """
 
     gain: complex
@@ -132,9 +134,10 @@ class SensingTarget:
     noise_power: float
 
     def __post_init__(self):
-        for name in ("gain", "delay_samples", "doppler_norm"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ParameterError(f"target {name} must be finite, got {getattr(self, name)!r}")
+        for name, kinds in (("gain", "biufc"), ("delay_samples", "biuf"), ("doppler_norm", "biuf")):
+            value = np.asarray(getattr(self, name))
+            if value.dtype.kind not in kinds or not np.isfinite(value).all():
+                raise ParameterError(f"target {name} must be finite numbers, got {getattr(self, name)!r}")
         check_nonnegative(self.noise_power, "target noise power")
 
 
@@ -188,7 +191,8 @@ def apply_basis(x, cfg: AfdmConfig, tau, nu) -> np.ndarray:
     A scalar integer delay tau in [0, Nc) and a real Doppler nu give one
     vector of shape (Nc,).  1-D arrays of L delays and L Dopplers give one
     row per path, shape (L, Nc): one ``idaft`` of x and one batched ``daft``,
-    each row bit for bit the scalar call.
+    each row bit for bit the scalar call.  The FFT reference for
+    ``PathChannel``; no receive path calls it (the benchmark pins its route).
     """
     delays, dopplers = np.atleast_1d(tau), np.atleast_1d(np.asarray(nu, dtype=np.float64))
     if delays.dtype.kind not in "iu" or delays.ndim != 1 or dopplers.shape != delays.shape:
@@ -220,13 +224,14 @@ class PathChannel:
     (the prefix sign cancels the wrap of the chirp, so this holds for either
     parity of K*Nc); it is conj(c1_chirp[tau]) * c2_chirp[p] * conj(c2_chirp[q])
     from the config's tables times its ``dft_twiddle`` entry at
-    (q + nu)*tau mod Nc, the product reduced in integers.  In the time
-    domain the channel is H_t = sum_tau diag(c_tau) Pi^tau, a cyclic band
-    of width max(tau), and the DAFT-domain matrix is A H_t A^H.  ``h @ x``
-    costs O(P*Nc) per vector and takes one vector (Nc,) or a stack
-    (..., Nc), applying the channel to each row along the last axis: one
-    gather of the stack and one in-place product per path, each row bit for
-    bit its own call.
+    (q + nu)*tau mod Nc, the product reduced in integers (nu mod Nc first).
+    In the time domain the channel is H_t = sum_tau diag(c_tau) Pi^tau, a
+    cyclic band of width max(tau), and the DAFT-domain matrix is A H_t A^H.
+    ``images(x)`` gives the per-path terms of ``h @ x`` for one vector (Nc,)
+    or a stack (..., Nc), shape (..., P, Nc), by one gather and one in-place
+    product, each row bit for bit its own call; ``h @ x`` sums them, O(P*Nc)
+    per vector through a (..., P, Nc) temporary, so the package applies it to
+    single vectors and streams stacks through ``images`` in blocks.
     ``np.asarray(h)`` gives the dense DAFT-domain matrix and
     ``regularized_solve`` the banded time-domain normal-equation solve.
     The DAFT-domain taps are built once, on first use, and every array is
@@ -250,11 +255,12 @@ class PathChannel:
     def __post_init__(self):
         delays = check_integers(self.delays, "delays")
         dopplers = check_integers(self.dopplers, "Dopplers")
-        gains = np.array(self.gains, dtype=np.complex128)
+        gains = np.asarray(self.gains)
         if not (delays.shape == dopplers.shape == gains.shape):
             raise ParameterError("delays, dopplers and gains must have equal lengths")
-        if not np.all(np.isfinite(gains)):
-            raise ParameterError("gains must be finite")
+        if gains.dtype.kind not in "biufc" or not np.all(np.isfinite(gains)):
+            raise ParameterError(f"gains must be finite numbers, got {self.gains!r}")
+        gains = gains.astype(np.complex128)
         if np.any((delays < 0) | (delays >= self.cfg.n_sub)):
             raise ParameterError(f"delays must lie in [0, {self.cfg.n_sub})")
         for name, value in (("delays", delays), ("dopplers", dopplers), ("gains", gains)):
@@ -265,7 +271,7 @@ class PathChannel:
     def _daft_taps(self) -> tuple[np.ndarray, np.ndarray]:
         """Source columns q and gain-weighted phases, both (paths, Nc) and read-only."""
         n, cfg = self.cfg.n_sub, self.cfg
-        tau, nu = self.delays[:, None], self.dopplers[:, None]
+        tau, nu = self.delays[:, None], self.dopplers[:, None] % n
         q = (np.arange(n) + subcarrier_offset(tau, nu, cfg)) % n
         phase = np.conj(cfg.c1_chirp[tau]) * cfg.dft_twiddle[(q + nu) * tau % n]
         taps = self.gains[:, None] * phase * cfg.c2_chirp * np.conj(cfg.c2_chirp[q])
@@ -273,20 +279,15 @@ class PathChannel:
         taps.flags.writeable = False
         return q, taps
 
-    def __matmul__(self, x) -> np.ndarray:
-        x = check_stack(x, self.cfg.n_sub, "DAFT-domain vector")
+    def images(self, x) -> np.ndarray:
+        """The per-path terms of ``h @ x``, shape x.shape[:-1] + (paths, Nc)."""
         q, taps = self._daft_taps
-        if not len(q):
-            return np.zeros(x.shape, dtype=np.complex128)
-        # one gather and one in-place product per path, taps first: numpy's SIMD
-        # complex product rounds a*b and b*a differently
-        out = x.take(q[0], axis=-1)
-        np.multiply(taps[0], out, out)
-        for row_q, row_taps in zip(q[1:], taps[1:]):
-            term = x.take(row_q, axis=-1)
-            np.multiply(row_taps, term, term)
-            out += term
-        return out
+        out = check_stack(x, self.cfg.n_sub, "DAFT-domain vector").take(q, axis=-1)
+        # taps first: numpy's SIMD complex product rounds a*b and b*a differently
+        return np.multiply(taps, out, out)
+
+    def __matmul__(self, x) -> np.ndarray:
+        return self.images(x).sum(axis=-2)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         n = self.cfg.n_sub

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, ParameterError, check_stack, check_vector, is_integer
+from .errors import ConfigurationError, ParameterError, check_stack, check_vector, is_integer, is_real
 
 __all__ = [
     "AfdmConfig",
@@ -88,8 +88,9 @@ class AfdmConfig:
             if not is_integer(value):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         for name in ("c1", "c2", "delta_f", "f_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (is_real(value) and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be finite and real, got {value!r}")
         if self.n_sub < 1:
             raise ConfigurationError(f"n_sub must be positive, got {self.n_sub}")
         if self.n_cpp < 0:

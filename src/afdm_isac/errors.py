@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the argument checks that raise them.
 
 ``check_vector`` (a complex (n,) vector) and ``check_stack`` (a (..., n) stack)
-raise ``ConfigurationError``; ``check_nonnegative``, ``check_count`` and
-``check_integers`` raise ``ParameterError``.  Each message names the argument.
+raise ``ConfigurationError``, also for non-numbers; ``check_nonnegative``,
+``check_count`` and ``check_integers`` raise ``ParameterError``.
 """
 
 import math
@@ -32,25 +32,30 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (numpy reals and integers too, bools not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_vector(x, n: int, what: str) -> np.ndarray:
     """``x`` as a complex128 array of shape (n,); ``ConfigurationError`` otherwise."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (n,):
-        raise ConfigurationError(f"{what} must have shape ({n},), got {x.shape}")
-    return x
+    x = np.asarray(x)
+    if x.dtype.kind not in "biufc" or x.shape != (n,):
+        raise ConfigurationError(f"{what} must be numbers of shape ({n},), got {x.dtype} {x.shape}")
+    return x.astype(np.complex128, copy=False)
 
 
 def check_stack(x, n: int, what: str) -> np.ndarray:
     """``x`` as a complex128 array of shape (..., n); ``ConfigurationError`` otherwise."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[-1:] != (n,):
-        raise ConfigurationError(f"{what} must have shape (..., {n}), got {x.shape}")
-    return x
+    x = np.asarray(x)
+    if x.dtype.kind not in "biufc" or x.shape[-1:] != (n,):
+        raise ConfigurationError(f"{what} must be numbers of shape (..., {n}), got {x.dtype} {x.shape}")
+    return x.astype(np.complex128, copy=False)
 
 
 def check_nonnegative(value, what: str) -> None:
     """``ParameterError`` unless ``value`` is a real number, not a bool, finite and >= 0."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+    if not (is_real(value) and 0 <= value < math.inf):
         raise ParameterError(f"{what} must be finite and non-negative, got {value!r}")
 
 

@@ -11,14 +11,16 @@ path gains are uncorrelated under the prior), so the MMSE estimate reduces to
 a ridge-regularized least squares over Psi_p.  One inverse of its normal
 matrix gives both the estimate and the posterior variances (for the proposed
 pilot Psi_p^H Psi_p = sigma_p^2 I, Theorem 4, so the matrix is diagonal).
-Psi_p and its Gram depend only on the pilot, the grid and the config, so
-``iterative_estimate`` builds them once per pilot: a bounded cache keyed on
-(cfg, grid, pilot bytes) holds the last 4 pilot models (Psi_p^H and the
-Gram), read-only, each about L*Nc*16 bytes (45*Nc*16 B on the 45-path grid,
-368 KB at Nc = 512), and a frame only multiplies its observation by Psi_p^H.  A
-path is kept when its gain lies more than 3 posterior standard deviations
-from 0, and the channel estimate is the structured ``PathChannel`` of the
-surviving (tau, nu, gain) triples: O(P*Nc) to apply, never a dense matrix.
+Psi_p^H is the conjugate of ``PathChannel.images`` of the pilot through the
+unit-gain basis channel, one gather and no transform; it and its Gram depend
+only on the pilot, the grid and the config, so ``iterative_estimate`` builds
+them once per pilot: a bounded cache keyed on (cfg, grid, pilot bytes) holds
+the last 4 pilot models (Psi_p^H and the Gram), read-only, each about L*Nc*16
+bytes (45*Nc*16 B on the 45-path grid, 368 KB at Nc = 512), and a frame only
+multiplies its observation by Psi_p^H.  A path is kept when its gain lies more
+than 3 posterior standard deviations from 0, and the channel estimate is the
+structured ``PathChannel`` of the surviving (tau, nu, gain) triples: O(P*Nc)
+to apply, never a dense matrix.
 The data are equalized by regularized least squares in the time domain,
 where the channel is a cyclic band of width tau_m, with one banded Cholesky
 solve.  This is exact: the DAFT matrix A is unitary, so with
@@ -98,7 +100,8 @@ class EstimationResult:
 
 
 def build_psi(x, grid: BasisGrid, cfg: AfdmConfig) -> np.ndarray:
-    """Nc x L matrix whose column i is the basis-path-i image of x."""
+    """Nc x L matrix whose column i is the basis-path-i image of x, by FFT: the reference
+    for the closed-form Psi_p of ``_pilot_model``, kept because the benchmark pins it."""
     x = np.asarray(x, dtype=np.complex128)
     return np.stack(
         [apply_basis(x, cfg, tau, float(nu)) for tau, nu in grid.pairs], axis=1
@@ -130,12 +133,14 @@ _EPS_SCALE = 3.0
 def _pilot_model(cfg: AfdmConfig, grid: BasisGrid, pilot: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Psi_p^H of the complex128 pilot with these bytes and its Gram Psi_p^H Psi_p, read-only.
 
-    The pilot is rebuilt from the key, so a caller's later write to its own
-    array cannot reach an entry.
+    Row i of the pilot's ``images`` through the unit-gain basis channel is
+    column i of Psi_p.  The pilot is rebuilt from the key, so a caller's
+    later write to its own array cannot reach an entry.
     """
-    psi = build_psi(np.frombuffer(pilot, dtype=np.complex128), grid, cfg)
-    psi_h = psi.conj().T
-    gram = psi_h @ psi
+    ones = np.ones(len(grid))
+    rows = reconstruct_channel(ones, ones, grid, cfg).images(np.frombuffer(pilot, dtype=np.complex128))
+    psi_h = rows.conj()
+    gram = psi_h @ rows.T
     psi_h.flags.writeable = False
     gram.flags.writeable = False
     return psi_h, gram

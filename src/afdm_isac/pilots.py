@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .daft import AfdmConfig
-from .errors import ParameterError, check_count, check_nonnegative
+from .errors import ParameterError, check_count, check_nonnegative, is_real
 
 __all__ = [
     "ZcParams",
@@ -222,8 +222,8 @@ class PilotScheme:
     def __post_init__(self):
         if self.variant not in ("proposed", "traditional_spi", "single"):
             raise ParameterError(f"unknown pilot variant {self.variant!r}")
-        if self.pilot_power <= 0:
-            raise ParameterError("pilot_power must be positive")
+        if not (is_real(self.pilot_power) and 0 < self.pilot_power < math.inf):
+            raise ParameterError(f"pilot_power must be positive and finite, got {self.pilot_power!r}")
 
 
 def pilot_vector(scheme: PilotScheme, cfg: AfdmConfig) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import SensingTarget, sensing_echo
 from .daft import AfdmConfig, idaft, waveform_samples
-from .errors import ParameterError, check_count, check_nonnegative, is_integer
+from .errors import ParameterError, check_count, check_nonnegative, is_integer, is_real
 from .modem import FrameSpec, map_bits
 from .pilots import PilotScheme, pilot_vector
 
@@ -118,8 +118,8 @@ class DetectionConfig:
     train: tuple[int, int] = (5, 2)
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma!r}")
+        if not (is_real(self.gamma) and 0 < self.gamma < math.inf):
+            raise ParameterError(f"gamma must be positive and finite, got {self.gamma!r}")
         for name in ("guard", "train"):
             widths = getattr(self, name)
             if np.ndim(widths) != 1 or len(widths) != 2 or not all(map(is_integer, widths)):
@@ -291,7 +291,7 @@ class SensingScenario:
             raise ParameterError(
                 f"tau_m ({self.tau_m}) exceeds the prefix budget n_cpp ({self.cfg.n_cpp})"
             )
-        if not math.isfinite(self.receive_snr_db):
+        if not (is_real(self.receive_snr_db) and math.isfinite(self.receive_snr_db)):
             raise ParameterError(f"receive_snr_db must be finite, got {self.receive_snr_db!r}")
         check_nonnegative(self.noise_power, "noise_power")
 

@@ -12,7 +12,6 @@ import dense_oracle
 from afdm_isac import AfdmConfig, analysis, idaft
 from afdm_isac.analysis import (
     PowerAllocation,
-    _basis_rows,
     _fim_sums,
     _frac_table,
     af_statistics_closed_form,
@@ -32,7 +31,7 @@ from afdm_isac.analysis import (
     verify_theorem_3,
     verify_theorem_4,
 )
-from afdm_isac.channel import SensingTarget, apply_basis, basis_grid, subcarrier_offset
+from afdm_isac.channel import PathChannel, SensingTarget, apply_basis, basis_grid, subcarrier_offset
 from afdm_isac.errors import ConfigurationError, NumericalError, ParameterError
 from afdm_isac.modem import Constellation, FrameSpec
 from afdm_isac.pilots import proposed_pilot, select_c1_q, traditional_spi_pilot
@@ -290,6 +289,26 @@ class TestAmbiguityMomentsInTheDaftDomain:
                 mc[key], oracle[key], rtol=1e-10, atol=1e-10 * scale**power, err_msg=key
             )
 
+    @pytest.mark.parametrize("n_sub, two_c1_n", [(16, 2), (63, 5)])  # K*Nc even, odd
+    def test_far_points_match_one_correlation_per_frame(self, n_sub, two_c1_n):
+        # delays past one symbol and below -2*Nc read the extension several symbols
+        # away; a Doppler near 2^62 (whole in float64) needs nu mod Nc before any
+        # int64 product
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        spec = FrameSpec(4.0, 0.5, Constellation.QAM16)
+        x_p = np.exp(2j * np.pi * np.arange(n_sub) ** 2 / n_sub)
+        points = [(0, 0), (n_sub + 4, 1), (2 * n_sub + 3, -2), (-2 * n_sub - 1, 2),
+                  (-3 * n_sub - 5, -1), (5, 2**62 + 3 * 1024)]
+        mc = ambiguity_moments_mc(x_p, spec, cfg, points, 5, np.random.default_rng(3))
+        draws = np.random.default_rng(3).integers(0, 16, size=(5, n_sub))
+        frames = idaft(spec.constellation.points[draws] * spec.sigma_d + x_p, cfg)
+        values = np.array([
+            [cross_ambiguity(s, s, [tau], [nu % n_sub], cfg)[0, 0] for tau, nu in points] for s in frames
+        ])
+        scale = np.max(np.abs(values))
+        np.testing.assert_allclose(mc["mean"], values.mean(axis=0), rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(mc["variance"], values.var(axis=0), rtol=0, atol=1e-12 * scale**2)
+
     @pytest.mark.parametrize("n_frames", [0, -1, 2.5, True, "4"])
     def test_bad_frame_count_rejected_before_any_draw(self, rng, n_frames):
         state = rng.bit_generator.state
@@ -382,7 +401,7 @@ class TestTheorem4:
         x = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
         taus = rng.integers(0, n_sub, 12)
         nus = rng.integers(-n_sub, n_sub + 1, 12)
-        rows = _basis_rows(x, cfg, taus, nus)
+        rows = PathChannel(cfg, taus, nus, np.ones(12)).images(x)
         ref = apply_basis(x, cfg, taus, nus.astype(float))
         assert rows.shape == (12, n_sub)
         assert np.max(np.abs(rows - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -16,8 +16,12 @@ from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp, waveform_sam
 from afdm_isac.analysis import (
     ambiguity_function,
     ambiguity_moments_mc,
+    ambiguity_region,
+    crb,
     crb_distribution,
+    equal_allocation,
     interference_coefficient,
+    sensing_weights,
     verify_theorem_4,
 )
 from afdm_isac.channel import (
@@ -40,7 +44,7 @@ from afdm_isac.pilots import (
     single_pilot,
     traditional_spi_pilot,
 )
-from afdm_isac.sensing import SensingScenario, roc_curve
+from afdm_isac.sensing import DetectionConfig, SensingScenario, roc_curve
 
 CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
 SPEC = FrameSpec(16.0, 1.0)
@@ -49,6 +53,7 @@ H = PathChannel(CFG, [0, 1], [0, 1], [1.0, 0.2j])
 X_P = single_pilot(CFG, 16.0)
 ONES = np.ones(CFG.n_sub, dtype=complex)
 TARGET = SensingTarget(1.0, 1.0, 0.0, 1.0)
+ROW_TARGETS = SensingTarget(np.ones(2), 1.0, 0.0, 1.0)  # one target per row of a symbol stack
 PATH = ChannelPath(1.0, 0, 0.0)
 
 # the malformed values fed to every site
@@ -64,6 +69,7 @@ VALUES = {
     "2 elements": np.ones(2),
     "2.5": 2.5,
     "True": True,
+    "16 letters": np.array(["a"] * 16),
 }
 
 
@@ -149,13 +155,29 @@ SITES = [
      ParameterError, "^ambiguity axis", {"2 elements"}),
     ("interference_coefficient.m1", lambda v: interference_coefficient(v, 0, 0, 0, CFG), ParameterError,
      "^subcarrier indices", set()),
-    ("ChannelPath.delay", lambda v: ChannelPath(1.0, v, 0.0), ParameterError, "^path delay", {"-1"}),
+    ("ChannelPath.delay", lambda v: ChannelPath(1.0, v, 0.0), ParameterError, "^path delay", set()),
+    ("ambiguity_region.tau_m", lambda v: ambiguity_region(v, 0), ParameterError, "^tau_m", set()),
+    ("ambiguity_region.nu_m", lambda v: ambiguity_region(0, v), ParameterError, "^nu_m", set()),
+    # a finite real scalar
+    ("AfdmConfig.c1", lambda v: AfdmConfig(n_sub=16, c1=v), ConfigurationError, "^c1", {"-1", "2.5"}),
+    ("AfdmConfig.delta_f", lambda v: AfdmConfig(n_sub=16, delta_f=v), ConfigurationError, "^delta_f", {"2.5"}),
+    ("DetectionConfig.gamma", lambda v: DetectionConfig(gamma=v), ParameterError, "^gamma", {"2.5"}),
+    ("PilotScheme.pilot_power", lambda v: PilotScheme("single", v), ParameterError, "^pilot_power", {"2.5"}),
+    ("SensingScenario.receive_snr_db", lambda v: scenario(receive_snr_db=v), ParameterError,
+     "^receive_snr_db", {"-1", "2.5"}),
+    # finite numbers, scalars or one target per row: a complex gain, a real delay and Doppler
+    ("SensingTarget.gain", lambda v: SensingTarget(v, 1.0, 0.0, 1.0), ParameterError, "^target gain",
+     {"wrong shape", "-1", "1j", "2 elements", "2.5", "True"}),
+    ("SensingTarget.delay", lambda v: SensingTarget(1.0, v, 0.0, 1.0), ParameterError, "^target delay",
+     {"wrong shape", "-1", "2 elements", "2.5", "True"}),
+    ("SensingTarget.doppler", lambda v: SensingTarget(1.0, 1.0, v, 1.0), ParameterError, "^target doppler",
+     {"wrong shape", "-1", "2 elements", "2.5", "True"}),
     # the path contracts: a finite complex gain and a finite real Doppler
     ("ChannelPath.gain", lambda v: ChannelPath(v, 0, 0.0), ParameterError, "^path gain", {"-1", "1j", "2.5"}),
     ("ChannelPath.doppler", lambda v: ChannelPath(1.0, 0, v), ParameterError, "^path Doppler", {"-1", "2.5"}),
     # finite gains, one per path: the value is the one path's gain
     ("PathChannel.gains", lambda v: PathChannel(CFG, [0], [0], [v]), ParameterError, "gains",
-     {"-1", "'1'", "1j", "2.5", "True"}),
+     {"-1", "1j", "2.5", "True"}),
 ]
 
 
@@ -212,6 +234,10 @@ DEFECTS = {
     # bare ValueError
     "equalize_demod noise_power 2 elements": lambda: equalize_demod(ONES, H, X_P, SPEC, np.ones(2)),
     "SensingTarget noise_power 2 elements": lambda: SensingTarget(1.0, 1.0, 0.0, np.ones(2)),
+    # bare ValueError ("truth value of an array is ambiguous")
+    "crb of a target stack": lambda: crb(equal_allocation(16.0, 16), ROW_TARGETS, CFG),
+    "sensing_weights of a target stack": lambda: sensing_weights(equal_allocation(16.0, 16), ROW_TARGETS, CFG),
+    "crb_distribution of a target stack": lambda: crb_distribution(CFG, ROW_TARGETS, 16.0, 4, rng()),
 }
 
 

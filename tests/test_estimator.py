@@ -653,27 +653,38 @@ class TestPilotModel:
             direct, _ = mmse_estimate(y, build_psi(x_p, grid, cfg), PriorModel(prior.gain_variances, c))
             assert np.max(np.abs(res.alpha_hat - direct)) < 1e-12
 
-    def test_two_frames_build_psi_once(self, rng, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return build_psi(*args)
-
-        monkeypatch.setattr(estimator, "build_psi", counting)
+    def test_two_frames_build_psi_once(self, rng):
         estimator._pilot_model.cache_clear()
         x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
         for _ in range(2):
             y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
             iterative_estimate(y, x_p.copy(), spec, self.GRID64, self.CFG64, 1.0)
-        assert len(calls) == 1
+        assert estimator._pilot_model.cache_info().misses == 1
+
+    def test_model_is_built_without_a_transform(self, rng, monkeypatch):
+        # Psi_p is the closed-form images of the pilot: a cache miss makes no FFT
+        calls = []
+        for name in ("idaft", "daft", "apply_basis"):
+            def counting(*args, _name=name, _inner=getattr(estimator, name)):
+                calls.append(_name)
+                return _inner(*args)
+
+            monkeypatch.setattr(estimator, name, counting)
+        estimator._pilot_model.cache_clear()
+        estimator._pilot_model(self.CFG64, self.GRID64, random_unit_symbols(rng, 64).tobytes())
+        assert estimator._pilot_model.cache_info().misses == 1
+        assert calls == []
+        estimator.build_psi(np.ones(64), self.GRID64, self.CFG64)  # the counters do count
+        assert calls == ["apply_basis"] * len(self.GRID64)
 
     def test_model_is_read_only(self, rng):
         # the model keeps Psi_p^H, so an iteration multiplies by it without a conjugate copy
         x_p = random_unit_symbols(rng, 64)
         psi_h, gram = estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())
         assert estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())[0] is psi_h
-        assert np.array_equal(psi_h, build_psi(x_p, self.GRID64, self.CFG64).conj().T)
+        ones = np.ones(len(self.GRID64))
+        rows = reconstruct_channel(ones, ones, self.GRID64, self.CFG64).images(x_p)
+        assert np.array_equal(psi_h, rows.conj())
         for arr in (psi_h, gram):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0

@@ -53,6 +53,15 @@ def test_only_channel_imports_private_daft_names():
         assert name == "channel" or not private, (name, private)
 
 
+def test_only_channel_reads_the_path_taps():
+    # PathChannel.images is the one place the DAFT-domain taps meet a vector,
+    # and regularized_solve the one reader of the time taps
+    for name in MODULES:
+        tree = ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text())
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert name == "channel" or not read & {"_daft_taps", "_time_taps"}, name
+
+
 def test_no_module_calls_the_dense_daft_matrix():
     # the N x N DAFT matrix is a test oracle: the package transforms by FFT
     for path in sorted((SRC / "afdm_isac").glob("*.py")):
@@ -119,7 +128,7 @@ def test_every_imported_name_is_used():
 
 def test_argument_checks_are_defined_only_in_errors():
     # the vector, stack, scalar, count and integer-array contracts have one home
-    checks = {"is_integer", "check_vector", "check_stack", "check_nonnegative", "check_count",
+    checks = {"is_integer", "is_real", "check_vector", "check_stack", "check_nonnegative", "check_count",
               "check_integers", "_as_stack", "_integers", "_vector"}
     for name in MODULES[1:]:
         tree = ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text())
