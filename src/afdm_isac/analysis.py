@@ -169,6 +169,7 @@ def interference_coefficient(m1: int, m2: int, tau: int, nu: int, cfg: AfdmConfi
     offset of the (tau, nu) pair, else 0; m1 and m2 must lie in [0, Nc).
     """
     m1, m2 = (check_integers([m], "subcarrier indices")[0] for m in (m1, m2))
+    tau, nu = (check_integers([v], "path delay and Doppler")[0] for v in (tau, nu))
     if min(m1, m2) < 0 or max(m1, m2) >= cfg.n_sub:
         raise ParameterError(f"subcarrier indices must lie in [0, {cfg.n_sub}), got {m1}, {m2}")
     if (m2 - m1) % cfg.n_sub != subcarrier_offset(tau, nu, cfg):
@@ -180,14 +181,6 @@ def interference_coefficient(m1: int, m2: int, tau: int, nu: int, cfg: AfdmConfi
 # ambiguity statistics
 
 
-def _require_symmetric_constellation(constellation) -> None:
-    if abs(constellation.squared_symbol_mean) > 1e-12:
-        raise ParameterError(
-            "constellation has a nonzero squared-symbol mean; the ambiguity "
-            "statistics require symmetric constellations such as QPSK/16-QAM"
-        )
-
-
 def af_statistics_closed_form(
     spec: FrameSpec, cfg: AfdmConfig, at_origin: bool, pilot_af: complex = 0.0
 ) -> tuple[complex, float]:
@@ -196,9 +189,9 @@ def af_statistics_closed_form(
     Mean is the total power at the origin and the pilot ambiguity value
     elsewhere (pass it via ``pilot_af``).  Variance is
     2*sigma_d^2*sigma_p^2 + (E|xd|^4 - sigma_d^4)*Nc at the origin and
-    2*sigma_d^2*sigma_p^2 + sigma_d^4*Nc elsewhere.
+    2*sigma_d^2*sigma_p^2 + sigma_d^4*Nc elsewhere.  Both constellations
+    have E{u^2} = 0, which these forms assume.
     """
-    _require_symmetric_constellation(spec.constellation)
     sd2 = spec.data_symbol_power
     sp2 = spec.pilot_power
     fourth = spec.constellation.fourth_moment * sd2 * sd2
@@ -241,7 +234,8 @@ def ambiguity_moments_mc(
     K*Nc is odd (K = 2*c1*Nc), and the phase is the config's ``dft_twiddle``
     at (nu mod Nc)*t mod Nc, reduced in int64 without overflow.  One
     ``PathChannel`` holds the paths of every point but the origin, where H
-    is the identity and the value is the frame energy, read as such.
+    is the identity and the value is the frame energy, read as such; with
+    no other point there is no channel and no ``images`` call.
 
     The symbol indices of all frames are drawn in one call (8*n_frames*Nc
     bytes), so the draws do not depend on the block size.  The frames are
@@ -259,14 +253,16 @@ def ambiguity_moments_mc(
     check_count(n_frames, "n_frames")
     taus, nus = _delay_doppler_pairs(points, "ambiguity points")
     off = (taus != 0) | (nus != 0)  # the origin reads the frame energy
-    whole, t = np.divmod(taus[off], n)
-    sign = np.where(cfg.prefix_flips & (whole % 2 == 1), -1.0, 1.0)
-    h = PathChannel(cfg, t, nus[off], sign * np.conj(cfg.dft_twiddle[nus[off] % n * t % n]))
+    paths = int(off.sum())
+    if paths:
+        whole, t = np.divmod(taus[off], n)
+        sign = np.where(cfg.prefix_flips & (whole % 2 == 1), -1.0, 1.0)
+        h = PathChannel(cfg, t, nus[off], sign * np.conj(cfg.dft_twiddle[nus[off] % n * t % n]))
     # scaling the constellation before the gather gives the same products at
     # one multiply per point instead of one per frame sample
     symbols = spec.constellation.points * spec.sigma_d
     index = rng.integers(0, symbols.shape[0], size=(n_frames, n))
-    block = max(1, _BLOCK_BYTES // (16 * n * (1 + len(t))))
+    block = max(1, _BLOCK_BYTES // (16 * n * (1 + paths)))
     buffer = np.empty((min(block, n_frames), n), dtype=np.complex128)
     values = np.empty((len(taus), n_frames), dtype=np.complex128)
     for start in range(0, n_frames, block):
@@ -275,7 +271,8 @@ def ambiguity_moments_mc(
         # the indices are in range; mode "raise" would gather into a copy of out
         np.take(symbols, rows, out=frames, mode="clip")
         frames += x_pilot
-        values[off, start : start + len(rows)] = np.vecdot(frames[:, None], h.images(frames)).T
+        if paths:
+            values[off, start : start + len(rows)] = np.vecdot(frames[:, None], h.images(frames)).T
         values[~off, start : start + len(rows)] = np.vecdot(frames, frames)
     mean = values.mean(axis=1)
     centered = values - mean[:, None]
@@ -314,8 +311,10 @@ def verify_theorem_2(
 
     Compares QPSK against 16-QAM at matched pilot power and total data power:
     strict inequality at the origin, equality elsewhere.  With ``n_frames``
-    positive the origin inequality is also checked by simulation.
+    positive the origin inequality is also checked by simulation; it must
+    be an integer >= 0 (else ``ParameterError``).
     """
+    check_count(n_frames, "n_frames", least=0)
     sd2 = total_data_power / cfg.n_sub
     spec_q = FrameSpec(pilot_power, sd2, Constellation.QPSK)
     spec_16 = FrameSpec(pilot_power, sd2, Constellation.QAM16)
@@ -328,11 +327,6 @@ def verify_theorem_2(
         "off_origin": {"qpsk": var_q_off, "qam16": var_16_off},
     }
     passed = var_q_origin < var_16_origin and math.isclose(var_q_off, var_16_off)
-    degenerate_equal = math.isclose(
-        *(af_statistics_closed_form(FrameSpec(pilot_power, 0.0, c), cfg, True)[1] for c in Constellation)
-    )
-    details["degenerate_equal"] = degenerate_equal
-    passed = passed and degenerate_equal
     if n_frames > 0:
         if x_pilot is None or rng is None:
             raise ParameterError("Monte Carlo check needs x_pilot and rng")
@@ -358,9 +352,13 @@ def verify_theorem_3(
 
     Closed-form values are exactly 2*Pd*sigma_p^2/Nc; with ``n_frames`` the
     Monte Carlo log-log slope across the configs must fall in
-    ``_SLOPE_WINDOW``.
+    ``_SLOPE_WINDOW``.  A slope needs configs of at least two subcarrier
+    counts, and ``n_frames`` is an integer >= 0 (else ``ParameterError``).
     """
+    check_count(n_frames, "n_frames", least=0)
     n_subs = np.array([cfg.n_sub for cfg in cfgs], dtype=float)
+    if np.unique(n_subs).size < 2:
+        raise ParameterError(f"need configs of at least two subcarrier counts, got {n_subs.tolist()}")
     specs = [FrameSpec(pilot_power, total_data_power / cfg.n_sub, Constellation.QPSK) for cfg in cfgs]
     closed, closed_off = np.array(
         [
@@ -570,7 +568,7 @@ def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
 
 
 def _crb_from_sums(a, b, c, powers, ramp: int, target: SensingTarget, cfg: AfdmConfig):
-    """Delay and Doppler bounds front*c/D and front*a/D, elementwise in the sums.
+    """Delay and Doppler bounds front*c/D and front*a/D, and D, elementwise in the sums.
 
     D = a*c - b^2 is the delay-Doppler determinant up to scale.  It is 0
     exactly when every subcarrier the allocation ``powers`` loads has its
@@ -589,7 +587,7 @@ def _crb_from_sums(a, b, c, powers, ramp: int, target: SensingTarget, cfg: AfdmC
             f"degenerate delay-Doppler information block (a*c - b^2 = {np.min(det)})"
         )
     front = target.noise_power * cfg.n_sub / (8.0 * np.pi**2 * abs(target.gain) ** 2)
-    return front * c / det, front * a / det
+    return front * c / det, front * a / det, det
 
 
 def _fim_matrix(total: float, a: float, b: float, c: float, target: SensingTarget, cfg: AfdmConfig):
@@ -608,7 +606,7 @@ def fim(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> np.nd
 def crb(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> SensingBounds:
     """Delay/Doppler lower bounds and their range/velocity conversions."""
     *_, a, b, c, ramp = _fim_sums(power.powers, target, cfg)
-    crb_tau, crb_nu = _crb_from_sums(a, b, c, power.powers, ramp, target, cfg)
+    crb_tau, crb_nu, _ = _crb_from_sums(a, b, c, power.powers, ramp, target, cfg)
     metres_per_sample, mps_per_bin = delay_doppler_to_range_velocity(1.0, 1.0, cfg)
     return SensingBounds(
         fim=_fim_matrix(power.total, a, b, c, target, cfg),
@@ -627,8 +625,8 @@ def sensing_weights(power: PowerAllocation, target: SensingTarget, cfg: AfdmConf
     dCRB_tau/dp_m = CRB_tau * (c0/c - (dD/dp_m)/D).
     """
     a_m, b_m, c0, a, b, c, ramp = _fim_sums(power.powers, target, cfg)
-    crb_tau, _ = _crb_from_sums(a, b, c, power.powers, ramp, target, cfg)
-    return crb_tau * (c0 / c - (a_m * c + a * c0 - 2.0 * b * b_m) / (a * c - b * b))
+    crb_tau, _, det = _crb_from_sums(a, b, c, power.powers, ramp, target, cfg)
+    return crb_tau * (c0 / c - (a_m * c + a * c0 - 2.0 * b * b_m) / det)
 
 
 # histogram bins of the delay-bound density reported by crb_distribution
@@ -670,7 +668,7 @@ def crb_distribution(
         raise ParameterError("total_power must be positive and finite")
     if allocations is not None:
         a_m, b_m, c0, a, b, c, ramp = _fim_sums(allocations, target, cfg)
-        values, _ = _crb_from_sums(a, b, c, allocations, ramp, target, cfg)
+        values, *_ = _crb_from_sums(a, b, c, allocations, ramp, target, cfg)
     else:
         check_count(n_draws, "n_draws")
         a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
@@ -683,11 +681,11 @@ def crb_distribution(
             a, b = (draws @ kernels).T * (total_power / _row_totals(draws))
             # the draws load the subcarriers their allocations load, which is
             # all the degeneracy test reads of them
-            values[start : start + len(draws)], _ = _crb_from_sums(
+            values[start : start + len(draws)], *_ = _crb_from_sums(
                 a, b, total_power * c0, draws, ramp, target, cfg
             )
     equal = np.full(cfg.n_sub, total_power / cfg.n_sub)
-    baseline, _ = _crb_from_sums(
+    baseline, *_ = _crb_from_sums(
         equal @ a_m, equal @ b_m, total_power * c0, equal, ramp, target, cfg
     )
     lo, hi = values.min(), values.max()

@@ -45,6 +45,7 @@ from .daft import (
     waveform_samples,
 )
 from .errors import (
+    NumericalError,
     ParameterError,
     check_count,
     check_integers,
@@ -234,15 +235,15 @@ class PathChannel:
     single vectors and streams stacks through ``images`` in blocks.
     ``np.asarray(h)`` gives the dense DAFT-domain matrix and
     ``regularized_solve`` the banded time-domain normal-equation solve.
-    The DAFT-domain taps are built once, on first use, and every array is
-    frozen: ``delays``, ``dopplers`` and ``gains`` are read-only copies of
-    the arguments, so a later write to the caller's arrays cannot change
-    the channel or make its taps stale.  The solve's lam-free parts, the
-    time taps and the cyclic diagonals of H_t^H H_t, are built once too,
-    (spread + 1)*Nc*16 bytes each with spread = max(tau) - min(tau), and
-    the channel keeps the banded Cholesky factor of the last lam,
-    (2*spread + 1)*Nc*16 bytes: about 140 KB at Nc = 512 with a spread of
-    8, and about 71 MB at Nc = 2^18.
+    Every array is frozen: ``delays``, ``dopplers`` and ``gains`` are
+    read-only copies of the arguments, so a later write to the caller's
+    arrays cannot change the channel or make its state stale.  It keeps two
+    tap tables, built once on first use: the DAFT-domain taps of ``images``
+    and the time taps, (spread + 1)*Nc*16 bytes with spread = max(tau) -
+    min(tau), for the H_t^H r of every solve; and one factor, the banded
+    Cholesky factor of the last lam, (2*spread + 1)*Nc*16 bytes (about
+    140 KB at Nc = 512 with a spread of 8, 71 MB at Nc = 2^18).  The band's
+    Gram diagonals are not kept: every workload factors a channel at one lam.
     """
 
     cfg: AfdmConfig
@@ -321,41 +322,30 @@ class PathChannel:
         taps.flags.writeable = False
         return tau_0, taps
 
-    @functools.cached_property
-    def _gram_diagonals(self) -> np.ndarray:
-        """Cyclic diagonals D[m, a] = (H_t^H H_t)[a, <a + m>_Nc], read-only.
+    def _band(self, lam: float) -> np.ndarray:
+        """Lower band of H_t^H H_t + lam*I with the unknowns ordered [0, Nc-1, 1, Nc-2, ...].
 
-        m runs over [0, m_max] with m_max = min(spread, Nc // 2); the rest
-        follow by Hermitian symmetry.  The entry sums
-        conj(V[t1, a]) * V[t2, <a + m>] over the delay pairs with
-        t1 - t2 = m or m - Nc: once the spread reaches Nc/2 both lags land on
-        one cyclic diagonal and add.
+        It reads the cyclic diagonals D[m, a] = (H_t^H H_t)[a, <a + m>_Nc] for
+        m <= m_max = min(spread, Nc // 2), formed here: the sum of
+        conj(V[t1, a]) * V[t2, <a + m>] over the delay pairs with t1 - t2 = m
+        or m - Nc (both once the spread reaches Nc/2).  Position 2a holds the
+        front unknown a < ceil(Nc/2) and position 2i+1 the back unknown
+        Nc-1-i, so an even band row 2m pairs unknowns m apart on one side (D
+        read at stride 2), and an odd row pairs a front unknown with a back
+        one, which couple only across the two wraps: in the first and last
+        m_max columns of the row.  It raises nothing itself; the solve has
+        checked lam.
         """
         n = self.cfg.n_sub
-        taps = self._time_taps[1]
-        spread, m_max = len(taps) - 1, min(len(taps) - 1, n // 2)
+        taps, conj = self._time_taps[1], np.conj(self._time_taps[1])
+        spread = len(taps) - 1
+        m_max, n_front, n_back = min(spread, n // 2), (n + 1) // 2, n // 2
         ahead = np.concatenate([taps, taps[:, :m_max]], axis=1)  # ahead[t, a + m] = V[t, <a + m>]
         diags = np.empty((m_max + 1, n), dtype=np.complex128)
-        conj = np.conj(taps)
         for m in range(m_max + 1):
             diags[m] = (conj[m:] * ahead[: spread + 1 - m, m : m + n]).sum(axis=0)
             if n - m <= spread:
                 diags[m] += (conj[: spread + 1 - n + m] * ahead[n - m :, m : m + n]).sum(axis=0)
-        diags.flags.writeable = False
-        return diags
-
-    def _band(self, lam: float) -> np.ndarray:
-        """Lower band of H_t^H H_t + lam*I with the unknowns ordered [0, Nc-1, 1, Nc-2, ...].
-
-        Position 2a holds the front unknown a < ceil(Nc/2) and position
-        2i+1 the back unknown Nc-1-i, so an even band row 2m pairs unknowns
-        m apart on one side (the diagonals read at stride 2), and an odd row
-        pairs a front unknown with a back one, which couple only across the
-        two wraps: in the first and last m_max columns of the row.
-        """
-        n = self.cfg.n_sub
-        diags = self._gram_diagonals
-        m_max, n_front, n_back = len(diags) - 1, (n + 1) // 2, n // 2
         width = min(2 * m_max, n - 1)
         band = np.zeros((width + 1, n), dtype=np.complex128)
         for m in range(width // 2 + 1):
@@ -381,14 +371,14 @@ class PathChannel:
         H_t^H H_t + lam*I is Hermitian with cyclic half-bandwidth at most
         the spread max(tau) - min(tau).  Ordering the unknowns as
         [0, Nc-1, 1, Nc-2, ...] turns the cyclic band into an ordinary one
-        twice as wide, built from the channel's cached cyclic diagonals and
-        factored by one banded Cholesky decomposition at O(Nc*spread^2).
-        The channel keeps the factor of the last lam, (2*spread + 1)*Nc*16
-        bytes, so a repeat call with the same lam costs H_t^H r and two
-        triangular solves.  ``lam`` must be finite and >= 0 (else
-        ``ParameterError``); a matrix that is not positive definite raises
-        ``numpy.linalg.LinAlgError`` on every call, and a non-finite ``r``
-        scipy's ``ValueError``.
+        twice as wide (``_band``), factored by one banded Cholesky
+        decomposition at O(Nc*spread^2).  The channel keeps the factor of the
+        last lam, (2*spread + 1)*Nc*16 bytes, so a repeat call with the same
+        lam costs H_t^H r and two triangular solves.  Before any work, a
+        ``lam`` not finite and >= 0 or a non-finite ``r`` raises
+        ``ParameterError`` and an ``r`` not of shape (Nc,)
+        ``ConfigurationError``; a matrix that is not positive definite raises
+        ``NumericalError`` on every call and leaves no factor kept.
         """
         # scipy.linalg takes about 0.3 s to import and only this solve needs
         # it, so importing it here keeps it out of every other caller's start-up.
@@ -397,6 +387,8 @@ class PathChannel:
         check_nonnegative(lam, "lam")
         n = self.cfg.n_sub
         r = check_vector(r, n, "r")
+        if not np.all(np.isfinite(r)):
+            raise ParameterError("r must be finite")
         tau_0, taps = self._time_taps
         # H_t^H r at a: conj(V[t, a]) times r read at <a + tau_0 + t>
         reads = sliding_window_view(np.concatenate([r, r]), n)[tau_0 : tau_0 + len(taps)]
@@ -406,11 +398,14 @@ class PathChannel:
         ordered[0::2], ordered[1::2] = rhs[:half], rhs[half:][::-1]
         cached = self._factor
         if cached is None or cached[0] != lam:
-            factor = cholesky_banded(self._band(lam), overwrite_ab=True, lower=True)
+            try:
+                factor = cholesky_banded(self._band(lam), overwrite_ab=True, lower=True)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError("singular equalizer matrix") from exc
             factor.flags.writeable = False
             cached = (lam, factor)
             object.__setattr__(self, "_factor", cached)
-        z = cho_solve_banded((cached[1], True), ordered)
+        z = cho_solve_banded((cached[1], True), ordered, check_finite=False)
         return np.concatenate([z[0::2], z[1::2][::-1]])
 
 

@@ -26,14 +26,13 @@ where the channel is a cyclic band of width tau_m, with one banded Cholesky
 solve.  This is exact: the DAFT matrix A is unitary, so with
 H = A H_t A^H the DAFT-domain solution (H^H H + lam I)^{-1} H^H r equals
 A (H_t^H H_t + lam I)^{-1} H_t^H A^H r.  The channel estimate factors its
-banded matrix once per lam and keeps the factor, (2*spread + 1)*Nc*16 bytes
-(about 140 KB at Nc = 512 and a spread of 8, about 71 MB at Nc = 2^18), so
-equalizing again with the same channel and noise power costs only two
-triangular solves.  Pilot-data interference can be peeled iteratively:
-demodulate with the current estimate, subtract the rebuilt data
-contribution, and re-estimate against the smaller residual noise.  Each
-iteration's residual norm and effective noise c are returned with the
-estimate.
+banded matrix once per lam and keeps only that factor, (2*spread + 1)*Nc*16
+bytes (140 KB at Nc = 512 and a spread of 8, 71 MB at Nc = 2^18), so a repeat
+costs two triangular solves; the solve reports its own failures.  Pilot-data
+interference can be peeled iteratively: demodulate with the current
+estimate, subtract the rebuilt data contribution, and re-estimate against
+the smaller residual noise.  Each iteration's residual norm and effective
+noise c are returned with the estimate.
 """
 
 from __future__ import annotations
@@ -203,13 +202,15 @@ def threshold_paths(alpha_hat, eps) -> np.ndarray:
 
 def reconstruct_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) -> PathChannel:
     """The structured channel estimate: the basis paths whose indicator is set,
-    with gains alpha_hat * indicator."""
-    weights = np.asarray(alpha_hat, dtype=np.complex128) * np.asarray(indicator)
-    if weights.shape != (len(grid),):
-        raise ParameterError(f"expected {len(grid)} coefficients, got {weights.shape}")
+    with gains alpha_hat * indicator.  ``indicator`` holds one 0 or 1 per grid
+    pair and ``alpha_hat`` one gain per pair (else ``ParameterError``)."""
+    alpha_hat, indicator = np.asarray(alpha_hat, dtype=np.complex128), np.asarray(indicator)
+    binary = indicator.dtype.kind in "biuf" and not np.any((indicator != 0) & (indicator != 1))
+    if not (alpha_hat.shape == indicator.shape == (len(grid),) and binary):
+        raise ParameterError(f"need {len(grid)} gains and 0/1 indicators, got {indicator!r}")
     kept = np.flatnonzero(indicator)
     pairs = np.asarray(grid.pairs, dtype=np.int64).reshape(-1, 2)[kept]
-    return PathChannel(cfg, pairs[:, 0], pairs[:, 1], weights[kept])
+    return PathChannel(cfg, pairs[:, 0], pairs[:, 1], (alpha_hat * indicator)[kept])
 
 
 def equalize_demod(
@@ -224,11 +225,11 @@ def equalize_demod(
     banded time-domain solve of ``PathChannel.regularized_solve``; the two
     agree because A is unitary.  The channel keeps the Cholesky factor of
     its last lam, so equalizing a second frame with the same channel and
-    noise power makes no new factorization.  A matrix that is not positive
-    definite (lam = 0 on a singular channel) raises ``NumericalError``.
-    Before any work, a ``y`` or ``x_pilot`` not of shape (Nc,) raises
-    ``ConfigurationError``, and a non-finite ``y`` or a ``noise_power``
-    that is not finite and >= 0 raises ``ParameterError``.
+    noise power makes no new factorization.  The solve raises
+    ``NumericalError`` for a matrix that is not positive definite (lam = 0
+    on a singular channel).  Before any work, a ``y`` or ``x_pilot`` not of
+    shape (Nc,) raises ``ConfigurationError``, and a non-finite ``y`` or a
+    ``noise_power`` that is not finite and >= 0 raises ``ParameterError``.
     """
     if not isinstance(h_hat, PathChannel):
         raise ParameterError("h_hat must be a PathChannel")
@@ -240,11 +241,7 @@ def equalize_demod(
     if spec.data_symbol_power <= 0:
         return np.zeros(y.shape, dtype=np.complex128), np.zeros(0, dtype=np.int64)
     lam = noise_power / spec.data_symbol_power
-    resid = y - h_hat @ x_pilot
-    try:
-        z = h_hat.regularized_solve(idaft(resid, h_hat.cfg), lam)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular equalizer matrix") from exc
+    z = h_hat.regularized_solve(idaft(y - h_hat @ x_pilot, h_hat.cfg), lam)
     x_d = daft(z, h_hat.cfg)
     bits = demap_symbols(x_d, spec)
     return x_d, bits

@@ -30,9 +30,6 @@ __all__ = [
     "random_data_vector",
 ]
 
-_GRAY_AXIS = {(0, 0): -3.0, (0, 1): -1.0, (1, 1): 1.0, (1, 0): 3.0}
-
-
 class Constellation(Enum):
     QPSK = "qpsk"
     QAM16 = "qam16"
@@ -43,14 +40,8 @@ class Constellation(Enum):
 
     @property
     def points(self) -> np.ndarray:
-        """Unit-average-energy constellation points, indexed by symbol value."""
-        if self is Constellation.QPSK:
-            b = np.array([(i >> 1, i & 1) for i in range(4)])
-            return ((1 - 2 * b[:, 0]) + 1j * (1 - 2 * b[:, 1])) / math.sqrt(2)
-        b = np.array([(i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1) for i in range(16)])
-        i_axis = np.array([_GRAY_AXIS[(r[0], r[1])] for r in b])
-        q_axis = np.array([_GRAY_AXIS[(r[2], r[3])] for r in b])
-        return (i_axis + 1j * q_axis) / math.sqrt(10)
+        """Unit-average-energy constellation points, indexed by symbol value, read-only."""
+        return _POINTS[self]
 
     @property
     def fourth_moment(self) -> float:
@@ -61,6 +52,17 @@ class Constellation(Enum):
     def squared_symbol_mean(self) -> complex:
         """E{u^2}; zero for the symmetric constellations built here."""
         return complex(np.mean(self.points**2))
+
+
+# built once, indexed by symbol value; a 16-QAM axis Gray-codes 00, 01, 10, 11 as -3, -1, 3, 1
+_SYMBOLS = np.arange(16)
+_GRAY_AXIS = np.array([-3.0, -1.0, 3.0, 1.0])
+_POINTS = {
+    Constellation.QPSK: ((1 - 2 * (_SYMBOLS[:4] >> 1)) + 1j * (1 - 2 * (_SYMBOLS[:4] & 1))) / math.sqrt(2),
+    Constellation.QAM16: (_GRAY_AXIS[_SYMBOLS >> 2] + 1j * _GRAY_AXIS[_SYMBOLS & 3]) / math.sqrt(10),
+}
+for _table in _POINTS.values():
+    _table.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,8 @@ class FrameSpec:
     def __post_init__(self):
         check_nonnegative(self.pilot_power, "pilot_power")
         check_nonnegative(self.data_symbol_power, "data_symbol_power")
+        if not isinstance(self.constellation, Constellation):
+            raise ParameterError(f"constellation must be a Constellation, got {self.constellation!r}")
 
     def total_power(self, n_sub: int) -> float:
         """P_t = sigma_p^2 + Nc * sigma_d^2."""
@@ -89,16 +93,16 @@ class FrameSpec:
 
 
 def map_bits(bits, spec: FrameSpec) -> np.ndarray:
-    """Map a bit stream to sigma_d-scaled Gray-coded symbols."""
-    bits = np.asarray(bits, dtype=np.int64).ravel()
+    """Map a bit stream of 0/1 numbers to sigma_d-scaled Gray-coded symbols."""
+    bits = np.asarray(bits).ravel()
     k = spec.constellation.bits_per_symbol
     if bits.size % k != 0:
         raise ParameterError(
             f"bit count {bits.size} is not a multiple of {k} bits per symbol"
         )
-    if np.any((bits != 0) & (bits != 1)):
+    if bits.dtype.kind not in "biuf" or np.any((bits != 0) & (bits != 1)):
         raise ParameterError("bits must be 0/1")
-    idx = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
+    idx = bits.astype(np.int64, copy=False).reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
     return spec.constellation.points[idx] * spec.sigma_d
 
 

@@ -102,7 +102,8 @@ def proposed_spacing(cfg: AfdmConfig, r: int) -> tuple[int, int]:
 
 
 def proposed_delay_limit(cfg: AfdmConfig) -> int:
-    """Largest delay with a guaranteed-zero pilot ambiguity function, 1/(2*c1) - 1."""
+    """Largest delay with a guaranteed-zero pilot ambiguity function, 1/(2*c1) - 1, for K >= 1."""
+    check_count(cfg.two_c1_n, "2*c1*Nc")
     return cfg.n_sub // cfg.two_c1_n - 1
 
 
@@ -165,11 +166,13 @@ def traditional_spi_pilot(
     nonzero entries carry equal phases, which makes the comb's delay
     ambiguity outside its validity region explicit (delay offsets of one
     comb period collide coherently).  Within the validity region any
-    unit-modulus phases give zero inter-pilot interference.
+    unit-modulus phases give zero inter-pilot interference.  A pinned
+    ``spacing`` or ``n_pilots`` is an integer >= 1.
     """
     if spacing is None:
         spacing, derived_np = traditional_spacing(cfg, tau_m, nu_m)
     else:
+        check_count(spacing, "spacing")
         derived_np = cfg.n_sub // spacing
     n_p = derived_np if n_pilots is None else n_pilots
     check_count(n_p, "pilot count")

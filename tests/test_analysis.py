@@ -205,18 +205,6 @@ class TestAfStatistics:
         _, var = af_statistics_closed_form(spec, self.CFG, at_origin=False)
         assert var == pytest.approx(2 * 0.5 * 100.0 + 0.25 * 64)
 
-    def test_asymmetric_constellation_rejected(self):
-        class Lopsided:
-            squared_symbol_mean = 1.0
-            fourth_moment = 1.0
-
-        spec = FrameSpec.__new__(FrameSpec)
-        object.__setattr__(spec, "pilot_power", 1.0)
-        object.__setattr__(spec, "data_symbol_power", 1.0)
-        object.__setattr__(spec, "constellation", Lopsided())
-        with pytest.raises(ParameterError):
-            af_statistics_closed_form(spec, self.CFG, at_origin=True)
-
     def test_mc_agrees_with_closed_form(self, rng):
         cfg = self.CFG
         spec = FrameSpec(16.0, 1.0, Constellation.QPSK)
@@ -244,6 +232,21 @@ class TestAfStatistics:
         frames = spec.constellation.points[draws] * spec.sigma_d + x_p
         energies = np.sum(np.abs(frames) ** 2, axis=1)
         assert mc["mean"][0] == pytest.approx(energies.mean(), rel=1e-12)
+
+    def test_origin_alone_builds_no_channel(self, monkeypatch):
+        # the origin reads the frame energy, so with no other point there is
+        # no PathChannel to build and no images call to make
+        def no_channel(*args):
+            raise AssertionError("a PathChannel for the origin alone")
+
+        monkeypatch.setattr(analysis, "PathChannel", no_channel)
+        spec = FrameSpec(16.0, 1.0, Constellation.QAM16)
+        x_p = proposed_pilot(self.CFG, pilot_power=16.0, r=0)
+        mc = ambiguity_moments_mc(x_p, spec, self.CFG, [(0, 0), (0, 0)], 6, np.random.default_rng(5))
+        draws = np.random.default_rng(5).integers(0, 16, size=(6, self.CFG.n_sub))
+        energies = np.sum(np.abs(spec.constellation.points[draws] * spec.sigma_d + x_p) ** 2, axis=1)
+        np.testing.assert_allclose(mc["mean"], energies.mean(), rtol=1e-12)
+        np.testing.assert_allclose(mc["variance"], energies.var(), rtol=1e-9)
 
     @pytest.mark.parametrize("point", [(0.5, 0), (1, 0.5)])
     def test_mc_rejects_fractional_points(self, rng, point):

@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,7 +152,7 @@ class TestPathChannel:
         h.regularized_solve(np.ones(16), 0.1)
         q, taps = h._daft_taps
         assert h._daft_taps[1] is taps
-        solve_parts = (h._time_taps[1], h._gram_diagonals, h._factor[1])
+        solve_parts = (h._time_taps[1], h._factor[1])
         for arr in (h.delays, h.dopplers, h.gains, q, taps, *solve_parts):
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -240,9 +241,25 @@ class TestRegularizedSolve:
         with pytest.raises(ParameterError, match="lam"):
             PathChannel(CFG16, [0, 2], [1, -1], [1.0, 0.3j]).regularized_solve(np.ones(16), lam)
 
+    def test_solved_channel_keeps_its_time_taps_and_one_factor(self, rng):
+        # spread + 1 time-tap rows and 2*spread + 1 factor rows of Nc values,
+        # plus 4 KiB for the objects that hold them; no lam-free Gram copy
+        cfg = AfdmConfig(n_sub=4096, c1=1 / 1024)
+        PathChannel(cfg, [0], [0], [1.0]).regularized_solve(np.ones(4096), 0.1)  # loads scipy.linalg
+        h = PathChannel(cfg, [0, 3, 8], [0, -2, 2], [1.0, 0.5j, 0.3])
+        r = random_unit_symbols(rng, 4096)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            h.regularized_solve(r, 0.1)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained <= (3 * 8 + 2) * 4096 * 16 + 4096
+
     def test_solve_path_makes_no_scatter(self):
         # the band is read from the cyclic diagonals, never accumulated with np.add.at
-        solve_path = {"_time_taps", "_gram_diagonals", "_band", "regularized_solve"}
+        solve_path = {"_time_taps", "_band", "regularized_solve"}
         tree = ast.parse(textwrap.dedent(inspect.getsource(PathChannel)))
         found = set()
         for node in ast.walk(tree):

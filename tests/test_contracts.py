@@ -4,7 +4,7 @@ One table lists each site of the shared argument checks in ``errors``.  Each
 site is fed the same malformed values, skipping those it legitimately takes,
 and must raise its own ``AfdmError`` subclass with a message that names the
 argument.  The regression tests below pin the inputs that were accepted, or
-raised a bare ``TypeError`` or ``ValueError``, before the checks were shared.
+raised a bare exception or a warning, before each was checked.
 """
 
 import math
@@ -22,6 +22,8 @@ from afdm_isac.analysis import (
     equal_allocation,
     interference_coefficient,
     sensing_weights,
+    verify_theorem_2,
+    verify_theorem_3,
     verify_theorem_4,
 )
 from afdm_isac.channel import (
@@ -35,11 +37,18 @@ from afdm_isac.channel import (
     sensing_echo,
 )
 from afdm_isac.errors import ConfigurationError, ParameterError
-from afdm_isac.estimator import PriorModel, equalize_demod, iterative_estimate, threshold_paths
-from afdm_isac.modem import FrameSpec
+from afdm_isac.estimator import (
+    PriorModel,
+    equalize_demod,
+    iterative_estimate,
+    reconstruct_channel,
+    threshold_paths,
+)
+from afdm_isac.modem import FrameSpec, map_bits
 from afdm_isac.pilots import (
     PilotScheme,
     ZcParams,
+    proposed_delay_limit,
     select_c1_q,
     single_pilot,
     traditional_spi_pilot,
@@ -47,6 +56,7 @@ from afdm_isac.pilots import (
 from afdm_isac.sensing import DetectionConfig, SensingScenario, roc_curve
 
 CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
+CFG32 = AfdmConfig(n_sub=32, n_cpp=4, c1=1 / 16)
 SPEC = FrameSpec(16.0, 1.0)
 GRID = basis_grid(2, 1)
 H = PathChannel(CFG, [0, 1], [0, 1], [1.0, 0.2j])
@@ -131,6 +141,10 @@ SITES = [
      ParameterError, "^n_iter", set()),
     ("ambiguity_moments_mc.n_frames", lambda v: ambiguity_moments_mc(X_P, SPEC, CFG, [(0, 0)], v, rng()),
      ParameterError, "^n_frames", set()),
+    ("verify_theorem_2.n_frames", lambda v: verify_theorem_2(CFG, 16.0, 16.0, n_frames=v), ParameterError,
+     "^n_frames", set()),
+    ("verify_theorem_3.n_frames", lambda v: verify_theorem_3([CFG, CFG32], 16.0, 16.0, n_frames=v),
+     ParameterError, "^n_frames", set()),
     ("crb_distribution.n_draws", lambda v: crb_distribution(CFG, TARGET, 16.0, v, rng()),
      ParameterError, "^n_draws", set()),
     ("roc_curve.n_trials", lambda v: roc_curve(scenario(), [1.0], v, rng()), ParameterError,
@@ -148,6 +162,8 @@ SITES = [
     ("select_c1_q.nu_m", lambda v: select_c1_q(v, CFG), ParameterError, "^nu_m", set()),
     ("traditional_spi_pilot.n_pilots", lambda v: traditional_spi_pilot(CFG, 16.0, spacing=4, n_pilots=v),
      ParameterError, "^pilot count", {"None"}),
+    ("traditional_spi_pilot.spacing", lambda v: traditional_spi_pilot(CFG, 16.0, spacing=v),
+     ParameterError, "^spacing", {"None"}),
     # an int64 integer array
     ("PathChannel.delays", lambda v: PathChannel(CFG, v, [0], [1.0]), ParameterError, "delays", set()),
     ("PathChannel.dopplers", lambda v: PathChannel(CFG, [0], v, [1.0]), ParameterError, "(?i)dopplers", set()),
@@ -155,6 +171,10 @@ SITES = [
      ParameterError, "^ambiguity axis", {"2 elements"}),
     ("interference_coefficient.m1", lambda v: interference_coefficient(v, 0, 0, 0, CFG), ParameterError,
      "^subcarrier indices", set()),
+    ("interference_coefficient.tau", lambda v: interference_coefficient(0, 0, v, 0, CFG), ParameterError,
+     "^path delay", {"-1"}),
+    ("interference_coefficient.nu", lambda v: interference_coefficient(0, 0, 0, v, CFG), ParameterError,
+     "^path delay and Doppler", {"-1"}),
     ("ChannelPath.delay", lambda v: ChannelPath(1.0, v, 0.0), ParameterError, "^path delay", set()),
     ("ambiguity_region.tau_m", lambda v: ambiguity_region(v, 0), ParameterError, "^tau_m", set()),
     ("ambiguity_region.nu_m", lambda v: ambiguity_region(0, v), ParameterError, "^nu_m", set()),
@@ -175,6 +195,13 @@ SITES = [
     # the path contracts: a finite complex gain and a finite real Doppler
     ("ChannelPath.gain", lambda v: ChannelPath(v, 0, 0.0), ParameterError, "^path gain", {"-1", "1j", "2.5"}),
     ("ChannelPath.doppler", lambda v: ChannelPath(1.0, 0, v), ParameterError, "^path Doppler", {"-1", "2.5"}),
+    # a member of the Constellation enum
+    ("FrameSpec.constellation", lambda v: FrameSpec(1.0, 1.0, v), ParameterError, "^constellation", set()),
+    # 0/1 numbers: a bit stream whose length is a multiple of the bits per symbol
+    ("map_bits", lambda v: map_bits(v, SPEC), ParameterError, "^bit", {"wrong shape", "2 elements"}),
+    # one 0/1 indicator per grid pair
+    ("reconstruct_channel.indicator", lambda v: reconstruct_channel(np.ones(len(GRID)), v, GRID, CFG),
+     ParameterError, "0/1 indicators", set()),
     # finite gains, one per path: the value is the one path's gain
     ("PathChannel.gains", lambda v: PathChannel(CFG, [0], [0], [v]), ParameterError, "gains",
      {"-1", "1j", "2.5", "True"}),
@@ -238,6 +265,36 @@ DEFECTS = {
     "crb of a target stack": lambda: crb(equal_allocation(16.0, 16), ROW_TARGETS, CFG),
     "sensing_weights of a target stack": lambda: sensing_weights(equal_allocation(16.0, 16), ROW_TARGETS, CFG),
     "crb_distribution of a target stack": lambda: crb_distribution(CFG, ROW_TARGETS, 16.0, 4, rng()),
+    # accepted, a fraction read as bit 0
+    "map_bits 0.5": lambda: map_bits([0.5, 1.0], SPEC),
+    # a RuntimeWarning from the cast, then bit 0
+    "map_bits NaN": lambda: map_bits([math.nan, 1.0], SPEC),
+    # bare ValueError
+    "map_bits letters": lambda: map_bits(["a", "b"], SPEC),
+    # accepted, the kept path's gain doubled
+    "reconstruct_channel indicator 2": lambda: reconstruct_channel(
+        np.ones(len(GRID)), [2] + [0] * (len(GRID) - 1), GRID, CFG
+    ),
+    # accepted, then only the first grid pair kept
+    "reconstruct_channel indicator 1": lambda: reconstruct_channel(np.ones(len(GRID)), 1, GRID, CFG),
+    # accepted, a coefficient of a fractional delay
+    "interference_coefficient delay 1.5": lambda: interference_coefficient(
+        0, 3, 1.5, 0, AfdmConfig(n_sub=16, c1=1 / 16)
+    ),
+    # accepted, the Monte Carlo skipped and the check passed
+    "verify_theorem_2 n_frames -1": lambda: verify_theorem_2(CFG, 1.0, 16.0, n_frames=-1),
+    # a RankWarning, then a slope through one point
+    "verify_theorem_3 one config": lambda: verify_theorem_3([CFG], 1.0, 16.0),
+    "verify_theorem_3 one subcarrier count": lambda: verify_theorem_3([CFG, CFG], 1.0, 16.0),
+    # bare ValueError
+    "verify_theorem_3 no config": lambda: verify_theorem_3([], 1.0, 16.0),
+    # accepted, then a bare AttributeError on first use
+    "FrameSpec constellation 'qpsk'": lambda: FrameSpec(1.0, 1.0, "qpsk"),
+    # bare ZeroDivisionError
+    "traditional_spi_pilot spacing 0": lambda: traditional_spi_pilot(CFG, 1.0, spacing=0),
+    "proposed_delay_limit K 0": lambda: proposed_delay_limit(AfdmConfig(n_sub=16)),
+    # bare ValueError from scipy
+    "regularized_solve r NaN": lambda: H.regularized_solve(np.full(16, math.nan), 0.1),
 }
 
 

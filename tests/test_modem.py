@@ -28,6 +28,13 @@ class TestConstellation:
     def test_qam16_fourth_moment(self):
         assert Constellation.QAM16.fourth_moment == pytest.approx(1.32, abs=1e-12)
 
+    def test_points_are_one_read_only_table(self):
+        # built once at import, so mapping and demapping rebuild no table
+        for kind in Constellation:
+            assert kind.points is kind.points
+            with pytest.raises(ValueError):
+                kind.points[0] = 0
+
     def test_squared_symbol_mean_vanishes(self):
         for kind in Constellation:
             assert abs(kind.squared_symbol_mean) < 1e-14
