@@ -80,7 +80,15 @@ from .channel import (
 from .daft import AfdmConfig, idaft
 # build_daft_matrix is unused here; the benchmark's tracer test requires this binding
 from .daft import build_daft_matrix  # noqa: F401
-from .errors import NumericalError, ParameterError, check_count, check_integers, check_vector
+from .errors import (
+    NumericalError,
+    ParameterError,
+    check_count,
+    check_integers,
+    check_nonnegative,
+    check_stack,
+    check_vector,
+)
 from .modem import Constellation, FrameSpec
 from .sensing import _BLOCK_BYTES, RangeDopplerMap, _correlate
 
@@ -124,9 +132,9 @@ def cross_ambiguity(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     are two symbols of length Nc or two stacks of equal shape (..., Nc); the
     result has shape (..., delays, Dopplers).
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape or a.shape[-1:] != (cfg.n_sub,):
+    a = check_stack(a, cfg.n_sub, "signals")
+    b = check_stack(b, cfg.n_sub, "signals")
+    if a.shape != b.shape:
         raise ParameterError(
             f"signals must share a shape (..., {cfg.n_sub}), got {a.shape} and {b.shape}"
         )
@@ -474,8 +482,13 @@ def equal_allocation(total: float, n_sub: int) -> PowerAllocation:
 
 
 def frame_power_profile(x_pilot, data_symbol_power: float) -> PowerAllocation:
-    """Expected per-subcarrier power of a superimposed frame."""
-    x_pilot = np.asarray(x_pilot, dtype=np.complex128)
+    """Expected per-subcarrier power of a superimposed frame.
+
+    ``x_pilot`` is a vector of numbers of any length (else
+    ``ConfigurationError``) and ``data_symbol_power`` finite and >= 0.
+    """
+    x_pilot = check_vector(x_pilot, None, "pilot")
+    check_nonnegative(data_symbol_power, "data_symbol_power")
     return PowerAllocation(np.abs(x_pilot) ** 2 + data_symbol_power)
 
 

@@ -377,8 +377,10 @@ class PathChannel:
         lam costs H_t^H r and two triangular solves.  Before any work, a
         ``lam`` not finite and >= 0 or a non-finite ``r`` raises
         ``ParameterError`` and an ``r`` not of shape (Nc,)
-        ``ConfigurationError``; a matrix that is not positive definite raises
-        ``NumericalError`` on every call and leaves no factor kept.
+        ``ConfigurationError``; a matrix that is not positive definite or
+        overflows raises ``NumericalError`` (with no warning) on every call
+        and leaves no factor kept, and so does a solution that overflows,
+        H_t^H r included.
         """
         # scipy.linalg takes about 0.3 s to import and only this solve needs
         # it, so importing it here keeps it out of every other caller's start-up.
@@ -392,20 +394,29 @@ class PathChannel:
         tau_0, taps = self._time_taps
         # H_t^H r at a: conj(V[t, a]) times r read at <a + tau_0 + t>
         reads = sliding_window_view(np.concatenate([r, r]), n)[tau_0 : tau_0 + len(taps)]
-        rhs = np.vecdot(taps, reads, axis=0)
+        cached = self._factor
+        refactor = cached is None or cached[0] != lam
+        # an overflow here leaves a non-finite band or solution, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = np.vecdot(taps, reads, axis=0)
+            band = self._band(lam) if refactor else None
         half = (n + 1) // 2
         ordered = np.empty(n, dtype=np.complex128)
         ordered[0::2], ordered[1::2] = rhs[:half], rhs[half:][::-1]
-        cached = self._factor
-        if cached is None or cached[0] != lam:
+        if refactor:
+            if not np.isfinite(band).all():
+                raise NumericalError("equalizer matrix overflows")
             try:
-                factor = cholesky_banded(self._band(lam), overwrite_ab=True, lower=True)
+                # the band was checked just above, so scipy need not scan it again
+                factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError("singular equalizer matrix") from exc
             factor.flags.writeable = False
             cached = (lam, factor)
             object.__setattr__(self, "_factor", cached)
         z = cho_solve_banded((cached[1], True), ordered, check_finite=False)
+        if not np.isfinite(z).all():
+            raise NumericalError("equalizer solution overflows")
         return np.concatenate([z[0::2], z[1::2][::-1]])
 
 
@@ -463,7 +474,11 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndar
     r[n] = beta * s((n - tau_bar)*Ts) * exp(j*2*pi*nu_bar*n/Nc) + w[n], with
     ``s`` the prefix-free time symbol (``idaft`` output).  The delayed copy
     is ``waveform_samples`` of ``s``, which at whole-sample delays reads the
-    samples ``add_cpp`` would have put in front of it.  ``s`` may be a stack
+    samples ``add_cpp`` would have put in front of it and at fractional ones
+    reads the config's tables, a few exponentials per target.  The Doppler
+    ramp of each target is an outer product of two ramps of about sqrt(Nc)
+    exponentials each (``_doppler_ramp``), within 1e-14 of the exponential
+    at every sample for |nu_bar| <= 4.  ``s`` may be a stack
     (..., Nc); the target's delay, Doppler and gain are then scalars or
     arrays that broadcast over its leading axes, one target per row, and
     the noise is drawn for the whole stack, real parts first.
@@ -481,13 +496,28 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndar
         raise ParameterError(
             f"target delay {tau} samples outside the prefix budget [0, {cfg.n_cpp}]"
         )
-    n = np.arange(cfg.n_sub)
     delayed = waveform_samples(s, cfg, tau[..., None])[..., 0, :]
-    r = gain[..., None] * delayed * np.exp(2j * np.pi * nu[..., None] * n / cfg.n_sub)
+    r = gain[..., None] * delayed * _doppler_ramp(nu, cfg.n_sub)
     if rng is not None and target.noise_power > 0:
         scale = math.sqrt(target.noise_power / 2.0)
         r = r + scale * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape))
     return r
+
+
+def _doppler_ramp(nu: np.ndarray, n_sub: int) -> np.ndarray:
+    """exp(j*2*pi*nu*n/Nc), n < Nc, on a last axis after the axes of ``nu``.
+
+    With b = ceil(sqrt(Nc)) and n = q*b + r the ramp is the outer product of
+    a coarse ramp over q and a fine one over r: about 2*sqrt(Nc)
+    exponentials per Doppler, each sample within a few ulps of the
+    exponential evaluated at that sample.
+    """
+    width = math.isqrt(n_sub - 1) + 1
+    step = 2j * np.pi * nu[..., None] / n_sub
+    coarse = np.exp(step * np.arange(0, n_sub, width))
+    fine = np.exp(step * np.arange(width))
+    ramp = coarse[..., :, None] * fine[..., None, :]
+    return ramp.reshape(ramp.shape[:-2] + (-1,))[..., :n_sub]
 
 
 def delay_doppler_to_range_velocity(tau_hat: float, nu_hat: float, cfg: AfdmConfig) -> tuple[float, float]:

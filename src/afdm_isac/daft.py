@@ -23,7 +23,11 @@ Conventions used throughout the package:
   exp(-j*2*pi*c1*(Nc^2 + 2*Nc*i)) is (-1)^(K*Nc): at any integer index i the
   chirp-periodic extension of a symbol is s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)),
   whose sign ``AfdmConfig.prefix_flips`` owns; every delayed copy in the
-  package reads the extension through ``_chirp_periodic``.
+  package reads the extension through ``_chirp_periodic``;
+* a fractional delay tau is split exactly into a whole part w = round(tau)
+  and a fraction |f| <= 1/2, so the delayed waveform's per-sample factors
+  are table entries at integer indices (``dft_twiddle``, ``c1_chirp``) and
+  only a handful of exponentials and sincs are evaluated per delay.
 """
 
 from __future__ import annotations
@@ -35,7 +39,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, ParameterError, check_stack, check_vector, is_integer, is_real
+from .errors import (
+    ConfigurationError,
+    ParameterError,
+    check_reals,
+    check_stack,
+    check_vector,
+    is_integer,
+    is_real,
+)
 
 __all__ = [
     "AfdmConfig",
@@ -250,18 +262,25 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     is Nc-periodic for either parity of K*Nc.  Splitting (-1)^(K d) into
     (-1)^(K n) (-1)^(K k) turns the sum over lags d in (-Nc, Nc) into one
     cyclic convolution of length Nc, evaluated by FFT at O(Nc log Nc) per
-    delay and signal.  Its phases stay in floats: n - tau is no table index.
+    delay and signal.  Every per-sample factor is read from the config's
+    tables: with tau = w + f (w = round(tau), |f| <= 1/2, both exact),
+    D(n - tau) = (exp(-j2pi f) - 1)/(conj(dft_twiddle[j]) exp(-j2pi f/Nc) - 1)
+    at j = (n - w) mod Nc (its limit at j = 0), exp(-j pi K d^2/Nc) is
+    ``c1_chirp[d]``, and the ramps exp(-+j2pi A k/Nc) become a shift of the
+    kernel's spectrum by A mod Nc.  The phase in front reduces exactly to
+    one number per delay, (K f^2 - 2 a f - w (K w + 2 a))/(2 Nc) with
+    a = ceil(K f), times exp(j2pi A n/Nc) (-1)^(K n), so a delay costs a
+    few exponentials, not one per sample, and the phase stays exact at any
+    whole part.  Delays are finite real numbers (else ``ParameterError``).
     """
     s = check_stack(s, cfg.n_sub, "signals")
-    tau = np.asarray(tau, dtype=np.float64)
+    tau = check_reals(tau, "delays")
     lead = s.shape[:-1]
-    if not np.all(np.isfinite(tau)) or (tau.ndim and not _broadcasts_to(tau.shape[:-1], lead)):
+    if tau.ndim and not _broadcasts_to(tau.shape[:-1], lead):
         raise ParameterError(
-            f"delays must be finite, a scalar or an array whose leading axes broadcast "
+            f"delays must be a scalar or an array whose leading axes broadcast "
             f"to the signals' {lead}, got {tau!r}"
         )
-    n_sub, k_rate = cfg.n_sub, cfg.two_c1_n
-    n = np.arange(n_sub)
     taus = np.atleast_1d(tau)
     whole = taus == np.round(taus)
     if np.all(whole):
@@ -269,29 +288,60 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
         return out if tau.ndim else out[..., 0, :]
     # a delay column whole in every row is read from windows, the others take the closed form
     cols = np.all(whole, axis=tuple(range(whole.ndim - 1)))
-    out = np.empty(lead + (taus.shape[-1], n_sub), dtype=np.complex128)
+    out = np.empty(lead + (taus.shape[-1], cfg.n_sub), dtype=np.complex128)
     if np.any(cols):
         out[..., cols, :] = _whole_delays(s, cfg, taus[..., cols])
     if not np.all(cols):
-        frac = taus[..., ~cols, None]
-        a_int = np.ceil(k_rate * frac)
-        t = n - frac
-        # the lag d - tau for d = 0..Nc-1, reduced to [-Nc/2, Nc/2] (D is Nc-periodic)
-        u = t - n_sub * np.round(t / n_sub)
-        # sin(pi u)/sin(pi u/Nc) as Nc sinc(u)/sinc(u/Nc): the quotient of the two
-        # sines loses every digit at a subnormal u, the normalized sincs read 1 there
-        sinc = n_sub * np.sinc(u) / np.sinc(u / n_sub)
-        kernel = sinc * np.exp(1j * np.pi * (u * (n_sub - 1) - k_rate * n * (n - n_sub)) / n_sub)
-        spread = s[..., None, :] * np.exp(1j * np.pi * (k_rate * n - 2.0 * a_int * n / n_sub))
-        conv = np.fft.ifft(np.fft.fft(spread) * np.fft.fft(kernel))
-        phase = cfg.c1 * (t * t + n * n) + (a_int - k_rate * n) * t / n_sub - k_rate * n / 2.0
-        part = np.exp(2j * np.pi * phase) * conv / n_sub
+        part = _fractional_delays(s, cfg, taus[..., ~cols, None])
         # a whole delay in a column with fractional ones is still read from the windows
         stray = whole[..., ~cols, None]
         if np.any(stray):
             part = np.where(stray, _whole_delays(s, cfg, taus[..., ~cols]), part)
         out[..., ~cols, :] = part
     return out if tau.ndim else out[..., 0, :]
+
+
+def _fractional_delays(s: np.ndarray, cfg: AfdmConfig, tau: np.ndarray) -> np.ndarray:
+    """The closed form of ``waveform_samples`` at the delays ``tau`` (shape (..., 1)).
+
+    Per-sample factors are read from the config's tables; exponentials and
+    sincs are evaluated once per delay.  With tau = w + f, w = round(tau)
+    and |f| <= 1/2 (both exact), A = ceil(K*tau) = K*w + ceil(K*f).
+    """
+    n_sub, k_rate = cfg.n_sub, cfg.two_c1_n
+    n = np.arange(n_sub)
+    w = np.round(tau)
+    f = tau - w
+    a = np.ceil(k_rate * f)
+    sign = 1.0 - 2.0 * (k_rate * n % 2)  # sigma_n = (-1)^(K n)
+    # D(n - tau) = D(j - f) at j = (n - w) mod Nc is (exp(-j2pi f) - 1)/(exp(j2pi (j - f)/Nc) - 1)
+    # with exp(j2pi j/Nc) read at the index n - w mod Nc (negative below w), and at j = 0
+    # its limit Nc sinc(f)/sinc(f/Nc) exp(-j pi f (Nc - 1)/Nc), which reads Nc at a
+    # subnormal f where the quotient would lose every digit
+    at_w = np.mod(w, n_sub).astype(np.int64)
+    denom = np.conj(cfg.dft_twiddle)[n - at_w] * np.exp(-2j * np.pi * f / n_sub) - 1.0
+    origin = np.arange(0, denom.size, n_sub) + at_w.ravel()  # j = 0, one per row
+    denom.flat[origin] = 1.0
+    kernel = (-2j * np.sin(np.pi * f) * np.exp(-1j * np.pi * f)) / denom
+    limit = n_sub * np.sinc(f) / np.sinc(f / n_sub) * np.exp(-1j * np.pi * f * (n_sub - 1) / n_sub)
+    kernel.flat[origin] = limit.ravel()
+    kernel *= cfg.c1_chirp * sign
+    # the ramp exp(-j2pi A n/Nc) on s sigma and its conjugate on the output are the shift
+    # of the kernel's spectrum by A mod Nc (reduced exactly in floats): bin k reads bin
+    # k - A, from the spectrum laid twice end to end
+    spectrum = np.fft.fft(kernel).reshape(-1, n_sub)
+    shift = np.mod(k_rate % n_sub * at_w + a, n_sub).astype(np.int64).reshape(-1, 1)
+    starts = np.arange(len(spectrum))[:, None] * (2 * n_sub) + n_sub - shift
+    shifted = np.concatenate([spectrum, spectrum], axis=-1).ravel()[starts + n]
+    conv = np.fft.ifft(np.fft.fft(s * sign)[..., None, :] * shifted.reshape(kernel.shape))
+    # c1 (t^2 + n^2) + (A - K n) t/Nc - K n/2 at t = n - tau is
+    # (K f^2 - 2 a f - w (K w + 2 a))/(2 Nc) + A n/Nc - K n/2, the whole part of the
+    # first term reduced mod 2 Nc; exp(j2pi (A n/Nc - K n/2)) is the shift and sigma_n
+    turns = np.mod(np.mod(w, 2 * n_sub) * np.mod(k_rate * w + 2.0 * a, 2 * n_sub), 2 * n_sub)
+    scale = np.exp(1j * np.pi * (k_rate * f * f - 2.0 * a * f - turns) / n_sub) / n_sub
+    conv *= scale
+    conv *= sign
+    return conv
 
 
 def _broadcasts_to(shape: tuple, target: tuple) -> bool:

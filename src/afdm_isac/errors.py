@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the argument checks that raise them.
 
 ``check_vector`` (a complex (n,) vector) and ``check_stack`` (a (..., n) stack)
-raise ``ConfigurationError``, also for non-numbers; ``check_nonnegative``,
-``check_count`` and ``check_integers`` raise ``ParameterError``.
+raise ``ConfigurationError``, also for non-numbers; ``check_reals``,
+``check_nonnegative``, ``check_count`` and ``check_integers`` raise
+``ParameterError``.
 """
 
 import math
@@ -37,20 +38,34 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_vector(x, n: int, what: str) -> np.ndarray:
-    """``x`` as a complex128 array of shape (n,); ``ConfigurationError`` otherwise."""
+def check_vector(x, n: int | None, what: str) -> np.ndarray:
+    """``x`` as a complex128 array of shape (n,), any length if ``n`` is None; else ``ConfigurationError``."""
     x = np.asarray(x)
-    if x.dtype.kind not in "biufc" or x.shape != (n,):
-        raise ConfigurationError(f"{what} must be numbers of shape ({n},), got {x.dtype} {x.shape}")
+    if x.dtype.kind not in "biufc" or x.ndim != 1 or n not in (None, x.shape[0]):
+        size = "n" if n is None else n
+        raise ConfigurationError(f"{what} must be numbers of shape ({size},), got {x.dtype} {x.shape}")
     return x.astype(np.complex128, copy=False)
 
 
-def check_stack(x, n: int, what: str) -> np.ndarray:
-    """``x`` as a complex128 array of shape (..., n); ``ConfigurationError`` otherwise."""
+def check_stack(x, n: int | None, what: str) -> np.ndarray:
+    """``x`` as a complex128 array of shape (..., n), any n if ``n`` is None; else ``ConfigurationError``."""
     x = np.asarray(x)
-    if x.dtype.kind not in "biufc" or x.shape[-1:] != (n,):
-        raise ConfigurationError(f"{what} must be numbers of shape (..., {n}), got {x.dtype} {x.shape}")
+    if x.dtype.kind not in "biufc" or x.ndim == 0 or n not in (None, x.shape[-1]):
+        size = "n" if n is None else n
+        raise ConfigurationError(f"{what} must be numbers of shape (..., {size}), got {x.dtype} {x.shape}")
     return x.astype(np.complex128, copy=False)
+
+
+def check_reals(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array of any shape; ``ParameterError`` unless finite real numbers.
+
+    Bools read as 0 and 1, as in every array check; complex numbers, strings
+    and objects are refused.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf" or not np.all(np.isfinite(arr)):
+        raise ParameterError(f"{what} must be finite real numbers, got {values!r}")
+    return arr.astype(np.float64, copy=False)
 
 
 def check_nonnegative(value, what: str) -> None:

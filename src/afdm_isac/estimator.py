@@ -44,7 +44,14 @@ import numpy as np
 
 from .channel import BasisGrid, PathChannel, apply_basis
 from .daft import AfdmConfig, daft, idaft
-from .errors import NumericalError, ParameterError, check_count, check_nonnegative, check_vector
+from .errors import (
+    NumericalError,
+    ParameterError,
+    check_count,
+    check_nonnegative,
+    check_stack,
+    check_vector,
+)
 from .modem import FrameSpec, demap_symbols, map_bits
 
 __all__ = [
@@ -179,13 +186,15 @@ def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
     the variances are diag(S).  Pinned gains (g = 0) come out as 0 with
     variance 0, and an infinite g drops that gain's regularization.  A
     singular normal matrix or a non-finite result raises ``NumericalError``;
-    a ``y`` whose length is not the row count of ``psi_p`` raises
-    ``ParameterError``.  This forms Psi^H y and Psi^H Psi on every call;
-    ``iterative_estimate`` instead reuses the Psi_p^H and Gram it caches per
-    pilot (at most 4 pilots, about L*Nc*16 bytes each).
+    a ``y`` or ``psi_p`` that is not numbers (a vector, an array) raises
+    ``ConfigurationError``, and a ``psi_p`` that is no matrix or whose row
+    count is not the length of ``y`` ``ParameterError``.  This forms
+    Psi^H y and Psi^H Psi on every call; ``iterative_estimate`` instead
+    reuses the Psi_p^H and Gram it caches per pilot (at most 4 pilots,
+    about L*Nc*16 bytes each).
     """
-    y = np.asarray(y, dtype=np.complex128)
-    psi_p = np.asarray(psi_p, dtype=np.complex128)
+    y = check_vector(y, None, "y")
+    psi_p = check_stack(psi_p, None, "Psi")
     if psi_p.ndim != 2 or y.shape != psi_p.shape[:1]:
         raise ParameterError(f"y of shape {y.shape} for a Psi of shape {psi_p.shape}")
     psi_h = psi_p.conj().T
@@ -202,12 +211,13 @@ def threshold_paths(alpha_hat, eps) -> np.ndarray:
 
 def reconstruct_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) -> PathChannel:
     """The structured channel estimate: the basis paths whose indicator is set,
-    with gains alpha_hat * indicator.  ``indicator`` holds one 0 or 1 per grid
-    pair and ``alpha_hat`` one gain per pair (else ``ParameterError``)."""
-    alpha_hat, indicator = np.asarray(alpha_hat, dtype=np.complex128), np.asarray(indicator)
+    with gains alpha_hat * indicator.  ``alpha_hat`` holds one gain per grid
+    pair (else ``ConfigurationError``) and ``indicator`` one 0 or 1 per pair
+    (else ``ParameterError``)."""
+    alpha_hat, indicator = check_vector(alpha_hat, len(grid), "alpha_hat"), np.asarray(indicator)
     binary = indicator.dtype.kind in "biuf" and not np.any((indicator != 0) & (indicator != 1))
-    if not (alpha_hat.shape == indicator.shape == (len(grid),) and binary):
-        raise ParameterError(f"need {len(grid)} gains and 0/1 indicators, got {indicator!r}")
+    if not (indicator.shape == (len(grid),) and binary):
+        raise ParameterError(f"need {len(grid)} 0/1 indicators, got {indicator!r}")
     kept = np.flatnonzero(indicator)
     pairs = np.asarray(grid.pairs, dtype=np.int64).reshape(-1, 2)[kept]
     return PathChannel(cfg, pairs[:, 0], pairs[:, 1], (alpha_hat * indicator)[kept])

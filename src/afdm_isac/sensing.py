@@ -19,7 +19,9 @@ block's (trials, delays, Nc) reference stack.  The budget bounds that
 stack on fractional (oversampled) delay axes and on scattered whole delays;
 on a run of consecutive whole delays, such as the search grid,
 ``waveform_samples`` returns a window view of one chirp-periodic extension
-of the symbol instead.  Only the random draws
+of the symbol instead.  A block's echoes (``sensing_echo``, fractional
+target delays and Dopplers) cost a few exponentials per trial, their
+per-sample factors read from the config's tables.  Only the random draws
 loop per trial, in a lone trial's order (bits, target uniforms, noise), so
 a seed gives the same curve at any block size.
 """
@@ -33,7 +35,15 @@ import numpy as np
 
 from .channel import SensingTarget, sensing_echo
 from .daft import AfdmConfig, idaft, waveform_samples
-from .errors import ParameterError, check_count, check_nonnegative, is_integer, is_real
+from .errors import (
+    ParameterError,
+    check_count,
+    check_nonnegative,
+    check_reals,
+    check_stack,
+    is_integer,
+    is_real,
+)
 from .modem import FrameSpec, map_bits
 from .pilots import PilotScheme, pilot_vector
 
@@ -158,15 +168,17 @@ def rdf(r_s, s, grid, cfg: AfdmConfig) -> RangeDopplerMap:
     must lie in [0, n_cpp], the delays the prefix covers.  Echo and symbol
     may be stacks of equal shape (..., Nc), each echo correlated with its
     own symbol, and the map's values then have shape (..., delays, Dopplers).
+    An echo or symbol that is not numbers of shape (..., Nc) raises
+    ``ConfigurationError``; unequal shapes and bad axes ``ParameterError``.
     """
-    r_s = np.asarray(r_s, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
-    if r_s.shape != s.shape or s.shape[-1:] != (cfg.n_sub,):
+    r_s = check_stack(r_s, cfg.n_sub, "echo")
+    s = check_stack(s, cfg.n_sub, "symbol")
+    if r_s.shape != s.shape:
         raise ParameterError(
             f"echo and symbol must share a shape (..., {cfg.n_sub}), got {r_s.shape} and {s.shape}"
         )
-    tau_axis, nu_axis = (np.asarray(axis, dtype=np.float64) for axis in grid)
-    if any(axis.ndim != 1 or not np.all(np.isfinite(axis)) for axis in (tau_axis, nu_axis)):
+    tau_axis, nu_axis = (check_reals(axis, "grid axes") for axis in grid)
+    if any(axis.ndim != 1 for axis in (tau_axis, nu_axis)):
         raise ParameterError(f"grid axes must be finite 1-D arrays, got {grid!r}")
     if np.any((tau_axis < 0) | (tau_axis > cfg.n_cpp)):
         raise ParameterError(f"delays {tau_axis} outside the prefix budget [0, {cfg.n_cpp}]")

@@ -1,8 +1,10 @@
 import ast
+import importlib
 import inspect
 import math
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from afdm_isac.channel import (
     sample_channel,
     sensing_echo,
 )
-from afdm_isac.errors import ConfigurationError, ParameterError
+from afdm_isac.errors import ConfigurationError, NumericalError, ParameterError
 
 import dense_oracle
 from conftest import random_unit_symbols
@@ -241,6 +243,23 @@ class TestRegularizedSolve:
         with pytest.raises(ParameterError, match="lam"):
             PathChannel(CFG16, [0, 2], [1, -1], [1.0, 0.3j]).regularized_solve(np.ones(16), lam)
 
+    @pytest.mark.parametrize("gains, r, lam, message", [
+        # |gain|^2 overflows in the band's diagonal products
+        ([1e200, 1e200], np.ones(16), 0.1, "equalizer matrix overflows"),
+        # the two paths' terms of H_t^H r overflow in their sum
+        ([1.0, 1.0], np.full(16, 1e308), 0.1, "solution overflows"),
+        # a subnormal band divides a finite H_t^H r past the largest float
+        ([1e-160, 0.0], np.full(16, 1e300), 0.0, "solution overflows"),
+    ])
+    def test_overflow_raises_numerical_error_without_a_warning(self, gains, r, lam, message):
+        # was a RuntimeWarning and then scipy's bare ValueError, or an inf solution
+        h = PathChannel(CFG16, [0, 1], [0, 0], gains)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for attempt in (1, 2):
+                with pytest.raises(NumericalError, match=message):
+                    h.regularized_solve(r, lam)
+
     def test_solved_channel_keeps_its_time_taps_and_one_factor(self, rng):
         # spread + 1 time-tap rows and 2*spread + 1 factor rows of Nc values,
         # plus 4 KiB for the objects that hold them; no lam-free Gram copy
@@ -449,11 +468,61 @@ class TestSensingEcho:
         r = sensing_echo(s, CFG16, target)
         assert np.linalg.norm(r) ** 2 == pytest.approx(4.0 * np.linalg.norm(x) ** 2, rel=1e-10)
 
+    @pytest.mark.parametrize("n_sub", [1, 2, 15, 16, 17, 255, 256, 1024])
+    def test_doppler_ramp_matches_the_exponential(self, n_sub):
+        # at delay 0 and gain 1 the echo of all-ones symbols is the ramp alone
+        nu = np.concatenate([np.linspace(-4.0, 4.0, 33), [0.3, -3.7, 1e-300, 5e-324]])
+        cfg = AfdmConfig(n_sub=n_sub, c1=1 / (2 * n_sub))
+        r = sensing_echo(np.ones((nu.size, n_sub)), cfg, SensingTarget(1.0, 0.0, nu, 0.0))
+        expect = np.exp(2j * np.pi * nu[:, None] * np.arange(n_sub) / n_sub)
+        assert np.max(np.abs(r - expect)) <= 1e-14
+
     def test_delay_budget(self, rng):
         x = random_unit_symbols(rng, 16)
         s = idaft(x, CFG16)
         with pytest.raises(ParameterError):
             sensing_echo(s, CFG16, SensingTarget(1.0, 5.0, 0.0, 0.0))
+
+
+class _CountingNumpy:
+    """numpy, with ``exp``, ``sin``, ``cos`` and ``sinc`` counting the elements they evaluate."""
+
+    COUNTED = ("exp", "sin", "cos", "sinc")
+
+    def __init__(self):
+        self.evaluated = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.COUNTED:
+            return attr
+
+        def counted(x, *args, **kwargs):
+            self.evaluated += np.size(x)
+            return attr(x, *args, **kwargs)
+
+        return counted
+
+
+class TestFractionalEchoCost:
+    @pytest.mark.parametrize("n_sub", [256, 1024])
+    def test_transcendentals_per_row_not_per_sample(self, monkeypatch, rng, n_sub):
+        # a fractional echo of a (16, Nc) stack evaluates O(16*sqrt(Nc) + Nc) exponentials
+        # and sincs (the config's tables once, then a few per row), not O(16*Nc)
+        rows = 16
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=16, c1=7 / (2 * n_sub))
+        s = idaft(rng.standard_normal((rows, n_sub)) + 1j * rng.standard_normal((rows, n_sub)), cfg)
+        target = SensingTarget(np.ones(rows), rng.uniform(0.5, 15.5, rows), rng.uniform(-3, 3, rows), 0.0)
+        counter = _CountingNumpy()
+        for module in ("afdm_isac.daft", "afdm_isac.channel"):
+            # the package binds the name ``daft`` to the transform, so fetch the modules
+            monkeypatch.setattr(importlib.import_module(module), "np", counter)
+        budget = 4 * (rows * math.isqrt(n_sub) + n_sub)
+        waveform_samples(s, cfg, target.delay_samples[:, None])
+        assert 0 < counter.evaluated <= budget
+        counter.evaluated = 0
+        sensing_echo(s, cfg, target)
+        assert 0 < counter.evaluated <= budget
 
 
 class TestSensingTargetContract:

@@ -19,7 +19,9 @@ from afdm_isac.analysis import (
     ambiguity_region,
     crb,
     crb_distribution,
+    cross_ambiguity,
     equal_allocation,
+    frame_power_profile,
     interference_coefficient,
     sensing_weights,
     verify_theorem_2,
@@ -41,6 +43,7 @@ from afdm_isac.estimator import (
     PriorModel,
     equalize_demod,
     iterative_estimate,
+    mmse_estimate,
     reconstruct_channel,
     threshold_paths,
 )
@@ -53,7 +56,7 @@ from afdm_isac.pilots import (
     single_pilot,
     traditional_spi_pilot,
 )
-from afdm_isac.sensing import DetectionConfig, SensingScenario, roc_curve
+from afdm_isac.sensing import DetectionConfig, SensingScenario, rdf, roc_curve
 
 CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
 CFG32 = AfdmConfig(n_sub=32, n_cpp=4, c1=1 / 16)
@@ -112,12 +115,25 @@ SITES = [
      ConfigurationError, "^y must", set()),
     ("iterative_estimate.x_pilot", lambda v: iterative_estimate(ONES, v, SPEC, GRID, CFG, 0.1),
      ConfigurationError, "^x_pilot", set()),
+    ("reconstruct_channel.alpha_hat", lambda v: reconstruct_channel(v, np.ones(len(GRID)), GRID, CFG),
+     ConfigurationError, "^alpha_hat", set()),
+    # a complex vector of any length
+    ("frame_power_profile.x_pilot", lambda v: frame_power_profile(v, 1.0), ConfigurationError, "^pilot",
+     {"2 elements"}),
+    ("mmse_estimate.y", lambda v: mmse_estimate(v, np.ones((2, 1)), PriorModel(np.ones(1), 1.0)),
+     ConfigurationError, "^y must", {"2 elements"}),
     # a complex (..., n) stack
     ("idaft", lambda v: idaft(v, CFG), ConfigurationError, "^DAFT-domain vector", set()),
     ("daft", lambda v: daft(v, CFG), ConfigurationError, "^time-domain vector", set()),
     ("waveform_samples", lambda v: waveform_samples(v, CFG, 1.0), ConfigurationError, "^signals", set()),
     ("PathChannel @", lambda v: H @ v, ConfigurationError, "^DAFT-domain vector", set()),
     ("sensing_echo", lambda v: sensing_echo(v, CFG, TARGET), ConfigurationError, "^symbols", set()),
+    ("cross_ambiguity.a", lambda v: cross_ambiguity(v, ONES, [0], [0], CFG), ConfigurationError, "^signals",
+     set()),
+    ("cross_ambiguity.b", lambda v: cross_ambiguity(ONES, v, [0], [0], CFG), ConfigurationError, "^signals",
+     set()),
+    ("rdf.echo", lambda v: rdf(v, ONES, ([1.0], [0.0]), CFG), ConfigurationError, "^echo", set()),
+    ("rdf.symbol", lambda v: rdf(ONES, v, ([1.0], [0.0]), CFG), ConfigurationError, "^symbol", set()),
     # a finite, non-negative real scalar
     ("FrameSpec.pilot_power", lambda v: FrameSpec(v, 1.0), ParameterError, "^pilot_power", NONNEGATIVE),
     ("FrameSpec.data_symbol_power", lambda v: FrameSpec(1.0, v), ParameterError,
@@ -136,6 +152,8 @@ SITES = [
      "^noise_power", NONNEGATIVE),
     ("iterative_estimate.noise_power", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, v),
      ParameterError, "^noise_power", NONNEGATIVE),
+    ("frame_power_profile.data_symbol_power", lambda v: frame_power_profile(ONES, v), ParameterError,
+     "^data_symbol_power", NONNEGATIVE),
     # an integer >= k
     ("iterative_estimate.n_iter", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, n_iter=v),
      ParameterError, "^n_iter", set()),
@@ -205,6 +223,10 @@ SITES = [
     # finite gains, one per path: the value is the one path's gain
     ("PathChannel.gains", lambda v: PathChannel(CFG, [0], [0], [v]), ParameterError, "gains",
      {"-1", "1j", "2.5", "True"}),
+    # finite real numbers of any shape the call allows: delays and grid axes
+    ("waveform_samples.tau", lambda v: waveform_samples(ONES, CFG, v), ParameterError, "^delays",
+     {"-1", "2 elements", "2.5", "True"}),
+    ("rdf.grid", lambda v: rdf(ONES, ONES, (v, [0.0]), CFG), ParameterError, "^grid axes", {"2 elements"}),
 ]
 
 

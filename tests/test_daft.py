@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
@@ -302,6 +302,45 @@ class TestWaveformSamples:
             assert np.max(np.abs(row - ref)) <= 1e-10 * np.max(np.abs(s))
             single = waveform_samples(s, cfg, tau)
             assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(s))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sub=st.integers(1, 64),
+        two_c1_n=st.integers(-9, 9),
+        delays=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_sub=16, two_c1_n=3, delays=[5e-324, 1e-300, 3 + 4.4e-16, 3 - 4.4e-16], seed=1)
+    @example(n_sub=63, two_c1_n=-2, delays=[0.5, -0.5, 7.4999, 5e-324, 1e-300], seed=2)
+    @example(n_sub=64, two_c1_n=8, delays=[3 + 4.4e-16, 3 - 4.4e-16, 0.5, -0.5, 7.4999], seed=3)
+    @example(n_sub=1, two_c1_n=-3, delays=[5e-324, 0.5, -0.5, 7.4999], seed=4)
+    @example(n_sub=2, two_c1_n=1, delays=[1e-300, 3 + 4.4e-16, 2.0], seed=5)
+    def test_per_row_fractional_delays_match_dense_oracle(self, n_sub, two_c1_n, delays, seed):
+        # a (B, 1) stack gives each of B signals its own delay; the closed form reads
+        # its per-sample factors from the config's tables at either sign and parity of K
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((len(delays), n_sub)) + 1j * rng.standard_normal((len(delays), n_sub))
+        s = idaft(x, cfg)
+        taus = np.array(delays)[:, None]
+        batch = waveform_samples(s, cfg, taus)
+        assert batch.shape == (len(delays), 1, n_sub)
+        n = np.arange(n_sub)
+        for row, x_i, s_i, tau in zip(batch[:, 0], x, s, delays):
+            ref = dense_oracle.waveform_dense(x_i, cfg, n - tau)
+            assert np.max(np.abs(row - ref)) <= 1e-10 * np.max(np.abs(s_i))
+
+    @pytest.mark.parametrize("two_c1_n", [-3, 1, 7, 8])
+    def test_far_fractional_delays_match_dense_oracle(self, rng, two_c1_n):
+        # the whole part of the delay enters as table indices and one phase reduced mod 2Nc
+        cfg = AfdmConfig(n_sub=256, c1=two_c1_n / 512)
+        x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        s = idaft(x, cfg)
+        taus = np.array([999.7, -999.7, 1000.3, -1000.3, 517.25])
+        n = np.arange(256)
+        for row, tau in zip(waveform_samples(s, cfg, taus), taus):
+            ref = dense_oracle.waveform_dense(x, cfg, n - tau)
+            assert np.max(np.abs(row - ref)) <= 1e-10 * np.max(np.abs(s))
 
     @pytest.mark.parametrize("n_sub, two_c1_n", [(16, 2), (15, 1)])
     @pytest.mark.parametrize("taus", [

@@ -142,7 +142,7 @@ def test_every_imported_name_is_used():
 def test_argument_checks_are_defined_only_in_errors():
     # the vector, stack, scalar, count and integer-array contracts have one home
     checks = {"is_integer", "is_real", "check_vector", "check_stack", "check_nonnegative", "check_count",
-              "check_integers", "_as_stack", "_integers", "_vector"}
+              "check_integers", "check_reals", "_as_stack", "_integers", "_vector"}
     for name in MODULES[1:]:
         tree = ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text())
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
