@@ -86,6 +86,7 @@ from .errors import (
     check_count,
     check_integers,
     check_nonnegative,
+    check_reals,
     check_stack,
     check_vector,
 )
@@ -428,7 +429,7 @@ def verify_theorem_4(
     s_p = idaft(x_pilot, cfg)
     chi = cross_ambiguity(s_p, s_p, tau_hats, nu_hats, cfg)
     chi_pairs = chi[t_idx.reshape(tau_diff.shape), v_idx.reshape(tau_diff.shape)]
-    predicted = np.exp(-2j * np.pi * nus[None, :] * tau_diff / cfg.n_sub) * chi_pairs
+    predicted = cfg.dft_twiddle[nus[None, :] % cfg.n_sub * tau_diff % cfg.n_sub] * chi_pairs
     offdiag = ~np.eye(len(taus), dtype=bool)
     max_identity = float(np.max(np.abs(gram - predicted)))
     max_offdiag = float(np.max(np.abs(gram[offdiag]), initial=0.0))
@@ -450,12 +451,12 @@ def verify_theorem_4(
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-subcarrier expected powers."""
+    """Per-subcarrier expected powers: a non-empty vector of finite reals >= 0, not all 0."""
 
     powers: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.powers, dtype=np.float64)
+        p = check_reals(self.powers, "powers")
         if p.ndim != 1 or p.size == 0:
             raise ParameterError("powers must be a non-empty vector")
         _row_totals(p)
@@ -530,9 +531,9 @@ def _ramp_column(h: np.ndarray, u: np.ndarray) -> int:
 
 
 def _row_totals(p: np.ndarray) -> np.ndarray:
-    """Totals over the last axis of finite, non-negative allocations, each checked positive."""
-    if not np.all(np.isfinite(p)) or np.any(p < 0):
-        raise ParameterError("powers must be finite and non-negative")
+    """Totals over the last axis of finite (``check_reals``) allocations, each checked >= 0 and positive."""
+    if np.any(p < 0):
+        raise ParameterError("powers must be non-negative")
     total = p.sum(axis=-1)
     if np.any(total <= 0):
         raise ParameterError("total power must be positive")
@@ -572,7 +573,7 @@ def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
     a = p.a_m, b = p.b_m, c = sum(p)*c0.  ``powers`` is one allocation of
     length Nc or a (draws, Nc) stack, and a, b, c follow its leading shape.
     """
-    p = np.asarray(powers, dtype=np.float64)
+    p = check_reals(powers, "allocation")
     if p.ndim not in (1, 2) or p.shape[-1] != cfg.n_sub:
         raise ParameterError(f"allocation must have length n_sub={cfg.n_sub}, got shape {p.shape}")
     total = _row_totals(p)

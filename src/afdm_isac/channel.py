@@ -22,7 +22,10 @@ are evaluated with the frequency-wrapped chirp model (``waveform_samples``:
 the same chirp-periodic extension at whole-sample delays, so no prefixed
 record is needed, and an exact O(Nc log Nc) closed form at fractional ones).
 For integer delays the two conventions differ only by the constant phase
-exp(j*2*pi*nu*tau/Nc), which is absorbed by the path gain.
+exp(j*2*pi*nu*tau/Nc), which is absorbed by the path gain.  Every real
+Doppler ramp exp(j*2*pi*nu*n/Nc), of a path, an echo or a range-Doppler map
+(``sensing``), is ``_doppler_ramp``: its whole part read from
+``dft_twiddle``, so exact at any nu, and 2*sqrt(Nc) exponentials per nu.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .daft import (
     AfdmConfig,
     _broadcasts_to,
     _chirp_periodic,
+    add_cpp,
     daft,
     idaft,
     waveform_samples,
@@ -174,16 +178,17 @@ def basis_grid(tau_m: int, nu_m: int) -> BasisGrid:
     return BasisGrid(tau_m=tau_m, nu_m=nu_m)
 
 
-def _path_terms(s, cfg: AfdmConfig, delays, dopplers, gains, n: np.ndarray) -> np.ndarray:
-    """Per-path terms gain * s[n - tau] * exp(j*2*pi*nu*<n - tau>_Nc/Nc), shape (paths, len(n)).
+def _path_terms(s, cfg: AfdmConfig, delays, dopplers) -> np.ndarray:
+    """Unit-gain terms s[n - tau] * exp(j*2*pi*nu*<n - tau>_Nc/Nc), n < Nc, shape (paths, Nc).
 
-    s[n - tau] reads the chirp-periodic extension, so ``n`` may reach into
-    the prefix.  With s all ones the terms are the path taps c, so that the
-    path maps s to c * s[<n - tau>_Nc].
+    ``delays`` is an integer array.  Each term reads the ramped symbol through
+    the chirp-periodic extension, so any sum of terms is chirp-periodic.  With
+    s all ones the terms are the path taps c: the path maps s to c * s[<n - tau>_Nc].
     """
-    lag = n - np.asarray(delays)[:, None]
-    ramp = np.exp(2j * np.pi * np.asarray(dopplers)[:, None] * (lag % cfg.n_sub) / cfg.n_sub)
-    return np.asarray(gains)[:, None] * ramp * _chirp_periodic(s, cfg, lag)
+    most = int(delays.max(initial=0))
+    ext = _chirp_periodic(_doppler_ramp(dopplers, cfg) * s, cfg, np.arange(-most, cfg.n_sub))
+    # row p of the extension starts at n = -most, so its term is the window at most - tau_p
+    return sliding_window_view(ext, cfg.n_sub, axis=-1)[np.arange(delays.size), most - delays]
 
 
 def apply_basis(x, cfg: AfdmConfig, tau, nu) -> np.ndarray:
@@ -200,8 +205,7 @@ def apply_basis(x, cfg: AfdmConfig, tau, nu) -> np.ndarray:
         raise ParameterError(f"need integer delays and one Doppler each, got {tau!r} and {nu!r}")
     if delays.min(initial=0) < 0 or delays.max(initial=0) >= cfg.n_sub:
         raise ParameterError(f"delays must lie in [0, Nc), got {tau}")
-    n = np.arange(cfg.n_sub)
-    rows = daft(_path_terms(idaft(x, cfg), cfg, delays, dopplers, np.ones(delays.size), n), cfg)
+    rows = daft(_path_terms(idaft(x, cfg), cfg, delays, dopplers), cfg)
     return rows if np.ndim(tau) else rows[0]
 
 
@@ -423,10 +427,10 @@ class PathChannel:
 def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, rng=None) -> np.ndarray:
     """Push a prefixed time signal through the channel.
 
-    Returns a signal of the same length; the prefix region carries the
-    cyclic-equivalent continuation (it is discarded by the receiver).  Each
-    path's Doppler ramp rides with the delayed signal, so the post-prefix
-    window equals the DAFT-domain matrix model exactly.  With rng given,
+    Returns a signal of the same length.  Each path's Doppler ramp rides with
+    the delayed signal, so the post-prefix window equals the DAFT-domain
+    matrix model exactly; the window is chirp-periodic, so the prefix region
+    (discarded by the receiver) is ``add_cpp`` of it.  With rng given,
     circularly symmetric Gaussian noise of the realization's power is added.
     """
     s_cpp = check_vector(s_cpp, cfg.n_sub + cfg.n_cpp, "prefixed signal")
@@ -434,14 +438,8 @@ def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, 
     delays = np.array([p.delay for p in paths])
     if delays.max() > cfg.n_cpp:
         raise ParameterError(f"path delay {delays.max()} exceeds prefix length {cfg.n_cpp}")
-    y = _path_terms(
-        s_cpp[cfg.n_cpp :],
-        cfg,
-        delays,
-        [p.doppler for p in paths],
-        [p.gain for p in paths],
-        np.arange(-cfg.n_cpp, cfg.n_sub),
-    ).sum(axis=0)
+    terms = _path_terms(s_cpp[cfg.n_cpp :], cfg, delays, [p.doppler for p in paths])
+    y = add_cpp(np.array([p.gain for p in paths]) @ terms, cfg)
     if rng is not None and realization.noise_power > 0:
         scale = math.sqrt(realization.noise_power / 2.0)
         y += scale * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
@@ -475,13 +473,11 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndar
     ``s`` the prefix-free time symbol (``idaft`` output).  The delayed copy
     is ``waveform_samples`` of ``s``, which at whole-sample delays reads the
     samples ``add_cpp`` would have put in front of it and at fractional ones
-    reads the config's tables, a few exponentials per target.  The Doppler
-    ramp of each target is an outer product of two ramps of about sqrt(Nc)
-    exponentials each (``_doppler_ramp``), within 1e-14 of the exponential
-    at every sample for |nu_bar| <= 4.  ``s`` may be a stack
-    (..., Nc); the target's delay, Doppler and gain are then scalars or
-    arrays that broadcast over its leading axes, one target per row, and
-    the noise is drawn for the whole stack, real parts first.
+    reads the config's tables, a few exponentials per target, and the ramp
+    is ``_doppler_ramp``.  ``s`` may be a stack (..., Nc); the target's
+    delay, Doppler and gain are then scalars or arrays that broadcast over
+    its leading axes, one target per row, and the noise is drawn for the
+    whole stack, real parts first.
     """
     s = check_stack(s, cfg.n_sub, "symbols")
     tau, nu, gain = (
@@ -497,27 +493,30 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndar
             f"target delay {tau} samples outside the prefix budget [0, {cfg.n_cpp}]"
         )
     delayed = waveform_samples(s, cfg, tau[..., None])[..., 0, :]
-    r = gain[..., None] * delayed * _doppler_ramp(nu, cfg.n_sub)
+    r = gain[..., None] * delayed * _doppler_ramp(nu, cfg)
     if rng is not None and target.noise_power > 0:
         scale = math.sqrt(target.noise_power / 2.0)
         r = r + scale * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape))
     return r
 
 
-def _doppler_ramp(nu: np.ndarray, n_sub: int) -> np.ndarray:
-    """exp(j*2*pi*nu*n/Nc), n < Nc, on a last axis after the axes of ``nu``.
+def _doppler_ramp(nu, cfg: AfdmConfig) -> np.ndarray:
+    """exp(j*2*pi*nu*n/Nc), n < Nc, on a last axis after the axes of the real ``nu``.
 
-    With b = ceil(sqrt(Nc)) and n = q*b + r the ramp is the outer product of
-    a coarse ramp over q and a fine one over r: about 2*sqrt(Nc)
-    exponentials per Doppler, each sample within a few ulps of the
-    exponential evaluated at that sample.
+    With b = ceil(sqrt(Nc)) and n = q*b + r, the outer product of the ramps
+    over k = q*b and k = r, each with nu = w + f (w = round(nu)) the
+    ``dft_twiddle`` entry at -w*k mod Nc, reduced in int64, times
+    exp(j*2*pi*f*k/Nc): the phase is exact at any nu and each sample within
+    about a dozen ulps of the exponential of the exactly reduced phase.
     """
+    nu, n_sub = np.asarray(nu, dtype=np.float64), cfg.n_sub
+    whole = np.round(nu)
     width = math.isqrt(n_sub - 1) + 1
-    step = 2j * np.pi * nu[..., None] / n_sub
-    coarse = np.exp(step * np.arange(0, n_sub, width))
-    fine = np.exp(step * np.arange(width))
-    ramp = coarse[..., :, None] * fine[..., None, :]
-    return ramp.reshape(ramp.shape[:-2] + (-1,))[..., :n_sub]
+    step = 2j * np.pi * (nu - whole)[..., None] / n_sub
+    back = np.mod(-whole, n_sub).astype(np.int64)[..., None]
+    q, r = np.arange(0, n_sub, width), np.arange(width)
+    coarse, fine = (np.exp(step * k) * cfg.dft_twiddle[back * k % n_sub] for k in (q, r))
+    return (coarse[..., :, None] * fine[..., None, :]).reshape(nu.shape + (-1,))[..., :n_sub]
 
 
 def delay_doppler_to_range_velocity(tau_hat: float, nu_hat: float, cfg: AfdmConfig) -> tuple[float, float]:

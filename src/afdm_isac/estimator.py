@@ -202,11 +202,11 @@ def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def threshold_paths(alpha_hat, eps) -> np.ndarray:
-    """Binary path indicator: keep coefficients with |alpha| above eps (>= 0, not NaN)."""
-    eps_arr = np.asarray(eps, dtype=np.float64)
-    if not np.all(eps_arr >= 0):
-        raise ParameterError("threshold must be non-negative, not NaN")
-    return (np.abs(np.asarray(alpha_hat)) > eps_arr).astype(np.int8)
+    """Binary path indicator: keep |alpha| above eps, one real >= 0 (inf keeps none) or one per path."""
+    alpha_hat, eps = check_stack(alpha_hat, None, "alpha_hat"), np.asarray(eps)
+    if eps.dtype.kind not in "biuf" or eps.shape not in ((), alpha_hat.shape) or not np.all(eps >= 0):
+        raise ParameterError(f"threshold must be non-negative reals, not NaN, got {eps!r}")
+    return (np.abs(alpha_hat) > eps).astype(np.int8)
 
 
 def reconstruct_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) -> PathChannel:

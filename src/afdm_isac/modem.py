@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, check_nonnegative
+from .errors import ParameterError, check_nonnegative, check_stack
 
 __all__ = [
     "Constellation",
@@ -107,8 +107,8 @@ def map_bits(bits, spec: FrameSpec) -> np.ndarray:
 
 
 def demap_symbols(y_eq, spec: FrameSpec) -> np.ndarray:
-    """Hard minimum-distance demapping back to bits; inverse of map_bits on clean input."""
-    y_eq = np.asarray(y_eq, dtype=np.complex128).ravel()
+    """Hard minimum-distance demapping of the flattened ``y_eq``; inverse of map_bits on clean input."""
+    y_eq = check_stack(y_eq, None, "equalized symbols").ravel()
     k = spec.constellation.bits_per_symbol
     pts = spec.constellation.points * (spec.sigma_d if spec.sigma_d > 0 else 1.0)
     idx = np.argmin(np.abs(y_eq[:, None] - pts[None, :]), axis=1)

@@ -6,11 +6,13 @@ One correlation serves the receiver and the ambiguity analysis:
 
 with b(n - tau) the chirp waveform of the prefix-free symbol ``b``
 (``waveform_samples``), so oversampled grids follow the channel's
-fractional-delay convention.  ``rdf`` takes a = echo and b = transmitted
-symbol (a target of gain beta peaks at conj(beta) * total power),
-``analysis.cross_ambiguity`` any two symbols on integer axes; both give a
-``RangeDopplerMap``.  Detection normalizes |E|^2 by a local noise floor
-(cell-averaging window with a guard box, cyclic wrap) and thresholds it.
+fractional-delay convention, and the ramp is the channel's one
+``_doppler_ramp``, 2*sqrt(Nc) exponentials per Doppler.  ``rdf`` takes
+a = echo and b = transmitted symbol (a target of gain beta peaks at
+conj(beta) * total power), ``analysis.cross_ambiguity`` any two symbols on
+integer axes; both give a ``RangeDopplerMap``.  Detection normalizes |E|^2
+by a local noise floor (cell-averaging window with a guard box, cyclic
+wrap) and thresholds it.
 
 ``rdf`` and ``noise_floor`` batch over leading axes: echoes and symbols
 (..., Nc) give maps (..., delays, Dopplers).  ``roc_curve`` runs its trials
@@ -19,11 +21,9 @@ block's (trials, delays, Nc) reference stack.  The budget bounds that
 stack on fractional (oversampled) delay axes and on scattered whole delays;
 on a run of consecutive whole delays, such as the search grid,
 ``waveform_samples`` returns a window view of one chirp-periodic extension
-of the symbol instead.  A block's echoes (``sensing_echo``, fractional
-target delays and Dopplers) cost a few exponentials per trial, their
-per-sample factors read from the config's tables.  Only the random draws
-loop per trial, in a lone trial's order (bits, target uniforms, noise), so
-a seed gives the same curve at any block size.
+of the symbol instead.  Only the random draws loop per trial, in a lone
+trial's order (bits, target uniforms, noise), so a seed gives the same
+curve at any block size.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SensingTarget, sensing_echo
+from .channel import SensingTarget, _doppler_ramp, sensing_echo
 from .daft import AfdmConfig, idaft, waveform_samples
 from .errors import (
     ParameterError,
@@ -104,8 +104,7 @@ def _correlate(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     ``_BLOCK_BYTES`` bounds in ``roc_curve``).  Leading axes of ``a`` and
     ``b`` broadcast.
     """
-    n = np.arange(cfg.n_sub)
-    comp = np.conj(a)[..., None, :] * np.exp(2j * np.pi * nu_axis[:, None] * n / cfg.n_sub)
+    comp = np.conj(a)[..., None, :] * _doppler_ramp(nu_axis, cfg)
     ref = waveform_samples(b, cfg, tau_axis)
     if nu_axis.size == 1:
         # numpy multiplies a lone row by a strided matrix in its own loop, not by BLAS
@@ -409,12 +408,12 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
 def pd_at_pfa(curve: np.ndarray, pfa_targets) -> np.ndarray:
     """Interpolate detection probability at given false-alarm levels.
 
-    ``curve`` holds (gamma, Pfa, Pd) rows, as ``roc_curve`` returns them.
+    ``curve`` holds finite (gamma, Pfa, Pd) rows, as ``roc_curve`` returns them.
     """
-    curve = np.asarray(curve, dtype=np.float64)
+    curve = check_reals(curve, "curve")
     if curve.ndim != 2 or curve.shape[0] < 1 or curve.shape[1] != 3:
-        raise ParameterError(f"need a curve of (gamma, Pfa, Pd) rows, got shape {curve.shape}")
+        raise ParameterError(f"curve must be (gamma, Pfa, Pd) rows, got shape {curve.shape}")
     order = np.argsort(curve[:, 1])
     pfa = curve[order, 1]
     pd = curve[order, 2]
-    return np.interp(np.asarray(pfa_targets, dtype=np.float64), pfa, pd)
+    return np.interp(check_reals(pfa_targets, "pfa_targets"), pfa, pd)

@@ -17,12 +17,13 @@ where ``sensing._correlate`` reads windows of the extension through
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from afdm_isac import AfdmConfig, build_daft_matrix, idaft, waveform_samples
 from afdm_isac.analysis import cross_ambiguity
-from afdm_isac.channel import ChannelPath, ChannelRealization
+from afdm_isac.channel import ChannelPath, ChannelRealization, _doppler_ramp
 from afdm_isac.errors import ParameterError
 from afdm_isac.estimator import (
     PriorModel,
@@ -51,15 +52,29 @@ def waveform_dense(x, cfg: AfdmConfig, instants) -> np.ndarray:
     """The chirp waveform of DAFT-domain ``x`` at real sample instants, O(len * Nc).
 
     Sums the subcarriers with frequency-wrapped instantaneous phase
-    c1 t^2 + m t/Nc - floor(2 c1 t + m/Nc) t + c2 m^2.  The wrap index is
-    evaluated as floor((K t + m)/Nc) with the integer K = 2 c1 Nc, which is
-    exact at ties (K t an integer) where 2 c1 t + m/Nc can round below one.
+    c1 t^2 + m t/Nc - floor(2 c1 t + m/Nc) t + c2 m^2, its terms in t reduced
+    mod 1 exactly, so the phase holds its digits at any |t|.  Each instant is
+    split exactly, in Python fractions, into an integer i and g = t - i, and
+    K*g (K = 2 c1 Nc) into a = floor(K g) and a rest in [0, 1), as
+    ``analysis._frac_table`` splits K*tau.  The wrap index floor((K t + m)/Nc)
+    is then W + d_m with W = (K i + a) // Nc and d_m = 1 where
+    (K i + a) mod Nc + m >= Nc, else 0, exact at ties (K t an integer).  So
+    m t/Nc - wrap*t is (m i mod Nc)/Nc + (m/Nc - d_m) g - W g mod 1, and
+    c1 t^2 - W g, one number per instant, is reduced in fractions.
     """
-    t = np.asarray(instants, dtype=np.float64).reshape(-1, 1)
-    m = np.arange(cfg.n_sub, dtype=np.float64).reshape(1, -1)
-    wrap = np.floor((cfg.two_c1_n * t + m) / cfg.n_sub)
-    phase = cfg.c1 * t * t + m * t / cfg.n_sub - wrap * t + cfg.c2 * m * m
-    return np.exp(2j * np.pi * phase) @ np.asarray(x, dtype=np.complex128) / math.sqrt(cfg.n_sub)
+    nc, k = cfg.n_sub, cfg.two_c1_n
+    parts = []
+    for t in np.asarray(instants, dtype=np.float64).ravel():
+        t = Fraction(float(t))
+        i = round(t)
+        g = t - i
+        whole, start = divmod(k * i + math.floor(k * g), nc)
+        parts.append((float((k * t * t / (2 * nc) - whole * g) % 1), i % nc, float(g), start))
+    turns, i, g, start = (np.array(part).reshape(-1, 1) for part in zip(*parts))
+    m = np.arange(nc)
+    phase = turns + i * m % nc / nc + (m / nc - (start + m >= nc)) * g
+    chirp = np.exp(2j * np.pi * cfg.c2 * m * m)
+    return np.exp(2j * np.pi * phase) * chirp @ np.asarray(x, dtype=np.complex128) / math.sqrt(nc)
 
 
 def frac_kernel(cfg: AfdmConfig, tau_bar: float) -> np.ndarray:
@@ -107,8 +122,7 @@ def correlate_by_gather(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     The same product on a (..., delays, Nc) stack of b(n - tau) built for
     every delay, whole or fractional.
     """
-    n = np.arange(cfg.n_sub)
-    comp = np.conj(a)[..., None, :] * np.exp(2j * np.pi * nu_axis[:, None] * n / cfg.n_sub)
+    comp = np.conj(a)[..., None, :] * _doppler_ramp(nu_axis, cfg)
     ref = delayed_stack(b, cfg, tau_axis)
     return np.swapaxes(comp @ np.swapaxes(ref, -1, -2), -1, -2)
 

@@ -1,10 +1,12 @@
 import ast
+import cmath
 import importlib
 import inspect
 import math
 import textwrap
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,13 +24,14 @@ from afdm_isac.channel import (
     apply_channel_time,
     basis_grid,
     delay_doppler_to_range_velocity,
+    _doppler_ramp,
     sample_channel,
     sensing_echo,
 )
 from afdm_isac.errors import ConfigurationError, NumericalError, ParameterError
 
 import dense_oracle
-from conftest import random_unit_symbols
+from conftest import CountingNumpy, random_unit_symbols
 from dense_oracle import (
     basis_matrix,
     channel_matrix,
@@ -484,24 +487,43 @@ class TestSensingEcho:
             sensing_echo(s, CFG16, SensingTarget(1.0, 5.0, 0.0, 0.0))
 
 
-class _CountingNumpy:
-    """numpy, with ``exp``, ``sin``, ``cos`` and ``sinc`` counting the elements they evaluate."""
+def exact_ramp(nu: float, n_sub: int) -> np.ndarray:
+    """exp(j*2*pi*nu*n/Nc) with nu*n/Nc reduced to [-1/2, 1/2) turns exactly, then one cmath.exp."""
+    out = []
+    for n in range(n_sub):
+        turns = Fraction(nu) * n / n_sub % 1
+        out.append(cmath.exp(2j * math.pi * float(turns - (turns >= Fraction(1, 2)))))
+    return np.array(out)
 
-    COUNTED = ("exp", "sin", "cos", "sinc")
 
-    def __init__(self):
-        self.evaluated = 0
+class TestDopplerRamp:
+    @pytest.mark.parametrize("n_sub", [1, 2, 17, 4096])
+    def test_within_a_few_ulps_of_the_exactly_reduced_phase(self, n_sub):
+        # each sample is two table entries and two exponentials of at most pi: about 12 ulps
+        # at worst over Nc <= 4096, where one exponential of the float phase 2*pi*nu*n/Nc
+        # is off by 3.4e-12 at Nc = 4096, nu = 4095
+        whole = range(n_sub) if n_sub <= 17 else [1, 2, 3, 1000, 2047, 2048, 2049, 4094, 4095]
+        nus = [float(w) for w in whole] + [
+            -(n_sub - 1.0), 0.5, -0.5, 5e-324, -5e-324, n_sub - 0.5, n_sub - 1.5, 0.3, -3.7, 1e6 + 0.25
+        ]
+        got = _doppler_ramp(np.array(nus), AfdmConfig(n_sub=n_sub))
+        assert got.shape == (len(nus), n_sub)
+        for row, nu in zip(got, nus):
+            assert np.max(np.abs(row - exact_ramp(nu, n_sub))) <= 16 * np.finfo(float).eps, nu
 
-    def __getattr__(self, name):
-        attr = getattr(np, name)
-        if name not in self.COUNTED:
-            return attr
+    def test_whole_part_is_exact_far_out(self):
+        # the whole part is reduced mod Nc before any product, so nu and nu + k*Nc agree
+        cfg = AfdmConfig(n_sub=64)
+        nu = np.array([3.25, -7.5, 11.0])
+        far = nu + 64.0 * 2.0**40
+        assert np.array_equal(_doppler_ramp(far, cfg), _doppler_ramp(nu, cfg))
 
-        def counted(x, *args, **kwargs):
-            self.evaluated += np.size(x)
-            return attr(x, *args, **kwargs)
-
-        return counted
+    def test_scalar_and_stacked_dopplers(self):
+        cfg = AfdmConfig(n_sub=17)
+        nus = np.array([[0.25, -2.0], [16.5, 3.0]])
+        stacked = _doppler_ramp(nus, cfg)
+        assert stacked.shape == (2, 2, 17)
+        assert np.array_equal(stacked[1, 0], _doppler_ramp(16.5, cfg))
 
 
 class TestFractionalEchoCost:
@@ -513,7 +535,7 @@ class TestFractionalEchoCost:
         cfg = AfdmConfig(n_sub=n_sub, n_cpp=16, c1=7 / (2 * n_sub))
         s = idaft(rng.standard_normal((rows, n_sub)) + 1j * rng.standard_normal((rows, n_sub)), cfg)
         target = SensingTarget(np.ones(rows), rng.uniform(0.5, 15.5, rows), rng.uniform(-3, 3, rows), 0.0)
-        counter = _CountingNumpy()
+        counter = CountingNumpy()
         for module in ("afdm_isac.daft", "afdm_isac.channel"):
             # the package binds the name ``daft`` to the transform, so fetch the modules
             monkeypatch.setattr(importlib.import_module(module), "np", counter)

@@ -14,6 +14,7 @@ import pytest
 
 from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp, waveform_samples
 from afdm_isac.analysis import (
+    PowerAllocation,
     ambiguity_function,
     ambiguity_moments_mc,
     ambiguity_region,
@@ -47,7 +48,7 @@ from afdm_isac.estimator import (
     reconstruct_channel,
     threshold_paths,
 )
-from afdm_isac.modem import FrameSpec, map_bits
+from afdm_isac.modem import FrameSpec, demap_symbols, map_bits
 from afdm_isac.pilots import (
     PilotScheme,
     ZcParams,
@@ -56,7 +57,7 @@ from afdm_isac.pilots import (
     single_pilot,
     traditional_spi_pilot,
 )
-from afdm_isac.sensing import DetectionConfig, SensingScenario, rdf, roc_curve
+from afdm_isac.sensing import DetectionConfig, SensingScenario, pd_at_pfa, rdf, roc_curve
 
 CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
 CFG32 = AfdmConfig(n_sub=32, n_cpp=4, c1=1 / 16)
@@ -68,6 +69,7 @@ ONES = np.ones(CFG.n_sub, dtype=complex)
 TARGET = SensingTarget(1.0, 1.0, 0.0, 1.0)
 ROW_TARGETS = SensingTarget(np.ones(2), 1.0, 0.0, 1.0)  # one target per row of a symbol stack
 PATH = ChannelPath(1.0, 0, 0.0)
+CURVE = np.array([[1.0, 0.5, 0.9], [10.0, 0.01, 0.6]])  # (gamma, Pfa, Pd) rows
 
 # the malformed values fed to every site
 VALUES = {
@@ -134,6 +136,11 @@ SITES = [
      set()),
     ("rdf.echo", lambda v: rdf(v, ONES, ([1.0], [0.0]), CFG), ConfigurationError, "^echo", set()),
     ("rdf.symbol", lambda v: rdf(ONES, v, ([1.0], [0.0]), CFG), ConfigurationError, "^symbol", set()),
+    # an array of numbers of any shape
+    ("threshold_paths.alpha_hat", lambda v: threshold_paths(v, 0.1), ConfigurationError, "^alpha_hat",
+     {"wrong shape", "2 elements"}),
+    ("demap_symbols", lambda v: demap_symbols(v, SPEC), ConfigurationError, "^equalized symbols",
+     {"wrong shape", "2 elements"}),
     # a finite, non-negative real scalar
     ("FrameSpec.pilot_power", lambda v: FrameSpec(v, 1.0), ParameterError, "^pilot_power", NONNEGATIVE),
     ("FrameSpec.data_symbol_power", lambda v: FrameSpec(1.0, v), ParameterError,
@@ -227,6 +234,16 @@ SITES = [
     ("waveform_samples.tau", lambda v: waveform_samples(ONES, CFG, v), ParameterError, "^delays",
      {"-1", "2 elements", "2.5", "True"}),
     ("rdf.grid", lambda v: rdf(ONES, ONES, (v, [0.0]), CFG), ParameterError, "^grid axes", {"2 elements"}),
+    ("pd_at_pfa.pfa_targets", lambda v: pd_at_pfa(CURVE, v), ParameterError, "^pfa_targets",
+     {"wrong shape", "-1", "2 elements", "2.5", "True"}),
+    # finite reals of a fixed layout: a curve of (gamma, Pfa, Pd) rows, a non-empty power vector
+    ("pd_at_pfa.curve", lambda v: pd_at_pfa(v, [0.1]), ParameterError, "^curve", {"wrong shape"}),
+    ("PowerAllocation.powers", lambda v: PowerAllocation(v), ParameterError, "^powers", {"2 elements"}),
+    ("crb_distribution.allocations", lambda v: crb_distribution(CFG, TARGET, 16.0, 4, rng(), allocations=v),
+     ParameterError, "^allocation", {"None"}),  # None draws the allocations
+    # one threshold >= 0 (infinity too) or one per coefficient
+    ("threshold_paths.eps", lambda v: threshold_paths(np.ones(2), v), ParameterError, "^threshold",
+     {"+inf", "2 elements", "2.5", "True"}),
 ]
 
 
@@ -317,6 +334,12 @@ DEFECTS = {
     "proposed_delay_limit K 0": lambda: proposed_delay_limit(AfdmConfig(n_sub=16)),
     # bare ValueError from scipy
     "regularized_solve r NaN": lambda: H.regularized_solve(np.full(16, math.nan), 0.1),
+    # accepted, a numeric string read as a number
+    "threshold '1'": lambda: threshold_paths(np.ones(2), "1"),
+    "PowerAllocation numeric strings": lambda: PowerAllocation(["1", "2"]),
+    "crb_distribution numeric strings": lambda: crb_distribution(
+        CFG, TARGET, 16.0, 0, None, allocations=np.full((2, 16), "1")
+    ),
 }
 
 

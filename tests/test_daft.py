@@ -330,14 +330,19 @@ class TestWaveformSamples:
             ref = dense_oracle.waveform_dense(x_i, cfg, n - tau)
             assert np.max(np.abs(row - ref)) <= 1e-10 * np.max(np.abs(s_i))
 
-    @pytest.mark.parametrize("two_c1_n", [-3, 1, 7, 8])
-    def test_far_fractional_delays_match_dense_oracle(self, rng, two_c1_n):
-        # the whole part of the delay enters as table indices and one phase reduced mod 2Nc
-        cfg = AfdmConfig(n_sub=256, c1=two_c1_n / 512)
-        x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    @pytest.mark.parametrize("n_sub, two_c1_n", [
+        *(pytest.param(256, k, id=str(k)) for k in (-3, 1, 7, 8)),
+        (2, 8),
+        (16, 3),
+    ])
+    def test_far_fractional_delays_match_dense_oracle(self, rng, n_sub, two_c1_n):
+        # the whole part of the delay enters as table indices and one phase reduced mod 2Nc;
+        # the oracle reduces its phase exactly too, so small Nc and large K hold at 1e-10
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        x = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
         s = idaft(x, cfg)
         taus = np.array([999.7, -999.7, 1000.3, -1000.3, 517.25])
-        n = np.arange(256)
+        n = np.arange(n_sub)
         for row, tau in zip(waveform_samples(s, cfg, taus), taus):
             ref = dense_oracle.waveform_dense(x, cfg, n - tau)
             assert np.max(np.abs(row - ref)) <= 1e-10 * np.max(np.abs(s))

@@ -84,6 +84,32 @@ def test_only_daft_reads_the_chirp_rates():
         assert not read & {"c1", "c2"}, path.name
 
 
+def _exp_calls(node, scope=""):
+    """(qualified scope, callee) of every call of an attribute ``exp`` below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "exp":
+            yield inner, ast.unparse(child.func)
+        yield from _exp_calls(child, inner)
+
+
+def test_exponentials_are_called_where_listed():
+    # outside daft's tables and closed form and the pilots' sequences, every phase
+    # ramp is channel._doppler_ramp; the scenario's random gain phase is one per trial
+    calls = {
+        (name, *call)
+        for name in MODULES
+        if name not in ("daft", "pilots")
+        for call in _exp_calls(ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text()))
+    }
+    assert calls == {
+        ("channel", "_doppler_ramp", "np.exp"),
+        ("sensing", "SensingScenario._target", "np.exp"),
+    }
+
+
 def test_caches_stay_where_they_are_listed():
     # one bounded cache (the estimator's pilot model), and each cached property
     # by name: every one is re-read by some workload, so a new one is a decision

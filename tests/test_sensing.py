@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 import warnings
 
@@ -29,7 +30,7 @@ from afdm_isac.sensing import (
     sensing_grid,
 )
 
-from conftest import random_unit_symbols
+from conftest import CountingNumpy, random_unit_symbols
 
 
 CFG = AfdmConfig(n_sub=64, n_cpp=16, c1=1 / 16)
@@ -295,6 +296,25 @@ class TestWindowedDelays:
         monkeypatch.setattr(sensing, "_correlate", dense_oracle.correlate_by_gather)
         expect = roc_curve(scenario, gammas, 150, np.random.default_rng(seed))
         assert np.array_equal(curve, expect)
+
+
+class TestCorrelationCost:
+    @pytest.mark.parametrize("n_sub", [256, 1024])
+    def test_integer_map_evaluates_exponentials_per_doppler_not_per_sample(self, monkeypatch, rng, n_sub):
+        # a map of a (4, Nc) stack on 16 whole delays x 17 whole Dopplers evaluates
+        # O(Dopplers*sqrt(Nc) + Nc) exponentials (the config's tables once, then the ramps),
+        # not one per Doppler and sample, O(Dopplers*Nc)
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=16, c1=7 / (2 * n_sub))
+        s = idaft(rng.standard_normal((4, n_sub)) + 1j * rng.standard_normal((4, n_sub)), cfg)
+        echo = rng.standard_normal((4, n_sub)) + 1j * rng.standard_normal((4, n_sub))
+        grid = sensing_grid(15, 8)
+        counter = CountingNumpy()
+        for module in ("afdm_isac.daft", "afdm_isac.channel", "afdm_isac.sensing"):
+            # the package binds the name ``daft`` to the transform, so fetch the modules
+            monkeypatch.setattr(importlib.import_module(module), "np", counter)
+        rd = rdf(echo, s, grid, cfg)
+        assert rd.values.shape == (4, 16, 17)
+        assert 0 < counter.evaluated <= 4 * (grid[1].size * math.isqrt(n_sub) + n_sub)
 
 
 class TestBatchedMaps:
