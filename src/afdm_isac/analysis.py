@@ -479,6 +479,8 @@ class SensingBounds:
 
 
 def equal_allocation(total: float, n_sub: int) -> PowerAllocation:
+    check_nonnegative(total, "total")
+    check_count(n_sub, "n_sub")
     return PowerAllocation(np.full(n_sub, total / n_sub))
 
 

@@ -54,6 +54,7 @@ from .errors import (
     check_count,
     check_integers,
     check_nonnegative,
+    check_reals,
     check_stack,
     check_vector,
     is_real,
@@ -522,8 +523,9 @@ def _doppler_ramp(nu, cfg: AfdmConfig) -> np.ndarray:
 def delay_doppler_to_range_velocity(tau_hat: float, nu_hat: float, cfg: AfdmConfig) -> tuple[float, float]:
     """Convert normalized estimates to range (m) and radial velocity (m/s).
 
-    Monostatic round trip: delay 2R/c and Doppler shift 2*V*f_c/c.
+    Monostatic round trip: delay 2R/c and Doppler shift 2*V*f_c/c.  The
+    estimates are finite real numbers or arrays of them.
     """
-    r = SPEED_OF_LIGHT * tau_hat * cfg.t_s / 2.0
-    v = SPEED_OF_LIGHT * nu_hat * cfg.delta_f / (2.0 * cfg.f_c)
+    r = SPEED_OF_LIGHT * check_reals(tau_hat, "tau_hat") * cfg.t_s / 2.0
+    v = SPEED_OF_LIGHT * check_reals(nu_hat, "nu_hat") * cfg.delta_f / (2.0 * cfg.f_c)
     return r, v

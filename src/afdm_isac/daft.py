@@ -328,12 +328,10 @@ def _fractional_delays(s: np.ndarray, cfg: AfdmConfig, tau: np.ndarray) -> np.nd
     kernel *= cfg.c1_chirp * sign
     # the ramp exp(-j2pi A n/Nc) on s sigma and its conjugate on the output are the shift
     # of the kernel's spectrum by A mod Nc (reduced exactly in floats): bin k reads bin
-    # k - A, from the spectrum laid twice end to end
-    spectrum = np.fft.fft(kernel).reshape(-1, n_sub)
-    shift = np.mod(k_rate % n_sub * at_w + a, n_sub).astype(np.int64).reshape(-1, 1)
-    starts = np.arange(len(spectrum))[:, None] * (2 * n_sub) + n_sub - shift
-    shifted = np.concatenate([spectrum, spectrum], axis=-1).ravel()[starts + n]
-    conv = np.fft.ifft(np.fft.fft(s * sign)[..., None, :] * shifted.reshape(kernel.shape))
+    # k - A mod Nc
+    shift = np.mod(k_rate % n_sub * at_w + a, n_sub).astype(np.int64)
+    shifted = np.take_along_axis(np.fft.fft(kernel), (n - shift) % n_sub, axis=-1)
+    conv = np.fft.ifft(np.fft.fft(s * sign)[..., None, :] * shifted)
     # c1 (t^2 + n^2) + (A - K n) t/Nc - K n/2 at t = n - tau is
     # (K f^2 - 2 a f - w (K w + 2 a))/(2 Nc) + A n/Nc - K n/2, the whole part of the
     # first term reduced mod 2 Nc; exp(j2pi (A n/Nc - K n/2)) is the shift and sigma_n

@@ -80,11 +80,11 @@ class PriorModel:
     noise_variance: float
 
     def __post_init__(self):
-        g = np.asarray(self.gain_variances, dtype=np.float64)
-        if not np.all(g >= 0):
-            raise ParameterError("prior variances must be non-negative, not NaN")
+        g = np.asarray(self.gain_variances)
+        if g.dtype.kind not in "biuf" or not np.all(g >= 0):
+            raise ParameterError(f"prior variances must be real numbers >= 0, not NaN, got {g!r}")
         check_nonnegative(self.noise_variance, "noise variance")
-        object.__setattr__(self, "gain_variances", g)
+        object.__setattr__(self, "gain_variances", g.astype(np.float64, copy=False))
 
     @staticmethod
     def uniform(grid: BasisGrid, noise_variance: float):
@@ -121,9 +121,11 @@ def effective_noise_covariance(
 
     The model covariance is this scalar times the identity; each basis path
     is unitary so random data contributes sigma_d^2 * sum(prior variances)
-    per received sample.
+    per received sample.  The variances and ``noise_power`` are checked as a
+    ``PriorModel``'s, and ``data_symbol_power`` is finite and >= 0.
     """
-    total = float(np.sum(np.asarray(gain_variances, dtype=np.float64)))
+    check_nonnegative(data_symbol_power, "data_symbol_power")
+    total = float(np.sum(PriorModel(gain_variances, noise_power).gain_variances))
     return data_symbol_power * total + noise_power
 
 

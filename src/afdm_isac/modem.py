@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, check_nonnegative, check_stack
+from .errors import ParameterError, check_count, check_nonnegative, check_stack
 
 __all__ = [
     "Constellation",
@@ -118,6 +118,7 @@ def demap_symbols(y_eq, spec: FrameSpec) -> np.ndarray:
 
 def random_data_vector(n_sub: int, spec: FrameSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     """Draw one frame worth of random bits and map them; returns (bits, x_data)."""
+    check_count(n_sub, "n_sub")
     bits = rng.integers(0, 2, n_sub * spec.constellation.bits_per_symbol)
     return bits, map_bits(bits, spec)
 

@@ -16,14 +16,13 @@ wrap) and thresholds it.
 
 ``rdf`` and ``noise_floor`` batch over leading axes: echoes and symbols
 (..., Nc) give maps (..., delays, Dopplers).  ``roc_curve`` runs its trials
-in blocks on that axis, sized by the byte budget ``_BLOCK_BYTES`` of a
-block's (trials, delays, Nc) reference stack.  The budget bounds that
-stack on fractional (oversampled) delay axes and on scattered whole delays;
-on a run of consecutive whole delays, such as the search grid,
-``waveform_samples`` returns a window view of one chirp-periodic extension
-of the symbol instead.  Only the random draws loop per trial, in a lone
-trial's order (bits, target uniforms, noise), so a seed gives the same
-curve at any block size.
+in blocks on that axis, as many as fit the byte budget ``_BLOCK_BYTES`` with
+the largest stack a block builds, ``_correlate``'s (trials, Dopplers, Nc)
+Doppler-ramped echo.  Its delays are a run of whole delays, so
+``waveform_samples`` reads the delayed symbols as a window view of one
+chirp-periodic extension and builds no (trials, delays, Nc) stack.  Only the
+random draws loop per trial, in a lone trial's order (bits, target uniforms,
+noise), so a seed gives the same curve at any block size.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import numpy as np
 from .channel import SensingTarget, _doppler_ramp, sensing_echo
 from .daft import AfdmConfig, idaft, waveform_samples
 from .errors import (
+    ConfigurationError,
     ParameterError,
     check_count,
     check_nonnegative,
@@ -100,9 +100,9 @@ def _correlate(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
 
     b(n - tau) is ``waveform_samples`` of ``b``: a window view on a run of
     consecutive whole delays, otherwise a (..., delays, Nc) stack of picked
-    windows or, on a fractional axis, of closed-form samples (the stack that
-    ``_BLOCK_BYTES`` bounds in ``roc_curve``).  Leading axes of ``a`` and
-    ``b`` broadcast.
+    windows or, on a fractional axis, of closed-form samples.  The ramped
+    ``conj(a)`` is a (..., Dopplers, Nc) stack, the one that ``_BLOCK_BYTES``
+    bounds in ``roc_curve``.  Leading axes of ``a`` and ``b`` broadcast.
     """
     comp = np.conj(a)[..., None, :] * _doppler_ramp(nu_axis, cfg)
     ref = waveform_samples(b, cfg, tau_axis)
@@ -210,9 +210,13 @@ def noise_floor(rd_map: RangeDopplerMap, det: DetectionConfig) -> np.ndarray:
     power gets a floor of exactly 0.  On axes shorter than the training
     window the wrap collapses the window to whole-axis averaging, which is
     the intended degenerate behavior.  A stack of maps (..., delays,
-    Dopplers) gets one floor per map.
+    Dopplers) gets one floor per map; map values that are not numbers of
+    that shape raise ``ConfigurationError``.
     """
-    power = np.abs(rd_map.values) ** 2
+    values = check_stack(rd_map.values, None, "map values")
+    if values.ndim < 2:
+        raise ConfigurationError(f"map values must have shape (..., delays, Dopplers), got {values.shape}")
+    power = np.abs(values) ** 2
     shape = power.shape[-2:]
     train = [_window(h, size) for h, size in zip(det.train, shape)]
     guard = [t * _window(h, size) for t, h, size in zip(train, det.guard, shape)]
@@ -323,11 +327,9 @@ class SensingScenario:
 
 
 # the package's one byte budget for a block of a Monte Carlo loop, sized to stay
-# in cache.  Here it bounds the (trials, delays, Nc) stack of delayed symbols of
-# one block of ROC trials; ``waveform_samples`` builds that stack on fractional
-# delay axes and scattered whole ones only, so on ``roc_curve``'s run of whole
-# delays the budget just sizes the block.  ``analysis`` sizes the blocks of its
-# frame and allocation draws by it too.
+# in cache.  Here it bounds the largest stack one block of ROC trials builds,
+# the (trials, Dopplers, Nc) ramped echo of ``_correlate``; ``analysis`` sizes
+# the blocks of its frame and allocation draws by it too.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -345,19 +347,23 @@ def _detection_block(
     noisy = scenario.noise_power > 0
     bits = np.empty((size, n_bits), dtype=np.int64)
     uniforms = np.empty((3, size))
-    noise = np.empty((2, size, cfg.n_sub))
+    noise = np.empty((size, 2, cfg.n_sub))  # a trial's real then imaginary parts
     for t in range(size):
         bits[t] = rng.integers(0, 2, n_bits)
         uniforms[:, t] = scenario._draw_uniforms(rng)
         if noisy:
-            rng.standard_normal(out=noise[0, t])
-            rng.standard_normal(out=noise[1, t])
+            rng.standard_normal(out=noise[t])
+    # bits, frames and noise go once read: the heap a block grows must stay below what
+    # malloc keeps between blocks, or every block hands it back and faults it in again
     x = x_p + map_bits(bits, spec).reshape(size, cfg.n_sub)
-    s = idaft(x, cfg)
+    del bits
     target = scenario._target(*uniforms, np.linalg.norm(x, axis=-1) ** 2)
+    s = idaft(x, cfg)
+    del x
     echo = sensing_echo(s, cfg, target)
     if noisy:
-        echo = echo + math.sqrt(scenario.noise_power / 2.0) * (noise[0] + 1j * noise[1])
+        echo += math.sqrt(scenario.noise_power / 2.0) * (noise[:, 0] + 1j * noise[:, 1])
+    del noise
     rd_map = rdf(echo, s, grid, cfg)
     stat = _statistic(rd_map.values, noise_floor(rd_map, scenario.detection)).reshape(size, -1)
     near_mask = (
@@ -374,11 +380,10 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     A trial detects when the strongest cell exceeds gamma and lies within one
     cell of the true target in both delay and Doppler; a false alarm fires
     when any cell outside that neighborhood exceeds gamma.  Trials run in
-    blocks on a leading batch axis, as many per block as a complex
-    (trials, delays, Nc) reference stack fits in ``_BLOCK_BYTES`` (at least
-    one).  The grid's delays are a run of whole delays, so ``waveform_samples``
-    returns ``rdf``'s reference as a window view and builds no such stack;
-    the budget only fixes the block size.
+    blocks on a leading batch axis, as many per block (at least one) as fit
+    ``_BLOCK_BYTES`` with a complex (trials, Dopplers, Nc) stack, the largest
+    one ``rdf`` builds: its delays are a run of whole delays, whose delayed
+    symbols ``waveform_samples`` reads as a window view.
     Each trial draws from ``rng`` in the order of a lone trial (data bits,
     then the target's delay, Doppler and phase uniforms, then the real and
     the imaginary noise), so the curve does not depend on the block size.
@@ -393,7 +398,7 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
         )
     x_p = pilot_vector(scenario.pilot, scenario.cfg)
     grid = sensing_grid(scenario.tau_m, scenario.nu_m)
-    block = max(1, _BLOCK_BYTES // (16 * grid[0].size * scenario.cfg.n_sub))
+    block = max(1, _BLOCK_BYTES // (16 * grid[1].size * scenario.cfg.n_sub))
     blocks = [
         _detection_block(scenario, x_p, grid, min(block, n_trials - start), rng)
         for start in range(0, n_trials, block)

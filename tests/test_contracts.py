@@ -36,19 +36,21 @@ from afdm_isac.channel import (
     SensingTarget,
     apply_channel_time,
     basis_grid,
+    delay_doppler_to_range_velocity,
     sample_channel,
     sensing_echo,
 )
 from afdm_isac.errors import ConfigurationError, ParameterError
 from afdm_isac.estimator import (
     PriorModel,
+    effective_noise_covariance,
     equalize_demod,
     iterative_estimate,
     mmse_estimate,
     reconstruct_channel,
     threshold_paths,
 )
-from afdm_isac.modem import FrameSpec, demap_symbols, map_bits
+from afdm_isac.modem import FrameSpec, demap_symbols, map_bits, random_data_vector
 from afdm_isac.pilots import (
     PilotScheme,
     ZcParams,
@@ -57,7 +59,15 @@ from afdm_isac.pilots import (
     single_pilot,
     traditional_spi_pilot,
 )
-from afdm_isac.sensing import DetectionConfig, SensingScenario, pd_at_pfa, rdf, roc_curve
+from afdm_isac.sensing import (
+    DetectionConfig,
+    RangeDopplerMap,
+    SensingScenario,
+    noise_floor,
+    pd_at_pfa,
+    rdf,
+    roc_curve,
+)
 
 CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
 CFG32 = AfdmConfig(n_sub=32, n_cpp=4, c1=1 / 16)
@@ -70,6 +80,7 @@ TARGET = SensingTarget(1.0, 1.0, 0.0, 1.0)
 ROW_TARGETS = SensingTarget(np.ones(2), 1.0, 0.0, 1.0)  # one target per row of a symbol stack
 PATH = ChannelPath(1.0, 0, 0.0)
 CURVE = np.array([[1.0, 0.5, 0.9], [10.0, 0.01, 0.6]])  # (gamma, Pfa, Pd) rows
+SMALL_WINDOW = DetectionConfig(guard=(0, 0), train=(1, 1))  # leaves training cells on a 2 x 3 map
 
 # the malformed values fed to every site
 VALUES = {
@@ -136,6 +147,9 @@ SITES = [
      set()),
     ("rdf.echo", lambda v: rdf(v, ONES, ([1.0], [0.0]), CFG), ConfigurationError, "^echo", set()),
     ("rdf.symbol", lambda v: rdf(ONES, v, ([1.0], [0.0]), CFG), ConfigurationError, "^symbol", set()),
+    # a complex (..., delays, Dopplers) stack of maps
+    ("noise_floor", lambda v: noise_floor(RangeDopplerMap(v, np.arange(2), np.arange(3)), SMALL_WINDOW),
+     ConfigurationError, "^map values", {"wrong shape"}),
     # an array of numbers of any shape
     ("threshold_paths.alpha_hat", lambda v: threshold_paths(v, 0.1), ConfigurationError, "^alpha_hat",
      {"wrong shape", "2 elements"}),
@@ -161,6 +175,9 @@ SITES = [
      ParameterError, "^noise_power", NONNEGATIVE),
     ("frame_power_profile.data_symbol_power", lambda v: frame_power_profile(ONES, v), ParameterError,
      "^data_symbol_power", NONNEGATIVE),
+    ("effective_noise_covariance.data_symbol_power", lambda v: effective_noise_covariance(np.ones(2), v, 1.0),
+     ParameterError, "^data_symbol_power", NONNEGATIVE),
+    ("equal_allocation.total", lambda v: equal_allocation(v, 16), ParameterError, "^total", NONNEGATIVE),
     # an integer >= k
     ("iterative_estimate.n_iter", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, n_iter=v),
      ParameterError, "^n_iter", set()),
@@ -174,6 +191,9 @@ SITES = [
      ParameterError, "^n_draws", set()),
     ("roc_curve.n_trials", lambda v: roc_curve(scenario(), [1.0], v, rng()), ParameterError,
      "^n_trials", set()),
+    ("equal_allocation.n_sub", lambda v: equal_allocation(16.0, v), ParameterError, "^n_sub", set()),
+    ("random_data_vector.n_sub", lambda v: random_data_vector(v, SPEC, rng()), ParameterError, "^n_sub",
+     set()),
     ("SensingScenario.tau_m", lambda v: scenario(tau_m=v), ParameterError, "^tau_m", set()),
     ("SensingScenario.nu_m", lambda v: scenario(nu_m=v), ParameterError, "^nu_m", set()),
     ("ChannelRealization.tau_m", lambda v: ChannelRealization((PATH,), 0.0, v, 1), ParameterError,
@@ -236,6 +256,15 @@ SITES = [
     ("rdf.grid", lambda v: rdf(ONES, ONES, (v, [0.0]), CFG), ParameterError, "^grid axes", {"2 elements"}),
     ("pd_at_pfa.pfa_targets", lambda v: pd_at_pfa(CURVE, v), ParameterError, "^pfa_targets",
      {"wrong shape", "-1", "2 elements", "2.5", "True"}),
+    ("delay_doppler_to_range_velocity.tau_hat", lambda v: delay_doppler_to_range_velocity(v, 1.0, CFG),
+     ParameterError, "^tau_hat", {"wrong shape", "-1", "2 elements", "2.5", "True"}),
+    ("delay_doppler_to_range_velocity.nu_hat", lambda v: delay_doppler_to_range_velocity(1.0, v, CFG),
+     ParameterError, "^nu_hat", {"wrong shape", "-1", "2 elements", "2.5", "True"}),
+    # real numbers >= 0 of any shape, inf (a flat prior) too
+    ("PriorModel.gain_variances", lambda v: PriorModel(v, 1.0), ParameterError, "^prior variances",
+     {"wrong shape", "+inf", "2 elements", "2.5", "True"}),
+    ("effective_noise_covariance.gain_variances", lambda v: effective_noise_covariance(v, 1.0, 1.0),
+     ParameterError, "^prior variances", {"wrong shape", "+inf", "2 elements", "2.5", "True"}),
     # finite reals of a fixed layout: a curve of (gamma, Pfa, Pd) rows, a non-empty power vector
     ("pd_at_pfa.curve", lambda v: pd_at_pfa(v, [0.1]), ParameterError, "^curve", {"wrong shape"}),
     ("PowerAllocation.powers", lambda v: PowerAllocation(v), ParameterError, "^powers", {"2 elements"}),
@@ -340,6 +369,9 @@ DEFECTS = {
     "crb_distribution numeric strings": lambda: crb_distribution(
         CFG, TARGET, 16.0, 0, None, allocations=np.full((2, 16), "1")
     ),
+    "prior numeric strings": lambda: PriorModel(["1", "1"], 1.0),
+    # accepted, then a NaN noise level
+    "effective noise NaN variance": lambda: effective_noise_covariance([math.nan, 1.0], 1.0, 1.0),
 }
 
 

@@ -672,11 +672,13 @@ class TestRoc:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("n_sub, pilot", [(64, "proposed"), (63, "single")])
-    @pytest.mark.parametrize("budget", [None, 1])
+    @pytest.mark.parametrize("budget", [None, 5 << 16, 1])
     def test_blocks_match_per_trial_oracle(self, monkeypatch, seed, n_sub, pilot, budget):
-        # K*Nc is 8*64 (even) and 1*63 (odd).  The default budget makes blocks of
-        # 64 and 65 trials, so 150 trials end on a partial block; budget 1 makes
-        # blocks of one trial.  Curves and the generator's final state agree.
+        # K*Nc is 8*64 (even) and 1*63 (odd).  The default budget runs the 150
+        # trials in one block; 5 << 16 bytes hold 64 and 65 trials of the
+        # (trials, 5 Dopplers, Nc) stack, so 150 trials end on a partial block;
+        # budget 1 makes blocks of one trial.  Curves and the generator's final
+        # state agree.
         if budget is not None:
             monkeypatch.setattr("afdm_isac.sensing._BLOCK_BYTES", budget)
         scenario = parity_scenario(n_sub, pilot)
@@ -685,6 +687,29 @@ class TestRoc:
         curve = roc_curve(scenario, gammas, 150, rng)
         assert np.array_equal(curve, per_trial_roc(scenario, gammas, 150, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_block_holds_the_ramped_echo_stack(self, monkeypatch):
+        # the roc benchmark's settings: 7 Dopplers x 256 subcarriers of complex
+        # numbers, 28 KiB a trial, so the 1 MiB budget runs 100 trials in blocks
+        # of 36; the 16 delays are a window view and set no size
+        sizes = []
+        block = sensing._detection_block
+
+        def counting_block(scenario, x_p, grid, size, rng):
+            sizes.append(size)
+            return block(scenario, x_p, grid, size, rng)
+
+        monkeypatch.setattr(sensing, "_detection_block", counting_block)
+        scenario = SensingScenario(
+            cfg=AfdmConfig(n_sub=256, n_cpp=16, c1=1 / 64),
+            frame_spec=FrameSpec(256.0, 1.0, Constellation.QPSK),
+            pilot=PilotScheme("proposed", 256.0),
+            tau_m=15,
+            nu_m=3,
+            receive_snr_db=-10.0,
+        )
+        roc_curve(scenario, [1.0, 10.0], 100, np.random.default_rng(1))
+        assert sizes == [36, 36, 28]
 
     def test_noiseless_scenario_draws_no_noise(self):
         scenario = dataclasses.replace(self.make_scenario(0.0), noise_power=0.0)
