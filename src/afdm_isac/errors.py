@@ -80,11 +80,26 @@ def check_count(value, what: str, least: int = 1) -> None:
         raise ParameterError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def check_integers(values, what: str) -> np.ndarray:
-    """``values`` as a 1-D int64 array; ``ParameterError`` unless each is a real whole |x| < 2^63."""
+    """``values`` as a fresh 1-D int64 array; ``ParameterError`` unless each is a real whole |x| < 2^63.
+
+    Integer arrays are decided in integers, so every int64 but -2^63 and
+    every uint64 below 2^63 passes; floats must be whole and below 2^63 in
+    magnitude.
+    """
     arr = np.asarray(values)
-    real = arr.dtype.kind in "iuf"  # no bools, complex numbers, strings or objects
-    arr = arr.astype(np.float64) if real else arr
-    if not real or arr.ndim != 1 or not np.all(np.abs(arr) < 2.0**63) or np.any(arr != np.round(arr)):
+    kind = arr.dtype.kind  # no bools, complex numbers, strings or objects
+    if kind == "i":
+        fits = arr.dtype.itemsize < 8 or arr.min(initial=0) > _INT64.min
+    elif kind == "u":
+        fits = arr.dtype.itemsize < 8 or arr.max(initial=0) <= _INT64.max
+    elif kind == "f":
+        fits = bool(np.all(np.abs(arr) < 2.0**63) and np.all(arr == np.round(arr)))
+    else:
+        fits = False
+    if not fits or arr.ndim != 1:
         raise ParameterError(f"{what} must be a 1-D array of int64 integers, got {values!r}")
     return arr.astype(np.int64)

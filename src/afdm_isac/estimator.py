@@ -8,17 +8,24 @@ matrix is unitary, the data-plus-noise term is white with per-sample variance
 
 (the data covariance sigma_d^2 I is preserved by each unitary path, and the
 path gains are uncorrelated under the prior), so the MMSE estimate reduces to
-a ridge-regularized least squares over Psi_p.  One inverse of its normal
-matrix gives both the estimate and the posterior variances (for the proposed
-pilot Psi_p^H Psi_p = sigma_p^2 I, Theorem 4, so the matrix is diagonal).
+a ridge-regularized least squares over Psi_p.  Its posterior takes one of
+two routes, decided by the Gram G = Psi_p^H Psi_p alone.  G counts as
+diagonal when no off-diagonal entry exceeds 1e-12 times its largest diagonal
+entry (the proposed, single and traditional pilots reach 8.4e-16 on the
+grid, a random unit-modulus pilot 1.1e-2 and a grid whose basis images
+coincide 1.0); the posterior is then elementwise, S_ii = 1/(d_i/c + 1/g_i) and
+alpha_i = S_ii (Psi_p^H y)_i / c (for the proposed pilot G = sigma_p^2 I,
+Theorem 4).  Any other Gram goes through one inverse of the normal matrix,
+which gives both the estimate and the posterior variances.
 Psi_p^H is the conjugate of ``PathChannel.images`` of the pilot through the
 unit-gain basis channel, one gather and no transform; it and its Gram depend
 only on the pilot, the grid and the config, so ``iterative_estimate`` builds
 them once per pilot: a bounded cache keyed on (cfg, grid, pilot bytes) holds
-the last 4 pilot models (Psi_p^H and the Gram), read-only, each about L*Nc*16
-bytes (45*Nc*16 B on the 45-path grid, 368 KB at Nc = 512), and a frame only
-multiplies its observation by Psi_p^H.  A path is kept when its gain lies more
-than 3 posterior standard deviations from 0, and the channel estimate is the
+the last 4 pilot models (Psi_p^H, the Gram, its diagonal when it is diagonal
+and its condition number), read-only, each about L*Nc*16 bytes (45*Nc*16 B
+on the 45-path grid, 368 KB at Nc = 512), and a frame only multiplies its
+observation by Psi_p^H.  A path is kept when its gain lies more than 3
+posterior standard deviations from 0, and the channel estimate is the
 structured ``PathChannel`` of the surviving (tau, nu, gain) triples: O(P*Nc)
 to apply, never a dense matrix.
 The data are equalized by regularized least squares in the time domain,
@@ -38,7 +45,9 @@ noise c are returned with the estimate.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,6 +112,7 @@ class EstimationResult:
     h_eff_hat: PathChannel  # kept paths; np.asarray gives the dense DAFT-domain matrix
     residual_norms: list[float]
     noise_levels: list[float]  # effective noise c of each iteration, before the 1e-30 floor
+    gram_condition: float  # 2-norm condition number of the pilot's Gram, computed once per pilot model
 
 
 def build_psi(x, grid: BasisGrid, cfg: AfdmConfig) -> np.ndarray:
@@ -136,26 +146,65 @@ _NOISE_FLOOR = 1e-30
 _EPS_SCALE = 3.0
 
 
+# a Gram is diagonal when no off-diagonal entry exceeds this share of its largest
+# diagonal entry, far from the 8.4e-16 of the three pilot families on the grid
+# and from the 1.1e-2 of a random unit-modulus pilot
+_DIAGONAL_BOUND = 1e-12
+
+
+def _gram_diagonal(gram: np.ndarray) -> np.ndarray | None:
+    """The real diagonal d of a Gram whose other entries are all at most
+    ``_DIAGONAL_BOUND`` * max(d), else None (also for a non-finite Gram)."""
+    d = gram.diagonal().real.copy()
+    scale = d.max(initial=0.0)
+    if math.isfinite(scale) and np.abs(gram - np.diag(d)).max(initial=0.0) <= _DIAGONAL_BOUND * scale:
+        return d
+    return None
+
+
+class _PilotModel(NamedTuple):
+    """What a frame needs of its pilot, read-only: Psi_p^H, the Gram Psi_p^H Psi_p,
+    the Gram's diagonal when ``_gram_diagonal`` finds it diagonal (else None) and
+    the Gram's 2-norm condition number: max(d)/min(d) of a diagonal Gram, else from
+    its singular values; inf for a singular Gram and NaN for a non-finite one."""
+
+    psi_h: np.ndarray
+    gram: np.ndarray
+    diagonal: np.ndarray | None
+    condition: float
+
+
 # at most 4 pilot models, each about L*Nc*16 bytes (Psi_p^H)
 @functools.lru_cache(maxsize=4)
-def _pilot_model(cfg: AfdmConfig, grid: BasisGrid, pilot: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Psi_p^H of the complex128 pilot with these bytes and its Gram Psi_p^H Psi_p, read-only.
+def _pilot_model(cfg: AfdmConfig, grid: BasisGrid, pilot: bytes) -> _PilotModel:
+    """The ``_PilotModel`` of the complex128 pilot with these bytes.
 
     Row i of the pilot's ``images`` through the unit-gain basis channel is
     column i of Psi_p.  The pilot is rebuilt from the key, so a caller's
-    later write to its own array cannot reach an entry.
+    later write to its own array cannot reach an entry.  The route of the
+    posterior and the condition number are decided here, once per pilot.
     """
     ones = np.ones(len(grid))
     rows = reconstruct_channel(ones, ones, grid, cfg).images(np.frombuffer(pilot, dtype=np.complex128))
     psi_h = rows.conj()
     gram = psi_h @ rows.T
-    psi_h.flags.writeable = False
-    gram.flags.writeable = False
-    return psi_h, gram
+    diagonal = _gram_diagonal(gram)
+    if diagonal is not None:
+        condition = float(diagonal.max() / diagonal.min()) if diagonal.min() > 0 else math.inf
+    else:
+        condition = float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.nan
+    for arr in (psi_h, gram, diagonal):
+        if arr is not None:
+            arr.flags.writeable = False
+    return _PilotModel(psi_h, gram, diagonal, condition)
 
 
-def _posterior(corr, gram, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
-    """Gain estimate and posterior variances from corr = Psi^H y and gram = Psi^H Psi."""
+def _posterior(corr, gram, diagonal, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
+    """Gain estimate and posterior variances from corr = Psi^H y and gram = Psi^H Psi.
+
+    ``diagonal`` is the Gram's ``_gram_diagonal``: when it is not None the
+    posterior is elementwise, else it inverts the normal matrix.
+    """
     g = prior.gain_variances
     if g.shape != corr.shape:
         raise ParameterError(f"{g.shape} prior variances for {corr.size} columns")
@@ -165,16 +214,24 @@ def _posterior(corr, gram, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
     if not free.any():
         return alpha, variances
     c = max(prior.noise_variance, _NOISE_FLOOR)
-    normal = gram[np.ix_(free, free)] / c + np.diag(1.0 / g[free])
-    try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular normal matrix (cond={np.linalg.cond(normal):.3e})"
-        ) from exc
-    alpha[free] = cov @ (corr[free] / c)
-    variances[free] = cov.diagonal().real
-    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(variances))):
+    if diagonal is not None:
+        precision = diagonal[free] / c + 1.0 / g[free]
+        if not (precision > 0).all():
+            raise NumericalError("singular normal matrix: a gain under a flat prior has no pilot energy")
+        cov = 1.0 / precision
+        alpha[free] = cov * (corr[free] / c)
+        variances[free] = cov
+    else:
+        normal = gram[np.ix_(free, free)] / c + np.diag(1.0 / g[free])
+        try:
+            cov = np.linalg.inv(normal)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"singular normal matrix (cond={np.linalg.cond(normal):.3e})"
+            ) from exc
+        alpha[free] = cov @ (corr[free] / c)
+        variances[free] = cov.diagonal().real
+    if not (np.isfinite(alpha).all() and np.isfinite(variances).all()):
         raise NumericalError("non-finite posterior of the gains")
     return alpha, variances
 
@@ -185,8 +242,11 @@ def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
     Over the columns of positive prior variance g, with the white effective
     noise c floored at 1e-30, the posterior covariance is
     S = (Psi^H Psi / c + diag(1/g))^{-1}; the estimate is S Psi^H y / c and
-    the variances are diag(S).  Pinned gains (g = 0) come out as 0 with
-    variance 0, and an infinite g drops that gain's regularization.  A
+    the variances are diag(S).  When no off-diagonal entry of Psi^H Psi
+    exceeds 1e-12 times its largest diagonal entry, S is the diagonal
+    1/(d_i/c + 1/g_i) of its diagonal d, with no inverse; any other Gram is
+    inverted.  Pinned gains (g = 0) come out as 0 with variance 0, and an
+    infinite g drops that gain's regularization.  A
     singular normal matrix or a non-finite result raises ``NumericalError``;
     a ``y`` or ``psi_p`` that is not numbers (a vector, an array) raises
     ``ConfigurationError``, and a ``psi_p`` that is no matrix or whose row
@@ -200,7 +260,8 @@ def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
     if psi_p.ndim != 2 or y.shape != psi_p.shape[:1]:
         raise ParameterError(f"y of shape {y.shape} for a Psi of shape {psi_p.shape}")
     psi_h = psi_p.conj().T
-    return _posterior(psi_h @ y, psi_h @ psi_p, prior)
+    gram = psi_h @ psi_p
+    return _posterior(psi_h @ y, gram, _gram_diagonal(gram), prior)
 
 
 def threshold_paths(alpha_hat, eps) -> np.ndarray:
@@ -221,7 +282,7 @@ def reconstruct_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) 
     if not (indicator.shape == (len(grid),) and binary):
         raise ParameterError(f"need {len(grid)} 0/1 indicators, got {indicator!r}")
     kept = np.flatnonzero(indicator)
-    pairs = np.asarray(grid.pairs, dtype=np.int64).reshape(-1, 2)[kept]
+    pairs = np.array([grid.pairs[i] for i in kept], dtype=np.int64).reshape(-1, 2)
     return PathChannel(cfg, pairs[:, 0], pairs[:, 1], (alpha_hat * indicator)[kept])
 
 
@@ -279,9 +340,13 @@ def iterative_estimate(
     built once per (cfg, grid, pilot) and cached, at most 4 pilot models of
     about L*Nc*16 bytes each, so a frame with a known pilot makes no
     ``build_psi`` call and no Gram product: each iteration only forms
-    Psi_p^H times its observation.  Iteration 1 models the
-    data as white interference of power sigma_d^2 * sum(prior variances) per
-    sample (``effective_noise_covariance``); each later iteration subtracts
+    Psi_p^H times its observation.  The posterior's route is decided with
+    the model: a Gram with no off-diagonal entry above 1e-12 times its
+    largest diagonal entry (the proposed, single and traditional pilots on
+    the grid) is read elementwise, any other inverted once per iteration.
+    Iteration 1 models the data as white interference of power
+    sigma_d^2 * sum(prior variances) per sample
+    (``effective_noise_covariance``); each later iteration subtracts
     the demodulated data pushed through the current channel estimate and sets
     the interference model from the measured residual of the previous fit
     (so a failed cancellation does not make the next pass overconfident).
@@ -289,7 +354,8 @@ def iterative_estimate(
     ``known_data`` replaces the demodulated feedback with a given data vector
     (diagnostic genie for isolating the cancellation algebra).  The result
     carries, per iteration, the residual norm of the fit and the effective
-    noise c the posterior used (before its 1e-30 floor).  ``y`` and
+    noise c the posterior used (before its 1e-30 floor), and the Gram's
+    condition number, computed once per pilot model.  ``y`` and
     ``x_pilot`` must have shape (Nc,) (else ``ConfigurationError``),
     ``noise_power`` must be finite and >= 0 and ``n_iter`` an integer >= 1
     (else ``ParameterError``).
@@ -298,7 +364,7 @@ def iterative_estimate(
     check_nonnegative(noise_power, "noise_power")
     y = check_vector(y, cfg.n_sub, "y")
     x_pilot = check_vector(x_pilot, cfg.n_sub, "x_pilot")
-    psi_h, gram = _pilot_model(cfg, grid, x_pilot.tobytes())
+    model = _pilot_model(cfg, grid, x_pilot.tobytes())
     if prior is None:
         prior = PriorModel.uniform(grid, noise_variance=0.0)
     c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
@@ -309,7 +375,7 @@ def iterative_estimate(
         noise_levels.append(float(c_it))
         observation = y if it == 0 else y - h_hat @ feedback
         alpha_hat, post = _posterior(
-            psi_h @ observation, gram, PriorModel(prior.gain_variances, c_it)
+            model.psi_h @ observation, model.gram, model.diagonal, PriorModel(prior.gain_variances, c_it)
         )
         eps_it = _EPS_SCALE * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps
         indicator = threshold_paths(alpha_hat, eps_it)
@@ -329,4 +395,5 @@ def iterative_estimate(
         h_eff_hat=h_hat,
         residual_norms=residuals,
         noise_levels=noise_levels,
+        gram_condition=model.condition,
     )

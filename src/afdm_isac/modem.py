@@ -65,6 +65,30 @@ for _table in _POINTS.values():
     _table.flags.writeable = False
 
 
+def _axis(constellation: Constellation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decision rule of either axis of a constellation, built once: its unit levels in
+    ascending order, whether a value on the midpoint of each adjacent pair goes to the
+    upper level (the one of lower axis value), and the Gray bits of each level."""
+    half = constellation.bits_per_symbol // 2
+    levels = _POINTS[constellation][np.arange(1 << half) << half].real  # indexed by axis value
+    values = np.argsort(levels)
+    gray = (values[:, None] >> np.arange(half - 1, -1, -1)) & 1
+    return levels[values], values[1:] < values[:-1], gray
+
+
+# a symbol's bits are its I level's Gray bits, then its Q level's
+_AXES = {constellation: _axis(constellation) for constellation in Constellation}
+
+
+def _axis_level(v: np.ndarray, levels: np.ndarray, upward: np.ndarray) -> np.ndarray:
+    """Index into ascending ``levels`` of the level nearest each of ``v``."""
+    level = np.zeros(v.shape, dtype=np.intp)
+    for lo, hi, up in zip(levels[:-1], levels[1:], upward):
+        mid = (lo + hi) / 2
+        level += (v >= mid) if up else (v > mid)
+    return level
+
+
 @dataclass(frozen=True)
 class FrameSpec:
     """Power bookkeeping for a superimposed frame.
@@ -107,13 +131,24 @@ def map_bits(bits, spec: FrameSpec) -> np.ndarray:
 
 
 def demap_symbols(y_eq, spec: FrameSpec) -> np.ndarray:
-    """Hard minimum-distance demapping of the flattened ``y_eq``; inverse of map_bits on clean input."""
+    """Hard minimum-distance demapping of the flattened ``y_eq``; inverse of map_bits on clean input.
+
+    Both constellations are the product of two Gray-coded axes, so the
+    nearest point is the nearest level on each axis: the sign for QPSK, the
+    three midpoints between the 16-QAM levels.  A value on a midpoint goes
+    to the level of lower axis value, so a point at equal distance from
+    several symbols gets the lowest of their values, and a non-finite point
+    (all distances equal) symbol 0, as the nearest point by complex
+    distance does.
+    """
     y_eq = check_stack(y_eq, None, "equalized symbols").ravel()
-    k = spec.constellation.bits_per_symbol
-    pts = spec.constellation.points * (spec.sigma_d if spec.sigma_d > 0 else 1.0)
-    idx = np.argmin(np.abs(y_eq[:, None] - pts[None, :]), axis=1)
-    shifts = np.arange(k - 1, -1, -1)
-    return ((idx[:, None] >> shifts) & 1).astype(np.int64).ravel()
+    ascending, upward, gray = _AXES[spec.constellation]
+    levels = ascending * (spec.sigma_d if spec.sigma_d > 0 else 1.0)
+    bits = np.concatenate([gray[_axis_level(v, levels, upward)] for v in (y_eq.real, y_eq.imag)], axis=1)
+    finite = np.isfinite(y_eq)
+    if not finite.all():
+        bits[~finite] = 0
+    return bits.ravel()
 
 
 def random_data_vector(n_sub: int, spec: FrameSpec, rng) -> tuple[np.ndarray, np.ndarray]:

@@ -63,11 +63,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RangeDopplerMap:
-    """Correlation values on a delay-Doppler grid (delays x Dopplers)."""
+    """Correlation values on a delay-Doppler grid (delays x Dopplers), or a stack of them.
+
+    The values must be numbers of shape (..., delays, Dopplers), one delay
+    per entry of ``tau_axis`` and one Doppler per entry of ``nu_axis``, else
+    ``ConfigurationError``; they are checked, not copied.
+    """
 
     values: np.ndarray
     tau_axis: np.ndarray
     nu_axis: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values)
+        grid = (np.size(self.tau_axis), np.size(self.nu_axis))
+        if values.dtype.kind not in "biufc" or values.ndim < 2 or values.shape[-2:] != grid:
+            raise ConfigurationError(
+                f"map values must be numbers of shape (..., {grid[0]}, {grid[1]}), "
+                f"got {values.dtype} {values.shape}"
+            )
+        object.__setattr__(self, "values", values)
 
     def _single(self) -> np.ndarray:
         """The values of a single map; ``ParameterError`` for a stack of maps."""
@@ -210,13 +225,9 @@ def noise_floor(rd_map: RangeDopplerMap, det: DetectionConfig) -> np.ndarray:
     power gets a floor of exactly 0.  On axes shorter than the training
     window the wrap collapses the window to whole-axis averaging, which is
     the intended degenerate behavior.  A stack of maps (..., delays,
-    Dopplers) gets one floor per map; map values that are not numbers of
-    that shape raise ``ConfigurationError``.
+    Dopplers) gets one floor per map.
     """
-    values = check_stack(rd_map.values, None, "map values")
-    if values.ndim < 2:
-        raise ConfigurationError(f"map values must have shape (..., delays, Dopplers), got {values.shape}")
-    power = np.abs(values) ** 2
+    power = np.abs(rd_map.values) ** 2
     shape = power.shape[-2:]
     train = [_window(h, size) for h, size in zip(det.train, shape)]
     guard = [t * _window(h, size) for t, h, size in zip(train, det.guard, shape)]
@@ -244,7 +255,8 @@ def detect(rd_map: RangeDopplerMap, noise: np.ndarray, gamma: float) -> list:
     Returns (tau, nu, statistic) triples.  The statistic is invariant to any
     global phase of the echo; a cell with no power has statistic 0 and one
     with power over a zero floor has statistic inf.  ``noise`` has the
-    map's shape; a NaN ``gamma`` is refused.
+    map's shape; a ``gamma`` that is not a real number, or is NaN, raises
+    ``ParameterError``.
     """
     values = rd_map._single()
     noise = np.asarray(noise)
@@ -252,8 +264,8 @@ def detect(rd_map: RangeDopplerMap, noise: np.ndarray, gamma: float) -> list:
         raise ParameterError(
             f"noise floor of shape {noise.shape} for a map of shape {values.shape}"
         )
-    if np.isnan(gamma):
-        raise ParameterError("gamma must not be NaN")
+    if not is_real(gamma) or math.isnan(gamma):
+        raise ParameterError(f"gamma must be a real number, not NaN, got {gamma!r}")
     stat = _statistic(values, noise)
     hits = np.argwhere(stat > gamma)
     out = [

@@ -218,3 +218,14 @@ def iterative_estimate(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2):
         dof = max(cfg.n_sub - int(indicator.sum()), cfg.n_sub // 4)
         c_it = max(noise_power, resid * resid / dof)
     return alpha, indicator, h, bits
+
+
+def demap_by_distance(y_eq, spec) -> np.ndarray:
+    """Hard demapping by the smallest complex distance to every scaled point,
+    the lowest symbol value on a tie: an (N, M) distance matrix and its argmin."""
+    y_eq = np.asarray(y_eq, dtype=np.complex128).ravel()
+    k = spec.constellation.bits_per_symbol
+    pts = spec.constellation.points * (spec.sigma_d if spec.sigma_d > 0 else 1.0)
+    idx = np.argmin(np.abs(y_eq[:, None] - pts[None, :]), axis=1)
+    shifts = np.arange(k - 1, -1, -1)
+    return ((idx[:, None] >> shifts) & 1).astype(np.int64).ravel()

@@ -40,7 +40,7 @@ from afdm_isac.channel import (
     sample_channel,
     sensing_echo,
 )
-from afdm_isac.errors import ConfigurationError, ParameterError
+from afdm_isac.errors import ConfigurationError, ParameterError, check_integers
 from afdm_isac.estimator import (
     PriorModel,
     effective_noise_covariance,
@@ -63,6 +63,8 @@ from afdm_isac.sensing import (
     DetectionConfig,
     RangeDopplerMap,
     SensingScenario,
+    detect,
+    estimate_target,
     noise_floor,
     pd_at_pfa,
     rdf,
@@ -81,6 +83,8 @@ ROW_TARGETS = SensingTarget(np.ones(2), 1.0, 0.0, 1.0)  # one target per row of 
 PATH = ChannelPath(1.0, 0, 0.0)
 CURVE = np.array([[1.0, 0.5, 0.9], [10.0, 0.01, 0.6]])  # (gamma, Pfa, Pd) rows
 SMALL_WINDOW = DetectionConfig(guard=(0, 0), train=(1, 1))  # leaves training cells on a 2 x 3 map
+MAP_AXES = (np.arange(2), np.arange(3))  # a 2 x 3 map: "wrong shape" is its valid values
+MAP = RangeDopplerMap(np.ones((2, 3)), *MAP_AXES)
 
 # the malformed values fed to every site
 VALUES = {
@@ -148,7 +152,15 @@ SITES = [
     ("rdf.echo", lambda v: rdf(v, ONES, ([1.0], [0.0]), CFG), ConfigurationError, "^echo", set()),
     ("rdf.symbol", lambda v: rdf(ONES, v, ([1.0], [0.0]), CFG), ConfigurationError, "^symbol", set()),
     # a complex (..., delays, Dopplers) stack of maps
-    ("noise_floor", lambda v: noise_floor(RangeDopplerMap(v, np.arange(2), np.arange(3)), SMALL_WINDOW),
+    ("noise_floor", lambda v: noise_floor(RangeDopplerMap(v, *MAP_AXES), SMALL_WINDOW),
+     ConfigurationError, "^map values", {"wrong shape"}),
+    ("RangeDopplerMap.at", lambda v: RangeDopplerMap(v, *MAP_AXES).at(0, 0), ConfigurationError,
+     "^map values", {"wrong shape"}),
+    ("RangeDopplerMap.max_off_origin", lambda v: RangeDopplerMap(v, *MAP_AXES).max_off_origin(),
+     ConfigurationError, "^map values", {"wrong shape"}),
+    ("estimate_target", lambda v: estimate_target(RangeDopplerMap(v, *MAP_AXES)), ConfigurationError,
+     "^map values", {"wrong shape"}),
+    ("detect.rd_map", lambda v: detect(RangeDopplerMap(v, *MAP_AXES), np.ones((2, 3)), 1.0),
      ConfigurationError, "^map values", {"wrong shape"}),
     # an array of numbers of any shape
     ("threshold_paths.alpha_hat", lambda v: threshold_paths(v, 0.1), ConfigurationError, "^alpha_hat",
@@ -227,6 +239,9 @@ SITES = [
     ("AfdmConfig.c1", lambda v: AfdmConfig(n_sub=16, c1=v), ConfigurationError, "^c1", {"-1", "2.5"}),
     ("AfdmConfig.delta_f", lambda v: AfdmConfig(n_sub=16, delta_f=v), ConfigurationError, "^delta_f", {"2.5"}),
     ("DetectionConfig.gamma", lambda v: DetectionConfig(gamma=v), ParameterError, "^gamma", {"2.5"}),
+    # a real scalar, not NaN
+    ("detect.gamma", lambda v: detect(MAP, np.ones((2, 3)), v), ParameterError, "^gamma",
+     {"-1", "+inf", "-inf", "2.5"}),
     ("PilotScheme.pilot_power", lambda v: PilotScheme("single", v), ParameterError, "^pilot_power", {"2.5"}),
     ("SensingScenario.receive_snr_db", lambda v: scenario(receive_snr_db=v), ParameterError,
      "^receive_snr_db", {"-1", "2.5"}),
@@ -380,3 +395,39 @@ def test_defect_is_refused(defect):
     with pytest.raises(ParameterError):
         DEFECTS[defect]()
 
+
+
+INT64 = np.iinfo(np.int64)
+
+
+# int64 arrays are decided in integers: a float round trip refused 2^63 - 1 and -2^63 + 1
+@pytest.mark.parametrize("values", [
+    [INT64.max, INT64.min + 1],
+    np.array([INT64.min + 1, 0, INT64.max]),
+    np.array([INT64.max], dtype=np.uint64),
+    np.array([-128, 127], dtype=np.int8),
+])
+def test_int64_extremes_are_taken(values):
+    out = check_integers(values, "x")
+    assert out.dtype == np.int64
+    assert out.tolist() == [int(v) for v in values]
+    assert not np.shares_memory(out, np.asarray(values))
+
+
+@pytest.mark.parametrize("values", [
+    [INT64.min],
+    np.array([INT64.min, 0]),
+    np.array([INT64.max + 1], dtype=np.uint64),
+    np.array([2**64 - 1], dtype=np.uint64),
+    [2**63],
+    np.array([-(2.0**63)]),
+])
+def test_beyond_int64_is_refused(values):
+    with pytest.raises(ParameterError, match="^x must be a 1-D array of int64 integers"):
+        check_integers(values, "x")
+
+
+def test_integers_are_copied_before_a_path_channel_freezes_them():
+    delays = np.array([0, 1])
+    PathChannel(CFG, delays, delays, [1.0, 1.0])
+    delays[0] = 1  # the caller's array stays writeable

@@ -1,7 +1,11 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from afdm_isac import AfdmConfig, add_cpp, daft, estimator, idaft, remove_cpp
 from afdm_isac.channel import (
@@ -28,11 +32,22 @@ from afdm_isac.modem import (
     map_bits,
     random_data_vector,
 )
-from afdm_isac.pilots import proposed_pilot, select_c1_q
+from afdm_isac.pilots import (
+    proposed_delay_limit,
+    proposed_pilot,
+    select_c1_q,
+    single_pilot,
+    traditional_spacing,
+    traditional_spi_pilot,
+)
 
 import dense_oracle
 from conftest import random_unit_symbols
 from dense_oracle import basis_matrix, channel_matrix
+
+# the benchmark's workloads, read as they are: the repository root holds ``perfbench``
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import LinkParams, link  # noqa: E402
 
 
 CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
@@ -462,6 +477,156 @@ class TestNoiseLevels:
         assert res.noise_levels[1] >= 1.0
 
 
+PILOT_FAMILIES = {
+    "proposed": lambda cfg, tau_m, nu_m: proposed_pilot(cfg, 37.5),
+    "single": lambda cfg, tau_m, nu_m: single_pilot(cfg, 37.5),
+    "traditional": lambda cfg, tau_m, nu_m: traditional_spi_pilot(cfg, 37.5, tau_m=tau_m, nu_m=nu_m),
+}
+
+
+@pytest.fixture
+def inverses(monkeypatch):
+    """Counts the calls of ``np.linalg.inv``."""
+    calls = []
+    inner = np.linalg.inv
+
+    def counting(a):
+        calls.append(a.shape)
+        return inner(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return calls
+
+
+def random_pilot(rng, n_sub):
+    """Unit-modulus symbols of random phase, 37.5 in total energy."""
+    return np.exp(2j * np.pi * rng.uniform(size=n_sub)) * math.sqrt(37.5 / n_sub)
+
+
+class TestDiagonalRoute:
+    """A diagonal Gram gives the posterior elementwise; any other is inverted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_n=st.integers(5, 10),
+        nu_m=st.integers(0, 3),
+        c1_doubling=st.integers(0, 2),
+        tau_m=st.integers(0, 12),
+        family=st.sampled_from(sorted(PILOT_FAMILIES)),
+        pinned=st.floats(0.0, 1.0),
+        flat=st.floats(0.0, 1.0),
+        c=st.sampled_from([0.0, 1e-9, 0.3, 30.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_inverse_route(self, log_n, nu_m, c1_doubling, tau_m, family, pinned, flat, c, seed):
+        n_sub = 2**log_n
+        c1, _ = select_c1_q(nu_m, AfdmConfig(n_sub=n_sub))
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=tau_m, c1=c1 * 2**c1_doubling)
+        assume(cfg.two_c1_n <= n_sub and tau_m <= proposed_delay_limit(cfg))
+        assume(family != "traditional" or traditional_spacing(cfg, tau_m, nu_m)[0] <= n_sub)
+        grid = basis_grid(tau_m, nu_m)
+        model = estimator._pilot_model(cfg, grid, PILOT_FAMILIES[family](cfg, tau_m, nu_m).tobytes())
+        assert model.diagonal is not None
+        rng = np.random.default_rng(seed)
+        # each gain pinned (g = 0), flat (g = inf) or of a finite variance
+        draw = rng.uniform(size=len(grid))
+        g = np.where(draw < pinned, 0.0, np.where(draw < pinned + flat, np.inf, rng.uniform(1e-3, 10.0, len(grid))))
+        prior = PriorModel(g, c)
+        y = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
+        corr = model.psi_h @ y
+        alpha, variances = estimator._posterior(corr, model.gram, model.diagonal, prior)
+        alpha_inv, variances_inv = estimator._posterior(corr, model.gram, None, prior)
+        assert np.all(alpha[g == 0] == 0) and np.all(variances[g == 0] == 0)
+        assert np.max(np.abs(alpha - alpha_inv), initial=0.0) <= 1e-12 * np.max(np.abs(alpha_inv), initial=0.0)
+        assert np.max(np.abs(variances - variances_inv), initial=0.0) <= 1e-12 * np.max(variances_inv, initial=0.0)
+
+    def test_random_pilot_takes_the_inverse_route(self, rng, inverses):
+        c1, _ = select_c1_q(2, AfdmConfig(n_sub=512))
+        cfg = AfdmConfig(n_sub=512, n_cpp=8, c1=c1)
+        grid = basis_grid(8, 2)
+        x_p = random_pilot(rng, 512)
+        model = estimator._pilot_model(cfg, grid, x_p.tobytes())
+        assert model.diagonal is None
+        off = np.abs(model.gram - np.diag(model.gram.diagonal()))
+        assert off.max() > 1e-3 * model.gram.diagonal().real.max()
+        y, spec = link_frame(rng, cfg, grid, x_p)
+        iterative_estimate(y, x_p, spec, grid, cfg, 1.0, n_iter=2)
+        assert inverses == [(len(grid), len(grid))] * 2
+
+    def test_colliding_grid_takes_the_inverse_route(self):
+        # K = 8 on Nc = 64: delay 8 wraps onto delay 0, so two basis images coincide
+        c1, _ = select_c1_q(2, AfdmConfig(n_sub=64))
+        cfg = AfdmConfig(n_sub=64, n_cpp=8, c1=c1)
+        grid = basis_grid(8, 2)
+        model = estimator._pilot_model(cfg, grid, proposed_pilot(cfg, 37.5).tobytes())
+        assert model.diagonal is None
+        assert np.max(np.abs(model.gram - np.diag(model.gram.diagonal()))) == pytest.approx(37.5)
+
+    @pytest.mark.parametrize("family", sorted(PILOT_FAMILIES))
+    def test_pilot_families_make_no_inverse(self, rng, inverses, family):
+        c1, _ = select_c1_q(2, AfdmConfig(n_sub=512))
+        cfg = AfdmConfig(n_sub=512, n_cpp=8, c1=c1)
+        grid = basis_grid(8, 2)
+        x_p = PILOT_FAMILIES[family](cfg, 8, 2)
+        y, spec = link_frame(rng, cfg, grid, x_p)
+        res = iterative_estimate(y, x_p, spec, grid, cfg, 1.0, n_iter=2)
+        assert inverses == []
+        assert res.gram_condition == pytest.approx(1.0, abs=1e-12)
+
+    def test_random_pilot_gram_condition_exceeds_one(self, rng):
+        c1, _ = select_c1_q(2, AfdmConfig(n_sub=512))
+        cfg = AfdmConfig(n_sub=512, n_cpp=8, c1=c1)
+        grid = basis_grid(8, 2)
+        x_p = random_pilot(rng, 512)
+        y, spec = link_frame(rng, cfg, grid, x_p)
+        res = iterative_estimate(y, x_p, spec, grid, cfg, 1.0, n_iter=1)
+        assert isinstance(res.gram_condition, float)
+        assert res.gram_condition > 1.0 + 1e-3
+        assert res.gram_condition == pytest.approx(np.linalg.cond(build_psi(x_p, grid, cfg)) ** 2, rel=1e-9)
+
+    def test_mmse_estimate_decides_from_its_own_gram(self, rng, inverses):
+        cfg = AfdmConfig(n_sub=64, n_cpp=16, c1=1 / 16)
+        grid = basis_grid(tau_m=3, nu_m=2)
+        y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        prior = PriorModel(np.full(len(grid), 0.1), 0.5)
+        mmse_estimate(y, build_psi(proposed_pilot(cfg, 100.0), grid, cfg), prior)
+        assert inverses == []
+        mmse_estimate(y, build_psi(random_pilot(rng, 64), grid, cfg), prior)
+        assert inverses == [(len(grid), len(grid))]
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_column_without_energy_under_a_flat_prior_raises(self, c):
+        # a diagonal Gram with a zero entry: no information on that gain and no prior;
+        # tier-1 turns a RuntimeWarning into an error, so none may come first
+        psi = np.zeros((4, 2), dtype=complex)
+        psi[0, 0] = 1.0
+        with pytest.raises(NumericalError, match="singular normal matrix"):
+            mmse_estimate(np.ones(4), psi, PriorModel(np.array([1.0, np.inf]), c))
+        est, post = mmse_estimate(np.ones(4), psi, PriorModel(np.array([np.inf, 0.5]), c))
+        assert est[1] == 0 and post[1] == 0.5
+
+    def test_zero_pilot_keeps_its_prior(self, inverses):
+        # a zero Gram is diagonal: each finite prior comes back unchanged, a flat one raises
+        est, post = mmse_estimate(np.ones(4), np.zeros((4, 3)), PriorModel(np.array([0.5, 0.0, 2.0]), 1.0))
+        assert np.array_equal(est, np.zeros(3)) and np.array_equal(post, [0.5, 0.0, 2.0])
+        with pytest.raises(NumericalError):
+            mmse_estimate(np.ones(4), np.zeros((4, 3)), PriorModel(np.full(3, np.inf), 1.0))
+        assert inverses == []
+
+
+class TestLinkQuality:
+    def test_seed_1_quality_lines_are_pinned(self):
+        # the benchmark's link frames, seed 1: its quality lines at their printed precision
+        session = link(LinkParams(), 1)
+        quality = session.quality([session.call() for _ in range(session.quality_calls)])
+        assert {name: f"{value:.6g}" for name, value in quality.items()} == {
+            "ber": "0.00229492",
+            "gain_nmse_db": "-27.4351",
+            "support_recall": "0.975",
+            "support_precision": "0.987342",
+        }
+
+
 class TestDenseRoute:
     """The iterative estimator matches the dense-matrix route it replaced."""
 
@@ -680,12 +845,12 @@ class TestPilotModel:
     def test_model_is_read_only(self, rng):
         # the model keeps Psi_p^H, so an iteration multiplies by it without a conjugate copy
         x_p = random_unit_symbols(rng, 64)
-        psi_h, gram = estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())
-        assert estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())[0] is psi_h
+        model = estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())
+        assert estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes()).psi_h is model.psi_h
         ones = np.ones(len(self.GRID64))
         rows = reconstruct_channel(ones, ones, self.GRID64, self.CFG64).images(x_p)
-        assert np.array_equal(psi_h, rows.conj())
-        for arr in (psi_h, gram):
+        assert np.array_equal(model.psi_h, rows.conj())
+        for arr in (model.psi_h, model.gram):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0
 
@@ -698,5 +863,5 @@ class TestPilotModel:
         power = 37.5
         x_p = proposed_pilot(cfg, power, r=r)
         grid = basis_grid(tau_m, nu_m)
-        _, gram = estimator._pilot_model(cfg, grid, x_p.tobytes())
+        gram = estimator._pilot_model(cfg, grid, x_p.tobytes()).gram
         assert np.max(np.abs(gram - power * np.eye(len(grid)))) <= 1e-12 * power

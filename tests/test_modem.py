@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from afdm_isac.errors import ParameterError
 from afdm_isac.modem import (
     Constellation,
@@ -81,6 +82,66 @@ class TestMapping:
         )
         corr = np.mean(frames[:, 3] * np.conj(frames[:, 11]))
         assert abs(corr) < 3 / math.sqrt(4000)
+
+
+class TestDemapOracle:
+    """Per-axis decisions against the nearest point by complex distance."""
+
+    SCALES = [0.0, 1e-6, 0.37, 1.0, 2.5, 7.3, 30.0, 1e6]  # sigma_d^2; 0 demaps at unit scale
+
+    @staticmethod
+    def scaled_points(spec):
+        return spec.constellation.points * (spec.sigma_d if spec.sigma_d > 0 else 1.0)
+
+    @staticmethod
+    def symbols(bits, kind):
+        k = kind.bits_per_symbol
+        return bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
+
+    @pytest.mark.parametrize("kind", list(Constellation))
+    @pytest.mark.parametrize("sigma_d2", SCALES)
+    def test_matches_where_distances_are_distinct(self, rng, kind, sigma_d2):
+        spec = spec_for(kind, sigma_d2)
+        pts = self.scaled_points(spec)
+        top = pts.real.max()
+        levels = np.unique(pts.real)
+        axis = np.concatenate([levels, (levels[:-1] + levels[1:]) / 2])
+        grid = (axis[:, None] + 1j * axis[None, :]).ravel()
+        noise = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+        # random points, and points 1e-9 off every level and boundary
+        y = np.concatenate([1.5 * top * noise, grid * (1 + 1e-9), grid * (1 - 1e-9), grid + 1e-9 * top])
+        dist = np.sort(np.abs(y[:, None] - pts[None, :]), axis=1)
+        distinct = dist[:, 1] - dist[:, 0] > 1e-12 * dist[:, 1]
+        assert np.count_nonzero(distinct) > 4000
+        got = demap_symbols(y, spec).reshape(y.size, -1)
+        want = dense_oracle.demap_by_distance(y, spec).reshape(y.size, -1)
+        assert np.array_equal(got[distinct], want[distinct])
+
+    @pytest.mark.parametrize("kind", list(Constellation))
+    @pytest.mark.parametrize("sigma_d2", SCALES)
+    def test_boundary_tie_takes_the_lowest_symbol(self, kind, sigma_d2):
+        # every point whose coordinates are levels or midpoints between adjacent levels;
+        # the tied symbols are those at the smallest distance up to rounding
+        spec = spec_for(kind, sigma_d2)
+        pts = self.scaled_points(spec)
+        levels = np.unique(pts.real)
+        axis = np.concatenate([levels, (levels[:-1] + levels[1:]) / 2, [0.0]])
+        y = (axis[:, None] + 1j * axis[None, :]).ravel()
+        dist = np.abs(y[:, None] - pts[None, :])
+        tied = dist <= dist.min(axis=1, keepdims=True) * (1 + 4 * np.finfo(float).eps)
+        assert np.count_nonzero(tied.sum(axis=1) > 1) > y.size // 2
+        assert np.array_equal(self.symbols(demap_symbols(y, spec), kind), np.argmax(tied, axis=1))
+
+    @pytest.mark.parametrize("kind", list(Constellation))
+    def test_non_finite_points_demap_as_the_oracle(self, kind):
+        # every complex distance is inf or NaN, so argmin takes symbol 0
+        inf, nan = math.inf, math.nan
+        y = np.array([inf, -inf, nan, complex(inf, -1.0), complex(-1.0, -inf), complex(nan, -1.0),
+                      complex(-1.0, nan), complex(-inf, nan), -1.0 - 1.0j])
+        spec = spec_for(kind)
+        got = demap_symbols(y, spec)
+        assert np.array_equal(got, dense_oracle.demap_by_distance(y, spec))
+        assert np.array_equal(self.symbols(got, kind)[:-1], np.zeros(y.size - 1))
 
 
 class TestFrame:
