@@ -57,10 +57,12 @@ Monte Carlo
 ``ambiguity_moments_mc`` and ``crb_distribution`` stream over their leading
 axis in blocks sized by the package's one byte budget,
 ``sensing._BLOCK_BYTES`` (1 MiB), so no (frames or draws) x Nc stack is
-built: beyond the frames' symbol-index draw, each holds about one budget of
-temporaries.  The random stream does not depend on the block size, and
-Dirichlet(1, ..., 1) allocations are drawn as the normalised unit
-exponentials that ``rng.dirichlet`` itself draws.
+built: each holds about one budget of temporaries.  The random stream does
+not depend on the block size.  A block of frames draws its data symbols as
+one ``rng.bytes`` call, 8/k symbols per byte for k bits per symbol (k must
+divide 8), each frame whole 32-bit words, and a 256-row table turns every
+byte into its symbols.  Dirichlet(1, ..., 1) allocations are drawn as the
+normalised unit exponentials that ``rng.dirichlet`` itself draws.
 """
 
 from __future__ import annotations
@@ -246,12 +248,18 @@ def ambiguity_moments_mc(
     is the identity and the value is the frame energy, read as such; with
     no other point there is no channel and no ``images`` call.
 
-    The symbol indices of all frames are drawn in one call (8*n_frames*Nc
-    bytes), so the draws do not depend on the block size.  The frames are
-    then built and read in blocks of rows, as many per block as a complex
-    block and its (block, points, Nc) images fit in ``sensing._BLOCK_BYTES``
-    (at least one frame), each by one ``images`` call and one batched row
-    dot.  Every frame's value is bit for bit the same at any block size.
+    The data symbols are packed random bytes: with k bits per symbol (2 or
+    4; k must divide 8), byte b carries the 8/k points (b >> k*j) & (M - 1),
+    j = 0, 1, ..., read through a (256, 8/k) table by one row gather.  A
+    frame takes its Nc symbols from ceil(Nc*k/32) whole 32-bit words and a
+    block of frames is one ``rng.bytes`` call (little-endian words on every
+    platform), so the draws do not depend on the block size and the
+    generator ends where one call for all frames would leave it.  The
+    frames are built and read in blocks of rows, as many per block as a
+    complex block and its (block, points, Nc) images fit in
+    ``sensing._BLOCK_BYTES`` (at least one frame), each by one ``images``
+    call and one batched row dot.  Every frame's value is bit for bit the
+    same at any block size.
 
     ``x_pilot`` must have shape (Nc,), ``points`` be a non-empty list of
     integer (delay, Doppler) pairs and ``n_frames`` an integer >= 1; all
@@ -270,19 +278,24 @@ def ambiguity_moments_mc(
     # scaling the constellation before the gather gives the same products at
     # one multiply per point instead of one per frame sample
     symbols = spec.constellation.points * spec.sigma_d
-    index = rng.integers(0, symbols.shape[0], size=(n_frames, n))
+    k = spec.constellation.bits_per_symbol
+    per = 8 // k  # symbols per random byte, low bits first
+    table = symbols[(np.arange(256)[:, None] >> (k * np.arange(per))) & (symbols.shape[0] - 1)]
+    width = -(-n // per)
+    frame_bytes = 4 * -(-width // 4)  # whole 32-bit words, so blocks split the stream exactly
     block = max(1, _BLOCK_BYTES // (16 * n * (1 + paths)))
-    buffer = np.empty((min(block, n_frames), n), dtype=np.complex128)
+    buffer = np.empty((min(block, n_frames), width, per), dtype=np.complex128)
     values = np.empty((len(taus), n_frames), dtype=np.complex128)
     for start in range(0, n_frames, block):
-        rows = index[start : start + block]
-        frames = buffer[: len(rows)]
-        # the indices are in range; mode "raise" would gather into a copy of out
-        np.take(symbols, rows, out=frames, mode="clip")
+        count = min(block, n_frames - start)
+        raw = np.frombuffer(rng.bytes(count * frame_bytes), np.uint8).reshape(count, frame_bytes)
+        # the bytes index all 256 rows; mode "raise" would gather into a copy of out
+        np.take(table, raw[:, :width], axis=0, out=buffer[:count], mode="clip")
+        frames = buffer[:count].reshape(count, width * per)[:, :n]
         frames += x_pilot
         if paths:
-            values[off, start : start + len(rows)] = np.vecdot(frames[:, None], h.images(frames)).T
-        values[~off, start : start + len(rows)] = np.vecdot(frames, frames)
+            values[off, start : start + count] = np.vecdot(frames[:, None], h.images(frames)).T
+        values[~off, start : start + count] = np.vecdot(frames, frames)
     mean = values.mean(axis=1)
     centered = values - mean[:, None]
     var = np.mean(np.abs(centered) ** 2, axis=1)

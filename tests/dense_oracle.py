@@ -8,7 +8,9 @@ the FFT closed form of ``waveform_samples``.  The Fisher ``frac`` kernel is the
 explicit Nc x Nc array whose row sums ``analysis._fim_sums`` computes from one
 table of Nc values.  The ambiguity moments are read in the time domain, by
 synthesizing every frame and correlating it with its delayed copy, which
-``analysis.ambiguity_moments_mc`` answers in the DAFT domain instead.  The
+``analysis.ambiguity_moments_mc`` answers in the DAFT domain instead; their
+data symbols are unpacked bit by bit from the random bytes, where the
+Monte Carlo gathers them through a 256-row byte table.  The
 delay-Doppler correlation builds a contiguous (..., delays, Nc) stack of
 delayed symbols, at whole delays from the explicit chirp-periodic extension
 s[(n - tau) mod Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)) in Python integers,
@@ -127,14 +129,28 @@ def correlate_by_gather(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     return np.swapaxes(comp @ np.swapaxes(ref, -1, -2), -1, -2)
 
 
+def symbol_draws(rng, constellation, n_frames: int, n_sub: int) -> np.ndarray:
+    """Symbol indices, (n_frames, n_sub), of the frames ``ambiguity_moments_mc`` draws.
+
+    One ``rng.bytes`` call; each frame takes ceil(n_sub*k/32) whole 32-bit
+    words for k bits per symbol, and its bits, least significant first within
+    each byte, are read k at a time, each group least significant bit first.
+    """
+    k = constellation.bits_per_symbol
+    words = -(-n_sub * k // 32)
+    raw = np.frombuffer(rng.bytes(n_frames * 4 * words), np.uint8).reshape(n_frames, 4 * words)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, : n_sub * k]
+    return bits.reshape(n_frames, n_sub, k).astype(np.int64) @ (1 << np.arange(k))
+
+
 def ambiguity_moments_time_domain(x_pilot, spec, cfg: AfdmConfig, points, n_frames, rng) -> dict:
     """``ambiguity_moments_mc`` on the time-domain route, with the same draws.
 
     Synthesizes the frame stack with ``idaft`` and evaluates each point with
     ``cross_ambiguity``, which delays the whole stack.
     """
-    symbols = spec.constellation.points
-    data = symbols[rng.integers(0, symbols.shape[0], size=(n_frames, cfg.n_sub))] * spec.sigma_d
+    data = spec.constellation.points[symbol_draws(rng, spec.constellation, n_frames, cfg.n_sub)]
+    data *= spec.sigma_d
     s_all = idaft(data + np.asarray(x_pilot, dtype=np.complex128), cfg)
     values = np.array(
         [cross_ambiguity(s_all, s_all, [tau], [nu], cfg)[:, 0, 0] for tau, nu in points]

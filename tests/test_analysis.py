@@ -228,7 +228,7 @@ class TestAfStatistics:
         spec = FrameSpec(64.0, 1.0, Constellation.QPSK)
         x_p = proposed_pilot(cfg, pilot_power=64.0)
         mc = ambiguity_moments_mc(x_p, spec, cfg, [(0, 0)], 4, np.random.default_rng(7))
-        draws = np.random.default_rng(7).integers(0, 4, size=(4, 8192))
+        draws = dense_oracle.symbol_draws(np.random.default_rng(7), spec.constellation, 4, 8192)
         frames = spec.constellation.points[draws] * spec.sigma_d + x_p
         energies = np.sum(np.abs(frames) ** 2, axis=1)
         assert mc["mean"][0] == pytest.approx(energies.mean(), rel=1e-12)
@@ -243,7 +243,7 @@ class TestAfStatistics:
         spec = FrameSpec(16.0, 1.0, Constellation.QAM16)
         x_p = proposed_pilot(self.CFG, pilot_power=16.0, r=0)
         mc = ambiguity_moments_mc(x_p, spec, self.CFG, [(0, 0), (0, 0)], 6, np.random.default_rng(5))
-        draws = np.random.default_rng(5).integers(0, 16, size=(6, self.CFG.n_sub))
+        draws = dense_oracle.symbol_draws(np.random.default_rng(5), spec.constellation, 6, self.CFG.n_sub)
         energies = np.sum(np.abs(spec.constellation.points[draws] * spec.sigma_d + x_p) ** 2, axis=1)
         np.testing.assert_allclose(mc["mean"], energies.mean(), rtol=1e-12)
         np.testing.assert_allclose(mc["variance"], energies.var(), rtol=1e-9)
@@ -303,7 +303,7 @@ class TestAmbiguityMomentsInTheDaftDomain:
         points = [(0, 0), (n_sub + 4, 1), (2 * n_sub + 3, -2), (-2 * n_sub - 1, 2),
                   (-3 * n_sub - 5, -1), (5, 2**62 + 3 * 1024)]
         mc = ambiguity_moments_mc(x_p, spec, cfg, points, 5, np.random.default_rng(3))
-        draws = np.random.default_rng(3).integers(0, 16, size=(5, n_sub))
+        draws = dense_oracle.symbol_draws(np.random.default_rng(3), spec.constellation, 5, n_sub)
         frames = idaft(spec.constellation.points[draws] * spec.sigma_d + x_p, cfg)
         values = np.array([
             [cross_ambiguity(s, s, [tau], [nu % n_sub], cfg)[0, 0] for tau, nu in points] for s in frames
@@ -345,6 +345,48 @@ class TestAmbiguityMomentsInTheDaftDomain:
         assert np.all(np.isfinite(mc["variance"]))
         report = verify_theorem_2(cfg, 16.0, 64.0, n_frames=200, rng=rng, x_pilot=x_p)
         assert "mc_origin" in report.details
+
+
+class TestAmbiguitySymbolDraws:
+    """The Monte Carlo's data symbols: packed random bytes, whole 32-bit words per frame."""
+
+    # (Nc, constellation, bytes per frame): 63 is no multiple of the symbols per
+    # byte, and 21 QPSK symbols (6 bytes) and 21 16-QAM symbols (11) round up
+    CASES = [
+        (21, Constellation.QPSK, 8),
+        (21, Constellation.QAM16, 12),
+        (63, Constellation.QPSK, 16),
+        (63, Constellation.QAM16, 32),
+        (1024, Constellation.QPSK, 256),
+        (1024, Constellation.QAM16, 512),
+    ]
+
+    @pytest.mark.parametrize("budget", [None, 1])  # default blocks, one frame per block
+    @pytest.mark.parametrize("n_sub, constellation, frame_bytes", CASES)
+    def test_frames_are_the_oracle_draws(self, monkeypatch, budget, n_sub, constellation, frame_bytes):
+        if budget is not None:
+            monkeypatch.setattr(analysis, "_BLOCK_BYTES", budget)
+        cfg = AfdmConfig(n_sub=n_sub, c1=1 / (2 * n_sub))
+        spec = FrameSpec(4.0, 0.5, constellation)
+        x_p = 2.0 * np.exp(2j * np.pi * np.arange(n_sub) ** 2 / n_sub)
+        rng = np.random.default_rng(11)
+        mc = ambiguity_moments_mc(x_p, spec, cfg, [(0, 0)], 9, rng)
+        draws = dense_oracle.symbol_draws(np.random.default_rng(11), constellation, 9, n_sub)
+        energies = np.sum(np.abs(constellation.points[draws] * spec.sigma_d + x_p) ** 2, axis=1)
+        np.testing.assert_allclose(mc["mean"], energies.mean(), rtol=1e-12)
+        np.testing.assert_allclose(mc["variance"], energies.var(), rtol=1e-9)
+        ref = np.random.default_rng(11)
+        ref.bytes(9 * frame_bytes)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n_sub, constellation, frame_bytes", CASES[2:])
+    def test_every_point_is_equally_likely(self, n_sub, constellation, frame_bytes):
+        n_frames = -(-(2**16) // n_sub)
+        draws = dense_oracle.symbol_draws(np.random.default_rng(12), constellation, n_frames, n_sub)
+        m = len(constellation.points)
+        share = np.bincount(draws.ravel(), minlength=m) / draws.size
+        sigma = math.sqrt((1 / m) * (1 - 1 / m) / draws.size)
+        assert np.all(np.abs(share - 1 / m) <= 5 * sigma), share
 
 
 class TestTheorem2And3:
@@ -820,11 +862,12 @@ class TestMonteCarloMemory:
 
     @pytest.mark.parametrize("points", [[(0, 0), (1, 0), (0, 1), (3, 2)], [(0, 0)]])
     def test_ambiguity_moments_hold_no_frame_stack(self, rng, points):
-        # the 500 x 1024 index draw takes 4.1 MB; a frame stack would add 8.2 MB
+        # a block's frames and their images take about 1 MB; the 500 x 1024
+        # frame stack would take 8.2 MB and an int64 index draw 4.1 MB
         spec = FrameSpec(256.0, 1.0, Constellation.QPSK)
         x_p = proposed_pilot(self.CFG, pilot_power=256.0)
         peak = self.traced_peak(lambda: ambiguity_moments_mc(x_p, spec, self.CFG, points, 500, rng))
-        assert peak <= 6.0
+        assert peak <= 2.0
 
     def test_crb_distribution_holds_no_allocation_matrix(self, rng):
         # 2000 Dirichlet allocations of 1024 subcarriers would take 16.4 MB
