@@ -88,11 +88,13 @@ from .errors import (
     check_count,
     check_integers,
     check_nonnegative,
+    check_positive,
     check_reals,
     check_stack,
     check_vector,
 )
 from .modem import Constellation, FrameSpec
+from .pilots import proposed_pilot
 from .sensing import _BLOCK_BYTES, RangeDopplerMap, _correlate
 
 __all__ = [
@@ -368,14 +370,15 @@ def verify_theorem_3(
     total_data_power: float,
     n_frames: int = 0,
     rng=None,
-    pilot_builder=None,
 ) -> TheoremReport:
     """Origin ambiguity variance decays like 1/Nc for constant-modulus data.
 
     Closed-form values are exactly 2*Pd*sigma_p^2/Nc; with ``n_frames`` the
     Monte Carlo log-log slope across the configs must fall in
-    ``_SLOPE_WINDOW``.  A slope needs configs of at least two subcarrier
-    counts, and ``n_frames`` is an integer >= 0 (else ``ParameterError``).
+    ``_SLOPE_WINDOW``, with the frames of each config carrying its
+    ``proposed_pilot(cfg, pilot_power)``.  A slope needs configs of at least
+    two subcarrier counts, and ``n_frames`` is an integer >= 0 (else
+    ``ParameterError``).
     """
     check_count(n_frames, "n_frames", least=0)
     n_subs = np.array([cfg.n_sub for cfg in cfgs], dtype=float)
@@ -402,11 +405,11 @@ def verify_theorem_3(
     }
     passed = closed_ok and abs(slope_closed + 1.0) < 1e-9
     if n_frames > 0:
-        if rng is None or pilot_builder is None:
-            raise ParameterError("Monte Carlo check needs rng and pilot_builder")
+        if rng is None:
+            raise ParameterError("Monte Carlo check needs rng")
         mc_vars = []
         for spec, cfg in zip(specs, cfgs):
-            mc = ambiguity_moments_mc(pilot_builder(cfg), spec, cfg, [(0, 0)], n_frames, rng)
+            mc = ambiguity_moments_mc(proposed_pilot(cfg, pilot_power), spec, cfg, [(0, 0)], n_frames, rng)
             mc_vars.append(float(mc["variance"][0]))
         slope_mc = float(np.polyfit(np.log(n_subs), np.log(mc_vars), 1)[0])
         details["mc_variances"] = mc_vars
@@ -563,8 +566,7 @@ def _fim_kernels(target: SensingTarget, cfg: AfdmConfig):
     """
     if any(np.ndim(v) for v in (target.gain, target.delay_samples, target.doppler_norm)):
         raise ParameterError("the bounds take one target: scalar gain, delay and Doppler")
-    if not 0 < target.noise_power < np.inf:
-        raise ParameterError("target noise power must be positive and finite")
+    check_positive(target.noise_power, "target noise power")
     if not 0 < abs(target.gain) < np.inf:
         raise ParameterError("target gain must be nonzero and finite")
     n = cfg.n_sub
@@ -693,8 +695,7 @@ def crb_distribution(
     ``n_draws`` is an integer >= 1, checked before any draw; it is not read
     when ``allocations`` is given.
     """
-    if not 0 < total_power < np.inf:
-        raise ParameterError("total_power must be positive and finite")
+    check_positive(total_power, "total_power")
     if allocations is not None:
         a_m, b_m, c0, a, b, c, ramp = _fim_sums(allocations, target, cfg)
         values, *_ = _crb_from_sums(a, b, c, allocations, ramp, target, cfg)

@@ -2,8 +2,8 @@
 
 ``check_vector`` (a complex (n,) vector) and ``check_stack`` (a (..., n) stack)
 raise ``ConfigurationError``, also for non-numbers; ``check_reals``,
-``check_nonnegative``, ``check_count`` and ``check_integers`` raise
-``ParameterError``.
+``check_nonnegative``, ``check_positive``, ``check_count`` and
+``check_integers`` raise ``ParameterError``.
 """
 
 import math
@@ -72,6 +72,12 @@ def check_nonnegative(value, what: str) -> None:
     """``ParameterError`` unless ``value`` is a real number, not a bool, finite and >= 0."""
     if not (is_real(value) and 0 <= value < math.inf):
         raise ParameterError(f"{what} must be finite and non-negative, got {value!r}")
+
+
+def check_positive(value, what: str) -> None:
+    """``ParameterError`` unless ``value`` is a real number, not a bool, finite and > 0."""
+    if not (is_real(value) and 0 < value < math.inf):
+        raise ParameterError(f"{what} must be positive and finite, got {value!r}")
 
 
 def check_count(value, what: str, least: int = 1) -> None:

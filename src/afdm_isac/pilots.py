@@ -19,19 +19,20 @@ Three families are provided:
 
 * ``single_pilot`` — all pilot energy on subcarrier 0.
 
-All generators return a DAFT-domain vector with total energy sigma_p^2.
+All generators return a DAFT-domain vector with total energy sigma_p^2.  A
+``PilotScheme`` names only a family and its power; ``pilot_vector`` reads
+the rest from the config and the footprint (tau_m, nu_m) it is given.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .daft import AfdmConfig
-from .errors import ParameterError, check_count, check_nonnegative, is_real
+from .errors import ParameterError, check_count, check_nonnegative, check_positive, is_integer
 
 __all__ = [
     "ZcParams",
@@ -51,17 +52,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ZcParams:
-    """Zadoff-Chu parameters: sequence length and root (gcd(length, root) = 1)."""
+    """Zadoff-Chu parameters: sequence length and an integer root (gcd(length, root) = 1)."""
 
     length: int
     root: int = 1
 
     def __post_init__(self):
         check_count(self.length, "ZC length")
-        if math.gcd(self.length, self.root) != 1:
-            raise ParameterError(
-                f"ZC root {self.root} must be coprime with length {self.length}"
-            )
+        if not is_integer(self.root) or math.gcd(self.length, self.root) != 1:
+            raise ParameterError(f"ZC root {self.root!r} is not an integer coprime with length {self.length}")
 
 
 def zc_sequence(params: ZcParams) -> np.ndarray:
@@ -93,6 +92,7 @@ def select_c1_q(nu_m: int, cfg: AfdmConfig) -> tuple[float, int]:
 
 def proposed_spacing(cfg: AfdmConfig, r: int) -> tuple[int, int]:
     """Comb spacing and pilot count (Q, Np) for the chirp-corrected design."""
+    check_count(r, "r", least=0)
     p = _require_pow2(cfg.n_sub)
     q = _require_pow2(cfg.two_c1_n, what="2*c1*Nc")
     if not 0 <= r <= p - q:
@@ -107,13 +107,7 @@ def proposed_delay_limit(cfg: AfdmConfig) -> int:
     return cfg.n_sub // cfg.two_c1_n - 1
 
 
-def proposed_pilot(
-    cfg: AfdmConfig,
-    pilot_power: float,
-    r: int = 0,
-    zc_root: int = 1,
-    chirp_correction: bool = True,
-) -> np.ndarray:
+def proposed_pilot(cfg: AfdmConfig, pilot_power: float, r: int = 0, zc_root: int = 1) -> np.ndarray:
     """Chirp-corrected ZC comb pilot with an ideal cyclic ambiguity function.
 
     Nonzero entries sit at m = 0, Q, ..., (Np-1)*Q with
@@ -121,65 +115,41 @@ def proposed_pilot(
     psi[m] = m^2*2^r/(2*Q*Nc) - c2*m^2 = m^2/(2*K*Nc) - c2*m^2 (Q = K*2^r).
     The first term is reduced in integers and the second read from
     ``c2_chirp``, the table ``idaft`` removes, so it cancels the transform's
-    c2 chirp to rounding at any Nc.  ``chirp_correction=False`` drops the
-    psi phase (places the raw ZC values on the comb), which breaks the
-    zero-sidelobe property for nonzero Doppler — useful as a counterexample.
+    c2 chirp to rounding at any Nc.
     """
     spacing, n_p = proposed_spacing(cfg, r)
     positions = np.arange(n_p) * spacing
+    period = 2 * cfg.two_c1_n * cfg.n_sub
+    correction = np.exp(2j * np.pi * (positions**2 % period) / period) * cfg.c2_chirp[positions]
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
-    x[positions] = _amplitude(pilot_power, n_p) * zc_sequence(ZcParams(n_p, zc_root))
-    if chirp_correction:
-        period = 2 * cfg.two_c1_n * cfg.n_sub
-        quadratic = np.exp(2j * np.pi * (positions**2 % period) / period)
-        x[positions] *= quadratic * cfg.c2_chirp[positions]
+    x[positions] = (_amplitude(pilot_power, n_p) * zc_sequence(ZcParams(n_p, zc_root))) * correction
     return x
 
 
 def traditional_spacing(cfg: AfdmConfig, tau_m: int, nu_m: int) -> tuple[int, int]:
     """Spacing and count (Q, Np) required by the full delay-Doppler footprint.
 
-    Q = 2*c1*tau_m*Nc + 2*nu_m + 1 and Np = floor(Nc/Q).
+    Q = 2*c1*tau_m*Nc + 2*nu_m + 1 and Np = floor(Nc/Q), for integers tau_m, nu_m >= 0.
     """
+    check_count(tau_m, "tau_m", least=0)
+    check_count(nu_m, "nu_m", least=0)
     spacing = cfg.two_c1_n * tau_m + 2 * nu_m + 1
     n_p = cfg.n_sub // spacing
     if n_p < 1:
-        raise ParameterError(
-            f"spacing {spacing} exceeds Nc={cfg.n_sub}: no pilot fits"
-        )
+        raise ParameterError(f"spacing {spacing} exceeds Nc={cfg.n_sub}: no pilot fits")
     return spacing, n_p
 
 
-def traditional_spi_pilot(
-    cfg: AfdmConfig,
-    pilot_power: float,
-    tau_m: int = 0,
-    nu_m: int = 0,
-    spacing: Optional[int] = None,
-    n_pilots: Optional[int] = None,
-) -> np.ndarray:
-    """Conventional superimposed pilot comb.
+def traditional_spi_pilot(cfg: AfdmConfig, pilot_power: float, tau_m: int, nu_m: int) -> np.ndarray:
+    """Conventional superimposed pilot comb for the footprint (tau_m, nu_m).
 
-    By default the spacing follows the delay-Doppler footprint rule; both
-    ``spacing`` and ``n_pilots`` can be pinned independently to reproduce
-    published baselines that fix Np regardless of the channel budget.  The
-    nonzero entries carry equal phases, which makes the comb's delay
-    ambiguity outside its validity region explicit (delay offsets of one
-    comb period collide coherently).  Within the validity region any
-    unit-modulus phases give zero inter-pilot interference.  A pinned
-    ``spacing`` or ``n_pilots`` is an integer >= 1.
+    Its spacing and count are ``traditional_spacing``'s.  The nonzero
+    entries carry equal phases, which makes the comb's delay ambiguity
+    outside its validity region explicit (delay offsets of one comb period
+    collide coherently).  Within the validity region any unit-modulus phases
+    give zero inter-pilot interference.
     """
-    if spacing is None:
-        spacing, derived_np = traditional_spacing(cfg, tau_m, nu_m)
-    else:
-        check_count(spacing, "spacing")
-        derived_np = cfg.n_sub // spacing
-    n_p = derived_np if n_pilots is None else n_pilots
-    check_count(n_p, "pilot count")
-    if (n_p - 1) * spacing >= cfg.n_sub:
-        raise ParameterError(
-            f"{n_p} pilots at spacing {spacing} do not fit in Nc={cfg.n_sub}"
-        )
+    spacing, n_p = traditional_spacing(cfg, tau_m, nu_m)
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
     x[np.arange(n_p) * spacing] = _amplitude(pilot_power, n_p)
     return x
@@ -196,8 +166,10 @@ def max_unambiguous_delay(spacing: int, nu_m: int, cfg: AfdmConfig) -> int:
     """Largest delay the conventional comb tolerates: floor((Q-2*nu_m-1)/K), K = 2*c1*Nc.
 
     K is the config's integer ``two_c1_n`` and the floor is taken in
-    integers; K <= 0 bounds the delay by Nc - 1 alone.
+    integers; K <= 0 bounds the delay by Nc - 1 alone.  Q >= 1 and nu_m >= 0 are integers.
     """
+    check_count(spacing, "spacing")
+    check_count(nu_m, "nu_m", least=0)
     k = cfg.two_c1_n
     margin = spacing - 2 * nu_m - 1
     if margin < 0:
@@ -207,41 +179,32 @@ def max_unambiguous_delay(spacing: int, nu_m: int, cfg: AfdmConfig) -> int:
 
 @dataclass(frozen=True)
 class PilotScheme:
-    """Selectable pilot family with its parameters (used by experiment configs).
+    """A pilot family and its power, positive and finite; nothing else.
 
-    variant is one of "proposed", "traditional_spi", "single".  ``r`` applies
-    to the proposed family; ``tau_m``/``nu_m``/``spacing``/``n_pilots`` to the
-    traditional one.
+    variant is one of "proposed", "traditional_spi", "single".  The family's
+    other parameters come from the config and the delay-Doppler footprint
+    that ``pilot_vector`` is given.
     """
 
     variant: str
     pilot_power: float
-    r: int = 0
-    tau_m: int = 0
-    nu_m: int = 0
-    spacing: Optional[int] = None
-    n_pilots: Optional[int] = None
 
     def __post_init__(self):
-        if self.variant not in ("proposed", "traditional_spi", "single"):
+        if not isinstance(self.variant, str) or self.variant not in ("proposed", "traditional_spi", "single"):
             raise ParameterError(f"unknown pilot variant {self.variant!r}")
-        if not (is_real(self.pilot_power) and 0 < self.pilot_power < math.inf):
-            raise ParameterError(f"pilot_power must be positive and finite, got {self.pilot_power!r}")
+        check_positive(self.pilot_power, "pilot_power")
 
 
-def pilot_vector(scheme: PilotScheme, cfg: AfdmConfig) -> np.ndarray:
-    """Build the DAFT-domain pilot vector for a scheme."""
+def pilot_vector(scheme: PilotScheme, cfg: AfdmConfig, tau_m: int, nu_m: int) -> np.ndarray:
+    """The DAFT-domain pilot of ``scheme`` for the footprint (tau_m, nu_m).
+
+    Only the traditional comb reads the footprint; the proposed comb
+    (r = 0) takes its spacing from the config's chirp rate.
+    """
     if scheme.variant == "proposed":
-        return proposed_pilot(cfg, scheme.pilot_power, r=scheme.r)
+        return proposed_pilot(cfg, scheme.pilot_power)
     if scheme.variant == "traditional_spi":
-        return traditional_spi_pilot(
-            cfg,
-            scheme.pilot_power,
-            tau_m=scheme.tau_m,
-            nu_m=scheme.nu_m,
-            spacing=scheme.spacing,
-            n_pilots=scheme.n_pilots,
-        )
+        return traditional_spi_pilot(cfg, scheme.pilot_power, tau_m, nu_m)
     return single_pilot(cfg, scheme.pilot_power)
 
 

@@ -39,6 +39,7 @@ from .errors import (
     ParameterError,
     check_count,
     check_nonnegative,
+    check_positive,
     check_reals,
     check_stack,
     is_integer,
@@ -142,8 +143,7 @@ class DetectionConfig:
     train: tuple[int, int] = (5, 2)
 
     def __post_init__(self):
-        if not (is_real(self.gamma) and 0 < self.gamma < math.inf):
-            raise ParameterError(f"gamma must be positive and finite, got {self.gamma!r}")
+        check_positive(self.gamma, "gamma")
         for name in ("guard", "train"):
             widths = getattr(self, name)
             if np.ndim(widths) != 1 or len(widths) != 2 or not all(map(is_integer, widths)):
@@ -299,7 +299,8 @@ class SensingScenario:
     ``receive_snr_db`` = |beta|^2 * Pt / (Nc * noise_power) in dB.  The
     budgets are integers with 1 <= tau_m <= cfg.n_cpp, so every delay of the
     search grid lies within the prefix; the SNR is finite and the noise power
-    finite and non-negative (0 is a noiseless scenario).
+    finite and non-negative (0 is a noiseless scenario).  The traditional
+    comb's footprint is the (tau_m, nu_m) the receiver searches.
     """
 
     cfg: AfdmConfig
@@ -312,6 +313,11 @@ class SensingScenario:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
 
     def __post_init__(self):
+        for name, kind in (("cfg", AfdmConfig), ("frame_spec", FrameSpec), ("pilot", PilotScheme),
+                           ("detection", DetectionConfig)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ParameterError(f"{name} must be of type {kind.__name__}, got {value!r}")
         check_count(self.tau_m, "tau_m")
         check_count(self.nu_m, "nu_m")
         if self.tau_m > self.cfg.n_cpp:
@@ -403,12 +409,10 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     1-D array, both checked before any draw.
     """
     check_count(n_trials, "n_trials", least=100)
-    gamma_grid = np.asarray(gamma_grid, dtype=np.float64)
-    if gamma_grid.ndim != 1 or gamma_grid.size == 0 or not np.all(np.isfinite(gamma_grid)):
-        raise ParameterError(
-            f"gamma_grid must be a non-empty finite 1-D array, got {gamma_grid!r}"
-        )
-    x_p = pilot_vector(scenario.pilot, scenario.cfg)
+    gamma_grid = check_reals(gamma_grid, "gamma_grid")
+    if gamma_grid.ndim != 1 or gamma_grid.size == 0:
+        raise ParameterError(f"gamma_grid must be a non-empty 1-D array, got shape {gamma_grid.shape}")
+    x_p = pilot_vector(scenario.pilot, scenario.cfg, scenario.tau_m, scenario.nu_m)
     grid = sensing_grid(scenario.tau_m, scenario.nu_m)
     block = max(1, _BLOCK_BYTES // (16 * grid[1].size * scenario.cfg.n_sub))
     blocks = [

@@ -407,7 +407,6 @@ class TestTheorem2And3:
             total_data_power=64.0,
             n_frames=3000,
             rng=rng,
-            pilot_builder=lambda cfg: proposed_pilot(cfg, pilot_power=100.0, r=0),
         )
         assert report.passed
         assert -1.1 <= report.details["slope_mc"] <= -0.9
@@ -459,7 +458,8 @@ class TestTheorem4:
 
     def test_overreached_traditional_pilot_couples(self):
         cfg = AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32)
-        x_p = traditional_spi_pilot(cfg, 100.0, spacing=16, n_pilots=8)
+        # the (1, 2) footprint's comb, spacing 13 and 9 pilots, against the (15, 2) grid
+        x_p = traditional_spi_pilot(cfg, 100.0, tau_m=1, nu_m=2)
         grid = basis_grid(tau_m=15, nu_m=2)
         report = verify_theorem_4(x_p, cfg, grid.pairs)
         assert report.passed

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp, waveform_samples
+from afdm_isac import AfdmConfig, add_cpp, daft, idaft, pilots, remove_cpp, waveform_samples
 from afdm_isac.analysis import (
     PowerAllocation,
     ambiguity_function,
@@ -54,9 +54,14 @@ from afdm_isac.modem import FrameSpec, demap_symbols, map_bits, random_data_vect
 from afdm_isac.pilots import (
     PilotScheme,
     ZcParams,
+    max_unambiguous_delay,
+    pilot_vector,
     proposed_delay_limit,
+    proposed_pilot,
+    proposed_spacing,
     select_c1_q,
     single_pilot,
+    traditional_spacing,
     traditional_spi_pilot,
 )
 from afdm_isac.sensing import (
@@ -73,6 +78,7 @@ from afdm_isac.sensing import (
 
 CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
 CFG32 = AfdmConfig(n_sub=32, n_cpp=4, c1=1 / 16)
+CFG128 = AfdmConfig(n_sub=128, c1=1 / 32)  # K = 8
 SPEC = FrameSpec(16.0, 1.0)
 GRID = basis_grid(2, 1)
 H = PathChannel(CFG, [0, 1], [0, 1], [1.0, 0.2j])
@@ -104,8 +110,9 @@ VALUES = {
 
 
 def scenario(**change):
-    kwargs = dict(tau_m=2, nu_m=1, receive_snr_db=10.0, noise_power=1.0)
-    return SensingScenario(CFG, SPEC, PilotScheme("single", 16.0), **{**kwargs, **change})
+    kwargs = dict(cfg=CFG, frame_spec=SPEC, pilot=PilotScheme("single", 16.0), tau_m=2, nu_m=1,
+                  receive_snr_db=10.0, noise_power=1.0)
+    return SensingScenario(**{**kwargs, **change})
 
 
 def rng():
@@ -172,6 +179,10 @@ SITES = [
     ("FrameSpec.data_symbol_power", lambda v: FrameSpec(1.0, v), ParameterError,
      "^data_symbol_power", NONNEGATIVE),
     ("single_pilot.pilot_power", lambda v: single_pilot(CFG, v), ParameterError, "^pilot_power", NONNEGATIVE),
+    ("proposed_pilot.pilot_power", lambda v: proposed_pilot(CFG, v), ParameterError, "^pilot_power",
+     NONNEGATIVE),
+    ("traditional_spi_pilot.pilot_power", lambda v: traditional_spi_pilot(CFG, v, 1, 1), ParameterError,
+     "^pilot_power", NONNEGATIVE),
     ("SensingTarget.noise_power", lambda v: SensingTarget(1.0, 1.0, 0.0, v), ParameterError,
      "^target noise power", NONNEGATIVE),
     ("SensingScenario.noise_power", lambda v: scenario(noise_power=v), ParameterError,
@@ -217,10 +228,22 @@ SITES = [
     ("sample_channel.L", lambda v: sample_channel(v, 2, 1, rng()), ParameterError, "^L must", set()),
     ("ZcParams.length", lambda v: ZcParams(v), ParameterError, "^ZC length", set()),
     ("select_c1_q.nu_m", lambda v: select_c1_q(v, CFG), ParameterError, "^nu_m", set()),
-    ("traditional_spi_pilot.n_pilots", lambda v: traditional_spi_pilot(CFG, 16.0, spacing=4, n_pilots=v),
-     ParameterError, "^pilot count", {"None"}),
-    ("traditional_spi_pilot.spacing", lambda v: traditional_spi_pilot(CFG, 16.0, spacing=v),
-     ParameterError, "^spacing", {"None"}),
+    ("proposed_spacing.r", lambda v: proposed_spacing(CFG, v), ParameterError, "^r must", set()),
+    ("traditional_spacing.tau_m", lambda v: traditional_spacing(CFG, v, 1), ParameterError, "^tau_m", set()),
+    ("traditional_spacing.nu_m", lambda v: traditional_spacing(CFG, 1, v), ParameterError, "^nu_m", set()),
+    ("traditional_spi_pilot.tau_m", lambda v: traditional_spi_pilot(CFG, 16.0, v, 1), ParameterError,
+     "^tau_m", set()),
+    # the footprint reaches only the traditional comb
+    ("pilot_vector.tau_m", lambda v: pilot_vector(PilotScheme("traditional_spi", 16.0), CFG, v, 1),
+     ParameterError, "^tau_m", set()),
+    ("pilot_vector.nu_m", lambda v: pilot_vector(PilotScheme("traditional_spi", 16.0), CFG, 1, v),
+     ParameterError, "^nu_m", set()),
+    ("max_unambiguous_delay.spacing", lambda v: max_unambiguous_delay(v, 1, CFG), ParameterError,
+     "^spacing", set()),
+    ("max_unambiguous_delay.nu_m", lambda v: max_unambiguous_delay(8, v, CFG), ParameterError, "^nu_m",
+     set()),
+    # an integer coprime with the ZC length 8
+    ("ZcParams.root", lambda v: ZcParams(8, v), ParameterError, "^ZC root", {"-1"}),
     # an int64 integer array
     ("PathChannel.delays", lambda v: PathChannel(CFG, v, [0], [1.0]), ParameterError, "delays", set()),
     ("PathChannel.dopplers", lambda v: PathChannel(CFG, [0], v, [1.0]), ParameterError, "(?i)dopplers", set()),
@@ -238,11 +261,14 @@ SITES = [
     # a finite real scalar
     ("AfdmConfig.c1", lambda v: AfdmConfig(n_sub=16, c1=v), ConfigurationError, "^c1", {"-1", "2.5"}),
     ("AfdmConfig.delta_f", lambda v: AfdmConfig(n_sub=16, delta_f=v), ConfigurationError, "^delta_f", {"2.5"}),
+    # a positive, finite real scalar
+    ("PilotScheme.pilot_power", lambda v: PilotScheme("single", v), ParameterError, "^pilot_power", {"2.5"}),
     ("DetectionConfig.gamma", lambda v: DetectionConfig(gamma=v), ParameterError, "^gamma", {"2.5"}),
+    ("crb_distribution.total_power", lambda v: crb_distribution(CFG, TARGET, v, 4, rng()), ParameterError,
+     "^total_power", {"2.5"}),
     # a real scalar, not NaN
     ("detect.gamma", lambda v: detect(MAP, np.ones((2, 3)), v), ParameterError, "^gamma",
      {"-1", "+inf", "-inf", "2.5"}),
-    ("PilotScheme.pilot_power", lambda v: PilotScheme("single", v), ParameterError, "^pilot_power", {"2.5"}),
     ("SensingScenario.receive_snr_db", lambda v: scenario(receive_snr_db=v), ParameterError,
      "^receive_snr_db", {"-1", "2.5"}),
     # finite numbers, scalars or one target per row: a complex gain, a real delay and Doppler
@@ -255,8 +281,16 @@ SITES = [
     # the path contracts: a finite complex gain and a finite real Doppler
     ("ChannelPath.gain", lambda v: ChannelPath(v, 0, 0.0), ParameterError, "^path gain", {"-1", "1j", "2.5"}),
     ("ChannelPath.doppler", lambda v: ChannelPath(1.0, 0, v), ParameterError, "^path Doppler", {"-1", "2.5"}),
-    # a member of the Constellation enum
+    # an instance of the package's own type
+    ("SensingScenario.cfg", lambda v: scenario(cfg=v), ParameterError, "^cfg must be of type", set()),
+    ("SensingScenario.frame_spec", lambda v: scenario(frame_spec=v), ParameterError,
+     "^frame_spec must be of type", set()),
+    ("SensingScenario.pilot", lambda v: scenario(pilot=v), ParameterError, "^pilot must be of type", set()),
+    ("SensingScenario.detection", lambda v: scenario(detection=v), ParameterError,
+     "^detection must be of type", set()),
+    # a member of the Constellation enum, a pilot family's name
     ("FrameSpec.constellation", lambda v: FrameSpec(1.0, 1.0, v), ParameterError, "^constellation", set()),
+    ("PilotScheme.variant", lambda v: PilotScheme(v, 1.0), ParameterError, "^unknown pilot variant", set()),
     # 0/1 numbers: a bit stream whose length is a multiple of the bits per symbol
     ("map_bits", lambda v: map_bits(v, SPEC), ParameterError, "^bit", {"wrong shape", "2 elements"}),
     # one 0/1 indicator per grid pair
@@ -269,6 +303,8 @@ SITES = [
     ("waveform_samples.tau", lambda v: waveform_samples(ONES, CFG, v), ParameterError, "^delays",
      {"-1", "2 elements", "2.5", "True"}),
     ("rdf.grid", lambda v: rdf(ONES, ONES, (v, [0.0]), CFG), ParameterError, "^grid axes", {"2 elements"}),
+    ("roc_curve.gamma_grid", lambda v: roc_curve(scenario(detection=SMALL_WINDOW), v, 100, rng()),
+     ParameterError, "^gamma_grid", {"2 elements"}),
     ("pd_at_pfa.pfa_targets", lambda v: pd_at_pfa(CURVE, v), ParameterError, "^pfa_targets",
      {"wrong shape", "-1", "2 elements", "2.5", "True"}),
     ("delay_doppler_to_range_velocity.tau_hat", lambda v: delay_doppler_to_range_velocity(v, 1.0, CFG),
@@ -374,7 +410,6 @@ DEFECTS = {
     # accepted, then a bare AttributeError on first use
     "FrameSpec constellation 'qpsk'": lambda: FrameSpec(1.0, 1.0, "qpsk"),
     # bare ZeroDivisionError
-    "traditional_spi_pilot spacing 0": lambda: traditional_spi_pilot(CFG, 1.0, spacing=0),
     "proposed_delay_limit K 0": lambda: proposed_delay_limit(AfdmConfig(n_sub=16)),
     # bare ValueError from scipy
     "regularized_solve r NaN": lambda: H.regularized_solve(np.full(16, math.nan), 0.1),
@@ -387,6 +422,27 @@ DEFECTS = {
     "prior numeric strings": lambda: PriorModel(["1", "1"], 1.0),
     # accepted, then a NaN noise level
     "effective noise NaN variance": lambda: effective_noise_covariance([math.nan, 1.0], 1.0, 1.0),
+    # accepted, a float spacing (17.0, 7.0); a negative Doppler budget's comb (3, 42)
+    "traditional_spacing tau_m 1.5": lambda: traditional_spacing(CFG128, 1.5, 2),
+    "traditional_spacing nu_m -3": lambda: traditional_spacing(CFG128, 1, -3),
+    # accepted, a delay budget of 2 from a fractional Doppler budget or spacing
+    "max_unambiguous_delay nu_m 1.5": lambda: max_unambiguous_delay(21, 1.5, CFG128),
+    "max_unambiguous_delay spacing 21.7": lambda: max_unambiguous_delay(21.7, 2, CFG128),
+    # accepted as r = 1
+    "proposed_spacing r True": lambda: proposed_spacing(CFG128, True),
+    # bare TypeError from math.gcd
+    "ZcParams root 1.5": lambda: ZcParams(8, 1.5),
+    "ZcParams root 'a'": lambda: ZcParams(8, "a"),
+    # accepted as a total power of 1; bare TypeError
+    "crb_distribution total_power True": lambda: crb_distribution(CFG, TARGET, True, 4, rng()),
+    "crb_distribution total_power '1'": lambda: crb_distribution(CFG, TARGET, "1", 4, rng()),
+    # accepted, then a bare AttributeError in roc_curve
+    "SensingScenario pilot 'proposed'": lambda: scenario(pilot="proposed"),
+    "SensingScenario frame_spec None": lambda: scenario(frame_spec=None),
+    # bare ValueError ("truth value of an array is ambiguous")
+    "PilotScheme variant array": lambda: PilotScheme(np.array(["proposed", "single"]), 1.0),
+    # bare ValueError from numpy
+    "roc_curve gamma_grid letters": lambda: roc_curve(scenario(), ["a"], 100, rng()),
 }
 
 
@@ -394,6 +450,25 @@ DEFECTS = {
 def test_defect_is_refused(defect):
     with pytest.raises(ParameterError):
         DEFECTS[defect]()
+
+
+# the entry points of a module that no SITES row feeds, each with the reason
+UNFED = {
+    pilots: {
+        # its one argument is a ZcParams, whose fields the ZcParams rows check
+        "zc_sequence",
+        # its one argument is an AfdmConfig; the K = 0 config is a DEFECTS row
+        "proposed_delay_limit",
+    },
+}
+
+
+@pytest.mark.parametrize("module", list(UNFED), ids=lambda module: module.__name__)
+def test_every_entry_point_is_fed(module):
+    # a site is named "<entry point>.<argument>" or "<entry point> <operator>"
+    fed = {site.split(".")[0].split(" ")[0] for site, *_ in SITES}
+    entry_points = {name for name in module.__all__ if callable(getattr(module, name))}
+    assert entry_points - fed == UNFED[module]
 
 
 

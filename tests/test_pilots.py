@@ -35,6 +35,14 @@ def pilot_designs(draw):
     return 2**p, nu_m, r, 2 * draw(st.integers(0, 64)) + 1
 
 
+def raw_zc_comb(cfg, pilot_power, r):
+    """The proposed comb without its chirp correction: bare ZC values at spacing Q."""
+    spacing, n_p = proposed_spacing(cfg, r)
+    x = np.zeros(cfg.n_sub, dtype=np.complex128)
+    x[np.arange(n_p) * spacing] = math.sqrt(pilot_power / n_p) * zc_sequence(ZcParams(n_p))
+    return x
+
+
 def _examples(inputs):
     """Stack one hypothesis ``@example(design=...)`` per input."""
 
@@ -173,7 +181,7 @@ class TestProposedPilot:
         # lattice
         limit = proposed_delay_limit(self.CFG)
         for r in (0, 1):
-            x = proposed_pilot(self.CFG, 100.0, r=r, chirp_correction=False)
+            x = raw_zc_comb(self.CFG, 100.0, r)
             region = (np.arange(-limit, limit + 1), np.arange(-8, 9))
             surf = ambiguity_function(idaft(x, self.CFG), region, self.CFG)
             mags = np.abs(surf.values)
@@ -184,7 +192,7 @@ class TestProposedPilot:
     def test_any_comb_is_doppler_clean_within_budget(self):
         # the coupling rule zeroes every spacing-Q comb at 0 < |nu| < 2*c1*Nc,
         # phases or not
-        x = proposed_pilot(self.CFG, 100.0, r=0, chirp_correction=False)
+        x = raw_zc_comb(self.CFG, 100.0, 0)
         region = (np.arange(-15, 16), np.array([-4, -3, -2, -1, 1, 2, 3, 4]))
         surf = ambiguity_function(idaft(x, self.CFG), region, self.CFG)
         assert np.abs(surf.values).max() < 1e-10 * 100.0
@@ -206,15 +214,6 @@ class TestTraditionalPilot:
     def test_energy(self):
         x = traditional_spi_pilot(self.CFG, 100.0, tau_m=1, nu_m=2)
         assert np.linalg.norm(x) ** 2 == pytest.approx(100.0, rel=1e-12)
-
-    def test_pinned_knobs(self):
-        x = traditional_spi_pilot(self.CFG, 100.0, spacing=16, n_pilots=8)
-        assert np.count_nonzero(x) == 8
-        assert np.array_equal(np.flatnonzero(np.abs(x) > 0), np.arange(8) * 16)
-
-    def test_overfull_comb_rejected(self):
-        with pytest.raises(ParameterError):
-            traditional_spi_pilot(self.CFG, 100.0, spacing=16, n_pilots=9)
 
     def test_ideal_within_footprint(self):
         # inside its validity region the comb is interference-free
@@ -291,12 +290,14 @@ class TestSchemeDispatch:
     CFG = AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32)
 
     def test_variants(self):
+        # the footprint (tau_m, nu_m) = (1, 2) sets the traditional comb's
+        # spacing 13 and count 9; the proposed comb's count 16 is the config's
         for scheme, expected_count in [
-            (PilotScheme("proposed", 100.0, r=1), 8),
-            (PilotScheme("traditional_spi", 100.0, spacing=16, n_pilots=8), 8),
+            (PilotScheme("proposed", 100.0), 16),
+            (PilotScheme("traditional_spi", 100.0), 9),
             (PilotScheme("single", 100.0), 1),
         ]:
-            x = pilot_vector(scheme, self.CFG)
+            x = pilot_vector(scheme, self.CFG, 1, 2)
             assert np.count_nonzero(x) == expected_count
             assert np.linalg.norm(x) ** 2 == pytest.approx(scheme.pilot_power, rel=1e-12)
 

@@ -608,7 +608,7 @@ def per_trial_roc(scenario, gamma_grid, n_trials, rng):
     The reference for the blocked form: same draws, same statistics.
     """
     cfg = scenario.cfg
-    x_p = pilot_vector(scenario.pilot, cfg)
+    x_p = pilot_vector(scenario.pilot, cfg, scenario.tau_m, scenario.nu_m)
     grid = sensing_grid(scenario.tau_m, scenario.nu_m)
     snr = 10.0 ** (scenario.receive_snr_db / 10.0)
     rows = []
@@ -647,12 +647,37 @@ def parity_scenario(n_sub, pilot):
     )
 
 
+def roc_settings_scenario(pilot):
+    """The roc benchmark's settings: N = 256, K = 8, tau_m = 15, nu_m = 3, -10 dB."""
+    return SensingScenario(
+        cfg=AfdmConfig(n_sub=256, n_cpp=16, c1=1 / 64),
+        frame_spec=FrameSpec(256.0, 1.0, Constellation.QPSK),
+        pilot=PilotScheme(pilot, 256.0),
+        tau_m=15,
+        nu_m=3,
+        receive_snr_db=-10.0,
+    )
+
+
+def recording_blocks(monkeypatch):
+    """Records the (pilot, size) of every ``_detection_block`` call."""
+    calls = []
+    block = sensing._detection_block
+
+    def recording_block(scenario, x_p, grid, size, rng):
+        calls.append((x_p, size))
+        return block(scenario, x_p, grid, size, rng)
+
+    monkeypatch.setattr(sensing, "_detection_block", recording_block)
+    return calls
+
+
 class TestRoc:
     def make_scenario(self, snr_db):
         return SensingScenario(
             cfg=CFG,
             frame_spec=FrameSpec(100.0, 1.0, Constellation.QPSK),
-            pilot=PilotScheme("proposed", 100.0, r=0),
+            pilot=PilotScheme("proposed", 100.0),
             tau_m=7,
             nu_m=2,
             receive_snr_db=snr_db,
@@ -692,24 +717,20 @@ class TestRoc:
         # the roc benchmark's settings: 7 Dopplers x 256 subcarriers of complex
         # numbers, 28 KiB a trial, so the 1 MiB budget runs 100 trials in blocks
         # of 36; the 16 delays are a window view and set no size
-        sizes = []
-        block = sensing._detection_block
+        calls = recording_blocks(monkeypatch)
+        roc_curve(roc_settings_scenario("proposed"), [1.0, 10.0], 100, np.random.default_rng(1))
+        assert [size for _, size in calls] == [36, 36, 28]
 
-        def counting_block(scenario, x_p, grid, size, rng):
-            sizes.append(size)
-            return block(scenario, x_p, grid, size, rng)
-
-        monkeypatch.setattr(sensing, "_detection_block", counting_block)
-        scenario = SensingScenario(
-            cfg=AfdmConfig(n_sub=256, n_cpp=16, c1=1 / 64),
-            frame_spec=FrameSpec(256.0, 1.0, Constellation.QPSK),
-            pilot=PilotScheme("proposed", 256.0),
-            tau_m=15,
-            nu_m=3,
-            receive_snr_db=-10.0,
-        )
-        roc_curve(scenario, [1.0, 10.0], 100, np.random.default_rng(1))
-        assert sizes == [36, 36, 28]
+    def test_traditional_comb_takes_the_scenario_footprint(self, monkeypatch):
+        # the comb is the scenario's footprint's, K*tau_m + 2*nu_m + 1 = 8*15 + 7
+        # = 127: two pilots at spacing 127 fit in 256 subcarriers, where a (0, 0)
+        # footprint would put one on every subcarrier
+        calls = recording_blocks(monkeypatch)
+        roc_curve(roc_settings_scenario("traditional_spi"), [1.0, 10.0], 100, np.random.default_rng(1))
+        assert len(calls) == 3
+        for x_p, _ in calls:
+            assert np.array_equal(np.flatnonzero(x_p), [0, 127])
+            assert np.linalg.norm(x_p) ** 2 == pytest.approx(256.0, rel=1e-12)
 
     def test_noiseless_scenario_draws_no_noise(self):
         scenario = dataclasses.replace(self.make_scenario(0.0), noise_power=0.0)
