@@ -59,9 +59,10 @@ axis in blocks sized by the package's one byte budget,
 ``sensing._BLOCK_BYTES`` (1 MiB), so no (frames or draws) x Nc stack is
 built: each holds about one budget of temporaries.  The random stream does
 not depend on the block size.  A block of frames draws its data symbols as
-one ``rng.bytes`` call, 8/k symbols per byte for k bits per symbol (k must
-divide 8), each frame whole 32-bit words, and a 256-row table turns every
-byte into its symbols.  Dirichlet(1, ..., 1) allocations are drawn as the
+one ``rng.bytes`` call and reads them through ``modem._PackedFrames``, the
+package's one packed-byte rule (a 256-row table, 8/k symbols per byte for k
+bits per symbol, each frame whole 32-bit words), which ``sensing.roc_curve``
+reads too.  Dirichlet(1, ..., 1) allocations are drawn as the
 normalised unit exponentials that ``rng.dirichlet`` itself draws.
 """
 
@@ -93,7 +94,7 @@ from .errors import (
     check_stack,
     check_vector,
 )
-from .modem import Constellation, FrameSpec
+from .modem import Constellation, FrameSpec, _PackedFrames
 from .pilots import proposed_pilot
 from .sensing import _BLOCK_BYTES, RangeDopplerMap, _correlate
 
@@ -250,18 +251,14 @@ def ambiguity_moments_mc(
     is the identity and the value is the frame energy, read as such; with
     no other point there is no channel and no ``images`` call.
 
-    The data symbols are packed random bytes: with k bits per symbol (2 or
-    4; k must divide 8), byte b carries the 8/k points (b >> k*j) & (M - 1),
-    j = 0, 1, ..., read through a (256, 8/k) table by one row gather.  A
-    frame takes its Nc symbols from ceil(Nc*k/32) whole 32-bit words and a
-    block of frames is one ``rng.bytes`` call (little-endian words on every
-    platform), so the draws do not depend on the block size and the
-    generator ends where one call for all frames would leave it.  The
-    frames are built and read in blocks of rows, as many per block as a
-    complex block and its (block, points, Nc) images fit in
-    ``sensing._BLOCK_BYTES`` (at least one frame), each by one ``images``
-    call and one batched row dot.  Every frame's value is bit for bit the
-    same at any block size.
+    The data symbols are packed random bytes read by ``modem._PackedFrames``
+    (k bits per symbol must divide 8), one ``rng.bytes`` call per block of
+    frames, so the draws do not depend on the block size and the generator
+    ends where one call for all frames would leave it.  The frames are
+    built and read in blocks of rows, as many per block as a complex block
+    and its (block, points, Nc) images fit in ``sensing._BLOCK_BYTES`` (at
+    least one frame), each by one ``images`` call and one batched row dot.
+    Every frame's value is bit for bit the same at any block size.
 
     ``x_pilot`` must have shape (Nc,), ``points`` be a non-empty list of
     integer (delay, Doppler) pairs and ``n_frames`` an integer >= 1; all
@@ -277,23 +274,12 @@ def ambiguity_moments_mc(
         whole, t = np.divmod(taus[off], n)
         sign = np.where(cfg.prefix_flips & (whole % 2 == 1), -1.0, 1.0)
         h = PathChannel(cfg, t, nus[off], sign * np.conj(cfg.dft_twiddle[nus[off] % n * t % n]))
-    # scaling the constellation before the gather gives the same products at
-    # one multiply per point instead of one per frame sample
-    symbols = spec.constellation.points * spec.sigma_d
-    k = spec.constellation.bits_per_symbol
-    per = 8 // k  # symbols per random byte, low bits first
-    table = symbols[(np.arange(256)[:, None] >> (k * np.arange(per))) & (symbols.shape[0] - 1)]
-    width = -(-n // per)
-    frame_bytes = 4 * -(-width // 4)  # whole 32-bit words, so blocks split the stream exactly
     block = max(1, _BLOCK_BYTES // (16 * n * (1 + paths)))
-    buffer = np.empty((min(block, n_frames), width, per), dtype=np.complex128)
+    packed = _PackedFrames(spec, n, min(block, n_frames))
     values = np.empty((len(taus), n_frames), dtype=np.complex128)
     for start in range(0, n_frames, block):
         count = min(block, n_frames - start)
-        raw = np.frombuffer(rng.bytes(count * frame_bytes), np.uint8).reshape(count, frame_bytes)
-        # the bytes index all 256 rows; mode "raise" would gather into a copy of out
-        np.take(table, raw[:, :width], axis=0, out=buffer[:count], mode="clip")
-        frames = buffer[:count].reshape(count, width * per)[:, :n]
+        frames = packed.read(packed.draw(rng, count))
         frames += x_pilot
         if paths:
             values[off, start : start + count] = np.vecdot(frames[:, None], h.images(frames)).T

@@ -151,6 +151,42 @@ def demap_symbols(y_eq, spec: FrameSpec) -> np.ndarray:
     return bits.ravel()
 
 
+class _PackedFrames:
+    """Frames of ``n_sub`` sigma_d-scaled data symbols read from packed random bytes.
+
+    With k bits per symbol (2 or 4; k must divide 8), byte b carries the 8/k
+    symbols (b >> k*j) & (M - 1), j = 0, 1, ..., read through a (256, 8/k)
+    table by one row gather into a buffer of ``rows`` frames, reused by
+    every read.  A frame takes its symbols from the first ceil(n_sub*k/8)
+    of its ``frame_bytes``, whole 32-bit words, so frames drawn together or
+    apart read the same generator stream (``rng.bytes`` reads little-endian
+    words on every platform).
+    """
+
+    def __init__(self, spec: FrameSpec, n_sub: int, rows: int):
+        # scaling the constellation before the gather gives the same products at
+        # one multiply per point instead of one per frame sample
+        symbols = spec.constellation.points * spec.sigma_d
+        k = spec.constellation.bits_per_symbol
+        per = 8 // k  # symbols per random byte, low bits first
+        self.table = symbols[(np.arange(256)[:, None] >> (k * np.arange(per))) & (symbols.shape[0] - 1)]
+        self.n_sub = n_sub
+        self.width = -(-n_sub // per)
+        self.frame_bytes = 4 * -(-self.width // 4)
+        self.buffer = np.empty((rows, self.width, per), dtype=np.complex128)
+
+    def draw(self, rng, count: int) -> np.ndarray:
+        """The (count, frame_bytes) bytes of ``count`` frames, one ``rng.bytes`` call."""
+        return np.frombuffer(rng.bytes(count * self.frame_bytes), np.uint8).reshape(count, -1)
+
+    def read(self, raw: np.ndarray) -> np.ndarray:
+        """The (rows, n_sub) frames of the byte rows ``raw``, a view into the buffer."""
+        out = self.buffer[: raw.shape[0]]
+        # the bytes index all 256 rows; mode "raise" would gather into a copy of out
+        np.take(self.table, raw[:, : self.width], axis=0, out=out, mode="clip")
+        return out.reshape(raw.shape[0], -1)[:, : self.n_sub]
+
+
 def random_data_vector(n_sub: int, spec: FrameSpec, rng) -> tuple[np.ndarray, np.ndarray]:
     """Draw one frame worth of random bits and map them; returns (bits, x_data)."""
     check_count(n_sub, "n_sub")

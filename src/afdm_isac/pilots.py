@@ -198,9 +198,12 @@ class PilotScheme:
 def pilot_vector(scheme: PilotScheme, cfg: AfdmConfig, tau_m: int, nu_m: int) -> np.ndarray:
     """The DAFT-domain pilot of ``scheme`` for the footprint (tau_m, nu_m).
 
-    Only the traditional comb reads the footprint; the proposed comb
-    (r = 0) takes its spacing from the config's chirp rate.
+    Only the traditional comb reads the footprint, but every family checks
+    it: integers >= 0.  The proposed comb (r = 0) takes its spacing from the
+    config's chirp rate.
     """
+    check_count(tau_m, "tau_m", least=0)
+    check_count(nu_m, "nu_m", least=0)
     if scheme.variant == "proposed":
         return proposed_pilot(cfg, scheme.pilot_power)
     if scheme.variant == "traditional_spi":

@@ -20,14 +20,16 @@ in blocks on that axis, as many as fit the byte budget ``_BLOCK_BYTES`` with
 the largest stack a block builds, ``_correlate``'s (trials, Dopplers, Nc)
 Doppler-ramped echo.  Its delays are a run of whole delays, so
 ``waveform_samples`` reads the delayed symbols as a window view of one
-chirp-periodic extension and builds no (trials, delays, Nc) stack.  Only the
-random draws loop per trial, in a lone trial's order (bits, target uniforms,
-noise), so a seed gives the same curve at any block size.
+chirp-periodic extension and builds no (trials, delays, Nc) stack.  The
+random draws are made per call and per block, not per trial: every trial's
+data bytes, then every trial's target uniforms, then each block's noise, so
+a seed gives the same curve at any block size.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +47,7 @@ from .errors import (
     is_integer,
     is_real,
 )
-from .modem import FrameSpec, map_bits
+from .modem import FrameSpec, _PackedFrames
 from .pilots import PilotScheme, pilot_vector
 
 __all__ = [
@@ -160,14 +162,18 @@ def sensing_grid(
     """Delay axis [0, tau_m] and Doppler axis [-nu_m, nu_m] with integer oversampling.
 
     All four parameters are integers (numpy integers too, bools and whole
-    floats not), the rule of every integer budget in this module.
+    floats not), the rule of every integer budget in this module, read as
+    Python integers before any arithmetic; an axis of 2^63 cells or more
+    raises ``ParameterError``.
     """
-    if not all(map(is_integer, (tau_m, nu_m, os_tau, os_nu))):
-        raise ParameterError(
-            f"grid parameters must be integers, got {(tau_m, nu_m, os_tau, os_nu)!r}"
-        )
-    if min(tau_m, nu_m) < 0 or min(os_tau, os_nu) < 1:
-        raise ParameterError("need tau_m, nu_m >= 0 and os_tau, os_nu >= 1")
+    check_count(tau_m, "tau_m", least=0)
+    check_count(nu_m, "nu_m", least=0)
+    check_count(os_tau, "os_tau")
+    check_count(os_nu, "os_nu")
+    tau_m, nu_m, os_tau, os_nu = map(operator.index, (tau_m, nu_m, os_tau, os_nu))
+    cells = (tau_m * os_tau + 1, 2 * nu_m * os_nu + 1)
+    if max(cells) > np.iinfo(np.int64).max:
+        raise ParameterError(f"grid axes must have fewer than 2^63 cells, got {cells}")
     taus = np.arange(0, tau_m * os_tau + 1) / os_tau
     nus = np.arange(-nu_m * os_nu, nu_m * os_nu + 1) / os_nu
     return taus, nus
@@ -328,11 +334,13 @@ class SensingScenario:
             raise ParameterError(f"receive_snr_db must be finite, got {self.receive_snr_db!r}")
         check_nonnegative(self.noise_power, "noise_power")
 
-    def _draw_uniforms(self, rng) -> tuple[float, float, float]:
-        """The target's three draws, in order: delay, Doppler, gain phase (cycles)."""
-        tau = rng.uniform(_EDGE_MARGIN, self.tau_m - _EDGE_MARGIN)
-        nu = rng.uniform(-self.nu_m + _EDGE_MARGIN, self.nu_m - _EDGE_MARGIN)
-        return tau, nu, rng.uniform()
+    def _draw_uniforms(self, rng, count: int) -> np.ndarray:
+        """The (3, count) target draws, one call per row: delays, Dopplers, gain phases (cycles)."""
+        return np.array([
+            rng.uniform(_EDGE_MARGIN, self.tau_m - _EDGE_MARGIN, count),
+            rng.uniform(-self.nu_m + _EDGE_MARGIN, self.nu_m - _EDGE_MARGIN, count),
+            rng.uniform(size=count),
+        ])
 
     def _target(self, tau, nu, phase, total_power) -> SensingTarget:
         """One target per frame of a stack, from its draws and the frames' energies."""
@@ -352,36 +360,28 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _detection_block(
-    scenario: SensingScenario, x_p: np.ndarray, grid, size: int, rng
+    scenario: SensingScenario, x_p: np.ndarray, grid, packed: _PackedFrames, raw: np.ndarray,
+    uniforms: np.ndarray, noise: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``size`` Monte Carlo detection trials with pilot vector ``x_p`` on ``grid``.
+    """Detection trials with pilot ``x_p`` on ``grid``, one per row of the symbol bytes ``raw``.
 
+    Each trial's draws are given: its bytes, read into ``packed``'s buffer,
+    its (delay, Doppler, phase) column of ``uniforms`` and its (2, Nc) real
+    and imaginary ``noise``, scaled and added in place (None when noiseless).
     Per trial: the statistic at the global argmax, whether that argmax lies
     within one cell of the truth in both coordinates, and the maximum
     statistic outside that neighborhood.
     """
-    cfg, spec = scenario.cfg, scenario.frame_spec
-    n_bits = cfg.n_sub * spec.constellation.bits_per_symbol
-    noisy = scenario.noise_power > 0
-    bits = np.empty((size, n_bits), dtype=np.int64)
-    uniforms = np.empty((3, size))
-    noise = np.empty((size, 2, cfg.n_sub))  # a trial's real then imaginary parts
-    for t in range(size):
-        bits[t] = rng.integers(0, 2, n_bits)
-        uniforms[:, t] = scenario._draw_uniforms(rng)
-        if noisy:
-            rng.standard_normal(out=noise[t])
-    # bits, frames and noise go once read: the heap a block grows must stay below what
-    # malloc keeps between blocks, or every block hands it back and faults it in again
-    x = x_p + map_bits(bits, spec).reshape(size, cfg.n_sub)
-    del bits
+    cfg, size = scenario.cfg, raw.shape[0]
+    x = packed.read(raw)
+    x += x_p
     target = scenario._target(*uniforms, np.linalg.norm(x, axis=-1) ** 2)
     s = idaft(x, cfg)
-    del x
     echo = sensing_echo(s, cfg, target)
-    if noisy:
-        echo += math.sqrt(scenario.noise_power / 2.0) * (noise[:, 0] + 1j * noise[:, 1])
-    del noise
+    if noise is not None:
+        noise *= math.sqrt(scenario.noise_power / 2.0)
+        echo.real += noise[:, 0]
+        echo.imag += noise[:, 1]
     rd_map = rdf(echo, s, grid, cfg)
     stat = _statistic(rd_map.values, noise_floor(rd_map, scenario.detection)).reshape(size, -1)
     near_mask = (
@@ -402,9 +402,14 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     ``_BLOCK_BYTES`` with a complex (trials, Dopplers, Nc) stack, the largest
     one ``rdf`` builds: its delays are a run of whole delays, whose delayed
     symbols ``waveform_samples`` reads as a window view.
-    Each trial draws from ``rng`` in the order of a lone trial (data bits,
-    then the target's delay, Doppler and phase uniforms, then the real and
-    the imaginary noise), so the curve does not depend on the block size.
+
+    Draws from ``rng``, in order: one ``rng.bytes`` call for every trial's
+    data symbols (``modem._PackedFrames``), one ``uniform`` call each for
+    every trial's delay, Doppler and gain phase, then one ``standard_normal``
+    fill of each block's noise in trial order (none when noiseless), so the
+    curve and the generator's final state do not depend on the block size.
+    The up-front draws hold n_trials*(Nc*k/8 + 24) bytes, k bits per symbol
+    (8.8 KB for 100 QPSK trials at Nc = 256).
     ``n_trials`` is an integer >= 100 and ``gamma_grid`` a non-empty finite
     1-D array, both checked before any draw.
     """
@@ -412,13 +417,21 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     gamma_grid = check_reals(gamma_grid, "gamma_grid")
     if gamma_grid.ndim != 1 or gamma_grid.size == 0:
         raise ParameterError(f"gamma_grid must be a non-empty 1-D array, got shape {gamma_grid.shape}")
-    x_p = pilot_vector(scenario.pilot, scenario.cfg, scenario.tau_m, scenario.nu_m)
+    cfg = scenario.cfg
+    x_p = pilot_vector(scenario.pilot, cfg, scenario.tau_m, scenario.nu_m)
     grid = sensing_grid(scenario.tau_m, scenario.nu_m)
-    block = max(1, _BLOCK_BYTES // (16 * grid[1].size * scenario.cfg.n_sub))
-    blocks = [
-        _detection_block(scenario, x_p, grid, min(block, n_trials - start), rng)
-        for start in range(0, n_trials, block)
-    ]
+    block = min(n_trials, max(1, _BLOCK_BYTES // (16 * grid[1].size * cfg.n_sub)))
+    packed = _PackedFrames(scenario.frame_spec, cfg.n_sub, block)
+    raw = packed.draw(rng, n_trials)
+    uniforms = scenario._draw_uniforms(rng, n_trials)
+    noise = np.empty((block, 2, cfg.n_sub)) if scenario.noise_power > 0 else None
+    blocks = []
+    for start in range(0, n_trials, block):
+        stop = min(start + block, n_trials)
+        trial_noise = None if noise is None else rng.standard_normal(out=noise[: stop - start])
+        blocks.append(_detection_block(
+            scenario, x_p, grid, packed, raw[start:stop], uniforms[:, start:stop], trial_noise
+        ))
     peak, near, out_max = (np.concatenate(part) for part in zip(*blocks))
     gammas = gamma_grid[:, None]
     pfa = np.mean(out_max > gammas, axis=1)

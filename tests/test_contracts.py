@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from afdm_isac import AfdmConfig, add_cpp, daft, idaft, pilots, remove_cpp, waveform_samples
+from afdm_isac import AfdmConfig, add_cpp, daft, idaft, pilots, remove_cpp, sensing, waveform_samples
 from afdm_isac.analysis import (
     PowerAllocation,
     ambiguity_function,
@@ -74,6 +74,7 @@ from afdm_isac.sensing import (
     pd_at_pfa,
     rdf,
     roc_curve,
+    sensing_grid,
 )
 
 CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
@@ -233,10 +234,18 @@ SITES = [
     ("traditional_spacing.nu_m", lambda v: traditional_spacing(CFG, 1, v), ParameterError, "^nu_m", set()),
     ("traditional_spi_pilot.tau_m", lambda v: traditional_spi_pilot(CFG, 16.0, v, 1), ParameterError,
      "^tau_m", set()),
-    # the footprint reaches only the traditional comb
+    # the footprint reaches only the traditional comb, but every family checks it
     ("pilot_vector.tau_m", lambda v: pilot_vector(PilotScheme("traditional_spi", 16.0), CFG, v, 1),
      ParameterError, "^tau_m", set()),
     ("pilot_vector.nu_m", lambda v: pilot_vector(PilotScheme("traditional_spi", 16.0), CFG, 1, v),
+     ParameterError, "^nu_m", set()),
+    ("pilot_vector.tau_m proposed", lambda v: pilot_vector(PilotScheme("proposed", 16.0), CFG, v, 1),
+     ParameterError, "^tau_m", set()),
+    ("pilot_vector.nu_m proposed", lambda v: pilot_vector(PilotScheme("proposed", 16.0), CFG, 1, v),
+     ParameterError, "^nu_m", set()),
+    ("pilot_vector.tau_m single", lambda v: pilot_vector(PilotScheme("single", 16.0), CFG, v, 1),
+     ParameterError, "^tau_m", set()),
+    ("pilot_vector.nu_m single", lambda v: pilot_vector(PilotScheme("single", 16.0), CFG, 1, v),
      ParameterError, "^nu_m", set()),
     ("max_unambiguous_delay.spacing", lambda v: max_unambiguous_delay(v, 1, CFG), ParameterError,
      "^spacing", set()),
@@ -256,6 +265,10 @@ SITES = [
     ("interference_coefficient.nu", lambda v: interference_coefficient(0, 0, 0, v, CFG), ParameterError,
      "^path delay and Doppler", {"-1"}),
     ("ChannelPath.delay", lambda v: ChannelPath(1.0, v, 0.0), ParameterError, "^path delay", set()),
+    ("sensing_grid.tau_m", lambda v: sensing_grid(v, 1), ParameterError, "^tau_m", set()),
+    ("sensing_grid.nu_m", lambda v: sensing_grid(1, v), ParameterError, "^nu_m", set()),
+    ("sensing_grid.os_tau", lambda v: sensing_grid(1, 1, v, 1), ParameterError, "^os_tau", set()),
+    ("sensing_grid.os_nu", lambda v: sensing_grid(1, 1, 1, v), ParameterError, "^os_nu", set()),
     ("ambiguity_region.tau_m", lambda v: ambiguity_region(v, 0), ParameterError, "^tau_m", set()),
     ("ambiguity_region.nu_m", lambda v: ambiguity_region(0, v), ParameterError, "^nu_m", set()),
     # a finite real scalar
@@ -443,6 +456,8 @@ DEFECTS = {
     "PilotScheme variant array": lambda: PilotScheme(np.array(["proposed", "single"]), 1.0),
     # bare ValueError from numpy
     "roc_curve gamma_grid letters": lambda: roc_curve(scenario(), ["a"], 100, rng()),
+    # a RuntimeWarning from the int64 product, then a 1-cell delay axis
+    "sensing_grid delay cells beyond int64": lambda: sensing_grid(np.int64(2**62), 1, 4, 1),
 }
 
 
@@ -460,6 +475,7 @@ UNFED = {
         # its one argument is an AfdmConfig; the K = 0 config is a DEFECTS row
         "proposed_delay_limit",
     },
+    sensing: set(),
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib
 import math
@@ -13,7 +14,7 @@ from afdm_isac import AfdmConfig, idaft, sensing, waveform_samples
 from afdm_isac.analysis import ambiguity_function, ambiguity_region, cross_ambiguity
 from afdm_isac.channel import SensingTarget, sensing_echo
 from afdm_isac.errors import ParameterError
-from afdm_isac.modem import Constellation, FrameSpec, random_data_vector
+from afdm_isac.modem import Constellation, FrameSpec, map_bits, random_data_vector
 from afdm_isac.pilots import PilotScheme, pilot_vector, proposed_pilot
 from afdm_isac.sensing import (
     _correlate,
@@ -376,6 +377,12 @@ class TestSensingGrid:
         for axis, expect in zip(got, sensing_grid(3, 2, os_tau=2)):
             assert np.array_equal(axis, expect)
 
+    def test_budgets_are_read_as_python_integers(self):
+        # -nu_m * os_nu in uint8 arithmetic raised a bare OverflowError
+        got = sensing_grid(3, 1, 1, np.uint8(2))
+        for axis, expect in zip(got, sensing_grid(3, 1, 1, 2)):
+            assert np.array_equal(axis, expect)
+
 
 class TestDetectionConfig:
     @pytest.mark.parametrize(
@@ -603,23 +610,32 @@ class TestEstimateTarget:
 
 
 def per_trial_roc(scenario, gamma_grid, n_trials, rng):
-    """``roc_curve`` one trial at a time, with the target drawn and scaled inline.
+    """``roc_curve`` one trial at a time, in the stated draw order.
 
-    The reference for the blocked form: same draws, same statistics.
+    The reference for the blocked form: the data bytes of every trial, then
+    every trial's delay, Doppler and phase uniforms, then each trial's noise
+    in trial order, drawn by ``sensing_echo``; the bytes are read bit by bit
+    through ``map_bits`` and each trial's statistics are computed alone.
     """
-    cfg = scenario.cfg
+    cfg, spec = scenario.cfg, scenario.frame_spec
     x_p = pilot_vector(scenario.pilot, cfg, scenario.tau_m, scenario.nu_m)
     grid = sensing_grid(scenario.tau_m, scenario.nu_m)
     snr = 10.0 ** (scenario.receive_snr_db / 10.0)
+    k = spec.constellation.bits_per_symbol
+    # each trial's symbols fill whole 32-bit words, low bits of a byte first
+    frame_bytes = 4 * -(-cfg.n_sub * k // 32)
+    raw = np.frombuffer(rng.bytes(n_trials * frame_bytes), np.uint8).reshape(n_trials, frame_bytes)
+    taus = rng.uniform(0.5, scenario.tau_m - 0.5, n_trials)
+    nus = rng.uniform(-scenario.nu_m + 0.5, scenario.nu_m - 0.5, n_trials)
+    phases = rng.uniform(size=n_trials)
     rows = []
-    for _ in range(n_trials):
-        _, x_d = random_data_vector(cfg.n_sub, scenario.frame_spec, rng)
-        x = x_p + x_d
+    for trial, tau, nu, phase in zip(raw, taus, nus, phases):
+        # a symbol's value is its k bits read low bit first; map_bits takes them high bit first
+        bits = np.unpackbits(trial, bitorder="little").reshape(-1, k)[: cfg.n_sub, ::-1]
+        x = x_p + map_bits(bits, spec)
         s = idaft(x, cfg)
         beta_mag = math.sqrt(snr * cfg.n_sub * scenario.noise_power / np.linalg.norm(x) ** 2)
-        tau = rng.uniform(0.5, scenario.tau_m - 0.5)
-        nu = rng.uniform(-scenario.nu_m + 0.5, scenario.nu_m - 0.5)
-        gain = beta_mag * np.exp(2j * np.pi * rng.uniform())
+        gain = beta_mag * np.exp(2j * np.pi * phase)
         echo = sensing_echo(s, cfg, SensingTarget(gain, tau, nu, scenario.noise_power), rng)
         rd_map = rdf(echo, s, grid, cfg)
         stat = _statistic(rd_map.values, noise_floor(rd_map, scenario.detection))
@@ -660,16 +676,33 @@ def roc_settings_scenario(pilot):
 
 
 def recording_blocks(monkeypatch):
-    """Records the (pilot, size) of every ``_detection_block`` call."""
+    """Records the (pilot, trials) of every ``_detection_block`` call."""
     calls = []
     block = sensing._detection_block
 
-    def recording_block(scenario, x_p, grid, size, rng):
-        calls.append((x_p, size))
-        return block(scenario, x_p, grid, size, rng)
+    def recording_block(scenario, x_p, grid, packed, raw, *draws):
+        calls.append((x_p, raw.shape[0]))
+        return block(scenario, x_p, grid, packed, raw, *draws)
 
     monkeypatch.setattr(sensing, "_detection_block", recording_block)
     return calls
+
+
+class CountingGenerator:
+    """A numpy ``Generator`` that counts the calls of each of its methods."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 class TestRoc:
@@ -712,6 +745,28 @@ class TestRoc:
         curve = roc_curve(scenario, gammas, 150, rng)
         assert np.array_equal(curve, per_trial_roc(scenario, gammas, 150, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_roc_settings_match_per_trial_oracle(self, monkeypatch, budget):
+        # N = 256: blocks of 36, 36 and 28 trials, or of one trial each
+        if budget is not None:
+            monkeypatch.setattr("afdm_isac.sensing._BLOCK_BYTES", budget)
+        scenario = roc_settings_scenario("proposed")
+        gammas = np.logspace(0.0, 3.0, 25)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        curve = roc_curve(scenario, gammas, 100, rng)
+        assert np.array_equal(curve, per_trial_roc(scenario, gammas, 100, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_draws_are_made_per_call_and_per_block(self):
+        # 100 trials in blocks of 36, 36 and 28: one byte draw for every trial's
+        # symbols, the target uniforms as arrays, one noise fill per block
+        rng = CountingGenerator(np.random.default_rng(1))
+        roc_curve(roc_settings_scenario("proposed"), [1.0, 10.0], 100, rng)
+        assert rng.calls["bytes"] == 1
+        assert rng.calls["uniform"] <= 3
+        assert rng.calls["standard_normal"] == 3
+        assert rng.calls["integers"] == 0
 
     def test_block_holds_the_ramped_echo_stack(self, monkeypatch):
         # the roc benchmark's settings: 7 Dopplers x 256 subcarriers of complex
