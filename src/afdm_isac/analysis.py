@@ -49,8 +49,8 @@ that path.  One ``channel.PathChannel`` holds the paths of all points, and a
 block of frames costs one ``images`` call and one batched row dot; the origin
 is the frame energy.  ``interference_coefficient`` provides the closed-form
 DAFT-domain route (a single cyclic ridge at subcarrier offset
-2*c1*tau*Nc - nu), and the tests cross-check the two.  Theorem 4's
-path-shifted pilots are ``images`` of the pilot, one gather.
+2*c1*tau*Nc - nu), and the tests cross-check the two.  Theorem 4 reads the
+pilot's Gram from the estimator's cached pilot model.
 
 Monte Carlo
 -----------
@@ -94,6 +94,7 @@ from .errors import (
     check_stack,
     check_vector,
 )
+from .estimator import _pilot_model
 from .modem import Constellation, FrameSpec, _PackedFrames
 from .pilots import proposed_pilot
 from .sensing import _BLOCK_BYTES, RangeDopplerMap, _correlate
@@ -221,10 +222,10 @@ def af_statistics_closed_form(
 def _delay_doppler_pairs(pairs, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Integer delays and Dopplers of a non-empty list of (delay, Doppler) pairs."""
     try:
-        arr = np.asarray(pairs, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged or non-numeric pairs
+        arr = np.asarray(pairs)
+    except (TypeError, ValueError):  # ragged pairs
         arr = np.empty(0)
-    if arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
+    if arr.dtype.kind not in "biuf" or arr.ndim != 2 or arr.shape[1] != 2 or not len(arr):
         raise ParameterError(f"{what} must be a non-empty list of (delay, Doppler), got {pairs!r}")
     return check_integers(arr[:, 0], "pair delays"), check_integers(arr[:, 1], "pair Dopplers")
 
@@ -411,34 +412,36 @@ def verify_theorem_4(
 ) -> TheoremReport:
     """Check the pilot Gram structure against the pilot ambiguity function.
 
-    Builds the Nc x L matrix of path-shifted pilots in closed form, the
-    ``images`` of the pilot through the unit-gain ``PathChannel`` of the
-    pairs, and verifies, entry by entry, that the (i, j) Gram element equals
+    The Gram Psi_p^H Psi_p is read from the estimator's cached Psi_p^H and
+    Gram of (cfg, pairs, pilot bytes), shared with the link: at most 4
+    models of L*Nc*16 bytes.  The check verifies, entry by entry, that the
+    (i, j) Gram element equals
     exp(-j*2*pi*nu_j*(tau_j - tau_i)/Nc) * chi_p(tau_j - tau_i, nu_j - nu_i);
     an ideal pilot therefore yields a scaled-identity Gram.  ``passed``
     reflects only the identity residual (relative tolerance
     ``_IDENTITY_TOL``); consumers judge the off-diagonal magnitudes via the
-    report.
+    report.  ``pairs`` is a non-empty list of integer (delay, Doppler)
+    pairs, each delay in [0, Nc), checked before the model is read.
     """
-    x_pilot = check_vector(x_pilot, cfg.n_sub, "pilot")
+    n = cfg.n_sub
+    x_pilot = check_vector(x_pilot, n, "pilot")
     taus, nus = _delay_doppler_pairs(pairs, "pairs")
+    if taus.min() < 0 or taus.max() >= n:
+        raise ParameterError(f"pair delays must lie in [0, {n}), got {pairs!r}")
     pilot_power = float(np.linalg.norm(x_pilot) ** 2)
-    rows = PathChannel(cfg, taus, nus, np.ones(len(taus))).images(x_pilot)  # row i: column i
-    gram = rows.conj() @ rows.T
+    gram = _pilot_model(cfg, tuple(zip(taus.tolist(), nus.tolist())), x_pilot.tobytes()).gram
+    # integer Dopplers act mod Nc: centred, their differences fit in int64
+    nus = (nus % n + n // 2) % n - n // 2
     tau_diff = taus[None, :] - taus[:, None]  # [i, j] = tau_j - tau_i
-    tau_hats, t_idx = np.unique(tau_diff, return_inverse=True)
+    tau_hats, t_idx = np.unique(tau_diff, return_inverse=True)  # t_idx, v_idx: (L, L)
     nu_hats, v_idx = np.unique(nus[None, :] - nus[:, None], return_inverse=True)
-    s_p = idaft(x_pilot, cfg)
-    chi = cross_ambiguity(s_p, s_p, tau_hats, nu_hats, cfg)
-    chi_pairs = chi[t_idx.reshape(tau_diff.shape), v_idx.reshape(tau_diff.shape)]
-    predicted = cfg.dft_twiddle[nus[None, :] % cfg.n_sub * tau_diff % cfg.n_sub] * chi_pairs
-    offdiag = ~np.eye(len(taus), dtype=bool)
+    chi = ambiguity_function(idaft(x_pilot, cfg), (tau_hats, nu_hats), cfg).values
+    predicted = cfg.dft_twiddle[nus[None, :] % n * tau_diff % n] * chi[t_idx, v_idx]
     max_identity = float(np.max(np.abs(gram - predicted)))
-    max_offdiag = float(np.max(np.abs(gram[offdiag]), initial=0.0))
     diag_err = float(np.max(np.abs(np.diag(gram) - pilot_power)))
     details = {
         "max_identity_residual": max_identity,
-        "max_offdiagonal": max_offdiag,
+        "max_offdiagonal": float(np.max(np.abs(gram[~np.eye(len(taus), dtype=bool)]), initial=0.0)),
         "diag_error": diag_err,
         "pilot_power": pilot_power,
     }
@@ -694,7 +697,9 @@ def crb_distribution(
         values = np.empty(n_draws)
         for start in range(0, n_draws, block):
             draws = rng.standard_exponential(out=buffer[: min(block, n_draws - start)])
-            a, b = (draws @ kernels).T * (total_power / _row_totals(draws))
+            # draws are >= 0; an all-zero row leaves a NaN determinant (after numpy's
+            # division warning), which _crb_from_sums refuses with NumericalError
+            a, b = (draws @ kernels).T * (total_power / draws.sum(axis=-1))
             # the draws load the subcarriers their allocations load, which is
             # all the degeneracy test reads of them
             values[start : start + len(draws)], *_ = _crb_from_sums(

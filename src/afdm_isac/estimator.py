@@ -11,34 +11,31 @@ path gains are uncorrelated under the prior), so the MMSE estimate reduces to
 a ridge-regularized least squares over Psi_p.  Its posterior takes one of
 two routes, decided by the Gram G = Psi_p^H Psi_p alone.  G counts as
 diagonal when no off-diagonal entry exceeds 1e-12 times its largest diagonal
-entry (the proposed, single and traditional pilots reach 8.4e-16 on the
-grid, a random unit-modulus pilot 1.1e-2 and a grid whose basis images
-coincide 1.0); the posterior is then elementwise, S_ii = 1/(d_i/c + 1/g_i) and
+entry; the posterior is then elementwise, S_ii = 1/(d_i/c + 1/g_i) and
 alpha_i = S_ii (Psi_p^H y)_i / c (for the proposed pilot G = sigma_p^2 I,
 Theorem 4).  Any other Gram goes through one inverse of the normal matrix,
 which gives both the estimate and the posterior variances.
 Psi_p^H is the conjugate of ``PathChannel.images`` of the pilot through the
 unit-gain basis channel, one gather and no transform; it and its Gram depend
-only on the pilot, the grid and the config, so ``iterative_estimate`` builds
-them once per pilot: a bounded cache keyed on (cfg, grid, pilot bytes) holds
-the last 4 pilot models (Psi_p^H, the Gram, its diagonal when it is diagonal
-and its condition number), read-only, each about L*Nc*16 bytes (45*Nc*16 B
-on the 45-path grid, 368 KB at Nc = 512), and a frame only multiplies its
-observation by Psi_p^H.  A path is kept when its gain lies more than 3
-posterior standard deviations from 0, and the channel estimate is the
-structured ``PathChannel`` of the surviving (tau, nu, gain) triples: O(P*Nc)
-to apply, never a dense matrix.
+only on the pilot, the basis pairs and the config, so they are built once:
+a bounded cache keyed on (cfg, pairs, pilot bytes) holds the last 4 pilot
+models (Psi_p^H, the Gram, its diagonal when it is diagonal and its
+condition number), read-only, each about L*Nc*16 bytes, for both
+``iterative_estimate`` and Theorem 4 (``analysis.verify_theorem_4``), and a
+frame only multiplies its observation by Psi_p^H.  A path is kept when its
+gain lies more than 3 posterior standard deviations from 0, and the channel
+estimate is the structured ``PathChannel`` of the surviving
+(tau, nu, gain) triples: O(P*Nc) to apply, never a dense matrix.
 The data are equalized by regularized least squares in the time domain,
 where the channel is a cyclic band of width tau_m, with one banded Cholesky
 solve.  This is exact: the DAFT matrix A is unitary, so with
 H = A H_t A^H the DAFT-domain solution (H^H H + lam I)^{-1} H^H r equals
 A (H_t^H H_t + lam I)^{-1} H_t^H A^H r.  The channel estimate factors its
 banded matrix once per lam and keeps only that factor, (2*spread + 1)*Nc*16
-bytes (140 KB at Nc = 512 and a spread of 8, 71 MB at Nc = 2^18), so a repeat
-costs two triangular solves; the solve reports its own failures.  Pilot-data
-interference can be peeled iteratively: demodulate with the current
-estimate, subtract the rebuilt data contribution, and re-estimate against
-the smaller residual noise.  Each iteration's residual norm and effective
+bytes, so a repeat costs two triangular solves; the solve reports its own
+failures.  Pilot-data interference can be peeled iteratively: demodulate
+with the current estimate, subtract the rebuilt data contribution, and
+re-estimate against the smaller residual noise.  Each iteration's residual norm and effective
 noise c are returned with the estimate.
 """
 
@@ -174,18 +171,22 @@ class _PilotModel(NamedTuple):
     condition: float
 
 
-# at most 4 pilot models, each about L*Nc*16 bytes (Psi_p^H)
+# at most 4 pilot models, each about L*Nc*16 bytes (Psi_p^H), shared by the link
+# (``iterative_estimate``) and Theorem 4 (``analysis.verify_theorem_4``)
 @functools.lru_cache(maxsize=4)
-def _pilot_model(cfg: AfdmConfig, grid: BasisGrid, pilot: bytes) -> _PilotModel:
-    """The ``_PilotModel`` of the complex128 pilot with these bytes.
+def _pilot_model(cfg: AfdmConfig, pairs: tuple[tuple[int, int], ...], pilot: bytes) -> _PilotModel:
+    """The ``_PilotModel`` of the complex128 pilot with these bytes over the
+    integer (delay, Doppler) ``pairs``, a tuple of int pairs.
 
-    Row i of the pilot's ``images`` through the unit-gain basis channel is
-    column i of Psi_p.  The pilot is rebuilt from the key, so a caller's
-    later write to its own array cannot reach an entry.  The route of the
-    posterior and the condition number are decided here, once per pilot.
+    Row i of the pilot's ``images`` through the unit-gain channel of the
+    pairs is column i of Psi_p.  The pilot is rebuilt from the key, so a
+    caller's later write to its own array cannot reach an entry.  The route
+    of the posterior and the condition number are decided here, once per
+    pilot.  Its two callers validate the pairs: ``iterative_estimate``
+    passes ``grid.pairs``, ``verify_theorem_4`` its checked pairs.
     """
-    ones = np.ones(len(grid))
-    rows = reconstruct_channel(ones, ones, grid, cfg).images(np.frombuffer(pilot, dtype=np.complex128))
+    ones = np.ones(len(pairs))
+    rows = PathChannel(cfg, *np.array(pairs).T, ones).images(np.frombuffer(pilot, dtype=np.complex128))
     psi_h = rows.conj()
     gram = psi_h @ rows.T
     diagonal = _gram_diagonal(gram)
@@ -337,13 +338,14 @@ def iterative_estimate(
     Each iteration makes one posterior solve, keeps the gains more than 3
     posterior standard deviations from 0 (or above ``eps`` when it is
     given), and equalizes with the channel they form.  Psi_p^H and the Gram are
-    built once per (cfg, grid, pilot) and cached, at most 4 pilot models of
-    about L*Nc*16 bytes each, so a frame with a known pilot makes no
-    ``build_psi`` call and no Gram product: each iteration only forms
-    Psi_p^H times its observation.  The posterior's route is decided with
-    the model: a Gram with no off-diagonal entry above 1e-12 times its
-    largest diagonal entry (the proposed, single and traditional pilots on
-    the grid) is read elementwise, any other inverted once per iteration.
+    built once per (cfg, grid.pairs, pilot) and cached, at most 4 pilot
+    models of about L*Nc*16 bytes each, shared with Theorem 4
+    (``analysis.verify_theorem_4``), so a frame with a known pilot makes no
+    Gram product: each iteration only forms Psi_p^H times its observation.
+    The posterior's route is decided with the model: a Gram with no
+    off-diagonal entry above 1e-12 times its largest diagonal entry (the
+    proposed, single and traditional pilots on the grid) is read
+    elementwise, any other inverted once per iteration.
     Iteration 1 models the data as white interference of power
     sigma_d^2 * sum(prior variances) per sample
     (``effective_noise_covariance``); each later iteration subtracts
@@ -355,22 +357,23 @@ def iterative_estimate(
     (diagnostic genie for isolating the cancellation algebra).  The result
     carries, per iteration, the residual norm of the fit and the effective
     noise c the posterior used (before its 1e-30 floor), and the Gram's
-    condition number, computed once per pilot model.  ``y`` and
-    ``x_pilot`` must have shape (Nc,) (else ``ConfigurationError``),
-    ``noise_power`` must be finite and >= 0 and ``n_iter`` an integer >= 1
-    (else ``ParameterError``).
+    condition number, computed once per pilot model.  ``y``, ``x_pilot``
+    and a given ``known_data`` must have shape (Nc,) (else
+    ``ConfigurationError``), ``noise_power`` must be finite and >= 0 and
+    ``n_iter`` an integer >= 1 (else ``ParameterError``), all checked
+    before any work.
     """
     check_count(n_iter, "n_iter")
     check_nonnegative(noise_power, "noise_power")
     y = check_vector(y, cfg.n_sub, "y")
     x_pilot = check_vector(x_pilot, cfg.n_sub, "x_pilot")
-    model = _pilot_model(cfg, grid, x_pilot.tobytes())
+    known = None if known_data is None else check_vector(known_data, cfg.n_sub, "known_data")
+    model = _pilot_model(cfg, grid.pairs, x_pilot.tobytes())
     if prior is None:
         prior = PriorModel.uniform(grid, noise_variance=0.0)
     c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
     residuals: list[float] = []
     noise_levels: list[float] = []
-    feedback = np.zeros(cfg.n_sub, dtype=np.complex128)
     for it in range(n_iter):
         noise_levels.append(float(c_it))
         observation = y if it == 0 else y - h_hat @ feedback
@@ -383,7 +386,7 @@ def iterative_estimate(
         x_d_hat, bits = equalize_demod(y, h_hat, x_pilot, spec, noise_power)
         if spec.data_symbol_power > 0 and bits.size:
             x_d_hat = map_bits(bits, spec)
-        feedback = x_d_hat if known_data is None else np.asarray(known_data, dtype=np.complex128)
+        feedback = x_d_hat if known is None else known  # read from iteration 2 on
         resid = float(np.linalg.norm(y - h_hat @ (x_pilot + x_d_hat)))
         residuals.append(resid)
         # unexplained power per sample, corrected for the fitted coefficients

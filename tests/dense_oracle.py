@@ -15,7 +15,10 @@ delay-Doppler correlation builds a contiguous (..., delays, Nc) stack of
 delayed symbols, at whole delays from the explicit chirp-periodic extension
 s[(n - tau) mod Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)) in Python integers,
 where ``sensing._correlate`` reads windows of the extension through
-``waveform_samples`` (often a strided view).
+``waveform_samples`` (often a strided view).  The pilot's Gram over a list
+of basis pairs is built directly, as the rows of the pilot's images times
+their conjugates, where ``analysis.verify_theorem_4`` reads it from the
+estimator's cached pilot model.
 """
 
 import math
@@ -25,7 +28,7 @@ import numpy as np
 
 from afdm_isac import AfdmConfig, build_daft_matrix, idaft, waveform_samples
 from afdm_isac.analysis import cross_ambiguity
-from afdm_isac.channel import ChannelPath, ChannelRealization, _doppler_ramp
+from afdm_isac.channel import ChannelPath, ChannelRealization, PathChannel, _doppler_ramp
 from afdm_isac.errors import ParameterError
 from afdm_isac.estimator import (
     PriorModel,
@@ -245,3 +248,12 @@ def demap_by_distance(y_eq, spec) -> np.ndarray:
     idx = np.argmin(np.abs(y_eq[:, None] - pts[None, :]), axis=1)
     shifts = np.arange(k - 1, -1, -1)
     return ((idx[:, None] >> shifts) & 1).astype(np.int64).ravel()
+
+
+def pilot_gram(x_pilot, cfg: AfdmConfig, pairs) -> np.ndarray:
+    """Psi_p^H Psi_p over integer (delay, Doppler) ``pairs``, built on every call:
+    row i of the pilot's images through the unit-gain channel of the pairs is
+    column i of Psi_p."""
+    taus, nus = np.asarray(pairs).T
+    rows = PathChannel(cfg, taus, nus, np.ones(len(taus))).images(x_pilot)
+    return rows.conj() @ rows.T

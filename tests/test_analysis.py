@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import dense_oracle
-from afdm_isac import AfdmConfig, analysis, idaft
+from afdm_isac import AfdmConfig, analysis, estimator, idaft
 from afdm_isac.analysis import (
     PowerAllocation,
     _fim_sums,
@@ -33,8 +33,9 @@ from afdm_isac.analysis import (
 )
 from afdm_isac.channel import PathChannel, SensingTarget, apply_basis, basis_grid, subcarrier_offset
 from afdm_isac.errors import ConfigurationError, NumericalError, ParameterError
+from afdm_isac.estimator import iterative_estimate
 from afdm_isac.modem import Constellation, FrameSpec
-from afdm_isac.pilots import proposed_pilot, select_c1_q, traditional_spi_pilot
+from afdm_isac.pilots import proposed_pilot, select_c1_q, single_pilot, traditional_spi_pilot
 
 from conftest import random_unit_symbols
 
@@ -466,6 +467,104 @@ class TestTheorem4:
         assert report.details["max_offdiagonal"] > 0.01 * 100.0
 
 
+THEOREM_4_PILOTS = {
+    "proposed": lambda cfg: proposed_pilot(cfg, 37.5),
+    "single": lambda cfg: single_pilot(cfg, 37.5),
+    "traditional": lambda cfg: traditional_spi_pilot(cfg, 37.5, tau_m=8, nu_m=2),
+    "random": lambda cfg: np.exp(2j * np.pi * np.random.default_rng(cfg.n_sub).uniform(size=cfg.n_sub)),
+}
+# (Nc, K = 2*c1*Nc): K*Nc even at Nc = 64 and 128, odd at 63 and 65, where no
+# proposed pilot exists (it needs a power-of-two Nc)
+THEOREM_4_CASES = [
+    (n_sub, two_c1_n, family)
+    for n_sub, two_c1_n in [(64, 4), (128, 8), (63, 5), (65, 3)]
+    for family in THEOREM_4_PILOTS
+    if family != "proposed" or n_sub % 2 == 0
+]
+
+
+class TestTheorem4SharedModel:
+    """Theorem 4 reads the Gram of the estimator's cached pilot model."""
+
+    CFG = AfdmConfig(n_sub=128, n_cpp=8, c1=1 / 32)
+    GRID = basis_grid(8, 2)
+
+    @pytest.mark.parametrize("n_sub, two_c1_n, family", THEOREM_4_CASES)
+    def test_report_matches_the_direct_build(self, monkeypatch, n_sub, two_c1_n, family):
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=8, c1=two_c1_n / (2 * n_sub))
+        x_p = THEOREM_4_PILOTS[family](cfg)
+        gram = dense_oracle.pilot_gram(x_p, cfg, self.GRID.pairs)
+        assert np.array_equal(estimator._pilot_model(cfg, self.GRID.pairs, x_p.tobytes()).gram, gram)
+        report = verify_theorem_4(x_p, cfg, self.GRID.pairs)
+        assert report.passed
+        # the same report from the Gram built on the spot, bit for bit
+        direct = estimator._PilotModel(None, gram, None, 0.0)
+        monkeypatch.setattr(analysis, "_pilot_model", lambda *key: direct)
+        assert verify_theorem_4(x_p, cfg, self.GRID.pairs).details == report.details
+
+    def test_second_call_reads_the_cached_model(self, monkeypatch):
+        calls = []
+        images = PathChannel.images
+
+        def counting(h, x):
+            calls.append(np.shape(x))
+            return images(h, x)
+
+        monkeypatch.setattr(PathChannel, "images", counting)
+        x_p = proposed_pilot(self.CFG, 37.5)
+        estimator._pilot_model.cache_clear()
+        first = verify_theorem_4(x_p, self.CFG, self.GRID.pairs)
+        assert calls == [(128,)]
+        # a fresh array and list of the same values: the key is the values
+        second = verify_theorem_4(x_p.copy(), self.CFG, [list(pair) for pair in self.GRID.pairs])
+        assert calls == [(128,)]
+        info = estimator._pilot_model.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert second.details == first.details
+
+    def test_link_frame_reads_the_theorem_4_model(self, monkeypatch, rng):
+        cached = estimator._pilot_model
+        models = []
+
+        def recording(*key):
+            models.append(cached(*key))
+            return models[-1]
+
+        monkeypatch.setattr(analysis, "_pilot_model", recording)
+        monkeypatch.setattr(estimator, "_pilot_model", recording)
+        x_p = proposed_pilot(self.CFG, 37.5)
+        cached.cache_clear()
+        verify_theorem_4(x_p, self.CFG, self.GRID.pairs)
+        y = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        iterative_estimate(y, x_p, FrameSpec(37.5, 1.0), basis_grid(8, 2), self.CFG, 1.0)
+        assert len(models) == 2 and models[1].psi_h is models[0].psi_h
+        info = cached.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_a_write_to_the_pilot_reaches_no_later_report(self, rng):
+        x_p = proposed_pilot(self.CFG, 37.5)
+        kept = x_p.copy()
+        first = verify_theorem_4(x_p, self.CFG, self.GRID.pairs)
+        x_p[:] = random_unit_symbols(rng, 128)  # the caller reuses its array
+        changed = verify_theorem_4(x_p, self.CFG, self.GRID.pairs)
+        assert verify_theorem_4(kept, self.CFG, self.GRID.pairs).details == first.details
+        estimator._pilot_model.cache_clear()
+        assert verify_theorem_4(x_p.copy(), self.CFG, self.GRID.pairs).details == changed.details
+        assert changed.details != first.details
+
+    @pytest.mark.parametrize("n_sub, two_c1_n", [(16, 2), (63, 5)])
+    def test_dopplers_act_mod_nc(self, n_sub, two_c1_n):
+        # Dopplers shifted by whole multiples of Nc up to about 2^62 give the
+        # same report; their differences used to wrap in int64, which was
+        # refused at Nc = 16 and misread at Nc = 63
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        x_p = THEOREM_4_PILOTS["random"](cfg)
+        pairs = [(0, 1), (1, -1), (2, 0)]
+        shift = 2**62 // n_sub * n_sub
+        far = [(0, 1 + shift), (1, -1 - shift), (2, 0)]
+        assert verify_theorem_4(x_p, cfg, far).details == verify_theorem_4(x_p, cfg, pairs).details
+
+
 class TestFim:
     CFG = AfdmConfig(n_sub=32, c1=5 / 64)
 
@@ -793,6 +892,37 @@ class TestCrbDistribution:
         assert edges[0] <= out["values"].min() and out["values"].max() <= edges[-1]
         assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, rel=1e-12)
 
+    def test_block_totals_are_the_row_sums(self):
+        # the benchmark's report: Nc = 1024, 2000 draws in blocks of 128
+        c1, _ = select_c1_q(2, AfdmConfig(n_sub=1024))
+        cfg = AfdmConfig(n_sub=1024, c1=c1)
+        target = SensingTarget(1.0 + 0.0j, 3.3, 0.7, 1.0)
+        total = 1280.0
+        out = crb_distribution(cfg, target, total, 2000, np.random.default_rng(81))
+        a_m, b_m, c0, ramp = analysis._fim_kernels(target, cfg)
+        kernels = np.column_stack([a_m, b_m])
+        rng = np.random.default_rng(81)
+        block = analysis._BLOCK_BYTES // (8 * cfg.n_sub)
+        values = []
+        for start in range(0, 2000, block):
+            draws = rng.standard_exponential((min(block, 2000 - start), cfg.n_sub))
+            a, b = (draws @ kernels).T * (total / draws.sum(axis=-1))
+            values.append(analysis._crb_from_sums(a, b, total * c0, draws, ramp, target, cfg)[0])
+        assert np.array_equal(out["values"], np.concatenate(values))
+
+    def test_all_zero_draw_row_is_a_numerical_error(self):
+        class ZeroRow:
+            """Unit draws, but every block's first row all 0."""
+
+            def standard_exponential(self, out):
+                out[:] = 1.0
+                out[0] = 0.0
+                return out
+
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericalError):
+            crb_distribution(AfdmConfig(n_sub=16, c1=5 / 32), SensingTarget(1.0, 1.3, 0.2, 1.0), 16.0, 4,
+                             ZeroRow())
+
     def test_ofdm_variance_exceeds_afdm(self, rng):
         target = SensingTarget(1.0, 0.0, 0.0, 1.0)
         out_afdm = crb_distribution(
@@ -868,6 +998,17 @@ class TestMonteCarloMemory:
         x_p = proposed_pilot(self.CFG, pilot_power=256.0)
         peak = self.traced_peak(lambda: ambiguity_moments_mc(x_p, spec, self.CFG, points, 500, rng))
         assert peak <= 2.0
+
+    def test_warm_theorem_4_builds_no_psi(self):
+        # the benchmark's report: the warm call reads the cached Gram, where
+        # building Psi_p again took one (45, 1024) complex array, 737 KB
+        c1, _ = select_c1_q(2, AfdmConfig(n_sub=1024))
+        cfg = AfdmConfig(n_sub=1024, c1=c1)
+        x_p = proposed_pilot(cfg, pilot_power=256.0)
+        pairs = basis_grid(8, 2).pairs
+        verify_theorem_4(x_p, cfg, pairs)
+        peak = self.traced_peak(lambda: verify_theorem_4(x_p, cfg, pairs))
+        assert peak < len(pairs) * cfg.n_sub * 16 / 1e6
 
     def test_crb_distribution_holds_no_allocation_matrix(self, rng):
         # 2000 Dirichlet allocations of 1024 subcarriers would take 16.4 MB

@@ -12,7 +12,18 @@ import math
 import numpy as np
 import pytest
 
-from afdm_isac import AfdmConfig, add_cpp, daft, idaft, pilots, remove_cpp, sensing, waveform_samples
+from afdm_isac import (
+    AfdmConfig,
+    add_cpp,
+    analysis,
+    daft,
+    estimator,
+    idaft,
+    pilots,
+    remove_cpp,
+    sensing,
+    waveform_samples,
+)
 from afdm_isac.analysis import (
     PowerAllocation,
     ambiguity_function,
@@ -140,6 +151,9 @@ SITES = [
      ConfigurationError, "^y must", set()),
     ("iterative_estimate.x_pilot", lambda v: iterative_estimate(ONES, v, SPEC, GRID, CFG, 0.1),
      ConfigurationError, "^x_pilot", set()),
+    # None runs without the genie
+    ("iterative_estimate.known_data", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, known_data=v),
+     ConfigurationError, "^known_data", {"None"}),
     ("reconstruct_channel.alpha_hat", lambda v: reconstruct_channel(v, np.ones(len(GRID)), GRID, CFG),
      ConfigurationError, "^alpha_hat", set()),
     # a complex vector of any length
@@ -201,6 +215,8 @@ SITES = [
      "^data_symbol_power", NONNEGATIVE),
     ("effective_noise_covariance.data_symbol_power", lambda v: effective_noise_covariance(np.ones(2), v, 1.0),
      ParameterError, "^data_symbol_power", NONNEGATIVE),
+    ("effective_noise_covariance.noise_power", lambda v: effective_noise_covariance(np.ones(2), 1.0, v),
+     ParameterError, "^noise variance", NONNEGATIVE),
     ("equal_allocation.total", lambda v: equal_allocation(v, 16), ParameterError, "^total", NONNEGATIVE),
     # an integer >= k
     ("iterative_estimate.n_iter", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, n_iter=v),
@@ -337,6 +353,17 @@ SITES = [
     # one threshold >= 0 (infinity too) or one per coefficient
     ("threshold_paths.eps", lambda v: threshold_paths(np.ones(2), v), ParameterError, "^threshold",
      {"+inf", "2 elements", "2.5", "True"}),
+    # None keeps the gains 3 posterior standard deviations from 0
+    ("iterative_estimate.eps", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, eps=v),
+     ParameterError, "^threshold", {"+inf", "None", "2.5", "True"}),
+    # a non-empty list of integer (delay, Doppler) pairs, each delay in [0, Nc):
+    # the whole list, then one pair's delay or Doppler (numpy reads a bool
+    # among integers as 0 or 1, and any integer Doppler is a path)
+    ("verify_theorem_4.pairs", lambda v: verify_theorem_4(X_P, CFG, v), ParameterError, "^pairs", set()),
+    ("verify_theorem_4.pairs delay", lambda v: verify_theorem_4(X_P, CFG, [(0, 0), (v, 0)]), ParameterError,
+     "^pair", {"True"}),
+    ("verify_theorem_4.pairs Doppler", lambda v: verify_theorem_4(X_P, CFG, [(0, 0), (1, v)]),
+     ParameterError, "^pair", {"-1", "True"}),
 ]
 
 
@@ -458,6 +485,11 @@ DEFECTS = {
     "roc_curve gamma_grid letters": lambda: roc_curve(scenario(), ["a"], 100, rng()),
     # a RuntimeWarning from the int64 product, then a 1-cell delay axis
     "sensing_grid delay cells beyond int64": lambda: sensing_grid(np.int64(2**62), 1, 4, 1),
+    # accepted, numeric strings read as the pairs (0, 0) and (1, 0)
+    "verify_theorem_4 numeric strings": lambda: verify_theorem_4(X_P, CFG, [("0", "0"), ("1", "0")]),
+    "ambiguity_moments_mc numeric strings": lambda: ambiguity_moments_mc(
+        X_P, SPEC, CFG, [("1", "0")], 4, rng()
+    ),
 }
 
 
@@ -476,6 +508,13 @@ UNFED = {
         "proposed_delay_limit",
     },
     sensing: set(),
+    estimator: {
+        # the result record, which its one producer fills with checked values
+        "EstimationResult",
+        # the FFT reference of the pilot model, which the benchmark pins down to
+        # the span that refuses a wrong shape (``daft.idaft``, not its own check)
+        "build_psi",
+    },
 }
 
 
@@ -486,6 +525,35 @@ def test_every_entry_point_is_fed(module):
     entry_points = {name for name in module.__all__ if callable(getattr(module, name))}
     assert entry_points - fed == UNFED[module]
 
+
+
+# malformed Theorem 4 pairs, each refused before the pilot model is keyed on them
+PAIRS_REFUSED = {
+    "NaN delay": [(0, 0), (math.nan, 0)],
+    "+inf Doppler": [(0, 0), (1, math.inf)],
+    "-inf delay": [(-math.inf, 0)],
+    "ragged": [(0, 0), (1, 0, 2)],
+    "numeric strings": [("0", "0"), ("1", "0")],
+    "letters": [("a", "b")],
+    "fractional Doppler": [(0, 0), (1, 0.5)],
+    "fractional delay": [(1.5, 0)],
+    "negative delay": [(0, 0), (-1, 0)],
+    "delay Nc": [(0, 0), (16, 0)],
+    "empty": [],
+    "3 columns": np.zeros((2, 3), dtype=int),
+}
+
+
+@pytest.mark.parametrize("label", list(PAIRS_REFUSED))
+def test_theorem_4_pairs_are_refused_before_the_model(monkeypatch, label):
+    def unreachable(*key):
+        raise AssertionError(f"the pilot model was reached with {key[1]!r}")
+
+    monkeypatch.setattr(analysis, "_pilot_model", unreachable)
+    with pytest.raises(AssertionError):  # the stand-in is the one the report reads
+        verify_theorem_4(X_P, CFG, [(0, 0), (15, -1)])
+    with pytest.raises(ParameterError, match="^pair"):
+        verify_theorem_4(X_P, CFG, PAIRS_REFUSED[label])
 
 
 INT64 = np.iinfo(np.int64)

@@ -525,7 +525,7 @@ class TestDiagonalRoute:
         assume(cfg.two_c1_n <= n_sub and tau_m <= proposed_delay_limit(cfg))
         assume(family != "traditional" or traditional_spacing(cfg, tau_m, nu_m)[0] <= n_sub)
         grid = basis_grid(tau_m, nu_m)
-        model = estimator._pilot_model(cfg, grid, PILOT_FAMILIES[family](cfg, tau_m, nu_m).tobytes())
+        model = estimator._pilot_model(cfg, grid.pairs, PILOT_FAMILIES[family](cfg, tau_m, nu_m).tobytes())
         assert model.diagonal is not None
         rng = np.random.default_rng(seed)
         # each gain pinned (g = 0), flat (g = inf) or of a finite variance
@@ -545,7 +545,7 @@ class TestDiagonalRoute:
         cfg = AfdmConfig(n_sub=512, n_cpp=8, c1=c1)
         grid = basis_grid(8, 2)
         x_p = random_pilot(rng, 512)
-        model = estimator._pilot_model(cfg, grid, x_p.tobytes())
+        model = estimator._pilot_model(cfg, grid.pairs, x_p.tobytes())
         assert model.diagonal is None
         off = np.abs(model.gram - np.diag(model.gram.diagonal()))
         assert off.max() > 1e-3 * model.gram.diagonal().real.max()
@@ -558,7 +558,7 @@ class TestDiagonalRoute:
         c1, _ = select_c1_q(2, AfdmConfig(n_sub=64))
         cfg = AfdmConfig(n_sub=64, n_cpp=8, c1=c1)
         grid = basis_grid(8, 2)
-        model = estimator._pilot_model(cfg, grid, proposed_pilot(cfg, 37.5).tobytes())
+        model = estimator._pilot_model(cfg, grid.pairs, proposed_pilot(cfg, 37.5).tobytes())
         assert model.diagonal is None
         assert np.max(np.abs(model.gram - np.diag(model.gram.diagonal()))) == pytest.approx(37.5)
 
@@ -836,7 +836,7 @@ class TestPilotModel:
 
             monkeypatch.setattr(estimator, name, counting)
         estimator._pilot_model.cache_clear()
-        estimator._pilot_model(self.CFG64, self.GRID64, random_unit_symbols(rng, 64).tobytes())
+        estimator._pilot_model(self.CFG64, self.GRID64.pairs, random_unit_symbols(rng, 64).tobytes())
         assert estimator._pilot_model.cache_info().misses == 1
         assert calls == []
         estimator.build_psi(np.ones(64), self.GRID64, self.CFG64)  # the counters do count
@@ -845,8 +845,8 @@ class TestPilotModel:
     def test_model_is_read_only(self, rng):
         # the model keeps Psi_p^H, so an iteration multiplies by it without a conjugate copy
         x_p = random_unit_symbols(rng, 64)
-        model = estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes())
-        assert estimator._pilot_model(self.CFG64, self.GRID64, x_p.tobytes()).psi_h is model.psi_h
+        model = estimator._pilot_model(self.CFG64, self.GRID64.pairs, x_p.tobytes())
+        assert estimator._pilot_model(self.CFG64, self.GRID64.pairs, x_p.tobytes()).psi_h is model.psi_h
         ones = np.ones(len(self.GRID64))
         rows = reconstruct_channel(ones, ones, self.GRID64, self.CFG64).images(x_p)
         assert np.array_equal(model.psi_h, rows.conj())
@@ -863,5 +863,5 @@ class TestPilotModel:
         power = 37.5
         x_p = proposed_pilot(cfg, power, r=r)
         grid = basis_grid(tau_m, nu_m)
-        gram = estimator._pilot_model(cfg, grid, x_p.tobytes()).gram
+        gram = estimator._pilot_model(cfg, grid.pairs, x_p.tobytes()).gram
         assert np.max(np.abs(gram - power * np.eye(len(grid)))) <= 1e-12 * power
