@@ -52,6 +52,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     check_count,
+    check_finite,
     check_integers,
     check_nonnegative,
     check_reals,
@@ -210,6 +211,37 @@ def apply_basis(x, cfg: AfdmConfig, tau, nu) -> np.ndarray:
     return rows if np.ndim(tau) else rows[0]
 
 
+def _unknown_order(n: int) -> np.ndarray:
+    """The unknowns [0, n-1, 1, n-2, ...] of the banded solve: the front ones at even positions."""
+    order = np.empty(n, dtype=np.int64)
+    order[0::2], order[1::2] = np.arange((n + 1) // 2), np.arange(n - 1, (n - 1) // 2, -1)
+    return order
+
+
+# at most 16 layouts, each (2*m_max + 1)*Nc*8 bytes (70 KB at Nc = 512 with a
+# spread of 8): the link's channel estimates take every spread from 0 to tau_m
+@functools.lru_cache(maxsize=16)
+def _band_layout(n: int, m_max: int) -> np.ndarray:
+    """Where ``PathChannel._band`` reads each entry: an index into the flat
+    [D, conj(D), 0] of the (m_max + 1, n) cyclic diagonals D, one per band entry,
+    shape (min(2*m_max, n - 1) + 1, n) and read-only.
+
+    Band entry (k, c) is A[x, y] with x = order[c + k] and y = order[c]
+    (``_unknown_order``): conj(D[(x - y) mod n, y]) when that lag is at most
+    m_max, else D[(y - x) mod n, x] when that one is, else 0, and 0 past the
+    matrix's corner (c + k >= n).  It depends on the order alone, so every
+    channel of that size and reach shares it.
+    """
+    order, size = _unknown_order(n), (m_max + 1) * n
+    rows = np.arange(n) + np.arange(min(2 * m_max, n - 1) + 1)[:, None]
+    x, y = order[np.minimum(rows, n - 1)], order
+    back, ahead = (x - y) % n, (y - x) % n
+    at = np.where(back <= m_max, size + back * n + y, np.where(ahead <= m_max, ahead * n + x, 2 * size))
+    at[rows >= n] = 2 * size
+    at.flags.writeable = False
+    return at
+
+
 def subcarrier_offset(tau, nu, cfg: AfdmConfig):
     """Cyclic subcarrier shift 2*c1*tau*Nc - nu (mod Nc) induced by a path.
 
@@ -239,14 +271,17 @@ class PathChannel:
     per vector through a (..., P, Nc) temporary, so the package applies it to
     single vectors and streams stacks through ``images`` in blocks.
     ``np.asarray(h)`` gives the dense DAFT-domain matrix and
-    ``regularized_solve`` the banded time-domain normal-equation solve.
-    Every array is frozen: ``delays``, ``dopplers`` and ``gains`` are
-    read-only copies of the arguments, so a later write to the caller's
-    arrays cannot change the channel or make its state stale.  It keeps two
-    tap tables, built once on first use: the DAFT-domain taps of ``images``
-    and the time taps, (spread + 1)*Nc*16 bytes with spread = max(tau) -
-    min(tau), for the H_t^H r of every solve; and one factor, the banded
-    Cholesky factor of the last lam, (2*spread + 1)*Nc*16 bytes (about
+    ``regularized_solve`` the banded time-domain normal-equation solve, whose
+    band is formed in closed form: the cyclic diagonals of H_t^H H_t are the
+    inverse DFT of coefficients summed over pairs of paths (``_band``), with
+    no loop over lags, delays or paths.  Every array is frozen: ``delays``,
+    ``dopplers`` and ``gains`` are read-only copies of the arguments, so a
+    later write to the caller's arrays cannot change the channel or make its
+    state stale.  It keeps two tap tables, built once on first use: the
+    DAFT-domain taps of ``images`` and the time taps of H_t^H with their
+    read indices, P*Nc*24 bytes for P paths, for the H_t^H r of every solve;
+    and one factor, the banded Cholesky factor of the last lam,
+    (2*spread + 1)*Nc*16 bytes with spread = max(tau) - min(tau) (about
     140 KB at Nc = 512 with a spread of 8, 71 MB at Nc = 2^18).  The band's
     Gram diagonals are not kept: every workload factors a channel at one lam.
     """
@@ -303,70 +338,69 @@ class PathChannel:
         return out if dtype is None else out.astype(dtype, copy=False)
 
     @functools.cached_property
-    def _time_taps(self) -> tuple[int, np.ndarray]:
-        """Smallest delay tau_0 and the taps V, (spread + 1, Nc), read-only.
+    def _time_taps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read indices and taps of H_t^H, both (paths, Nc) and read-only, one row per path.
 
-        Row t belongs to the delay tau = tau_0 + t and holds its diagonal
-        c_tau read from the input side, V[t, a] = c_tau[<a + tau>_Nc], so
-        that H_t[<a + tau>, a] = V[t, a]; a delay no path has is a zero row.
-        A path adds gain * exp(j*2*pi*nu*a/Nc), the phase reduced in
-        integers, negated where a + tau wraps past Nc when K*Nc is odd: that
-        output reads the symbol through the chirp-periodic prefix.
+        Column c belongs to unknown u = ``_unknown_order(Nc)[c]``, the order
+        of the banded solve.  Path p maps input u to output <u + tau_p>_Nc
+        with weight gain * exp(j*2*pi*nu*u/Nc), the phase reduced in
+        integers, negated where u + tau wraps past Nc when K*Nc is odd: that
+        output reads the symbol through the chirp-periodic prefix.  The tap
+        is the conjugate weight and reads[p, c] = <u + tau_p>_Nc, so
+        (H_t^H r)[u] is the sum over paths of taps[p, c] * r[reads[p, c]],
+        already in the solve's order.
         """
         n, cfg = self.cfg.n_sub, self.cfg
-        tau_0 = int(self.delays.min()) if self.delays.size else 0
-        tau_1 = int(self.delays.max()) if self.delays.size else 0
-        a = np.arange(n)
-        phase = self.dopplers[:, None] % n * a % n
-        per_path = self.gains[:, None] * np.conj(cfg.dft_twiddle[phase])
+        order = _unknown_order(n)
+        reads = order + self.delays[:, None]
+        wraps = reads >= n
+        np.subtract(reads, n, out=reads, where=wraps)
+        # conj(gain * exp(j*2*pi*nu*u/Nc)) is conj(gain) times the twiddle at nu*u mod Nc
+        taps = np.conj(self.gains)[:, None] * cfg.dft_twiddle[np.multiply.outer(self.dopplers % n, order) % n]
         if cfg.prefix_flips:
-            per_path[a + self.delays[:, None] >= n] *= -1
-        taps = np.zeros((tau_1 - tau_0 + 1, n), dtype=np.complex128)
-        for t, row in zip(self.delays - tau_0, per_path):
-            taps[t] += row
+            taps[wraps] *= -1
+        reads.flags.writeable = False
         taps.flags.writeable = False
-        return tau_0, taps
+        return reads, taps
 
     def _band(self, lam: float) -> np.ndarray:
         """Lower band of H_t^H H_t + lam*I with the unknowns ordered [0, Nc-1, 1, Nc-2, ...].
 
-        It reads the cyclic diagonals D[m, a] = (H_t^H H_t)[a, <a + m>_Nc] for
-        m <= m_max = min(spread, Nc // 2), formed here: the sum of
-        conj(V[t1, a]) * V[t2, <a + m>] over the delay pairs with t1 - t2 = m
-        or m - Nc (both once the spread reaches Nc/2).  Position 2a holds the
-        front unknown a < ceil(Nc/2) and position 2i+1 the back unknown
-        Nc-1-i, so an even band row 2m pairs unknowns m apart on one side (D
-        read at stride 2), and an odd row pairs a front unknown with a back
-        one, which couple only across the two wraps: in the first and last
-        m_max columns of the row.  It raises nothing itself; the solve has
-        checked lam.
+        The cyclic diagonals D[m, a] = (H_t^H H_t)[a, <a + m>_Nc] for
+        m <= m_max = min(spread, Nc // 2) come in closed form from the paths.
+        A pair of paths (i, j) with tau_i - tau_j = m mod Nc adds
+        conj(g_i) * g_j * w^(nu_j*m) * w^((nu_j - nu_i)*a), w = exp(j*2*pi/Nc),
+        to D[m, a], so row m of D is the unscaled inverse DFT of its
+        coefficients over the Doppler differences: one ``bincount`` per real
+        part gathers them and one batched FFT forms every row, with no loop
+        over lags or paths.  When K*Nc is odd the prefix flips negate a pair's
+        term when tau_i < tau_j, and the entry where a + m >= Nc.  The band
+        is then one gather from [D, conj(D), 0] through ``_band_layout``.
+        It raises nothing itself; the solve has checked lam.
         """
-        n = self.cfg.n_sub
-        taps, conj = self._time_taps[1], np.conj(self._time_taps[1])
-        spread = len(taps) - 1
-        m_max, n_front, n_back = min(spread, n // 2), (n + 1) // 2, n // 2
-        ahead = np.concatenate([taps, taps[:, :m_max]], axis=1)  # ahead[t, a + m] = V[t, <a + m>]
-        diags = np.empty((m_max + 1, n), dtype=np.complex128)
-        for m in range(m_max + 1):
-            diags[m] = (conj[m:] * ahead[: spread + 1 - m, m : m + n]).sum(axis=0)
-            if n - m <= spread:
-                diags[m] += (conj[: spread + 1 - n + m] * ahead[n - m :, m : m + n]).sum(axis=0)
-        width = min(2 * m_max, n - 1)
-        band = np.zeros((width + 1, n), dtype=np.complex128)
-        for m in range(width // 2 + 1):
-            band[2 * m, 0 : 2 * (n_front - m) : 2] = np.conj(diags[m, : n_front - m])
-            band[2 * m, 1 : 2 * (n_back - m) : 2] = diags[m, n_front : n - m][::-1]
-        # Odd row k = 2m+1 pairs unknowns lag = j + 1 apart across a wrap, for
-        # m <= j < m_max: at column j - m the back one of the pair reads D (the
-        # wrap at 0), at column Nc - m - 2 - j the front one (the wrap at
-        # Nc/2); the value is conjugated when that unknown is the column.
-        m, j = np.nonzero(np.tri(m_max, dtype=bool).T)
-        k, lag = 2 * m + 1, j + 1
-        start, end = j - m, n - m - 2 - j
-        at_back = diags[lag, n - 1 - np.where(start % 2, start, start + k) // 2]
-        band[k, start] = np.where(start % 2, np.conj(at_back), at_back)
-        at_front = diags[lag, np.where(end % 2, end + k, end) // 2]
-        band[k, end] = np.where(end % 2, at_front, np.conj(at_front))
+        n, cfg = self.cfg.n_sub, self.cfg
+        tau, nu, gains = self.delays, self.dopplers % n, self.gains
+        diff = tau[:, None] - tau
+        m_max = min(int(diff.max(initial=0)), n // 2)
+        lag = diff % n
+        i, j = np.nonzero(lag <= m_max)
+        m = lag[i, j]
+        terms = np.conj(gains[i]) * gains[j] * cfg.dft_twiddle[-nu[j] * m % n]
+        if cfg.prefix_flips:
+            terms[tau[i] < tau[j]] *= -1
+        at, size = m * n + (nu[j] - nu[i]) % n, (m_max + 1) * n
+        coef = np.empty((m_max + 1, n), dtype=np.complex128)
+        coef.real = np.bincount(at, terms.real, size).reshape(coef.shape)
+        coef.imag = np.bincount(at, terms.imag, size).reshape(coef.shape)
+        source = np.empty(2 * size + 1, dtype=np.complex128)  # [D, conj(D), 0]
+        diags = source[:size].reshape(coef.shape)
+        np.fft.ifft(coef, axis=-1, norm="forward", out=diags)
+        if cfg.prefix_flips:
+            tail = diags[:, n - m_max :]  # a = Nc - m_max + t, so a + m >= Nc where t + m >= m_max
+            tail[np.arange(m_max) + np.arange(m_max + 1)[:, None] >= m_max] *= -1
+        np.conjugate(diags, out=source[size:-1].reshape(coef.shape))
+        source[-1] = 0
+        band = source.take(_band_layout(n, m_max))
         band[0] += lam
         return band
 
@@ -379,7 +413,8 @@ class PathChannel:
         twice as wide (``_band``), factored by one banded Cholesky
         decomposition at O(Nc*spread^2).  The channel keeps the factor of the
         last lam, (2*spread + 1)*Nc*16 bytes, so a repeat call with the same
-        lam costs H_t^H r and two triangular solves.  Before any work, a
+        lam costs H_t^H r (one gather and one product of the time taps, no
+        copy of r) and two triangular solves.  Before any work, a
         ``lam`` not finite and >= 0 or a non-finite ``r`` raises
         ``ParameterError`` and an ``r`` not of shape (Nc,)
         ``ConfigurationError``; a matrix that is not positive definite or
@@ -393,21 +428,14 @@ class PathChannel:
 
         check_nonnegative(lam, "lam")
         n = self.cfg.n_sub
-        r = check_vector(r, n, "r")
-        if not np.all(np.isfinite(r)):
-            raise ParameterError("r must be finite")
-        tau_0, taps = self._time_taps
-        # H_t^H r at a: conj(V[t, a]) times r read at <a + tau_0 + t>
-        reads = sliding_window_view(np.concatenate([r, r]), n)[tau_0 : tau_0 + len(taps)]
+        r = check_finite(check_vector(r, n, "r"), "r")
+        reads, taps = self._time_taps
         cached = self._factor
         refactor = cached is None or cached[0] != lam
         # an overflow here leaves a non-finite band or solution, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            rhs = np.vecdot(taps, reads, axis=0)
+            ordered = (taps * r.take(reads)).sum(axis=0)  # H_t^H r in the band's order
             band = self._band(lam) if refactor else None
-        half = (n + 1) // 2
-        ordered = np.empty(n, dtype=np.complex128)
-        ordered[0::2], ordered[1::2] = rhs[:half], rhs[half:][::-1]
         if refactor:
             if not np.isfinite(band).all():
                 raise NumericalError("equalizer matrix overflows")

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the argument checks that raise them.
 
 ``check_vector`` (a complex (n,) vector) and ``check_stack`` (a (..., n) stack)
-raise ``ConfigurationError``, also for non-numbers; ``check_reals``,
+raise ``ConfigurationError``, also for non-numbers; ``check_finite`` (the
+entries of a checked array), ``check_type``, ``check_reals``,
 ``check_nonnegative``, ``check_positive``, ``check_count`` and
 ``check_integers`` raise ``ParameterError``.
 """
@@ -54,6 +55,19 @@ def check_stack(x, n: int | None, what: str) -> np.ndarray:
         size = "n" if n is None else n
         raise ConfigurationError(f"{what} must be numbers of shape (..., {size}), got {x.dtype} {x.shape}")
     return x.astype(np.complex128, copy=False)
+
+
+def check_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` itself, a numeric array; ``ParameterError`` unless every entry is finite."""
+    if not np.isfinite(x).all():
+        raise ParameterError(f"{what} must be finite")
+    return x
+
+
+def check_type(value, kind: type, what: str) -> None:
+    """``ParameterError`` unless ``value`` is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{what} must be of type {kind.__name__}, got {value!r}")
 
 
 def check_reals(values, what: str) -> np.ndarray:

@@ -35,8 +35,17 @@ banded matrix once per lam and keeps only that factor, (2*spread + 1)*Nc*16
 bytes, so a repeat costs two triangular solves; the solve reports its own
 failures.  Pilot-data interference can be peeled iteratively: demodulate
 with the current estimate, subtract the rebuilt data contribution, and
-re-estimate against the smaller residual noise.  Each iteration's residual norm and effective
-noise c are returned with the estimate.
+re-estimate against the smaller residual noise.  Each iteration pushes its
+estimate through the frame once: the pilot's image through it is
+Psi_p (alpha_hat * indicator), one conjugate product with the cached
+Psi_p^H, so the equalizer starts from the pilot-free observation; and the
+one product of the estimate with the demodulated data serves both the
+iteration's residual and the next iteration's observation.  Each
+iteration's residual norm and effective noise c are returned with the
+estimate.  ``iterative_estimate``, ``mmse_estimate``, ``equalize_demod`` and
+``reconstruct_channel`` check their typed arguments (``FrameSpec``,
+``BasisGrid``, ``AfdmConfig``, ``PriorModel``, ``PathChannel``) and the
+finiteness of their vectors once, before any work.
 """
 
 from __future__ import annotations
@@ -54,8 +63,10 @@ from .errors import (
     NumericalError,
     ParameterError,
     check_count,
+    check_finite,
     check_nonnegative,
     check_stack,
+    check_type,
     check_vector,
 )
 from .modem import FrameSpec, demap_symbols, map_bits
@@ -129,11 +140,21 @@ def effective_noise_covariance(
     The model covariance is this scalar times the identity; each basis path
     is unitary so random data contributes sigma_d^2 * sum(prior variances)
     per received sample.  The variances and ``noise_power`` are checked as a
-    ``PriorModel``'s, and ``data_symbol_power`` is finite and >= 0.
+    ``PriorModel``'s, and ``data_symbol_power`` is finite and >= 0.  With no
+    data the result is ``noise_power`` exactly, under any prior; with data,
+    an infinite (flat-prior) variance would make the interference infinite
+    and raises ``ParameterError``.
     """
     check_nonnegative(data_symbol_power, "data_symbol_power")
-    total = float(np.sum(PriorModel(gain_variances, noise_power).gain_variances))
-    return data_symbol_power * total + noise_power
+    g = PriorModel(gain_variances, noise_power).gain_variances
+    if data_symbol_power == 0:
+        return float(noise_power)
+    if np.isinf(g).any():
+        raise ParameterError(
+            "prior variances must be finite when data_symbol_power > 0: a flat prior (inf) "
+            "makes the data interference infinite"
+        )
+    return data_symbol_power * float(np.sum(g)) + noise_power
 
 
 # c is floored here so that a noiseless model (or c = 0) keeps the normal
@@ -200,13 +221,15 @@ def _pilot_model(cfg: AfdmConfig, pairs: tuple[tuple[int, int], ...], pilot: byt
     return _PilotModel(psi_h, gram, diagonal, condition)
 
 
-def _posterior(corr, gram, diagonal, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
+def _posterior(corr, gram, diagonal, g: np.ndarray, noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
     """Gain estimate and posterior variances from corr = Psi^H y and gram = Psi^H Psi.
 
+    ``g`` holds a ``PriorModel``'s checked gain variances; ``noise_variance``
+    is checked here as a ``PriorModel``'s, since the iterations compute it.
     ``diagonal`` is the Gram's ``_gram_diagonal``: when it is not None the
     posterior is elementwise, else it inverts the normal matrix.
     """
-    g = prior.gain_variances
+    check_nonnegative(noise_variance, "noise variance")
     if g.shape != corr.shape:
         raise ParameterError(f"{g.shape} prior variances for {corr.size} columns")
     free = g > 0
@@ -214,7 +237,7 @@ def _posterior(corr, gram, diagonal, prior: PriorModel) -> tuple[np.ndarray, np.
     variances = np.zeros(free.size)
     if not free.any():
         return alpha, variances
-    c = max(prior.noise_variance, _NOISE_FLOOR)
+    c = max(noise_variance, _NOISE_FLOOR)
     if diagonal is not None:
         precision = diagonal[free] / c + 1.0 / g[free]
         if not (precision > 0).all():
@@ -250,19 +273,21 @@ def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
     infinite g drops that gain's regularization.  A
     singular normal matrix or a non-finite result raises ``NumericalError``;
     a ``y`` or ``psi_p`` that is not numbers (a vector, an array) raises
-    ``ConfigurationError``, and a ``psi_p`` that is no matrix or whose row
-    count is not the length of ``y`` ``ParameterError``.  This forms
+    ``ConfigurationError``, and a non-finite entry in either, a ``psi_p``
+    that is no matrix or whose row count is not the length of ``y``, or a
+    ``prior`` that is no ``PriorModel`` ``ParameterError``.  This forms
     Psi^H y and Psi^H Psi on every call; ``iterative_estimate`` instead
     reuses the Psi_p^H and Gram it caches per pilot (at most 4 pilots,
     about L*Nc*16 bytes each).
     """
-    y = check_vector(y, None, "y")
-    psi_p = check_stack(psi_p, None, "Psi")
+    check_type(prior, PriorModel, "prior")
+    y = check_finite(check_vector(y, None, "y"), "y")
+    psi_p = check_finite(check_stack(psi_p, None, "Psi"), "Psi")
     if psi_p.ndim != 2 or y.shape != psi_p.shape[:1]:
         raise ParameterError(f"y of shape {y.shape} for a Psi of shape {psi_p.shape}")
     psi_h = psi_p.conj().T
     gram = psi_h @ psi_p
-    return _posterior(psi_h @ y, gram, _gram_diagonal(gram), prior)
+    return _posterior(psi_h @ y, gram, _gram_diagonal(gram), prior.gain_variances, prior.noise_variance)
 
 
 def threshold_paths(alpha_hat, eps) -> np.ndarray:
@@ -275,16 +300,38 @@ def threshold_paths(alpha_hat, eps) -> np.ndarray:
 
 def reconstruct_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) -> PathChannel:
     """The structured channel estimate: the basis paths whose indicator is set,
-    with gains alpha_hat * indicator.  ``alpha_hat`` holds one gain per grid
-    pair (else ``ConfigurationError``) and ``indicator`` one 0 or 1 per pair
-    (else ``ParameterError``)."""
-    alpha_hat, indicator = check_vector(alpha_hat, len(grid), "alpha_hat"), np.asarray(indicator)
+    with gains alpha_hat * indicator.  ``grid`` is a ``BasisGrid`` and ``cfg``
+    an ``AfdmConfig``, ``alpha_hat`` holds one finite gain per grid pair and
+    ``indicator`` one 0 or 1 per pair; a wrong shape of ``alpha_hat`` raises
+    ``ConfigurationError``, anything else ``ParameterError``."""
+    check_type(grid, BasisGrid, "grid")
+    check_type(cfg, AfdmConfig, "cfg")
+    alpha_hat = check_finite(check_vector(alpha_hat, len(grid), "alpha_hat"), "alpha_hat")
+    indicator = np.asarray(indicator)
     binary = indicator.dtype.kind in "biuf" and not np.any((indicator != 0) & (indicator != 1))
     if not (indicator.shape == (len(grid),) and binary):
         raise ParameterError(f"need {len(grid)} 0/1 indicators, got {indicator!r}")
+    return _kept_channel(alpha_hat, indicator, grid, cfg)
+
+
+def _kept_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) -> PathChannel:
+    """The ``PathChannel`` of the grid pairs whose 0/1 indicator is set, with
+    their gains: the body of ``reconstruct_channel``, whose arguments the
+    callers have checked (``iterative_estimate`` builds both each iteration)."""
     kept = np.flatnonzero(indicator)
     pairs = np.array([grid.pairs[i] for i in kept], dtype=np.int64).reshape(-1, 2)
-    return PathChannel(cfg, pairs[:, 0], pairs[:, 1], (alpha_hat * indicator)[kept])
+    return PathChannel(cfg, pairs[:, 0], pairs[:, 1], alpha_hat[kept])
+
+
+def _equalize(r: np.ndarray, h_hat: PathChannel, spec: FrameSpec, noise_power: float):
+    """(equalized data symbols, bits) of the pilot-free DAFT-domain observation r:
+    the one equalizer, behind ``equalize_demod`` and each iteration of
+    ``iterative_estimate``, which have checked its arguments."""
+    if spec.data_symbol_power <= 0:
+        return np.zeros(r.shape, dtype=np.complex128), np.zeros(0, dtype=np.int64)
+    lam = noise_power / spec.data_symbol_power
+    x_d = daft(h_hat.regularized_solve(idaft(r, h_hat.cfg), lam), h_hat.cfg)
+    return x_d, demap_symbols(x_d, spec)
 
 
 def equalize_demod(
@@ -302,23 +349,17 @@ def equalize_demod(
     noise power makes no new factorization.  The solve raises
     ``NumericalError`` for a matrix that is not positive definite (lam = 0
     on a singular channel).  Before any work, a ``y`` or ``x_pilot`` not of
-    shape (Nc,) raises ``ConfigurationError``, and a non-finite ``y`` or a
-    ``noise_power`` that is not finite and >= 0 raises ``ParameterError``.
+    shape (Nc,) raises ``ConfigurationError``, and an ``h_hat`` that is no
+    ``PathChannel``, a ``spec`` that is no ``FrameSpec``, a non-finite
+    entry of ``y`` or ``x_pilot`` or a ``noise_power`` that is not finite
+    and >= 0 raises ``ParameterError``.
     """
-    if not isinstance(h_hat, PathChannel):
-        raise ParameterError("h_hat must be a PathChannel")
+    check_type(h_hat, PathChannel, "h_hat")
+    check_type(spec, FrameSpec, "spec")
     check_nonnegative(noise_power, "noise_power")
-    y = check_vector(y, h_hat.cfg.n_sub, "y")
-    x_pilot = check_vector(x_pilot, h_hat.cfg.n_sub, "x_pilot")
-    if not np.all(np.isfinite(y)):
-        raise ParameterError("y must be finite")
-    if spec.data_symbol_power <= 0:
-        return np.zeros(y.shape, dtype=np.complex128), np.zeros(0, dtype=np.int64)
-    lam = noise_power / spec.data_symbol_power
-    z = h_hat.regularized_solve(idaft(y - h_hat @ x_pilot, h_hat.cfg), lam)
-    x_d = daft(z, h_hat.cfg)
-    bits = demap_symbols(x_d, spec)
-    return x_d, bits
+    y = check_finite(check_vector(y, h_hat.cfg.n_sub, "y"), "y")
+    x_pilot = check_finite(check_vector(x_pilot, h_hat.cfg.n_sub, "x_pilot"), "x_pilot")
+    return _equalize(y - h_hat @ x_pilot, h_hat, spec, noise_power)
 
 
 def iterative_estimate(
@@ -337,7 +378,13 @@ def iterative_estimate(
 
     Each iteration makes one posterior solve, keeps the gains more than 3
     posterior standard deviations from 0 (or above ``eps`` when it is
-    given), and equalizes with the channel they form.  Psi_p^H and the Gram are
+    given), and equalizes with the channel they form.  It pushes that
+    channel through the frame once: the pilot's image through it is
+    Psi_p (alpha_hat * indicator), read from the pilot model with no
+    product with the channel, and its one product with the demodulated data
+    gives both the iteration's residual and the next observation, so a
+    frame makes one channel product per iteration (a given ``known_data``
+    adds its own product in each later iteration).  Psi_p^H and the Gram are
     built once per (cfg, grid.pairs, pilot) and cached, at most 4 pilot
     models of about L*Nc*16 bytes each, shared with Theorem 4
     (``analysis.verify_theorem_4``), so a frame with a known pilot makes no
@@ -352,42 +399,56 @@ def iterative_estimate(
     the demodulated data pushed through the current channel estimate and sets
     the interference model from the measured residual of the previous fit
     (so a failed cancellation does not make the next pass overconfident).
-    The prior defaults to a unit gain power spread uniformly over the grid.
+    The prior defaults to a unit gain power spread uniformly over the grid;
+    a flat (infinite) gain variance is taken only when the frame has no data
+    (``effective_noise_covariance``).
     ``known_data`` replaces the demodulated feedback with a given data vector
     (diagnostic genie for isolating the cancellation algebra).  The result
     carries, per iteration, the residual norm of the fit and the effective
     noise c the posterior used (before its 1e-30 floor), and the Gram's
     condition number, computed once per pilot model.  ``y``, ``x_pilot``
     and a given ``known_data`` must have shape (Nc,) (else
-    ``ConfigurationError``), ``noise_power`` must be finite and >= 0 and
-    ``n_iter`` an integer >= 1 (else ``ParameterError``), all checked
-    before any work.
+    ``ConfigurationError``) and finite entries, ``spec``, ``grid``, ``cfg``
+    and a given ``prior`` must be a ``FrameSpec``, ``BasisGrid``,
+    ``AfdmConfig`` and ``PriorModel``, ``noise_power`` must be finite and
+    >= 0 and ``n_iter`` an integer >= 1 (else ``ParameterError``), all
+    checked once, before any work.
     """
+    check_type(spec, FrameSpec, "spec")
+    check_type(grid, BasisGrid, "grid")
+    check_type(cfg, AfdmConfig, "cfg")
+    if prior is not None:
+        check_type(prior, PriorModel, "prior")
     check_count(n_iter, "n_iter")
     check_nonnegative(noise_power, "noise_power")
-    y = check_vector(y, cfg.n_sub, "y")
-    x_pilot = check_vector(x_pilot, cfg.n_sub, "x_pilot")
-    known = None if known_data is None else check_vector(known_data, cfg.n_sub, "known_data")
+    y = check_finite(check_vector(y, cfg.n_sub, "y"), "y")
+    x_pilot = check_finite(check_vector(x_pilot, cfg.n_sub, "x_pilot"), "x_pilot")
+    if known_data is not None:
+        known_data = check_finite(check_vector(known_data, cfg.n_sub, "known_data"), "known_data")
     model = _pilot_model(cfg, grid.pairs, x_pilot.tobytes())
     if prior is None:
         prior = PriorModel.uniform(grid, noise_variance=0.0)
     c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
     residuals: list[float] = []
     noise_levels: list[float] = []
+    observation = y
     for it in range(n_iter):
+        if it:
+            # the previous estimate's image of the fed-back data
+            observation = y - (data_image if known_data is None else h_hat @ known_data)
         noise_levels.append(float(c_it))
-        observation = y if it == 0 else y - h_hat @ feedback
-        alpha_hat, post = _posterior(
-            model.psi_h @ observation, model.gram, model.diagonal, PriorModel(prior.gain_variances, c_it)
-        )
+        corr = model.psi_h @ observation
+        alpha_hat, post = _posterior(corr, model.gram, model.diagonal, prior.gain_variances, c_it)
         eps_it = _EPS_SCALE * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps
         indicator = threshold_paths(alpha_hat, eps_it)
-        h_hat = reconstruct_channel(alpha_hat, indicator, grid, cfg)
-        x_d_hat, bits = equalize_demod(y, h_hat, x_pilot, spec, noise_power)
+        h_hat = _kept_channel(alpha_hat, indicator, grid, cfg)
+        # the pilot through the estimate, h_hat @ x_pilot, is Psi_p (alpha_hat * indicator)
+        pilot_free = y - np.conj(np.conj(alpha_hat * indicator) @ model.psi_h)
+        x_d_hat, bits = _equalize(pilot_free, h_hat, spec, noise_power)
         if spec.data_symbol_power > 0 and bits.size:
             x_d_hat = map_bits(bits, spec)
-        feedback = x_d_hat if known is None else known  # read from iteration 2 on
-        resid = float(np.linalg.norm(y - h_hat @ (x_pilot + x_d_hat)))
+        data_image = h_hat @ x_d_hat
+        resid = float(np.linalg.norm(pilot_free - data_image))
         residuals.append(resid)
         # unexplained power per sample, corrected for the fitted coefficients
         dof = max(cfg.n_sub - int(indicator.sum()), cfg.n_sub // 4)

@@ -44,6 +44,7 @@ from .errors import (
     check_positive,
     check_reals,
     check_stack,
+    check_type,
     is_integer,
     is_real,
 )
@@ -321,9 +322,7 @@ class SensingScenario:
     def __post_init__(self):
         for name, kind in (("cfg", AfdmConfig), ("frame_spec", FrameSpec), ("pilot", PilotScheme),
                            ("detection", DetectionConfig)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ParameterError(f"{name} must be of type {kind.__name__}, got {value!r}")
+            check_type(getattr(self, name), kind, name)
         check_count(self.tau_m, "tau_m")
         check_count(self.nu_m, "nu_m")
         if self.tau_m > self.cfg.n_cpp:

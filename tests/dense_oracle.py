@@ -18,7 +18,11 @@ where ``sensing._correlate`` reads windows of the extension through
 ``waveform_samples`` (often a strided view).  The pilot's Gram over a list
 of basis pairs is built directly, as the rows of the pilot's images times
 their conjugates, where ``analysis.verify_theorem_4`` reads it from the
-estimator's cached pilot model.
+estimator's cached pilot model.  The equalizer's band is read off the dense
+time-domain normal matrix, where ``PathChannel._band`` forms its cyclic
+diagonals in closed form.  The iterative estimator's loop is kept as it was
+before each channel estimate was pushed through the frame once: three
+``PathChannel`` products per estimate and the public ``equalize_demod``.
 """
 
 import math
@@ -30,11 +34,14 @@ from afdm_isac import AfdmConfig, build_daft_matrix, idaft, waveform_samples
 from afdm_isac.analysis import cross_ambiguity
 from afdm_isac.channel import ChannelPath, ChannelRealization, PathChannel, _doppler_ramp
 from afdm_isac.errors import ParameterError
+from afdm_isac import estimator
 from afdm_isac.estimator import (
     PriorModel,
     build_psi,
     effective_noise_covariance,
+    equalize_demod,
     mmse_estimate,
+    reconstruct_channel,
     threshold_paths,
 )
 from afdm_isac.modem import demap_symbols, map_bits
@@ -208,6 +215,25 @@ def regularized_solve(h, r, lam: float) -> np.ndarray:
     return np.linalg.solve(normal, h_t.conj().T @ r)
 
 
+def normal_band(h, lam: float) -> np.ndarray:
+    """Lower band of the dense H_t^H H_t + lam I of a PathChannel, unknowns ordered [0, Nc-1, 1, Nc-2, ...].
+
+    Row k holds the k-th subdiagonal of the reordered matrix, its last k
+    entries 0 (LAPACK's lower band storage), for k up to
+    min(2*min(spread, Nc // 2), Nc - 1).
+    """
+    n = h.cfg.n_sub
+    h_t = path_sum(h, time_matrix)
+    order = [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+    reordered = (h_t.conj().T @ h_t + lam * np.eye(n))[np.ix_(order, order)]
+    spread = int(h.delays.max() - h.delays.min()) if h.delays.size else 0
+    width = min(2 * min(spread, n // 2), n - 1)
+    band = np.zeros((width + 1, n), dtype=np.complex128)
+    for k in range(width + 1):
+        band[k, : n - k] = reordered.diagonal(-k)
+    return band
+
+
 def equalize(y, h, x_pilot, lam: float) -> np.ndarray:
     """Dense DAFT-domain regularized least squares (H^H H + lam I)^{-1} H^H (y - H x_p)."""
     h = np.asarray(h)
@@ -237,6 +263,37 @@ def iterative_estimate(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2):
         dof = max(cfg.n_sub - int(indicator.sum()), cfg.n_sub // 4)
         c_it = max(noise_power, resid * resid / dof)
     return alpha, indicator, h, bits
+
+
+def iterative_loop(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2, prior=None, eps=None, known_data=None):
+    """``estimator.iterative_estimate``'s loop with three products per channel estimate.
+
+    Each iteration equalizes with the public ``equalize_demod``, which pushes
+    the pilot through the estimate, forms the residual from the estimate
+    times pilot plus data, and the next iteration pushes the fed-back data
+    through it again.  The posterior is the estimator's own, from its cached
+    pilot model.  Returns (alpha_hat, indicator, residual norms, last bits).
+    """
+    x_pilot = np.asarray(x_pilot, dtype=np.complex128)
+    model = estimator._pilot_model(cfg, grid.pairs, x_pilot.tobytes())
+    prior = PriorModel.uniform(grid, noise_variance=0.0) if prior is None else prior
+    c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
+    residuals = []
+    for it in range(n_iter):
+        observation = y if it == 0 else y - h_hat @ feedback
+        corr = model.psi_h @ observation
+        alpha, post = estimator._posterior(corr, model.gram, model.diagonal, prior.gain_variances, c_it)
+        indicator = threshold_paths(alpha, 3.0 * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps)
+        h_hat = reconstruct_channel(alpha, indicator, grid, cfg)
+        x_d, bits = equalize_demod(y, h_hat, x_pilot, spec, noise_power)
+        if spec.data_symbol_power > 0 and bits.size:
+            x_d = map_bits(bits, spec)
+        feedback = x_d if known_data is None else known_data
+        resid = float(np.linalg.norm(y - h_hat @ (x_pilot + x_d)))
+        residuals.append(resid)
+        dof = max(cfg.n_sub - int(indicator.sum()), cfg.n_sub // 4)
+        c_it = max(noise_power, resid * resid / dof)
+    return alpha, indicator, residuals, bits
 
 
 def demap_by_distance(y_eq, spec) -> np.ndarray:

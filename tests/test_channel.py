@@ -24,6 +24,7 @@ from afdm_isac.channel import (
     apply_channel_time,
     basis_grid,
     delay_doppler_to_range_velocity,
+    _band_layout,
     _doppler_ramp,
     sample_channel,
     sensing_echo,
@@ -241,6 +242,33 @@ class TestRegularizedSolve:
             assert np.array_equal(z, PathChannel(*args).regularized_solve(r, lam))
             assert np.max(np.abs(z - dense_oracle.regularized_solve(h, r, lam))) < 1e-10
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_sub=st.integers(1, 64),
+        two_c1_n=st.integers(0, 9),
+        delays=st.lists(st.integers(0, 2**20), max_size=6),
+        zero_gains=st.integers(0, 2**6 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a spread of Nc - 1 reaches both wraps; repeated delays; a zero gain
+    @example(n_sub=8, two_c1_n=1, delays=[0, 7, 7], zero_gains=0b100, seed=1)
+    @example(n_sub=9, two_c1_n=3, delays=[0, 8, 4], zero_gains=0, seed=2)
+    @example(n_sub=16, two_c1_n=4, delays=[3, 3, 11], zero_gains=0b1, seed=3)
+    @example(n_sub=15, two_c1_n=2, delays=[2, 9, 14, 0], zero_gains=0, seed=4)
+    def test_band_is_the_dense_normal_matrix(self, n_sub, two_c1_n, delays, zero_gains, seed):
+        # N odd or even, K*N odd or even (the prefix flips), the closed-form
+        # diagonals read through the band layout against the dense H_t^H H_t
+        rng = np.random.default_rng(seed)
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        paths = len(delays)
+        gains = (rng.standard_normal(paths) + 1j * rng.standard_normal(paths)) / math.sqrt(2 * max(paths, 1))
+        gains[[bool(zero_gains >> p & 1) for p in range(paths)]] = 0.0
+        h = PathChannel(cfg, np.asarray(delays, dtype=np.int64) % n_sub, rng.integers(-3, 4, paths), gains)
+        expect = dense_oracle.normal_band(h, 0.3)
+        band = h._band(0.3)
+        assert band.shape == expect.shape
+        assert np.max(np.abs(band - expect)) <= 1e-12 * max(1.0, np.abs(expect).max())
+
     @pytest.mark.parametrize("lam", [-0.1, -1e-300, math.nan, math.inf, -math.inf])
     def test_bad_lam_rejected(self, lam):
         with pytest.raises(ParameterError, match="lam"):
@@ -264,10 +292,14 @@ class TestRegularizedSolve:
                     h.regularized_solve(r, lam)
 
     def test_solved_channel_keeps_its_time_taps_and_one_factor(self, rng):
-        # spread + 1 time-tap rows and 2*spread + 1 factor rows of Nc values,
-        # plus 4 KiB for the objects that hold them; no lam-free Gram copy
+        # a tap and a read index per path and 2*spread + 1 factor rows of Nc
+        # values, plus 4 KiB for the objects that hold them; no lam-free Gram
+        # copy.  A first channel of the same spread loads scipy.linalg and the
+        # band layout, which every channel of that size and spread shares.
         cfg = AfdmConfig(n_sub=4096, c1=1 / 1024)
-        PathChannel(cfg, [0], [0], [1.0]).regularized_solve(np.ones(4096), 0.1)  # loads scipy.linalg
+        PathChannel(cfg, [0, 8], [0, 0], [1.0, 0.1]).regularized_solve(np.ones(4096), 0.1)
+        layout = _band_layout(4096, 8)
+        assert layout.nbytes == (2 * 8 + 1) * 4096 * 8
         h = PathChannel(cfg, [0, 3, 8], [0, -2, 2], [1.0, 0.5j, 0.3])
         r = random_unit_symbols(rng, 4096)
         tracemalloc.start()

@@ -317,6 +317,25 @@ SITES = [
     ("SensingScenario.pilot", lambda v: scenario(pilot=v), ParameterError, "^pilot must be of type", set()),
     ("SensingScenario.detection", lambda v: scenario(detection=v), ParameterError,
      "^detection must be of type", set()),
+    ("iterative_estimate.spec", lambda v: iterative_estimate(ONES, X_P, v, GRID, CFG, 0.1), ParameterError,
+     "^spec must be of type", set()),
+    ("iterative_estimate.grid", lambda v: iterative_estimate(ONES, X_P, SPEC, v, CFG, 0.1), ParameterError,
+     "^grid must be of type", set()),
+    ("iterative_estimate.cfg", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, v, 0.1), ParameterError,
+     "^cfg must be of type", set()),
+    # None spreads a unit gain power over the grid
+    ("iterative_estimate.prior", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, prior=v),
+     ParameterError, "^prior must be of type", {"None"}),
+    ("mmse_estimate.prior", lambda v: mmse_estimate(ONES, np.ones((16, 2)), v), ParameterError,
+     "^prior must be of type", set()),
+    ("equalize_demod.spec", lambda v: equalize_demod(ONES, H, X_P, v, 0.1), ParameterError,
+     "^spec must be of type", set()),
+    ("equalize_demod.h_hat", lambda v: equalize_demod(ONES, v, X_P, SPEC, 0.1), ParameterError,
+     "^h_hat must be of type", set()),
+    ("reconstruct_channel.grid", lambda v: reconstruct_channel(np.ones(len(GRID)), np.ones(len(GRID)), v, CFG),
+     ParameterError, "^grid must be of type", set()),
+    ("reconstruct_channel.cfg", lambda v: reconstruct_channel(np.ones(len(GRID)), np.ones(len(GRID)), GRID, v),
+     ParameterError, "^cfg must be of type", set()),
     # a member of the Constellation enum, a pilot family's name
     ("FrameSpec.constellation", lambda v: FrameSpec(1.0, 1.0, v), ParameterError, "^constellation", set()),
     ("PilotScheme.variant", lambda v: PilotScheme(v, 1.0), ParameterError, "^unknown pilot variant", set()),
@@ -343,8 +362,9 @@ SITES = [
     # real numbers >= 0 of any shape, inf (a flat prior) too
     ("PriorModel.gain_variances", lambda v: PriorModel(v, 1.0), ParameterError, "^prior variances",
      {"wrong shape", "+inf", "2 elements", "2.5", "True"}),
+    # the same, finite when there are data: a flat prior makes the data interference infinite
     ("effective_noise_covariance.gain_variances", lambda v: effective_noise_covariance(v, 1.0, 1.0),
-     ParameterError, "^prior variances", {"wrong shape", "+inf", "2 elements", "2.5", "True"}),
+     ParameterError, "^prior variances", {"wrong shape", "2 elements", "2.5", "True"}),
     # finite reals of a fixed layout: a curve of (gamma, Pfa, Pd) rows, a non-empty power vector
     ("pd_at_pfa.curve", lambda v: pd_at_pfa(v, [0.1]), ParameterError, "^curve", {"wrong shape"}),
     ("PowerAllocation.powers", lambda v: PowerAllocation(v), ParameterError, "^powers", {"2 elements"}),
@@ -462,6 +482,21 @@ DEFECTS = {
     "prior numeric strings": lambda: PriorModel(["1", "1"], 1.0),
     # accepted, then a NaN noise level
     "effective noise NaN variance": lambda: effective_noise_covariance([math.nan, 1.0], 1.0, 1.0),
+    # accepted, an infinite noise level (with no data, a NaN one)
+    "effective noise flat prior with data": lambda: effective_noise_covariance([math.inf, 1.0], 1.0, 1.0),
+    # bare AttributeError or TypeError from the first use of the argument
+    "iterative_estimate spec None": lambda: iterative_estimate(ONES, X_P, None, GRID, CFG, 0.1),
+    "iterative_estimate grid as pairs": lambda: iterative_estimate(ONES, X_P, SPEC, GRID.pairs, CFG, 0.1),
+    "iterative_estimate cfg as n_sub": lambda: iterative_estimate(ONES, X_P, SPEC, GRID, 16, 0.1),
+    "iterative_estimate prior as variances": lambda: iterative_estimate(
+        ONES, X_P, SPEC, GRID, CFG, 0.1, prior=np.ones(len(GRID))
+    ),
+    "mmse_estimate prior as variances": lambda: mmse_estimate(ONES, np.ones((16, 2)), np.ones(2)),
+    "equalize_demod spec None": lambda: equalize_demod(ONES, H, X_P, None, 0.1),
+    "reconstruct_channel grid as pairs": lambda: reconstruct_channel(
+        np.ones(len(GRID)), np.ones(len(GRID)), GRID.pairs, CFG
+    ),
+    "reconstruct_channel cfg None": lambda: reconstruct_channel(np.ones(len(GRID)), np.ones(len(GRID)), GRID, None),
     # accepted, a float spacing (17.0, 7.0); a negative Doppler budget's comb (3, 42)
     "traditional_spacing tau_m 1.5": lambda: traditional_spacing(CFG128, 1.5, 2),
     "traditional_spacing nu_m -3": lambda: traditional_spacing(CFG128, 1, -3),

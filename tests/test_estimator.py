@@ -104,6 +104,17 @@ class TestEffectiveNoise:
     def test_unit_case(self):
         assert effective_noise_covariance(np.ones(4) / 4, 1.0, 1.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("noise_power", [0.0, 0.7, 1.0])
+    def test_flat_prior_without_data_is_the_noise_power(self, noise_power):
+        # was NaN (inf * 0) when the data power is 0
+        assert effective_noise_covariance([math.inf, 1.0], 0.0, noise_power) == noise_power
+        assert effective_noise_covariance(np.full(3, math.inf), 0.0, noise_power) == noise_power
+
+    def test_flat_prior_with_data_raises(self):
+        # was inf, refused later as an infinite noise variance
+        with pytest.raises(ParameterError, match="flat prior"):
+            effective_noise_covariance([math.inf, 1.0], 1.0, 1.0)
+
     def test_monte_carlo_covariance(self, rng):
         # sample covariance of the data-interference-plus-noise term
         n_draws = 40_000
@@ -132,6 +143,17 @@ class TestMmse:
         prior = PriorModel(np.ones(4), 1.0)
         est, _ = mmse_estimate(np.zeros(4), psi, prior)
         assert np.all(est == 0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    def test_non_finite_entry_raises(self, bad):
+        # was a RuntimeWarning from the products, or a non-finite posterior
+        y, psi, prior = np.ones(4, dtype=complex), np.ones((4, 2), dtype=complex), PriorModel(np.ones(2), 1.0)
+        y_bad, psi_bad = y.copy(), psi.copy()
+        y_bad[1], psi_bad[2, 1] = bad, bad
+        with pytest.raises(ParameterError, match="^y must be finite"):
+            mmse_estimate(y_bad, psi, prior)
+        with pytest.raises(ParameterError, match="^Psi must be finite"):
+            mmse_estimate(y, psi_bad, prior)
 
     def test_noiseless_ls_limit(self, rng):
         # orthogonal columns, no noise, flat prior: exact recovery
@@ -253,6 +275,15 @@ class TestReconstruct:
         h = reconstruct_channel(np.ones(9), np.zeros(9), GRID, CFG)
         assert np.all(np.asarray(h) == 0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_non_finite_gain_raises(self, bad, kept):
+        # a dropped one was a RuntimeWarning (inf * 0), a kept one the channel's own refusal
+        alpha, indicator = np.ones(9, dtype=complex), np.ones(9)
+        alpha[4], indicator[4] = bad, kept
+        with pytest.raises(ParameterError, match="^alpha_hat must be finite"):
+            reconstruct_channel(alpha, indicator, GRID, CFG)
+
     def test_exact_on_true_support(self, rng):
         real = sample_channel(L=3, tau_m=2, nu_m=1, rng=rng)
         h_true = channel_matrix(real, CFG)
@@ -350,6 +381,17 @@ class TestEqualizeOracle:
 
 
 class TestIterative:
+    def test_pilot_only_frame_under_a_flat_prior(self, rng):
+        # was refused with "noise variance must be finite": with no data the
+        # flat prior leaves least squares over the pilot's images
+        x_p = random_unit_symbols(rng, 16) * 4.0
+        y, spec, _ = link_frame(rng, CFG, GRID, x_p, data_power=0.0)
+        flat = PriorModel(np.full(len(GRID), math.inf), 0.0)
+        res = iterative_estimate(y, x_p, spec, GRID, CFG, 1.0, n_iter=2, eps=0.0, prior=flat)
+        expect = np.linalg.lstsq(build_psi(x_p, GRID, CFG), y, rcond=None)[0]
+        assert res.noise_levels[0] == 1.0
+        assert np.linalg.norm(res.alpha_hat - expect) <= 1e-10 * np.linalg.norm(expect)
+
     def test_single_iteration_equals_plain_mmse(self, rng):
         cfg = AfdmConfig(n_sub=32, n_cpp=8, c1=4 / 32)
         grid = basis_grid(tau_m=2, nu_m=1)
@@ -459,7 +501,7 @@ class TestNoiseLevels:
     @pytest.mark.parametrize("noise_power", [0.0, 0.3, 1.0, 4.0])
     def test_first_is_the_prior_model_and_later_ones_at_least_the_noise(self, rng, noise_power):
         x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
-        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
         res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, noise_power, n_iter=4)
         prior = PriorModel.uniform(self.GRID64, 0.0)
         first = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
@@ -470,7 +512,7 @@ class TestNoiseLevels:
 
     def test_first_follows_a_callers_prior(self, rng):
         x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
-        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
         prior = PriorModel(np.linspace(0.0, 0.1, len(self.GRID64)), 0.0)
         res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0, prior=prior)
         assert res.noise_levels[0] == effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, 1.0)
@@ -534,8 +576,8 @@ class TestDiagonalRoute:
         prior = PriorModel(g, c)
         y = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
         corr = model.psi_h @ y
-        alpha, variances = estimator._posterior(corr, model.gram, model.diagonal, prior)
-        alpha_inv, variances_inv = estimator._posterior(corr, model.gram, None, prior)
+        alpha, variances = estimator._posterior(corr, model.gram, model.diagonal, prior.gain_variances, c)
+        alpha_inv, variances_inv = estimator._posterior(corr, model.gram, None, prior.gain_variances, c)
         assert np.all(alpha[g == 0] == 0) and np.all(variances[g == 0] == 0)
         assert np.max(np.abs(alpha - alpha_inv), initial=0.0) <= 1e-12 * np.max(np.abs(alpha_inv), initial=0.0)
         assert np.max(np.abs(variances - variances_inv), initial=0.0) <= 1e-12 * np.max(variances_inv, initial=0.0)
@@ -549,7 +591,7 @@ class TestDiagonalRoute:
         assert model.diagonal is None
         off = np.abs(model.gram - np.diag(model.gram.diagonal()))
         assert off.max() > 1e-3 * model.gram.diagonal().real.max()
-        y, spec = link_frame(rng, cfg, grid, x_p)
+        y, spec, _ = link_frame(rng, cfg, grid, x_p)
         iterative_estimate(y, x_p, spec, grid, cfg, 1.0, n_iter=2)
         assert inverses == [(len(grid), len(grid))] * 2
 
@@ -568,7 +610,7 @@ class TestDiagonalRoute:
         cfg = AfdmConfig(n_sub=512, n_cpp=8, c1=c1)
         grid = basis_grid(8, 2)
         x_p = PILOT_FAMILIES[family](cfg, 8, 2)
-        y, spec = link_frame(rng, cfg, grid, x_p)
+        y, spec, _ = link_frame(rng, cfg, grid, x_p)
         res = iterative_estimate(y, x_p, spec, grid, cfg, 1.0, n_iter=2)
         assert inverses == []
         assert res.gram_condition == pytest.approx(1.0, abs=1e-12)
@@ -578,7 +620,7 @@ class TestDiagonalRoute:
         cfg = AfdmConfig(n_sub=512, n_cpp=8, c1=c1)
         grid = basis_grid(8, 2)
         x_p = random_pilot(rng, 512)
-        y, spec = link_frame(rng, cfg, grid, x_p)
+        y, spec, _ = link_frame(rng, cfg, grid, x_p)
         res = iterative_estimate(y, x_p, spec, grid, cfg, 1.0, n_iter=1)
         assert isinstance(res.gram_condition, float)
         assert res.gram_condition > 1.0 + 1e-3
@@ -653,12 +695,42 @@ class TestDenseRoute:
         assert np.count_nonzero(bits_hat != bits) < bits.size // 10
 
 
-def link_frame(rng, cfg, grid, x_p):
-    """A superimposed frame through 3 random grid paths at noise power 1: (y, spec)."""
-    spec = FrameSpec(float(np.linalg.norm(x_p) ** 2), 30.0, Constellation.QPSK)
+def link_frame(rng, cfg, grid, x_p, data_power=30.0):
+    """A superimposed frame through 3 random grid paths at noise power 1: (y, spec, data)."""
+    spec = FrameSpec(float(np.linalg.norm(x_p) ** 2), data_power, Constellation.QPSK)
     real = sample_channel(L=3, tau_m=grid.tau_m, nu_m=grid.nu_m, rng=rng, noise_power=1.0)
     _, x_d = random_data_vector(cfg.n_sub, spec, rng)
-    return receive(transmit(x_p, x_d, cfg), real, cfg, rng), spec
+    return receive(transmit(x_p, x_d, cfg), real, cfg, rng), spec, x_d
+
+
+class TestLoopAlgebra:
+    """The loop that pushes each estimate through the frame once equals the three-product loop."""
+
+    CFG64 = AfdmConfig(n_sub=64, n_cpp=8, c1=4 / 64)
+    GRID64 = basis_grid(tau_m=3, nu_m=1)
+
+    @pytest.mark.parametrize("n_iter", [1, 2, 3])
+    @pytest.mark.parametrize("pilot", ["proposed", "random"])
+    @pytest.mark.parametrize("option", ["3 sigma", "eps", "known_data"])
+    def test_matches_the_three_product_loop(self, rng, n_iter, pilot, option):
+        # the proposed pilot's Gram is read elementwise, a random pilot's is inverted
+        cfg, grid = self.CFG64, self.GRID64
+        if pilot == "proposed":
+            x_p = proposed_pilot(cfg, 64 * 30.0)
+        else:
+            x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        y, spec, x_d = link_frame(rng, cfg, grid, x_p)
+        options = {"3 sigma": {}, "eps": {"eps": 0.4}, "known_data": {"known_data": x_d}}[option]
+        res = iterative_estimate(y, x_p, spec, grid, cfg, 1.0, n_iter=n_iter, **options)
+        alpha, indicator, residuals, bits = dense_oracle.iterative_loop(
+            y, x_p, spec, grid, cfg, 1.0, n_iter=n_iter, **options
+        )
+        _, bits_hat = equalize_demod(y, res.h_eff_hat, x_p, spec, 1.0)
+        assert np.linalg.norm(res.alpha_hat - alpha) <= 1e-12 * np.linalg.norm(alpha)
+        assert len(res.residual_norms) == n_iter
+        assert np.allclose(res.residual_norms, residuals, rtol=1e-12, atol=0.0)
+        assert np.array_equal(res.indicator, indicator)
+        assert np.array_equal(bits_hat, bits)
 
 
 class TestIterativeContracts:
@@ -666,7 +738,7 @@ class TestIterativeContracts:
 
     def run(self, rng, reshape=lambda y, x_p: (y, x_p), **options):
         x_p = random_unit_symbols(rng, 16) * 4.0
-        y, spec = link_frame(rng, CFG, GRID, x_p)
+        y, spec, _ = link_frame(rng, CFG, GRID, x_p)
         y, x_p = reshape(y, x_p)
         iterative_estimate(y, x_p, spec, GRID, CFG, **{"noise_power": 1.0, **options})
 
@@ -687,6 +759,20 @@ class TestIterativeContracts:
     def test_noise_power(self, rng, noise_power):
         with pytest.raises(ParameterError, match="noise_power"):
             self.run(rng, noise_power=noise_power)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    @pytest.mark.parametrize("argument", ["y", "x_pilot", "known_data"])
+    def test_non_finite_entry(self, rng, bad, argument):
+        # was a RuntimeWarning from the first product with it
+        x_p = random_unit_symbols(rng, 16) * 4.0
+        y, spec, x_d = link_frame(rng, CFG, GRID, x_p)
+        args = {"y": y.copy(), "x_pilot": x_p.copy(), "known_data": x_d.copy()}
+        args[argument][3] = bad
+        before = estimator._pilot_model.cache_info()
+        with pytest.raises(ParameterError, match=f"^{argument} must be finite"):
+            iterative_estimate(args["y"], args["x_pilot"], spec, GRID, CFG, 1.0, known_data=args["known_data"])
+        after = estimator._pilot_model.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     @pytest.mark.parametrize("n_iter", [0, 2.5, True])
     def test_n_iter(self, rng, n_iter):
@@ -722,6 +808,14 @@ class TestEqualizeContracts:
         with pytest.raises(ParameterError, match="finite"):
             equalize_demod(y, self.H, np.zeros(16), self.SPEC, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    def test_non_finite_x_pilot(self, bad):
+        # was a RuntimeWarning from the pilot's product with the channel
+        x_p = np.zeros(16, dtype=complex)
+        x_p[5] = bad
+        with pytest.raises(ParameterError, match="^x_pilot must be finite"):
+            equalize_demod(np.ones(16), self.H, x_p, self.SPEC, 0.1)
+
     @pytest.mark.parametrize("shape", [(15,), (17,), (2, 16), (16, 1), ()])
     @pytest.mark.parametrize("data_power", [1.0, 0.0])
     def test_y_shape(self, shape, data_power):
@@ -749,9 +843,36 @@ class TestEqualizerFactor:
             monkeypatch.setattr(scipy.linalg, name, counting)
         return counts
 
+    @pytest.fixture
+    def products(self, monkeypatch):
+        operands = []
+        matmul = PathChannel.__matmul__
+
+        def counting(h, x):
+            operands.append(np.array(x))
+            return matmul(h, x)
+
+        monkeypatch.setattr(PathChannel, "__matmul__", counting)
+        return operands
+
+    @pytest.mark.parametrize("n_iter", [1, 2, 3])
+    @pytest.mark.parametrize("known", [False, True])
+    def test_each_estimate_is_pushed_through_the_frame_once(self, rng, products, n_iter, known):
+        # one product of the demodulated data per iteration, which is also the
+        # next observation's; a given known_data is fed back instead, so each
+        # later iteration makes its own product of it.  The pilot's image is
+        # read from the pilot model, never as a product with the channel.
+        x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        y, spec, x_d = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        iterative_estimate(
+            y, x_p, spec, self.GRID64, self.CFG64, 1.0, n_iter=n_iter, known_data=x_d if known else None
+        )
+        assert len(products) == (2 * n_iter - 1 if known else n_iter)
+        assert not any(np.array_equal(x, x_p) for x in products)
+
     def test_frame_makes_two_factorizations_for_three_solves(self, rng, calls):
         x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
-        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
         res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0, n_iter=2)
         assert calls == {"factor": 2, "solve": 2}
         equalize_demod(y, res.h_eff_hat, x_p, spec, 1.0)
@@ -788,10 +909,10 @@ class TestPilotModel:
 
     def test_pilot_written_in_place_is_not_stale(self, rng):
         x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
-        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
         iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0)
         x_p *= np.exp(0.3j) * random_unit_symbols(rng, 64) * math.sqrt(2.0)
-        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
         res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0)
         alpha, indicator, h_dense, _ = dense_oracle.iterative_estimate(
             y, x_p, spec, self.GRID64, self.CFG64, 1.0
@@ -803,7 +924,7 @@ class TestPilotModel:
 
     def test_grid_and_config_are_part_of_the_key(self, rng):
         x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
-        y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
         # the same pilot bytes each time: only the rest of the key tells these apart
         variants = [
             (self.CFG64, self.GRID64),
@@ -822,7 +943,7 @@ class TestPilotModel:
         estimator._pilot_model.cache_clear()
         x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
         for _ in range(2):
-            y, spec = link_frame(rng, self.CFG64, self.GRID64, x_p)
+            y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
             iterative_estimate(y, x_p.copy(), spec, self.GRID64, self.CFG64, 1.0)
         assert estimator._pilot_model.cache_info().misses == 1
 
