@@ -1,31 +1,29 @@
 """Doubly dispersive channel, radar echo generation, and DAFT-domain models.
 
-A path with integer delay tau, normalized Doppler nu and gain alpha acts on
-the prefix-free symbol as
+One model of a path serves the link and the radar.  A path with delay tau
+samples, normalized Doppler nu and gain beta maps the prefix-free symbol s
+(``idaft`` output) to the post-prefix window
 
-    y[n] = alpha * s[n - tau] * exp(j*2*pi*nu*<n - tau>_Nc/Nc)
+    r[n] = beta * s((n - tau)*Ts) * exp(j*2*pi*nu*n/Nc),    n < Nc,
 
-where s[n - tau] reads the chirp-periodic extension of the symbol (the
-record ``add_cpp`` builds): s[<n - tau>_Nc], negated when n - tau < 0 and
-K*Nc is odd (K = 2*c1*Nc).  In the DAFT domain the same path is the unitary
-matrix A * Gamma * Pi^tau * Delta_nu * A^H scaled by alpha, which has one
-nonzero per row; ``PathChannel`` keeps a sum of such paths in that
-structured form, and the tests check it against the dense matrices.
+the delayed copy ``waveform_samples`` of s times the Doppler ramp
+``_doppler_ramp`` on the receive index.  At a whole delay the copy is the
+chirp-periodic extension that ``add_cpp`` builds, s[<n - tau>_Nc] negated
+when n - tau < 0 and K*Nc is odd (K = 2*c1*Nc); at a fractional one it is
+the frequency-wrapped chirp waveform.  The ramp's whole part is read from
+``dft_twiddle``, so it is exact at any nu, at 2*sqrt(Nc) exponentials per
+nu; it is every real Doppler ramp of the package, a path's, an echo's or a
+range-Doppler map's (``sensing``).  ``sensing_echo`` is this map for one
+target.  ``apply_channel_time`` sums it over the paths of a realization,
+path gain alpha taken as beta = alpha * exp(-j*2*pi*nu*tau/Nc), so a path is
 
-The radar echo over the post-prefix window follows the sampled
-receiver-clock model
+    y[n] = alpha * s[n - tau] * exp(j*2*pi*nu*(n - tau)/Nc),
 
-    r[n] = beta * s((n - tau_bar) * Ts) * exp(j*2*pi*nu_bar*n/Nc) + noise
-
-and ``sensing_echo`` builds it from the prefix-free symbol alone: the delays
-are evaluated with the frequency-wrapped chirp model (``waveform_samples``:
-the same chirp-periodic extension at whole-sample delays, so no prefixed
-record is needed, and an exact O(Nc log Nc) closed form at fractional ones).
-For integer delays the two conventions differ only by the constant phase
-exp(j*2*pi*nu*tau/Nc), which is absorbed by the path gain.  Every real
-Doppler ramp exp(j*2*pi*nu*n/Nc), of a path, an echo or a range-Doppler map
-(``sensing``), is ``_doppler_ramp``: its whole part read from
-``dft_twiddle``, so exact at any nu, and 2*sqrt(Nc) exponentials per nu.
+the chirp-periodic-prefix model of Bemani, Ghogho and Kountouris.  At an
+integer Doppler the same path in the DAFT domain is the unitary matrix
+A * Gamma * Pi^tau * Delta_nu * A^H scaled by alpha, one nonzero per row;
+``PathChannel`` keeps a sum of such paths in that structured form, and the
+tests check it against the dense matrices.
 """
 
 from __future__ import annotations
@@ -37,12 +35,11 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .daft import (
     AfdmConfig,
     _broadcasts_to,
-    _chirp_periodic,
+    _whole_delays,
     add_cpp,
     daft,
     idaft,
@@ -57,6 +54,7 @@ from .errors import (
     check_nonnegative,
     check_reals,
     check_stack,
+    check_type,
     check_vector,
     is_real,
 )
@@ -108,6 +106,9 @@ class ChannelRealization:
     nu_m: int
 
     def __post_init__(self):
+        paths = self.paths
+        if not isinstance(paths, (tuple, list)) or not all(isinstance(p, ChannelPath) for p in paths):
+            raise ParameterError(f"paths must be a sequence of ChannelPath, got {self.paths!r}")
         check_nonnegative(self.noise_power, "noise_power")
         check_count(self.tau_m, "tau_m", least=0)
         check_count(self.nu_m, "nu_m", least=0)
@@ -180,17 +181,16 @@ def basis_grid(tau_m: int, nu_m: int) -> BasisGrid:
     return BasisGrid(tau_m=tau_m, nu_m=nu_m)
 
 
-def _path_terms(s, cfg: AfdmConfig, delays, dopplers) -> np.ndarray:
-    """Unit-gain terms s[n - tau] * exp(j*2*pi*nu*<n - tau>_Nc/Nc), n < Nc, shape (paths, Nc).
+def _paths(s, cfg: AfdmConfig, delays: np.ndarray, dopplers) -> np.ndarray:
+    """Unit-gain paths s[n - tau] * exp(j*2*pi*nu*(n - tau)/Nc), n < Nc, shape (paths, Nc).
 
-    ``delays`` is an integer array.  Each term reads the ramped symbol through
-    the chirp-periodic extension, so any sum of terms is chirp-periodic.  With
-    s all ones the terms are the path taps c: the path maps s to c * s[<n - tau>_Nc].
+    ``delays`` is an integer array with entries in [0, Nc).  The delayed copy
+    is ``waveform_samples``' whole-delay reader, bit for bit its output (a
+    benchmark trace counts the public name as sensing work), and the ramp is
+    ``_doppler_ramp``, times its conjugate at n = tau: exp(-j*2*pi*nu*tau/Nc).
     """
-    most = int(delays.max(initial=0))
-    ext = _chirp_periodic(_doppler_ramp(dopplers, cfg) * s, cfg, np.arange(-most, cfg.n_sub))
-    # row p of the extension starts at n = -most, so its term is the window at most - tau_p
-    return sliding_window_view(ext, cfg.n_sub, axis=-1)[np.arange(delays.size), most - delays]
+    ramps = _doppler_ramp(dopplers, cfg)
+    return _whole_delays(s, cfg, delays) * ramps * np.conj(ramps[np.arange(delays.size), delays, None])
 
 
 def apply_basis(x, cfg: AfdmConfig, tau, nu) -> np.ndarray:
@@ -202,12 +202,13 @@ def apply_basis(x, cfg: AfdmConfig, tau, nu) -> np.ndarray:
     each row bit for bit the scalar call.  The FFT reference for
     ``PathChannel``; no receive path calls it (the benchmark pins its route).
     """
-    delays, dopplers = np.atleast_1d(tau), np.atleast_1d(np.asarray(nu, dtype=np.float64))
+    check_type(cfg, AfdmConfig, "cfg")
+    delays, dopplers = np.atleast_1d(tau), np.atleast_1d(check_reals(nu, "Dopplers"))
     if delays.dtype.kind not in "iu" or delays.ndim != 1 or dopplers.shape != delays.shape:
         raise ParameterError(f"need integer delays and one Doppler each, got {tau!r} and {nu!r}")
     if delays.min(initial=0) < 0 or delays.max(initial=0) >= cfg.n_sub:
         raise ParameterError(f"delays must lie in [0, Nc), got {tau}")
-    rows = daft(_path_terms(idaft(x, cfg), cfg, delays, dopplers), cfg)
+    rows = daft(_paths(idaft(x, cfg), cfg, delays, dopplers), cfg)
     return rows if np.ndim(tau) else rows[0]
 
 
@@ -245,9 +246,19 @@ def _band_layout(n: int, m_max: int) -> np.ndarray:
 def subcarrier_offset(tau, nu, cfg: AfdmConfig):
     """Cyclic subcarrier shift 2*c1*tau*Nc - nu (mod Nc) induced by a path.
 
-    Works elementwise on integer arrays of delays and Dopplers.
+    Works elementwise on whole delays and Dopplers, integers or integer
+    arrays of int64 range (else ``ParameterError``), reduced mod Nc first.
     """
-    return (cfg.two_c1_n * tau - nu) % cfg.n_sub
+    check_type(cfg, AfdmConfig, "cfg")
+    tau = check_integers(np.ravel(tau), "delays").reshape(np.shape(tau))
+    nu = check_integers(np.ravel(nu), "Dopplers").reshape(np.shape(nu))
+    return _offset(tau, nu, cfg)
+
+
+def _offset(tau: np.ndarray, nu: np.ndarray, cfg: AfdmConfig) -> np.ndarray:
+    """``subcarrier_offset`` of int64 arrays, unchecked: a ``PathChannel``'s own delays and Dopplers."""
+    n = cfg.n_sub
+    return (cfg.two_c1_n % n * (tau % n) - nu % n) % n
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,6 +305,7 @@ class PathChannel:
     _factor: tuple[float, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        check_type(self.cfg, AfdmConfig, "cfg")
         delays = check_integers(self.delays, "delays")
         dopplers = check_integers(self.dopplers, "Dopplers")
         gains = np.asarray(self.gains)
@@ -313,7 +325,7 @@ class PathChannel:
         """Source columns q and gain-weighted phases, both (paths, Nc) and read-only."""
         n, cfg = self.cfg.n_sub, self.cfg
         tau, nu = self.delays[:, None], self.dopplers[:, None] % n
-        q = (np.arange(n) + subcarrier_offset(tau, nu, cfg)) % n
+        q = (np.arange(n) + _offset(tau, nu, cfg)) % n
         phase = np.conj(cfg.c1_chirp[tau]) * cfg.dft_twiddle[(q + nu) * tau % n]
         taps = self.gains[:, None] * phase * cfg.c2_chirp * np.conj(cfg.c2_chirp[q])
         q.flags.writeable = False
@@ -456,18 +468,23 @@ class PathChannel:
 def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, rng=None) -> np.ndarray:
     """Push a prefixed time signal through the channel.
 
-    Returns a signal of the same length.  Each path's Doppler ramp rides with
-    the delayed signal, so the post-prefix window equals the DAFT-domain
-    matrix model exactly; the window is chirp-periodic, so the prefix region
-    (discarded by the receiver) is ``add_cpp`` of it.  With rng given,
-    circularly symmetric Gaussian noise of the realization's power is added.
+    Returns a signal of the same length.  The post-prefix window is the sum
+    over paths of alpha * s[n - tau] * exp(j*2*pi*nu*(n - tau)/Nc), read from
+    the prefix-free part of ``s_cpp`` (the module's model), which at integer
+    Dopplers is the DAFT-domain matrix model exactly.  The prefix region,
+    which the receiver discards, is ``add_cpp`` of the window: the physical
+    prefix at integer Dopplers only.  With rng given, circularly symmetric
+    Gaussian noise of the realization's power is added.  A non-finite entry
+    of ``s_cpp`` raises ``ParameterError``.
     """
-    s_cpp = check_vector(s_cpp, cfg.n_sub + cfg.n_cpp, "prefixed signal")
+    check_type(realization, ChannelRealization, "realization")
+    check_type(cfg, AfdmConfig, "cfg")
+    s_cpp = check_finite(check_vector(s_cpp, cfg.n_sub + cfg.n_cpp, "prefixed signal"), "prefixed signal")
     paths = realization.paths
-    delays = np.array([p.delay for p in paths])
+    delays = np.array([int(p.delay) for p in paths])
     if delays.max() > cfg.n_cpp:
         raise ParameterError(f"path delay {delays.max()} exceeds prefix length {cfg.n_cpp}")
-    terms = _path_terms(s_cpp[cfg.n_cpp :], cfg, delays, [p.doppler for p in paths])
+    terms = _paths(s_cpp[cfg.n_cpp :], cfg, delays, [p.doppler for p in paths])
     y = add_cpp(np.array([p.gain for p in paths]) @ terms, cfg)
     if rng is not None and realization.noise_power > 0:
         scale = math.sqrt(realization.noise_power / 2.0)
@@ -478,8 +495,9 @@ def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, 
 def sample_channel(
     L: int, tau_m: int, nu_m: int, rng, noise_power: float = 0.0
 ) -> ChannelRealization:
-    """Draw L distinct integer (tau, nu) pairs and CN(0, 1/L) gains."""
+    """Draw L distinct integer (tau, nu) pairs and CN(0, 1/L) gains from the Generator ``rng``."""
     check_count(L, "L")
+    check_type(rng, np.random.Generator, "rng")
     grid = basis_grid(tau_m, nu_m)
     if L > len(grid):
         raise ParameterError(f"L={L} exceeds the {len(grid)}-pair grid")
@@ -506,9 +524,12 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndar
     is ``_doppler_ramp``.  ``s`` may be a stack (..., Nc); the target's
     delay, Doppler and gain are then scalars or arrays that broadcast over
     its leading axes, one target per row, and the noise is drawn for the
-    whole stack, real parts first.
+    whole stack, real parts first.  A non-finite entry of ``s`` raises
+    ``ParameterError``.
     """
-    s = check_stack(s, cfg.n_sub, "symbols")
+    check_type(cfg, AfdmConfig, "cfg")
+    check_type(target, SensingTarget, "target")
+    s = check_finite(check_stack(s, cfg.n_sub, "symbols"), "symbols")
     tau, nu, gain = (
         np.asarray(v) for v in (target.delay_samples, target.doppler_norm, target.gain)
     )
@@ -554,6 +575,7 @@ def delay_doppler_to_range_velocity(tau_hat: float, nu_hat: float, cfg: AfdmConf
     Monostatic round trip: delay 2R/c and Doppler shift 2*V*f_c/c.  The
     estimates are finite real numbers or arrays of them.
     """
+    check_type(cfg, AfdmConfig, "cfg")
     r = SPEED_OF_LIGHT * check_reals(tau_hat, "tau_hat") * cfg.t_s / 2.0
     v = SPEED_OF_LIGHT * check_reals(nu_hat, "nu_hat") * cfg.delta_f / (2.0 * cfg.f_c)
     return r, v

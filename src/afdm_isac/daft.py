@@ -22,8 +22,9 @@ Conventions used throughout the package:
 * K = 2*c1*Nc must be an integer, so the prefix phase
   exp(-j*2*pi*c1*(Nc^2 + 2*Nc*i)) is (-1)^(K*Nc): at any integer index i the
   chirp-periodic extension of a symbol is s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)),
-  whose sign ``AfdmConfig.prefix_flips`` owns; every delayed copy in the
-  package reads the extension through ``_chirp_periodic``;
+  whose sign ``AfdmConfig.prefix_flips`` owns; the prefix (``add_cpp``) and
+  every delayed copy in the package (``waveform_samples``) read the
+  extension through ``_chirp_periodic``, which no other module calls;
 * a fractional delay tau is split exactly into a whole part w = round(tau)
   and a fraction |f| <= 1/2, so the delayed waveform's per-sample factors
   are table entries at integer indices (``dft_twiddle``, ``c1_chirp``) and
@@ -42,6 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     ConfigurationError,
     ParameterError,
+    check_finite,
     check_reals,
     check_stack,
     check_vector,
@@ -165,8 +167,9 @@ def idaft(x, cfg: AfdmConfig) -> np.ndarray:
     Implemented as chirp multiply, unitary inverse FFT, chirp multiply along
     the last axis: ``x`` is one vector of length Nc or a stack (..., Nc),
     and each row of a stack comes out bit for bit as its own call would.
+    A non-finite entry raises ``ParameterError``.
     """
-    x = check_stack(x, cfg.n_sub, "DAFT-domain vector")
+    x = check_finite(check_stack(x, cfg.n_sub, "DAFT-domain vector"), "DAFT-domain vector")
     inner = np.fft.ifft(x * np.conj(cfg.c2_chirp)) * math.sqrt(cfg.n_sub)
     return np.conj(cfg.c1_chirp) * inner
 
@@ -174,9 +177,10 @@ def idaft(x, cfg: AfdmConfig) -> np.ndarray:
 def daft(s, cfg: AfdmConfig) -> np.ndarray:
     """Analyze a time-domain signal into the DAFT domain (adjoint of idaft).
 
-    Batches like ``idaft``: ``s`` has shape (Nc,) or (..., Nc).
+    Batches and refuses non-finite entries like ``idaft``: ``s`` has shape
+    (Nc,) or (..., Nc).
     """
-    s = check_stack(s, cfg.n_sub, "time-domain vector")
+    s = check_finite(check_stack(s, cfg.n_sub, "time-domain vector"), "time-domain vector")
     inner = np.fft.fft(s * cfg.c1_chirp) / math.sqrt(cfg.n_sub)
     return cfg.c2_chirp * inner
 
@@ -358,7 +362,8 @@ def _whole_delays(s: np.ndarray, cfg: AfdmConfig, taus: np.ndarray) -> np.ndarra
     floor(i/Nc)), a 1-D run of consecutive ascending delays as a whole, so
     it stays a run.  With the lags in [lo, hi], window k of the extension
     over [-hi, Nc - lo) is s(n - (hi - k)): a run is the reversed windows,
-    a read-only view, and any other set picks rows of them.
+    a read-only view, and any other set picks rows of them (one ``take`` on
+    the window axis for a 1-D set).
     """
     n = cfg.n_sub
     lags = np.mod(taus, 2 * n)
@@ -369,7 +374,7 @@ def _whole_delays(s: np.ndarray, cfg: AfdmConfig, taus: np.ndarray) -> np.ndarra
     hi = int(lags.max(initial=0))
     lo = int(lags.min(initial=hi))
     windows = sliding_window_view(_chirp_periodic(s, cfg, np.arange(-hi, n - lo)), n, axis=-1)
-    if run:
-        return windows[..., ::-1, :]
+    if taus.ndim == 1:
+        return windows[..., ::-1, :] if run else windows.take(hi - lags, axis=-2)
     rows = (hi - lags).reshape((1,) * (s.ndim - taus.ndim) + lags.shape + (1,))
     return np.take_along_axis(windows, rows, axis=-2)

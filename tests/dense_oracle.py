@@ -1,28 +1,29 @@
 """Dense N x N channel matrices and waveform sums, kept only as test oracles.
 
 Each path is built as the explicit time-domain matrix Gamma * Pi^tau * Delta_nu
-of the channel model and mapped to the DAFT domain with the dense matrix A,
-independently of the structured ``PathChannel`` it checks.  The fractional-delay
-waveform is the explicit frequency-wrapped subcarrier sum, independently of
-the FFT closed form of ``waveform_samples``.  The Fisher ``frac`` kernel is the
-explicit Nc x Nc array whose row sums ``analysis._fim_sums`` computes from one
-table of Nc values.  The ambiguity moments are read in the time domain, by
-synthesizing every frame and correlating it with its delayed copy, which
-``analysis.ambiguity_moments_mc`` answers in the DAFT domain instead; their
-data symbols are unpacked bit by bit from the random bytes, where the
-Monte Carlo gathers them through a 256-row byte table.  The
-delay-Doppler correlation builds a contiguous (..., delays, Nc) stack of
-delayed symbols, at whole delays from the explicit chirp-periodic extension
-s[(n - tau) mod Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)) in Python integers,
-where ``sensing._correlate`` reads windows of the extension through
-``waveform_samples`` (often a strided view).  The pilot's Gram over a list
-of basis pairs is built directly, as the rows of the pilot's images times
-their conjugates, where ``analysis.verify_theorem_4`` reads it from the
-estimator's cached pilot model.  The equalizer's band is read off the dense
-time-domain normal matrix, where ``PathChannel._band`` forms its cyclic
-diagonals in closed form.  The iterative estimator's loop is kept as it was
-before each channel estimate was pushed through the frame once: three
-``PathChannel`` products per estimate and the public ``equalize_demod``.
+of the channel model, its Doppler ramp on the receive index, and mapped to the
+DAFT domain with the dense matrix A, independently of the structured
+``PathChannel`` and the FFT routes ``apply_basis`` and ``apply_channel_time``
+it checks.  The fractional-delay waveform is the explicit frequency-wrapped
+subcarrier sum, independently of the FFT closed form of ``waveform_samples``.
+The Fisher ``frac`` kernel is the explicit Nc x Nc array whose row sums
+``analysis._fim_sums`` computes from one table of Nc values.  The ambiguity
+moments are read in the time domain, by synthesizing every frame and
+correlating it with its delayed copy, which ``analysis.ambiguity_moments_mc``
+answers in the DAFT domain instead; their data symbols are unpacked bit by bit
+from the random bytes, where the Monte Carlo gathers them through a 256-row
+byte table.  The delay-Doppler correlation builds a contiguous (..., delays,
+Nc) stack of delayed symbols, at whole delays from the explicit chirp-periodic
+extension s[(n - tau) mod Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)) in Python
+integers, where ``sensing._correlate`` reads windows of the extension through
+``waveform_samples`` (often a strided view).  The pilot's Gram over a list of
+basis pairs is built directly, as the rows of the pilot's images times their
+conjugates, where ``analysis.verify_theorem_4`` reads it from the estimator's
+cached pilot model.  The equalizer's band is read off the dense time-domain
+normal matrix, where ``PathChannel._band`` forms its cyclic diagonals in closed
+form.  The iterative estimator's loop is kept as it was before each channel
+estimate was pushed through the frame once: three ``PathChannel`` products per
+estimate and the public ``equalize_demod``.
 """
 
 import math
@@ -48,7 +49,13 @@ from afdm_isac.modem import demap_symbols, map_bits
 
 
 def time_matrix(cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:
-    """Unit-gain time-domain path matrix on the prefix-free window."""
+    """Unit-gain time-domain path matrix on the prefix-free window.
+
+    The chirp-periodic-prefix model,
+    h[n, <n - tau>_Nc] = prefix * exp(j*2*pi*nu*(n - tau)/Nc): the Doppler
+    ramp on the receive index, continuous over the window at any real nu; at
+    an integer nu it equals the ramp at the source index <n - tau>_Nc.
+    """
     nc = cfg.n_sub
     n = np.arange(nc)
     src = (n - tau) % nc
@@ -56,7 +63,7 @@ def time_matrix(cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:
         n < tau, np.exp(-2j * np.pi * cfg.c1 * (nc * nc + 2.0 * nc * (n - tau))), 1.0
     )
     h = np.zeros((nc, nc), dtype=np.complex128)
-    h[n, src] = prefix * np.exp(2j * np.pi * nu * src / nc)
+    h[n, src] = prefix * np.exp(2j * np.pi * nu * (n - tau) / nc)
     return h
 
 

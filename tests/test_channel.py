@@ -28,6 +28,7 @@ from afdm_isac.channel import (
     _doppler_ramp,
     sample_channel,
     sensing_echo,
+    subcarrier_offset,
 )
 from afdm_isac.errors import ConfigurationError, NumericalError, ParameterError
 
@@ -381,6 +382,13 @@ class TestTimeDomainApplication:
         with pytest.raises(ParameterError):
             ChannelRealization((ChannelPath(1.0, 2.5, 0.0),), 0.0, 4, 0)
 
+    def test_whole_float_delay_is_the_integer_delay(self, rng):
+        # ChannelPath takes a whole float delay; the path's taps were read at a float index
+        s_cpp = add_cpp(idaft(random_unit_symbols(rng, 16), CFG16), CFG16)
+        y = [apply_channel_time(s_cpp, ChannelRealization((ChannelPath(0.5j, d, 1.0),), 0.0, 3, 1), CFG16)
+             for d in (2, 2.0)]
+        assert np.array_equal(*y)
+
     @pytest.mark.parametrize("delay", [1e19, -1e19, 2.0**63])
     def test_delay_beyond_int64_rejected(self, delay):
         with pytest.raises(ParameterError):
@@ -421,6 +429,79 @@ class TestChirpPeriodicRule:
         delayed = waveform_samples(s, cfg, np.arange(n_cpp + 1.0))
         records = [s_cpp[n_cpp - tau : n_cpp - tau + n_sub] for tau in range(n_cpp + 1)]
         assert np.array_equal(delayed, records)
+
+
+class TestReceiveIndexRamp:
+    """One path model at any real Doppler: the link's window is the sum of the paths' echoes."""
+
+    @staticmethod
+    def frame(n_sub, two_c1_n, cpp_share, n_paths, seed):
+        """A config, a DAFT-domain vector and whole-delay paths with real Dopplers in [-3, 3)."""
+        rng = np.random.default_rng(seed)
+        n_cpp = min(int(cpp_share * n_sub), n_sub - 1)
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=n_cpp, c1=two_c1_n / (2 * n_sub))
+        x = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
+        paths = tuple(
+            ChannelPath(complex(rng.standard_normal(), rng.standard_normal()),
+                        int(rng.integers(0, n_cpp + 1)), float(rng.uniform(-3.0, 3.0)))
+            for _ in range(n_paths)
+        )
+        return cfg, x, paths
+
+    FRAMES = dict(
+        n_sub=st.integers(2, 40),
+        two_c1_n=st.integers(0, 9),
+        cpp_share=st.floats(0.0, 1.0),
+        n_paths=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(**FRAMES)
+    # K*Nc even (48) and odd (45)
+    @example(n_sub=16, two_c1_n=3, cpp_share=0.5, n_paths=3, seed=1)
+    @example(n_sub=15, two_c1_n=3, cpp_share=0.5, n_paths=3, seed=2)
+    def test_fractional_doppler_routes_match_dense_oracle(self, n_sub, two_c1_n, cpp_share, n_paths, seed):
+        cfg, x, paths = self.frame(n_sub, two_c1_n, cpp_share, n_paths, seed)
+        real = ChannelRealization(paths, 0.0, tau_m=cfg.n_cpp, nu_m=3)
+        y = daft(remove_cpp(apply_channel_time(add_cpp(idaft(x, cfg), cfg), real, cfg), cfg), cfg)
+        scale = np.linalg.norm(x)
+        assert np.max(np.abs(y - channel_matrix(real, cfg) @ x)) <= 1e-10 * scale
+        rows = apply_basis(x, cfg, np.array([p.delay for p in paths]), [p.doppler for p in paths])
+        expect = [basis_matrix(cfg, p.delay, p.doppler) @ x for p in paths]
+        assert np.max(np.abs(rows - expect)) <= 1e-10 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(**FRAMES)
+    @example(n_sub=16, two_c1_n=3, cpp_share=0.5, n_paths=3, seed=1)
+    @example(n_sub=15, two_c1_n=3, cpp_share=0.5, n_paths=3, seed=2)
+    def test_window_is_the_sum_of_echoes(self, n_sub, two_c1_n, cpp_share, n_paths, seed):
+        # a path of gain g is the echo of a target of gain g * exp(-j*2*pi*nu*tau/Nc)
+        cfg, x, paths = self.frame(n_sub, two_c1_n, cpp_share, n_paths, seed)
+        s = idaft(x, cfg)
+        real = ChannelRealization(paths, 0.0, tau_m=cfg.n_cpp, nu_m=3)
+        window = apply_channel_time(add_cpp(s, cfg), real, cfg)[cfg.n_cpp :]
+        echoes = sum(
+            sensing_echo(s, cfg, SensingTarget(
+                p.gain * cmath.exp(-2j * math.pi * p.doppler * p.delay / n_sub), float(p.delay), p.doppler, 0.0
+            ))
+            for p in paths
+        )
+        scale = sum(abs(p.gain) for p in paths) * np.max(np.abs(s))
+        assert np.max(np.abs(window - echoes)) <= 1e-12 * scale
+
+    def test_ramp_is_continuous_over_the_window(self):
+        # tau = 3, nu = 0.3: the window over the echo is exp(-j*2*pi*nu*tau/Nc),
+        # -0.0141 turns, at every n; a ramp read at the transmit index <n - tau>_Nc
+        # adds exp(j*2*pi*nu) (0.2859 turns) for n < tau
+        cfg = AfdmConfig(n_sub=64, n_cpp=8, c1=3 / 128)
+        rng = np.random.default_rng(5)
+        s = idaft(rng.standard_normal(64) + 1j * rng.standard_normal(64), cfg)
+        real = ChannelRealization((ChannelPath(1.0, 3, 0.3),), 0.0, tau_m=8, nu_m=1)
+        window = apply_channel_time(add_cpp(s, cfg), real, cfg)[cfg.n_cpp :]
+        turns = np.angle(window / sensing_echo(s, cfg, SensingTarget(1.0, 3.0, 0.3, 0.0))) / (2 * math.pi)
+        assert np.max(np.abs(turns + 0.3 * 3 / 64)) < 1e-13
+        assert round(float(turns[0]), 4) == -0.0141
 
 
 class TestSampleChannel:
@@ -643,6 +724,17 @@ class TestBatchedSensingEcho:
         kwargs[field] = np.ones(3)
         with pytest.raises(ParameterError, match="broadcast"):
             sensing_echo(s, CFG16, SensingTarget(**kwargs))
+
+
+class TestSubcarrierOffset:
+    def test_matches_python_integers_across_int64(self):
+        # reduced mod Nc before the product, so no delay of int64 range wraps
+        cfg = AfdmConfig(n_sub=15, c1=5 / 30)
+        tau = np.array([[0, 3, 2**62], [-(2**62), 2**63 - 1, 14]])
+        nu = np.array([[0, -2, 7], [2**63 - 1, -(2**63) + 1, 1]])
+        expect = [[(5 * int(t) - int(v)) % 15 for t, v in zip(*row)] for row in zip(tau, nu)]
+        assert subcarrier_offset(tau, nu, cfg).tolist() == expect
+        assert subcarrier_offset(3, -2, cfg) == 2
 
 
 class TestUnitConversion:

@@ -16,6 +16,7 @@ from afdm_isac import (
     AfdmConfig,
     add_cpp,
     analysis,
+    channel,
     daft,
     estimator,
     idaft,
@@ -45,11 +46,13 @@ from afdm_isac.channel import (
     ChannelRealization,
     PathChannel,
     SensingTarget,
+    apply_basis,
     apply_channel_time,
     basis_grid,
     delay_doppler_to_range_velocity,
     sample_channel,
     sensing_echo,
+    subcarrier_offset,
 )
 from afdm_isac.errors import ConfigurationError, ParameterError, check_integers
 from afdm_isac.estimator import (
@@ -96,6 +99,7 @@ GRID = basis_grid(2, 1)
 H = PathChannel(CFG, [0, 1], [0, 1], [1.0, 0.2j])
 X_P = single_pilot(CFG, 16.0)
 ONES = np.ones(CFG.n_sub, dtype=complex)
+S_CPP = np.ones(CFG.n_sub + CFG.n_cpp, dtype=complex)  # a prefixed signal
 TARGET = SensingTarget(1.0, 1.0, 0.0, 1.0)
 ROW_TARGETS = SensingTarget(np.ones(2), 1.0, 0.0, 1.0)  # one target per row of a symbol stack
 PATH = ChannelPath(1.0, 0, 0.0)
@@ -139,6 +143,7 @@ SITES = [
     ("remove_cpp", lambda v: remove_cpp(v, CFG), ConfigurationError, "^prefixed signal", set()),
     ("apply_channel_time", lambda v: apply_channel_time(v, ChannelRealization((PATH,), 0.0, 2, 1), CFG),
      ConfigurationError, "^prefixed signal", set()),
+    ("apply_basis.x", lambda v: apply_basis(v, CFG, 0, 0.0), ConfigurationError, "^DAFT-domain vector", set()),
     ("regularized_solve.r", lambda v: H.regularized_solve(v, 0.1), ConfigurationError, "^r must", set()),
     ("ambiguity_moments_mc.x_pilot", lambda v: ambiguity_moments_mc(v, SPEC, CFG, [(0, 0)], 4, rng()),
      ConfigurationError, "^pilot", set()),
@@ -281,6 +286,13 @@ SITES = [
     ("interference_coefficient.nu", lambda v: interference_coefficient(0, 0, 0, v, CFG), ParameterError,
      "^path delay and Doppler", {"-1"}),
     ("ChannelPath.delay", lambda v: ChannelPath(1.0, v, 0.0), ParameterError, "^path delay", set()),
+    # one integer delay in [0, Nc), or a 1-D array of them
+    ("apply_basis.tau", lambda v: apply_basis(ONES, CFG, v, 0.0), ParameterError, "delays", set()),
+    # whole delays and Dopplers of any shape, any sign (a cyclic shift)
+    ("subcarrier_offset.tau", lambda v: subcarrier_offset(v, 0, CFG), ParameterError, "^delays",
+     {"wrong shape", "-1", "2 elements"}),
+    ("subcarrier_offset.nu", lambda v: subcarrier_offset(0, v, CFG), ParameterError, "^Dopplers",
+     {"wrong shape", "-1", "2 elements"}),
     ("sensing_grid.tau_m", lambda v: sensing_grid(v, 1), ParameterError, "^tau_m", set()),
     ("sensing_grid.nu_m", lambda v: sensing_grid(1, v), ParameterError, "^nu_m", set()),
     ("sensing_grid.os_tau", lambda v: sensing_grid(1, 1, v, 1), ParameterError, "^os_tau", set()),
@@ -310,6 +322,10 @@ SITES = [
     # the path contracts: a finite complex gain and a finite real Doppler
     ("ChannelPath.gain", lambda v: ChannelPath(v, 0, 0.0), ParameterError, "^path gain", {"-1", "1j", "2.5"}),
     ("ChannelPath.doppler", lambda v: ChannelPath(1.0, 0, v), ParameterError, "^path Doppler", {"-1", "2.5"}),
+    # one real Doppler per delay
+    ("apply_basis.nu", lambda v: apply_basis(ONES, CFG, 0, v), ParameterError, "(?i)doppler", {"-1", "2.5", "True"}),
+    # a tuple or list of ChannelPath
+    ("ChannelRealization.paths", lambda v: ChannelRealization(v, 0.0, 2, 1), ParameterError, "^paths must", set()),
     # an instance of the package's own type
     ("SensingScenario.cfg", lambda v: scenario(cfg=v), ParameterError, "^cfg must be of type", set()),
     ("SensingScenario.frame_spec", lambda v: scenario(frame_spec=v), ParameterError,
@@ -335,6 +351,18 @@ SITES = [
     ("reconstruct_channel.grid", lambda v: reconstruct_channel(np.ones(len(GRID)), np.ones(len(GRID)), v, CFG),
      ParameterError, "^grid must be of type", set()),
     ("reconstruct_channel.cfg", lambda v: reconstruct_channel(np.ones(len(GRID)), np.ones(len(GRID)), GRID, v),
+     ParameterError, "^cfg must be of type", set()),
+    ("apply_basis.cfg", lambda v: apply_basis(ONES, v, 0, 0.0), ParameterError, "^cfg must be of type", set()),
+    ("subcarrier_offset.cfg", lambda v: subcarrier_offset(0, 0, v), ParameterError, "^cfg must be of type", set()),
+    ("PathChannel.cfg", lambda v: PathChannel(v, [0], [0], [1.0]), ParameterError, "^cfg must be of type", set()),
+    ("apply_channel_time.realization", lambda v: apply_channel_time(S_CPP, v, CFG), ParameterError,
+     "^realization must be of type", set()),
+    ("apply_channel_time.cfg", lambda v: apply_channel_time(S_CPP, ChannelRealization((PATH,), 0.0, 2, 1), v),
+     ParameterError, "^cfg must be of type", set()),
+    ("sensing_echo.cfg", lambda v: sensing_echo(ONES, v, TARGET), ParameterError, "^cfg must be of type", set()),
+    ("sensing_echo.target", lambda v: sensing_echo(ONES, CFG, v), ParameterError, "^target must be of type", set()),
+    ("sample_channel.rng", lambda v: sample_channel(2, 2, 1, v), ParameterError, "^rng must be of type", set()),
+    ("delay_doppler_to_range_velocity.cfg", lambda v: delay_doppler_to_range_velocity(1.0, 1.0, v),
      ParameterError, "^cfg must be of type", set()),
     # a member of the Constellation enum, a pilot family's name
     ("FrameSpec.constellation", lambda v: FrameSpec(1.0, 1.0, v), ParameterError, "^constellation", set()),
@@ -525,6 +553,25 @@ DEFECTS = {
     "ambiguity_moments_mc numeric strings": lambda: ambiguity_moments_mc(
         X_P, SPEC, CFG, [("1", "0")], 4, rng()
     ),
+    # bare AttributeError from the first use of the argument
+    "apply_channel_time cfg as n_sub": lambda: apply_channel_time(S_CPP, ChannelRealization((PATH,), 0.0, 2, 1), 16),
+    "apply_channel_time realization as paths": lambda: apply_channel_time(S_CPP, (PATH,), CFG),
+    "sensing_echo cfg None": lambda: sensing_echo(ONES, None, TARGET),
+    "sensing_echo target as a tuple": lambda: sensing_echo(ONES, CFG, (1.0, 1.0, 0.0, 1.0)),
+    "subcarrier_offset cfg None": lambda: subcarrier_offset(1, 0, None),
+    "PathChannel cfg as n_sub": lambda: PathChannel(16, [0], [0], [1.0]),
+    "delay_doppler_to_range_velocity cfg None": lambda: delay_doppler_to_range_velocity(1.0, 1.0, None),
+    "sample_channel rng None": lambda: sample_channel(2, 2, 1, None),
+    # a NaN and a fractional shift, then a bare TypeError
+    "subcarrier_offset delay NaN": lambda: subcarrier_offset(math.nan, 0, CFG),
+    "subcarrier_offset delay 1.5": lambda: subcarrier_offset(1.5, 0, CFG),
+    "subcarrier_offset delay '1'": lambda: subcarrier_offset("1", 0, CFG),
+    # accepted, then a bare AttributeError on first use
+    "realization of numbers": lambda: ChannelRealization([1, 2], 0.0, 3, 1),
+    # a RuntimeWarning from the ramp's cast; a bare ValueError; accepted as 1.0
+    "apply_basis Doppler NaN": lambda: apply_basis(ONES, CFG, 1, math.nan),
+    "apply_basis Doppler 'a'": lambda: apply_basis(ONES, CFG, 1, "a"),
+    "apply_basis Doppler '1'": lambda: apply_basis(ONES, CFG, 1, "1"),
 }
 
 
@@ -543,6 +590,10 @@ UNFED = {
         "proposed_delay_limit",
     },
     sensing: set(),
+    channel: {
+        # the grid type, built through basis_grid, whose rows feed both of its fields
+        "BasisGrid",
+    },
     estimator: {
         # the result record, which its one producer fills with checked values
         "EstimationResult",
@@ -551,6 +602,31 @@ UNFED = {
         "build_psi",
     },
 }
+
+
+# one non-finite entry inside a signal, refused before the FFT or the channel
+# sees it (a bare "invalid value encountered" RuntimeWarning before)
+NON_FINITE_SITES = {
+    "idaft": (lambda v: idaft(v, CFG), "^DAFT-domain vector must be finite", CFG.n_sub),
+    "daft": (lambda v: daft(v, CFG), "^time-domain vector must be finite", CFG.n_sub),
+    # from idaft itself: the benchmark pins apply_basis's refusals of x to that span
+    "apply_basis": (lambda v: apply_basis(v, CFG, [0, 1], [0.0, 0.5]), "^DAFT-domain vector must be finite",
+                    CFG.n_sub),
+    "apply_channel_time": (lambda v: apply_channel_time(v, ChannelRealization((PATH,), 0.0, 2, 1), CFG),
+                           "^prefixed signal must be finite", CFG.n_sub + CFG.n_cpp),
+    "sensing_echo": (lambda v: sensing_echo(v, CFG, TARGET), "^symbols must be finite", CFG.n_sub),
+}
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)],
+                         ids=["+inf", "-inf", "nan", "inf imaginary part"])
+@pytest.mark.parametrize("site", list(NON_FINITE_SITES))
+def test_non_finite_entry_is_refused(site, entry):
+    call, message, size = NON_FINITE_SITES[site]
+    signal = np.ones(size, dtype=complex)
+    signal[size // 2] = entry
+    with pytest.raises(ParameterError, match=message):
+        call(signal)
 
 
 @pytest.mark.parametrize("module", list(UNFED), ids=lambda module: module.__name__)

@@ -39,8 +39,8 @@ def test_modules_import_only_earlier_modules():
 
 
 def test_only_channel_imports_private_daft_names():
-    # every other module reads a delayed copy through waveform_samples, so the
-    # chirp-periodic extension and its whole-delay reader have one caller outside daft
+    # every other module reads a delayed copy through waveform_samples; channel's
+    # paths read its whole-delay reader, and the echo checks daft's broadcast rule
     for name in MODULES:
         tree = ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text())
         private = {
@@ -51,6 +51,19 @@ def test_only_channel_imports_private_daft_names():
             if alias.name.startswith("_")
         }
         assert name == "channel" or not private, (name, private)
+
+
+def test_only_daft_calls_the_chirp_periodic_extension():
+    # the prefix and the delayed copies are built in daft, so no module grows a
+    # second delayed-copy builder of its own
+    for path in sorted((SRC / "afdm_isac").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        called = {
+            getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert path.name == "daft.py" or "_chirp_periodic" not in called, path.name
 
 
 def test_only_channel_reads_the_path_taps():
