@@ -23,7 +23,12 @@ the chirp-periodic-prefix model of Bemani, Ghogho and Kountouris.  At an
 integer Doppler the same path in the DAFT domain is the unitary matrix
 A * Gamma * Pi^tau * Delta_nu * A^H scaled by alpha, one nonzero per row;
 ``PathChannel`` keeps a sum of such paths in that structured form, and the
-tests check it against the dense matrices.
+tests check it against the dense matrices.  Arguments are validated once
+at the public entry: the public constructor, ``regularized_solve`` and
+the transforms check theirs, while the estimator's iterations build
+their channels by ``PathChannel._trusted`` and equalize by
+``PathChannel._daft_solve`` over arrays they built themselves, with no
+check.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ import numpy as np
 from .daft import (
     AfdmConfig,
     _broadcasts_to,
+    _daft,
+    _idaft,
     _whole_delays,
     add_cpp,
     daft,
@@ -56,6 +63,7 @@ from .errors import (
     check_stack,
     check_type,
     check_vector,
+    is_integer,
     is_real,
 )
 
@@ -174,11 +182,24 @@ class BasisGrid:
         return len(self.pairs)
 
     def index_of(self, tau: int, nu: int) -> int:
+        """The index of the pair (tau, nu); ``ParameterError`` for a pair not on the grid."""
+        if not (is_integer(tau) and is_integer(nu) and 0 <= tau <= self.tau_m and abs(nu) <= self.nu_m):
+            raise ParameterError(f"({tau!r}, {nu!r}) is not a pair of the ({self.tau_m}, {self.nu_m}) grid")
         return tau * (2 * self.nu_m + 1) + nu + self.nu_m
+
+    def _split(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The delays and Dopplers of the pairs at the int64 ``indices``, unchecked."""
+        delays, dopplers = np.divmod(indices, 2 * self.nu_m + 1)
+        return delays, dopplers - self.nu_m
 
 
 def basis_grid(tau_m: int, nu_m: int) -> BasisGrid:
     return BasisGrid(tau_m=tau_m, nu_m=nu_m)
+
+
+# at most 16 grids, one per (tau_m, nu_m) that ``sample_channel`` draws from; typed,
+# so 2 and numpy's 2 keep grids of their own pair types
+_grid = functools.lru_cache(maxsize=16, typed=True)(basis_grid)
 
 
 def _paths(s, cfg: AfdmConfig, delays: np.ndarray, dopplers) -> np.ndarray:
@@ -288,7 +309,8 @@ class PathChannel:
     no loop over lags, delays or paths.  Every array is frozen: ``delays``,
     ``dopplers`` and ``gains`` are read-only copies of the arguments, so a
     later write to the caller's arrays cannot change the channel or make its
-    state stale.  It keeps two tap tables, built once on first use: the
+    state stale (``_trusted`` takes over fresh arrays instead of copying).
+    It keeps two tap tables, built once on first use: the
     DAFT-domain taps of ``images`` and the time taps of H_t^H with their
     read indices, P*Nc*24 bytes for P paths, for the H_t^H r of every solve;
     and one factor, the banded Cholesky factor of the last lam,
@@ -301,7 +323,7 @@ class PathChannel:
     delays: np.ndarray
     dopplers: np.ndarray
     gains: np.ndarray
-    # (lam, banded Cholesky factor) of the last regularized_solve
+    # (lam, banded Cholesky factor) of the last solve
     _factor: tuple[float, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -319,6 +341,17 @@ class PathChannel:
         for name, value in (("delays", delays), ("dopplers", dopplers), ("gains", gains)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, cfg: AfdmConfig, delays: np.ndarray, dopplers: np.ndarray, gains: np.ndarray) -> PathChannel:
+        """The channel of arrays the caller built and hands over: int64 delays in
+        [0, Nc) and Dopplers, finite complex128 gains, all 1-D of one length.  They
+        are made read-only, not copied, and nothing is checked."""
+        for value in (delays, dopplers, gains):
+            value.flags.writeable = False
+        h = object.__new__(cls)
+        vars(h).update(cfg=cfg, delays=delays, dopplers=dopplers, gains=gains, _factor=None)
+        return h
 
     @functools.cached_property
     def _daft_taps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -434,13 +467,18 @@ class PathChannel:
         and leaves no factor kept, and so does a solution that overflows,
         H_t^H r included.
         """
-        # scipy.linalg takes about 0.3 s to import and only this solve needs
-        # it, so importing it here keeps it out of every other caller's start-up.
-        from scipy.linalg import cho_solve_banded, cholesky_banded
-
         check_nonnegative(lam, "lam")
-        n = self.cfg.n_sub
-        r = check_finite(check_vector(r, n, "r"), "r")
+        return self._solve(check_finite(check_vector(r, self.cfg.n_sub, "r"), "r"), lam)
+
+    def _daft_solve(self, r: np.ndarray, lam: float) -> np.ndarray:
+        """The DAFT-domain (H^H H + lam*I)^{-1} H^H r of a finite complex128 (Nc,)
+        ``r`` and a finite lam >= 0: ``daft`` of the solve of ``idaft(r)``, through
+        the unchecked kernels of all three (A is unitary, H = A H_t A^H)."""
+        return _daft(self._solve(_idaft(r, self.cfg), lam), self.cfg)
+
+    def _solve(self, r: np.ndarray, lam: float) -> np.ndarray:
+        """``regularized_solve`` of a finite complex128 (Nc,) ``r`` and a finite lam >= 0, unchecked."""
+        pbtrf, pbtrs = _banded_cholesky()
         reads, taps = self._time_taps
         cached = self._factor
         refactor = cached is None or cached[0] != lam
@@ -451,18 +489,27 @@ class PathChannel:
         if refactor:
             if not np.isfinite(band).all():
                 raise NumericalError("equalizer matrix overflows")
-            try:
-                # the band was checked just above, so scipy need not scan it again
-                factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError("singular equalizer matrix") from exc
+            factor, info = pbtrf(band, lower=1, overwrite_ab=1)
+            if info:
+                raise NumericalError("singular equalizer matrix")
             factor.flags.writeable = False
             cached = (lam, factor)
             object.__setattr__(self, "_factor", cached)
-        z = cho_solve_banded((cached[1], True), ordered, check_finite=False)
+        # pbtrs reports only an illegal argument, and the factor and H_t^H r fit by construction
+        z, _ = pbtrs(cached[1], ordered, lower=1, overwrite_b=1)
         if not np.isfinite(z).all():
             raise NumericalError("equalizer solution overflows")
         return np.concatenate([z[0::2], z[1::2][::-1]])
+
+
+@functools.cache
+def _banded_cholesky():
+    """LAPACK's complex banded Cholesky factorization and solve (zpbtrf, zpbtrs), the
+    routines of scipy's ``cholesky_banded`` and ``cho_solve_banded``, fetched on first
+    use: scipy.linalg takes about 0.3 s to import and only the equalizer needs it."""
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    return get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(0, dtype=np.complex128),))
 
 
 def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, rng=None) -> np.ndarray:
@@ -475,10 +522,13 @@ def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, 
     which the receiver discards, is ``add_cpp`` of the window: the physical
     prefix at integer Dopplers only.  With rng given, circularly symmetric
     Gaussian noise of the realization's power is added.  A non-finite entry
-    of ``s_cpp`` raises ``ParameterError``.
+    of ``s_cpp``, or an ``rng`` given that is no numpy ``Generator``, raises
+    ``ParameterError``.
     """
     check_type(realization, ChannelRealization, "realization")
     check_type(cfg, AfdmConfig, "cfg")
+    if rng is not None:
+        check_type(rng, np.random.Generator, "rng")
     s_cpp = check_finite(check_vector(s_cpp, cfg.n_sub + cfg.n_cpp, "prefixed signal"), "prefixed signal")
     paths = realization.paths
     delays = np.array([int(p.delay) for p in paths])
@@ -495,22 +545,24 @@ def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, 
 def sample_channel(
     L: int, tau_m: int, nu_m: int, rng, noise_power: float = 0.0
 ) -> ChannelRealization:
-    """Draw L distinct integer (tau, nu) pairs and CN(0, 1/L) gains from the Generator ``rng``."""
+    """Draw L distinct integer (tau, nu) pairs and CN(0, 1/L) gains from the Generator ``rng``.
+
+    One ``choice`` draws the pairs, then one ``standard_normal`` draws 2L
+    values: path i's gain has real part 2i and imaginary part 2i + 1, each
+    times sqrt(1/(2L)).
+    """
     check_count(L, "L")
     check_type(rng, np.random.Generator, "rng")
-    grid = basis_grid(tau_m, nu_m)
+    check_count(tau_m, "tau_m", least=0)  # checked before the grid cache hashes them
+    check_count(nu_m, "nu_m", least=0)
+    grid = _grid(tau_m, nu_m)
     if L > len(grid):
         raise ParameterError(f"L={L} exceeds the {len(grid)}-pair grid")
     picks = rng.choice(len(grid), size=L, replace=False)
-    scale = math.sqrt(1.0 / (2 * L))
-    paths = []
-    for i in picks:
-        tau, nu = grid.pairs[int(i)]
-        gain = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-        paths.append(ChannelPath(gain=complex(gain), delay=tau, doppler=float(nu)))
-    return ChannelRealization(
-        paths=tuple(paths), noise_power=noise_power, tau_m=tau_m, nu_m=nu_m
-    )
+    gains = (rng.standard_normal((L, 2)) * math.sqrt(1.0 / (2 * L))).view(np.complex128).ravel()
+    pairs = [grid.pairs[i] for i in picks.tolist()]
+    paths = tuple(ChannelPath(complex(g), tau, float(nu)) for (tau, nu), g in zip(pairs, gains))
+    return ChannelRealization(paths=paths, noise_power=noise_power, tau_m=tau_m, nu_m=nu_m)
 
 
 def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndarray:
@@ -524,11 +576,13 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndar
     is ``_doppler_ramp``.  ``s`` may be a stack (..., Nc); the target's
     delay, Doppler and gain are then scalars or arrays that broadcast over
     its leading axes, one target per row, and the noise is drawn for the
-    whole stack, real parts first.  A non-finite entry of ``s`` raises
-    ``ParameterError``.
+    whole stack, real parts first.  A non-finite entry of ``s``, or an
+    ``rng`` given that is no numpy ``Generator``, raises ``ParameterError``.
     """
     check_type(cfg, AfdmConfig, "cfg")
     check_type(target, SensingTarget, "target")
+    if rng is not None:
+        check_type(rng, np.random.Generator, "rng")
     s = check_finite(check_stack(s, cfg.n_sub, "symbols"), "symbols")
     tau, nu, gain = (
         np.asarray(v) for v in (target.delay_samples, target.doppler_norm, target.gain)

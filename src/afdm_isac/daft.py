@@ -10,7 +10,10 @@ with exp(-j...).  Both are implemented as chirp-FFT-chirp at O(N log N),
 and both are batch-first: a stack of shape (..., Nc) is transformed along
 its last axis, the chirps broadcasting over the leading axes, so a Monte
 Carlo set of frames is one call.  The dense N x N matrix of the pair
-(``build_daft_matrix``) is a test oracle only.
+(``build_daft_matrix``) is a test oracle only.  Every entry point refuses
+a ``cfg`` that is no ``AfdmConfig`` with ``ParameterError``; ``idaft`` and
+``daft`` are their checks plus the unchecked kernels ``_idaft`` and
+``_daft``, which only ``channel`` calls (the equalizer's solve).
 
 Conventions used throughout the package:
 
@@ -46,6 +49,7 @@ from .errors import (
     check_finite,
     check_reals,
     check_stack,
+    check_type,
     check_vector,
     is_integer,
     is_real,
@@ -169,9 +173,8 @@ def idaft(x, cfg: AfdmConfig) -> np.ndarray:
     and each row of a stack comes out bit for bit as its own call would.
     A non-finite entry raises ``ParameterError``.
     """
-    x = check_finite(check_stack(x, cfg.n_sub, "DAFT-domain vector"), "DAFT-domain vector")
-    inner = np.fft.ifft(x * np.conj(cfg.c2_chirp)) * math.sqrt(cfg.n_sub)
-    return np.conj(cfg.c1_chirp) * inner
+    check_type(cfg, AfdmConfig, "cfg")
+    return _idaft(check_finite(check_stack(x, cfg.n_sub, "DAFT-domain vector"), "DAFT-domain vector"), cfg)
 
 
 def daft(s, cfg: AfdmConfig) -> np.ndarray:
@@ -180,7 +183,18 @@ def daft(s, cfg: AfdmConfig) -> np.ndarray:
     Batches and refuses non-finite entries like ``idaft``: ``s`` has shape
     (Nc,) or (..., Nc).
     """
-    s = check_finite(check_stack(s, cfg.n_sub, "time-domain vector"), "time-domain vector")
+    check_type(cfg, AfdmConfig, "cfg")
+    return _daft(check_finite(check_stack(s, cfg.n_sub, "time-domain vector"), "time-domain vector"), cfg)
+
+
+def _idaft(x: np.ndarray, cfg: AfdmConfig) -> np.ndarray:
+    """``idaft`` of a finite complex128 stack (..., Nc), unchecked."""
+    inner = np.fft.ifft(x * np.conj(cfg.c2_chirp)) * math.sqrt(cfg.n_sub)
+    return np.conj(cfg.c1_chirp) * inner
+
+
+def _daft(s: np.ndarray, cfg: AfdmConfig) -> np.ndarray:
+    """``daft`` of a finite complex128 stack (..., Nc), unchecked."""
     inner = np.fft.fft(s * cfg.c1_chirp) / math.sqrt(cfg.n_sub)
     return cfg.c2_chirp * inner
 
@@ -193,6 +207,7 @@ def build_daft_matrix(cfg: AfdmConfig) -> np.ndarray:
     ``daft`` are the production path, for single vectors and stacks alike.
     Guarded to n_sub <= 4096 to bound memory.
     """
+    check_type(cfg, AfdmConfig, "cfg")
     n = cfg.n_sub
     if n > _DENSE_MATRIX_CAP:
         raise ConfigurationError(
@@ -222,12 +237,14 @@ def add_cpp(s, cfg: AfdmConfig) -> np.ndarray:
     The prefix sample at position n in [-n_cpp, -1] is the extension's
     s[Nc + n] * (-1)^(K*Nc): the symbol tail, sign-flipped when K*Nc is odd.
     """
+    check_type(cfg, AfdmConfig, "cfg")
     s = check_vector(s, cfg.n_sub, "time-domain vector")
     return _chirp_periodic(s, cfg, np.arange(-cfg.n_cpp, cfg.n_sub))
 
 
 def remove_cpp(r, cfg: AfdmConfig) -> np.ndarray:
     """Drop the chirp-periodic prefix, keeping the last n_sub samples."""
+    check_type(cfg, AfdmConfig, "cfg")
     r = check_vector(r, cfg.n_sub + cfg.n_cpp, "prefixed signal")
     return r[cfg.n_cpp :].copy()
 
@@ -277,6 +294,7 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     few exponentials, not one per sample, and the phase stays exact at any
     whole part.  Delays are finite real numbers (else ``ParameterError``).
     """
+    check_type(cfg, AfdmConfig, "cfg")
     s = check_stack(s, cfg.n_sub, "signals")
     tau = check_reals(tau, "delays")
     lead = s.shape[:-1]

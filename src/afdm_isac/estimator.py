@@ -45,7 +45,14 @@ iteration's residual norm and effective noise c are returned with the
 estimate.  ``iterative_estimate``, ``mmse_estimate``, ``equalize_demod`` and
 ``reconstruct_channel`` check their typed arguments (``FrameSpec``,
 ``BasisGrid``, ``AfdmConfig``, ``PriorModel``, ``PathChannel``) and the
-finiteness of their vectors once, before any work.
+finiteness of their vectors once, before any work: a frame is validated
+once at the public entry, and its iterations re-check nothing they built.
+The default prior is checked once per frame, the 3-sigma threshold is
+applied inline, each channel estimate is built by
+``PathChannel._trusted`` from its own fresh arrays, the equalizer is
+``PathChannel._daft_solve`` (the transforms' and the banded solve's
+unchecked kernels) and the demodulated bits are remapped by
+``modem._map``.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import BasisGrid, PathChannel, apply_basis
-from .daft import AfdmConfig, daft, idaft
+from .daft import AfdmConfig
 from .errors import (
     NumericalError,
     ParameterError,
@@ -69,7 +76,7 @@ from .errors import (
     check_type,
     check_vector,
 )
-from .modem import FrameSpec, demap_symbols, map_bits
+from .modem import FrameSpec, _map, demap_symbols
 
 __all__ = [
     "PriorModel",
@@ -147,6 +154,12 @@ def effective_noise_covariance(
     """
     check_nonnegative(data_symbol_power, "data_symbol_power")
     g = PriorModel(gain_variances, noise_power).gain_variances
+    return _interference(g, data_symbol_power, noise_power)
+
+
+def _interference(g: np.ndarray, data_symbol_power: float, noise_power: float) -> float:
+    """``effective_noise_covariance`` of a ``PriorModel``'s checked variances ``g`` and
+    checked powers: the body behind its checks, which ``iterative_estimate`` calls."""
     if data_symbol_power == 0:
         return float(noise_power)
     if np.isinf(g).any():
@@ -292,10 +305,16 @@ def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
 
 def threshold_paths(alpha_hat, eps) -> np.ndarray:
     """Binary path indicator: keep |alpha| above eps, one real >= 0 (inf keeps none) or one per path."""
-    alpha_hat, eps = check_stack(alpha_hat, None, "alpha_hat"), np.asarray(eps)
-    if eps.dtype.kind not in "biuf" or eps.shape not in ((), alpha_hat.shape) or not np.all(eps >= 0):
+    alpha_hat = check_stack(alpha_hat, None, "alpha_hat")
+    return (np.abs(alpha_hat) > _check_eps(eps, alpha_hat.shape)).astype(np.int8)
+
+
+def _check_eps(eps, shape: tuple) -> np.ndarray:
+    """``eps`` as an array of reals >= 0, one or one per path of ``shape``; else ``ParameterError``."""
+    eps = np.asarray(eps)
+    if eps.dtype.kind not in "biuf" or eps.shape not in ((), shape) or not np.all(eps >= 0):
         raise ParameterError(f"threshold must be non-negative reals, not NaN, got {eps!r}")
-    return (np.abs(alpha_hat) > eps).astype(np.int8)
+    return eps
 
 
 def reconstruct_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) -> PathChannel:
@@ -311,16 +330,13 @@ def reconstruct_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) 
     binary = indicator.dtype.kind in "biuf" and not np.any((indicator != 0) & (indicator != 1))
     if not (indicator.shape == (len(grid),) and binary):
         raise ParameterError(f"need {len(grid)} 0/1 indicators, got {indicator!r}")
-    return _kept_channel(alpha_hat, indicator, grid, cfg)
+    return PathChannel(cfg, *_kept_paths(alpha_hat, indicator, grid))
 
 
-def _kept_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) -> PathChannel:
-    """The ``PathChannel`` of the grid pairs whose 0/1 indicator is set, with
-    their gains: the body of ``reconstruct_channel``, whose arguments the
-    callers have checked (``iterative_estimate`` builds both each iteration)."""
+def _kept_paths(alpha_hat: np.ndarray, indicator, grid: BasisGrid) -> tuple[np.ndarray, ...]:
+    """Fresh int64 delays and Dopplers and complex128 gains of the grid pairs whose 0/1 indicator is set."""
     kept = np.flatnonzero(indicator)
-    pairs = np.array([grid.pairs[i] for i in kept], dtype=np.int64).reshape(-1, 2)
-    return PathChannel(cfg, pairs[:, 0], pairs[:, 1], alpha_hat[kept])
+    return (*grid._split(kept), alpha_hat[kept])
 
 
 def _equalize(r: np.ndarray, h_hat: PathChannel, spec: FrameSpec, noise_power: float):
@@ -329,8 +345,7 @@ def _equalize(r: np.ndarray, h_hat: PathChannel, spec: FrameSpec, noise_power: f
     ``iterative_estimate``, which have checked its arguments."""
     if spec.data_symbol_power <= 0:
         return np.zeros(r.shape, dtype=np.complex128), np.zeros(0, dtype=np.int64)
-    lam = noise_power / spec.data_symbol_power
-    x_d = daft(h_hat.regularized_solve(idaft(r, h_hat.cfg), lam), h_hat.cfg)
+    x_d = h_hat._daft_solve(r, noise_power / spec.data_symbol_power)
     return x_d, demap_symbols(x_d, spec)
 
 
@@ -425,10 +440,12 @@ def iterative_estimate(
     x_pilot = check_finite(check_vector(x_pilot, cfg.n_sub, "x_pilot"), "x_pilot")
     if known_data is not None:
         known_data = check_finite(check_vector(known_data, cfg.n_sub, "known_data"), "known_data")
+    if eps is not None:
+        eps = _check_eps(eps, (len(grid),))
     model = _pilot_model(cfg, grid.pairs, x_pilot.tobytes())
     if prior is None:
         prior = PriorModel.uniform(grid, noise_variance=0.0)
-    c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
+    c_it = _interference(prior.gain_variances, spec.data_symbol_power, noise_power)
     residuals: list[float] = []
     noise_levels: list[float] = []
     observation = y
@@ -440,13 +457,13 @@ def iterative_estimate(
         corr = model.psi_h @ observation
         alpha_hat, post = _posterior(corr, model.gram, model.diagonal, prior.gain_variances, c_it)
         eps_it = _EPS_SCALE * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps
-        indicator = threshold_paths(alpha_hat, eps_it)
-        h_hat = _kept_channel(alpha_hat, indicator, grid, cfg)
+        indicator = (np.abs(alpha_hat) > eps_it).astype(np.int8)
+        h_hat = PathChannel._trusted(cfg, *_kept_paths(alpha_hat, indicator, grid))
         # the pilot through the estimate, h_hat @ x_pilot, is Psi_p (alpha_hat * indicator)
         pilot_free = y - np.conj(np.conj(alpha_hat * indicator) @ model.psi_h)
         x_d_hat, bits = _equalize(pilot_free, h_hat, spec, noise_power)
         if spec.data_symbol_power > 0 and bits.size:
-            x_d_hat = map_bits(bits, spec)
+            x_d_hat = _map(bits, spec)
         data_image = h_hat @ x_d_hat
         resid = float(np.linalg.norm(pilot_free - data_image))
         residuals.append(resid)

@@ -126,6 +126,12 @@ def map_bits(bits, spec: FrameSpec) -> np.ndarray:
         )
     if bits.dtype.kind not in "biuf" or np.any((bits != 0) & (bits != 1)):
         raise ParameterError("bits must be 0/1")
+    return _map(bits, spec)
+
+
+def _map(bits: np.ndarray, spec: FrameSpec) -> np.ndarray:
+    """``map_bits`` of a flat array of 0/1 numbers, a whole number of symbols, unchecked."""
+    k = spec.constellation.bits_per_symbol
     idx = bits.astype(np.int64, copy=False).reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
     return spec.constellation.points[idx] * spec.sigma_d
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp, waveform_samples
+from afdm_isac import AfdmConfig, add_cpp, channel, daft, idaft, remove_cpp, waveform_samples
 from afdm_isac.channel import (
     BasisGrid,
     ChannelPath,
@@ -58,6 +58,12 @@ class TestBasisGrid:
         g = basis_grid(tau_m=3, nu_m=2)
         for i, (tau, nu) in enumerate(g.pairs):
             assert g.index_of(tau, nu) == i
+
+    @pytest.mark.parametrize("tau, nu", [(3, 2), (2, 0), (-1, 0), (0, 1), (0, -1), (1.0, 0), (0, 0.0), (True, 0)])
+    def test_pair_off_the_grid_is_refused(self, tau, nu):
+        # index_of(3, 2) on the (1, 0) grid returned 5 for a 2-pair grid
+        with pytest.raises(ParameterError, match="not a pair of the"):
+            basis_grid(tau_m=1, nu_m=0).index_of(tau, nu)
 
 
 class TestEffectiveMatrix:
@@ -528,6 +534,35 @@ class TestSampleChannel:
     def test_too_many_paths_rejected(self, rng):
         with pytest.raises(ParameterError):
             sample_channel(L=16, tau_m=2, nu_m=2, rng=rng)
+
+    @pytest.mark.parametrize("L", [1, 4, 15])
+    def test_stream_is_one_choice_then_one_normal_per_gain_part(self, L):
+        # the pairs, then each path's real and imaginary normal in turn, as scalar draws would give
+        rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
+        real = sample_channel(L, 4, 1, rng)
+        picks = oracle.choice(15, size=L, replace=False)
+        scale = math.sqrt(1.0 / (2 * L))
+        gains = [scale * (oracle.standard_normal() + 1j * oracle.standard_normal()) for _ in range(L)]
+        assert [p.gain for p in real.paths] == gains
+        assert [(p.delay, p.doppler) for p in real.paths] == [(i // 3, float(i % 3 - 1)) for i in picks]
+        assert rng.integers(1 << 62) == oracle.integers(1 << 62)
+
+    def test_grid_is_built_once_per_bounds(self, rng, monkeypatch):
+        built = []
+        init = BasisGrid.__post_init__
+        monkeypatch.setattr(BasisGrid, "__post_init__", lambda g: built.append(g) or init(g))
+        channel._grid.cache_clear()
+        for _ in range(3):
+            sample_channel(2, 3, 1, rng)
+        sample_channel(2, 2, 1, rng)
+        assert [(g.tau_m, g.nu_m) for g in built] == [(3, 1), (2, 1)]
+
+    @pytest.mark.parametrize("bound", [1.0, True, np.ones(2), "1"])
+    def test_bounds_are_checked_before_the_grid_cache(self, rng, bound):
+        sample_channel(2, 1, 1, rng)  # (1, 1) is cached: equal keys must not reach it
+        for args in ((bound, 1), (1, bound)):
+            with pytest.raises(ParameterError, match="_m must be an integer"):
+                sample_channel(2, *args, rng)
 
 
 class TestSensingEcho:

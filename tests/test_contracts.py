@@ -7,6 +7,7 @@ argument.  The regression tests below pin the inputs that were accepted, or
 raised a bare exception or a warning, before each was checked.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -91,6 +92,8 @@ from afdm_isac.sensing import (
     sensing_grid,
 )
 
+# the package binds the name ``daft`` to the transform
+DAFT = importlib.import_module("afdm_isac.daft")
 CFG = AfdmConfig(n_sub=16, n_cpp=4, c1=1 / 8)
 CFG32 = AfdmConfig(n_sub=32, n_cpp=4, c1=1 / 16)
 CFG128 = AfdmConfig(n_sub=128, c1=1 / 32)  # K = 8
@@ -362,6 +365,18 @@ SITES = [
     ("sensing_echo.cfg", lambda v: sensing_echo(ONES, v, TARGET), ParameterError, "^cfg must be of type", set()),
     ("sensing_echo.target", lambda v: sensing_echo(ONES, CFG, v), ParameterError, "^target must be of type", set()),
     ("sample_channel.rng", lambda v: sample_channel(2, 2, 1, v), ParameterError, "^rng must be of type", set()),
+    # None adds no noise
+    ("apply_channel_time.rng", lambda v: apply_channel_time(S_CPP, ChannelRealization((PATH,), 1.0, 2, 1), CFG, v),
+     ParameterError, "^rng must be of type", {"None"}),
+    ("sensing_echo.rng", lambda v: sensing_echo(ONES, CFG, TARGET, v), ParameterError, "^rng must be of type",
+     {"None"}),
+    ("idaft.cfg", lambda v: idaft(ONES, v), ParameterError, "^cfg must be of type", set()),
+    ("daft.cfg", lambda v: daft(ONES, v), ParameterError, "^cfg must be of type", set()),
+    ("add_cpp.cfg", lambda v: add_cpp(ONES, v), ParameterError, "^cfg must be of type", set()),
+    ("remove_cpp.cfg", lambda v: remove_cpp(S_CPP, v), ParameterError, "^cfg must be of type", set()),
+    ("waveform_samples.cfg", lambda v: waveform_samples(ONES, v, 1.0), ParameterError, "^cfg must be of type",
+     set()),
+    ("build_daft_matrix.cfg", lambda v: DAFT.build_daft_matrix(v), ParameterError, "^cfg must be of type", set()),
     ("delay_doppler_to_range_velocity.cfg", lambda v: delay_doppler_to_range_velocity(1.0, 1.0, v),
      ParameterError, "^cfg must be of type", set()),
     # a member of the Constellation enum, a pilot family's name
@@ -562,6 +577,20 @@ DEFECTS = {
     "PathChannel cfg as n_sub": lambda: PathChannel(16, [0], [0], [1.0]),
     "delay_doppler_to_range_velocity cfg None": lambda: delay_doppler_to_range_velocity(1.0, 1.0, None),
     "sample_channel rng None": lambda: sample_channel(2, 2, 1, None),
+    # bare AttributeError from the noise draw; with no noise to draw, accepted
+    "apply_channel_time rng 'x'": lambda: apply_channel_time(S_CPP, ChannelRealization((PATH,), 1.0, 2, 1), CFG, "x"),
+    "apply_channel_time rng 'x' without noise": lambda: apply_channel_time(
+        S_CPP, ChannelRealization((PATH,), 0.0, 2, 1), CFG, "x"
+    ),
+    "sensing_echo rng 'x'": lambda: sensing_echo(ONES, CFG, TARGET, "x"),
+    "sensing_echo rng 'x' without noise": lambda: sensing_echo(ONES, CFG, SensingTarget(1.0, 1.0, 0.0, 0.0), "x"),
+    # bare AttributeError from the first use of the argument
+    "idaft cfg None": lambda: idaft(ONES, None),
+    "daft cfg as n_sub": lambda: daft(ONES, 16),
+    "add_cpp cfg None": lambda: add_cpp(ONES, None),
+    "remove_cpp cfg as n_sub": lambda: remove_cpp(S_CPP, 16),
+    "waveform_samples cfg None": lambda: waveform_samples(ONES, None, 1.0),
+    "build_daft_matrix cfg as n_sub": lambda: DAFT.build_daft_matrix(16),
     # a NaN and a fractional shift, then a bare TypeError
     "subcarrier_offset delay NaN": lambda: subcarrier_offset(math.nan, 0, CFG),
     "subcarrier_offset delay 1.5": lambda: subcarrier_offset(1.5, 0, CFG),
@@ -583,6 +612,7 @@ def test_defect_is_refused(defect):
 
 # the entry points of a module that no SITES row feeds, each with the reason
 UNFED = {
+    DAFT: set(),
     pilots: {
         # its one argument is a ZcParams, whose fields the ZcParams rows check
         "zc_sequence",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from afdm_isac import AfdmConfig, add_cpp, daft, estimator, idaft, remove_cpp
+from afdm_isac import AfdmConfig, add_cpp, channel, daft, estimator, idaft, remove_cpp
 from afdm_isac.channel import (
     PathChannel,
     apply_channel_time,
@@ -832,15 +832,18 @@ class TestEqualizerFactor:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import scipy.linalg
-
+        # the LAPACK routines (pbtrf, pbtrs) that the solve fetches through channel._banded_cholesky
         counts = {"factor": 0, "solve": 0}
-        for name, key in (("cholesky_banded", "factor"), ("cho_solve_banded", "solve")):
-            def counting(*args, _inner=getattr(scipy.linalg, name), _key=key, **kwargs):
-                counts[_key] += 1
-                return _inner(*args, **kwargs)
 
-            monkeypatch.setattr(scipy.linalg, name, counting)
+        def counting(inner, key):
+            def routine(*args, **kwargs):
+                counts[key] += 1
+                return inner(*args, **kwargs)
+
+            return routine
+
+        routines = [counting(inner, key) for inner, key in zip(channel._banded_cholesky(), counts)]
+        monkeypatch.setattr(channel, "_banded_cholesky", lambda: routines)
         return counts
 
     @pytest.fixture
@@ -901,6 +904,66 @@ class TestEqualizerFactor:
         assert calls == {"factor": 4, "solve": 1}
 
 
+class TestCheckedOnce:
+    """A frame is checked at the receiver's entry; its iterations re-check nothing they built."""
+
+    CFG64 = AfdmConfig(n_sub=64, n_cpp=8, c1=4 / 64)
+    GRID64 = basis_grid(tau_m=3, nu_m=1)
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        counts = {PathChannel: 0, PriorModel: 0}
+        for kind in counts:
+            def counting(obj, _kind=kind, _inner=kind.__post_init__):
+                counts[_kind] += 1
+                _inner(obj)
+
+            monkeypatch.setattr(kind, "__post_init__", counting)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checked entry point was called inside the iterations")
+
+        for owner, name in ((channel, "idaft"), (channel, "daft"), (PathChannel, "regularized_solve"),
+                            (estimator, "threshold_paths"), (estimator, "effective_noise_covariance"),
+                            (estimator, "reconstruct_channel")):
+            monkeypatch.setattr(owner, name, refuse)
+        return counts
+
+    @pytest.mark.parametrize("n_iter", [1, 2, 3])
+    def test_default_prior_frame_checks_one_prior_and_no_channel(self, rng, n_iter, checks):
+        x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        estimator._pilot_model(self.CFG64, self.GRID64.pairs, x_p.tobytes())  # a cached pilot model
+        checks[PathChannel] = 0
+        res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0, n_iter=n_iter)
+        assert checks == {PathChannel: 0, PriorModel: 1}
+        equalize_demod(y, res.h_eff_hat, x_p, spec, 1.0)
+        assert checks == {PathChannel: 0, PriorModel: 1}
+
+    def test_trusted_channel_is_the_checked_one(self, rng):
+        # the iterations' channel, built without checks, equals the public constructor's
+        x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0)
+        checked = reconstruct_channel(res.alpha_hat, res.indicator, self.GRID64, self.CFG64)
+        h = res.h_eff_hat
+        for name in ("delays", "dopplers", "gains"):
+            value = getattr(h, name)
+            assert value.dtype == getattr(checked, name).dtype and not value.flags.writeable
+            assert np.array_equal(value, getattr(checked, name))
+        v = random_unit_symbols(rng, 64)
+        assert np.array_equal(h @ v, checked @ v)
+        assert np.array_equal(h.regularized_solve(v, 0.1), checked.regularized_solve(v, 0.1))
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, "1", np.ones(3)])
+    def test_malformed_eps_is_refused_before_the_pilot_model(self, rng, eps):
+        x_p = random_unit_symbols(rng, 64)
+        estimator._pilot_model.cache_clear()
+        with pytest.raises(ParameterError, match="^threshold"):
+            iterative_estimate(np.ones(64), x_p, FrameSpec(64.0, 1.0), self.GRID64, self.CFG64, 1.0, eps=eps)
+        assert estimator._pilot_model.cache_info().misses == 0
+
+
 class TestPilotModel:
     """Psi_p and its Gram are built once per (cfg, grid, pilot), and never reused stale."""
 
@@ -950,18 +1013,18 @@ class TestPilotModel:
     def test_model_is_built_without_a_transform(self, rng, monkeypatch):
         # Psi_p is the closed-form images of the pilot: a cache miss makes no FFT
         calls = []
-        for name in ("idaft", "daft", "apply_basis"):
-            def counting(*args, _name=name, _inner=getattr(estimator, name)):
+        for name in ("ifft", "fft"):
+            def counting(*args, _name=name, _inner=getattr(np.fft, name), **kwargs):
                 calls.append(_name)
-                return _inner(*args)
+                return _inner(*args, **kwargs)
 
-            monkeypatch.setattr(estimator, name, counting)
+            monkeypatch.setattr(np.fft, name, counting)
         estimator._pilot_model.cache_clear()
         estimator._pilot_model(self.CFG64, self.GRID64.pairs, random_unit_symbols(rng, 64).tobytes())
         assert estimator._pilot_model.cache_info().misses == 1
         assert calls == []
         estimator.build_psi(np.ones(64), self.GRID64, self.CFG64)  # the counters do count
-        assert calls == ["apply_basis"] * len(self.GRID64)
+        assert calls == ["ifft", "fft"] * len(self.GRID64)  # one idaft and one daft per pair
 
     def test_model_is_read_only(self, rng):
         # the model keeps Psi_p^H, so an iteration multiplies by it without a conjugate copy
