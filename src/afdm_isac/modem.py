@@ -15,12 +15,13 @@ by sigma_d so that each subcarrier carries sigma_d^2 on average.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, check_count, check_nonnegative, check_stack
+from .errors import ParameterError, check_count, check_nonnegative, check_stack, check_type
 
 __all__ = [
     "Constellation",
@@ -117,7 +118,12 @@ class FrameSpec:
 
 
 def map_bits(bits, spec: FrameSpec) -> np.ndarray:
-    """Map a bit stream of 0/1 numbers to sigma_d-scaled Gray-coded symbols."""
+    """Map a bit stream of 0/1 numbers to sigma_d-scaled Gray-coded symbols.
+
+    A ``spec`` that is no ``FrameSpec``, a bit that is not 0 or 1, or a bit
+    count that is not a whole number of symbols raises ``ParameterError``.
+    """
+    check_type(spec, FrameSpec, "spec")
     bits = np.asarray(bits).ravel()
     k = spec.constellation.bits_per_symbol
     if bits.size % k != 0:
@@ -145,9 +151,16 @@ def demap_symbols(y_eq, spec: FrameSpec) -> np.ndarray:
     to the level of lower axis value, so a point at equal distance from
     several symbols gets the lowest of their values, and a non-finite point
     (all distances equal) symbol 0, as the nearest point by complex
-    distance does.
+    distance does.  A ``y_eq`` that is no array of numbers raises
+    ``ConfigurationError``, a ``spec`` that is no ``FrameSpec``
+    ``ParameterError``.
     """
-    y_eq = check_stack(y_eq, None, "equalized symbols").ravel()
+    check_type(spec, FrameSpec, "spec")
+    return _demap(check_stack(y_eq, None, "equalized symbols").ravel(), spec)
+
+
+def _demap(y_eq: np.ndarray, spec: FrameSpec) -> np.ndarray:
+    """``demap_symbols`` of a flat complex128 array, unchecked: the equalizer's demapper."""
     ascending, upward, gray = _AXES[spec.constellation]
     levels = ascending * (spec.sigma_d if spec.sigma_d > 0 else 1.0)
     bits = np.concatenate([gray[_axis_level(v, levels, upward)] for v in (y_eq.real, y_eq.imag)], axis=1)
@@ -194,8 +207,20 @@ class _PackedFrames:
 
 
 def random_data_vector(n_sub: int, spec: FrameSpec, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one frame worth of random bits and map them; returns (bits, x_data)."""
+    """Draw one frame worth of random bits and map them; returns (bits, x_data).
+
+    The bits are int64 0/1 numbers from the numpy ``Generator`` ``rng``.  An
+    ``n_sub`` that is no integer >= 1, or whose bits would take 2^63 bytes or
+    more, a ``spec`` that is no ``FrameSpec`` or an ``rng`` that is no
+    ``Generator`` raises ``ParameterError``.
+    """
     check_count(n_sub, "n_sub")
-    bits = rng.integers(0, 2, n_sub * spec.constellation.bits_per_symbol)
-    return bits, map_bits(bits, spec)
+    check_type(spec, FrameSpec, "spec")
+    check_type(rng, np.random.Generator, "rng")
+    k = spec.constellation.bits_per_symbol
+    count = operator.index(n_sub) * k
+    if count >= 2**60:  # 8 bytes a bit
+        raise ParameterError(f"n_sub must give fewer than 2^60 bits, got {n_sub} symbols of {k} bits")
+    bits = rng.integers(0, 2, count)
+    return bits, _map(bits, spec)
 

@@ -301,8 +301,9 @@ class TestRegularizedSolve:
     def test_solved_channel_keeps_its_time_taps_and_one_factor(self, rng):
         # a tap and a read index per path and 2*spread + 1 factor rows of Nc
         # values, plus 4 KiB for the objects that hold them; no lam-free Gram
-        # copy.  A first channel of the same spread loads scipy.linalg and the
-        # band layout, which every channel of that size and spread shares.
+        # copy.  A first channel of the same spread loads scipy's LAPACK wrapper
+        # (``_banded_cholesky``) and the band layout, which every channel of
+        # that size and spread shares.
         cfg = AfdmConfig(n_sub=4096, c1=1 / 1024)
         PathChannel(cfg, [0, 8], [0, 0], [1.0, 0.1]).regularized_solve(np.ones(4096), 0.1)
         layout = _band_layout(4096, 8)

@@ -21,6 +21,7 @@ from afdm_isac import (
     daft,
     estimator,
     idaft,
+    modem,
     pilots,
     remove_cpp,
     sensing,
@@ -379,6 +380,12 @@ SITES = [
     ("build_daft_matrix.cfg", lambda v: DAFT.build_daft_matrix(v), ParameterError, "^cfg must be of type", set()),
     ("delay_doppler_to_range_velocity.cfg", lambda v: delay_doppler_to_range_velocity(1.0, 1.0, v),
      ParameterError, "^cfg must be of type", set()),
+    ("map_bits.spec", lambda v: map_bits([0, 1], v), ParameterError, "^spec must be of type", set()),
+    ("demap_symbols.spec", lambda v: demap_symbols(ONES, v), ParameterError, "^spec must be of type", set()),
+    ("random_data_vector.spec", lambda v: random_data_vector(16, v, rng()), ParameterError,
+     "^spec must be of type", set()),
+    ("random_data_vector.rng", lambda v: random_data_vector(16, SPEC, v), ParameterError,
+     "^rng must be of type", set()),
     # a member of the Constellation enum, a pilot family's name
     ("FrameSpec.constellation", lambda v: FrameSpec(1.0, 1.0, v), ParameterError, "^constellation", set()),
     ("PilotScheme.variant", lambda v: PilotScheme(v, 1.0), ParameterError, "^unknown pilot variant", set()),
@@ -601,6 +608,14 @@ DEFECTS = {
     "apply_basis Doppler NaN": lambda: apply_basis(ONES, CFG, 1, math.nan),
     "apply_basis Doppler 'a'": lambda: apply_basis(ONES, CFG, 1, "a"),
     "apply_basis Doppler '1'": lambda: apply_basis(ONES, CFG, 1, "1"),
+    # bare AttributeError from the first use of the argument
+    "map_bits spec None": lambda: map_bits([0, 1], None),
+    "demap_symbols spec as a constellation": lambda: demap_symbols(ONES, SPEC.constellation),
+    "random_data_vector spec None": lambda: random_data_vector(16, None, rng()),
+    "random_data_vector rng 'x'": lambda: random_data_vector(16, SPEC, "x"),
+    "random_data_vector rng None": lambda: random_data_vector(16, SPEC, None),
+    # bare ValueError ("Maximum allowed dimension exceeded")
+    "random_data_vector n_sub 2^62": lambda: random_data_vector(2**62, SPEC, rng()),
 }
 
 
@@ -613,6 +628,10 @@ def test_defect_is_refused(defect):
 # the entry points of a module that no SITES row feeds, each with the reason
 UNFED = {
     DAFT: set(),
+    modem: {
+        # the Enum of the two constellations, fed through the FrameSpec.constellation rows
+        "Constellation",
+    },
     pilots: {
         # its one argument is a ZcParams, whose fields the ZcParams rows check
         "zc_sequence",

@@ -4,10 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from afdm_isac import AfdmConfig, add_cpp, channel, daft, estimator, idaft, remove_cpp
+from afdm_isac import AfdmConfig, add_cpp, channel, daft, estimator, idaft, remove_cpp, sensing
 from afdm_isac.channel import (
     PathChannel,
     apply_channel_time,
@@ -1049,3 +1049,30 @@ class TestPilotModel:
         grid = basis_grid(tau_m, nu_m)
         gram = estimator._pilot_model(cfg, grid.pairs, x_p.tobytes()).gram
         assert np.max(np.abs(gram - power * np.eye(len(grid)))) <= 1e-12 * power
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_sub=st.integers(8, 300),
+        k=st.integers(0, 9),
+        tau_m=st.integers(0, 7),
+        nu_m=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_sub=63, k=3, tau_m=5, nu_m=2, seed=1)  # K*Nc odd: the prefix flips
+    @example(n_sub=64, k=3, tau_m=5, nu_m=2, seed=2)
+    @example(n_sub=100, k=7, tau_m=7, nu_m=3, seed=3)
+    @example(n_sub=512, k=8, tau_m=7, nu_m=2, seed=4)
+    def test_correlation_is_the_sensing_map(self, n_sub, k, tau_m, nu_m, seed):
+        # Psi_p^H y on every grid pair is the range-Doppler correlation of the time
+        # signals, conj(_correlate(idaft y, idaft x_p, tau, nu)) * exp(j*2*pi*nu*tau/Nc),
+        # for any pilot: the estimator's correlation is the sensing map
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=tau_m, c1=k / (2 * n_sub))
+        grid = basis_grid(tau_m, nu_m)
+        rng = np.random.default_rng(seed)
+        x_p, y = rng.standard_normal((2, n_sub, 2)) @ np.array([1.0, 1j])
+        psi_h_y = estimator._pilot_model(cfg, grid.pairs, x_p.tobytes()).psi_h @ y
+        axes = np.arange(tau_m + 1.0), np.arange(-nu_m, nu_m + 1.0)
+        corr = sensing._correlate(idaft(y, cfg), idaft(x_p, cfg), *axes, cfg)
+        tau, nu = np.array(grid.pairs).T
+        expect = np.conj(corr[tau, nu + nu_m]) * np.exp(2j * np.pi * nu * tau / n_sub)
+        assert np.max(np.abs(psi_h_y - expect)) <= 1e-12 * np.max(np.abs(expect))

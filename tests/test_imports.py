@@ -8,14 +8,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = ("errors", "daft", "modem", "pilots", "channel", "estimator", "sensing", "analysis")
 
 
-def test_importing_the_package_leaves_scipy_unloaded():
-    # scipy.linalg takes about 0.3 s to import; only the banded equalizer
-    # solve uses it, and it imports it there
-    code = "\n".join(
-        ["import sys", "import afdm_isac"]
-        + [f"import afdm_isac.{name}" for name in MODULES]
-        + ["print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"]
-    )
+def _run(code: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter that finds the package."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -25,7 +19,100 @@ def test_importing_the_package_leaves_scipy_unloaded():
         timeout=120,
         check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # importing scipy.linalg took 0.22-0.24 s; no module imports scipy
+    # (test_no_module_imports_scipy), and the banded equalizer loads only
+    # scipy's LAPACK wrapper, on its first solve
+    code = "\n".join(
+        ["import sys", "import afdm_isac"]
+        + [f"import afdm_isac.{name}" for name in MODULES]
+        + [f"print({LOADED_SCIPY})"]
+    )
+    assert _run(code) == "[]"
+
+
+# one banded solve and one iterative_estimate frame, run with scipy.linalg
+# imported after them or before them; prints the scipy modules the two left
+# loaded, whether scipy's own lookup returns the equalizer's routines, and
+# the solution and the frame's estimates as hex bytes
+COLD_START = """
+import sys
+if SCIPY_FIRST:
+    import scipy.linalg
+import numpy as np
+from afdm_isac import AfdmConfig, channel
+from afdm_isac.channel import PathChannel, basis_grid
+from afdm_isac.estimator import iterative_estimate
+from afdm_isac.modem import FrameSpec
+from afdm_isac.pilots import proposed_pilot
+
+rng = np.random.default_rng(5)
+cfg = AfdmConfig(n_sub=64, n_cpp=8, c1=4 / 64)
+h = PathChannel(cfg, [0, 2, 3], [0, 1, -1], [1.0, 0.4j, -0.3])
+z = h.regularized_solve(rng.standard_normal(64) + 1j * rng.standard_normal(64), 0.1)
+x_p = proposed_pilot(cfg, 64 * 30.0)
+x_d = (rng.choice([-1.0, 1.0], 64) + 1j * rng.choice([-1.0, 1.0], 64)) * np.sqrt(15.0)
+y = h @ (x_p + x_d) + rng.standard_normal(64) + 1j * rng.standard_normal(64)
+res = iterative_estimate(y, x_p, FrameSpec(64 * 30.0, 30.0), basis_grid(3, 1), cfg, 2.0)
+print(LOADED)
+from scipy.linalg.lapack import get_lapack_funcs
+found = get_lapack_funcs(("pbtrf", "pbtrs"), (np.empty(0, np.complex128),))
+print(all(a is b for a, b in zip(found, channel._banded_cholesky(), strict=True)))
+print(z.tobytes().hex(), res.alpha_hat.tobytes().hex(), res.h_eff_hat.gains.tobytes().hex())
+"""
+
+
+def _cold_start(scipy_first: bool) -> list[str]:
+    return _run(COLD_START.replace("SCIPY_FIRST", str(scipy_first)).replace("LOADED", LOADED_SCIPY)).splitlines()
+
+
+def test_the_equalizer_loads_only_the_lapack_wrapper():
+    # scipy.linalg imported after the solve returns the routines the equalizer
+    # loaded; imported before it, the solve and the frame are bit for bit the same
+    loaded, same, solved = _cold_start(scipy_first=False)
+    assert loaded == "['scipy.linalg._flapack']"
+    assert same == "True"
+    _, same_first, solved_first = _cold_start(scipy_first=True)
+    assert same_first == "True"
+    assert solved_first == solved
+
+
+def test_the_equalizer_without_scipy_raises_import_error():
+    # a None entry in sys.modules hides an installed package from the import system
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from afdm_isac import channel",
+        "try:",
+        "    channel._banded_cholesky()",
+        "except ImportError as error:",
+        "    print(error)",
+    ])
+    assert "needs scipy" in _run(code)
+
+
+def test_no_module_imports_scipy():
+    # channel._banded_cholesky, which loads the one extension it needs by its
+    # file, is the one way into scipy: an import statement would run the
+    # scipy and scipy.linalg packages
+    for path in sorted((SRC / "afdm_isac").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [
+            name
+            for node in ast.walk(tree)
+            for name in (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) and not node.level
+                else []
+            )
+        ]
+        assert not [name for name in imported if name.partition(".")[0] == "scipy"], path.name
 
 
 def test_modules_import_only_earlier_modules():
