@@ -92,6 +92,7 @@ from .errors import (
     check_positive,
     check_reals,
     check_stack,
+    check_type,
     check_vector,
 )
 from .estimator import _pilot_model
@@ -139,6 +140,7 @@ def cross_ambiguity(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     are two symbols of length Nc or two stacks of equal shape (..., Nc); the
     result has shape (..., delays, Dopplers).
     """
+    check_type(cfg, AfdmConfig, "cfg")
     a = check_stack(a, cfg.n_sub, "signals")
     b = check_stack(b, cfg.n_sub, "signals")
     if a.shape != b.shape:
@@ -185,9 +187,10 @@ def interference_coefficient(m1: int, m2: int, tau: int, nu: int, cfg: AfdmConfi
     """
     m1, m2 = (check_integers([m], "subcarrier indices")[0] for m in (m1, m2))
     tau, nu = (check_integers([v], "path delay and Doppler")[0] for v in (tau, nu))
+    offset = subcarrier_offset(tau, nu, cfg)  # checks cfg
     if min(m1, m2) < 0 or max(m1, m2) >= cfg.n_sub:
         raise ParameterError(f"subcarrier indices must lie in [0, {cfg.n_sub}), got {m1}, {m2}")
-    if (m2 - m1) % cfg.n_sub != subcarrier_offset(tau, nu, cfg):
+    if (m2 - m1) % cfg.n_sub != offset:
         return 0.0 + 0.0j
     return cfg.n_sub * complex(cfg.c2_chirp[m1] * np.conj(cfg.c2_chirp[m2]))
 
@@ -207,6 +210,8 @@ def af_statistics_closed_form(
     2*sigma_d^2*sigma_p^2 + sigma_d^4*Nc elsewhere.  Both constellations
     have E{u^2} = 0, which these forms assume.
     """
+    check_type(spec, FrameSpec, "spec")
+    check_type(cfg, AfdmConfig, "cfg")
     sd2 = spec.data_symbol_power
     sp2 = spec.pilot_power
     fourth = spec.constellation.fourth_moment * sd2 * sd2
@@ -261,10 +266,14 @@ def ambiguity_moments_mc(
     least one frame), each by one ``images`` call and one batched row dot.
     Every frame's value is bit for bit the same at any block size.
 
-    ``x_pilot`` must have shape (Nc,), ``points`` be a non-empty list of
-    integer (delay, Doppler) pairs and ``n_frames`` an integer >= 1; all
-    three are checked before any draw.
+    ``cfg``, ``spec`` and ``rng`` must be an ``AfdmConfig``, a ``FrameSpec``
+    and a numpy ``Generator``, ``x_pilot`` have shape (Nc,), ``points`` be a
+    non-empty list of integer (delay, Doppler) pairs and ``n_frames`` an
+    integer >= 1; all are checked before any draw.
     """
+    check_type(cfg, AfdmConfig, "cfg")
+    check_type(spec, FrameSpec, "spec")
+    check_type(rng, np.random.Generator, "rng")
     n = cfg.n_sub
     x_pilot = check_vector(x_pilot, n, "pilot")
     check_count(n_frames, "n_frames")
@@ -325,6 +334,7 @@ def verify_theorem_2(
     positive the origin inequality is also checked by simulation; it must
     be an integer >= 0 (else ``ParameterError``).
     """
+    check_type(cfg, AfdmConfig, "cfg")
     check_count(n_frames, "n_frames", least=0)
     sd2 = total_data_power / cfg.n_sub
     spec_q = FrameSpec(pilot_power, sd2, Constellation.QPSK)
@@ -368,6 +378,8 @@ def verify_theorem_3(
     ``ParameterError``).
     """
     check_count(n_frames, "n_frames", least=0)
+    for cfg in cfgs:
+        check_type(cfg, AfdmConfig, "each of cfgs")
     n_subs = np.array([cfg.n_sub for cfg in cfgs], dtype=float)
     if np.unique(n_subs).size < 2:
         raise ParameterError(f"need configs of at least two subcarrier counts, got {n_subs.tolist()}")
@@ -423,6 +435,7 @@ def verify_theorem_4(
     report.  ``pairs`` is a non-empty list of integer (delay, Doppler)
     pairs, each delay in [0, Nc), checked before the model is read.
     """
+    check_type(cfg, AfdmConfig, "cfg")
     n = cfg.n_sub
     x_pilot = check_vector(x_pilot, n, "pilot")
     taus, nus = _delay_doppler_pairs(pairs, "pairs")
@@ -551,8 +564,11 @@ def _fim_kernels(target: SensingTarget, cfg: AfdmConfig):
     """Kernels (a_m, b_m, c0) of a validated target and the ramp column: no allocation.
 
     a_m = sum_n frac^2, b_m = sum_n frac*(n/Nc), c0 = sum_n (n/Nc)^2.  The
-    ramp column is ``_ramp_column`` of the kernel.
+    ramp column is ``_ramp_column`` of the kernel.  Every bound checks its
+    ``target`` and ``cfg`` here.
     """
+    check_type(target, SensingTarget, "target")
+    check_type(cfg, AfdmConfig, "cfg")
     if any(np.ndim(v) for v in (target.gain, target.delay_samples, target.doppler_norm)):
         raise ParameterError("the bounds take one target: scalar gain, delay and Doppler")
     check_positive(target.noise_power, "target noise power")
@@ -579,11 +595,11 @@ def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
     a = p.a_m, b = p.b_m, c = sum(p)*c0.  ``powers`` is one allocation of
     length Nc or a (draws, Nc) stack, and a, b, c follow its leading shape.
     """
+    a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
     p = check_reals(powers, "allocation")
     if p.ndim not in (1, 2) or p.shape[-1] != cfg.n_sub:
         raise ParameterError(f"allocation must have length n_sub={cfg.n_sub}, got shape {p.shape}")
     total = _row_totals(p)
-    a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
     return a_m, b_m, c0, p @ a_m, p @ b_m, total * c0, ramp
 
 
@@ -619,12 +635,14 @@ def _fim_matrix(total: float, a: float, b: float, c: float, target: SensingTarge
 
 def fim(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> np.ndarray:
     """3x3 information matrix for (gain, delay, Doppler)."""
+    check_type(power, PowerAllocation, "power")
     *_, a, b, c, _ = _fim_sums(power.powers, target, cfg)
     return _fim_matrix(power.total, a, b, c, target, cfg)
 
 
 def crb(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> SensingBounds:
     """Delay/Doppler lower bounds and their range/velocity conversions."""
+    check_type(power, PowerAllocation, "power")
     *_, a, b, c, ramp = _fim_sums(power.powers, target, cfg)
     crb_tau, crb_nu, _ = _crb_from_sums(a, b, c, power.powers, ramp, target, cfg)
     metres_per_sample, mps_per_bin = delay_doppler_to_range_velocity(1.0, 1.0, cfg)
@@ -644,6 +662,7 @@ def sensing_weights(power: PowerAllocation, target: SensingTarget, cfg: AfdmConf
     form: with D = a*c - b^2, dD/dp_m = a_m*c + a*c0 - 2*b*b_m and
     dCRB_tau/dp_m = CRB_tau * (c0/c - (dD/dp_m)/D).
     """
+    check_type(power, PowerAllocation, "power")
     a_m, b_m, c0, a, b, c, ramp = _fim_sums(power.powers, target, cfg)
     crb_tau, _, det = _crb_from_sums(a, b, c, power.powers, ramp, target, cfg)
     return crb_tau * (c0 / c - (a_m * c + a * c0 - 2.0 * b * b_m) / det)
@@ -681,8 +700,8 @@ def crb_distribution(
     each block of draws, as many as fit in ``sensing._BLOCK_BYTES`` (at
     least one), is reduced by one product against the kernels and scaled by
     total_power over its sum: no (n_draws, Nc) allocation matrix is built.
-    ``n_draws`` is an integer >= 1, checked before any draw; it is not read
-    when ``allocations`` is given.
+    ``n_draws`` is an integer >= 1 and ``rng`` a numpy ``Generator``, both
+    checked before any draw; neither is read when ``allocations`` is given.
     """
     check_positive(total_power, "total_power")
     if allocations is not None:
@@ -690,6 +709,7 @@ def crb_distribution(
         values, *_ = _crb_from_sums(a, b, c, allocations, ramp, target, cfg)
     else:
         check_count(n_draws, "n_draws")
+        check_type(rng, np.random.Generator, "rng")
         a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
         kernels = np.column_stack([a_m, b_m])
         block = max(1, _BLOCK_BYTES // (8 * cfg.n_sub))

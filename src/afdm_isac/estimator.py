@@ -4,11 +4,12 @@ The received DAFT-domain frame is y = Psi_p a + (Psi_d a + w), where column i
 of Psi_p is the pilot pushed through basis path i.  Because every basis path
 matrix is unitary, the data-plus-noise term is white with per-sample variance
 
-    c = sigma_d^2 * sum_i prior_var_i + sigma_cn^2
+    c = sigma_d^2 * sum_i g_i + N0
 
-(the data covariance sigma_d^2 I is preserved by each unitary path, and the
-path gains are uncorrelated under the prior), so the MMSE estimate reduces to
-a ridge-regularized least squares over Psi_p.  Its posterior takes one of
+for prior gain variances g and noise power N0 (the data covariance
+sigma_d^2 I is preserved by each unitary path, and the path gains are
+uncorrelated under the prior), so the MMSE estimate reduces to a
+ridge-regularized least squares over Psi_p.  Its posterior takes one of
 two routes, decided by the Gram G = Psi_p^H Psi_p alone.  G counts as
 diagonal when no off-diagonal entry exceeds 1e-12 times its largest diagonal
 entry; the posterior is then elementwise, S_ii = 1/(d_i/c + 1/g_i) and
@@ -42,13 +43,13 @@ Psi_p^H, so the equalizer starts from the pilot-free observation; and the
 one product of the estimate with the demodulated data serves both the
 iteration's residual and the next iteration's observation.  Each
 iteration's residual norm and effective noise c are returned with the
-estimate.  ``iterative_estimate``, ``mmse_estimate``, ``equalize_demod`` and
-``reconstruct_channel`` check their typed arguments (``FrameSpec``,
+estimate.  The receiver has one public entry per stage:
+``iterative_estimate`` (posterior, 3-sigma support test and channel
+estimate) and ``equalize_demod`` check their typed arguments (``FrameSpec``,
 ``BasisGrid``, ``AfdmConfig``, ``PriorModel``, ``PathChannel``) and the
-finiteness of their vectors once, before any work: a frame is validated
-once at the public entry, and its iterations re-check nothing they built.
-The default prior is checked once per frame, the 3-sigma threshold is
-applied inline, each channel estimate is built by
+finiteness of their vectors once, before any work, and the iterations
+re-check nothing they built.  The default prior is checked once per frame,
+the 3-sigma threshold is applied inline, each channel estimate is built by
 ``PathChannel._trusted`` from its own fresh arrays, the equalizer is
 ``PathChannel._daft_solve`` (the transforms' and the banded solve's
 unchecked kernels) and the demodulated bits are remapped by
@@ -72,7 +73,6 @@ from .errors import (
     check_count,
     check_finite,
     check_nonnegative,
-    check_stack,
     check_type,
     check_vector,
 )
@@ -82,10 +82,6 @@ __all__ = [
     "PriorModel",
     "EstimationResult",
     "build_psi",
-    "effective_noise_covariance",
-    "mmse_estimate",
-    "threshold_paths",
-    "reconstruct_channel",
     "equalize_demod",
     "iterative_estimate",
 ]
@@ -124,7 +120,7 @@ class EstimationResult:
 
     alpha_hat: np.ndarray
     indicator: np.ndarray
-    h_eff_hat: PathChannel  # kept paths; np.asarray gives the dense DAFT-domain matrix
+    h_eff_hat: PathChannel  # kept paths, applied structured; np.asarray (dense N x N) is for checks only
     residual_norms: list[float]
     noise_levels: list[float]  # effective noise c of each iteration, before the 1e-30 floor
     gram_condition: float  # 2-norm condition number of the pilot's Gram, computed once per pilot model
@@ -139,27 +135,11 @@ def build_psi(x, grid: BasisGrid, cfg: AfdmConfig) -> np.ndarray:
     )
 
 
-def effective_noise_covariance(
-    gain_variances, data_symbol_power: float, noise_power: float
-) -> float:
-    """Scalar variance of the data-interference-plus-noise term.
-
-    The model covariance is this scalar times the identity; each basis path
-    is unitary so random data contributes sigma_d^2 * sum(prior variances)
-    per received sample.  The variances and ``noise_power`` are checked as a
-    ``PriorModel``'s, and ``data_symbol_power`` is finite and >= 0.  With no
-    data the result is ``noise_power`` exactly, under any prior; with data,
-    an infinite (flat-prior) variance would make the interference infinite
-    and raises ``ParameterError``.
-    """
-    check_nonnegative(data_symbol_power, "data_symbol_power")
-    g = PriorModel(gain_variances, noise_power).gain_variances
-    return _interference(g, data_symbol_power, noise_power)
-
-
 def _interference(g: np.ndarray, data_symbol_power: float, noise_power: float) -> float:
-    """``effective_noise_covariance`` of a ``PriorModel``'s checked variances ``g`` and
-    checked powers: the body behind its checks, which ``iterative_estimate`` calls."""
+    """The white interference level sigma_d^2 * sum(g) + N0 of a ``PriorModel``'s
+    checked variances ``g`` and checked powers: ``noise_power`` exactly when there
+    are no data, under any prior, and ``ParameterError`` for a flat (inf) prior
+    with data, whose interference would be infinite."""
     if data_symbol_power == 0:
         return float(noise_power)
     if np.isinf(g).any():
@@ -273,72 +253,6 @@ def _posterior(corr, gram, diagonal, g: np.ndarray, noise_variance: float) -> tu
     return alpha, variances
 
 
-def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
-    """Linear MMSE gain estimate and its posterior variances.
-
-    Over the columns of positive prior variance g, with the white effective
-    noise c floored at 1e-30, the posterior covariance is
-    S = (Psi^H Psi / c + diag(1/g))^{-1}; the estimate is S Psi^H y / c and
-    the variances are diag(S).  When no off-diagonal entry of Psi^H Psi
-    exceeds 1e-12 times its largest diagonal entry, S is the diagonal
-    1/(d_i/c + 1/g_i) of its diagonal d, with no inverse; any other Gram is
-    inverted.  Pinned gains (g = 0) come out as 0 with variance 0, and an
-    infinite g drops that gain's regularization.  A
-    singular normal matrix or a non-finite result raises ``NumericalError``;
-    a ``y`` or ``psi_p`` that is not numbers (a vector, an array) raises
-    ``ConfigurationError``, and a non-finite entry in either, a ``psi_p``
-    that is no matrix or whose row count is not the length of ``y``, or a
-    ``prior`` that is no ``PriorModel`` ``ParameterError``.  This forms
-    Psi^H y and Psi^H Psi on every call; ``iterative_estimate`` instead
-    reuses the Psi_p^H and Gram it caches per pilot (at most 4 pilots,
-    about L*Nc*16 bytes each).
-    """
-    check_type(prior, PriorModel, "prior")
-    y = check_finite(check_vector(y, None, "y"), "y")
-    psi_p = check_finite(check_stack(psi_p, None, "Psi"), "Psi")
-    if psi_p.ndim != 2 or y.shape != psi_p.shape[:1]:
-        raise ParameterError(f"y of shape {y.shape} for a Psi of shape {psi_p.shape}")
-    psi_h = psi_p.conj().T
-    gram = psi_h @ psi_p
-    return _posterior(psi_h @ y, gram, _gram_diagonal(gram), prior.gain_variances, prior.noise_variance)
-
-
-def threshold_paths(alpha_hat, eps) -> np.ndarray:
-    """Binary path indicator: keep |alpha| above eps, one real >= 0 (inf keeps none) or one per path."""
-    alpha_hat = check_stack(alpha_hat, None, "alpha_hat")
-    return (np.abs(alpha_hat) > _check_eps(eps, alpha_hat.shape)).astype(np.int8)
-
-
-def _check_eps(eps, shape: tuple) -> np.ndarray:
-    """``eps`` as an array of reals >= 0, one or one per path of ``shape``; else ``ParameterError``."""
-    eps = np.asarray(eps)
-    if eps.dtype.kind not in "biuf" or eps.shape not in ((), shape) or not np.all(eps >= 0):
-        raise ParameterError(f"threshold must be non-negative reals, not NaN, got {eps!r}")
-    return eps
-
-
-def reconstruct_channel(alpha_hat, indicator, grid: BasisGrid, cfg: AfdmConfig) -> PathChannel:
-    """The structured channel estimate: the basis paths whose indicator is set,
-    with gains alpha_hat * indicator.  ``grid`` is a ``BasisGrid`` and ``cfg``
-    an ``AfdmConfig``, ``alpha_hat`` holds one finite gain per grid pair and
-    ``indicator`` one 0 or 1 per pair; a wrong shape of ``alpha_hat`` raises
-    ``ConfigurationError``, anything else ``ParameterError``."""
-    check_type(grid, BasisGrid, "grid")
-    check_type(cfg, AfdmConfig, "cfg")
-    alpha_hat = check_finite(check_vector(alpha_hat, len(grid), "alpha_hat"), "alpha_hat")
-    indicator = np.asarray(indicator)
-    binary = indicator.dtype.kind in "biuf" and not np.any((indicator != 0) & (indicator != 1))
-    if not (indicator.shape == (len(grid),) and binary):
-        raise ParameterError(f"need {len(grid)} 0/1 indicators, got {indicator!r}")
-    return PathChannel(cfg, *_kept_paths(alpha_hat, indicator, grid))
-
-
-def _kept_paths(alpha_hat: np.ndarray, indicator, grid: BasisGrid) -> tuple[np.ndarray, ...]:
-    """Fresh int64 delays and Dopplers and complex128 gains of the grid pairs whose 0/1 indicator is set."""
-    kept = np.flatnonzero(indicator)
-    return (*grid._split(kept), alpha_hat[kept])
-
-
 def _equalize(r: np.ndarray, h_hat: PathChannel, spec: FrameSpec, noise_power: float):
     """(equalized data symbols, bits) of the pilot-free DAFT-domain observation r:
     the one equalizer, behind ``equalize_demod`` and each iteration of
@@ -408,15 +322,15 @@ def iterative_estimate(
     off-diagonal entry above 1e-12 times its largest diagonal entry (the
     proposed, single and traditional pilots on the grid) is read
     elementwise, any other inverted once per iteration.
-    Iteration 1 models the data as white interference of power
-    sigma_d^2 * sum(prior variances) per sample
-    (``effective_noise_covariance``); each later iteration subtracts
+    Iteration 1 models the data plus noise as white interference of level
+    c = sigma_d^2 * sum(g) + N0 per sample, for prior gain variances g and
+    N0 = ``noise_power``; each later iteration subtracts
     the demodulated data pushed through the current channel estimate and sets
     the interference model from the measured residual of the previous fit
     (so a failed cancellation does not make the next pass overconfident).
     The prior defaults to a unit gain power spread uniformly over the grid;
-    a flat (infinite) gain variance is taken only when the frame has no data
-    (``effective_noise_covariance``).
+    a flat (infinite) gain variance is taken only when the frame has no data,
+    and with data it raises ``ParameterError``, since c would be infinite.
     ``known_data`` replaces the demodulated feedback with a given data vector
     (diagnostic genie for isolating the cancellation algebra).  The result
     carries, per iteration, the residual norm of the fit and the effective
@@ -426,7 +340,8 @@ def iterative_estimate(
     ``ConfigurationError``) and finite entries, ``spec``, ``grid``, ``cfg``
     and a given ``prior`` must be a ``FrameSpec``, ``BasisGrid``,
     ``AfdmConfig`` and ``PriorModel``, ``noise_power`` must be finite and
-    >= 0 and ``n_iter`` an integer >= 1 (else ``ParameterError``), all
+    >= 0, a given ``eps`` one real >= 0 (inf keeps no path) or one per
+    grid pair and ``n_iter`` an integer >= 1 (else ``ParameterError``), all
     checked once, before any work.
     """
     check_type(spec, FrameSpec, "spec")
@@ -441,7 +356,9 @@ def iterative_estimate(
     if known_data is not None:
         known_data = check_finite(check_vector(known_data, cfg.n_sub, "known_data"), "known_data")
     if eps is not None:
-        eps = _check_eps(eps, (len(grid),))
+        eps = np.asarray(eps)
+        if eps.dtype.kind not in "biuf" or eps.shape not in ((), (len(grid),)) or not np.all(eps >= 0):
+            raise ParameterError(f"threshold must be non-negative reals, not NaN, got {eps!r}")
     model = _pilot_model(cfg, grid.pairs, x_pilot.tobytes())
     if prior is None:
         prior = PriorModel.uniform(grid, noise_variance=0.0)
@@ -458,7 +375,8 @@ def iterative_estimate(
         alpha_hat, post = _posterior(corr, model.gram, model.diagonal, prior.gain_variances, c_it)
         eps_it = _EPS_SCALE * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps
         indicator = (np.abs(alpha_hat) > eps_it).astype(np.int8)
-        h_hat = PathChannel._trusted(cfg, *_kept_paths(alpha_hat, indicator, grid))
+        kept = np.flatnonzero(indicator)
+        h_hat = PathChannel._trusted(cfg, *grid._split(kept), alpha_hat[kept])
         # the pilot through the estimate, h_hat @ x_pilot, is Psi_p (alpha_hat * indicator)
         pilot_free = y - np.conj(np.conj(alpha_hat * indicator) @ model.psi_h)
         x_d_hat, bits = _equalize(pilot_free, h_hat, spec, noise_power)

@@ -21,9 +21,13 @@ basis pairs is built directly, as the rows of the pilot's images times their
 conjugates, where ``analysis.verify_theorem_4`` reads it from the estimator's
 cached pilot model.  The equalizer's band is read off the dense time-domain
 normal matrix, where ``PathChannel._band`` forms its cyclic diagonals in closed
-form.  The iterative estimator's loop is kept as it was before each channel
-estimate was pushed through the frame once: three ``PathChannel`` products per
-estimate and the public ``equalize_demod``.
+form.  The dense-route iterative estimator forms its own posterior by an
+explicit inverse, its own interference level sigma_d^2 * sum(g) + N0 and its
+own 3-sigma test.  ``mmse_estimate`` hands the Psi^H y and Psi^H Psi of a
+dense Psi to the estimator's posterior kernel, which the link feeds from its
+cached pilot model.  The iterative estimator's loop is kept as it was before
+each channel estimate was pushed through the frame once: three
+``PathChannel`` products per estimate and the public ``equalize_demod``.
 """
 
 import math
@@ -36,15 +40,7 @@ from afdm_isac.analysis import cross_ambiguity
 from afdm_isac.channel import ChannelPath, ChannelRealization, PathChannel, _doppler_ramp
 from afdm_isac.errors import ParameterError
 from afdm_isac import estimator
-from afdm_isac.estimator import (
-    PriorModel,
-    build_psi,
-    effective_noise_covariance,
-    equalize_demod,
-    mmse_estimate,
-    reconstruct_channel,
-    threshold_paths,
-)
+from afdm_isac.estimator import PriorModel, build_psi, equalize_demod
 from afdm_isac.modem import demap_symbols, map_bits
 
 
@@ -248,20 +244,36 @@ def equalize(y, h, x_pilot, lam: float) -> np.ndarray:
     return np.linalg.solve(normal, h.conj().T @ (y - h @ x_pilot))
 
 
+def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
+    """(gain estimate, posterior variances) of the estimator's posterior kernel,
+    fed the Psi^H y and Psi^H Psi of a dense ``psi_p``, formed on every call;
+    the kernel's route is decided from this Gram."""
+    psi_p = np.asarray(psi_p, dtype=np.complex128)
+    psi_h = psi_p.conj().T
+    gram = psi_h @ psi_p
+    corr = psi_h @ np.asarray(y, dtype=np.complex128)
+    return estimator._posterior(corr, gram, estimator._gram_diagonal(gram), prior.gain_variances,
+                                prior.noise_variance)
+
+
 def iterative_estimate(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2):
     """The iterative estimator on the dense route: dense channel, dense equalizer.
 
+    Under the uniform prior g = 1/L the first level is sigma_d^2 * sum(g) + N0;
+    each posterior is the explicit inverse S = (Psi^H Psi / c + diag(1/g))^{-1},
+    the estimate S Psi^H y / c, and a gain is kept above 3 sqrt(S_ii).
     Returns (alpha_hat, indicator, dense channel estimate, last bits).
     """
     stack = np.stack([basis_matrix(cfg, tau, float(nu)) for tau, nu in grid.pairs])
     psi_p = build_psi(x_pilot, grid, cfg)
-    prior = PriorModel.uniform(grid, noise_variance=0.0)
-    c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
+    g = np.full(len(grid), 1.0 / len(grid))
+    c_it = spec.data_symbol_power * g.sum() + noise_power
     feedback = np.zeros(cfg.n_sub, dtype=np.complex128)
     h = np.zeros((cfg.n_sub, cfg.n_sub), dtype=np.complex128)
     for _ in range(n_iter):
-        alpha, post = mmse_estimate(y - h @ feedback, psi_p, PriorModel(prior.gain_variances, c_it))
-        indicator = threshold_paths(alpha, 3.0 * np.sqrt(post))
+        cov = np.linalg.inv(psi_p.conj().T @ psi_p / c_it + np.diag(1.0 / g))
+        alpha = cov @ psi_p.conj().T @ (y - h @ feedback) / c_it
+        indicator = (np.abs(alpha) > 3.0 * np.sqrt(cov.diagonal().real)).astype(np.int8)
         h = np.tensordot(alpha * indicator, stack, axes=(0, 0))
         x_d = equalize(y, h, x_pilot, noise_power / spec.data_symbol_power)
         bits = demap_symbols(x_d, spec)
@@ -278,20 +290,23 @@ def iterative_loop(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2, prior=Non
     Each iteration equalizes with the public ``equalize_demod``, which pushes
     the pilot through the estimate, forms the residual from the estimate
     times pilot plus data, and the next iteration pushes the fed-back data
-    through it again.  The posterior is the estimator's own, from its cached
-    pilot model.  Returns (alpha_hat, indicator, residual norms, last bits).
+    through it again.  The interference level and the posterior are the
+    estimator's own, from its cached pilot model, and each channel estimate is
+    built by the checked ``PathChannel`` constructor.  Returns (alpha_hat,
+    indicator, residual norms, last bits).
     """
     x_pilot = np.asarray(x_pilot, dtype=np.complex128)
     model = estimator._pilot_model(cfg, grid.pairs, x_pilot.tobytes())
     prior = PriorModel.uniform(grid, noise_variance=0.0) if prior is None else prior
-    c_it = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
+    c_it = estimator._interference(prior.gain_variances, spec.data_symbol_power, noise_power)
     residuals = []
     for it in range(n_iter):
         observation = y if it == 0 else y - h_hat @ feedback
         corr = model.psi_h @ observation
         alpha, post = estimator._posterior(corr, model.gram, model.diagonal, prior.gain_variances, c_it)
-        indicator = threshold_paths(alpha, 3.0 * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps)
-        h_hat = reconstruct_channel(alpha, indicator, grid, cfg)
+        eps_it = 3.0 * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps
+        indicator = (np.abs(alpha) > eps_it).astype(np.int8)
+        h_hat = kept_channel(alpha, indicator, grid, cfg)
         x_d, bits = equalize_demod(y, h_hat, x_pilot, spec, noise_power)
         if spec.data_symbol_power > 0 and bits.size:
             x_d = map_bits(bits, spec)
@@ -301,6 +316,13 @@ def iterative_loop(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2, prior=Non
         dof = max(cfg.n_sub - int(indicator.sum()), cfg.n_sub // 4)
         c_it = max(noise_power, resid * resid / dof)
     return alpha, indicator, residuals, bits
+
+
+def kept_channel(alpha, indicator, grid, cfg: AfdmConfig) -> PathChannel:
+    """The ``PathChannel`` of the grid pairs whose 0/1 ``indicator`` is set, with their gains ``alpha``."""
+    kept = np.flatnonzero(indicator)
+    taus, nus = np.array(grid.pairs, dtype=np.int64)[kept].T
+    return PathChannel(cfg, taus, nus, np.asarray(alpha)[kept])
 
 
 def demap_by_distance(y_eq, spec) -> np.ndarray:

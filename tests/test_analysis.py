@@ -1,6 +1,8 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,10 @@ from afdm_isac.modem import Constellation, FrameSpec
 from afdm_isac.pilots import proposed_pilot, select_c1_q, single_pilot, traditional_spi_pilot
 
 from conftest import random_unit_symbols
+
+# the benchmark's workloads, read as they are: the repository root holds ``perfbench``
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import AnalysisParams, analysis_report  # noqa: E402
 
 
 def exact_frac_kernel(cfg, tau_bar):
@@ -911,7 +917,7 @@ class TestCrbDistribution:
         assert np.array_equal(out["values"], np.concatenate(values))
 
     def test_all_zero_draw_row_is_a_numerical_error(self):
-        class ZeroRow:
+        class ZeroRow(np.random.Generator):
             """Unit draws, but every block's first row all 0."""
 
             def standard_exponential(self, out):
@@ -921,7 +927,7 @@ class TestCrbDistribution:
 
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NumericalError):
             crb_distribution(AfdmConfig(n_sub=16, c1=5 / 32), SensingTarget(1.0, 1.3, 0.2, 1.0), 16.0, 4,
-                             ZeroRow())
+                             ZeroRow(np.random.PCG64(0)))
 
     def test_ofdm_variance_exceeds_afdm(self, rng):
         target = SensingTarget(1.0, 0.0, 0.0, 1.0)
@@ -1086,3 +1092,11 @@ class TestPowerProfiles:
             PowerAllocation(np.array([1.0, bad]))
         with pytest.raises(ParameterError, match="finite"):
             equal_allocation(bad, 8)
+
+
+class TestAnalysisQuality:
+    def test_seed_1_quality_line_is_pinned(self):
+        # the benchmark's analysis reports, seed 1: its quality line at its printed precision
+        session = analysis_report(AnalysisParams(), 1)
+        quality = session.quality([session.call() for _ in range(session.quality_calls)])
+        assert {name: f"{value:.6g}" for name, value in quality.items()} == {"amb_var_rel_err": "0.0158095"}

@@ -29,6 +29,8 @@ from afdm_isac import (
 )
 from afdm_isac.analysis import (
     PowerAllocation,
+    af_statistics_closed_form,
+    ambiguity_decomposition,
     ambiguity_function,
     ambiguity_moments_mc,
     ambiguity_region,
@@ -36,6 +38,7 @@ from afdm_isac.analysis import (
     crb_distribution,
     cross_ambiguity,
     equal_allocation,
+    fim,
     frame_power_profile,
     interference_coefficient,
     sensing_weights,
@@ -57,15 +60,7 @@ from afdm_isac.channel import (
     subcarrier_offset,
 )
 from afdm_isac.errors import ConfigurationError, ParameterError, check_integers
-from afdm_isac.estimator import (
-    PriorModel,
-    effective_noise_covariance,
-    equalize_demod,
-    iterative_estimate,
-    mmse_estimate,
-    reconstruct_channel,
-    threshold_paths,
-)
+from afdm_isac.estimator import PriorModel, equalize_demod, iterative_estimate
 from afdm_isac.modem import FrameSpec, demap_symbols, map_bits, random_data_vector
 from afdm_isac.pilots import (
     PilotScheme,
@@ -105,6 +100,7 @@ X_P = single_pilot(CFG, 16.0)
 ONES = np.ones(CFG.n_sub, dtype=complex)
 S_CPP = np.ones(CFG.n_sub + CFG.n_cpp, dtype=complex)  # a prefixed signal
 TARGET = SensingTarget(1.0, 1.0, 0.0, 1.0)
+POWER = equal_allocation(16.0, 16)
 ROW_TARGETS = SensingTarget(np.ones(2), 1.0, 0.0, 1.0)  # one target per row of a symbol stack
 PATH = ChannelPath(1.0, 0, 0.0)
 CURVE = np.array([[1.0, 0.5, 0.9], [10.0, 0.01, 0.6]])  # (gamma, Pfa, Pd) rows
@@ -163,13 +159,9 @@ SITES = [
     # None runs without the genie
     ("iterative_estimate.known_data", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, known_data=v),
      ConfigurationError, "^known_data", {"None"}),
-    ("reconstruct_channel.alpha_hat", lambda v: reconstruct_channel(v, np.ones(len(GRID)), GRID, CFG),
-     ConfigurationError, "^alpha_hat", set()),
     # a complex vector of any length
     ("frame_power_profile.x_pilot", lambda v: frame_power_profile(v, 1.0), ConfigurationError, "^pilot",
      {"2 elements"}),
-    ("mmse_estimate.y", lambda v: mmse_estimate(v, np.ones((2, 1)), PriorModel(np.ones(1), 1.0)),
-     ConfigurationError, "^y must", {"2 elements"}),
     # a complex (..., n) stack
     ("idaft", lambda v: idaft(v, CFG), ConfigurationError, "^DAFT-domain vector", set()),
     ("daft", lambda v: daft(v, CFG), ConfigurationError, "^time-domain vector", set()),
@@ -194,8 +186,6 @@ SITES = [
     ("detect.rd_map", lambda v: detect(RangeDopplerMap(v, *MAP_AXES), np.ones((2, 3)), 1.0),
      ConfigurationError, "^map values", {"wrong shape"}),
     # an array of numbers of any shape
-    ("threshold_paths.alpha_hat", lambda v: threshold_paths(v, 0.1), ConfigurationError, "^alpha_hat",
-     {"wrong shape", "2 elements"}),
     ("demap_symbols", lambda v: demap_symbols(v, SPEC), ConfigurationError, "^equalized symbols",
      {"wrong shape", "2 elements"}),
     # a finite, non-negative real scalar
@@ -222,10 +212,6 @@ SITES = [
      ParameterError, "^noise_power", NONNEGATIVE),
     ("frame_power_profile.data_symbol_power", lambda v: frame_power_profile(ONES, v), ParameterError,
      "^data_symbol_power", NONNEGATIVE),
-    ("effective_noise_covariance.data_symbol_power", lambda v: effective_noise_covariance(np.ones(2), v, 1.0),
-     ParameterError, "^data_symbol_power", NONNEGATIVE),
-    ("effective_noise_covariance.noise_power", lambda v: effective_noise_covariance(np.ones(2), 1.0, v),
-     ParameterError, "^noise variance", NONNEGATIVE),
     ("equal_allocation.total", lambda v: equal_allocation(v, 16), ParameterError, "^total", NONNEGATIVE),
     # an integer >= k
     ("iterative_estimate.n_iter", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, n_iter=v),
@@ -282,6 +268,8 @@ SITES = [
     ("PathChannel.delays", lambda v: PathChannel(CFG, v, [0], [1.0]), ParameterError, "delays", set()),
     ("PathChannel.dopplers", lambda v: PathChannel(CFG, [0], v, [1.0]), ParameterError, "(?i)dopplers", set()),
     ("ambiguity_function.region", lambda v: ambiguity_function(idaft(X_P, CFG), (v, [0]), CFG),
+     ParameterError, "^ambiguity axis", {"2 elements"}),
+    ("ambiguity_decomposition.region", lambda v: ambiguity_decomposition(X_P, ONES, (v, [0]), CFG),
      ParameterError, "^ambiguity axis", {"2 elements"}),
     ("interference_coefficient.m1", lambda v: interference_coefficient(v, 0, 0, 0, CFG), ParameterError,
      "^subcarrier indices", set()),
@@ -346,16 +334,10 @@ SITES = [
     # None spreads a unit gain power over the grid
     ("iterative_estimate.prior", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, prior=v),
      ParameterError, "^prior must be of type", {"None"}),
-    ("mmse_estimate.prior", lambda v: mmse_estimate(ONES, np.ones((16, 2)), v), ParameterError,
-     "^prior must be of type", set()),
     ("equalize_demod.spec", lambda v: equalize_demod(ONES, H, X_P, v, 0.1), ParameterError,
      "^spec must be of type", set()),
     ("equalize_demod.h_hat", lambda v: equalize_demod(ONES, v, X_P, SPEC, 0.1), ParameterError,
      "^h_hat must be of type", set()),
-    ("reconstruct_channel.grid", lambda v: reconstruct_channel(np.ones(len(GRID)), np.ones(len(GRID)), v, CFG),
-     ParameterError, "^grid must be of type", set()),
-    ("reconstruct_channel.cfg", lambda v: reconstruct_channel(np.ones(len(GRID)), np.ones(len(GRID)), GRID, v),
-     ParameterError, "^cfg must be of type", set()),
     ("apply_basis.cfg", lambda v: apply_basis(ONES, v, 0, 0.0), ParameterError, "^cfg must be of type", set()),
     ("subcarrier_offset.cfg", lambda v: subcarrier_offset(0, 0, v), ParameterError, "^cfg must be of type", set()),
     ("PathChannel.cfg", lambda v: PathChannel(v, [0], [0], [1.0]), ParameterError, "^cfg must be of type", set()),
@@ -371,6 +353,25 @@ SITES = [
      ParameterError, "^rng must be of type", {"None"}),
     ("sensing_echo.rng", lambda v: sensing_echo(ONES, CFG, TARGET, v), ParameterError, "^rng must be of type",
      {"None"}),
+    ("af_statistics_closed_form.spec", lambda v: af_statistics_closed_form(v, CFG, True), ParameterError,
+     "^spec must be of type", set()),
+    ("af_statistics_closed_form.cfg", lambda v: af_statistics_closed_form(SPEC, v, True), ParameterError,
+     "^cfg must be of type", set()),
+    ("ambiguity_decomposition.cfg", lambda v: ambiguity_decomposition(X_P, ONES, ([0], [0]), v),
+     ParameterError, "^cfg must be of type", set()),
+    # the three bounds of one allocation share the kernels' target and cfg checks
+    ("fim.power", lambda v: fim(v, TARGET, CFG), ParameterError, "^power must be of type", set()),
+    ("fim.target", lambda v: fim(POWER, v, CFG), ParameterError, "^target must be of type", set()),
+    ("fim.cfg", lambda v: fim(POWER, TARGET, v), ParameterError, "^cfg must be of type", set()),
+    ("crb.power", lambda v: crb(v, TARGET, CFG), ParameterError, "^power must be of type", set()),
+    ("crb.target", lambda v: crb(POWER, v, CFG), ParameterError, "^target must be of type", set()),
+    ("crb.cfg", lambda v: crb(POWER, TARGET, v), ParameterError, "^cfg must be of type", set()),
+    ("sensing_weights.power", lambda v: sensing_weights(v, TARGET, CFG), ParameterError,
+     "^power must be of type", set()),
+    ("sensing_weights.target", lambda v: sensing_weights(POWER, v, CFG), ParameterError,
+     "^target must be of type", set()),
+    ("sensing_weights.cfg", lambda v: sensing_weights(POWER, TARGET, v), ParameterError,
+     "^cfg must be of type", set()),
     ("idaft.cfg", lambda v: idaft(ONES, v), ParameterError, "^cfg must be of type", set()),
     ("daft.cfg", lambda v: daft(ONES, v), ParameterError, "^cfg must be of type", set()),
     ("add_cpp.cfg", lambda v: add_cpp(ONES, v), ParameterError, "^cfg must be of type", set()),
@@ -391,9 +392,6 @@ SITES = [
     ("PilotScheme.variant", lambda v: PilotScheme(v, 1.0), ParameterError, "^unknown pilot variant", set()),
     # 0/1 numbers: a bit stream whose length is a multiple of the bits per symbol
     ("map_bits", lambda v: map_bits(v, SPEC), ParameterError, "^bit", {"wrong shape", "2 elements"}),
-    # one 0/1 indicator per grid pair
-    ("reconstruct_channel.indicator", lambda v: reconstruct_channel(np.ones(len(GRID)), v, GRID, CFG),
-     ParameterError, "0/1 indicators", set()),
     # finite gains, one per path: the value is the one path's gain
     ("PathChannel.gains", lambda v: PathChannel(CFG, [0], [0], [v]), ParameterError, "gains",
      {"-1", "1j", "2.5", "True"}),
@@ -412,18 +410,12 @@ SITES = [
     # real numbers >= 0 of any shape, inf (a flat prior) too
     ("PriorModel.gain_variances", lambda v: PriorModel(v, 1.0), ParameterError, "^prior variances",
      {"wrong shape", "+inf", "2 elements", "2.5", "True"}),
-    # the same, finite when there are data: a flat prior makes the data interference infinite
-    ("effective_noise_covariance.gain_variances", lambda v: effective_noise_covariance(v, 1.0, 1.0),
-     ParameterError, "^prior variances", {"wrong shape", "2 elements", "2.5", "True"}),
     # finite reals of a fixed layout: a curve of (gamma, Pfa, Pd) rows, a non-empty power vector
     ("pd_at_pfa.curve", lambda v: pd_at_pfa(v, [0.1]), ParameterError, "^curve", {"wrong shape"}),
     ("PowerAllocation.powers", lambda v: PowerAllocation(v), ParameterError, "^powers", {"2 elements"}),
     ("crb_distribution.allocations", lambda v: crb_distribution(CFG, TARGET, 16.0, 4, rng(), allocations=v),
      ParameterError, "^allocation", {"None"}),  # None draws the allocations
-    # one threshold >= 0 (infinity too) or one per coefficient
-    ("threshold_paths.eps", lambda v: threshold_paths(np.ones(2), v), ParameterError, "^threshold",
-     {"+inf", "2 elements", "2.5", "True"}),
-    # None keeps the gains 3 posterior standard deviations from 0
+    # one threshold >= 0 (infinity too) or one per grid pair; None keeps the gains 3 posterior standard deviations from 0
     ("iterative_estimate.eps", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, eps=v),
      ParameterError, "^threshold", {"+inf", "None", "2.5", "True"}),
     # a non-empty list of integer (delay, Doppler) pairs, each delay in [0, Nc):
@@ -480,7 +472,7 @@ DEFECTS = {
     "prior variance NaN": lambda: PriorModel(np.array([math.nan, 1.0]), 1.0),
     "prior noise variance NaN": lambda: PriorModel(np.ones(2), math.nan),
     # accepted, then no path kept
-    "threshold NaN": lambda: threshold_paths(np.array([1.0, 2.0]), math.nan),
+    "threshold NaN": lambda: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, eps=math.nan),
     # bare TypeError
     "FrameSpec pilot_power '1'": lambda: FrameSpec("1", 1.0),
     "FrameSpec pilot_power 1j": lambda: FrameSpec(1j, 1.0),
@@ -500,12 +492,6 @@ DEFECTS = {
     "map_bits NaN": lambda: map_bits([math.nan, 1.0], SPEC),
     # bare ValueError
     "map_bits letters": lambda: map_bits(["a", "b"], SPEC),
-    # accepted, the kept path's gain doubled
-    "reconstruct_channel indicator 2": lambda: reconstruct_channel(
-        np.ones(len(GRID)), [2] + [0] * (len(GRID) - 1), GRID, CFG
-    ),
-    # accepted, then only the first grid pair kept
-    "reconstruct_channel indicator 1": lambda: reconstruct_channel(np.ones(len(GRID)), 1, GRID, CFG),
     # accepted, a coefficient of a fractional delay
     "interference_coefficient delay 1.5": lambda: interference_coefficient(
         0, 3, 1.5, 0, AfdmConfig(n_sub=16, c1=1 / 16)
@@ -524,16 +510,16 @@ DEFECTS = {
     # bare ValueError from scipy
     "regularized_solve r NaN": lambda: H.regularized_solve(np.full(16, math.nan), 0.1),
     # accepted, a numeric string read as a number
-    "threshold '1'": lambda: threshold_paths(np.ones(2), "1"),
+    "threshold '1'": lambda: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, eps="1"),
     "PowerAllocation numeric strings": lambda: PowerAllocation(["1", "2"]),
     "crb_distribution numeric strings": lambda: crb_distribution(
         CFG, TARGET, 16.0, 0, None, allocations=np.full((2, 16), "1")
     ),
     "prior numeric strings": lambda: PriorModel(["1", "1"], 1.0),
-    # accepted, then a NaN noise level
-    "effective noise NaN variance": lambda: effective_noise_covariance([math.nan, 1.0], 1.0, 1.0),
     # accepted, an infinite noise level (with no data, a NaN one)
-    "effective noise flat prior with data": lambda: effective_noise_covariance([math.inf, 1.0], 1.0, 1.0),
+    "effective noise flat prior with data": lambda: iterative_estimate(
+        ONES, X_P, SPEC, GRID, CFG, 0.1, prior=PriorModel(np.full(len(GRID), math.inf), 0.0)
+    ),
     # bare AttributeError or TypeError from the first use of the argument
     "iterative_estimate spec None": lambda: iterative_estimate(ONES, X_P, None, GRID, CFG, 0.1),
     "iterative_estimate grid as pairs": lambda: iterative_estimate(ONES, X_P, SPEC, GRID.pairs, CFG, 0.1),
@@ -541,12 +527,7 @@ DEFECTS = {
     "iterative_estimate prior as variances": lambda: iterative_estimate(
         ONES, X_P, SPEC, GRID, CFG, 0.1, prior=np.ones(len(GRID))
     ),
-    "mmse_estimate prior as variances": lambda: mmse_estimate(ONES, np.ones((16, 2)), np.ones(2)),
     "equalize_demod spec None": lambda: equalize_demod(ONES, H, X_P, None, 0.1),
-    "reconstruct_channel grid as pairs": lambda: reconstruct_channel(
-        np.ones(len(GRID)), np.ones(len(GRID)), GRID.pairs, CFG
-    ),
-    "reconstruct_channel cfg None": lambda: reconstruct_channel(np.ones(len(GRID)), np.ones(len(GRID)), GRID, None),
     # accepted, a float spacing (17.0, 7.0); a negative Doppler budget's comb (3, 42)
     "traditional_spacing tau_m 1.5": lambda: traditional_spacing(CFG128, 1.5, 2),
     "traditional_spacing nu_m -3": lambda: traditional_spacing(CFG128, 1, -3),
@@ -616,6 +597,31 @@ DEFECTS = {
     "random_data_vector rng None": lambda: random_data_vector(16, SPEC, None),
     # bare ValueError ("Maximum allowed dimension exceeded")
     "random_data_vector n_sub 2^62": lambda: random_data_vector(2**62, SPEC, rng()),
+    # bare AttributeError from the first use of the argument
+    "cross_ambiguity cfg as n_sub": lambda: cross_ambiguity(ONES, ONES, [0], [0], 16),
+    "ambiguity_function cfg None": lambda: ambiguity_function(ONES, ([0], [0]), None),
+    "af_statistics_closed_form cfg as n_sub": lambda: af_statistics_closed_form(SPEC, 16, True),
+    "af_statistics_closed_form spec None": lambda: af_statistics_closed_form(None, CFG, True),
+    "ambiguity_moments_mc cfg None": lambda: ambiguity_moments_mc(X_P, SPEC, None, [(0, 0)], 4, rng()),
+    "ambiguity_moments_mc spec as a constellation": lambda: ambiguity_moments_mc(
+        X_P, SPEC.constellation, CFG, [(0, 0)], 4, rng()
+    ),
+    "verify_theorem_2 cfg as n_sub": lambda: verify_theorem_2(16, 16.0, 16.0),
+    "verify_theorem_3 cfgs entry None": lambda: verify_theorem_3([CFG, None], 16.0, 16.0),
+    "verify_theorem_4 cfg None": lambda: verify_theorem_4(X_P, None, [(0, 0)]),
+    "fim cfg as n_sub": lambda: fim(POWER, TARGET, 16),
+    "fim power as powers": lambda: fim(POWER.powers, TARGET, CFG),
+    "fim target as a tuple": lambda: fim(POWER, (1.0, 1.0, 0.0, 1.0), CFG),
+    "crb cfg None": lambda: crb(POWER, TARGET, None),
+    "sensing_weights target None": lambda: sensing_weights(POWER, None, CFG),
+    "crb_distribution cfg as n_sub": lambda: crb_distribution(16, TARGET, 16.0, 4, rng()),
+    "crb_distribution target None": lambda: crb_distribution(CFG, None, 16.0, 4, rng()),
+    "interference_coefficient cfg None": lambda: interference_coefficient(0, 0, 0, 0, None),
+    # bare AttributeError from the first draw
+    "ambiguity_moments_mc rng 'x'": lambda: ambiguity_moments_mc(X_P, SPEC, CFG, [(0, 0)], 4, "x"),
+    "verify_theorem_2 rng 'x'": lambda: verify_theorem_2(CFG, 16.0, 16.0, n_frames=4, rng="x", x_pilot=X_P),
+    "verify_theorem_3 rng 'x'": lambda: verify_theorem_3([CFG, CFG32], 16.0, 16.0, n_frames=4, rng="x"),
+    "crb_distribution rng None": lambda: crb_distribution(CFG, TARGET, 16.0, 4, None),
 }
 
 
@@ -628,6 +634,10 @@ def test_defect_is_refused(defect):
 # the entry points of a module that no SITES row feeds, each with the reason
 UNFED = {
     DAFT: set(),
+    analysis: {
+        # the bounds record, which its one producer (crb) fills with checked values
+        "SensingBounds",
+    },
     modem: {
         # the Enum of the two constellations, fed through the FrameSpec.constellation rows
         "Constellation",

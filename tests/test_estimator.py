@@ -15,16 +15,7 @@ from afdm_isac.channel import (
     sample_channel,
 )
 from afdm_isac.errors import ConfigurationError, NumericalError, ParameterError
-from afdm_isac.estimator import (
-    PriorModel,
-    build_psi,
-    effective_noise_covariance,
-    equalize_demod,
-    iterative_estimate,
-    mmse_estimate,
-    reconstruct_channel,
-    threshold_paths,
-)
+from afdm_isac.estimator import PriorModel, build_psi, equalize_demod, iterative_estimate
 from afdm_isac.modem import (
     Constellation,
     FrameSpec,
@@ -43,7 +34,7 @@ from afdm_isac.pilots import (
 
 import dense_oracle
 from conftest import random_unit_symbols
-from dense_oracle import basis_matrix, channel_matrix
+from dense_oracle import basis_matrix, channel_matrix, kept_channel, mmse_estimate
 
 # the benchmark's workloads, read as they are: the repository root holds ``perfbench``
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -97,23 +88,34 @@ class TestBuildPsi:
         assert np.allclose(np.diag(gram).real, 100.0, atol=1e-9)
 
 
+def interference(gain_variances, data_symbol_power, noise_power):
+    """The estimator's white interference level of a ``PriorModel``'s checked variances."""
+    return estimator._interference(PriorModel(gain_variances, noise_power).gain_variances,
+                                   data_symbol_power, noise_power)
+
+
 class TestEffectiveNoise:
+    """The white interference level sigma_d^2 * sum(g) + N0 of the first iteration."""
+
     def test_no_data(self):
-        assert effective_noise_covariance(np.ones(5) / 5, 0.0, 0.7) == pytest.approx(0.7)
+        assert interference(np.ones(5) / 5, 0.0, 0.7) == pytest.approx(0.7)
 
     def test_unit_case(self):
-        assert effective_noise_covariance(np.ones(4) / 4, 1.0, 1.0) == pytest.approx(2.0)
+        assert interference(np.ones(4) / 4, 1.0, 1.0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("noise_power", [0.0, 0.7, 1.0])
     def test_flat_prior_without_data_is_the_noise_power(self, noise_power):
         # was NaN (inf * 0) when the data power is 0
-        assert effective_noise_covariance([math.inf, 1.0], 0.0, noise_power) == noise_power
-        assert effective_noise_covariance(np.full(3, math.inf), 0.0, noise_power) == noise_power
+        assert interference([math.inf, 1.0], 0.0, noise_power) == noise_power
+        assert interference(np.full(3, math.inf), 0.0, noise_power) == noise_power
 
-    def test_flat_prior_with_data_raises(self):
+    def test_flat_prior_with_data_raises(self, rng):
         # was inf, refused later as an infinite noise variance
+        x_p = random_unit_symbols(rng, 16) * 4.0
+        y, spec, _ = link_frame(rng, CFG, GRID, x_p)
+        flat = PriorModel(np.full(len(GRID), math.inf), 0.0)
         with pytest.raises(ParameterError, match="flat prior"):
-            effective_noise_covariance([math.inf, 1.0], 1.0, 1.0)
+            iterative_estimate(y, x_p, spec, GRID, CFG, 1.0, prior=flat)
 
     def test_monte_carlo_covariance(self, rng):
         # sample covariance of the data-interference-plus-noise term
@@ -132,28 +134,19 @@ class TestEffectiveNoise:
         w = (rng.standard_normal((n_draws, 16)) + 1j * rng.standard_normal((n_draws, 16))) * math.sqrt(0.5)
         samples = np.einsum("ni,nij->nj", alpha, shifted) + w
         emp = samples.conj().T @ samples / n_draws
-        model = effective_noise_covariance(gain_var, 1.0, 1.0) * np.eye(16)
+        model = interference(gain_var, 1.0, 1.0) * np.eye(16)
         rel = np.linalg.norm(emp - model, 2) / np.linalg.norm(model, 2)
         assert rel < 0.05
 
 
 class TestMmse:
+    """The posterior kernel, fed from a dense Psi by ``dense_oracle.mmse_estimate``."""
+
     def test_zero_observation(self):
         psi = np.eye(4, dtype=complex)
         prior = PriorModel(np.ones(4), 1.0)
         est, _ = mmse_estimate(np.zeros(4), psi, prior)
         assert np.all(est == 0)
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
-    def test_non_finite_entry_raises(self, bad):
-        # was a RuntimeWarning from the products, or a non-finite posterior
-        y, psi, prior = np.ones(4, dtype=complex), np.ones((4, 2), dtype=complex), PriorModel(np.ones(2), 1.0)
-        y_bad, psi_bad = y.copy(), psi.copy()
-        y_bad[1], psi_bad[2, 1] = bad, bad
-        with pytest.raises(ParameterError, match="^y must be finite"):
-            mmse_estimate(y_bad, psi, prior)
-        with pytest.raises(ParameterError, match="^Psi must be finite"):
-            mmse_estimate(y, psi_bad, prior)
 
     def test_noiseless_ls_limit(self, rng):
         # orthogonal columns, no noise, flat prior: exact recovery
@@ -231,31 +224,37 @@ class TestZeroVariancePrior:
         with pytest.raises(ParameterError):
             mmse_estimate(y, psi, PriorModel(np.ones(8), 0.2))
 
-    def test_observation_length_must_match(self, rng):
-        psi, y, g_var = self.problem(rng)
-        with pytest.raises(ParameterError):
-            mmse_estimate(y[:-1], psi, PriorModel(g_var, 0.2))
-
 
 class TestThreshold:
-    def test_zero_eps_keeps_all(self):
-        a = np.array([0.1, 1.0, 0.01j])
-        assert np.all(threshold_paths(a, 0.0) == 1)
+    """The support test of ``iterative_estimate``: 3 posterior standard deviations, or ``eps``."""
 
-    def test_infinite_eps_drops_all(self):
-        a = np.array([0.1, 1.0, 100.0])
-        assert np.all(threshold_paths(a, np.inf) == 0)
+    def test_zero_eps_keeps_all(self, rng):
+        # every nonzero gain is kept; a gain pinned by a zero prior variance is 0 and dropped
+        x_p = random_unit_symbols(rng, 16) * 4.0
+        y, spec, _ = link_frame(rng, CFG, GRID, x_p)
+        g = np.full(len(GRID), 1.0 / len(GRID))
+        g[[0, 4]] = 0.0
+        res = iterative_estimate(y, x_p, spec, GRID, CFG, 1.0, prior=PriorModel(g, 0.0), eps=0.0)
+        assert np.array_equal(res.indicator, (g > 0).astype(np.int8))
+        assert np.all(res.alpha_hat[g > 0] != 0)
+
+    def test_infinite_eps_drops_all(self, rng):
+        x_p = random_unit_symbols(rng, 16) * 4.0
+        y, spec, _ = link_frame(rng, CFG, GRID, x_p)
+        res = iterative_estimate(y, x_p, spec, GRID, CFG, 1.0, eps=np.inf)
+        assert np.all(res.indicator == 0) and np.all(res.alpha_hat != 0)
+        assert res.h_eff_hat.gains.size == 0
 
     def test_calibrated_threshold_keeps_strong_paths(self, rng):
-        # fixed-magnitude random-phase gains at 20 dB pilot SNR survive a
-        # 3-sigma posterior threshold in at least 99% of trials
+        # fixed-magnitude random-phase gains at 20 dB pilot SNR survive the
+        # 3-sigma posterior threshold in at least 99% of pilot-only frames
         cfg = AfdmConfig(n_sub=64, n_cpp=16, c1=1 / 16)
         grid = basis_grid(tau_m=3, nu_m=2)
         x_p = proposed_pilot(cfg, pilot_power=100.0, r=0)
+        spec = FrameSpec(100.0, 0.0, Constellation.QPSK)
         psi = build_psi(x_p, grid, cfg)
         noise = 1.0  # pilot SNR = 20 dB
-        prior = PriorModel(np.full(len(grid), 1.0), noise)
-        eps = 3.0 * np.sqrt(mmse_estimate(np.zeros(64), psi, prior)[1])
+        prior = PriorModel(np.full(len(grid), 1.0), 0.0)
         l_true = 3
         kept_all = 0
         n_trials = 1000
@@ -264,25 +263,17 @@ class TestThreshold:
             alpha = np.zeros(len(grid), dtype=complex)
             alpha[idx] = np.exp(2j * np.pi * rng.uniform(size=l_true)) / math.sqrt(l_true)
             w = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * math.sqrt(noise / 2)
-            est, _ = mmse_estimate(psi @ alpha + w, psi, prior)
-            b = threshold_paths(est, eps)
-            kept_all += int(np.all(b[idx] == 1))
+            res = iterative_estimate(psi @ alpha + w, x_p, spec, grid, cfg, noise, n_iter=1, prior=prior)
+            kept_all += int(np.all(res.indicator[idx] == 1))
         assert kept_all >= 0.99 * n_trials
 
 
 class TestReconstruct:
-    def test_zero_indicator(self):
-        h = reconstruct_channel(np.ones(9), np.zeros(9), GRID, CFG)
-        assert np.all(np.asarray(h) == 0)
+    """The structured channel of kept grid pairs, by the checked ``PathChannel`` constructor."""
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
-    @pytest.mark.parametrize("kept", [0, 1])
-    def test_non_finite_gain_raises(self, bad, kept):
-        # a dropped one was a RuntimeWarning (inf * 0), a kept one the channel's own refusal
-        alpha, indicator = np.ones(9, dtype=complex), np.ones(9)
-        alpha[4], indicator[4] = bad, kept
-        with pytest.raises(ParameterError, match="^alpha_hat must be finite"):
-            reconstruct_channel(alpha, indicator, GRID, CFG)
+    def test_zero_indicator(self):
+        h = kept_channel(np.ones(9), np.zeros(9), GRID, CFG)
+        assert np.all(np.asarray(h) == 0)
 
     def test_exact_on_true_support(self, rng):
         real = sample_channel(L=3, tau_m=2, nu_m=1, rng=rng)
@@ -290,13 +281,13 @@ class TestReconstruct:
         alpha = np.zeros(9, dtype=complex)
         for p in real.paths:
             alpha[GRID.index_of(p.delay, int(p.doppler))] = p.gain
-        h_rec = reconstruct_channel(alpha, np.ones(9), GRID, CFG)
+        h_rec = kept_channel(alpha, np.ones(9), GRID, CFG)
         assert np.linalg.norm(np.asarray(h_rec) - h_true) < 1e-10
 
     def test_matches_dense_oracle(self, rng):
         alpha = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         b = rng.integers(0, 2, 9)
-        h = np.asarray(reconstruct_channel(alpha, b, GRID, CFG))
+        h = np.asarray(kept_channel(alpha, b, GRID, CFG))
         oracle = sum(
             alpha[i] * b[i] * basis_matrix(CFG, tau, float(nu))
             for i, (tau, nu) in enumerate(GRID.pairs)
@@ -345,7 +336,7 @@ class TestEqualizeOracle:
         alpha = (rng.standard_normal(9) + 1j * rng.standard_normal(9)) / 3
         indicator = np.zeros(9, dtype=np.int8)
         indicator[rng.choice(9, size=keep, replace=False)] = 1
-        h = reconstruct_channel(alpha, indicator, GRID, cfg)
+        h = kept_channel(alpha, indicator, GRID, cfg)
         x_p = proposed_pilot(cfg, spec.pilot_power) if n_sub % 2 == 0 else random_unit_symbols(rng, n_sub)
         y = random_unit_symbols(rng, n_sub) * 1.5
         noise = 0.3
@@ -370,7 +361,7 @@ class TestEqualizeOracle:
 
     def test_singular_zero_forcing_raises(self):
         spec = FrameSpec(0.0, 1.0, Constellation.QPSK)
-        empty = reconstruct_channel(np.ones(9), np.zeros(9), GRID, CFG)
+        empty = kept_channel(np.ones(9), np.zeros(9), GRID, CFG)
         with pytest.raises(NumericalError):
             equalize_demod(np.ones(16), empty, np.zeros(16), spec, 0.0)
 
@@ -402,7 +393,7 @@ class TestIterative:
         y = receive(transmit(x_p, x_d, cfg), real, cfg, rng)
         prior = PriorModel.uniform(grid, 0.0)
         res = iterative_estimate(y, x_p, spec, grid, cfg, 0.5, n_iter=1, prior=prior)
-        c = effective_noise_covariance(prior.gain_variances, 1.0, 0.5)
+        c = spec.data_symbol_power * float(np.sum(prior.gain_variances)) + 0.5
         direct, _ = mmse_estimate(y, build_psi(x_p, grid, cfg), PriorModel(prior.gain_variances, c))
         assert np.linalg.norm(res.alpha_hat - direct) < 1e-12
 
@@ -504,7 +495,7 @@ class TestNoiseLevels:
         y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
         res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, noise_power, n_iter=4)
         prior = PriorModel.uniform(self.GRID64, 0.0)
-        first = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, noise_power)
+        first = spec.data_symbol_power * float(np.sum(prior.gain_variances)) + noise_power
         assert len(res.noise_levels) == len(res.residual_norms) == 4
         assert all(type(c) is float for c in res.noise_levels)
         assert res.noise_levels[0] == first
@@ -515,7 +506,7 @@ class TestNoiseLevels:
         y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
         prior = PriorModel(np.linspace(0.0, 0.1, len(self.GRID64)), 0.0)
         res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0, prior=prior)
-        assert res.noise_levels[0] == effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, 1.0)
+        assert res.noise_levels[0] == spec.data_symbol_power * float(np.sum(prior.gain_variances)) + 1.0
         assert res.noise_levels[1] >= 1.0
 
 
@@ -882,7 +873,7 @@ class TestEqualizerFactor:
         assert calls == {"factor": 2, "solve": 3}
 
     def test_a_second_lam_refactors(self, rng, calls):
-        h = reconstruct_channel(np.arange(9) + 1j, np.ones(9), GRID, CFG)
+        h = kept_channel(np.arange(9) + 1j, np.ones(9), GRID, CFG)
         r = random_unit_symbols(rng, 16)
         for lam, factors in [(0.1, 1), (0.1, 1), (0.2, 2), (0.2, 2), (0.1, 3)]:
             z = h.regularized_solve(r, lam)
@@ -892,7 +883,7 @@ class TestEqualizerFactor:
 
     def test_failed_factorization_is_not_kept(self, calls):
         # H = 0: lam = 0 leaves a zero matrix, any lam > 0 solves to zero
-        empty = reconstruct_channel(np.ones(9), np.zeros(9), GRID, CFG)
+        empty = kept_channel(np.ones(9), np.zeros(9), GRID, CFG)
         spec = FrameSpec(0.0, 1.0, Constellation.QPSK)
         for attempt in (1, 2):
             with pytest.raises(NumericalError):
@@ -923,9 +914,7 @@ class TestCheckedOnce:
         def refuse(*args, **kwargs):
             raise AssertionError("a checked entry point was called inside the iterations")
 
-        for owner, name in ((channel, "idaft"), (channel, "daft"), (PathChannel, "regularized_solve"),
-                            (estimator, "threshold_paths"), (estimator, "effective_noise_covariance"),
-                            (estimator, "reconstruct_channel")):
+        for owner, name in ((channel, "idaft"), (channel, "daft"), (PathChannel, "regularized_solve")):
             monkeypatch.setattr(owner, name, refuse)
         return counts
 
@@ -945,7 +934,7 @@ class TestCheckedOnce:
         x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
         y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
         res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0)
-        checked = reconstruct_channel(res.alpha_hat, res.indicator, self.GRID64, self.CFG64)
+        checked = kept_channel(res.alpha_hat, res.indicator, self.GRID64, self.CFG64)
         h = res.h_eff_hat
         for name in ("delays", "dopplers", "gains"):
             value = getattr(h, name)
@@ -998,7 +987,7 @@ class TestPilotModel:
         for cfg, grid in variants:
             res = iterative_estimate(y, x_p, spec, grid, cfg, 1.0, n_iter=1)
             prior = PriorModel.uniform(grid, 0.0)
-            c = effective_noise_covariance(prior.gain_variances, spec.data_symbol_power, 1.0)
+            c = spec.data_symbol_power * float(np.sum(prior.gain_variances)) + 1.0
             direct, _ = mmse_estimate(y, build_psi(x_p, grid, cfg), PriorModel(prior.gain_variances, c))
             assert np.max(np.abs(res.alpha_hat - direct)) < 1e-12
 
@@ -1032,7 +1021,7 @@ class TestPilotModel:
         model = estimator._pilot_model(self.CFG64, self.GRID64.pairs, x_p.tobytes())
         assert estimator._pilot_model(self.CFG64, self.GRID64.pairs, x_p.tobytes()).psi_h is model.psi_h
         ones = np.ones(len(self.GRID64))
-        rows = reconstruct_channel(ones, ones, self.GRID64, self.CFG64).images(x_p)
+        rows = kept_channel(ones, ones, self.GRID64, self.CFG64).images(x_p)
         assert np.array_equal(model.psi_h, rows.conj())
         for arr in (model.psi_h, model.gram):
             with pytest.raises(ValueError):

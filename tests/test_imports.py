@@ -275,3 +275,68 @@ def test_argument_checks_are_defined_only_in_errors():
         tree = ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text())
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert not defined & checks, (name, defined & checks)
+
+
+# public names with no caller in the package or the benchmark's workloads, each
+# with the reason it stays public; a name that gains a caller must leave the table
+TEST_ONLY = {
+    ("analysis", "ambiguity_region"): "the paper's ambiguity region [-tau_m, tau_m] x [-2 nu_m, 2 nu_m]",
+    ("analysis", "ambiguity_decomposition"): "the paper's four bilinear parts of the frame's ambiguity",
+    ("analysis", "interference_coefficient"): "the paper's closed-form DAFT-domain coupling of one path",
+    ("analysis", "verify_theorem_3"): "the paper's Theorem 3, the 1/Nc decay of the origin variance",
+    ("analysis", "equal_allocation"): "the equal-power baseline of the CRB allocations (ROADMAP item 8)",
+    ("daft", "build_daft_matrix"): "the dense DAFT matrix, an oracle whose analysis binding the benchmark pins",
+    ("estimator", "build_psi"): "the FFT reference of the pilot model, pinned by the benchmark's tracer test",
+    ("modem", "map_bits"): "the checked bit mapper, for a caller's own frames (ROADMAP item 11)",
+    ("modem", "demap_symbols"): "the checked hard demapper, for a caller's own equalizer (ROADMAP item 11)",
+    ("pilots", "proposed_delay_limit"): "the paper's delay reach of the proposed comb (ROADMAP item 5)",
+    ("pilots", "max_unambiguous_delay"): "the delay reach of a comb spacing (ROADMAP item 5)",
+    ("sensing", "detect"): "the cell-averaging detector of one map, for a caller's own scenario (ROADMAP item 4)",
+    ("sensing", "estimate_target"): "the grid estimate that the sub-cell refinement starts from (ROADMAP item 4)",
+}
+
+
+def _public_uses() -> dict:
+    """(module, name) -> number of uses, for each name in a module's ``__all__``.
+
+    A use is a ``Name`` read anywhere in the package or the benchmark's
+    workloads, or an attribute ``module.name`` of the defining module,
+    outside the name's own module-level definition; the ``__all__`` strings
+    and the imports are not uses.  The package's own ``__all__`` re-exports
+    names that their modules list, so it adds none.
+    """
+    files = {path.stem: ast.parse(path.read_text()) for path in sorted((SRC / "afdm_isac").glob("*.py"))}
+    files["workloads"] = ast.parse((SRC.parent / "perfbench" / "workloads.py").read_text())
+    public = {}
+    for module, tree in files.items():
+        for node in tree.body if module != "__init__" else ():
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                public.update({(module, name): 0 for name in ast.literal_eval(node.value)})
+    definitions = {
+        (module, node.name): (node.lineno, node.end_lineno)
+        for module, tree in files.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    for module, tree in files.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                keys = [key for key in public if key[1] == node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                keys = [key for key in public if key == (node.value.id, node.attr)]
+            else:
+                continue
+            for key in keys:
+                first, last = definitions.get(key, (0, -1))
+                if not (module == key[0] and first <= node.lineno <= last):
+                    public[key] += 1
+    return public
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    # a public twin kept only for the tests fails here until it has a caller or a reason
+    uses = _public_uses()
+    assert set(TEST_ONLY) <= set(uses), set(TEST_ONLY) - set(uses)
+    unused = {key for key, count in uses.items() if count == 0}
+    assert unused - set(TEST_ONLY) == set(), "public names without a caller"
+    assert set(TEST_ONLY) - unused == set(), "listed names that have a caller"

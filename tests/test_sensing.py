@@ -2,7 +2,9 @@ import collections
 import dataclasses
 import importlib
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,10 @@ from afdm_isac.sensing import (
 )
 
 from conftest import CountingNumpy, random_unit_symbols
+
+# the benchmark's workloads, read as they are: the repository root holds ``perfbench``
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import RocParams, roc  # noqa: E402
 
 
 CFG = AfdmConfig(n_sub=64, n_cpp=16, c1=1 / 16)
@@ -841,3 +847,14 @@ class TestRoc:
     def test_pd_at_pfa_rejects_a_non_curve(self, shape):
         with pytest.raises(ParameterError, match="rows"):
             pd_at_pfa(np.zeros(shape), [0.1])
+
+
+class TestRocQuality:
+    def test_seed_1_quality_lines_are_pinned(self):
+        # the benchmark's roc trials, seed 1: its quality lines at their printed precision
+        session = roc(RocParams(), 1)
+        quality = session.quality([session.call() for _ in range(session.quality_calls)])
+        assert {name: f"{value:.6g}" for name, value in quality.items()} == {
+            "pd_at_pfa_0.01": "0.481111",
+            "argmax_hit_ratio": "0.972",
+        }
