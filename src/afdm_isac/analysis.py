@@ -69,8 +69,8 @@ normalised unit exponentials that ``rng.dirichlet`` itself draws.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,6 +89,8 @@ from .errors import (
     check_count,
     check_integers,
     check_nonnegative,
+    check_number,
+    check_pair,
     check_positive,
     check_reals,
     check_stack,
@@ -156,9 +158,9 @@ def ambiguity_function(s, region, cfg: AfdmConfig) -> RangeDopplerMap:
     """Auto-ambiguity surface of a time-domain signal over ``region``.
 
     ``region`` is a (tau_axis, nu_axis) pair of integer arrays, e.g. from
-    ``ambiguity_region``.
+    ``ambiguity_region``; anything else raises ``ParameterError``.
     """
-    tau_axis, nu_axis = (check_integers(axis, "ambiguity axis") for axis in region)
+    tau_axis, nu_axis = (check_integers(axis, "ambiguity axis") for axis in check_pair(region, "region"))
     return RangeDopplerMap(cross_ambiguity(s, s, tau_axis, nu_axis, cfg), tau_axis, nu_axis)
 
 
@@ -169,8 +171,10 @@ def ambiguity_decomposition(
 
     Returns (surface, parts) with surface values = pilot + data + data_pilot
     + pilot_data, where the mixed terms conjugate the first-named component.
+    ``region`` is a (tau_axis, nu_axis) pair of integer arrays, as for
+    ``ambiguity_function``.
     """
-    tau_axis, nu_axis = (check_integers(axis, "ambiguity axis") for axis in region)
+    tau_axis, nu_axis = (check_integers(axis, "ambiguity axis") for axis in check_pair(region, "region"))
     s_p, s_d = idaft(x_pilot, cfg), idaft(x_data, cfg)
     stack = cross_ambiguity(
         np.stack([s_p, s_d, s_d, s_p]), np.stack([s_p, s_d, s_p, s_d]), tau_axis, nu_axis, cfg
@@ -208,10 +212,12 @@ def af_statistics_closed_form(
     elsewhere (pass it via ``pilot_af``).  Variance is
     2*sigma_d^2*sigma_p^2 + (E|xd|^4 - sigma_d^4)*Nc at the origin and
     2*sigma_d^2*sigma_p^2 + sigma_d^4*Nc elsewhere.  Both constellations
-    have E{u^2} = 0, which these forms assume.
+    have E{u^2} = 0, which these forms assume.  A ``pilot_af`` that is no
+    finite number raises ``ParameterError``.
     """
     check_type(spec, FrameSpec, "spec")
     check_type(cfg, AfdmConfig, "cfg")
+    check_number(pilot_af, "pilot_af")
     sd2 = spec.data_symbol_power
     sp2 = spec.pilot_power
     fourth = spec.constellation.fourth_moment * sd2 * sd2
@@ -332,9 +338,11 @@ def verify_theorem_2(
     Compares QPSK against 16-QAM at matched pilot power and total data power:
     strict inequality at the origin, equality elsewhere.  With ``n_frames``
     positive the origin inequality is also checked by simulation; it must
-    be an integer >= 0 (else ``ParameterError``).
+    be an integer >= 0 and ``total_data_power`` finite and >= 0 (else
+    ``ParameterError``).
     """
     check_type(cfg, AfdmConfig, "cfg")
+    check_nonnegative(total_data_power, "total_data_power")
     check_count(n_frames, "n_frames", least=0)
     sd2 = total_data_power / cfg.n_sub
     spec_q = FrameSpec(pilot_power, sd2, Constellation.QPSK)
@@ -373,11 +381,15 @@ def verify_theorem_3(
     Closed-form values are exactly 2*Pd*sigma_p^2/Nc; with ``n_frames`` the
     Monte Carlo log-log slope across the configs must fall in
     ``_SLOPE_WINDOW``, with the frames of each config carrying its
-    ``proposed_pilot(cfg, pilot_power)``.  A slope needs configs of at least
-    two subcarrier counts, and ``n_frames`` is an integer >= 0 (else
+    ``proposed_pilot(cfg, pilot_power)``.  A slope needs a sequence of
+    configs of at least two subcarrier counts, ``total_data_power`` is
+    finite and >= 0 and ``n_frames`` an integer >= 0 (else
     ``ParameterError``).
     """
+    check_nonnegative(total_data_power, "total_data_power")
     check_count(n_frames, "n_frames", least=0)
+    if not isinstance(cfgs, Sequence):
+        raise ParameterError(f"cfgs must be a sequence of AfdmConfig, got {cfgs!r}")
     for cfg in cfgs:
         check_type(cfg, AfdmConfig, "each of cfgs")
     n_subs = np.array([cfg.n_sub for cfg in cfgs], dtype=float)
@@ -477,7 +489,10 @@ class PowerAllocation:
         p = check_reals(self.powers, "powers")
         if p.ndim != 1 or p.size == 0:
             raise ParameterError("powers must be a non-empty vector")
-        _row_totals(p)
+        if np.any(p < 0):
+            raise ParameterError("powers must be non-negative")
+        if p.sum() <= 0:
+            raise ParameterError("total power must be positive")
         object.__setattr__(self, "powers", p)
 
     @property
@@ -550,16 +565,6 @@ def _ramp_column(h: np.ndarray, u: np.ndarray) -> int:
     return int(-u[0] % n)
 
 
-def _row_totals(p: np.ndarray) -> np.ndarray:
-    """Totals over the last axis of finite (``check_reals``) allocations, each checked >= 0 and positive."""
-    if np.any(p < 0):
-        raise ParameterError("powers must be non-negative")
-    total = p.sum(axis=-1)
-    if np.any(total <= 0):
-        raise ParameterError("total power must be positive")
-    return total
-
-
 def _fim_kernels(target: SensingTarget, cfg: AfdmConfig):
     """Kernels (a_m, b_m, c0) of a validated target and the ramp column: no allocation.
 
@@ -588,19 +593,19 @@ def _fim_kernels(target: SensingTarget, cfg: AfdmConfig):
     return a_m, b_m, c0, _ramp_column(h, u)
 
 
-def _fim_sums(powers, target: SensingTarget, cfg: AfdmConfig):
+def _fim_sums(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig):
     """Validated kernels (a_m, b_m, c0), power-weighted sums (a, b, c) and the ramp column.
 
     The kernels and the ramp column are those of ``_fim_kernels``;
-    a = p.a_m, b = p.b_m, c = sum(p)*c0.  ``powers`` is one allocation of
-    length Nc or a (draws, Nc) stack, and a, b, c follow its leading shape.
+    a = p.a_m, b = p.b_m, c = sum(p)*c0 for the allocation's powers p, which
+    must number Nc.  Every bound of one allocation checks its ``power`` here.
     """
+    check_type(power, PowerAllocation, "power")
     a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
-    p = check_reals(powers, "allocation")
-    if p.ndim not in (1, 2) or p.shape[-1] != cfg.n_sub:
+    p = power.powers
+    if p.size != cfg.n_sub:
         raise ParameterError(f"allocation must have length n_sub={cfg.n_sub}, got shape {p.shape}")
-    total = _row_totals(p)
-    return a_m, b_m, c0, p @ a_m, p @ b_m, total * c0, ramp
+    return a_m, b_m, c0, p @ a_m, p @ b_m, power.total * c0, ramp
 
 
 def _crb_from_sums(a, b, c, powers, ramp: int, target: SensingTarget, cfg: AfdmConfig):
@@ -635,15 +640,13 @@ def _fim_matrix(total: float, a: float, b: float, c: float, target: SensingTarge
 
 def fim(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> np.ndarray:
     """3x3 information matrix for (gain, delay, Doppler)."""
-    check_type(power, PowerAllocation, "power")
-    *_, a, b, c, _ = _fim_sums(power.powers, target, cfg)
+    *_, a, b, c, _ = _fim_sums(power, target, cfg)
     return _fim_matrix(power.total, a, b, c, target, cfg)
 
 
 def crb(power: PowerAllocation, target: SensingTarget, cfg: AfdmConfig) -> SensingBounds:
     """Delay/Doppler lower bounds and their range/velocity conversions."""
-    check_type(power, PowerAllocation, "power")
-    *_, a, b, c, ramp = _fim_sums(power.powers, target, cfg)
+    *_, a, b, c, ramp = _fim_sums(power, target, cfg)
     crb_tau, crb_nu, _ = _crb_from_sums(a, b, c, power.powers, ramp, target, cfg)
     metres_per_sample, mps_per_bin = delay_doppler_to_range_velocity(1.0, 1.0, cfg)
     return SensingBounds(
@@ -662,8 +665,7 @@ def sensing_weights(power: PowerAllocation, target: SensingTarget, cfg: AfdmConf
     form: with D = a*c - b^2, dD/dp_m = a_m*c + a*c0 - 2*b*b_m and
     dCRB_tau/dp_m = CRB_tau * (c0/c - (dD/dp_m)/D).
     """
-    check_type(power, PowerAllocation, "power")
-    a_m, b_m, c0, a, b, c, ramp = _fim_sums(power.powers, target, cfg)
+    a_m, b_m, c0, a, b, c, ramp = _fim_sums(power, target, cfg)
     crb_tau, _, det = _crb_from_sums(a, b, c, power.powers, ramp, target, cfg)
     return crb_tau * (c0 / c - (a_m * c + a * c0 - 2.0 * b * b_m) / det)
 
@@ -678,16 +680,14 @@ def crb_distribution(
     total_power: float,
     n_draws: int,
     rng,
-    allocations: Optional[np.ndarray] = None,
 ) -> dict:
     """Delay-bound statistics under symmetric-Dirichlet random allocations.
 
     Draws allocations uniformly on the power simplex (scaled to the total),
     evaluates the delay bound for each, and reports the empirical
     distribution.  ``tail_mass`` is the fraction of draws exceeding twice the
-    equal-allocation baseline at ``total_power``.  Pass ``allocations`` (one
-    allocation per row, each bounded at its own total) to evaluate a fixed
-    set instead of drawing.  ``density`` is a 60-bin histogram of the bounds;
+    equal-allocation baseline at ``total_power``.  ``density`` is a 60-bin
+    histogram of the bounds (one bin holds them all when ``n_draws`` is 1);
     bounds that agree to below float resolution are binned as numpy bins
     equal values, over their range widened by 0.5 on each side (or by 1e-9
     relative, where that is wider).
@@ -701,30 +701,26 @@ def crb_distribution(
     least one), is reduced by one product against the kernels and scaled by
     total_power over its sum: no (n_draws, Nc) allocation matrix is built.
     ``n_draws`` is an integer >= 1 and ``rng`` a numpy ``Generator``, both
-    checked before any draw; neither is read when ``allocations`` is given.
+    checked before any draw.  ``crb`` bounds one fixed allocation.
     """
     check_positive(total_power, "total_power")
-    if allocations is not None:
-        a_m, b_m, c0, a, b, c, ramp = _fim_sums(allocations, target, cfg)
-        values, *_ = _crb_from_sums(a, b, c, allocations, ramp, target, cfg)
-    else:
-        check_count(n_draws, "n_draws")
-        check_type(rng, np.random.Generator, "rng")
-        a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
-        kernels = np.column_stack([a_m, b_m])
-        block = max(1, _BLOCK_BYTES // (8 * cfg.n_sub))
-        buffer = np.empty((min(block, n_draws), cfg.n_sub))
-        values = np.empty(n_draws)
-        for start in range(0, n_draws, block):
-            draws = rng.standard_exponential(out=buffer[: min(block, n_draws - start)])
-            # draws are >= 0; an all-zero row leaves a NaN determinant (after numpy's
-            # division warning), which _crb_from_sums refuses with NumericalError
-            a, b = (draws @ kernels).T * (total_power / draws.sum(axis=-1))
-            # the draws load the subcarriers their allocations load, which is
-            # all the degeneracy test reads of them
-            values[start : start + len(draws)], *_ = _crb_from_sums(
-                a, b, total_power * c0, draws, ramp, target, cfg
-            )
+    check_count(n_draws, "n_draws")
+    check_type(rng, np.random.Generator, "rng")
+    a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
+    kernels = np.column_stack([a_m, b_m])
+    block = max(1, _BLOCK_BYTES // (8 * cfg.n_sub))
+    buffer = np.empty((min(block, n_draws), cfg.n_sub))
+    values = np.empty(n_draws)
+    for start in range(0, n_draws, block):
+        draws = rng.standard_exponential(out=buffer[: min(block, n_draws - start)])
+        # draws are >= 0; an all-zero row leaves a NaN determinant (after numpy's
+        # division warning), which _crb_from_sums refuses with NumericalError
+        a, b = (draws @ kernels).T * (total_power / draws.sum(axis=-1))
+        # the draws load the subcarriers their allocations load, which is
+        # all the degeneracy test reads of them
+        values[start : start + len(draws)], *_ = _crb_from_sums(
+            a, b, total_power * c0, draws, ramp, target, cfg
+        )
     equal = np.full(cfg.n_sub, total_power / cfg.n_sub)
     baseline, *_ = _crb_from_sums(
         equal @ a_m, equal @ b_m, total_power * c0, equal, ramp, target, cfg

@@ -24,21 +24,18 @@ integer Doppler the same path in the DAFT domain is the unitary matrix
 A * Gamma * Pi^tau * Delta_nu * A^H scaled by alpha, one nonzero per row;
 ``PathChannel`` keeps a sum of such paths in that structured form, and the
 tests check it against the dense matrices.  Arguments are validated once
-at the public entry: the public constructor, ``regularized_solve`` and
-the transforms check theirs, while the estimator's iterations build
-their channels by ``PathChannel._trusted`` and equalize by
-``PathChannel._daft_solve`` over arrays they built themselves, with no
-check.
+at the public entry: the public constructor and the transforms check
+theirs, while the estimator builds its channels by ``PathChannel._trusted``
+and equalizes by ``PathChannel._daft_solve`` over arrays it has checked or
+built itself, with no check.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -62,6 +59,7 @@ from .errors import (
     check_finite,
     check_integers,
     check_nonnegative,
+    check_number,
     check_reals,
     check_stack,
     check_type,
@@ -100,11 +98,9 @@ class ChannelPath:
     def __post_init__(self):
         if check_integers([self.delay], "path delay")[0] < 0:
             raise ParameterError(f"path delay must be >= 0, got {self.delay!r}")
-        gain, doppler = self.gain, self.doppler
-        if isinstance(gain, bool) or not (isinstance(gain, numbers.Complex) and cmath.isfinite(gain)):
-            raise ParameterError(f"path gain must be a finite number, got {gain!r}")
-        if not (is_real(doppler) and math.isfinite(doppler)):
-            raise ParameterError(f"path Doppler must be a finite real number, got {doppler!r}")
+        check_number(self.gain, "path gain")
+        if not (is_real(self.doppler) and math.isfinite(self.doppler)):
+            raise ParameterError(f"path Doppler must be a finite real number, got {self.doppler!r}")
 
 
 @dataclass(frozen=True)
@@ -175,11 +171,8 @@ class BasisGrid:
     def __post_init__(self):
         check_count(self.tau_m, "tau_m", least=0)
         check_count(self.nu_m, "nu_m", least=0)
-        span = 2 * self.nu_m + 1
-        pairs = tuple(
-            (i // span, i % span - self.nu_m) for i in range(span * (self.tau_m + 1))
-        )
-        object.__setattr__(self, "pairs", pairs)
+        delays, dopplers = _grid_pairs(np.arange((2 * self.nu_m + 1) * (self.tau_m + 1)), self.nu_m)
+        object.__setattr__(self, "pairs", tuple(zip(delays.tolist(), dopplers.tolist())))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -190,19 +183,16 @@ class BasisGrid:
             raise ParameterError(f"({tau!r}, {nu!r}) is not a pair of the ({self.tau_m}, {self.nu_m}) grid")
         return tau * (2 * self.nu_m + 1) + nu + self.nu_m
 
-    def _split(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The delays and Dopplers of the pairs at the int64 ``indices``, unchecked."""
-        delays, dopplers = np.divmod(indices, 2 * self.nu_m + 1)
-        return delays, dopplers - self.nu_m
+
+def _grid_pairs(indices: np.ndarray, nu_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The delays and Dopplers of the pairs at the int64 ``indices`` of a grid of
+    Doppler bound ``nu_m``, unchecked: ``BasisGrid``'s pair rule."""
+    delays, dopplers = np.divmod(indices, 2 * nu_m + 1)
+    return delays, dopplers - nu_m
 
 
 def basis_grid(tau_m: int, nu_m: int) -> BasisGrid:
     return BasisGrid(tau_m=tau_m, nu_m=nu_m)
-
-
-# at most 16 grids, one per (tau_m, nu_m) that ``sample_channel`` draws from; typed,
-# so 2 and numpy's 2 keep grids of their own pair types
-_grid = functools.lru_cache(maxsize=16, typed=True)(basis_grid)
 
 
 def _paths(s, cfg: AfdmConfig, delays: np.ndarray, dopplers) -> np.ndarray:
@@ -305,11 +295,11 @@ class PathChannel:
     product, each row bit for bit its own call; ``h @ x`` sums them, O(P*Nc)
     per vector through a (..., P, Nc) temporary, so the package applies it to
     single vectors and streams stacks through ``images`` in blocks.
-    ``np.asarray(h)`` gives the dense DAFT-domain matrix and
-    ``regularized_solve`` the banded time-domain normal-equation solve, whose
-    band is formed in closed form: the cyclic diagonals of H_t^H H_t are the
-    inverse DFT of coefficients summed over pairs of paths (``_band``), with
-    no loop over lags, delays or paths.  Every array is frozen: ``delays``,
+    ``np.asarray(h)`` gives the dense DAFT-domain matrix and ``_daft_solve``
+    the equalizer's banded time-domain normal-equation solve, whose band is
+    formed in closed form: the cyclic diagonals of H_t^H H_t are the inverse
+    DFT of coefficients summed over pairs of paths (``_band``), with no loop
+    over lags, delays or paths.  Every array is frozen: ``delays``,
     ``dopplers`` and ``gains`` are read-only copies of the arguments, so a
     later write to the caller's arrays cannot change the channel or make its
     state stale (``_trusted`` takes over fresh arrays instead of copying).
@@ -452,42 +442,27 @@ class PathChannel:
         band[0] += lam
         return band
 
-    def regularized_solve(self, r, lam: float) -> np.ndarray:
-        """Time-domain z = (H_t^H H_t + lam*I)^{-1} H_t^H r.
-
-        H_t^H H_t + lam*I is Hermitian with cyclic half-bandwidth at most
-        the spread max(tau) - min(tau).  Ordering the unknowns as
-        [0, Nc-1, 1, Nc-2, ...] turns the cyclic band into an ordinary one
-        twice as wide (``_band``), factored by one banded Cholesky
-        decomposition at O(Nc*spread^2).  The channel keeps the factor of the
-        last lam, (2*spread + 1)*Nc*16 bytes, so a repeat call with the same
-        lam costs H_t^H r (one gather and one product of the time taps, no
-        copy of r) and two triangular solves.  Before any work, a
-        ``lam`` not finite and >= 0 or a non-finite ``r`` raises
-        ``ParameterError`` and an ``r`` not of shape (Nc,)
-        ``ConfigurationError``; a matrix that is not positive definite or
-        overflows raises ``NumericalError`` (with no warning) on every call
-        and leaves no factor kept, and so does a solution that overflows,
-        H_t^H r included.
-        """
-        check_nonnegative(lam, "lam")
-        return self._solve(check_finite(check_vector(r, self.cfg.n_sub, "r"), "r"), lam)
-
     def _daft_solve(self, r: np.ndarray, lam: float) -> np.ndarray:
         """The DAFT-domain (H^H H + lam*I)^{-1} H^H r of a finite complex128 (Nc,)
-        ``r`` and a finite lam >= 0: ``daft`` of the solve of ``idaft(r)``, through
-        the unchecked kernels of all three (A is unitary, H = A H_t A^H)."""
-        return _daft(self._solve(_idaft(r, self.cfg), lam), self.cfg)
+        ``r`` and a finite lam >= 0, unchecked: ``daft`` of the time-domain
+        (H_t^H H_t + lam*I)^{-1} H_t^H ``idaft(r)`` (A is unitary, H = A H_t A^H).
 
-    def _solve(self, r: np.ndarray, lam: float) -> np.ndarray:
-        """``regularized_solve`` of a finite complex128 (Nc,) ``r`` and a finite lam >= 0, unchecked."""
+        The Hermitian matrix, of cyclic half-bandwidth at most the spread,
+        is an ordinary band twice as wide with the unknowns ordered
+        [0, Nc-1, 1, Nc-2, ...] (``_band``), factored by one banded Cholesky
+        decomposition at O(Nc*spread^2) and kept for the last lam, so a
+        repeat costs one gather and product of the time taps and two
+        triangular solves.  A matrix that is not positive definite or
+        overflows raises ``NumericalError`` (with no warning) on every call
+        and leaves no factor kept, and so does a solution that overflows.
+        """
         pbtrf, pbtrs = _banded_cholesky()
         reads, taps = self._time_taps
         cached = self._factor
         refactor = cached is None or cached[0] != lam
         # an overflow here leaves a non-finite band or solution, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            ordered = (taps * r.take(reads)).sum(axis=0)  # H_t^H r in the band's order
+            ordered = (taps * _idaft(r, self.cfg).take(reads)).sum(axis=0)  # H_t^H r in the band's order
             band = self._band(lam) if refactor else None
         if refactor:
             if not np.isfinite(band).all():
@@ -502,7 +477,7 @@ class PathChannel:
         z, _ = pbtrs(cached[1], ordered, lower=1, overwrite_b=1)
         if not np.isfinite(z).all():
             raise NumericalError("equalizer solution overflows")
-        return np.concatenate([z[0::2], z[1::2][::-1]])
+        return _daft(np.concatenate([z[0::2], z[1::2][::-1]]), self.cfg)
 
 
 @functools.cache
@@ -567,42 +542,43 @@ def sample_channel(
 ) -> ChannelRealization:
     """Draw L distinct integer (tau, nu) pairs and CN(0, 1/L) gains from the Generator ``rng``.
 
-    One ``choice`` draws the pairs, then one ``standard_normal`` draws 2L
+    One ``choice`` draws the indices of the pairs on the (tau_m, nu_m) grid,
+    read by ``BasisGrid``'s pair rule, then one ``standard_normal`` draws 2L
     values: path i's gain has real part 2i and imaginary part 2i + 1, each
     times sqrt(1/(2L)).
     """
     check_count(L, "L")
     check_type(rng, np.random.Generator, "rng")
-    check_count(tau_m, "tau_m", least=0)  # checked before the grid cache hashes them
+    check_count(tau_m, "tau_m", least=0)
     check_count(nu_m, "nu_m", least=0)
-    grid = _grid(tau_m, nu_m)
-    if L > len(grid):
-        raise ParameterError(f"L={L} exceeds the {len(grid)}-pair grid")
-    picks = rng.choice(len(grid), size=L, replace=False)
+    size = (2 * nu_m + 1) * (tau_m + 1)
+    if L > size:
+        raise ParameterError(f"L={L} exceeds the {size}-pair grid")
+    picks = rng.choice(size, size=L, replace=False)
     gains = (rng.standard_normal((L, 2)) * math.sqrt(1.0 / (2 * L))).view(np.complex128).ravel()
-    pairs = [grid.pairs[i] for i in picks.tolist()]
-    paths = tuple(ChannelPath(complex(g), tau, float(nu)) for (tau, nu), g in zip(pairs, gains))
+    delays, dopplers = _grid_pairs(picks, nu_m)
+    paths = tuple(
+        ChannelPath(complex(g), tau, float(nu)) for tau, nu, g in zip(delays.tolist(), dopplers.tolist(), gains)
+    )
     return ChannelRealization(paths=paths, noise_power=noise_power, tau_m=tau_m, nu_m=nu_m)
 
 
-def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndarray:
-    """Target echo over the post-prefix window (Nc samples) of the symbol ``s``.
+def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget) -> np.ndarray:
+    """Noiseless target echo over the post-prefix window (Nc samples) of the symbol ``s``.
 
-    r[n] = beta * s((n - tau_bar)*Ts) * exp(j*2*pi*nu_bar*n/Nc) + w[n], with
+    r[n] = beta * s((n - tau_bar)*Ts) * exp(j*2*pi*nu_bar*n/Nc), with
     ``s`` the prefix-free time symbol (``idaft`` output).  The delayed copy
     is ``waveform_samples`` of ``s``, which at whole-sample delays reads the
     samples ``add_cpp`` would have put in front of it and at fractional ones
     reads the config's tables, a few exponentials per target, and the ramp
     is ``_doppler_ramp``.  ``s`` may be a stack (..., Nc); the target's
     delay, Doppler and gain are then scalars or arrays that broadcast over
-    its leading axes, one target per row, and the noise is drawn for the
-    whole stack, real parts first.  A non-finite entry of ``s``, or an
-    ``rng`` given that is no numpy ``Generator``, raises ``ParameterError``.
+    its leading axes, one target per row.  The target's noise power is the
+    caller's to add (``sensing.roc_curve`` adds it per block of trials).  A
+    non-finite entry of ``s`` raises ``ParameterError``.
     """
     check_type(cfg, AfdmConfig, "cfg")
     check_type(target, SensingTarget, "target")
-    if rng is not None:
-        check_type(rng, np.random.Generator, "rng")
     s = check_finite(check_stack(s, cfg.n_sub, "symbols"), "symbols")
     tau, nu, gain = (
         np.asarray(v) for v in (target.delay_samples, target.doppler_norm, target.gain)
@@ -617,11 +593,7 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget, rng=None) -> np.ndar
             f"target delay {tau} samples outside the prefix budget [0, {cfg.n_cpp}]"
         )
     delayed = waveform_samples(s, cfg, tau[..., None])[..., 0, :]
-    r = gain[..., None] * delayed * _doppler_ramp(nu, cfg)
-    if rng is not None and target.noise_power > 0:
-        scale = math.sqrt(target.noise_power / 2.0)
-        r = r + scale * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape))
-    return r
+    return gain[..., None] * delayed * _doppler_ramp(nu, cfg)
 
 
 def _doppler_ramp(nu, cfg: AfdmConfig) -> np.ndarray:

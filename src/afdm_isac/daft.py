@@ -266,11 +266,13 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
 
     (plus c2 m^2), so that fractional delays behave like the physical DAC
     output rather than a naive quadratic-phase extrapolation.  At integer
-    instants it is the chirp-periodic extension, so whole-sample delays are
-    read from windows of it, bit for bit the record ``add_cpp`` builds.
-    All-whole delays may come back as a read-only view of those windows (a
-    1-D run of consecutive ascending delays does); copy before writing.
-    Fractional delays use the exact closed form: with K = 2*c1*Nc,
+    instants it is the chirp-periodic extension, so every whole-sample delay
+    is read from windows of it, bit for bit the record ``add_cpp`` builds,
+    whatever the other delays are.  All-whole delays may come back as a
+    read-only view of those windows (a 1-D run of consecutive ascending
+    delays does); copy before writing.  With any fractional delay the closed
+    form runs over every delay and the whole ones are then read from the
+    windows.  Fractional delays use the exact closed form: with K = 2*c1*Nc,
     A = ceil(K*tau) and t = n - tau the wrap index is floor((m + K*n - A)/Nc)
     for every m, so
 
@@ -307,19 +309,10 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     whole = taus == np.round(taus)
     if np.all(whole):
         out = _whole_delays(s, cfg, taus)
-        return out if tau.ndim else out[..., 0, :]
-    # a delay column whole in every row is read from windows, the others take the closed form
-    cols = np.all(whole, axis=tuple(range(whole.ndim - 1)))
-    out = np.empty(lead + (taus.shape[-1], cfg.n_sub), dtype=np.complex128)
-    if np.any(cols):
-        out[..., cols, :] = _whole_delays(s, cfg, taus[..., cols])
-    if not np.all(cols):
-        part = _fractional_delays(s, cfg, taus[..., ~cols, None])
-        # a whole delay in a column with fractional ones is still read from the windows
-        stray = whole[..., ~cols, None]
-        if np.any(stray):
-            part = np.where(stray, _whole_delays(s, cfg, taus[..., ~cols]), part)
-        out[..., ~cols, :] = part
+    else:
+        out = _fractional_delays(s, cfg, taus[..., None])
+        if np.any(whole):
+            out = np.where(whole[..., None], _whole_delays(s, cfg, taus), out)
     return out if tau.ndim else out[..., 0, :]
 
 

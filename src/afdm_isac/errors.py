@@ -2,11 +2,12 @@
 
 ``check_vector`` (a complex (n,) vector) and ``check_stack`` (a (..., n) stack)
 raise ``ConfigurationError``, also for non-numbers; ``check_finite`` (the
-entries of a checked array), ``check_type``, ``check_reals``,
-``check_nonnegative``, ``check_positive``, ``check_count`` and
+entries of a checked array), ``check_type``, ``check_pair``, ``check_number``,
+``check_reals``, ``check_nonnegative``, ``check_positive``, ``check_count`` and
 ``check_integers`` raise ``ParameterError``.
 """
 
+import cmath
 import math
 import numbers
 
@@ -68,6 +69,21 @@ def check_type(value, kind: type, what: str) -> None:
     """``ParameterError`` unless ``value`` is an instance of ``kind``."""
     if not isinstance(value, kind):
         raise ParameterError(f"{what} must be of type {kind.__name__}, got {value!r}")
+
+
+def check_pair(value, what: str) -> tuple:
+    """The two items of ``value``, a (delay, Doppler) pair of axes; ``ParameterError`` unless it has two."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise ParameterError(f"{what} must be a (delay, Doppler) pair of axes, got {value!r}") from None
+    return first, second
+
+
+def check_number(value, what: str) -> None:
+    """``ParameterError`` unless ``value`` is a finite number, real or complex, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Complex) and cmath.isfinite(value)):
+        raise ParameterError(f"{what} must be a finite number, got {value!r}")
 
 
 def check_reals(values, what: str) -> np.ndarray:

@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import BasisGrid, PathChannel, apply_basis
+from .channel import BasisGrid, PathChannel, _grid_pairs, apply_basis
 from .daft import AfdmConfig
 from .errors import (
     NumericalError,
@@ -89,28 +89,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PriorModel:
-    """Diagonal gain prior and the white effective-noise variance.
+    """Diagonal gain prior.
 
     A gain variance of 0 means the coefficient is known to be 0: the
-    estimators pin it to 0 and give it posterior variance 0.  An infinite
-    variance is a flat prior (no regularization of that coefficient); NaN is refused.
+    estimator pins it to 0 and gives it posterior variance 0.  An infinite
+    variance is a flat prior (no regularization of that coefficient); NaN is
+    refused.  The interference level is the receiver's (``iterative_estimate``).
     """
 
     gain_variances: np.ndarray
-    noise_variance: float
 
     def __post_init__(self):
         g = np.asarray(self.gain_variances)
         if g.dtype.kind not in "biuf" or not np.all(g >= 0):
             raise ParameterError(f"prior variances must be real numbers >= 0, not NaN, got {g!r}")
-        check_nonnegative(self.noise_variance, "noise variance")
         object.__setattr__(self, "gain_variances", g.astype(np.float64, copy=False))
 
     @staticmethod
-    def uniform(grid: BasisGrid, noise_variance: float):
+    def uniform(grid: BasisGrid):
         """Spread a unit total gain power uniformly over the basis."""
         n = len(grid)
-        return PriorModel(np.full(n, 1.0 / n), noise_variance)
+        return PriorModel(np.full(n, 1.0 / n))
 
 
 @dataclass
@@ -128,7 +127,9 @@ class EstimationResult:
 
 def build_psi(x, grid: BasisGrid, cfg: AfdmConfig) -> np.ndarray:
     """Nc x L matrix whose column i is the basis-path-i image of x, by FFT: the reference
-    for the closed-form Psi_p of ``_pilot_model``, kept because the benchmark pins it."""
+    for the closed-form Psi_p of ``_pilot_model``, kept because the benchmark pins it.
+    A ``grid`` that is no ``BasisGrid`` raises ``ParameterError``."""
+    check_type(grid, BasisGrid, "grid")
     x = np.asarray(x, dtype=np.complex128)
     return np.stack(
         [apply_basis(x, cfg, tau, float(nu)) for tau, nu in grid.pairs], axis=1
@@ -217,8 +218,8 @@ def _pilot_model(cfg: AfdmConfig, pairs: tuple[tuple[int, int], ...], pilot: byt
 def _posterior(corr, gram, diagonal, g: np.ndarray, noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
     """Gain estimate and posterior variances from corr = Psi^H y and gram = Psi^H Psi.
 
-    ``g`` holds a ``PriorModel``'s checked gain variances; ``noise_variance``
-    is checked here as a ``PriorModel``'s, since the iterations compute it.
+    ``g`` holds a ``PriorModel``'s checked gain variances; ``noise_variance``,
+    the interference level c, is checked here, since the iterations compute it.
     ``diagonal`` is the Gram's ``_gram_diagonal``: when it is not None the
     posterior is elementwise, else it inverts the normal matrix.
     """
@@ -272,7 +273,7 @@ def equalize_demod(
     the estimated channel is removed, then the DAFT-domain solution
     (H^H H + lam I)^{-1} H^H r, lam = noise power / data symbol power, is
     computed as daft((H_t^H H_t + lam I)^{-1} H_t^H idaft(r)) with the
-    banded time-domain solve of ``PathChannel.regularized_solve``; the two
+    channel's banded time-domain solve (``PathChannel._daft_solve``); the two
     agree because A is unitary.  The channel keeps the Cholesky factor of
     its last lam, so equalizing a second frame with the same channel and
     noise power makes no new factorization.  The solve raises
@@ -300,14 +301,13 @@ def iterative_estimate(
     noise_power: float,
     n_iter: int = 2,
     prior: PriorModel | None = None,
-    eps: float | None = None,
     known_data=None,
 ) -> EstimationResult:
     """Estimate, demodulate, cancel, and re-estimate.
 
     Each iteration makes one posterior solve, keeps the gains more than 3
-    posterior standard deviations from 0 (or above ``eps`` when it is
-    given), and equalizes with the channel they form.  It pushes that
+    posterior standard deviations from 0, and equalizes with the channel
+    they form.  It pushes that
     channel through the frame once: the pilot's image through it is
     Psi_p (alpha_hat * indicator), read from the pilot model with no
     product with the channel, and its one product with the demodulated data
@@ -340,8 +340,7 @@ def iterative_estimate(
     ``ConfigurationError``) and finite entries, ``spec``, ``grid``, ``cfg``
     and a given ``prior`` must be a ``FrameSpec``, ``BasisGrid``,
     ``AfdmConfig`` and ``PriorModel``, ``noise_power`` must be finite and
-    >= 0, a given ``eps`` one real >= 0 (inf keeps no path) or one per
-    grid pair and ``n_iter`` an integer >= 1 (else ``ParameterError``), all
+    >= 0 and ``n_iter`` an integer >= 1 (else ``ParameterError``), all
     checked once, before any work.
     """
     check_type(spec, FrameSpec, "spec")
@@ -355,13 +354,9 @@ def iterative_estimate(
     x_pilot = check_finite(check_vector(x_pilot, cfg.n_sub, "x_pilot"), "x_pilot")
     if known_data is not None:
         known_data = check_finite(check_vector(known_data, cfg.n_sub, "known_data"), "known_data")
-    if eps is not None:
-        eps = np.asarray(eps)
-        if eps.dtype.kind not in "biuf" or eps.shape not in ((), (len(grid),)) or not np.all(eps >= 0):
-            raise ParameterError(f"threshold must be non-negative reals, not NaN, got {eps!r}")
     model = _pilot_model(cfg, grid.pairs, x_pilot.tobytes())
     if prior is None:
-        prior = PriorModel.uniform(grid, noise_variance=0.0)
+        prior = PriorModel.uniform(grid)
     c_it = _interference(prior.gain_variances, spec.data_symbol_power, noise_power)
     residuals: list[float] = []
     noise_levels: list[float] = []
@@ -373,10 +368,9 @@ def iterative_estimate(
         noise_levels.append(float(c_it))
         corr = model.psi_h @ observation
         alpha_hat, post = _posterior(corr, model.gram, model.diagonal, prior.gain_variances, c_it)
-        eps_it = _EPS_SCALE * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps
-        indicator = (np.abs(alpha_hat) > eps_it).astype(np.int8)
+        indicator = (np.abs(alpha_hat) > _EPS_SCALE * np.sqrt(np.maximum(post, 0.0))).astype(np.int8)
         kept = np.flatnonzero(indicator)
-        h_hat = PathChannel._trusted(cfg, *grid._split(kept), alpha_hat[kept])
+        h_hat = PathChannel._trusted(cfg, *_grid_pairs(kept, grid.nu_m), alpha_hat[kept])
         # the pilot through the estimate, h_hat @ x_pilot, is Psi_p (alpha_hat * indicator)
         pilot_free = y - np.conj(np.conj(alpha_hat * indicator) @ model.psi_h)
         x_d_hat, bits = _equalize(pilot_free, h_hat, spec, noise_power)

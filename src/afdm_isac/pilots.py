@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .daft import AfdmConfig
-from .errors import ParameterError, check_count, check_nonnegative, check_positive, is_integer
+from .errors import ParameterError, check_count, check_nonnegative, check_positive, check_type, is_integer
 
 __all__ = [
     "ZcParams",
@@ -71,6 +71,7 @@ def zc_sequence(params: ZcParams) -> np.ndarray:
     phase numerator is reduced mod 2N in integers, so a large root or length
     loses no precision to the float phase.
     """
+    check_type(params, ZcParams, "params")
     period = 2 * params.length
     n = np.arange(params.length, dtype=np.int64)
     quadratic = n * (n + params.length % 2) % period
@@ -84,6 +85,7 @@ def select_c1_q(nu_m: int, cfg: AfdmConfig) -> tuple[float, int]:
     that 2^(q-1) < 2*nu_m + 1 <= 2^q.  Requires Nc to be a power of two.
     """
     check_count(nu_m, "nu_m", least=0)
+    check_type(cfg, AfdmConfig, "cfg")
     _require_pow2(cfg.n_sub)
     target = 2 * nu_m + 1
     q = max(0, math.ceil(math.log2(target)))
@@ -93,6 +95,7 @@ def select_c1_q(nu_m: int, cfg: AfdmConfig) -> tuple[float, int]:
 def proposed_spacing(cfg: AfdmConfig, r: int) -> tuple[int, int]:
     """Comb spacing and pilot count (Q, Np) for the chirp-corrected design."""
     check_count(r, "r", least=0)
+    check_type(cfg, AfdmConfig, "cfg")
     p = _require_pow2(cfg.n_sub)
     q = _require_pow2(cfg.two_c1_n, what="2*c1*Nc")
     if not 0 <= r <= p - q:
@@ -103,6 +106,7 @@ def proposed_spacing(cfg: AfdmConfig, r: int) -> tuple[int, int]:
 
 def proposed_delay_limit(cfg: AfdmConfig) -> int:
     """Largest delay with a guaranteed-zero pilot ambiguity function, 1/(2*c1) - 1, for K >= 1."""
+    check_type(cfg, AfdmConfig, "cfg")
     check_count(cfg.two_c1_n, "2*c1*Nc")
     return cfg.n_sub // cfg.two_c1_n - 1
 
@@ -115,7 +119,7 @@ def proposed_pilot(cfg: AfdmConfig, pilot_power: float, r: int = 0, zc_root: int
     psi[m] = m^2*2^r/(2*Q*Nc) - c2*m^2 = m^2/(2*K*Nc) - c2*m^2 (Q = K*2^r).
     The first term is reduced in integers and the second read from
     ``c2_chirp``, the table ``idaft`` removes, so it cancels the transform's
-    c2 chirp to rounding at any Nc.
+    c2 chirp to rounding at any Nc.  ``proposed_spacing`` checks ``cfg``.
     """
     spacing, n_p = proposed_spacing(cfg, r)
     positions = np.arange(n_p) * spacing
@@ -131,6 +135,7 @@ def traditional_spacing(cfg: AfdmConfig, tau_m: int, nu_m: int) -> tuple[int, in
 
     Q = 2*c1*tau_m*Nc + 2*nu_m + 1 and Np = floor(Nc/Q), for integers tau_m, nu_m >= 0.
     """
+    check_type(cfg, AfdmConfig, "cfg")
     check_count(tau_m, "tau_m", least=0)
     check_count(nu_m, "nu_m", least=0)
     spacing = cfg.two_c1_n * tau_m + 2 * nu_m + 1
@@ -143,11 +148,11 @@ def traditional_spacing(cfg: AfdmConfig, tau_m: int, nu_m: int) -> tuple[int, in
 def traditional_spi_pilot(cfg: AfdmConfig, pilot_power: float, tau_m: int, nu_m: int) -> np.ndarray:
     """Conventional superimposed pilot comb for the footprint (tau_m, nu_m).
 
-    Its spacing and count are ``traditional_spacing``'s.  The nonzero
-    entries carry equal phases, which makes the comb's delay ambiguity
-    outside its validity region explicit (delay offsets of one comb period
-    collide coherently).  Within the validity region any unit-modulus phases
-    give zero inter-pilot interference.
+    Its spacing and count are ``traditional_spacing``'s, which checks
+    ``cfg``.  The nonzero entries carry equal phases, which makes the comb's
+    delay ambiguity outside its validity region explicit (delay offsets of
+    one comb period collide coherently).  Within the validity region any
+    unit-modulus phases give zero inter-pilot interference.
     """
     spacing, n_p = traditional_spacing(cfg, tau_m, nu_m)
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
@@ -157,6 +162,7 @@ def traditional_spi_pilot(cfg: AfdmConfig, pilot_power: float, tau_m: int, nu_m:
 
 def single_pilot(cfg: AfdmConfig, pilot_power: float) -> np.ndarray:
     """All pilot energy on subcarrier 0."""
+    check_type(cfg, AfdmConfig, "cfg")
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
     x[0] = _amplitude(pilot_power, 1)
     return x
@@ -170,6 +176,7 @@ def max_unambiguous_delay(spacing: int, nu_m: int, cfg: AfdmConfig) -> int:
     """
     check_count(spacing, "spacing")
     check_count(nu_m, "nu_m", least=0)
+    check_type(cfg, AfdmConfig, "cfg")
     k = cfg.two_c1_n
     margin = spacing - 2 * nu_m - 1
     if margin < 0:
@@ -200,8 +207,10 @@ def pilot_vector(scheme: PilotScheme, cfg: AfdmConfig, tau_m: int, nu_m: int) ->
 
     Only the traditional comb reads the footprint, but every family checks
     it: integers >= 0.  The proposed comb (r = 0) takes its spacing from the
-    config's chirp rate.
+    config's chirp rate.  ``scheme`` must be a ``PilotScheme``; each family
+    checks ``cfg``.
     """
+    check_type(scheme, PilotScheme, "scheme")
     check_count(tau_m, "tau_m", least=0)
     check_count(nu_m, "nu_m", least=0)
     if scheme.variant == "proposed":

@@ -41,7 +41,7 @@ from .errors import (
     ParameterError,
     check_count,
     check_nonnegative,
-    check_positive,
+    check_pair,
     check_reals,
     check_stack,
     check_type,
@@ -134,19 +134,18 @@ def _correlate(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Threshold and noise-averaging window (all widths in cells).
+    """Noise-averaging window (all widths in cells).
 
     The noise floor at a cell averages |E|^2 over the box of half-widths
     ``train`` minus the guard box of half-widths ``guard``, with cyclic wrap
-    on both axes.
+    on both axes.  The thresholds are the callers': ``detect`` takes one
+    gamma and ``roc_curve`` a grid of them.
     """
 
-    gamma: float = 10.0
     guard: tuple[int, int] = (2, 1)
     train: tuple[int, int] = (5, 2)
 
     def __post_init__(self):
-        check_positive(self.gamma, "gamma")
         for name in ("guard", "train"):
             widths = getattr(self, name)
             if np.ndim(widths) != 1 or len(widths) != 2 or not all(map(is_integer, widths)):
@@ -190,15 +189,17 @@ def rdf(r_s, s, grid, cfg: AfdmConfig) -> RangeDopplerMap:
     may be stacks of equal shape (..., Nc), each echo correlated with its
     own symbol, and the map's values then have shape (..., delays, Dopplers).
     An echo or symbol that is not numbers of shape (..., Nc) raises
-    ``ConfigurationError``; unequal shapes and bad axes ``ParameterError``.
+    ``ConfigurationError``; a ``cfg`` that is no ``AfdmConfig``, unequal
+    shapes, a ``grid`` that is no pair and bad axes ``ParameterError``.
     """
+    check_type(cfg, AfdmConfig, "cfg")
     r_s = check_stack(r_s, cfg.n_sub, "echo")
     s = check_stack(s, cfg.n_sub, "symbol")
     if r_s.shape != s.shape:
         raise ParameterError(
             f"echo and symbol must share a shape (..., {cfg.n_sub}), got {r_s.shape} and {s.shape}"
         )
-    tau_axis, nu_axis = (check_reals(axis, "grid axes") for axis in grid)
+    tau_axis, nu_axis = (check_reals(axis, "grid axes") for axis in check_pair(grid, "grid"))
     if any(axis.ndim != 1 for axis in (tau_axis, nu_axis)):
         raise ParameterError(f"grid axes must be finite 1-D arrays, got {grid!r}")
     if np.any((tau_axis < 0) | (tau_axis > cfg.n_cpp)):
@@ -232,8 +233,12 @@ def noise_floor(rd_map: RangeDopplerMap, det: DetectionConfig) -> np.ndarray:
     power gets a floor of exactly 0.  On axes shorter than the training
     window the wrap collapses the window to whole-axis averaging, which is
     the intended degenerate behavior.  A stack of maps (..., delays,
-    Dopplers) gets one floor per map.
+    Dopplers) gets one floor per map.  An ``rd_map`` that is no
+    ``RangeDopplerMap`` or a ``det`` that is no ``DetectionConfig`` raises
+    ``ParameterError``.
     """
+    check_type(rd_map, RangeDopplerMap, "rd_map")
+    check_type(det, DetectionConfig, "det")
     power = np.abs(rd_map.values) ** 2
     shape = power.shape[-2:]
     train = [_window(h, size) for h, size in zip(det.train, shape)]
@@ -262,9 +267,10 @@ def detect(rd_map: RangeDopplerMap, noise: np.ndarray, gamma: float) -> list:
     Returns (tau, nu, statistic) triples.  The statistic is invariant to any
     global phase of the echo; a cell with no power has statistic 0 and one
     with power over a zero floor has statistic inf.  ``noise`` has the
-    map's shape; a ``gamma`` that is not a real number, or is NaN, raises
-    ``ParameterError``.
+    map's shape; an ``rd_map`` that is no ``RangeDopplerMap`` or a
+    ``gamma`` that is not a real number, or is NaN, raises ``ParameterError``.
     """
+    check_type(rd_map, RangeDopplerMap, "rd_map")
     values = rd_map._single()
     noise = np.asarray(noise)
     if noise.shape != values.shape:
@@ -284,7 +290,8 @@ def detect(rd_map: RangeDopplerMap, noise: np.ndarray, gamma: float) -> list:
 
 
 def estimate_target(rd_map: RangeDopplerMap) -> tuple[float, float]:
-    """Delay/Doppler location of the strongest correlation magnitude."""
+    """Delay/Doppler location of the strongest correlation magnitude of a ``RangeDopplerMap``."""
+    check_type(rd_map, RangeDopplerMap, "rd_map")
     values = rd_map._single()
     if values.size == 0:
         raise ParameterError("empty range-Doppler map")
@@ -409,13 +416,16 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     curve and the generator's final state do not depend on the block size.
     The up-front draws hold n_trials*(Nc*k/8 + 24) bytes, k bits per symbol
     (8.8 KB for 100 QPSK trials at Nc = 256).
-    ``n_trials`` is an integer >= 100 and ``gamma_grid`` a non-empty finite
-    1-D array, both checked before any draw.
+    ``n_trials`` is an integer >= 100, ``gamma_grid`` a non-empty finite
+    1-D array, ``scenario`` a ``SensingScenario`` and ``rng`` a numpy
+    ``Generator``, all checked before any draw.
     """
     check_count(n_trials, "n_trials", least=100)
     gamma_grid = check_reals(gamma_grid, "gamma_grid")
     if gamma_grid.ndim != 1 or gamma_grid.size == 0:
         raise ParameterError(f"gamma_grid must be a non-empty 1-D array, got shape {gamma_grid.shape}")
+    check_type(scenario, SensingScenario, "scenario")
+    check_type(rng, np.random.Generator, "rng")
     cfg = scenario.cfg
     x_p = pilot_vector(scenario.pilot, cfg, scenario.tau_m, scenario.nu_m)
     grid = sensing_grid(scenario.tau_m, scenario.nu_m)

@@ -211,11 +211,11 @@ def path_sum(h, path_matrix=basis_matrix) -> np.ndarray:
     return out
 
 
-def regularized_solve(h, r, lam: float) -> np.ndarray:
-    """Dense time-domain normal equations (H_t^H H_t + lam I)^{-1} H_t^H r of a PathChannel."""
-    h_t = path_sum(h, time_matrix)
-    normal = h_t.conj().T @ h_t + lam * np.eye(h.cfg.n_sub)
-    return np.linalg.solve(normal, h_t.conj().T @ r)
+def daft_solve(h, r, lam: float) -> np.ndarray:
+    """Dense DAFT-domain normal equations (H^H H + lam I)^{-1} H^H r of a PathChannel, H its path sum."""
+    dense = path_sum(h)
+    normal = dense.conj().T @ dense + lam * np.eye(h.cfg.n_sub)
+    return np.linalg.solve(normal, dense.conj().T @ r)
 
 
 def normal_band(h, lam: float) -> np.ndarray:
@@ -244,16 +244,15 @@ def equalize(y, h, x_pilot, lam: float) -> np.ndarray:
     return np.linalg.solve(normal, h.conj().T @ (y - h @ x_pilot))
 
 
-def mmse_estimate(y, psi_p, prior: PriorModel) -> tuple[np.ndarray, np.ndarray]:
-    """(gain estimate, posterior variances) of the estimator's posterior kernel,
-    fed the Psi^H y and Psi^H Psi of a dense ``psi_p``, formed on every call;
-    the kernel's route is decided from this Gram."""
+def mmse_estimate(y, psi_p, prior: PriorModel, noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """(gain estimate, posterior variances) of the estimator's posterior kernel at the
+    white interference level ``noise_variance``, fed the Psi^H y and Psi^H Psi of a
+    dense ``psi_p``, formed on every call; the kernel's route is decided from this Gram."""
     psi_p = np.asarray(psi_p, dtype=np.complex128)
     psi_h = psi_p.conj().T
     gram = psi_h @ psi_p
     corr = psi_h @ np.asarray(y, dtype=np.complex128)
-    return estimator._posterior(corr, gram, estimator._gram_diagonal(gram), prior.gain_variances,
-                                prior.noise_variance)
+    return estimator._posterior(corr, gram, estimator._gram_diagonal(gram), prior.gain_variances, noise_variance)
 
 
 def iterative_estimate(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2):
@@ -284,7 +283,7 @@ def iterative_estimate(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2):
     return alpha, indicator, h, bits
 
 
-def iterative_loop(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2, prior=None, eps=None, known_data=None):
+def iterative_loop(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2, prior=None, known_data=None):
     """``estimator.iterative_estimate``'s loop with three products per channel estimate.
 
     Each iteration equalizes with the public ``equalize_demod``, which pushes
@@ -297,15 +296,14 @@ def iterative_loop(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2, prior=Non
     """
     x_pilot = np.asarray(x_pilot, dtype=np.complex128)
     model = estimator._pilot_model(cfg, grid.pairs, x_pilot.tobytes())
-    prior = PriorModel.uniform(grid, noise_variance=0.0) if prior is None else prior
+    prior = PriorModel.uniform(grid) if prior is None else prior
     c_it = estimator._interference(prior.gain_variances, spec.data_symbol_power, noise_power)
     residuals = []
     for it in range(n_iter):
         observation = y if it == 0 else y - h_hat @ feedback
         corr = model.psi_h @ observation
         alpha, post = estimator._posterior(corr, model.gram, model.diagonal, prior.gain_variances, c_it)
-        eps_it = 3.0 * np.sqrt(np.maximum(post, 0.0)) if eps is None else eps
-        indicator = (np.abs(alpha) > eps_it).astype(np.int8)
+        indicator = (np.abs(alpha) > 3.0 * np.sqrt(np.maximum(post, 0.0))).astype(np.int8)
         h_hat = kept_channel(alpha, indicator, grid, cfg)
         x_d, bits = equalize_demod(y, h_hat, x_pilot, spec, noise_power)
         if spec.data_symbol_power > 0 and bits.size:

@@ -14,7 +14,7 @@ import dense_oracle
 from afdm_isac import AfdmConfig, analysis, estimator, idaft
 from afdm_isac.analysis import (
     PowerAllocation,
-    _fim_sums,
+    _fim_kernels,
     _frac_table,
     af_statistics_closed_form,
     ambiguity_decomposition,
@@ -631,7 +631,7 @@ class TestFim:
         if nudge:
             tau = float(np.nextafter(tau, nudge * np.inf))
         cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
-        a_m, b_m, *_ = _fim_sums(np.ones(n_sub), SensingTarget(1.0, tau, 0.0, 1.0), cfg)
+        a_m, b_m, *_ = _fim_kernels(SensingTarget(1.0, tau, 0.0, 1.0), cfg)
         kern = dense_oracle.frac_kernel(cfg, tau)
         ramp = np.arange(n_sub) / n_sub
         for fast, dense in ((a_m, np.sum(kern * kern, axis=1)), (b_m, kern @ ramp)):
@@ -839,36 +839,11 @@ class TestSensingWeights:
 
 
 class TestCrbDistribution:
-    def test_rows_match_crb_at_their_own_totals(self, rng):
-        cfg = AfdmConfig(n_sub=16, c1=5 / 32)
-        target = SensingTarget(1.0, 1.3, 0.2, 0.5)
-        rows = rng.uniform(0.1, 2.0, (4, 16))
-        out = crb_distribution(cfg, target, 16.0, 0, rng, allocations=rows)
-        for row, value in zip(rows, out["values"]):
-            assert value == pytest.approx(crb(PowerAllocation(row), target, cfg).crb_tau, rel=1e-12)
-
-    def test_degenerate_row_raises(self, rng):
-        # the delta allocation of TestCrb::test_degenerate_geometry_raises
-        cfg = AfdmConfig(n_sub=8, c1=0.0)
-        rows = np.ones((3, 8))
-        rows[1] = 0.0
-        rows[1, 0] = 1.0
-        with pytest.raises(NumericalError):
-            crb_distribution(cfg, SensingTarget(1.0, 0.0, 0.0, 1.0), 8.0, 0, rng, allocations=rows)
-
-    def test_negative_row_raises(self, rng):
-        cfg = AfdmConfig(n_sub=8, c1=1 / 8)
-        rows = np.ones((3, 8))
-        rows[2, 3] = -0.5
-        with pytest.raises(ParameterError):
-            crb_distribution(cfg, SensingTarget(1.0, 0.0, 0.0, 1.0), 8.0, 0, rng, allocations=rows)
-
-    def test_point_mass_for_fixed_allocation(self, rng):
+    def test_point_mass_for_one_draw(self, rng):
         cfg = AfdmConfig(n_sub=16, c1=5 / 32)
         target = SensingTarget(1.0, 0.0, 0.0, 1.0)
-        fixed = np.tile(np.full(16, 1.0), (50, 1))
-        out = crb_distribution(cfg, target, 16.0, 0, rng, allocations=fixed)
-        assert out["variance"] == pytest.approx(0.0, abs=1e-24)
+        out = crb_distribution(cfg, target, 16.0, 1, rng)
+        assert out["variance"] == 0.0 and out["mean"] == out["values"][0]
 
     @pytest.mark.parametrize("n_draws", [2.5, True, 0, -1, "4"])
     def test_bad_draw_count_rejected_before_any_draw(self, rng, n_draws):
@@ -878,20 +853,19 @@ class TestCrbDistribution:
                              16.0, n_draws, rng)
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("c1, scales, noise_power", [
-        (1 / 128, [1.0, 1.0, 1.0], 1.0),
-        (5 / 128, [1 - 1e-15, 1.0, 1 + 1e-15], 1.0),
-        (1 / 128, [1.0, 1.0, 1.0], 1e20),  # bounds near 1e17, where 0.5 is below an ulp
+    @pytest.mark.parametrize("c1, noise_power", [
+        (1 / 128, 1.0),
+        (5 / 128, 1.0),
+        (1 / 128, 1e20),  # a bound near 1e17, where 0.5 is below an ulp
     ])
-    def test_near_equal_bounds_give_a_finite_density(self, c1, scales, noise_power):
-        # the bounds differ below float resolution, where np.histogram's own
-        # range cannot hold 60 increasing bins
+    def test_one_draw_gives_a_finite_density(self, rng, c1, noise_power):
+        # one bound: equal ends, which the 60 bins widen; near 1e17 np.histogram's
+        # own widening by 0.5 cannot hold 60 increasing bins
         cfg = AfdmConfig(n_sub=64, c1=c1)
-        rows = np.ones((3, 64)) * np.array(scales)[:, None]
-        out = crb_distribution(cfg, SensingTarget(1.0, 1.3, 0.0, noise_power), 64.0, 0, None,
-                               allocations=rows)
-        with pytest.raises(ValueError, match="Too many bins"):
-            np.histogram(out["values"], bins=60)
+        out = crb_distribution(cfg, SensingTarget(1.0, 1.3, 0.0, noise_power), 64.0, 1, rng)
+        if noise_power > 1e10:
+            with pytest.raises(ValueError, match="Too many bins"):
+                np.histogram(out["values"], bins=60)
         density, edges = out["density"], out["bin_edges"]
         assert density.shape == (60,) and np.all(np.isfinite(density))
         assert edges.shape == (61,) and np.all(np.diff(edges) > 0)
@@ -1028,9 +1002,6 @@ BOUND_CALLS = {
     "fim": lambda p, t: fim(PowerAllocation(p), t, CONTRACT_CFG),
     "crb": lambda p, t: crb(PowerAllocation(p), t, CONTRACT_CFG),
     "sensing_weights": lambda p, t: sensing_weights(PowerAllocation(p), t, CONTRACT_CFG),
-    "crb_distribution": lambda p, t: crb_distribution(
-        CONTRACT_CFG, t, 16.0, 0, None, allocations=np.tile(p, (3, 1))
-    ),
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afdm_isac import AfdmConfig, add_cpp, channel, daft, idaft, remove_cpp, waveform_samples
+from afdm_isac import AfdmConfig, add_cpp, daft, idaft, remove_cpp, waveform_samples
 from afdm_isac.channel import (
     BasisGrid,
     ChannelPath,
@@ -31,6 +31,8 @@ from afdm_isac.channel import (
     subcarrier_offset,
 )
 from afdm_isac.errors import ConfigurationError, NumericalError, ParameterError
+from afdm_isac.estimator import equalize_demod
+from afdm_isac.modem import FrameSpec
 
 import dense_oracle
 from conftest import CountingNumpy, random_unit_symbols
@@ -140,12 +142,13 @@ class TestPathChannel:
 
     @pytest.mark.parametrize("n_sub, two_c1_n", PATH_CONFIGS)
     def test_regularized_solve_matches_dense(self, rng, n_sub, two_c1_n):
+        # the equalizer's solve, K*Nc odd (63, 255) and even: the DAFT-domain normal equations
         cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
         h = random_path_channel(rng, cfg, basis_grid(tau_m=3, nu_m=2), 5)
         r = random_unit_symbols(rng, n_sub)
         lam = 0.1
-        expect = dense_oracle.regularized_solve(h, r, lam)
-        assert np.max(np.abs(h.regularized_solve(r, lam) - expect)) < 1e-10
+        expect = dense_oracle.daft_solve(h, r, lam)
+        assert np.max(np.abs(h._daft_solve(r, lam) - expect)) < 1e-10
 
     def test_invalid_paths_rejected(self):
         with pytest.raises(ParameterError):
@@ -162,7 +165,7 @@ class TestPathChannel:
     def test_arrays_and_taps_are_read_only(self, rng):
         h = random_path_channel(rng, CFG16, basis_grid(tau_m=2, nu_m=1), 3)
         h @ np.ones(16)
-        h.regularized_solve(np.ones(16), 0.1)
+        h._daft_solve(np.ones(16, dtype=np.complex128), 0.1)
         q, taps = h._daft_taps
         assert h._daft_taps[1] is taps
         solve_parts = (h._time_taps[1], h._factor[1])
@@ -215,7 +218,8 @@ class TestPathChannel:
 
 
 class TestRegularizedSolve:
-    """The banded solve against the dense normal equations, and its per-lam factor."""
+    """The equalizer's banded solve (``PathChannel._daft_solve``) against the dense
+    normal equations, and its per-lam factor."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -232,7 +236,8 @@ class TestRegularizedSolve:
     @example(n_sub=2, two_c1_n=1, delays=[1], lams=(0.1, 2.0), seed=4)
     def test_matches_dense_normal_equations(self, n_sub, two_c1_n, delays, lams, seed):
         # N odd or even, K*N odd or even, delay spreads up to N - 1; calls
-        # alternate lam and r on one channel and each equals a fresh channel's
+        # alternate lam and r on one channel and each equals a fresh channel's;
+        # the DAFT-domain (H^H H + lam I)^{-1} H^H r
         rng = np.random.default_rng(seed)
         cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
         paths = len(delays)
@@ -245,9 +250,9 @@ class TestRegularizedSolve:
         h = PathChannel(*args)
         rs = rng.standard_normal((2, n_sub)) + 1j * rng.standard_normal((2, n_sub))
         for lam, r in [(lams[0], rs[0]), (lams[0], rs[1]), (lams[1], rs[0]), (lams[0], rs[0])]:
-            z = h.regularized_solve(r, lam)
-            assert np.array_equal(z, PathChannel(*args).regularized_solve(r, lam))
-            assert np.max(np.abs(z - dense_oracle.regularized_solve(h, r, lam))) < 1e-10
+            z = h._daft_solve(r, lam)
+            assert np.array_equal(z, PathChannel(*args)._daft_solve(r, lam))
+            assert np.max(np.abs(z - dense_oracle.daft_solve(h, r, lam))) < 1e-10
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -278,8 +283,10 @@ class TestRegularizedSolve:
 
     @pytest.mark.parametrize("lam", [-0.1, -1e-300, math.nan, math.inf, -math.inf])
     def test_bad_lam_rejected(self, lam):
-        with pytest.raises(ParameterError, match="lam"):
-            PathChannel(CFG16, [0, 2], [1, -1], [1.0, 0.3j]).regularized_solve(np.ones(16), lam)
+        # lam is the noise power over the data power, checked by the equalizer's entry
+        h = PathChannel(CFG16, [0, 2], [1, -1], [1.0, 0.3j])
+        with pytest.raises(ParameterError, match="noise_power"):
+            equalize_demod(np.ones(16), h, np.zeros(16), FrameSpec(1.0, 1.0), lam)
 
     @pytest.mark.parametrize("gains, r, lam, message", [
         # |gain|^2 overflows in the band's diagonal products
@@ -296,7 +303,7 @@ class TestRegularizedSolve:
             warnings.simplefilter("error")
             for attempt in (1, 2):
                 with pytest.raises(NumericalError, match=message):
-                    h.regularized_solve(r, lam)
+                    h._daft_solve(r.astype(np.complex128), lam)
 
     def test_solved_channel_keeps_its_time_taps_and_one_factor(self, rng):
         # a tap and a read index per path and 2*spread + 1 factor rows of Nc
@@ -305,7 +312,7 @@ class TestRegularizedSolve:
         # (``_banded_cholesky``) and the band layout, which every channel of
         # that size and spread shares.
         cfg = AfdmConfig(n_sub=4096, c1=1 / 1024)
-        PathChannel(cfg, [0, 8], [0, 0], [1.0, 0.1]).regularized_solve(np.ones(4096), 0.1)
+        PathChannel(cfg, [0, 8], [0, 0], [1.0, 0.1])._daft_solve(np.ones(4096, dtype=np.complex128), 0.1)
         layout = _band_layout(4096, 8)
         assert layout.nbytes == (2 * 8 + 1) * 4096 * 8
         h = PathChannel(cfg, [0, 3, 8], [0, -2, 2], [1.0, 0.5j, 0.3])
@@ -313,7 +320,7 @@ class TestRegularizedSolve:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            h.regularized_solve(r, 0.1)
+            h._daft_solve(r, 0.1)
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
@@ -321,7 +328,7 @@ class TestRegularizedSolve:
 
     def test_solve_path_makes_no_scatter(self):
         # the band is read from the cyclic diagonals, never accumulated with np.add.at
-        solve_path = {"_time_taps", "_band", "regularized_solve"}
+        solve_path = {"_time_taps", "_band", "_daft_solve"}
         tree = ast.parse(textwrap.dedent(inspect.getsource(PathChannel)))
         found = set()
         for node in ast.walk(tree):
@@ -548,22 +555,20 @@ class TestSampleChannel:
         assert [(p.delay, p.doppler) for p in real.paths] == [(i // 3, float(i % 3 - 1)) for i in picks]
         assert rng.integers(1 << 62) == oracle.integers(1 << 62)
 
-    def test_grid_is_built_once_per_bounds(self, rng, monkeypatch):
-        built = []
-        init = BasisGrid.__post_init__
-        monkeypatch.setattr(BasisGrid, "__post_init__", lambda g: built.append(g) or init(g))
-        channel._grid.cache_clear()
-        for _ in range(3):
-            sample_channel(2, 3, 1, rng)
-        sample_channel(2, 2, 1, rng)
-        assert [(g.tau_m, g.nu_m) for g in built] == [(3, 1), (2, 1)]
+    def test_draws_build_no_grid(self, rng, monkeypatch):
+        # the picks are read by the grid's pair rule, with no BasisGrid and no cache
+        monkeypatch.setattr(BasisGrid, "__post_init__", lambda g: pytest.fail("a grid was built"))
+        real = sample_channel(3, 3, 1, rng)
+        assert len(real.paths) == 3
 
     @pytest.mark.parametrize("bound", [1.0, True, np.ones(2), "1"])
-    def test_bounds_are_checked_before_the_grid_cache(self, rng, bound):
-        sample_channel(2, 1, 1, rng)  # (1, 1) is cached: equal keys must not reach it
+    def test_bounds_are_checked_before_any_draw(self, rng, bound):
+        # 1.0 and True equal the valid bound 1, and neither may reach the draw
+        state = rng.bit_generator.state
         for args in ((bound, 1), (1, bound)):
             with pytest.raises(ParameterError, match="_m must be an integer"):
                 sample_channel(2, *args, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestSensingEcho:
@@ -737,15 +742,6 @@ class TestBatchedSensingEcho:
         shared = sensing_echo(s, CFG16, SensingTarget(0.5j, delays, 1.0, 0.0))
         single = sensing_echo(s[1], CFG16, SensingTarget(0.5j, delays[1], 1.0, 0.0))
         assert np.max(np.abs(shared[1] - single)) <= 1e-12 * np.max(np.abs(single))
-
-    def test_stack_noise_is_drawn_real_parts_first(self, rng):
-        s = self.make_stack(rng)
-        target = SensingTarget(np.ones(4), np.full(4, 1.5), np.zeros(4), 0.5)
-        seed = int(rng.integers(2**32))
-        noisy = sensing_echo(s, CFG16, target, np.random.default_rng(seed))
-        draws = np.random.default_rng(seed)
-        noise = math.sqrt(0.25) * (draws.standard_normal((4, 16)) + 1j * draws.standard_normal((4, 16)))
-        assert np.array_equal(noisy, sensing_echo(s, CFG16, target) + noise)
 
     @pytest.mark.parametrize("delays", [[0.0, 1.0, 4.5, 2.0], [0.0, -0.25, 1.0, 2.0]])
     def test_delay_outside_budget_rejected(self, rng, delays):

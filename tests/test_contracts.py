@@ -60,7 +60,7 @@ from afdm_isac.channel import (
     subcarrier_offset,
 )
 from afdm_isac.errors import ConfigurationError, ParameterError, check_integers
-from afdm_isac.estimator import PriorModel, equalize_demod, iterative_estimate
+from afdm_isac.estimator import PriorModel, build_psi, equalize_demod, iterative_estimate
 from afdm_isac.modem import FrameSpec, demap_symbols, map_bits, random_data_vector
 from afdm_isac.pilots import (
     PilotScheme,
@@ -74,6 +74,7 @@ from afdm_isac.pilots import (
     single_pilot,
     traditional_spacing,
     traditional_spi_pilot,
+    zc_sequence,
 )
 from afdm_isac.sensing import (
     DetectionConfig,
@@ -144,7 +145,6 @@ SITES = [
     ("apply_channel_time", lambda v: apply_channel_time(v, ChannelRealization((PATH,), 0.0, 2, 1), CFG),
      ConfigurationError, "^prefixed signal", set()),
     ("apply_basis.x", lambda v: apply_basis(v, CFG, 0, 0.0), ConfigurationError, "^DAFT-domain vector", set()),
-    ("regularized_solve.r", lambda v: H.regularized_solve(v, 0.1), ConfigurationError, "^r must", set()),
     ("ambiguity_moments_mc.x_pilot", lambda v: ambiguity_moments_mc(v, SPEC, CFG, [(0, 0)], 4, rng()),
      ConfigurationError, "^pilot", set()),
     ("verify_theorem_4.x_pilot", lambda v: verify_theorem_4(v, CFG, [(0, 0)]),
@@ -203,9 +203,6 @@ SITES = [
      "^noise_power", NONNEGATIVE),
     ("ChannelRealization.noise_power", lambda v: ChannelRealization((PATH,), v, 2, 1), ParameterError,
      "^noise_power", NONNEGATIVE),
-    ("PriorModel.noise_variance", lambda v: PriorModel(np.ones(2), v), ParameterError,
-     "^noise variance", NONNEGATIVE),
-    ("regularized_solve.lam", lambda v: H.regularized_solve(ONES, v), ParameterError, "^lam", NONNEGATIVE),
     ("equalize_demod.noise_power", lambda v: equalize_demod(ONES, H, X_P, SPEC, v), ParameterError,
      "^noise_power", NONNEGATIVE),
     ("iterative_estimate.noise_power", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, v),
@@ -213,6 +210,13 @@ SITES = [
     ("frame_power_profile.data_symbol_power", lambda v: frame_power_profile(ONES, v), ParameterError,
      "^data_symbol_power", NONNEGATIVE),
     ("equal_allocation.total", lambda v: equal_allocation(v, 16), ParameterError, "^total", NONNEGATIVE),
+    ("verify_theorem_2.total_data_power", lambda v: verify_theorem_2(CFG, 16.0, v), ParameterError,
+     "^total_data_power", NONNEGATIVE),
+    ("verify_theorem_3.total_data_power", lambda v: verify_theorem_3([CFG, CFG32], 16.0, v), ParameterError,
+     "^total_data_power", NONNEGATIVE),
+    # a finite number, real or complex: the pilot's own ambiguity value off the origin
+    ("af_statistics_closed_form.pilot_af", lambda v: af_statistics_closed_form(SPEC, CFG, False, v),
+     ParameterError, "^pilot_af", {"-1", "1j", "2.5"}),
     # an integer >= k
     ("iterative_estimate.n_iter", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, n_iter=v),
      ParameterError, "^n_iter", set()),
@@ -296,7 +300,9 @@ SITES = [
     ("AfdmConfig.delta_f", lambda v: AfdmConfig(n_sub=16, delta_f=v), ConfigurationError, "^delta_f", {"2.5"}),
     # a positive, finite real scalar
     ("PilotScheme.pilot_power", lambda v: PilotScheme("single", v), ParameterError, "^pilot_power", {"2.5"}),
-    ("DetectionConfig.gamma", lambda v: DetectionConfig(gamma=v), ParameterError, "^gamma", {"2.5"}),
+    # two integer half-widths
+    ("DetectionConfig.guard", lambda v: DetectionConfig(guard=v), ParameterError, "^guard", set()),
+    ("DetectionConfig.train", lambda v: DetectionConfig(train=v), ParameterError, "^train", set()),
     ("crb_distribution.total_power", lambda v: crb_distribution(CFG, TARGET, v, 4, rng()), ParameterError,
      "^total_power", {"2.5"}),
     # a real scalar, not NaN
@@ -351,8 +357,6 @@ SITES = [
     # None adds no noise
     ("apply_channel_time.rng", lambda v: apply_channel_time(S_CPP, ChannelRealization((PATH,), 1.0, 2, 1), CFG, v),
      ParameterError, "^rng must be of type", {"None"}),
-    ("sensing_echo.rng", lambda v: sensing_echo(ONES, CFG, TARGET, v), ParameterError, "^rng must be of type",
-     {"None"}),
     ("af_statistics_closed_form.spec", lambda v: af_statistics_closed_form(v, CFG, True), ParameterError,
      "^spec must be of type", set()),
     ("af_statistics_closed_form.cfg", lambda v: af_statistics_closed_form(SPEC, v, True), ParameterError,
@@ -387,6 +391,37 @@ SITES = [
      "^spec must be of type", set()),
     ("random_data_vector.rng", lambda v: random_data_vector(16, SPEC, v), ParameterError,
      "^rng must be of type", set()),
+    ("rdf.cfg", lambda v: rdf(ONES, ONES, ([1.0], [0.0]), v), ParameterError, "^cfg must be of type", set()),
+    ("noise_floor.rd_map", lambda v: noise_floor(v, SMALL_WINDOW), ParameterError, "^rd_map must be of type",
+     set()),
+    ("noise_floor.det", lambda v: noise_floor(MAP, v), ParameterError, "^det must be of type", set()),
+    ("detect.rd_map type", lambda v: detect(v, np.ones((2, 3)), 1.0), ParameterError, "^rd_map must be of type",
+     set()),
+    ("estimate_target.rd_map", lambda v: estimate_target(v), ParameterError, "^rd_map must be of type", set()),
+    # both before any draw
+    ("roc_curve.scenario", lambda v: roc_curve(v, [1.0], 100, rng()), ParameterError,
+     "^scenario must be of type", set()),
+    ("roc_curve.rng", lambda v: roc_curve(scenario(), [1.0], 100, v), ParameterError, "^rng must be of type",
+     set()),
+    ("pilot_vector.scheme", lambda v: pilot_vector(v, CFG, 1, 1), ParameterError, "^scheme must be of type",
+     set()),
+    # checked by the family's own function
+    ("pilot_vector.cfg", lambda v: pilot_vector(PilotScheme("proposed", 16.0), v, 1, 1), ParameterError,
+     "^cfg must be of type", set()),
+    ("proposed_pilot.cfg", lambda v: proposed_pilot(v, 16.0), ParameterError, "^cfg must be of type", set()),
+    ("proposed_spacing.cfg", lambda v: proposed_spacing(v, 0), ParameterError, "^cfg must be of type", set()),
+    ("proposed_delay_limit.cfg", lambda v: proposed_delay_limit(v), ParameterError, "^cfg must be of type",
+     set()),
+    ("select_c1_q.cfg", lambda v: select_c1_q(1, v), ParameterError, "^cfg must be of type", set()),
+    ("traditional_spacing.cfg", lambda v: traditional_spacing(v, 1, 1), ParameterError, "^cfg must be of type",
+     set()),
+    ("traditional_spi_pilot.cfg", lambda v: traditional_spi_pilot(v, 16.0, 1, 1), ParameterError,
+     "^cfg must be of type", set()),
+    ("single_pilot.cfg", lambda v: single_pilot(v, 16.0), ParameterError, "^cfg must be of type", set()),
+    ("max_unambiguous_delay.cfg", lambda v: max_unambiguous_delay(8, 1, v), ParameterError,
+     "^cfg must be of type", set()),
+    ("zc_sequence.params", lambda v: zc_sequence(v), ParameterError, "^params must be of type", set()),
+    ("build_psi.grid", lambda v: build_psi(X_P, v, CFG), ParameterError, "^grid must be of type", set()),
     # a member of the Constellation enum, a pilot family's name
     ("FrameSpec.constellation", lambda v: FrameSpec(1.0, 1.0, v), ParameterError, "^constellation", set()),
     ("PilotScheme.variant", lambda v: PilotScheme(v, 1.0), ParameterError, "^unknown pilot variant", set()),
@@ -408,16 +443,11 @@ SITES = [
     ("delay_doppler_to_range_velocity.nu_hat", lambda v: delay_doppler_to_range_velocity(1.0, v, CFG),
      ParameterError, "^nu_hat", {"wrong shape", "-1", "2 elements", "2.5", "True"}),
     # real numbers >= 0 of any shape, inf (a flat prior) too
-    ("PriorModel.gain_variances", lambda v: PriorModel(v, 1.0), ParameterError, "^prior variances",
+    ("PriorModel.gain_variances", lambda v: PriorModel(v), ParameterError, "^prior variances",
      {"wrong shape", "+inf", "2 elements", "2.5", "True"}),
     # finite reals of a fixed layout: a curve of (gamma, Pfa, Pd) rows, a non-empty power vector
     ("pd_at_pfa.curve", lambda v: pd_at_pfa(v, [0.1]), ParameterError, "^curve", {"wrong shape"}),
     ("PowerAllocation.powers", lambda v: PowerAllocation(v), ParameterError, "^powers", {"2 elements"}),
-    ("crb_distribution.allocations", lambda v: crb_distribution(CFG, TARGET, 16.0, 4, rng(), allocations=v),
-     ParameterError, "^allocation", {"None"}),  # None draws the allocations
-    # one threshold >= 0 (infinity too) or one per grid pair; None keeps the gains 3 posterior standard deviations from 0
-    ("iterative_estimate.eps", lambda v: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, eps=v),
-     ParameterError, "^threshold", {"+inf", "None", "2.5", "True"}),
     # a non-empty list of integer (delay, Doppler) pairs, each delay in [0, Nc):
     # the whole list, then one pair's delay or Doppler (numpy reads a bool
     # among integers as 0 or 1, and any integer Doppler is a path)
@@ -469,15 +499,11 @@ DEFECTS = {
     "sample_channel L 2.5": lambda: sample_channel(2.5, 2, 1, rng()),
     "sample_channel L True": lambda: sample_channel(True, 2, 1, rng()),
     # accepted, then the gain pinned to 0 without a word
-    "prior variance NaN": lambda: PriorModel(np.array([math.nan, 1.0]), 1.0),
-    "prior noise variance NaN": lambda: PriorModel(np.ones(2), math.nan),
-    # accepted, then no path kept
-    "threshold NaN": lambda: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, eps=math.nan),
+    "prior variance NaN": lambda: PriorModel(np.array([math.nan, 1.0])),
     # bare TypeError
     "FrameSpec pilot_power '1'": lambda: FrameSpec("1", 1.0),
     "FrameSpec pilot_power 1j": lambda: FrameSpec(1j, 1.0),
     "equalize_demod noise_power None": lambda: equalize_demod(ONES, H, X_P, SPEC, None),
-    "regularized_solve lam None": lambda: H.regularized_solve(ONES, None),
     "iterative_estimate noise_power '1'": lambda: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, "1"),
     # bare ValueError
     "equalize_demod noise_power 2 elements": lambda: equalize_demod(ONES, H, X_P, SPEC, np.ones(2)),
@@ -507,18 +533,12 @@ DEFECTS = {
     "FrameSpec constellation 'qpsk'": lambda: FrameSpec(1.0, 1.0, "qpsk"),
     # bare ZeroDivisionError
     "proposed_delay_limit K 0": lambda: proposed_delay_limit(AfdmConfig(n_sub=16)),
-    # bare ValueError from scipy
-    "regularized_solve r NaN": lambda: H.regularized_solve(np.full(16, math.nan), 0.1),
     # accepted, a numeric string read as a number
-    "threshold '1'": lambda: iterative_estimate(ONES, X_P, SPEC, GRID, CFG, 0.1, eps="1"),
     "PowerAllocation numeric strings": lambda: PowerAllocation(["1", "2"]),
-    "crb_distribution numeric strings": lambda: crb_distribution(
-        CFG, TARGET, 16.0, 0, None, allocations=np.full((2, 16), "1")
-    ),
-    "prior numeric strings": lambda: PriorModel(["1", "1"], 1.0),
+    "prior numeric strings": lambda: PriorModel(["1", "1"]),
     # accepted, an infinite noise level (with no data, a NaN one)
     "effective noise flat prior with data": lambda: iterative_estimate(
-        ONES, X_P, SPEC, GRID, CFG, 0.1, prior=PriorModel(np.full(len(GRID), math.inf), 0.0)
+        ONES, X_P, SPEC, GRID, CFG, 0.1, prior=PriorModel(np.full(len(GRID), math.inf))
     ),
     # bare AttributeError or TypeError from the first use of the argument
     "iterative_estimate spec None": lambda: iterative_estimate(ONES, X_P, None, GRID, CFG, 0.1),
@@ -570,8 +590,6 @@ DEFECTS = {
     "apply_channel_time rng 'x' without noise": lambda: apply_channel_time(
         S_CPP, ChannelRealization((PATH,), 0.0, 2, 1), CFG, "x"
     ),
-    "sensing_echo rng 'x'": lambda: sensing_echo(ONES, CFG, TARGET, "x"),
-    "sensing_echo rng 'x' without noise": lambda: sensing_echo(ONES, CFG, SensingTarget(1.0, 1.0, 0.0, 0.0), "x"),
     # bare AttributeError from the first use of the argument
     "idaft cfg None": lambda: idaft(ONES, None),
     "daft cfg as n_sub": lambda: daft(ONES, 16),
@@ -622,6 +640,51 @@ DEFECTS = {
     "verify_theorem_2 rng 'x'": lambda: verify_theorem_2(CFG, 16.0, 16.0, n_frames=4, rng="x", x_pilot=X_P),
     "verify_theorem_3 rng 'x'": lambda: verify_theorem_3([CFG, CFG32], 16.0, 16.0, n_frames=4, rng="x"),
     "crb_distribution rng None": lambda: crb_distribution(CFG, TARGET, 16.0, 4, None),
+    # bare TypeError
+    "verify_theorem_2 total_data_power None": lambda: verify_theorem_2(CFG, 16.0, None),
+    "verify_theorem_2 total_data_power '16'": lambda: verify_theorem_2(CFG, 16.0, "16"),
+    "verify_theorem_3 total_data_power None": lambda: verify_theorem_3([CFG, CFG32], 16.0, None),
+    "verify_theorem_3 total_data_power '16'": lambda: verify_theorem_3([CFG, CFG32], 16.0, "16"),
+    "af_statistics_closed_form pilot_af None": lambda: af_statistics_closed_form(SPEC, CFG, False, None),
+    # accepted, a numeric string read as a number; a NaN mean
+    "af_statistics_closed_form pilot_af '1'": lambda: af_statistics_closed_form(SPEC, CFG, False, "1"),
+    "af_statistics_closed_form pilot_af NaN": lambda: af_statistics_closed_form(SPEC, CFG, False, math.nan),
+    # bare TypeError ("not iterable")
+    "verify_theorem_3 cfgs None": lambda: verify_theorem_3(None, 16.0, 16.0),
+    "verify_theorem_3 cfgs 16": lambda: verify_theorem_3(16, 16.0, 16.0),
+    # bare TypeError ("not iterable"), or a bare ValueError from unpacking three axes
+    "ambiguity_function region None": lambda: ambiguity_function(ONES, None, CFG),
+    "ambiguity_function region 16": lambda: ambiguity_function(ONES, 16, CFG),
+    "ambiguity_function region of three axes": lambda: ambiguity_function(ONES, ([0], [0], [0]), CFG),
+    "ambiguity_decomposition region None": lambda: ambiguity_decomposition(X_P, ONES, None, CFG),
+    "ambiguity_decomposition region 16": lambda: ambiguity_decomposition(X_P, ONES, 16, CFG),
+    "ambiguity_decomposition region of three axes": lambda: ambiguity_decomposition(
+        X_P, ONES, ([0], [0], [0]), CFG
+    ),
+    "rdf grid None": lambda: rdf(ONES, ONES, None, CFG),
+    "rdf grid 16": lambda: rdf(ONES, ONES, 16, CFG),
+    "rdf grid of three axes": lambda: rdf(ONES, ONES, ([0.0], [0.0], [0.0]), CFG),
+    # bare AttributeError from the first use of the argument
+    "rdf cfg None": lambda: rdf(ONES, ONES, ([0.0], [0.0]), None),
+    "noise_floor rd_map as values": lambda: noise_floor(np.ones((2, 3)), SMALL_WINDOW),
+    "noise_floor det None": lambda: noise_floor(MAP, None),
+    "detect rd_map as values": lambda: detect(np.ones((2, 3)), np.ones((2, 3)), 1.0),
+    "estimate_target rd_map None": lambda: estimate_target(None),
+    "roc_curve scenario None": lambda: roc_curve(None, [1.0], 100, rng()),
+    "pilot_vector scheme as a name": lambda: pilot_vector("proposed", CFG, 1, 1),
+    "pilot_vector cfg None": lambda: pilot_vector(PilotScheme("single", 16.0), None, 1, 1),
+    "proposed_pilot cfg as n_sub": lambda: proposed_pilot(16, 16.0),
+    "proposed_spacing cfg None": lambda: proposed_spacing(None, 0),
+    "proposed_delay_limit cfg None": lambda: proposed_delay_limit(None),
+    "select_c1_q cfg as n_sub": lambda: select_c1_q(1, 16),
+    "traditional_spacing cfg None": lambda: traditional_spacing(None, 1, 1),
+    "traditional_spi_pilot cfg as n_sub": lambda: traditional_spi_pilot(16, 16.0, 1, 1),
+    "single_pilot cfg None": lambda: single_pilot(None, 16.0),
+    "max_unambiguous_delay cfg None": lambda: max_unambiguous_delay(8, 1, None),
+    "zc_sequence params as a length": lambda: zc_sequence(8),
+    "build_psi grid as pairs": lambda: build_psi(X_P, GRID.pairs, CFG),
+    # bare AttributeError from the first draw, after the symbols were built
+    "roc_curve rng 'x'": lambda: roc_curve(scenario(), [1.0], 100, "x"),
 }
 
 
@@ -642,12 +705,7 @@ UNFED = {
         # the Enum of the two constellations, fed through the FrameSpec.constellation rows
         "Constellation",
     },
-    pilots: {
-        # its one argument is a ZcParams, whose fields the ZcParams rows check
-        "zc_sequence",
-        # its one argument is an AfdmConfig; the K = 0 config is a DEFECTS row
-        "proposed_delay_limit",
-    },
+    pilots: set(),
     sensing: set(),
     channel: {
         # the grid type, built through basis_grid, whose rows feed both of its fields
@@ -656,9 +714,6 @@ UNFED = {
     estimator: {
         # the result record, which its one producer fills with checked values
         "EstimationResult",
-        # the FFT reference of the pilot model, which the benchmark pins down to
-        # the span that refuses a wrong shape (``daft.idaft``, not its own check)
-        "build_psi",
     },
 }
 

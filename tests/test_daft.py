@@ -383,8 +383,9 @@ class TestWaveformSamples:
 
     @pytest.mark.parametrize("n_sub, two_c1_n", [(64, 8), (63, 1)])
     def test_per_row_delays_match_single_calls(self, rng, n_sub, two_c1_n):
-        # a (rows, delays) array gives each signal its own delays; a column that
-        # mixes whole and fractional delays still gathers the whole ones
+        # a (rows, delays) array gives each signal its own delays; every whole
+        # delay is the window read of a lone whole delay, bit for bit, whatever
+        # its row and column hold, and the fractional ones are the closed form
         cfg = AfdmConfig(n_sub=n_sub, n_cpp=16, c1=two_c1_n / (2 * n_sub))
         s = idaft(rng.standard_normal((4, n_sub)) + 1j * rng.standard_normal((4, n_sub)), cfg)
         taus = np.array([[0.3, 2.0, 5.0], [2.0, 2.0, 1.5], [7.7, 2.0, 0.0], [16.0, 2.0, 3.25]])
@@ -392,7 +393,10 @@ class TestWaveformSamples:
         assert batch.shape == (4, 3, n_sub)
         for i, j in np.ndindex(taus.shape):
             single = waveform_samples(s[i], cfg, taus[i, j])
-            assert np.max(np.abs(batch[i, j] - single)) <= 1e-12 * np.max(np.abs(single))
+            if taus[i, j] % 1 == 0:
+                assert np.array_equal(batch[i, j], single)
+            else:
+                assert np.max(np.abs(batch[i, j] - single)) <= 1e-12 * np.max(np.abs(single))
         # a (rows, 1) column broadcasts one delay row over a (2, rows, Nc) stack
         stack = np.stack([s, 2.0 * s])
         assert np.array_equal(waveform_samples(stack, cfg, taus[:, :1])[1], 2.0 * batch[:, :1])

@@ -37,7 +37,7 @@ def test_importing_the_package_leaves_scipy_unloaded():
     assert _run(code) == "[]"
 
 
-# one banded solve and one iterative_estimate frame, run with scipy.linalg
+# one equalizer solve and one iterative_estimate frame, run with scipy.linalg
 # imported after them or before them; prints the scipy modules the two left
 # loaded, whether scipy's own lookup returns the equalizer's routines, and
 # the solution and the frame's estimates as hex bytes
@@ -55,7 +55,7 @@ from afdm_isac.pilots import proposed_pilot
 rng = np.random.default_rng(5)
 cfg = AfdmConfig(n_sub=64, n_cpp=8, c1=4 / 64)
 h = PathChannel(cfg, [0, 2, 3], [0, 1, -1], [1.0, 0.4j, -0.3])
-z = h.regularized_solve(rng.standard_normal(64) + 1j * rng.standard_normal(64), 0.1)
+z = h._daft_solve(rng.standard_normal(64) + 1j * rng.standard_normal(64), 0.1)
 x_p = proposed_pilot(cfg, 64 * 30.0)
 x_d = (rng.choice([-1.0, 1.0], 64) + 1j * rng.choice([-1.0, 1.0], 64)) * np.sqrt(15.0)
 y = h @ (x_p + x_d) + rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -155,7 +155,7 @@ def test_only_daft_calls_the_chirp_periodic_extension():
 
 def test_only_channel_reads_the_path_taps():
     # PathChannel.images is the one place the DAFT-domain taps meet a vector,
-    # and regularized_solve the one reader of the time taps
+    # and the equalizer's _daft_solve the one reader of the time taps
     for name in MODULES:
         tree = ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text())
         read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -211,10 +211,9 @@ def test_exponentials_are_called_where_listed():
 
 
 def test_caches_stay_where_they_are_listed():
-    # four caches (the banded solve's band layout, the grids sample_channel
-    # draws from and the LAPACK routines of the banded solve in channel, the
-    # estimator's pilot model), and each cached property by name: every one
-    # is re-read by some workload, so a new one is a decision
+    # three caches (the banded solve's band layout and its LAPACK routines in
+    # channel, the estimator's pilot model), and each cached property by name:
+    # every one is re-read by some workload, so a new one is a decision
     caches, cached_properties = [], set()
     for path in sorted((SRC / "afdm_isac").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -238,7 +237,7 @@ def test_caches_stay_where_they_are_listed():
                 caches.append((path.name, owner.get(node)))
             elif name == "cached_property":
                 cached_properties.add((owner.get(node, path.name), decorated.get(node)))
-    assert caches == [("channel.py", None)] * 3 + [("estimator.py", None)]
+    assert caches == [("channel.py", None)] * 2 + [("estimator.py", None)]
     assert cached_properties == {
         ("AfdmConfig", "c1_chirp"),
         ("AfdmConfig", "c2_chirp"),
@@ -296,6 +295,13 @@ TEST_ONLY = {
 }
 
 
+def _inventory_files() -> dict:
+    """The parsed modules of the package, by name, and the benchmark's workloads."""
+    files = {path.stem: ast.parse(path.read_text()) for path in sorted((SRC / "afdm_isac").glob("*.py"))}
+    files["workloads"] = ast.parse((SRC.parent / "perfbench" / "workloads.py").read_text())
+    return files
+
+
 def _public_uses() -> dict:
     """(module, name) -> number of uses, for each name in a module's ``__all__``.
 
@@ -305,8 +311,7 @@ def _public_uses() -> dict:
     and the imports are not uses.  The package's own ``__all__`` re-exports
     names that their modules list, so it adds none.
     """
-    files = {path.stem: ast.parse(path.read_text()) for path in sorted((SRC / "afdm_isac").glob("*.py"))}
-    files["workloads"] = ast.parse((SRC.parent / "perfbench" / "workloads.py").read_text())
+    files = _inventory_files()
     public = {}
     for module, tree in files.items():
         for node in tree.body if module != "__init__" else ():
@@ -340,3 +345,119 @@ def test_every_public_name_has_a_caller_or_a_reason():
     unused = {key for key, count in uses.items() if count == 0}
     assert unused - set(TEST_ONLY) == set(), "public names without a caller"
     assert set(TEST_ONLY) - unused == set(), "listed names that have a caller"
+
+
+# options with a default that no call in the package or the benchmark's workloads
+# passes, each with the reason it stays; an option that gains a caller must leave
+UNPASSED = {
+    ("sensing", "sensing_grid", "os_tau"): "an oversampled delay search axis (ROADMAP item 4's refinement)",
+    ("sensing", "sensing_grid", "os_nu"): "an oversampled Doppler search axis (ROADMAP item 4's refinement)",
+    ("pilots", "proposed_pilot", "r"): "the paper's comb design: a sparser comb of spacing K*2^r",
+    ("pilots", "proposed_pilot", "zc_root"): "the paper's comb design: the comb's Zadoff-Chu root",
+    ("estimator", "iterative_estimate", "prior"): "a caller's own gain prior, the input of ROADMAP item 12",
+    ("estimator", "iterative_estimate", "known_data"): "the genie data feedback of ROADMAP item 12",
+    ("analysis", "af_statistics_closed_form", "pilot_af"): "the off-origin mean, the pilot's own ambiguity value",
+    ("analysis", "verify_theorem_3", "n_frames"): "Theorem 3's Monte Carlo slope (the theorem is in TEST_ONLY)",
+    ("analysis", "verify_theorem_3", "rng"): "Theorem 3's Monte Carlo slope (the theorem is in TEST_ONLY)",
+}
+
+
+def _public_functions(module: str, tree) -> dict:
+    """(module, qualified name) -> FunctionDef of each public function and public method
+    of a public class: the names in ``__all__``, or every name without a leading
+    underscore where the module has none."""
+    listed = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    ]
+    public = set(listed[0]) if listed else None
+    found = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if public is not None and node.name not in public:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            found[(module, node.name)] = node
+        for child in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(child, ast.FunctionDef) and not child.name.startswith("_"):
+                found[(module, f"{node.name}.{child.name}")] = child
+    return found
+
+
+def _passed(call: ast.Call, params: list[str]) -> set:
+    """The parameters among ``params`` (positional order) that ``call`` passes."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return set(params)
+    return set(params[: len(call.args)]) | {kw.arg for kw in call.keywords}
+
+
+def _unpassed_options() -> set:
+    """(module, function, parameter) of each defaulted parameter of a public function
+    that no call in the package or the workloads passes."""
+    files = _inventory_files()
+    functions = {key: node for module, tree in files.items() for key, node in _public_functions(module, tree).items()}
+    calls = [node for tree in files.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    unpassed = set()
+    for (module, qualified), node in functions.items():
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args]
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        if "." in qualified and not static:
+            params = params[1:]  # self or cls
+        defaulted = params[len(params) - len(args.defaults):] if args.defaults else []
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        name = qualified.rpartition(".")[2]
+        passed = set()
+        for call in calls:
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) == name:
+                passed |= _passed(call, params + [a.arg for a in args.kwonlyargs])
+        unpassed |= {(module, qualified, p) for p in defaulted if p not in passed}
+    return unpassed
+
+
+def test_every_option_is_passed_or_has_a_reason():
+    # an option that only the tests set fails here until it has a caller or a reason
+    unpassed = _unpassed_options()
+    assert unpassed - set(UNPASSED) == set(), "options that no caller passes"
+    assert set(UNPASSED) - unpassed == set(), "listed options that a caller passes, or that are gone"
+
+
+def _unread_fields() -> set:
+    """(module, class, field) of each dataclass field that its ``__post_init__`` checks
+    (read as ``self.<field>`` or named by a string there) and that nothing in the
+    package or the workloads reads as an attribute outside that ``__post_init__``."""
+    files = _inventory_files()
+    checked, inits = set(), set()
+    for module, tree in files.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = {
+                item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            }
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                    inits.add(item)
+                    named = {
+                        sub.attr if isinstance(sub, ast.Attribute) else sub.value
+                        for sub in ast.walk(item)
+                        if (isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "self")
+                        or (isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+                    }
+                    checked |= {(module, node.name, name) for name in fields & named}
+    inside = {id(sub) for init in inits for sub in ast.walk(init)}
+    read = {
+        node.attr
+        for tree in files.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+    }
+    return {key for key in checked if key[2] not in read}
+
+
+def test_every_checked_field_is_read():
+    # a field that is validated and then never read ignores what a caller passes
+    assert _unread_fields() == set()
