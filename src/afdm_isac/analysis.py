@@ -87,6 +87,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     check_count,
+    check_finite,
     check_integers,
     check_nonnegative,
     check_number,
@@ -273,15 +274,15 @@ def ambiguity_moments_mc(
     Every frame's value is bit for bit the same at any block size.
 
     ``cfg``, ``spec`` and ``rng`` must be an ``AfdmConfig``, a ``FrameSpec``
-    and a numpy ``Generator``, ``x_pilot`` have shape (Nc,), ``points`` be a
-    non-empty list of integer (delay, Doppler) pairs and ``n_frames`` an
+    and a numpy ``Generator``, ``x_pilot`` finite of shape (Nc,), ``points``
+    a non-empty list of integer (delay, Doppler) pairs and ``n_frames`` an
     integer >= 1; all are checked before any draw.
     """
     check_type(cfg, AfdmConfig, "cfg")
     check_type(spec, FrameSpec, "spec")
     check_type(rng, np.random.Generator, "rng")
     n = cfg.n_sub
-    x_pilot = check_vector(x_pilot, n, "pilot")
+    x_pilot = check_finite(check_vector(x_pilot, n, "pilot"), "pilot")
     check_count(n_frames, "n_frames")
     taus, nus = _delay_doppler_pairs(points, "ambiguity points")
     off = (taus != 0) | (nus != 0)  # the origin reads the frame energy
@@ -444,12 +445,13 @@ def verify_theorem_4(
     an ideal pilot therefore yields a scaled-identity Gram.  ``passed``
     reflects only the identity residual (relative tolerance
     ``_IDENTITY_TOL``); consumers judge the off-diagonal magnitudes via the
-    report.  ``pairs`` is a non-empty list of integer (delay, Doppler)
-    pairs, each delay in [0, Nc), checked before the model is read.
+    report.  ``x_pilot`` is finite of shape (Nc,) and ``pairs`` a non-empty
+    list of integer (delay, Doppler) pairs, each delay in [0, Nc), both
+    checked before the model is read.
     """
     check_type(cfg, AfdmConfig, "cfg")
     n = cfg.n_sub
-    x_pilot = check_vector(x_pilot, n, "pilot")
+    x_pilot = check_finite(check_vector(x_pilot, n, "pilot"), "pilot")
     taus, nus = _delay_doppler_pairs(pairs, "pairs")
     if taus.min() < 0 or taus.max() >= n:
         raise ParameterError(f"pair delays must lie in [0, {n}), got {pairs!r}")

@@ -22,12 +22,12 @@ path gain alpha taken as beta = alpha * exp(-j*2*pi*nu*tau/Nc), so a path is
 the chirp-periodic-prefix model of Bemani, Ghogho and Kountouris.  At an
 integer Doppler the same path in the DAFT domain is the unitary matrix
 A * Gamma * Pi^tau * Delta_nu * A^H scaled by alpha, one nonzero per row;
-``PathChannel`` keeps a sum of such paths in that structured form, and the
-tests check it against the dense matrices.  Arguments are validated once
-at the public entry: the public constructor and the transforms check
-theirs, while the estimator builds its channels by ``PathChannel._trusted``
-and equalizes by ``PathChannel._daft_solve`` over arrays it has checked or
-built itself, with no check.
+``PathChannel`` keeps a sum of such paths as one table of those nonzeros,
+and the tests check it against the dense matrices.  Arguments are
+validated once at the public entry: the public constructor and the
+transforms check theirs, while the estimator builds its channels by
+``PathChannel._trusted`` and equalizes by ``PathChannel._daft_solve`` over
+arrays it has checked or built itself, with no check.
 """
 
 from __future__ import annotations
@@ -303,13 +303,13 @@ class PathChannel:
     ``dopplers`` and ``gains`` are read-only copies of the arguments, so a
     later write to the caller's arrays cannot change the channel or make its
     state stale (``_trusted`` takes over fresh arrays instead of copying).
-    It keeps two tap tables, built once on first use: the
-    DAFT-domain taps of ``images`` and the time taps of H_t^H with their
-    read indices, P*Nc*24 bytes for P paths, for the H_t^H r of every solve;
-    and one factor, the banded Cholesky factor of the last lam,
-    (2*spread + 1)*Nc*16 bytes with spread = max(tau) - min(tau) (about
-    140 KB at Nc = 512 with a spread of 8, 71 MB at Nc = 2^18).  The band's
-    Gram diagonals are not kept: every workload factors a channel at one lam.
+    It keeps one tap table, the source columns and taps that every product,
+    the dense view and the H^H r of every solve read, P*Nc*24 bytes for P
+    paths, built on the first product or solve; and one factor, the banded
+    Cholesky factor of the last lam, (2*spread + 1)*Nc*16 bytes with
+    spread = max(tau) - min(tau) (about 140 KB at Nc = 512 with a spread
+    of 8, 71 MB at Nc = 2^18).  The band's Gram diagonals are not kept:
+    every workload factors a channel at one lam.
     """
 
     cfg: AfdmConfig
@@ -375,32 +375,6 @@ class PathChannel:
         np.add.at(out, (np.broadcast_to(np.arange(n), q.shape), q), taps)
         return out if dtype is None else out.astype(dtype, copy=False)
 
-    @functools.cached_property
-    def _time_taps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read indices and taps of H_t^H, both (paths, Nc) and read-only, one row per path.
-
-        Column c belongs to unknown u = ``_unknown_order(Nc)[c]``, the order
-        of the banded solve.  Path p maps input u to output <u + tau_p>_Nc
-        with weight gain * exp(j*2*pi*nu*u/Nc), the phase reduced in
-        integers, negated where u + tau wraps past Nc when K*Nc is odd: that
-        output reads the symbol through the chirp-periodic prefix.  The tap
-        is the conjugate weight and reads[p, c] = <u + tau_p>_Nc, so
-        (H_t^H r)[u] is the sum over paths of taps[p, c] * r[reads[p, c]],
-        already in the solve's order.
-        """
-        n, cfg = self.cfg.n_sub, self.cfg
-        order = _unknown_order(n)
-        reads = order + self.delays[:, None]
-        wraps = reads >= n
-        np.subtract(reads, n, out=reads, where=wraps)
-        # conj(gain * exp(j*2*pi*nu*u/Nc)) is conj(gain) times the twiddle at nu*u mod Nc
-        taps = np.conj(self.gains)[:, None] * cfg.dft_twiddle[np.multiply.outer(self.dopplers % n, order) % n]
-        if cfg.prefix_flips:
-            taps[wraps] *= -1
-        reads.flags.writeable = False
-        taps.flags.writeable = False
-        return reads, taps
-
     def _band(self, lam: float) -> np.ndarray:
         """Lower band of H_t^H H_t + lam*I with the unknowns ordered [0, Nc-1, 1, Nc-2, ...].
 
@@ -445,24 +419,30 @@ class PathChannel:
     def _daft_solve(self, r: np.ndarray, lam: float) -> np.ndarray:
         """The DAFT-domain (H^H H + lam*I)^{-1} H^H r of a finite complex128 (Nc,)
         ``r`` and a finite lam >= 0, unchecked: ``daft`` of the time-domain
-        (H_t^H H_t + lam*I)^{-1} H_t^H ``idaft(r)`` (A is unitary, H = A H_t A^H).
+        (H_t^H H_t + lam*I)^{-1} H_t^H idaft(r), where A is unitary and
+        H = A H_t A^H, so H_t^H idaft(r) is ``idaft`` of H^H r.
 
+        H^H r is read from the tap table: path i's row p puts
+        conj(taps[i, p]) * r[p] at column q[i, p], one permutation per path.
         The Hermitian matrix, of cyclic half-bandwidth at most the spread,
         is an ordinary band twice as wide with the unknowns ordered
         [0, Nc-1, 1, Nc-2, ...] (``_band``), factored by one banded Cholesky
         decomposition at O(Nc*spread^2) and kept for the last lam, so a
-        repeat costs one gather and product of the time taps and two
-        triangular solves.  A matrix that is not positive definite or
-        overflows raises ``NumericalError`` (with no warning) on every call
-        and leaves no factor kept, and so does a solution that overflows.
+        repeat costs H^H r, one ``idaft`` and two triangular solves.  A
+        matrix that is not positive definite or overflows raises
+        ``NumericalError`` (with no warning) on every call and leaves no
+        factor kept, and so does a solution that overflows.
         """
         pbtrf, pbtrs = _banded_cholesky()
-        reads, taps = self._time_taps
+        q, taps = self._daft_taps
         cached = self._factor
         refactor = cached is None or cached[0] != lam
         # an overflow here leaves a non-finite band or solution, refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            ordered = (taps * _idaft(r, self.cfg).take(reads)).sum(axis=0)  # H_t^H r in the band's order
+            adjoint = np.empty_like(taps)
+            np.put_along_axis(adjoint, q, np.conj(taps) * r, axis=-1)
+            # H_t^H idaft(r) in the band's order
+            ordered = _idaft(adjoint.sum(axis=0), self.cfg)[_unknown_order(self.cfg.n_sub)]
             band = self._band(lam) if refactor else None
         if refactor:
             if not np.isfinite(band).all():

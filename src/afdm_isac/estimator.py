@@ -31,18 +31,19 @@ The data are equalized by regularized least squares in the time domain,
 where the channel is a cyclic band of width tau_m, with one banded Cholesky
 solve.  This is exact: the DAFT matrix A is unitary, so with
 H = A H_t A^H the DAFT-domain solution (H^H H + lam I)^{-1} H^H r equals
-A (H_t^H H_t + lam I)^{-1} H_t^H A^H r.  The channel estimate factors its
-banded matrix once per lam and keeps only that factor, (2*spread + 1)*Nc*16
-bytes, so a repeat costs two triangular solves; the solve reports its own
-failures.  Pilot-data interference can be peeled iteratively: demodulate
-with the current estimate, subtract the rebuilt data contribution, and
-re-estimate against the smaller residual noise.  Each iteration pushes its
-estimate through the frame once: the pilot's image through it is
-Psi_p (alpha_hat * indicator), one conjugate product with the cached
-Psi_p^H, so the equalizer starts from the pilot-free observation; and the
-one product of the estimate with the demodulated data serves both the
-iteration's residual and the next iteration's observation.  Each
-iteration's residual norm and effective noise c are returned with the
+A (H_t^H H_t + lam I)^{-1} H_t^H A^H r.  The channel estimate keeps one
+tap table, P*Nc*24 bytes built on its first product or solve, which gives
+H^H r, and the factor of its banded matrix at its last lam,
+(2*spread + 1)*Nc*16 bytes, so a repeat costs two triangular solves; the
+solve reports its own failures.  Pilot-data interference can be peeled
+iteratively: demodulate with the current estimate, subtract the rebuilt
+data contribution, and re-estimate against the smaller residual noise.
+Each iteration pushes its estimate through the frame once: the pilot's
+image through it is Psi_p (alpha_hat * indicator), one conjugate product
+with the cached Psi_p^H, so the equalizer starts from the pilot-free
+observation; and the one product of the estimate with the demodulated data
+serves both the iteration's residual and the next iteration's observation.
+Each iteration's residual norm and effective noise c are returned with the
 estimate.  The receiver has one public entry per stage:
 ``iterative_estimate`` (posterior, 3-sigma support test and channel
 estimate) and ``equalize_demod`` check their typed arguments (``FrameSpec``,
@@ -218,14 +219,12 @@ def _pilot_model(cfg: AfdmConfig, pairs: tuple[tuple[int, int], ...], pilot: byt
 def _posterior(corr, gram, diagonal, g: np.ndarray, noise_variance: float) -> tuple[np.ndarray, np.ndarray]:
     """Gain estimate and posterior variances from corr = Psi^H y and gram = Psi^H Psi.
 
-    ``g`` holds a ``PriorModel``'s checked gain variances; ``noise_variance``,
+    ``g`` holds a checked ``PriorModel`` variance per column; ``noise_variance``,
     the interference level c, is checked here, since the iterations compute it.
     ``diagonal`` is the Gram's ``_gram_diagonal``: when it is not None the
     posterior is elementwise, else it inverts the normal matrix.
     """
     check_nonnegative(noise_variance, "noise variance")
-    if g.shape != corr.shape:
-        raise ParameterError(f"{g.shape} prior variances for {corr.size} columns")
     free = g > 0
     alpha = np.zeros(free.size, dtype=np.complex128)
     variances = np.zeros(free.size)
@@ -339,9 +338,10 @@ def iterative_estimate(
     and a given ``known_data`` must have shape (Nc,) (else
     ``ConfigurationError``) and finite entries, ``spec``, ``grid``, ``cfg``
     and a given ``prior`` must be a ``FrameSpec``, ``BasisGrid``,
-    ``AfdmConfig`` and ``PriorModel``, ``noise_power`` must be finite and
-    >= 0 and ``n_iter`` an integer >= 1 (else ``ParameterError``), all
-    checked once, before any work.
+    ``AfdmConfig`` and ``PriorModel``, a given prior must hold one variance
+    per grid pair, ``noise_power`` must be finite and >= 0 and ``n_iter`` an
+    integer >= 1 (else ``ParameterError``), all checked once, before any
+    work.
     """
     check_type(spec, FrameSpec, "spec")
     check_type(grid, BasisGrid, "grid")
@@ -354,10 +354,12 @@ def iterative_estimate(
     x_pilot = check_finite(check_vector(x_pilot, cfg.n_sub, "x_pilot"), "x_pilot")
     if known_data is not None:
         known_data = check_finite(check_vector(known_data, cfg.n_sub, "known_data"), "known_data")
-    model = _pilot_model(cfg, grid.pairs, x_pilot.tobytes())
     if prior is None:
         prior = PriorModel.uniform(grid)
+    elif prior.gain_variances.shape != (len(grid),):
+        raise ParameterError(f"{prior.gain_variances.shape} prior variances for {len(grid)} columns")
     c_it = _interference(prior.gain_variances, spec.data_symbol_power, noise_power)
+    model = _pilot_model(cfg, grid.pairs, x_pilot.tobytes())
     residuals: list[float] = []
     noise_levels: list[float] = []
     observation = y

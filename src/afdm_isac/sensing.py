@@ -312,9 +312,10 @@ class SensingScenario:
     random gain phase; the gain magnitude realizes
     ``receive_snr_db`` = |beta|^2 * Pt / (Nc * noise_power) in dB.  The
     budgets are integers with 1 <= tau_m <= cfg.n_cpp, so every delay of the
-    search grid lies within the prefix; the SNR is finite and the noise power
-    finite and non-negative (0 is a noiseless scenario).  The traditional
-    comb's footprint is the (tau_m, nu_m) the receiver searches.
+    search grid lies within the prefix, and 1 <= nu_m, so the Doppler range
+    is not empty; the SNR is finite and the noise power finite and
+    non-negative (0 is a noiseless scenario).  The traditional comb's
+    footprint is the (tau_m, nu_m) the receiver searches.
     """
 
     cfg: AfdmConfig

@@ -354,6 +354,33 @@ class TestAmbiguityMomentsInTheDaftDomain:
         assert "mc_origin" in report.details
 
 
+class TestNonFinitePilot:
+    """A pilot with a non-finite entry is refused before any draw or pilot-model
+    read; it gave all-NaN moments, a failed Theorem 2 report, or a NaN model
+    cached by Theorem 4 before its error."""
+
+    CFG = AfdmConfig(n_sub=64, c1=1 / 16)
+    CALLS = {
+        "ambiguity_moments_mc": lambda cfg, x_p, rng: ambiguity_moments_mc(
+            x_p, FrameSpec(16.0, 1.0), cfg, [(0, 0), (1, 1)], 10, rng
+        ),
+        "verify_theorem_2": lambda cfg, x_p, rng: verify_theorem_2(cfg, 16.0, 64.0, n_frames=10, rng=rng, x_pilot=x_p),
+        "verify_theorem_4": lambda cfg, x_p, rng: verify_theorem_4(x_p, cfg, basis_grid(2, 1).pairs),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused_before_any_draw_or_model(self, rng, call, bad):
+        x_p = proposed_pilot(self.CFG, 16.0)
+        x_p[3] = bad
+        state = rng.bit_generator.state
+        before = estimator._pilot_model.cache_info()
+        with pytest.raises(ParameterError, match="^pilot must be finite"):
+            self.CALLS[call](self.CFG, x_p, rng)
+        assert rng.bit_generator.state == state
+        assert estimator._pilot_model.cache_info() == before
+
+
 class TestAmbiguitySymbolDraws:
     """The Monte Carlo's data symbols: packed random bytes, whole 32-bit words per frame."""
 
@@ -670,6 +697,9 @@ class TestCrb:
         assert bounds.crb_nu == pytest.approx(front * a / det, rel=1e-9)
         assert bounds.crb_range == pytest.approx(
             (3e8 * cfg.t_s / 2) ** 2 * front * c / det, rel=1e-9
+        )
+        assert bounds.crb_velocity == pytest.approx(
+            (3e8 * cfg.delta_f / (2 * cfg.f_c)) ** 2 * front * a / det, rel=1e-9
         )
 
     def test_equal_allocation_closed_form_at_large_n(self):

@@ -168,8 +168,7 @@ class TestPathChannel:
         h._daft_solve(np.ones(16, dtype=np.complex128), 0.1)
         q, taps = h._daft_taps
         assert h._daft_taps[1] is taps
-        solve_parts = (h._time_taps[1], h._factor[1])
-        for arr in (h.delays, h.dopplers, h.gains, q, taps, *solve_parts):
+        for arr in (h.delays, h.dopplers, h.gains, q, taps, h._factor[1]):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -305,10 +304,11 @@ class TestRegularizedSolve:
                 with pytest.raises(NumericalError, match=message):
                     h._daft_solve(r.astype(np.complex128), lam)
 
-    def test_solved_channel_keeps_its_time_taps_and_one_factor(self, rng):
-        # a tap and a read index per path and 2*spread + 1 factor rows of Nc
-        # values, plus 4 KiB for the objects that hold them; no lam-free Gram
-        # copy.  A first channel of the same spread loads scipy's LAPACK wrapper
+    def test_solved_channel_keeps_its_daft_taps_and_one_factor(self, rng):
+        # the one tap table, a tap and a source column per path and subcarrier,
+        # and 2*spread + 1 factor rows of Nc values, plus 4 KiB for the objects
+        # that hold them; no lam-free Gram copy and no second tap table.  A
+        # first channel of the same spread loads scipy's LAPACK wrapper
         # (``_banded_cholesky``) and the band layout, which every channel of
         # that size and spread shares.
         cfg = AfdmConfig(n_sub=4096, c1=1 / 1024)
@@ -324,11 +324,11 @@ class TestRegularizedSolve:
             retained = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert retained <= (3 * 8 + 2) * 4096 * 16 + 4096
+        assert retained <= 3 * 4096 * 24 + (2 * 8 + 1) * 4096 * 16 + 4096
 
     def test_solve_path_makes_no_scatter(self):
         # the band is read from the cyclic diagonals, never accumulated with np.add.at
-        solve_path = {"_time_taps", "_band", "_daft_solve"}
+        solve_path = {"_band", "_daft_solve"}
         tree = ast.parse(textwrap.dedent(inspect.getsource(PathChannel)))
         found = set()
         for node in ast.walk(tree):

@@ -99,6 +99,7 @@ GRID = basis_grid(2, 1)
 H = PathChannel(CFG, [0, 1], [0, 1], [1.0, 0.2j])
 X_P = single_pilot(CFG, 16.0)
 ONES = np.ones(CFG.n_sub, dtype=complex)
+NAN_PILOT = np.where(np.arange(CFG.n_sub) == 3, math.nan, X_P)
 S_CPP = np.ones(CFG.n_sub + CFG.n_cpp, dtype=complex)  # a prefixed signal
 TARGET = SensingTarget(1.0, 1.0, 0.0, 1.0)
 POWER = equal_allocation(16.0, 16)
@@ -576,6 +577,10 @@ DEFECTS = {
     "ambiguity_moments_mc numeric strings": lambda: ambiguity_moments_mc(
         X_P, SPEC, CFG, [("1", "0")], 4, rng()
     ),
+    # all-NaN moments; a failed report; a NaN pilot model cached before the error
+    "ambiguity_moments_mc pilot NaN": lambda: ambiguity_moments_mc(NAN_PILOT, SPEC, CFG, [(0, 0)], 4, rng()),
+    "verify_theorem_2 pilot NaN": lambda: verify_theorem_2(CFG, 16.0, 16.0, n_frames=4, rng=rng(), x_pilot=NAN_PILOT),
+    "verify_theorem_4 pilot NaN": lambda: verify_theorem_4(NAN_PILOT, CFG, [(0, 0), (1, 0)]),
     # bare AttributeError from the first use of the argument
     "apply_channel_time cfg as n_sub": lambda: apply_channel_time(S_CPP, ChannelRealization((PATH,), 0.0, 2, 1), 16),
     "apply_channel_time realization as paths": lambda: apply_channel_time(S_CPP, (PATH,), CFG),

@@ -218,11 +218,6 @@ class TestZeroVariancePrior:
         assert np.all(est == 0)
         assert np.all(post == 0)
 
-    def test_prior_length_must_match(self, rng):
-        psi, y, _ = self.problem(rng)
-        with pytest.raises(ParameterError):
-            mmse_estimate(y, psi, PriorModel(np.ones(8)), 0.2)
-
 
 class TestThreshold:
     """The support test of ``iterative_estimate``: 3 posterior standard deviations."""
@@ -932,6 +927,20 @@ class TestCheckedOnce:
         equalize_demod(y, res.h_eff_hat, x_p, spec, 1.0)
         assert checks == {PathChannel: 0, PriorModel: 1}
 
+    @pytest.mark.parametrize("prior, message", [
+        (PriorModel(np.ones(3)), r"^\(3,\) prior variances for 12 columns"),
+        (PriorModel(np.full(12, math.inf)), "flat prior"),
+    ], ids=["wrong length", "flat with data"])
+    def test_bad_prior_refused_before_the_pilot_model(self, rng, prior, message):
+        # both were refused only after the pilot model had been built and cached; the
+        # posterior kernel trusts the prior's length
+        x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
+        y, spec, _ = link_frame(rng, self.CFG64, self.GRID64, x_p)
+        before = estimator._pilot_model.cache_info()
+        with pytest.raises(ParameterError, match=message):
+            iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0, prior=prior)
+        assert estimator._pilot_model.cache_info() == before
+
     def test_trusted_channel_is_the_checked_one(self, rng):
         # the iterations' channel, built without checks, equals the public constructor's
         x_p = random_unit_symbols(rng, 64) * math.sqrt(30.0)
@@ -946,6 +955,36 @@ class TestCheckedOnce:
         v = random_unit_symbols(rng, 64)
         assert np.array_equal(h @ v, checked @ v)
         assert np.array_equal(h._daft_solve(v, 0.1), checked._daft_solve(v, 0.1))
+
+
+class TestEqualizerDecisions:
+    """The link reads the equalizer only through its QPSK decisions, which are signs:
+    a relative change of 2^-20 in every soft symbol moves no estimate, residual or
+    bit, so an equalizer that rounds differently keeps the link's outcomes."""
+
+    CFG64 = AfdmConfig(n_sub=64, n_cpp=8, c1=4 / 64)
+    GRID64 = basis_grid(tau_m=3, nu_m=1)
+
+    @pytest.mark.parametrize("n_iter", [1, 3])
+    def test_scaled_solve_moves_only_the_soft_symbols(self, monkeypatch, rng, n_iter):
+        x_p = proposed_pilot(self.CFG64, 64 * 30.0)
+        frames = [link_frame(rng, self.CFG64, self.GRID64, x_p) for _ in range(4)]
+
+        def run():
+            out = []
+            for y, spec, _ in frames:
+                res = iterative_estimate(y, x_p, spec, self.GRID64, self.CFG64, 1.0, n_iter=n_iter)
+                out.append((res, *equalize_demod(y, res.h_eff_hat, x_p, spec, 1.0)))
+            return out
+
+        plain = run()
+        solve = PathChannel._daft_solve
+        monkeypatch.setattr(PathChannel, "_daft_solve", lambda h, r, lam: solve(h, r, lam) * (1 + 2**-20))
+        for (res, x_d, bits), (scaled, x_d_scaled, bits_scaled) in zip(plain, run(), strict=True):
+            for name in ("alpha_hat", "indicator", "residual_norms", "noise_levels"):
+                assert np.array_equal(getattr(res, name), getattr(scaled, name)), name
+            assert np.array_equal(bits, bits_scaled)
+            assert not np.array_equal(x_d, x_d_scaled)
 
 
 class TestPilotModel:

@@ -154,12 +154,12 @@ def test_only_daft_calls_the_chirp_periodic_extension():
 
 
 def test_only_channel_reads_the_path_taps():
-    # PathChannel.images is the one place the DAFT-domain taps meet a vector,
-    # and the equalizer's _daft_solve the one reader of the time taps
+    # PathChannel keeps one tap table, the DAFT-domain taps: its products, its
+    # dense view and the equalizer's _daft_solve read it, and no other module does
     for name in MODULES:
         tree = ast.parse((SRC / "afdm_isac" / f"{name}.py").read_text())
         read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert name == "channel" or not read & {"_daft_taps", "_time_taps"}, name
+        assert name == "channel" or "_daft_taps" not in read, name
 
 
 def test_no_module_calls_the_dense_daft_matrix():
@@ -243,7 +243,6 @@ def test_caches_stay_where_they_are_listed():
         ("AfdmConfig", "c2_chirp"),
         ("AfdmConfig", "dft_twiddle"),
         ("PathChannel", "_daft_taps"),
-        ("PathChannel", "_time_taps"),
     }
 
 

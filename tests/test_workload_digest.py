@@ -1,3 +1,5 @@
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,20 @@ def test_digest_sees_one_ulp_and_the_layout():
         ([{"curve": value, "n": 3}, {"curve": value, "n": 3}], {"q": 0.5}),
     ]
     assert len({base} | {workload_digest.outcome_digest(*args) for args in changed}) == 1 + len(changed)
+
+
+def _git(*args) -> bytes:
+    return subprocess.run(["git", "-C", str(workload_digest.ROOT), *args], check=True, stdout=subprocess.PIPE).stdout
+
+
+def test_revision_is_extracted_byte_for_byte(tmp_path):
+    # the extraction step of ``workload_digest.py REV`` only; no workload runs
+    try:
+        _git("rev-parse", "--verify", "HEAD")
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("needs git and a checkout with a commit")
+    workload_digest.extract("HEAD", tmp_path)
+    listed = _git("ls-tree", "-r", "--name-only", "HEAD", "src", "perfbench", "tests/workload_digest.py")
+    extracted = {str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*") if path.is_file()}
+    assert extracted == set(listed.decode().split())
+    assert (tmp_path / "src/afdm_isac/__init__.py").read_bytes() == _git("show", "HEAD:src/afdm_isac/__init__.py")
