@@ -54,6 +54,9 @@ pilot's Gram from the estimator's cached pilot model.
 
 Monte Carlo
 -----------
+Theorems 2 and 3 are statements about random frames, so ``verify_theorem_2``
+and ``verify_theorem_3`` always simulate them; their closed-form halves
+restate ``af_statistics_closed_form``.
 ``ambiguity_moments_mc`` and ``crb_distribution`` stream over their leading
 axis in blocks sized by the package's one byte budget,
 ``sensing._BLOCK_BYTES`` (1 MiB), so no (frames or draws) x Nc stack is
@@ -330,21 +333,22 @@ def verify_theorem_2(
     cfg: AfdmConfig,
     pilot_power: float,
     total_data_power: float,
-    n_frames: int = 0,
-    rng=None,
-    x_pilot=None,
+    *,
+    n_frames: int,
+    rng,
+    x_pilot,
 ) -> TheoremReport:
     """Constant-modulus data minimizes the origin ambiguity variance.
 
     Compares QPSK against 16-QAM at matched pilot power and total data power:
-    strict inequality at the origin, equality elsewhere.  With ``n_frames``
-    positive the origin inequality is also checked by simulation; it must
-    be an integer >= 0 and ``total_data_power`` finite and >= 0 (else
-    ``ParameterError``).
+    strict inequality at the origin, equality elsewhere, in closed form, and
+    the origin inequality by simulation: ``n_frames`` frames of each
+    constellation carrying ``x_pilot``, QPSK first, both drawn from ``rng``.
+    ``total_data_power`` is finite and >= 0 (else ``ParameterError``);
+    ``ambiguity_moments_mc`` checks the other three before any draw.
     """
     check_type(cfg, AfdmConfig, "cfg")
     check_nonnegative(total_data_power, "total_data_power")
-    check_count(n_frames, "n_frames", least=0)
     sd2 = total_data_power / cfg.n_sub
     spec_q = FrameSpec(pilot_power, sd2, Constellation.QPSK)
     spec_16 = FrameSpec(pilot_power, sd2, Constellation.QAM16)
@@ -352,21 +356,16 @@ def verify_theorem_2(
     _, var_16_origin = af_statistics_closed_form(spec_16, cfg, at_origin=True)
     _, var_q_off = af_statistics_closed_form(spec_q, cfg, at_origin=False)
     _, var_16_off = af_statistics_closed_form(spec_16, cfg, at_origin=False)
+    mc_q, mc_16 = (
+        ambiguity_moments_mc(x_pilot, spec, cfg, [(0, 0)], n_frames, rng)["variance"][0]
+        for spec in (spec_q, spec_16)
+    )
     details = {
         "origin": {"qpsk": var_q_origin, "qam16": var_16_origin},
         "off_origin": {"qpsk": var_q_off, "qam16": var_16_off},
+        "mc_origin": {"qpsk": float(mc_q), "qam16": float(mc_16)},
     }
-    passed = var_q_origin < var_16_origin and math.isclose(var_q_off, var_16_off)
-    if n_frames > 0:
-        if x_pilot is None or rng is None:
-            raise ParameterError("Monte Carlo check needs x_pilot and rng")
-        mc_q = ambiguity_moments_mc(x_pilot, spec_q, cfg, [(0, 0)], n_frames, rng)
-        mc_16 = ambiguity_moments_mc(x_pilot, spec_16, cfg, [(0, 0)], n_frames, rng)
-        details["mc_origin"] = {
-            "qpsk": float(mc_q["variance"][0]),
-            "qam16": float(mc_16["variance"][0]),
-        }
-        passed = passed and mc_q["variance"][0] < mc_16["variance"][0]
+    passed = var_q_origin < var_16_origin and math.isclose(var_q_off, var_16_off) and mc_q < mc_16
     return TheoremReport(passed=passed, details=details)
 
 
@@ -374,21 +373,22 @@ def verify_theorem_3(
     cfgs: Sequence[AfdmConfig],
     pilot_power: float,
     total_data_power: float,
-    n_frames: int = 0,
-    rng=None,
+    *,
+    n_frames: int,
+    rng,
 ) -> TheoremReport:
     """Origin ambiguity variance decays like 1/Nc for constant-modulus data.
 
-    Closed-form values are exactly 2*Pd*sigma_p^2/Nc; with ``n_frames`` the
-    Monte Carlo log-log slope across the configs must fall in
-    ``_SLOPE_WINDOW``, with the frames of each config carrying its
-    ``proposed_pilot(cfg, pilot_power)``.  A slope needs a sequence of
-    configs of at least two subcarrier counts, ``total_data_power`` is
-    finite and >= 0 and ``n_frames`` an integer >= 0 (else
-    ``ParameterError``).
+    Closed-form values are exactly 2*Pd*sigma_p^2/Nc, and the Monte Carlo
+    log-log slope across the configs must fall in ``_SLOPE_WINDOW``:
+    ``n_frames`` frames per config, each carrying its
+    ``proposed_pilot(cfg, pilot_power)``, in the configs' order from
+    ``rng``.  A slope needs a sequence of configs of at least two subcarrier
+    counts and ``total_data_power`` is finite and >= 0 (else
+    ``ParameterError``); ``ambiguity_moments_mc`` checks ``n_frames`` and
+    ``rng`` before any draw.
     """
     check_nonnegative(total_data_power, "total_data_power")
-    check_count(n_frames, "n_frames", least=0)
     if not isinstance(cfgs, Sequence):
         raise ParameterError(f"cfgs must be a sequence of AfdmConfig, got {cfgs!r}")
     for cfg in cfgs:
@@ -409,24 +409,20 @@ def verify_theorem_3(
         closed_off, expected_off, rtol=1e-12
     )
     slope_closed = np.polyfit(np.log(n_subs), np.log(closed), 1)[0]
+    mc_vars = []
+    for spec, cfg in zip(specs, cfgs):
+        mc = ambiguity_moments_mc(proposed_pilot(cfg, pilot_power), spec, cfg, [(0, 0)], n_frames, rng)
+        mc_vars.append(float(mc["variance"][0]))
+    slope_mc = float(np.polyfit(np.log(n_subs), np.log(mc_vars), 1)[0])
     details = {
         "n_subs": n_subs.tolist(),
         "closed_form": closed.tolist(),
         "closed_form_off_origin": closed_off.tolist(),
         "slope_closed": float(slope_closed),
+        "mc_variances": mc_vars,
+        "slope_mc": slope_mc,
     }
-    passed = closed_ok and abs(slope_closed + 1.0) < 1e-9
-    if n_frames > 0:
-        if rng is None:
-            raise ParameterError("Monte Carlo check needs rng")
-        mc_vars = []
-        for spec, cfg in zip(specs, cfgs):
-            mc = ambiguity_moments_mc(proposed_pilot(cfg, pilot_power), spec, cfg, [(0, 0)], n_frames, rng)
-            mc_vars.append(float(mc["variance"][0]))
-        slope_mc = float(np.polyfit(np.log(n_subs), np.log(mc_vars), 1)[0])
-        details["mc_variances"] = mc_vars
-        details["slope_mc"] = slope_mc
-        passed = passed and _SLOPE_WINDOW[0] <= slope_mc <= _SLOPE_WINDOW[1]
+    passed = closed_ok and abs(slope_closed + 1.0) < 1e-9 and _SLOPE_WINDOW[0] <= slope_mc <= _SLOPE_WINDOW[1]
     return TheoremReport(passed=passed, details=details)
 
 
@@ -672,10 +668,6 @@ def sensing_weights(power: PowerAllocation, target: SensingTarget, cfg: AfdmConf
     return crb_tau * (c0 / c - (a_m * c + a * c0 - 2.0 * b * b_m) / det)
 
 
-# histogram bins of the delay-bound density reported by crb_distribution
-_CRB_BINS = 60
-
-
 def crb_distribution(
     cfg: AfdmConfig,
     target: SensingTarget,
@@ -683,16 +675,11 @@ def crb_distribution(
     n_draws: int,
     rng,
 ) -> dict:
-    """Delay-bound statistics under symmetric-Dirichlet random allocations.
+    """Delay bounds under symmetric-Dirichlet random allocations.
 
-    Draws allocations uniformly on the power simplex (scaled to the total),
-    evaluates the delay bound for each, and reports the empirical
-    distribution.  ``tail_mass`` is the fraction of draws exceeding twice the
-    equal-allocation baseline at ``total_power``.  ``density`` is a 60-bin
-    histogram of the bounds (one bin holds them all when ``n_draws`` is 1);
-    bounds that agree to below float resolution are binned as numpy bins
-    equal values, over their range widened by 0.5 on each side (or by 1e-9
-    relative, where that is wider).
+    Draws allocations uniformly on the power simplex (scaled to the total)
+    and evaluates the delay bound for each.  Returns the bounds as
+    ``values``, with their ``mean`` and ``variance``.
 
     A Dirichlet(1, ..., 1) draw is Nc i.i.d. unit exponentials divided by
     their sum, and ``rng.dirichlet`` at alpha = 1 draws exactly those
@@ -723,22 +710,4 @@ def crb_distribution(
         values[start : start + len(draws)], *_ = _crb_from_sums(
             a, b, total_power * c0, draws, ramp, target, cfg
         )
-    equal = np.full(cfg.n_sub, total_power / cfg.n_sub)
-    baseline, *_ = _crb_from_sums(
-        equal @ a_m, equal @ b_m, total_power * c0, equal, ramp, target, cfg
-    )
-    lo, hi = values.min(), values.max()
-    span = None  # numpy's own range, unless its bins would not be increasing
-    if not np.all(np.diff(np.linspace(lo, hi, _CRB_BINS + 1)) > 0):
-        pad = max(0.5, 1e-9 * abs(hi))
-        span = (lo - pad, hi + pad)
-    hist, edges = np.histogram(values, bins=_CRB_BINS, range=span, density=True)
-    return {
-        "values": values,
-        "mean": float(values.mean()),
-        "variance": float(values.var()),
-        "tail_mass": float(np.mean(values > 2.0 * baseline)),
-        "equal_allocation": float(baseline),
-        "density": hist,
-        "bin_edges": edges,
-    }
+    return {"values": values, "mean": float(values.mean()), "variance": float(values.var())}

@@ -49,11 +49,6 @@ class Constellation(Enum):
         """E|u|^4 of the unit-energy constellation (1.0 for QPSK, 1.32 for 16-QAM)."""
         return float(np.mean(np.abs(self.points) ** 4))
 
-    @property
-    def squared_symbol_mean(self) -> complex:
-        """E{u^2}; zero for the symmetric constellations built here."""
-        return complex(np.mean(self.points**2))
-
 
 # built once, indexed by symbol value; a 16-QAM axis Gray-codes 00, 01, 10, 11 as -3, -1, 3, 1
 _SYMBOLS = np.arange(16)

@@ -59,7 +59,7 @@ from afdm_isac.channel import (
     sensing_echo,
     subcarrier_offset,
 )
-from afdm_isac.errors import ConfigurationError, ParameterError, check_integers
+from afdm_isac.errors import AfdmError, ConfigurationError, ParameterError, check_integers
 from afdm_isac.estimator import PriorModel, build_psi, equalize_demod, iterative_estimate
 from afdm_isac.modem import FrameSpec, demap_symbols, map_bits, random_data_vector
 from afdm_isac.pilots import (
@@ -137,6 +137,24 @@ def rng():
     return np.random.default_rng(7)
 
 
+def theorem_2_mc(**change):
+    """Theorem 2's Monte Carlo arguments: 4 frames of ``X_P`` from a fresh generator."""
+    return {"n_frames": 4, "rng": rng(), "x_pilot": X_P, **change}
+
+
+def undrawn(call):
+    """A site that feeds ``call(v, g)`` a fresh generator ``g`` and asserts that a refusal leaves it undrawn."""
+    def site(v):
+        g = rng()
+        state = g.bit_generator.state
+        try:
+            return call(v, g)
+        except AfdmError:
+            assert g.bit_generator.state == state
+            raise
+    return site
+
+
 # (site, call with the value in place, error class, message pattern, values the site takes)
 NONNEGATIVE = {"2.5"}
 SITES = [
@@ -211,10 +229,10 @@ SITES = [
     ("frame_power_profile.data_symbol_power", lambda v: frame_power_profile(ONES, v), ParameterError,
      "^data_symbol_power", NONNEGATIVE),
     ("equal_allocation.total", lambda v: equal_allocation(v, 16), ParameterError, "^total", NONNEGATIVE),
-    ("verify_theorem_2.total_data_power", lambda v: verify_theorem_2(CFG, 16.0, v), ParameterError,
-     "^total_data_power", NONNEGATIVE),
-    ("verify_theorem_3.total_data_power", lambda v: verify_theorem_3([CFG, CFG32], 16.0, v), ParameterError,
-     "^total_data_power", NONNEGATIVE),
+    ("verify_theorem_2.total_data_power", lambda v: verify_theorem_2(CFG, 16.0, v, **theorem_2_mc()),
+     ParameterError, "^total_data_power", NONNEGATIVE),
+    ("verify_theorem_3.total_data_power", lambda v: verify_theorem_3([CFG, CFG32], 16.0, v, n_frames=4, rng=rng()),
+     ParameterError, "^total_data_power", NONNEGATIVE),
     # a finite number, real or complex: the pilot's own ambiguity value off the origin
     ("af_statistics_closed_form.pilot_af", lambda v: af_statistics_closed_form(SPEC, CFG, False, v),
      ParameterError, "^pilot_af", {"-1", "1j", "2.5"}),
@@ -223,9 +241,9 @@ SITES = [
      ParameterError, "^n_iter", set()),
     ("ambiguity_moments_mc.n_frames", lambda v: ambiguity_moments_mc(X_P, SPEC, CFG, [(0, 0)], v, rng()),
      ParameterError, "^n_frames", set()),
-    ("verify_theorem_2.n_frames", lambda v: verify_theorem_2(CFG, 16.0, 16.0, n_frames=v), ParameterError,
-     "^n_frames", set()),
-    ("verify_theorem_3.n_frames", lambda v: verify_theorem_3([CFG, CFG32], 16.0, 16.0, n_frames=v),
+    ("verify_theorem_2.n_frames", lambda v: verify_theorem_2(CFG, 16.0, 16.0, **theorem_2_mc(n_frames=v)),
+     ParameterError, "^n_frames", set()),
+    ("verify_theorem_3.n_frames", lambda v: verify_theorem_3([CFG, CFG32], 16.0, 16.0, n_frames=v, rng=rng()),
      ParameterError, "^n_frames", set()),
     ("crb_distribution.n_draws", lambda v: crb_distribution(CFG, TARGET, 16.0, v, rng()),
      ParameterError, "^n_draws", set()),
@@ -404,6 +422,15 @@ SITES = [
      "^scenario must be of type", set()),
     ("roc_curve.rng", lambda v: roc_curve(scenario(), [1.0], 100, v), ParameterError, "^rng must be of type",
      set()),
+    # checked by the Monte Carlo before any draw: a refused pilot leaves the
+    # generator as it was, and a refused rng is no generator to draw from
+    ("verify_theorem_2.x_pilot",
+     undrawn(lambda v, g: verify_theorem_2(CFG, 16.0, 16.0, **theorem_2_mc(rng=g, x_pilot=v))),
+     ConfigurationError, "^pilot", set()),
+    ("verify_theorem_2.rng", lambda v: verify_theorem_2(CFG, 16.0, 16.0, **theorem_2_mc(rng=v)), ParameterError,
+     "^rng must be of type", set()),
+    ("verify_theorem_3.rng", lambda v: verify_theorem_3([CFG, CFG32], 16.0, 16.0, n_frames=4, rng=v),
+     ParameterError, "^rng must be of type", set()),
     ("pilot_vector.scheme", lambda v: pilot_vector(v, CFG, 1, 1), ParameterError, "^scheme must be of type",
      set()),
     # checked by the family's own function
@@ -524,12 +551,13 @@ DEFECTS = {
         0, 3, 1.5, 0, AfdmConfig(n_sub=16, c1=1 / 16)
     ),
     # accepted, the Monte Carlo skipped and the check passed
-    "verify_theorem_2 n_frames -1": lambda: verify_theorem_2(CFG, 1.0, 16.0, n_frames=-1),
+    "verify_theorem_2 n_frames -1": lambda: verify_theorem_2(CFG, 1.0, 16.0, **theorem_2_mc(n_frames=-1)),
+    "verify_theorem_2 pilot 'abc'": lambda: verify_theorem_2(CFG, 16.0, 16.0, **theorem_2_mc(x_pilot="abc")),
     # a RankWarning, then a slope through one point
-    "verify_theorem_3 one config": lambda: verify_theorem_3([CFG], 1.0, 16.0),
-    "verify_theorem_3 one subcarrier count": lambda: verify_theorem_3([CFG, CFG], 1.0, 16.0),
+    "verify_theorem_3 one config": lambda: verify_theorem_3([CFG], 1.0, 16.0, n_frames=4, rng=rng()),
+    "verify_theorem_3 one subcarrier count": lambda: verify_theorem_3([CFG, CFG], 1.0, 16.0, n_frames=4, rng=rng()),
     # bare ValueError
-    "verify_theorem_3 no config": lambda: verify_theorem_3([], 1.0, 16.0),
+    "verify_theorem_3 no config": lambda: verify_theorem_3([], 1.0, 16.0, n_frames=4, rng=rng()),
     # accepted, then a bare AttributeError on first use
     "FrameSpec constellation 'qpsk'": lambda: FrameSpec(1.0, 1.0, "qpsk"),
     # bare ZeroDivisionError
@@ -579,7 +607,7 @@ DEFECTS = {
     ),
     # all-NaN moments; a failed report; a NaN pilot model cached before the error
     "ambiguity_moments_mc pilot NaN": lambda: ambiguity_moments_mc(NAN_PILOT, SPEC, CFG, [(0, 0)], 4, rng()),
-    "verify_theorem_2 pilot NaN": lambda: verify_theorem_2(CFG, 16.0, 16.0, n_frames=4, rng=rng(), x_pilot=NAN_PILOT),
+    "verify_theorem_2 pilot NaN": lambda: verify_theorem_2(CFG, 16.0, 16.0, **theorem_2_mc(x_pilot=NAN_PILOT)),
     "verify_theorem_4 pilot NaN": lambda: verify_theorem_4(NAN_PILOT, CFG, [(0, 0), (1, 0)]),
     # bare AttributeError from the first use of the argument
     "apply_channel_time cfg as n_sub": lambda: apply_channel_time(S_CPP, ChannelRealization((PATH,), 0.0, 2, 1), 16),
@@ -629,8 +657,8 @@ DEFECTS = {
     "ambiguity_moments_mc spec as a constellation": lambda: ambiguity_moments_mc(
         X_P, SPEC.constellation, CFG, [(0, 0)], 4, rng()
     ),
-    "verify_theorem_2 cfg as n_sub": lambda: verify_theorem_2(16, 16.0, 16.0),
-    "verify_theorem_3 cfgs entry None": lambda: verify_theorem_3([CFG, None], 16.0, 16.0),
+    "verify_theorem_2 cfg as n_sub": lambda: verify_theorem_2(16, 16.0, 16.0, **theorem_2_mc()),
+    "verify_theorem_3 cfgs entry None": lambda: verify_theorem_3([CFG, None], 16.0, 16.0, n_frames=4, rng=rng()),
     "verify_theorem_4 cfg None": lambda: verify_theorem_4(X_P, None, [(0, 0)]),
     "fim cfg as n_sub": lambda: fim(POWER, TARGET, 16),
     "fim power as powers": lambda: fim(POWER.powers, TARGET, CFG),
@@ -642,21 +670,23 @@ DEFECTS = {
     "interference_coefficient cfg None": lambda: interference_coefficient(0, 0, 0, 0, None),
     # bare AttributeError from the first draw
     "ambiguity_moments_mc rng 'x'": lambda: ambiguity_moments_mc(X_P, SPEC, CFG, [(0, 0)], 4, "x"),
-    "verify_theorem_2 rng 'x'": lambda: verify_theorem_2(CFG, 16.0, 16.0, n_frames=4, rng="x", x_pilot=X_P),
+    "verify_theorem_2 rng 'x'": lambda: verify_theorem_2(CFG, 16.0, 16.0, **theorem_2_mc(rng="x")),
     "verify_theorem_3 rng 'x'": lambda: verify_theorem_3([CFG, CFG32], 16.0, 16.0, n_frames=4, rng="x"),
     "crb_distribution rng None": lambda: crb_distribution(CFG, TARGET, 16.0, 4, None),
     # bare TypeError
-    "verify_theorem_2 total_data_power None": lambda: verify_theorem_2(CFG, 16.0, None),
-    "verify_theorem_2 total_data_power '16'": lambda: verify_theorem_2(CFG, 16.0, "16"),
-    "verify_theorem_3 total_data_power None": lambda: verify_theorem_3([CFG, CFG32], 16.0, None),
-    "verify_theorem_3 total_data_power '16'": lambda: verify_theorem_3([CFG, CFG32], 16.0, "16"),
+    "verify_theorem_2 total_data_power None": lambda: verify_theorem_2(CFG, 16.0, None, **theorem_2_mc()),
+    "verify_theorem_2 total_data_power '16'": lambda: verify_theorem_2(CFG, 16.0, "16", **theorem_2_mc()),
+    "verify_theorem_3 total_data_power None": lambda: verify_theorem_3([CFG, CFG32], 16.0, None, n_frames=4,
+                                                                       rng=rng()),
+    "verify_theorem_3 total_data_power '16'": lambda: verify_theorem_3([CFG, CFG32], 16.0, "16", n_frames=4,
+                                                                       rng=rng()),
     "af_statistics_closed_form pilot_af None": lambda: af_statistics_closed_form(SPEC, CFG, False, None),
     # accepted, a numeric string read as a number; a NaN mean
     "af_statistics_closed_form pilot_af '1'": lambda: af_statistics_closed_form(SPEC, CFG, False, "1"),
     "af_statistics_closed_form pilot_af NaN": lambda: af_statistics_closed_form(SPEC, CFG, False, math.nan),
     # bare TypeError ("not iterable")
-    "verify_theorem_3 cfgs None": lambda: verify_theorem_3(None, 16.0, 16.0),
-    "verify_theorem_3 cfgs 16": lambda: verify_theorem_3(16, 16.0, 16.0),
+    "verify_theorem_3 cfgs None": lambda: verify_theorem_3(None, 16.0, 16.0, n_frames=4, rng=rng()),
+    "verify_theorem_3 cfgs 16": lambda: verify_theorem_3(16, 16.0, 16.0, n_frames=4, rng=rng()),
     # bare TypeError ("not iterable"), or a bare ValueError from unpacking three axes
     "ambiguity_function region None": lambda: ambiguity_function(ONES, None, CFG),
     "ambiguity_function region 16": lambda: ambiguity_function(ONES, 16, CFG),
@@ -693,9 +723,13 @@ DEFECTS = {
 }
 
 
+# the defects that a shape check refuses; every other one raises ParameterError
+DEFECT_ERRORS = {"verify_theorem_2 pilot 'abc'": ConfigurationError}
+
+
 @pytest.mark.parametrize("defect", list(DEFECTS))
 def test_defect_is_refused(defect):
-    with pytest.raises(ParameterError):
+    with pytest.raises(DEFECT_ERRORS.get(defect, ParameterError)):
         DEFECTS[defect]()
 
 

@@ -275,9 +275,11 @@ def test_argument_checks_are_defined_only_in_errors():
         assert not defined & checks, (name, defined & checks)
 
 
-# public names with no caller in the package or the benchmark's workloads, each
-# with the reason it stays public; a name that gains a caller must leave the table
+# public names, and public methods and properties of public classes, with no
+# reader in the package or the benchmark's workloads, each with the reason it
+# stays public; a name that gains a reader must leave the table
 TEST_ONLY = {
+    ("analysis", "fim"): "the paper's FIM, checked against the finite-difference Hessian, also where crb raises",
     ("analysis", "ambiguity_region"): "the paper's ambiguity region [-tau_m, tau_m] x [-2 nu_m, 2 nu_m]",
     ("analysis", "ambiguity_decomposition"): "the paper's four bilinear parts of the frame's ambiguity",
     ("analysis", "interference_coefficient"): "the paper's closed-form DAFT-domain coupling of one path",
@@ -291,6 +293,8 @@ TEST_ONLY = {
     ("pilots", "max_unambiguous_delay"): "the delay reach of a comb spacing (ROADMAP item 5)",
     ("sensing", "detect"): "the cell-averaging detector of one map, for a caller's own scenario (ROADMAP item 4)",
     ("sensing", "estimate_target"): "the grid estimate that the sub-cell refinement starts from (ROADMAP item 4)",
+    ("sensing", "RangeDopplerMap.at"): "a map's value at one grid point, read by the ambiguity-function tests",
+    ("sensing", "RangeDopplerMap.max_off_origin"): "a map's largest sidelobe, read by the zero-sidelobe-region tests",
 }
 
 
@@ -301,14 +305,25 @@ def _inventory_files() -> dict:
     return files
 
 
-def _public_uses() -> dict:
-    """(module, name) -> number of uses, for each name in a module's ``__all__``.
+def _root(node):
+    """The innermost value of an attribute chain such as ``np.add.at``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
 
-    A use is a ``Name`` read anywhere in the package or the benchmark's
-    workloads, or an attribute ``module.name`` of the defining module,
-    outside the name's own module-level definition; the ``__all__`` strings
-    and the imports are not uses.  The package's own ``__all__`` re-exports
-    names that their modules list, so it adds none.
+
+def _public_uses() -> dict:
+    """(module, name) -> number of reads, for each name in a module's ``__all__``
+    and each public method or property ``Class.name`` of a public class.
+
+    A read of a name is a loaded ``Name`` anywhere in the package or the
+    benchmark's workloads, or a loaded attribute ``module.name`` of the
+    defining module; a read of a method is a loaded attribute of that name
+    on anything but a module that an ``import`` statement binds (``np.add.at``
+    is numpy's).  Neither counts inside its own definition.  An annotation
+    stores no value, the ``__all__`` strings and the imports are not reads,
+    and the package's own ``__all__`` re-exports names that their modules
+    list, so it adds none.
     """
     files = _inventory_files()
     public = {}
@@ -322,12 +337,34 @@ def _public_uses() -> dict:
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
+    methods = {
+        key: (node.lineno, node.end_lineno)
+        for module, tree in files.items()
+        if module != "workloads"
+        for key, node in _public_functions(module, tree).items()
+        if "." in key[1]
+    }
+    public.update(dict.fromkeys(methods, 0))
+    definitions.update(methods)
     for module, tree in files.items():
+        imported_modules = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        }
         for node in ast.walk(tree):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
             if isinstance(node, ast.Name):
                 keys = [key for key in public if key[1] == node.id]
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                keys = [key for key in public if key == (node.value.id, node.attr)]
+            elif isinstance(node, ast.Attribute):
+                on_module = getattr(_root(node.value), "id", None) in imported_modules
+                keys = [
+                    key for key in public
+                    if key == (getattr(node.value, "id", None), node.attr)
+                    or (key in methods and not on_module and key[1].rpartition(".")[2] == node.attr)
+                ]
             else:
                 continue
             for key in keys:
@@ -356,8 +393,6 @@ UNPASSED = {
     ("estimator", "iterative_estimate", "prior"): "a caller's own gain prior, the input of ROADMAP item 12",
     ("estimator", "iterative_estimate", "known_data"): "the genie data feedback of ROADMAP item 12",
     ("analysis", "af_statistics_closed_form", "pilot_af"): "the off-origin mean, the pilot's own ambiguity value",
-    ("analysis", "verify_theorem_3", "n_frames"): "Theorem 3's Monte Carlo slope (the theorem is in TEST_ONLY)",
-    ("analysis", "verify_theorem_3", "rng"): "Theorem 3's Monte Carlo slope (the theorem is in TEST_ONLY)",
 }
 
 
