@@ -357,13 +357,13 @@ def verify_theorem_2(
     _, var_q_off = af_statistics_closed_form(spec_q, cfg, at_origin=False)
     _, var_16_off = af_statistics_closed_form(spec_16, cfg, at_origin=False)
     mc_q, mc_16 = (
-        ambiguity_moments_mc(x_pilot, spec, cfg, [(0, 0)], n_frames, rng)["variance"][0]
+        float(ambiguity_moments_mc(x_pilot, spec, cfg, [(0, 0)], n_frames, rng)["variance"][0])
         for spec in (spec_q, spec_16)
     )
     details = {
         "origin": {"qpsk": var_q_origin, "qam16": var_16_origin},
         "off_origin": {"qpsk": var_q_off, "qam16": var_16_off},
-        "mc_origin": {"qpsk": float(mc_q), "qam16": float(mc_16)},
+        "mc_origin": {"qpsk": mc_q, "qam16": mc_16},
     }
     passed = var_q_origin < var_16_origin and math.isclose(var_q_off, var_16_off) and mc_q < mc_16
     return TheoremReport(passed=passed, details=details)

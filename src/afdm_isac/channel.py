@@ -487,7 +487,7 @@ def _banded_cholesky():
     return flapack.zpbtrf, flapack.zpbtrs
 
 
-def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, rng=None) -> np.ndarray:
+def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, rng) -> np.ndarray:
     """Push a prefixed time signal through the channel.
 
     Returns a signal of the same length.  The post-prefix window is the sum
@@ -495,15 +495,15 @@ def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, 
     the prefix-free part of ``s_cpp`` (the module's model), which at integer
     Dopplers is the DAFT-domain matrix model exactly.  The prefix region,
     which the receiver discards, is ``add_cpp`` of the window: the physical
-    prefix at integer Dopplers only.  With rng given, circularly symmetric
-    Gaussian noise of the realization's power is added.  A non-finite entry
-    of ``s_cpp``, or an ``rng`` given that is no numpy ``Generator``, raises
-    ``ParameterError``.
+    prefix at integer Dopplers only.  Exactly when the realization's noise
+    power is positive, circularly symmetric Gaussian noise of that power is
+    added: two ``standard_normal`` calls on the ``Generator`` ``rng``, real
+    parts then imaginary parts, one value per sample.  A non-finite entry of
+    ``s_cpp``, or an ``rng`` that is no ``Generator``, raises ``ParameterError``.
     """
     check_type(realization, ChannelRealization, "realization")
     check_type(cfg, AfdmConfig, "cfg")
-    if rng is not None:
-        check_type(rng, np.random.Generator, "rng")
+    check_type(rng, np.random.Generator, "rng")
     s_cpp = check_finite(check_vector(s_cpp, cfg.n_sub + cfg.n_cpp, "prefixed signal"), "prefixed signal")
     paths = realization.paths
     delays = np.array([int(p.delay) for p in paths])
@@ -511,7 +511,7 @@ def apply_channel_time(s_cpp, realization: ChannelRealization, cfg: AfdmConfig, 
         raise ParameterError(f"path delay {delays.max()} exceeds prefix length {cfg.n_cpp}")
     terms = _paths(s_cpp[cfg.n_cpp :], cfg, delays, [p.doppler for p in paths])
     y = add_cpp(np.array([p.gain for p in paths]) @ terms, cfg)
-    if rng is not None and realization.noise_power > 0:
+    if realization.noise_power > 0:
         scale = math.sqrt(realization.noise_power / 2.0)
         y += scale * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
     return y

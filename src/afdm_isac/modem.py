@@ -9,7 +9,9 @@ fixed seed:
   (b2, b3) for Q.
 
 Both constellations have unit average symbol energy; data symbols are scaled
-by sigma_d so that each subcarrier carries sigma_d^2 on average.
+by sigma_d so that each subcarrier carries sigma_d^2 on average.  The link's
+modem steps are ``random_data_vector`` (random bits to symbols) and
+``estimator.equalize_demod`` (symbols to bits, through ``_demap``).
 """
 
 from __future__ import annotations
@@ -21,13 +23,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, check_count, check_nonnegative, check_stack, check_type
+from .errors import ParameterError, check_count, check_nonnegative, check_type
 
 __all__ = [
     "Constellation",
     "FrameSpec",
-    "map_bits",
-    "demap_symbols",
     "random_data_vector",
 ]
 
@@ -112,33 +112,17 @@ class FrameSpec:
         return math.sqrt(self.data_symbol_power)
 
 
-def map_bits(bits, spec: FrameSpec) -> np.ndarray:
-    """Map a bit stream of 0/1 numbers to sigma_d-scaled Gray-coded symbols.
-
-    A ``spec`` that is no ``FrameSpec``, a bit that is not 0 or 1, or a bit
-    count that is not a whole number of symbols raises ``ParameterError``.
-    """
-    check_type(spec, FrameSpec, "spec")
-    bits = np.asarray(bits).ravel()
-    k = spec.constellation.bits_per_symbol
-    if bits.size % k != 0:
-        raise ParameterError(
-            f"bit count {bits.size} is not a multiple of {k} bits per symbol"
-        )
-    if bits.dtype.kind not in "biuf" or np.any((bits != 0) & (bits != 1)):
-        raise ParameterError("bits must be 0/1")
-    return _map(bits, spec)
-
-
 def _map(bits: np.ndarray, spec: FrameSpec) -> np.ndarray:
-    """``map_bits`` of a flat array of 0/1 numbers, a whole number of symbols, unchecked."""
+    """The sigma_d-scaled Gray-coded symbols of a flat array of 0/1 numbers, a whole
+    number of symbols, unchecked: each symbol takes its k bits high bit first."""
     k = spec.constellation.bits_per_symbol
     idx = bits.astype(np.int64, copy=False).reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
     return spec.constellation.points[idx] * spec.sigma_d
 
 
-def demap_symbols(y_eq, spec: FrameSpec) -> np.ndarray:
-    """Hard minimum-distance demapping of the flattened ``y_eq``; inverse of map_bits on clean input.
+def _demap(y_eq: np.ndarray, spec: FrameSpec) -> np.ndarray:
+    """Hard minimum-distance bits of a flat complex128 array, unchecked: the equalizer's
+    demapper, the inverse of ``_map`` on clean input.
 
     Both constellations are the product of two Gray-coded axes, so the
     nearest point is the nearest level on each axis: the sign for QPSK, the
@@ -146,16 +130,8 @@ def demap_symbols(y_eq, spec: FrameSpec) -> np.ndarray:
     to the level of lower axis value, so a point at equal distance from
     several symbols gets the lowest of their values, and a non-finite point
     (all distances equal) symbol 0, as the nearest point by complex
-    distance does.  A ``y_eq`` that is no array of numbers raises
-    ``ConfigurationError``, a ``spec`` that is no ``FrameSpec``
-    ``ParameterError``.
+    distance does.
     """
-    check_type(spec, FrameSpec, "spec")
-    return _demap(check_stack(y_eq, None, "equalized symbols").ravel(), spec)
-
-
-def _demap(y_eq: np.ndarray, spec: FrameSpec) -> np.ndarray:
-    """``demap_symbols`` of a flat complex128 array, unchecked: the equalizer's demapper."""
     ascending, upward, gray = _AXES[spec.constellation]
     levels = ascending * (spec.sigma_d if spec.sigma_d > 0 else 1.0)
     bits = np.concatenate([gray[_axis_level(v, levels, upward)] for v in (y_eq.real, y_eq.imag)], axis=1)

@@ -35,7 +35,6 @@ from .daft import AfdmConfig
 from .errors import ParameterError, check_count, check_nonnegative, check_positive, check_type, is_integer
 
 __all__ = [
-    "ZcParams",
     "PilotScheme",
     "zc_sequence",
     "select_c1_q",
@@ -50,32 +49,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ZcParams:
-    """Zadoff-Chu parameters: sequence length and an integer root (gcd(length, root) = 1)."""
-
-    length: int
-    root: int = 1
-
-    def __post_init__(self):
-        check_count(self.length, "ZC length")
-        if not is_integer(self.root) or math.gcd(self.length, self.root) != 1:
-            raise ParameterError(f"ZC root {self.root!r} is not an integer coprime with length {self.length}")
-
-
-def zc_sequence(params: ZcParams) -> np.ndarray:
+def zc_sequence(length: int, root: int = 1) -> np.ndarray:
     """Unit-modulus Zadoff-Chu sequence with zero periodic autocorrelation.
 
     Even lengths use exp(-j*pi*u*n^2/N); odd lengths use the standard
     exp(-j*pi*u*n*(n+1)/N) form so the sequence stays N-periodic.  The
     phase numerator is reduced mod 2N in integers, so a large root or length
-    loses no precision to the float phase.
+    loses no precision to the float phase.  A ``length`` that is no integer
+    >= 1 or a ``root`` that is no integer coprime with it: ``ParameterError``.
     """
-    check_type(params, ZcParams, "params")
-    period = 2 * params.length
-    n = np.arange(params.length, dtype=np.int64)
-    quadratic = n * (n + params.length % 2) % period
-    return np.exp((-1j * np.pi / params.length) * (quadratic * (params.root % period) % period))
+    check_count(length, "ZC length")
+    if not is_integer(root) or math.gcd(length, root) != 1:
+        raise ParameterError(f"ZC root {root!r} is not an integer coprime with length {length}")
+    period = 2 * length
+    n = np.arange(length, dtype=np.int64)
+    quadratic = n * (n + length % 2) % period
+    return np.exp((-1j * np.pi / length) * (quadratic * (root % period) % period))
 
 
 def select_c1_q(nu_m: int, cfg: AfdmConfig) -> tuple[float, int]:
@@ -126,7 +115,7 @@ def proposed_pilot(cfg: AfdmConfig, pilot_power: float, r: int = 0, zc_root: int
     period = 2 * cfg.two_c1_n * cfg.n_sub
     correction = np.exp(2j * np.pi * (positions**2 % period) / period) * cfg.c2_chirp[positions]
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
-    x[positions] = (_amplitude(pilot_power, n_p) * zc_sequence(ZcParams(n_p, zc_root))) * correction
+    x[positions] = (_amplitude(pilot_power, n_p) * zc_sequence(n_p, zc_root)) * correction
     return x
 
 

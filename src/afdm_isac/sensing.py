@@ -220,6 +220,19 @@ def _circulant(hit: np.ndarray) -> np.ndarray:
     return hit[(i[None, :] - i[:, None]) % hit.size]
 
 
+def _training_window(det: DetectionConfig, shape: tuple[int, int]):
+    """(training indicators, guard indicators, training cell count) of ``det`` on a
+    (delays, Dopplers) grid; ``ParameterError`` when no training cell is left."""
+    train = [_window(h, size) for h, size in zip(det.train, shape)]
+    guard = [t * _window(h, size) for t, h, size in zip(train, det.guard, shape)]
+    count = train[0].sum() * train[1].sum() - guard[0].sum() * guard[1].sum()
+    if count == 0:
+        raise ParameterError(
+            f"guard {det.guard} swallows the whole {shape} grid: no training cells"
+        )
+    return train, guard, count
+
+
 def noise_floor(rd_map: RangeDopplerMap, det: DetectionConfig) -> np.ndarray:
     """Local average of |E|^2 around each cell, guard box excluded, cyclic wrap.
 
@@ -240,14 +253,7 @@ def noise_floor(rd_map: RangeDopplerMap, det: DetectionConfig) -> np.ndarray:
     check_type(rd_map, RangeDopplerMap, "rd_map")
     check_type(det, DetectionConfig, "det")
     power = np.abs(rd_map.values) ** 2
-    shape = power.shape[-2:]
-    train = [_window(h, size) for h, size in zip(det.train, shape)]
-    guard = [t * _window(h, size) for t, h, size in zip(train, det.guard, shape)]
-    count = train[0].sum() * train[1].sum() - guard[0].sum() * guard[1].sum()
-    if count == 0:
-        raise ParameterError(
-            f"guard {det.guard} swallows the whole {shape} grid: no training cells"
-        )
+    train, guard, count = _training_window(det, power.shape[-2:])
     acc = _circulant(train[0] - guard[0]) @ power @ _circulant(train[1]).T
     acc += _circulant(guard[0]) @ power @ _circulant(train[1] - guard[1]).T
     return acc / count
@@ -313,9 +319,9 @@ class SensingScenario:
     ``receive_snr_db`` = |beta|^2 * Pt / (Nc * noise_power) in dB.  The
     budgets are integers with 1 <= tau_m <= cfg.n_cpp, so every delay of the
     search grid lies within the prefix, and 1 <= nu_m, so the Doppler range
-    is not empty; the SNR is finite and the noise power finite and
-    non-negative (0 is a noiseless scenario).  The traditional comb's
-    footprint is the (tau_m, nu_m) the receiver searches.
+    is not empty; the SNR is finite, the noise power finite and non-negative
+    (0 is a noiseless scenario), and the pilot scheme's power the frame
+    spec's.  The traditional comb's footprint is the (tau_m, nu_m) searched.
     """
 
     cfg: AfdmConfig
@@ -340,6 +346,11 @@ class SensingScenario:
         if not (is_real(self.receive_snr_db) and math.isfinite(self.receive_snr_db)):
             raise ParameterError(f"receive_snr_db must be finite, got {self.receive_snr_db!r}")
         check_nonnegative(self.noise_power, "noise_power")
+        if self.pilot.pilot_power != self.frame_spec.pilot_power:
+            raise ParameterError(
+                f"pilot scheme power {self.pilot.pilot_power!r} differs from "
+                f"frame_spec pilot_power {self.frame_spec.pilot_power!r}"
+            )
 
     def _draw_uniforms(self, rng, count: int) -> np.ndarray:
         """The (3, count) target draws, one call per row: delays, Dopplers, gain phases (cycles)."""
@@ -419,7 +430,8 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     (8.8 KB for 100 QPSK trials at Nc = 256).
     ``n_trials`` is an integer >= 100, ``gamma_grid`` a non-empty finite
     1-D array, ``scenario`` a ``SensingScenario`` and ``rng`` a numpy
-    ``Generator``, all checked before any draw.
+    ``Generator``, and the scenario's window must leave training cells on
+    its search grid, all checked before any draw.
     """
     check_count(n_trials, "n_trials", least=100)
     gamma_grid = check_reals(gamma_grid, "gamma_grid")
@@ -428,8 +440,9 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     check_type(scenario, SensingScenario, "scenario")
     check_type(rng, np.random.Generator, "rng")
     cfg = scenario.cfg
-    x_p = pilot_vector(scenario.pilot, cfg, scenario.tau_m, scenario.nu_m)
     grid = sensing_grid(scenario.tau_m, scenario.nu_m)
+    _training_window(scenario.detection, (grid[0].size, grid[1].size))
+    x_p = pilot_vector(scenario.pilot, cfg, scenario.tau_m, scenario.nu_m)
     block = min(n_trials, max(1, _BLOCK_BYTES // (16 * grid[1].size * cfg.n_sub)))
     packed = _PackedFrames(scenario.frame_spec, cfg.n_sub, block)
     raw = packed.draw(rng, n_trials)

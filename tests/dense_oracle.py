@@ -22,10 +22,12 @@ conjugates, where ``analysis.verify_theorem_4`` reads it from the estimator's
 cached pilot model.  The equalizer's band is read off the dense time-domain
 normal matrix, where ``PathChannel._band`` forms its cyclic diagonals in closed
 form.  The dense-route iterative estimator forms its own posterior by an
-explicit inverse, its own interference level sigma_d^2 * sum(g) + N0 and its
-own 3-sigma test.  ``mmse_estimate`` hands the Psi^H y and Psi^H Psi of a
-dense Psi to the estimator's posterior kernel, which the link feeds from its
-cached pilot model.  The iterative estimator's loop is kept as it was before
+explicit inverse, its own interference level sigma_d^2 * sum(g) + N0, its
+own 3-sigma test and its own hard decisions, the nearest scaled constellation
+point by complex distance (``nearest_symbols``), where the receiver decides
+per axis with ``modem._demap``.  ``mmse_estimate`` hands the Psi^H y and
+Psi^H Psi of a dense Psi to the estimator's posterior kernel, which the link
+feeds from its cached pilot model.  The iterative estimator's loop is kept as it was before
 each channel estimate was pushed through the frame once: three
 ``PathChannel`` products per estimate and the public ``equalize_demod``.
 """
@@ -39,9 +41,8 @@ from afdm_isac import AfdmConfig, build_daft_matrix, idaft, waveform_samples
 from afdm_isac.analysis import cross_ambiguity
 from afdm_isac.channel import ChannelPath, ChannelRealization, PathChannel, _doppler_ramp
 from afdm_isac.errors import ParameterError
-from afdm_isac import estimator
+from afdm_isac import estimator, modem
 from afdm_isac.estimator import PriorModel, build_psi, equalize_demod
-from afdm_isac.modem import demap_symbols, map_bits
 
 
 def time_matrix(cfg: AfdmConfig, tau: int, nu: float) -> np.ndarray:
@@ -260,7 +261,8 @@ def iterative_estimate(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2):
 
     Under the uniform prior g = 1/L the first level is sigma_d^2 * sum(g) + N0;
     each posterior is the explicit inverse S = (Psi^H Psi / c + diag(1/g))^{-1},
-    the estimate S Psi^H y / c, and a gain is kept above 3 sqrt(S_ii).
+    the estimate S Psi^H y / c, and a gain is kept above 3 sqrt(S_ii).  A symbol
+    is decided as the nearest scaled constellation point.
     Returns (alpha_hat, indicator, dense channel estimate, last bits).
     """
     stack = np.stack([basis_matrix(cfg, tau, float(nu)) for tau, nu in grid.pairs])
@@ -275,8 +277,9 @@ def iterative_estimate(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2):
         indicator = (np.abs(alpha) > 3.0 * np.sqrt(cov.diagonal().real)).astype(np.int8)
         h = np.tensordot(alpha * indicator, stack, axes=(0, 0))
         x_d = equalize(y, h, x_pilot, noise_power / spec.data_symbol_power)
-        bits = demap_symbols(x_d, spec)
-        feedback = map_bits(bits, spec)
+        symbols = nearest_symbols(x_d, spec)
+        bits = symbol_bits(symbols, spec)
+        feedback = spec.constellation.points[symbols] * spec.sigma_d
         resid = float(np.linalg.norm(y - h @ (x_pilot + feedback)))
         dof = max(cfg.n_sub - int(indicator.sum()), cfg.n_sub // 4)
         c_it = max(noise_power, resid * resid / dof)
@@ -307,7 +310,7 @@ def iterative_loop(y, x_pilot, spec, grid, cfg, noise_power, n_iter=2, prior=Non
         h_hat = kept_channel(alpha, indicator, grid, cfg)
         x_d, bits = equalize_demod(y, h_hat, x_pilot, spec, noise_power)
         if spec.data_symbol_power > 0 and bits.size:
-            x_d = map_bits(bits, spec)
+            x_d = modem._map(bits, spec)
         feedback = x_d if known_data is None else known_data
         resid = float(np.linalg.norm(y - h_hat @ (x_pilot + x_d)))
         residuals.append(resid)
@@ -323,15 +326,23 @@ def kept_channel(alpha, indicator, grid, cfg: AfdmConfig) -> PathChannel:
     return PathChannel(cfg, taus, nus, np.asarray(alpha)[kept])
 
 
-def demap_by_distance(y_eq, spec) -> np.ndarray:
-    """Hard demapping by the smallest complex distance to every scaled point,
-    the lowest symbol value on a tie: an (N, M) distance matrix and its argmin."""
+def nearest_symbols(y_eq, spec) -> np.ndarray:
+    """The value of the scaled constellation point nearest each of ``y_eq`` by complex
+    distance, the lowest value on a tie: an (N, M) distance matrix and its argmin."""
     y_eq = np.asarray(y_eq, dtype=np.complex128).ravel()
-    k = spec.constellation.bits_per_symbol
     pts = spec.constellation.points * (spec.sigma_d if spec.sigma_d > 0 else 1.0)
-    idx = np.argmin(np.abs(y_eq[:, None] - pts[None, :]), axis=1)
-    shifts = np.arange(k - 1, -1, -1)
-    return ((idx[:, None] >> shifts) & 1).astype(np.int64).ravel()
+    return np.argmin(np.abs(y_eq[:, None] - pts[None, :]), axis=1)
+
+
+def symbol_bits(symbols, spec) -> np.ndarray:
+    """The bits of each symbol value, high bit first, as one flat int64 array."""
+    shifts = np.arange(spec.constellation.bits_per_symbol - 1, -1, -1)
+    return ((symbols[:, None] >> shifts) & 1).astype(np.int64).ravel()
+
+
+def demap_by_distance(y_eq, spec) -> np.ndarray:
+    """Hard demapping by the smallest complex distance to every scaled point."""
+    return symbol_bits(nearest_symbols(y_eq, spec), spec)
 
 
 def pilot_gram(x_pilot, cfg: AfdmConfig, pairs) -> np.ndarray:

@@ -460,6 +460,18 @@ class TestTheorem2And3:
         assert -1.1 <= report.details["slope_mc"] <= -0.9
 
 
+def test_theorem_reports_pass_as_plain_bools(rng):
+    # each report's verdict is a Python bool, never a numpy one
+    cfg = AfdmConfig(n_sub=64, c1=1 / 16)
+    x_p = proposed_pilot(cfg, pilot_power=16.0)
+    reports = [
+        verify_theorem_2(cfg, 16.0, 64.0, n_frames=50, rng=rng, x_pilot=x_p),
+        verify_theorem_3([cfg, AfdmConfig(n_sub=128, c1=1 / 32)], 16.0, 64.0, n_frames=50, rng=rng),
+        verify_theorem_4(x_p, cfg, basis_grid(2, 1).pairs),
+    ]
+    assert [type(report.passed) for report in reports] == [bool] * 3
+
+
 class TestTheorem4:
     def test_proposed_pilot_orthogonal_columns(self):
         cfg = AfdmConfig(n_sub=128, n_cpp=32, c1=1 / 32)

@@ -346,7 +346,7 @@ class TestTimeDomainApplication:
         real = ChannelRealization(
             paths=(ChannelPath(1.0, 0, 0.0),), noise_power=0.0, tau_m=3, nu_m=2
         )
-        y = apply_channel_time(s_cpp, real, CFG16)
+        y = apply_channel_time(s_cpp, real, CFG16, rng)
         assert np.linalg.norm(y - s_cpp) < 1e-12
 
     def test_matches_matrix_model_exhaustive(self, rng):
@@ -357,7 +357,7 @@ class TestTimeDomainApplication:
             for nu in range(-2, 3):
                 path = ChannelPath(0.8 - 0.3j, tau, float(nu))
                 real = ChannelRealization((path,), 0.0, tau_m=3, nu_m=2)
-                y = daft(remove_cpp(apply_channel_time(s_cpp, real, CFG16), CFG16), CFG16)
+                y = daft(remove_cpp(apply_channel_time(s_cpp, real, CFG16, rng), CFG16), CFG16)
                 h = effective_channel_matrix(path, CFG16)
                 assert np.linalg.norm(y - h @ x) < 1e-10
 
@@ -365,7 +365,7 @@ class TestTimeDomainApplication:
         x = random_unit_symbols(rng, 16)
         s_cpp = add_cpp(idaft(x, CFG16), CFG16)
         real = sample_channel(L=4, tau_m=3, nu_m=2, rng=rng)
-        y = daft(remove_cpp(apply_channel_time(s_cpp, real, CFG16), CFG16), CFG16)
+        y = daft(remove_cpp(apply_channel_time(s_cpp, real, CFG16, rng), CFG16), CFG16)
         h = channel_matrix(real, CFG16)
         assert np.linalg.norm(y - h @ x) < 1e-10
 
@@ -378,10 +378,28 @@ class TestTimeDomainApplication:
         rx = np.empty(n_trials)
         for i in range(n_trials):
             real = sample_channel(L=3, tau_m=3, nu_m=2, rng=rng)
-            y = remove_cpp(apply_channel_time(s_cpp, real, cfg), cfg)
+            y = remove_cpp(apply_channel_time(s_cpp, real, cfg, rng), cfg)
             rx[i] = np.linalg.norm(y) ** 2
         se = np.std(rx) / math.sqrt(n_trials)
         assert abs(np.mean(rx) - tx_power) < 3 * se
+
+    def test_noiseless_realization_draws_nothing(self, rng):
+        s_cpp = add_cpp(idaft(random_unit_symbols(rng, 16), CFG16), CFG16)
+        state = rng.bit_generator.state
+        apply_channel_time(s_cpp, ChannelRealization((ChannelPath(1.0, 1, 1.0),), 0.0, 3, 2), CFG16, rng)
+        assert rng.bit_generator.state == state
+
+    def test_noise_is_two_normal_draws_of_one_value_a_sample(self, rng):
+        # real parts, then imaginary parts, over the Nc + n_cpp prefixed samples: the
+        # generator ends where one standard_normal(2 * (Nc + n_cpp)) call leaves it
+        s_cpp = add_cpp(idaft(random_unit_symbols(rng, 16), CFG16), CFG16)
+        path = ChannelPath(1.0, 1, 1.0)
+        clean = apply_channel_time(s_cpp, ChannelRealization((path,), 0.0, 3, 2), CFG16, rng)
+        g, ref = np.random.default_rng(11), np.random.default_rng(11)
+        y = apply_channel_time(s_cpp, ChannelRealization((path,), 5.0, 3, 2), CFG16, g)
+        noise = ref.standard_normal(2 * (CFG16.n_sub + CFG16.n_cpp)).reshape(2, -1)
+        assert g.bit_generator.state == ref.bit_generator.state
+        assert np.max(np.abs(y - clean - math.sqrt(2.5) * (noise[0] + 1j * noise[1]))) < 1e-12
 
     def test_delay_beyond_prefix_rejected(self, rng):
         x = random_unit_symbols(rng, 16)
@@ -390,7 +408,7 @@ class TestTimeDomainApplication:
             paths=(ChannelPath(1.0, 5, 0.0),), noise_power=0.0, tau_m=5, nu_m=0
         )
         with pytest.raises(ParameterError):
-            apply_channel_time(s_cpp, real, CFG16)
+            apply_channel_time(s_cpp, real, CFG16, rng)
 
     def test_fractional_delay_rejected(self):
         with pytest.raises(ParameterError):
@@ -399,7 +417,7 @@ class TestTimeDomainApplication:
     def test_whole_float_delay_is_the_integer_delay(self, rng):
         # ChannelPath takes a whole float delay; the path's taps were read at a float index
         s_cpp = add_cpp(idaft(random_unit_symbols(rng, 16), CFG16), CFG16)
-        y = [apply_channel_time(s_cpp, ChannelRealization((ChannelPath(0.5j, d, 1.0),), 0.0, 3, 1), CFG16)
+        y = [apply_channel_time(s_cpp, ChannelRealization((ChannelPath(0.5j, d, 1.0),), 0.0, 3, 1), CFG16, rng)
              for d in (2, 2.0)]
         assert np.array_equal(*y)
 
@@ -432,7 +450,7 @@ class TestChirpPeriodicRule:
         real = ChannelRealization(paths, 0.0, tau_m=n_cpp, nu_m=3)
         s = idaft(x, cfg)
         s_cpp = add_cpp(s, cfg)
-        y = daft(remove_cpp(apply_channel_time(s_cpp, real, cfg), cfg), cfg)
+        y = daft(remove_cpp(apply_channel_time(s_cpp, real, cfg, rng), cfg), cfg)
         scale = np.linalg.norm(x)
         assert np.max(np.abs(y - channel_matrix(real, cfg) @ x)) <= 1e-10 * scale
         for p in paths:
@@ -478,7 +496,8 @@ class TestReceiveIndexRamp:
     def test_fractional_doppler_routes_match_dense_oracle(self, n_sub, two_c1_n, cpp_share, n_paths, seed):
         cfg, x, paths = self.frame(n_sub, two_c1_n, cpp_share, n_paths, seed)
         real = ChannelRealization(paths, 0.0, tau_m=cfg.n_cpp, nu_m=3)
-        y = daft(remove_cpp(apply_channel_time(add_cpp(idaft(x, cfg), cfg), real, cfg), cfg), cfg)
+        s_cpp = add_cpp(idaft(x, cfg), cfg)
+        y = daft(remove_cpp(apply_channel_time(s_cpp, real, cfg, np.random.default_rng(seed)), cfg), cfg)
         scale = np.linalg.norm(x)
         assert np.max(np.abs(y - channel_matrix(real, cfg) @ x)) <= 1e-10 * scale
         rows = apply_basis(x, cfg, np.array([p.delay for p in paths]), [p.doppler for p in paths])
@@ -494,7 +513,7 @@ class TestReceiveIndexRamp:
         cfg, x, paths = self.frame(n_sub, two_c1_n, cpp_share, n_paths, seed)
         s = idaft(x, cfg)
         real = ChannelRealization(paths, 0.0, tau_m=cfg.n_cpp, nu_m=3)
-        window = apply_channel_time(add_cpp(s, cfg), real, cfg)[cfg.n_cpp :]
+        window = apply_channel_time(add_cpp(s, cfg), real, cfg, np.random.default_rng(seed))[cfg.n_cpp :]
         echoes = sum(
             sensing_echo(s, cfg, SensingTarget(
                 p.gain * cmath.exp(-2j * math.pi * p.doppler * p.delay / n_sub), float(p.delay), p.doppler, 0.0
@@ -512,7 +531,7 @@ class TestReceiveIndexRamp:
         rng = np.random.default_rng(5)
         s = idaft(rng.standard_normal(64) + 1j * rng.standard_normal(64), cfg)
         real = ChannelRealization((ChannelPath(1.0, 3, 0.3),), 0.0, tau_m=8, nu_m=1)
-        window = apply_channel_time(add_cpp(s, cfg), real, cfg)[cfg.n_cpp :]
+        window = apply_channel_time(add_cpp(s, cfg), real, cfg, rng)[cfg.n_cpp :]
         turns = np.angle(window / sensing_echo(s, cfg, SensingTarget(1.0, 3.0, 0.3, 0.0))) / (2 * math.pi)
         assert np.max(np.abs(turns + 0.3 * 3 / 64)) < 1e-13
         assert round(float(turns[0]), 4) == -0.0141

@@ -61,10 +61,9 @@ from afdm_isac.channel import (
 )
 from afdm_isac.errors import AfdmError, ConfigurationError, ParameterError, check_integers
 from afdm_isac.estimator import PriorModel, build_psi, equalize_demod, iterative_estimate
-from afdm_isac.modem import FrameSpec, demap_symbols, map_bits, random_data_vector
+from afdm_isac.modem import FrameSpec, random_data_vector
 from afdm_isac.pilots import (
     PilotScheme,
-    ZcParams,
     max_unambiguous_delay,
     pilot_vector,
     proposed_delay_limit,
@@ -161,7 +160,7 @@ SITES = [
     # a complex (n,) vector
     ("add_cpp", lambda v: add_cpp(v, CFG), ConfigurationError, "^time-domain vector", set()),
     ("remove_cpp", lambda v: remove_cpp(v, CFG), ConfigurationError, "^prefixed signal", set()),
-    ("apply_channel_time", lambda v: apply_channel_time(v, ChannelRealization((PATH,), 0.0, 2, 1), CFG),
+    ("apply_channel_time", lambda v: apply_channel_time(v, ChannelRealization((PATH,), 0.0, 2, 1), CFG, rng()),
      ConfigurationError, "^prefixed signal", set()),
     ("apply_basis.x", lambda v: apply_basis(v, CFG, 0, 0.0), ConfigurationError, "^DAFT-domain vector", set()),
     ("ambiguity_moments_mc.x_pilot", lambda v: ambiguity_moments_mc(v, SPEC, CFG, [(0, 0)], 4, rng()),
@@ -204,9 +203,6 @@ SITES = [
      "^map values", {"wrong shape"}),
     ("detect.rd_map", lambda v: detect(RangeDopplerMap(v, *MAP_AXES), np.ones((2, 3)), 1.0),
      ConfigurationError, "^map values", {"wrong shape"}),
-    # an array of numbers of any shape
-    ("demap_symbols", lambda v: demap_symbols(v, SPEC), ConfigurationError, "^equalized symbols",
-     {"wrong shape", "2 elements"}),
     # a finite, non-negative real scalar
     ("FrameSpec.pilot_power", lambda v: FrameSpec(v, 1.0), ParameterError, "^pilot_power", NONNEGATIVE),
     ("FrameSpec.data_symbol_power", lambda v: FrameSpec(1.0, v), ParameterError,
@@ -261,7 +257,7 @@ SITES = [
     ("basis_grid.tau_m", lambda v: basis_grid(v, 1), ParameterError, "^tau_m", set()),
     ("basis_grid.nu_m", lambda v: basis_grid(2, v), ParameterError, "^nu_m", set()),
     ("sample_channel.L", lambda v: sample_channel(v, 2, 1, rng()), ParameterError, "^L must", set()),
-    ("ZcParams.length", lambda v: ZcParams(v), ParameterError, "^ZC length", set()),
+    ("zc_sequence.length", lambda v: zc_sequence(v), ParameterError, "^ZC length", set()),
     ("select_c1_q.nu_m", lambda v: select_c1_q(v, CFG), ParameterError, "^nu_m", set()),
     ("proposed_spacing.r", lambda v: proposed_spacing(CFG, v), ParameterError, "^r must", set()),
     ("traditional_spacing.tau_m", lambda v: traditional_spacing(CFG, v, 1), ParameterError, "^tau_m", set()),
@@ -286,7 +282,7 @@ SITES = [
     ("max_unambiguous_delay.nu_m", lambda v: max_unambiguous_delay(8, v, CFG), ParameterError, "^nu_m",
      set()),
     # an integer coprime with the ZC length 8
-    ("ZcParams.root", lambda v: ZcParams(8, v), ParameterError, "^ZC root", {"-1"}),
+    ("zc_sequence.root", lambda v: zc_sequence(8, v), ParameterError, "^ZC root", {"-1"}),
     # an int64 integer array
     ("PathChannel.delays", lambda v: PathChannel(CFG, v, [0], [1.0]), ParameterError, "delays", set()),
     ("PathChannel.dopplers", lambda v: PathChannel(CFG, [0], v, [1.0]), ParameterError, "(?i)dopplers", set()),
@@ -366,16 +362,15 @@ SITES = [
     ("apply_basis.cfg", lambda v: apply_basis(ONES, v, 0, 0.0), ParameterError, "^cfg must be of type", set()),
     ("subcarrier_offset.cfg", lambda v: subcarrier_offset(0, 0, v), ParameterError, "^cfg must be of type", set()),
     ("PathChannel.cfg", lambda v: PathChannel(v, [0], [0], [1.0]), ParameterError, "^cfg must be of type", set()),
-    ("apply_channel_time.realization", lambda v: apply_channel_time(S_CPP, v, CFG), ParameterError,
+    ("apply_channel_time.realization", lambda v: apply_channel_time(S_CPP, v, CFG, rng()), ParameterError,
      "^realization must be of type", set()),
-    ("apply_channel_time.cfg", lambda v: apply_channel_time(S_CPP, ChannelRealization((PATH,), 0.0, 2, 1), v),
+    ("apply_channel_time.cfg", lambda v: apply_channel_time(S_CPP, ChannelRealization((PATH,), 0.0, 2, 1), v, rng()),
      ParameterError, "^cfg must be of type", set()),
     ("sensing_echo.cfg", lambda v: sensing_echo(ONES, v, TARGET), ParameterError, "^cfg must be of type", set()),
     ("sensing_echo.target", lambda v: sensing_echo(ONES, CFG, v), ParameterError, "^target must be of type", set()),
     ("sample_channel.rng", lambda v: sample_channel(2, 2, 1, v), ParameterError, "^rng must be of type", set()),
-    # None adds no noise
     ("apply_channel_time.rng", lambda v: apply_channel_time(S_CPP, ChannelRealization((PATH,), 1.0, 2, 1), CFG, v),
-     ParameterError, "^rng must be of type", {"None"}),
+     ParameterError, "^rng must be of type", set()),
     ("af_statistics_closed_form.spec", lambda v: af_statistics_closed_form(v, CFG, True), ParameterError,
      "^spec must be of type", set()),
     ("af_statistics_closed_form.cfg", lambda v: af_statistics_closed_form(SPEC, v, True), ParameterError,
@@ -404,8 +399,6 @@ SITES = [
     ("build_daft_matrix.cfg", lambda v: DAFT.build_daft_matrix(v), ParameterError, "^cfg must be of type", set()),
     ("delay_doppler_to_range_velocity.cfg", lambda v: delay_doppler_to_range_velocity(1.0, 1.0, v),
      ParameterError, "^cfg must be of type", set()),
-    ("map_bits.spec", lambda v: map_bits([0, 1], v), ParameterError, "^spec must be of type", set()),
-    ("demap_symbols.spec", lambda v: demap_symbols(ONES, v), ParameterError, "^spec must be of type", set()),
     ("random_data_vector.spec", lambda v: random_data_vector(16, v, rng()), ParameterError,
      "^spec must be of type", set()),
     ("random_data_vector.rng", lambda v: random_data_vector(16, SPEC, v), ParameterError,
@@ -448,13 +441,10 @@ SITES = [
     ("single_pilot.cfg", lambda v: single_pilot(v, 16.0), ParameterError, "^cfg must be of type", set()),
     ("max_unambiguous_delay.cfg", lambda v: max_unambiguous_delay(8, 1, v), ParameterError,
      "^cfg must be of type", set()),
-    ("zc_sequence.params", lambda v: zc_sequence(v), ParameterError, "^params must be of type", set()),
     ("build_psi.grid", lambda v: build_psi(X_P, v, CFG), ParameterError, "^grid must be of type", set()),
     # a member of the Constellation enum, a pilot family's name
     ("FrameSpec.constellation", lambda v: FrameSpec(1.0, 1.0, v), ParameterError, "^constellation", set()),
     ("PilotScheme.variant", lambda v: PilotScheme(v, 1.0), ParameterError, "^unknown pilot variant", set()),
-    # 0/1 numbers: a bit stream whose length is a multiple of the bits per symbol
-    ("map_bits", lambda v: map_bits(v, SPEC), ParameterError, "^bit", {"wrong shape", "2 elements"}),
     # finite gains, one per path: the value is the one path's gain
     ("PathChannel.gains", lambda v: PathChannel(CFG, [0], [0], [v]), ParameterError, "gains",
      {"-1", "1j", "2.5", "True"}),
@@ -540,12 +530,6 @@ DEFECTS = {
     "crb of a target stack": lambda: crb(equal_allocation(16.0, 16), ROW_TARGETS, CFG),
     "sensing_weights of a target stack": lambda: sensing_weights(equal_allocation(16.0, 16), ROW_TARGETS, CFG),
     "crb_distribution of a target stack": lambda: crb_distribution(CFG, ROW_TARGETS, 16.0, 4, rng()),
-    # accepted, a fraction read as bit 0
-    "map_bits 0.5": lambda: map_bits([0.5, 1.0], SPEC),
-    # a RuntimeWarning from the cast, then bit 0
-    "map_bits NaN": lambda: map_bits([math.nan, 1.0], SPEC),
-    # bare ValueError
-    "map_bits letters": lambda: map_bits(["a", "b"], SPEC),
     # accepted, a coefficient of a fractional delay
     "interference_coefficient delay 1.5": lambda: interference_coefficient(
         0, 3, 1.5, 0, AfdmConfig(n_sub=16, c1=1 / 16)
@@ -586,14 +570,16 @@ DEFECTS = {
     # accepted as r = 1
     "proposed_spacing r True": lambda: proposed_spacing(CFG128, True),
     # bare TypeError from math.gcd
-    "ZcParams root 1.5": lambda: ZcParams(8, 1.5),
-    "ZcParams root 'a'": lambda: ZcParams(8, "a"),
+    "zc_sequence root 1.5": lambda: zc_sequence(8, 1.5),
+    "zc_sequence root 'a'": lambda: zc_sequence(8, "a"),
     # accepted as a total power of 1; bare TypeError
     "crb_distribution total_power True": lambda: crb_distribution(CFG, TARGET, True, 4, rng()),
     "crb_distribution total_power '1'": lambda: crb_distribution(CFG, TARGET, "1", 4, rng()),
     # accepted, then a bare AttributeError in roc_curve
     "SensingScenario pilot 'proposed'": lambda: scenario(pilot="proposed"),
     "SensingScenario frame_spec None": lambda: scenario(frame_spec=None),
+    # accepted, then roc_curve built the pilot from the scheme's power alone
+    "SensingScenario pilot power 16 and frame pilot power 0": lambda: scenario(frame_spec=FrameSpec(0.0, 1.0)),
     # bare ValueError ("truth value of an array is ambiguous")
     "PilotScheme variant array": lambda: PilotScheme(np.array(["proposed", "single"]), 1.0),
     # bare ValueError from numpy
@@ -610,8 +596,10 @@ DEFECTS = {
     "verify_theorem_2 pilot NaN": lambda: verify_theorem_2(CFG, 16.0, 16.0, **theorem_2_mc(x_pilot=NAN_PILOT)),
     "verify_theorem_4 pilot NaN": lambda: verify_theorem_4(NAN_PILOT, CFG, [(0, 0), (1, 0)]),
     # bare AttributeError from the first use of the argument
-    "apply_channel_time cfg as n_sub": lambda: apply_channel_time(S_CPP, ChannelRealization((PATH,), 0.0, 2, 1), 16),
-    "apply_channel_time realization as paths": lambda: apply_channel_time(S_CPP, (PATH,), CFG),
+    "apply_channel_time cfg as n_sub": lambda: apply_channel_time(
+        S_CPP, ChannelRealization((PATH,), 0.0, 2, 1), 16, rng()
+    ),
+    "apply_channel_time realization as paths": lambda: apply_channel_time(S_CPP, (PATH,), CFG, rng()),
     "sensing_echo cfg None": lambda: sensing_echo(ONES, None, TARGET),
     "sensing_echo target as a tuple": lambda: sensing_echo(ONES, CFG, (1.0, 1.0, 0.0, 1.0)),
     "subcarrier_offset cfg None": lambda: subcarrier_offset(1, 0, None),
@@ -641,8 +629,6 @@ DEFECTS = {
     "apply_basis Doppler 'a'": lambda: apply_basis(ONES, CFG, 1, "a"),
     "apply_basis Doppler '1'": lambda: apply_basis(ONES, CFG, 1, "1"),
     # bare AttributeError from the first use of the argument
-    "map_bits spec None": lambda: map_bits([0, 1], None),
-    "demap_symbols spec as a constellation": lambda: demap_symbols(ONES, SPEC.constellation),
     "random_data_vector spec None": lambda: random_data_vector(16, None, rng()),
     "random_data_vector rng 'x'": lambda: random_data_vector(16, SPEC, "x"),
     "random_data_vector rng None": lambda: random_data_vector(16, SPEC, None),
@@ -716,7 +702,6 @@ DEFECTS = {
     "traditional_spi_pilot cfg as n_sub": lambda: traditional_spi_pilot(16, 16.0, 1, 1),
     "single_pilot cfg None": lambda: single_pilot(None, 16.0),
     "max_unambiguous_delay cfg None": lambda: max_unambiguous_delay(8, 1, None),
-    "zc_sequence params as a length": lambda: zc_sequence(8),
     "build_psi grid as pairs": lambda: build_psi(X_P, GRID.pairs, CFG),
     # bare AttributeError from the first draw, after the symbols were built
     "roc_curve rng 'x'": lambda: roc_curve(scenario(), [1.0], 100, "x"),
@@ -765,7 +750,7 @@ NON_FINITE_SITES = {
     # from idaft itself: the benchmark pins apply_basis's refusals of x to that span
     "apply_basis": (lambda v: apply_basis(v, CFG, [0, 1], [0.0, 0.5]), "^DAFT-domain vector must be finite",
                     CFG.n_sub),
-    "apply_channel_time": (lambda v: apply_channel_time(v, ChannelRealization((PATH,), 0.0, 2, 1), CFG),
+    "apply_channel_time": (lambda v: apply_channel_time(v, ChannelRealization((PATH,), 0.0, 2, 1), CFG, rng()),
                            "^prefixed signal must be finite", CFG.n_sub + CFG.n_cpp),
     "sensing_echo": (lambda v: sensing_echo(v, CFG, TARGET), "^symbols must be finite", CFG.n_sub),
 }

@@ -19,8 +19,6 @@ from afdm_isac.estimator import PriorModel, build_psi, equalize_demod, iterative
 from afdm_isac.modem import (
     Constellation,
     FrameSpec,
-    demap_symbols,
-    map_bits,
     random_data_vector,
 )
 from afdm_isac.pilots import (
@@ -49,7 +47,7 @@ def transmit(x_p, x_d, cfg):
     return add_cpp(idaft(x_p + x_d, cfg), cfg)
 
 
-def receive(s_cpp, real, cfg, rng=None):
+def receive(s_cpp, real, cfg, rng):
     return daft(remove_cpp(apply_channel_time(s_cpp, real, cfg, rng), cfg), cfg)
 
 
@@ -340,7 +338,7 @@ class TestEqualizeOracle:
         sym, bits = equalize_demod(y, h, x_p, spec, noise)
         expect = dense_oracle.equalize(y, h, x_p, noise / spec.data_symbol_power)
         assert np.max(np.abs(sym - expect)) < 1e-10
-        assert np.array_equal(bits, demap_symbols(expect, spec))
+        assert np.array_equal(bits, dense_oracle.demap_by_distance(expect, spec))
 
     @pytest.mark.parametrize("n_sub, two_c1_n", EQ_CONFIGS)
     def test_zero_forcing_on_invertible_channel(self, rng, n_sub, two_c1_n):
@@ -405,7 +403,7 @@ class TestIterative:
         x_p = proposed_pilot(cfg, 1e12, r=0)
         real = sample_channel(L=2, tau_m=3, nu_m=1, rng=rng, noise_power=0.0)
         _, x_d = random_data_vector(64, spec, rng)
-        y = receive(transmit(x_p, x_d, cfg), real, cfg)
+        y = receive(transmit(x_p, x_d, cfg), real, cfg, rng)
         res = iterative_estimate(
             y, x_p, spec, grid, cfg, 0.0, n_iter=2, known_data=x_d
         )
@@ -472,8 +470,8 @@ class TestIterative:
         x_p = proposed_pilot(cfg, 100.0, r=0)
         real = sample_channel(L=3, tau_m=2, nu_m=1, rng=rng, noise_power=0.0)
         phase = np.exp(0.7j)
-        y1 = receive(transmit(x_p, np.zeros(32), cfg), real, cfg)
-        y2 = receive(transmit(phase * x_p, np.zeros(32), cfg), real, cfg)
+        y1 = receive(transmit(x_p, np.zeros(32), cfg), real, cfg, rng)
+        y2 = receive(transmit(phase * x_p, np.zeros(32), cfg), real, cfg, rng)
         res1 = iterative_estimate(y1, x_p, spec, grid, cfg, 0.0, n_iter=1)
         res2 = iterative_estimate(y2, phase * x_p, spec, grid, cfg, 0.0, n_iter=1)
         assert np.linalg.norm(np.asarray(res1.h_eff_hat) - np.asarray(res2.h_eff_hat)) < 1e-8

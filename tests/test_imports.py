@@ -287,8 +287,6 @@ TEST_ONLY = {
     ("analysis", "equal_allocation"): "the equal-power baseline of the CRB allocations (ROADMAP item 8)",
     ("daft", "build_daft_matrix"): "the dense DAFT matrix, an oracle whose analysis binding the benchmark pins",
     ("estimator", "build_psi"): "the FFT reference of the pilot model, pinned by the benchmark's tracer test",
-    ("modem", "map_bits"): "the checked bit mapper, for a caller's own frames (ROADMAP item 11)",
-    ("modem", "demap_symbols"): "the checked hard demapper, for a caller's own equalizer (ROADMAP item 11)",
     ("pilots", "proposed_delay_limit"): "the paper's delay reach of the proposed comb (ROADMAP item 5)",
     ("pilots", "max_unambiguous_delay"): "the delay reach of a comb spacing (ROADMAP item 5)",
     ("sensing", "detect"): "the cell-averaging detector of one map, for a caller's own scenario (ROADMAP item 4)",
@@ -383,8 +381,9 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert set(TEST_ONLY) - unused == set(), "listed names that have a caller"
 
 
-# options with a default that no call in the package or the benchmark's workloads
-# passes, each with the reason it stays; an option that gains a caller must leave
+# options with a default, parameters of functions and fields of dataclasses, that no
+# call in the package or the benchmark's workloads passes, each with the reason it
+# stays; an option that gains a caller must leave
 UNPASSED = {
     ("sensing", "sensing_grid", "os_tau"): "an oversampled delay search axis (ROADMAP item 4's refinement)",
     ("sensing", "sensing_grid", "os_nu"): "an oversampled Doppler search axis (ROADMAP item 4's refinement)",
@@ -393,25 +392,36 @@ UNPASSED = {
     ("estimator", "iterative_estimate", "prior"): "a caller's own gain prior, the input of ROADMAP item 12",
     ("estimator", "iterative_estimate", "known_data"): "the genie data feedback of ROADMAP item 12",
     ("analysis", "af_statistics_closed_form", "pilot_af"): "the off-origin mean, the pilot's own ambiguity value",
+    ("daft", "AfdmConfig", "c2"): "the free second chirp rate of the transform",
+    ("daft", "AfdmConfig", "delta_f"): "the subcarrier spacing, a physical unit of delay_doppler_to_range_velocity",
+    ("daft", "AfdmConfig", "f_c"): "the carrier frequency, a physical unit of delay_doppler_to_range_velocity",
+    ("sensing", "DetectionConfig", "guard"): "the CFAR window's guard box (ROADMAP item 18)",
+    ("sensing", "DetectionConfig", "train"): "the CFAR window's training box (ROADMAP item 18)",
+    ("sensing", "SensingScenario", "detection"): "the scenario's CFAR window (ROADMAP item 18)",
 }
 
 
-def _public_functions(module: str, tree) -> dict:
-    """(module, qualified name) -> FunctionDef of each public function and public method
-    of a public class: the names in ``__all__``, or every name without a leading
-    underscore where the module has none."""
+def _public_definitions(tree) -> list:
+    """The top-level public functions and classes of a module: the names in
+    ``__all__``, or every name without a leading underscore where it has none."""
     listed = [
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
     ]
     public = set(listed[0]) if listed else None
+    return [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and (public is None or node.name in public)
+    ]
+
+
+def _public_functions(module: str, tree) -> dict:
+    """(module, qualified name) -> FunctionDef of each public function and public method
+    of a public class."""
     found = {}
-    for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-            continue
-        if public is not None and node.name not in public:
-            continue
+    for node in _public_definitions(tree):
         if isinstance(node, ast.FunctionDef):
             found[(module, node.name)] = node
         for child in node.body if isinstance(node, ast.ClassDef) else ():
@@ -427,27 +437,57 @@ def _passed(call: ast.Call, params: list[str]) -> set:
     return set(params[: len(call.args)]) | {kw.arg for kw in call.keywords}
 
 
+def _init_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, whether it has a default) of each constructor field of a dataclass, in
+    order; none for a class that is no dataclass."""
+    if not any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None)) == "dataclass"
+               for d in node.decorator_list):
+        return []
+    fields = []
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        spec = isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+        options = {kw.arg: kw.value for kw in value.keywords} if spec else {}
+        if "init" in options and not ast.literal_eval(options["init"]):
+            continue
+        defaulted = bool({"default", "default_factory"} & set(options)) if spec else value is not None
+        fields.append((item.target.id, defaulted))
+    return fields
+
+
 def _unpassed_options() -> set:
-    """(module, function, parameter) of each defaulted parameter of a public function
-    that no call in the package or the workloads passes."""
+    """(module, function, parameter) of each defaulted parameter of a public function,
+    and (module, class, field) of each public defaulted field of a public dataclass
+    of the package, that no call in the package or the workloads passes.  A
+    ``field(default_factory=...)`` calls nothing with the fields of its factory."""
     files = _inventory_files()
-    functions = {key: node for module, tree in files.items() for key, node in _public_functions(module, tree).items()}
     calls = [node for tree in files.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    options = []  # (key of the callee, name it is called by, parameters in order, defaulted ones)
+    for module, tree in files.items():
+        for (_, qualified), node in _public_functions(module, tree).items():
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            if "." in qualified and not static:
+                params = params[1:]  # self or cls
+            defaulted = params[len(params) - len(args.defaults):] if args.defaults else []
+            defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            params += [a.arg for a in args.kwonlyargs]
+            options.append(((module, qualified), qualified.rpartition(".")[2], params, defaulted))
+        for node in _public_definitions(tree) if module != "workloads" else ():
+            if isinstance(node, ast.ClassDef):
+                fields = _init_fields(node)
+                defaulted = [f for f, default in fields if default and not f.startswith("_")]
+                options.append(((module, node.name), node.name, [f for f, _ in fields], defaulted))
     unpassed = set()
-    for (module, qualified), node in functions.items():
-        args = node.args
-        params = [a.arg for a in args.posonlyargs + args.args]
-        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
-        if "." in qualified and not static:
-            params = params[1:]  # self or cls
-        defaulted = params[len(params) - len(args.defaults):] if args.defaults else []
-        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        name = qualified.rpartition(".")[2]
+    for key, name, params, defaulted in options:
         passed = set()
         for call in calls:
             if getattr(call.func, "id", getattr(call.func, "attr", None)) == name:
-                passed |= _passed(call, params + [a.arg for a in args.kwonlyargs])
-        unpassed |= {(module, qualified, p) for p in defaulted if p not in passed}
+                passed |= _passed(call, params)
+        unpassed |= {(*key, p) for p in defaulted if p not in passed}
     return unpassed
 
 

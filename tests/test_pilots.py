@@ -10,7 +10,6 @@ from afdm_isac.analysis import ambiguity_function, ambiguity_region
 from afdm_isac.errors import ConfigurationError, ParameterError
 from afdm_isac.pilots import (
     PilotScheme,
-    ZcParams,
     max_unambiguous_delay,
     pilot_vector,
     proposed_delay_limit,
@@ -39,7 +38,7 @@ def raw_zc_comb(cfg, pilot_power, r):
     """The proposed comb without its chirp correction: bare ZC values at spacing Q."""
     spacing, n_p = proposed_spacing(cfg, r)
     x = np.zeros(cfg.n_sub, dtype=np.complex128)
-    x[np.arange(n_p) * spacing] = math.sqrt(pilot_power / n_p) * zc_sequence(ZcParams(n_p))
+    x[np.arange(n_p) * spacing] = math.sqrt(pilot_power / n_p) * zc_sequence(n_p)
     return x
 
 
@@ -57,27 +56,27 @@ def _examples(inputs):
 class TestZcSequence:
     def test_starts_at_one(self):
         for n, u in [(8, 1), (16, 3), (9, 2)]:
-            assert zc_sequence(ZcParams(n, u))[0] == pytest.approx(1.0)
+            assert zc_sequence(n, u)[0] == pytest.approx(1.0)
 
     def test_constant_amplitude(self):
-        z = zc_sequence(ZcParams(16, 3))
+        z = zc_sequence(16, 3)
         assert np.max(np.abs(np.abs(z) - 1.0)) < 1e-15
 
     def test_zero_autocorrelation_even(self):
-        z = zc_sequence(ZcParams(8, 1))
+        z = zc_sequence(8, 1)
         for k in range(1, 8):
             acf = np.sum(np.conj(z) * z[(np.arange(8) + k) % 8])
             assert abs(acf) < 1e-12
 
     def test_zero_autocorrelation_odd(self):
-        z = zc_sequence(ZcParams(9, 2))
+        z = zc_sequence(9, 2)
         for k in range(1, 9):
             acf = np.sum(np.conj(z) * z[(np.arange(9) + k) % 9])
             assert abs(acf) < 1e-12
 
     def test_gcd_violation(self):
         with pytest.raises(ParameterError):
-            ZcParams(8, 2)
+            zc_sequence(8, 2)
 
 
 class TestChirpRateSelection:

@@ -16,7 +16,7 @@ from afdm_isac import AfdmConfig, idaft, sensing, waveform_samples
 from afdm_isac.analysis import ambiguity_function, ambiguity_region, cross_ambiguity
 from afdm_isac.channel import SensingTarget, sensing_echo
 from afdm_isac.errors import ParameterError
-from afdm_isac.modem import Constellation, FrameSpec, map_bits, random_data_vector
+from afdm_isac.modem import Constellation, FrameSpec, _map, random_data_vector
 from afdm_isac.pilots import PilotScheme, pilot_vector, proposed_pilot
 from afdm_isac.sensing import (
     _correlate,
@@ -629,7 +629,7 @@ def per_trial_roc(scenario, gamma_grid, n_trials, rng):
     The reference for the blocked form: the data bytes of every trial, then
     every trial's delay, Doppler and phase uniforms, then each trial's noise
     in trial order, drawn by ``noisy_echo``; the bytes are read bit by bit
-    through ``map_bits`` and each trial's statistics are computed alone.
+    through ``modem._map`` and each trial's statistics are computed alone.
     """
     cfg, spec = scenario.cfg, scenario.frame_spec
     x_p = pilot_vector(scenario.pilot, cfg, scenario.tau_m, scenario.nu_m)
@@ -644,9 +644,9 @@ def per_trial_roc(scenario, gamma_grid, n_trials, rng):
     phases = rng.uniform(size=n_trials)
     rows = []
     for trial, tau, nu, phase in zip(raw, taus, nus, phases):
-        # a symbol's value is its k bits read low bit first; map_bits takes them high bit first
+        # a symbol's value is its k bits read low bit first; _map takes them high bit first
         bits = np.unpackbits(trial, bitorder="little").reshape(-1, k)[: cfg.n_sub, ::-1]
-        x = x_p + map_bits(bits, spec)
+        x = x_p + _map(bits.ravel(), spec)
         s = idaft(x, cfg)
         beta_mag = math.sqrt(snr * cfg.n_sub * scenario.noise_power / np.linalg.norm(x) ** 2)
         gain = beta_mag * np.exp(2j * np.pi * phase)
@@ -843,10 +843,25 @@ class TestRoc:
         ({"noise_power": -1.0}, "noise_power must be finite and non-negative"),
         ({"noise_power": math.nan}, "noise_power must be finite and non-negative"),
         ({"noise_power": math.inf}, "noise_power must be finite and non-negative"),
+        ({"frame_spec": FrameSpec(0.0, 1.0)}, r"pilot scheme power 100.0 differs from frame_spec pilot_power 0.0"),
     ])
     def test_scenario_checked_at_construction(self, change, message):
         with pytest.raises(ParameterError, match=message):
             dataclasses.replace(self.make_scenario(0.0), **change)
+
+    def test_swallowing_window_refused_before_the_pilot_and_any_draw(self, monkeypatch):
+        # the default guard (2, 1) covers the whole 3 x 3 grid of tau_m = 2, nu_m = 1,
+        # which the first block's noise floor found only after every trial's draws
+        def unreachable(*args):
+            raise AssertionError("the pilot was built")
+
+        monkeypatch.setattr(sensing, "pilot_vector", unreachable)
+        scenario = dataclasses.replace(self.make_scenario(0.0), tau_m=2, nu_m=1)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match=r"^guard \(2, 1\) swallows the whole \(3, 3\) grid"):
+            roc_curve(scenario, [1.0], 100, rng)
+        assert rng.bit_generator.state == state
 
     def test_scenario_edges_accepted(self):
         scenario = dataclasses.replace(
