@@ -572,8 +572,15 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget) -> np.ndarray:
         raise ParameterError(
             f"target delay {tau} samples outside the prefix budget [0, {cfg.n_cpp}]"
         )
-    delayed = waveform_samples(s, cfg, tau[..., None])[..., 0, :]
-    return gain[..., None] * delayed * _doppler_ramp(nu, cfg)
+    return _echo(s, cfg, gain, tau, nu)
+
+
+def _echo(s: np.ndarray, cfg: AfdmConfig, gain: np.ndarray, tau: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """``sensing_echo`` of a finite complex128 symbol stack, unchecked: the target's
+    gain, delay (in [0, n_cpp]) and Doppler are arrays that broadcast over its leading axes."""
+    echo = gain[..., None] * waveform_samples(s, cfg, tau[..., None])[..., 0, :]
+    echo *= _doppler_ramp(nu, cfg)
+    return echo
 
 
 def _doppler_ramp(nu, cfg: AfdmConfig) -> np.ndarray:

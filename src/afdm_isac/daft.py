@@ -188,9 +188,11 @@ def daft(s, cfg: AfdmConfig) -> np.ndarray:
 
 
 def _idaft(x: np.ndarray, cfg: AfdmConfig) -> np.ndarray:
-    """``idaft`` of a finite complex128 stack (..., Nc), unchecked."""
-    inner = np.fft.ifft(x * np.conj(cfg.c2_chirp)) * math.sqrt(cfg.n_sub)
-    return np.conj(cfg.c1_chirp) * inner
+    """``idaft`` of a finite complex128 stack (..., Nc), unchecked; one new array of its shape."""
+    s = x * np.conj(cfg.c2_chirp)
+    np.fft.ifft(s, out=s)
+    s *= math.sqrt(cfg.n_sub)
+    return np.multiply(np.conj(cfg.c1_chirp), s, out=s)
 
 
 def _daft(s: np.ndarray, cfg: AfdmConfig) -> np.ndarray:
@@ -334,10 +336,16 @@ def _fractional_delays(s: np.ndarray, cfg: AfdmConfig, tau: np.ndarray) -> np.nd
     # its limit Nc sinc(f)/sinc(f/Nc) exp(-j pi f (Nc - 1)/Nc), which reads Nc at a
     # subnormal f where the quotient would lose every digit
     at_w = np.mod(w, n_sub).astype(np.int64)
-    denom = np.conj(cfg.dft_twiddle)[n - at_w] * np.exp(-2j * np.pi * f / n_sub) - 1.0
-    origin = np.arange(0, denom.size, n_sub) + at_w.ravel()  # j = 0, one per row
-    denom.flat[origin] = 1.0
-    kernel = (-2j * np.sin(np.pi * f) * np.exp(-1j * np.pi * f)) / denom
+    # the (..., delays, Nc) arrays below are as large as the stack of signals; each is
+    # written in place where it can be and dropped once read, so that few are alive at
+    # once: a caller's block of trials then needs less heap, and a trimmed heap faults
+    # fewer pages back in
+    kernel = np.conj(cfg.dft_twiddle)[n - at_w]
+    kernel *= np.exp(-2j * np.pi * f / n_sub)
+    kernel -= 1.0  # the denominator
+    origin = np.arange(0, kernel.size, n_sub) + at_w.ravel()  # j = 0, one per row
+    kernel.flat[origin] = 1.0
+    np.divide(-2j * np.sin(np.pi * f) * np.exp(-1j * np.pi * f), kernel, out=kernel)
     limit = n_sub * np.sinc(f) / np.sinc(f / n_sub) * np.exp(-1j * np.pi * f * (n_sub - 1) / n_sub)
     kernel.flat[origin] = limit.ravel()
     kernel *= cfg.c1_chirp * sign
@@ -345,8 +353,14 @@ def _fractional_delays(s: np.ndarray, cfg: AfdmConfig, tau: np.ndarray) -> np.nd
     # of the kernel's spectrum by A mod Nc (reduced exactly in floats): bin k reads bin
     # k - A mod Nc
     shift = np.mod(k_rate % n_sub * at_w + a, n_sub).astype(np.int64)
-    shifted = np.take_along_axis(np.fft.fft(kernel), (n - shift) % n_sub, axis=-1)
-    conv = np.fft.ifft(np.fft.fft(s * sign)[..., None, :] * shifted)
+    bins = n - shift
+    bins %= n_sub
+    shifted = np.take_along_axis(np.fft.fft(kernel, out=kernel), bins, axis=-1)
+    del kernel, bins
+    spectrum = s * sign
+    conv = np.fft.fft(spectrum, out=spectrum)[..., None, :] * shifted
+    del spectrum, shifted
+    np.fft.ifft(conv, out=conv)
     # c1 (t^2 + n^2) + (A - K n) t/Nc - K n/2 at t = n - tau is
     # (K f^2 - 2 a f - w (K w + 2 a))/(2 Nc) + A n/Nc - K n/2, the whole part of the
     # first term reduced mod 2 Nc; exp(j2pi (A n/Nc - K n/2)) is the shift and sigma_n

@@ -15,26 +15,36 @@ by a local noise floor (cell-averaging window with a guard box, cyclic
 wrap) and thresholds it.
 
 ``rdf`` and ``noise_floor`` batch over leading axes: echoes and symbols
-(..., Nc) give maps (..., delays, Dopplers).  ``roc_curve`` runs its trials
-in blocks on that axis, as many as fit the byte budget ``_BLOCK_BYTES`` with
-the largest stack a block builds, ``_correlate``'s (trials, Dopplers, Nc)
-Doppler-ramped echo.  Its delays are a run of whole delays, so
-``waveform_samples`` reads the delayed symbols as a window view of one
-chirp-periodic extension and builds no (trials, delays, Nc) stack.  The
-random draws are made per call and per block, not per trial: every trial's
-data bytes, then every trial's target uniforms, then each block's noise, so
-a seed gives the same curve at any block size.
+(..., Nc) give maps (..., delays, Dopplers).  Both are checked wrappers over
+unchecked kernels (``_correlate`` with ``_ramped_correlate``, and
+``_floor``), and ``channel.sensing_echo`` over ``channel._echo``;
+``roc_curve`` runs its trials on the kernels, in blocks on that axis, as
+many as fit the byte budget ``_BLOCK_BYTES`` with the largest stack a block
+builds, the (trials, Dopplers, Nc) Doppler-ramped echo.  Its delays are a
+run of whole delays, so ``waveform_samples`` reads the delayed symbols as a
+window view of one chirp-periodic extension and builds no (trials, delays,
+Nc) stack.  What the calls on one scenario share is the scenario's plan
+(``_RocPlan``), built on its first call and kept as long as the scenario:
+the pilot, the grid, its Doppler ramp, the averaging window and the
+buffers of one block, its frames, its noise and its ramped echo (1.3 MB at
+the ``roc`` benchmark's settings).  A call holds the plan's lock, so two
+threads on one scenario take turns with the buffers.  The random draws are
+made per call and per block, not per trial: every trial's data bytes, then
+every trial's target uniforms, then each block's noise, so a seed gives
+the same curve at any block size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SensingTarget, _doppler_ramp, sensing_echo
+from .channel import _doppler_ramp, _echo
 from .daft import AfdmConfig, idaft, waveform_samples
 from .errors import (
     ConfigurationError,
@@ -117,15 +127,23 @@ class RangeDopplerMap:
 def _correlate(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     """sum_n conj(a[..., n]) * b(n - tau) * exp(j*2*pi*nu*n/Nc), shape (..., delays, Dopplers).
 
-    b(n - tau) is ``waveform_samples`` of ``b``: a window view on a run of
-    consecutive whole delays, otherwise a (..., delays, Nc) stack of picked
-    windows or, on a fractional axis, of closed-form samples.  The ramped
-    ``conj(a)`` is a (..., Dopplers, Nc) stack, the one that ``_BLOCK_BYTES``
-    bounds in ``roc_curve``.  Leading axes of ``a`` and ``b`` broadcast.
+    The ramped ``conj(a)`` is a (..., Dopplers, Nc) stack, correlated by
+    ``_ramped_correlate``.  Leading axes of ``a`` and ``b`` broadcast.
     """
-    comp = np.conj(a)[..., None, :] * _doppler_ramp(nu_axis, cfg)
+    return _ramped_correlate(np.conj(a)[..., None, :] * _doppler_ramp(nu_axis, cfg), b, tau_axis, cfg)
+
+
+def _ramped_correlate(comp: np.ndarray, b, tau_axis, cfg: AfdmConfig) -> np.ndarray:
+    """sum_n comp[..., nu, n] * b(n - tau), shape (..., delays, Dopplers), unchecked.
+
+    ``comp`` is ``_correlate``'s ramped conj(a), (..., Dopplers, Nc); in
+    ``roc_curve`` it is the plan's buffer, the stack ``_BLOCK_BYTES``
+    bounds.  b(n - tau) is ``waveform_samples`` of ``b``: a window view on
+    a run of consecutive whole delays, otherwise a (..., delays, Nc) stack
+    of picked windows or, on a fractional axis, of closed-form samples.
+    """
     ref = waveform_samples(b, cfg, tau_axis)
-    if nu_axis.size == 1:
+    if comp.shape[-2] == 1:
         # numpy multiplies a lone row by a strided matrix in its own loop, not by BLAS
         # as for a contiguous stack; the copy keeps the product bit for bit the same
         ref = np.ascontiguousarray(ref)
@@ -221,8 +239,10 @@ def _circulant(hit: np.ndarray) -> np.ndarray:
 
 
 def _training_window(det: DetectionConfig, shape: tuple[int, int]):
-    """(training indicators, guard indicators, training cell count) of ``det`` on a
-    (delays, Dopplers) grid; ``ParameterError`` when no training cell is left."""
+    """The window of ``det`` on a (delays, Dopplers) grid: the circulant matrices
+    (C(T0 - G0), C(T1)^T, C(T0 & G0), C(T1 - G1)^T) of ``noise_floor``'s two
+    products and the training cell count; ``ParameterError`` when no training
+    cell is left."""
     train = [_window(h, size) for h, size in zip(det.train, shape)]
     guard = [t * _window(h, size) for t, h, size in zip(train, det.guard, shape)]
     count = train[0].sum() * train[1].sum() - guard[0].sum() * guard[1].sum()
@@ -230,7 +250,11 @@ def _training_window(det: DetectionConfig, shape: tuple[int, int]):
         raise ParameterError(
             f"guard {det.guard} swallows the whole {shape} grid: no training cells"
         )
-    return train, guard, count
+    circulants = (
+        _circulant(train[0] - guard[0]), _circulant(train[1]).T,
+        _circulant(guard[0]), _circulant(train[1] - guard[1]).T,
+    )
+    return circulants, count
 
 
 def noise_floor(rd_map: RangeDopplerMap, det: DetectionConfig) -> np.ndarray:
@@ -253,9 +277,15 @@ def noise_floor(rd_map: RangeDopplerMap, det: DetectionConfig) -> np.ndarray:
     check_type(rd_map, RangeDopplerMap, "rd_map")
     check_type(det, DetectionConfig, "det")
     power = np.abs(rd_map.values) ** 2
-    train, guard, count = _training_window(det, power.shape[-2:])
-    acc = _circulant(train[0] - guard[0]) @ power @ _circulant(train[1]).T
-    acc += _circulant(guard[0]) @ power @ _circulant(train[1] - guard[1]).T
+    return _floor(power, _training_window(det, power.shape[-2:]))
+
+
+def _floor(power: np.ndarray, window) -> np.ndarray:
+    """``noise_floor`` of the powers |E|^2 (..., delays, Dopplers) on the
+    ``_training_window`` of their grid, unchecked."""
+    (rest, train, guard, side), count = window
+    acc = rest @ power @ train
+    acc += guard @ power @ side
     return acc / count
 
 
@@ -322,6 +352,8 @@ class SensingScenario:
     is not empty; the SNR is finite, the noise power finite and non-negative
     (0 is a noiseless scenario), and the pilot scheme's power the frame
     spec's.  The traditional comb's footprint is the (tau_m, nu_m) searched.
+    The first ``roc_curve`` call builds the plan that later calls reuse
+    (``_RocPlan``); a copy or a pickle of the scenario leaves it out.
     """
 
     cfg: AfdmConfig
@@ -360,51 +392,101 @@ class SensingScenario:
             rng.uniform(size=count),
         ])
 
-    def _target(self, tau, nu, phase, total_power) -> SensingTarget:
-        """One target per frame of a stack, from its draws and the frames' energies."""
+    def _target(self, phase, total_power) -> np.ndarray:
+        """The target gain of each frame of a stack, from its gain phase draw
+        (cycles) and the frame's energy."""
         snr = 10.0 ** (self.receive_snr_db / 10.0)
         beta_mag = np.sqrt(snr * self.cfg.n_sub * self.noise_power / total_power)
-        gain = beta_mag * np.exp(2j * np.pi * phase)
-        return SensingTarget(
-            gain=gain, delay_samples=tau, doppler_norm=nu, noise_power=self.noise_power
-        )
+        return beta_mag * np.exp(2j * np.pi * phase)
+
+    @functools.cached_property
+    def _plan(self) -> _RocPlan:
+        """What every ``roc_curve`` call on this scenario reuses, built on the first."""
+        return _RocPlan(self)
+
+    def __getstate__(self) -> dict:
+        # a copy or an unpickled scenario builds its own plan, whose lock cannot be pickled
+        state = dict(self.__dict__)
+        state.pop("_plan", None)
+        return state
 
 
 # the package's one byte budget for a block of a Monte Carlo loop, sized to stay
 # in cache.  Here it bounds the largest stack one block of ROC trials builds,
-# the (trials, Dopplers, Nc) ramped echo of ``_correlate``; ``analysis`` sizes
-# the blocks of its frame and allocation draws by it too.
+# the (trials, Dopplers, Nc) ramped echo, which a scenario's plan keeps with
+# its other block buffers from call to call; ``analysis`` sizes the blocks of
+# its frame and allocation draws by it too.
 _BLOCK_BYTES = 1 << 20
 
 
-def _detection_block(
-    scenario: SensingScenario, x_p: np.ndarray, grid, packed: _PackedFrames, raw: np.ndarray,
-    uniforms: np.ndarray, noise: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Detection trials with pilot ``x_p`` on ``grid``, one per row of the symbol bytes ``raw``.
+class _RocPlan:
+    """What the ``roc_curve`` calls on one scenario share: its invariants and one block's buffers.
 
-    Each trial's draws are given: its bytes, read into ``packed``'s buffer,
-    its (delay, Doppler, phase) column of ``uniforms`` and its (2, Nc) real
-    and imaginary ``noise``, scaled and added in place (None when noiseless).
-    Per trial: the statistic at the global argmax, whether that argmax lies
-    within one cell of the truth in both coordinates, and the maximum
-    statistic outside that neighborhood.
+    The invariants are the pilot, the search grid, the grid's (Dopplers, Nc)
+    Doppler ramp and the averaging window of ``_training_window``, checked
+    first, before the pilot is built.  The buffers hold one block of trials:
+    the ``_PackedFrames`` reader's frames, the block's (trials, 2, Nc) noise
+    draws (none when noiseless) and its (trials, Dopplers, Nc) ramped echo
+    stack, 1.3 MB in all at the ``roc`` benchmark's settings (blocks of 36
+    trials, N = 256, 7 Dopplers).  ``fit`` sizes them for the block that
+    ``_BLOCK_BYTES`` gives and builds them afresh when it gives another.
+    The plan lives as long as its scenario; ``roc_curve`` holds ``lock`` for
+    a whole call, so calls on one scenario from two threads take turns.
+    """
+
+    def __init__(self, scenario: SensingScenario):
+        self.grid = sensing_grid(scenario.tau_m, scenario.nu_m)
+        self.window = _training_window(scenario.detection, (self.grid[0].size, self.grid[1].size))
+        self.x_p = pilot_vector(scenario.pilot, scenario.cfg, scenario.tau_m, scenario.nu_m)
+        self.ramp = _doppler_ramp(self.grid[1], scenario.cfg)
+        self.spec, self.noisy = scenario.frame_spec, scenario.noise_power > 0
+        self.lock = threading.Lock()
+        self.rows = 0
+
+    def fit(self, rows: int) -> None:
+        """Buffers for blocks of up to ``rows`` trials: the ones held if they are that size, else new ones."""
+        if rows == self.rows:
+            return
+        n_sub = self.ramp.shape[-1]
+        self.packed = _PackedFrames(self.spec, n_sub, rows)
+        self.noise = np.empty((rows, 2, n_sub)) if self.noisy else None
+        self.stack = np.empty((rows,) + self.ramp.shape, dtype=np.complex128)
+        self.rows = rows
+
+
+def _detection_block(
+    scenario: SensingScenario, plan: _RocPlan, raw: np.ndarray, uniforms: np.ndarray,
+    noise: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detection trials of ``scenario`` on its ``plan``, one per row of the symbol bytes ``raw``.
+
+    Each trial's draws are given: its bytes, read into the plan's frame
+    buffer, its (delay, Doppler, phase) column of ``uniforms`` and its
+    (2, Nc) real and imaginary ``noise``, scaled and added in place (None
+    when noiseless).  The echo, the map and its floor come from the
+    unchecked kernels of ``sensing_echo``, ``rdf`` and ``noise_floor``, run
+    on arrays built here; the symbols from the public ``idaft``, as only
+    ``channel`` reads the private names of ``daft``.  Per trial: the
+    statistic at the global argmax, whether that argmax lies within one cell
+    of the truth in both coordinates, and the maximum statistic outside that
+    neighborhood.
     """
     cfg, size = scenario.cfg, raw.shape[0]
-    x = packed.read(raw)
-    x += x_p
-    target = scenario._target(*uniforms, np.linalg.norm(x, axis=-1) ** 2)
+    x = plan.packed.read(raw)
+    x += plan.x_p
+    tau, nu, phase = uniforms
+    gain = scenario._target(phase, np.linalg.norm(x, axis=-1) ** 2)
     s = idaft(x, cfg)
-    echo = sensing_echo(s, cfg, target)
+    echo = _echo(s, cfg, gain, tau, nu)
     if noise is not None:
         noise *= math.sqrt(scenario.noise_power / 2.0)
         echo.real += noise[:, 0]
         echo.imag += noise[:, 1]
-    rd_map = rdf(echo, s, grid, cfg)
-    stat = _statistic(rd_map.values, noise_floor(rd_map, scenario.detection)).reshape(size, -1)
-    near_mask = (
-        np.abs(rd_map.tau_axis[:, None] - target.delay_samples[:, None, None]) <= 1.0
-    ) & (np.abs(rd_map.nu_axis - target.doppler_norm[:, None, None]) <= 1.0)
+    comp = np.multiply(np.conj(echo, out=echo)[:, None, :], plan.ramp, out=plan.stack[:size])
+    values = _ramped_correlate(comp, s, plan.grid[0], cfg)
+    stat = _statistic(values, _floor(np.abs(values) ** 2, plan.window)).reshape(size, -1)
+    taus, nus = plan.grid
+    near_mask = (np.abs(taus[:, None] - tau[:, None, None]) <= 1.0) & (np.abs(nus - nu[:, None, None]) <= 1.0)
     near_mask = near_mask.reshape(size, -1)
     best = (np.arange(size), np.argmax(stat, axis=1))
     return stat[best], near_mask[best], np.where(near_mask, 0.0, stat).max(axis=1)
@@ -418,8 +500,16 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
     when any cell outside that neighborhood exceeds gamma.  Trials run in
     blocks on a leading batch axis, as many per block (at least one) as fit
     ``_BLOCK_BYTES`` with a complex (trials, Dopplers, Nc) stack, the largest
-    one ``rdf`` builds: its delays are a run of whole delays, whose delayed
+    one a block builds: its delays are a run of whole delays, whose delayed
     symbols ``waveform_samples`` reads as a window view.
+
+    The first call on a scenario builds its plan (``_RocPlan``): the pilot,
+    the search grid, its Doppler ramp, the averaging window and the buffers
+    of one block, the frames, the noise and the ramped echo stack (1.3 MB
+    at the ``roc`` benchmark's settings).  Later calls on the scenario reuse
+    it, and it lives as long as the scenario; a call holds the plan's lock
+    throughout, so calls from two threads on one scenario take turns, each
+    with its own ``rng``.
 
     Draws from ``rng``, in order: one ``rng.bytes`` call for every trial's
     data symbols (``modem._PackedFrames``), one ``uniform`` call each for
@@ -439,22 +529,18 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
         raise ParameterError(f"gamma_grid must be a non-empty 1-D array, got shape {gamma_grid.shape}")
     check_type(scenario, SensingScenario, "scenario")
     check_type(rng, np.random.Generator, "rng")
-    cfg = scenario.cfg
-    grid = sensing_grid(scenario.tau_m, scenario.nu_m)
-    _training_window(scenario.detection, (grid[0].size, grid[1].size))
-    x_p = pilot_vector(scenario.pilot, cfg, scenario.tau_m, scenario.nu_m)
-    block = min(n_trials, max(1, _BLOCK_BYTES // (16 * grid[1].size * cfg.n_sub)))
-    packed = _PackedFrames(scenario.frame_spec, cfg.n_sub, block)
-    raw = packed.draw(rng, n_trials)
-    uniforms = scenario._draw_uniforms(rng, n_trials)
-    noise = np.empty((block, 2, cfg.n_sub)) if scenario.noise_power > 0 else None
-    blocks = []
-    for start in range(0, n_trials, block):
-        stop = min(start + block, n_trials)
-        trial_noise = None if noise is None else rng.standard_normal(out=noise[: stop - start])
-        blocks.append(_detection_block(
-            scenario, x_p, grid, packed, raw[start:stop], uniforms[:, start:stop], trial_noise
-        ))
+    plan = scenario._plan
+    rows = max(1, _BLOCK_BYTES // (16 * plan.ramp.size))
+    block = min(n_trials, rows)
+    with plan.lock:
+        plan.fit(rows)
+        raw = plan.packed.draw(rng, n_trials)
+        uniforms = scenario._draw_uniforms(rng, n_trials)
+        blocks = []
+        for start in range(0, n_trials, block):
+            stop = min(start + block, n_trials)
+            noise = None if plan.noise is None else rng.standard_normal(out=plan.noise[: stop - start])
+            blocks.append(_detection_block(scenario, plan, raw[start:stop], uniforms[:, start:stop], noise))
     peak, near, out_max = (np.concatenate(part) for part in zip(*blocks))
     gammas = gamma_grid[:, None]
     pfa = np.mean(out_max > gammas, axis=1)
@@ -465,12 +551,15 @@ def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.n
 def pd_at_pfa(curve: np.ndarray, pfa_targets) -> np.ndarray:
     """Interpolate detection probability at given false-alarm levels.
 
-    ``curve`` holds finite (gamma, Pfa, Pd) rows, as ``roc_curve`` returns them.
+    ``curve`` holds finite (gamma, Pfa, Pd) rows, as ``roc_curve`` returns them,
+    in any order.  They are read by rising Pfa and, where rows share a Pfa,
+    by falling gamma, so a level between two Pfa values interpolates between
+    the two adjacent thresholds, the last row of the tie and the next one.
     """
     curve = check_reals(curve, "curve")
     if curve.ndim != 2 or curve.shape[0] < 1 or curve.shape[1] != 3:
         raise ParameterError(f"curve must be (gamma, Pfa, Pd) rows, got shape {curve.shape}")
-    order = np.argsort(curve[:, 1])
+    order = np.lexsort((-curve[:, 0], curve[:, 1]))
     pfa = curve[order, 1]
     pd = curve[order, 2]
     return np.interp(check_reals(pfa_targets, "pfa_targets"), pfa, pd)

@@ -212,7 +212,8 @@ def test_exponentials_are_called_where_listed():
 
 def test_caches_stay_where_they_are_listed():
     # three caches (the banded solve's band layout and its LAPACK routines in
-    # channel, the estimator's pilot model), and each cached property by name:
+    # channel, the estimator's pilot model), and each cached property by name
+    # (a scenario's plan keeps the ROC trials' invariants and block buffers):
     # every one is re-read by some workload, so a new one is a decision
     caches, cached_properties = [], set()
     for path in sorted((SRC / "afdm_isac").glob("*.py")):
@@ -243,6 +244,7 @@ def test_caches_stay_where_they_are_listed():
         ("AfdmConfig", "c2_chirp"),
         ("AfdmConfig", "dft_twiddle"),
         ("PathChannel", "_daft_taps"),
+        ("SensingScenario", "_plan"),
     }
 
 
@@ -289,6 +291,9 @@ TEST_ONLY = {
     ("estimator", "build_psi"): "the FFT reference of the pilot model, pinned by the benchmark's tracer test",
     ("pilots", "proposed_delay_limit"): "the paper's delay reach of the proposed comb (ROADMAP item 5)",
     ("pilots", "max_unambiguous_delay"): "the delay reach of a comb spacing (ROADMAP item 5)",
+    ("channel", "sensing_echo"): "the checked target echo of one symbol or a stack; roc_curve runs its kernel",
+    ("sensing", "rdf"): "the checked range-Doppler map of a caller's echo; roc_curve runs its kernel",
+    ("sensing", "noise_floor"): "the checked noise floor of a caller's map; roc_curve runs its kernel",
     ("sensing", "detect"): "the cell-averaging detector of one map, for a caller's own scenario (ROADMAP item 4)",
     ("sensing", "estimate_target"): "the grid estimate that the sub-cell refinement starts from (ROADMAP item 4)",
     ("sensing", "RangeDopplerMap.at"): "a map's value at one grid point, read by the ambiguity-function tests",

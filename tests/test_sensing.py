@@ -1,8 +1,11 @@
 import collections
+import copy
 import dataclasses
 import importlib
 import math
+import pickle
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -307,10 +310,11 @@ class TestWindowedDelays:
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("n_sub, pilot", [(64, "proposed"), (63, "single")])
     def test_roc_curve_matches_gathered_correlation(self, monkeypatch, seed, n_sub, pilot):
+        # the trials correlate against the contiguous stack of b(n - tau) of every delay
         scenario = parity_scenario(n_sub, pilot)
         gammas = np.logspace(0.0, 3.0, 25)
         curve = roc_curve(scenario, gammas, 150, np.random.default_rng(seed))
-        monkeypatch.setattr(sensing, "_correlate", dense_oracle.correlate_by_gather)
+        monkeypatch.setattr(sensing, "waveform_samples", dense_oracle.delayed_stack)
         expect = roc_curve(scenario, gammas, 150, np.random.default_rng(seed))
         assert np.array_equal(curve, expect)
 
@@ -694,9 +698,9 @@ def recording_blocks(monkeypatch):
     calls = []
     block = sensing._detection_block
 
-    def recording_block(scenario, x_p, grid, packed, raw, *draws):
-        calls.append((x_p, raw.shape[0]))
-        return block(scenario, x_p, grid, packed, raw, *draws)
+    def recording_block(scenario, plan, raw, *draws):
+        calls.append((plan.x_p, raw.shape[0]))
+        return block(scenario, plan, raw, *draws)
 
     monkeypatch.setattr(sensing, "_detection_block", recording_block)
     return calls
@@ -874,18 +878,117 @@ class TestRoc:
         out = pd_at_pfa(curve, [0.01, 0.1, 1.0])
         assert out == pytest.approx([0.5, 0.8, 1.0])
 
+    def test_pd_at_pfa_reads_tied_rows_by_threshold(self):
+        # three thresholds without a false alarm: Pfa 0.01 lies between the
+        # smallest of them (gamma 10, Pd 0.78) and the next (gamma 8, Pfa 0.02,
+        # Pd 0.86), in whatever order the rows come
+        curve = np.array([
+            [100.0, 0.0, 0.5], [30.0, 0.0, 0.7], [10.0, 0.0, 0.78], [8.0, 0.02, 0.86], [1.0, 1.0, 1.0],
+        ])
+        for rows in (curve, curve[::-1], curve[[2, 0, 4, 1, 3]]):
+            assert pd_at_pfa(rows, [0.01])[0] == pytest.approx(0.82)
+
+    def test_pd_at_pfa_does_not_depend_on_the_row_order(self):
+        # at the roc settings the rows without a false alarm differ in Pd
+        curve = roc_curve(roc_settings_scenario("proposed"), np.logspace(0.0, 3.0, 40), 100, np.random.default_rng(1))
+        assert np.unique(curve[curve[:, 1] == 0.0, 2]).size > 1
+        levels = [0.0, 0.01, 0.05, 0.5]
+        expect = pd_at_pfa(curve, levels)
+        for seed in range(5):
+            rows = np.random.default_rng(seed).permutation(curve.shape[0])
+            assert np.array_equal(pd_at_pfa(curve[rows], levels), expect)
+
     @pytest.mark.parametrize("shape", [(0, 3), (3, 2), (3,), (2, 3, 1)])
     def test_pd_at_pfa_rejects_a_non_curve(self, shape):
         with pytest.raises(ParameterError, match="rows"):
             pd_at_pfa(np.zeros(shape), [0.1])
 
 
+class TestRocPlan:
+    GAMMAS = np.logspace(0.0, 3.0, 25)
+
+    def test_plans_carry_nothing_from_call_to_call(self, monkeypatch):
+        # two scenarios' plans in turn, with 100 and 150 trials: at the default
+        # budget they run in one block at N = 64 (rows for 204 trials) and in
+        # blocks of 36 at the roc settings; at 5 << 16 bytes the buffers are
+        # rebuilt for 64 and 11 trials, then for the default again.  Every curve
+        # and generator state is the per-trial oracle's.
+        scenarios = (parity_scenario(64, "proposed"), roc_settings_scenario("proposed"))
+        seed = 10
+        for budget, rows in ((sensing._BLOCK_BYTES, (204, 36)), (5 << 16, (64, 11)), (sensing._BLOCK_BYTES, (204, 36))):
+            monkeypatch.setattr(sensing, "_BLOCK_BYTES", budget)
+            for scenario, n_trials in zip(scenarios * 2, (100, 150, 150, 100)):
+                seed += 1
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                curve = roc_curve(scenario, self.GAMMAS, n_trials, rng)
+                assert np.array_equal(curve, per_trial_roc(scenario, self.GAMMAS, n_trials, ref_rng))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert tuple(each._plan.rows for each in scenarios) == rows
+
+    def test_a_scenario_builds_its_plan_once(self, monkeypatch):
+        built = []
+        plan = sensing._RocPlan
+
+        def counted(scenario):
+            built.append(scenario)
+            return plan(scenario)
+
+        monkeypatch.setattr(sensing, "_RocPlan", counted)
+        scenario = roc_settings_scenario("proposed")
+        for seed in (1, 2):
+            roc_curve(scenario, [1.0, 10.0], 100, np.random.default_rng(seed))
+        roc_curve(dataclasses.replace(scenario), [1.0, 10.0], 100, np.random.default_rng(3))
+        assert len(built) == 2 and built[0] is scenario
+
+    def test_two_threads_on_one_scenario_match_sequential_calls(self):
+        # each thread makes three calls with its own generator on the shared
+        # scenario; the lock makes them take turns with its buffers
+        calls, seeds = 3, (5, 6)
+        expect = {}
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            expect[seed] = [roc_curve(roc_settings_scenario("proposed"), self.GAMMAS, 100, rng) for _ in range(calls)]
+        scenario = roc_settings_scenario("proposed")
+        start = threading.Barrier(len(seeds))
+        got = {}
+
+        def run(seed):
+            rng = np.random.default_rng(seed)
+            start.wait(timeout=60)
+            got[seed] = [roc_curve(scenario, self.GAMMAS, 100, rng) for _ in range(calls)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert set(got) == set(seeds)
+        for seed in seeds:
+            assert all(np.array_equal(a, b) for a, b in zip(got[seed], expect[seed], strict=True))
+
+    def test_a_used_scenario_copies_and_pickles_without_its_plan(self):
+        scenario = roc_settings_scenario("proposed")
+        first = roc_curve(scenario, self.GAMMAS, 100, np.random.default_rng(1))
+        for clone in (pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario), copy.copy(scenario)):
+            assert clone == scenario and "_plan" not in vars(clone)
+            assert np.array_equal(roc_curve(clone, self.GAMMAS, 100, np.random.default_rng(1)), first)
+            assert clone._plan is not scenario._plan
+
+
 class TestRocQuality:
     def test_seed_1_quality_lines_are_pinned(self):
-        # the benchmark's roc trials, seed 1: its quality lines at their printed precision
+        # the benchmark's roc trials, seed 1: its quality lines at their printed precision.
+        # 27 rows of the pooled curve have Pfa 0, so Pd at 0.01 lies between gamma 10
+        # (Pd 0.782) and gamma 8.38 (Pfa 0.018, Pd 0.866)
         session = roc(RocParams(), 1)
         quality = session.quality([session.call() for _ in range(session.quality_calls)])
         assert {name: f"{value:.6g}" for name, value in quality.items()} == {
-            "pd_at_pfa_0.01": "0.481111",
+            "pd_at_pfa_0.01": "0.828667",
             "argmax_hit_ratio": "0.972",
         }
