@@ -50,7 +50,10 @@ block of frames costs one ``images`` call and one batched row dot; the origin
 is the frame energy.  ``interference_coefficient`` provides the closed-form
 DAFT-domain route (a single cyclic ridge at subcarrier offset
 2*c1*tau*Nc - nu), and the tests cross-check the two.  Theorem 4 reads the
-pilot's Gram from the estimator's cached pilot model.
+pilot's Gram from the estimator's cached pilot model, where it is built by
+Theorem 4's own identity from the pilot's ambiguity function
+(``sensing._gram``); the check forms Psi_p^H Psi_p from the model's cached
+images, a second route, and compares the two.
 
 Monte Carlo
 -----------
@@ -89,6 +92,7 @@ from .daft import build_daft_matrix  # noqa: F401
 from .errors import (
     NumericalError,
     ParameterError,
+    check_cells,
     check_count,
     check_finite,
     check_integers,
@@ -133,9 +137,12 @@ __all__ = [
 
 
 def ambiguity_region(tau_m: int, nu_m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Delay/Doppler axes [-tau_m, tau_m] x [-2*nu_m, 2*nu_m] of integers tau_m, nu_m >= 0."""
+    """Delay/Doppler axes [-tau_m, tau_m] x [-2*nu_m, 2*nu_m] of integers tau_m, nu_m >= 0;
+    ``ParameterError`` for an axis past numpy's array limit (``check_cells``)."""
     check_count(tau_m, "tau_m", least=0)
     check_count(nu_m, "nu_m", least=0)
+    for cells in (2 * int(tau_m) + 1, 4 * int(nu_m) + 1):
+        check_cells(cells, "an ambiguity axis")
     return np.arange(-tau_m, tau_m + 1), np.arange(-2 * nu_m, 2 * nu_m + 1)
 
 
@@ -431,14 +438,16 @@ def verify_theorem_4(
     cfg: AfdmConfig,
     pairs: Sequence[tuple[int, int]],
 ) -> TheoremReport:
-    """Check the pilot Gram structure against the pilot ambiguity function.
+    """Check the pilot's Gram from its ambiguity function against Psi_p^H Psi_p.
 
-    The Gram Psi_p^H Psi_p is read from the estimator's cached Psi_p^H and
-    Gram of (cfg, pairs, pilot bytes), shared with the link: at most 4
-    models of L*Nc*16 bytes.  The check verifies, entry by entry, that the
-    (i, j) Gram element equals
-    exp(-j*2*pi*nu_j*(tau_j - tau_i)/Nc) * chi_p(tau_j - tau_i, nu_j - nu_i);
-    an ideal pilot therefore yields a scaled-identity Gram.  ``passed``
+    The estimator's cached pilot model of (cfg, pairs, pilot bytes), shared
+    with the link (at most 4 models of L*Nc*16 bytes), holds the Gram that
+    Theorem 4 predicts, the (i, j) element
+    exp(-j*2*pi*nu_j*(tau_j - tau_i)/Nc) * chi_p(tau_j - tau_i, nu_j - nu_i)
+    (``sensing._gram``), and Psi_p^H, the conjugated images of the pilot
+    through the basis paths.  The check forms Psi_p^H Psi_p from those
+    images, the independent route, and compares the two entry by entry; an
+    ideal pilot therefore yields a scaled-identity Gram.  ``passed``
     reflects only the identity residual (relative tolerance
     ``_IDENTITY_TOL``); consumers judge the off-diagonal magnitudes via the
     report.  ``x_pilot`` is finite of shape (Nc,) and ``pairs`` a non-empty
@@ -452,15 +461,11 @@ def verify_theorem_4(
     if taus.min() < 0 or taus.max() >= n:
         raise ParameterError(f"pair delays must lie in [0, {n}), got {pairs!r}")
     pilot_power = float(np.linalg.norm(x_pilot) ** 2)
-    gram = _pilot_model(cfg, tuple(zip(taus.tolist(), nus.tolist())), x_pilot.tobytes()).gram
-    # integer Dopplers act mod Nc: centred, their differences fit in int64
-    nus = (nus % n + n // 2) % n - n // 2
-    tau_diff = taus[None, :] - taus[:, None]  # [i, j] = tau_j - tau_i
-    tau_hats, t_idx = np.unique(tau_diff, return_inverse=True)  # t_idx, v_idx: (L, L)
-    nu_hats, v_idx = np.unique(nus[None, :] - nus[:, None], return_inverse=True)
-    chi = ambiguity_function(idaft(x_pilot, cfg), (tau_hats, nu_hats), cfg).values
-    predicted = cfg.dft_twiddle[nus[None, :] % n * tau_diff % n] * chi[t_idx, v_idx]
-    max_identity = float(np.max(np.abs(gram - predicted)))
+    psi_h, gram = _pilot_model(cfg, tuple(zip(taus.tolist(), nus.tolist())), x_pilot.tobytes())[:2]
+    # Psi_p^H Psi_p, 128 columns at a time: a conjugate copy of the whole Psi_p^H
+    # would take L*Nc*16 bytes, more than the rest of a warm report holds
+    images = sum(psi_h[:, k : k + 128] @ psi_h[:, k : k + 128].conj().T for k in range(0, n, 128))
+    max_identity = float(np.max(np.abs(gram - images)))
     diag_err = float(np.max(np.abs(np.diag(gram) - pilot_power)))
     details = {
         "max_identity_residual": max_identity,

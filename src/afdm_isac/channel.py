@@ -55,6 +55,7 @@ from .daft import (
 from .errors import (
     NumericalError,
     ParameterError,
+    check_cells,
     check_count,
     check_finite,
     check_integers,
@@ -161,7 +162,9 @@ class BasisGrid:
     """Integer delay-Doppler basis covering [0, tau_m] x [-nu_m, nu_m].
 
     Pair i (0-based) has tau_i = i // (2*nu_m + 1) and
-    nu_i = i % (2*nu_m + 1) - nu_m.  Both bounds are integers >= 0.
+    nu_i = i % (2*nu_m + 1) - nu_m.  Both bounds are integers >= 0, and a
+    grid whose int64 pair indices pass numpy's array limit (``check_cells``)
+    raises ``ParameterError``.
     """
 
     tau_m: int
@@ -171,7 +174,8 @@ class BasisGrid:
     def __post_init__(self):
         check_count(self.tau_m, "tau_m", least=0)
         check_count(self.nu_m, "nu_m", least=0)
-        delays, dopplers = _grid_pairs(np.arange((2 * self.nu_m + 1) * (self.tau_m + 1)), self.nu_m)
+        size = check_cells((2 * int(self.nu_m) + 1) * (int(self.tau_m) + 1), "a basis grid")
+        delays, dopplers = _grid_pairs(np.arange(size), self.nu_m)
         object.__setattr__(self, "pairs", tuple(zip(delays.tolist(), dopplers.tolist())))
 
     def __len__(self) -> int:
@@ -348,12 +352,27 @@ class PathChannel:
 
     @functools.cached_property
     def _daft_taps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source columns q and gain-weighted phases, both (paths, Nc) and read-only."""
+        """Source columns q and gain-weighted phases, both (paths, Nc) and read-only.
+
+        Each product is formed in place with its operands in the formula's
+        order (numpy's SIMD complex product rounds a*b and b*a differently),
+        so building the table holds 40 bytes per entry at its peak: q, one
+        int64 index and the taps, then q, the taps and one gather.
+        """
         n, cfg = self.cfg.n_sub, self.cfg
         tau, nu = self.delays[:, None], self.dopplers[:, None] % n
-        q = (np.arange(n) + _offset(tau, nu, cfg)) % n
-        phase = np.conj(cfg.c1_chirp[tau]) * cfg.dft_twiddle[(q + nu) * tau % n]
-        taps = self.gains[:, None] * phase * cfg.c2_chirp * np.conj(cfg.c2_chirp[q])
+        q = np.arange(n) + _offset(tau, nu, cfg)
+        q %= n
+        at = q + nu
+        at *= tau
+        at %= n
+        taps = cfg.dft_twiddle[at]
+        del at
+        np.multiply(np.conj(cfg.c1_chirp[tau]), taps, out=taps)
+        np.multiply(self.gains[:, None], taps, out=taps)
+        taps *= cfg.c2_chirp
+        source = cfg.c2_chirp[q]
+        taps *= np.conj(source, out=source)
         q.flags.writeable = False
         taps.flags.writeable = False
         return q, taps
@@ -525,13 +544,14 @@ def sample_channel(
     One ``choice`` draws the indices of the pairs on the (tau_m, nu_m) grid,
     read by ``BasisGrid``'s pair rule, then one ``standard_normal`` draws 2L
     values: path i's gain has real part 2i and imaginary part 2i + 1, each
-    times sqrt(1/(2L)).
+    times sqrt(1/(2L)).  A grid that ``BasisGrid`` refuses for its size
+    raises ``ParameterError`` too.
     """
     check_count(L, "L")
     check_type(rng, np.random.Generator, "rng")
     check_count(tau_m, "tau_m", least=0)
     check_count(nu_m, "nu_m", least=0)
-    size = (2 * nu_m + 1) * (tau_m + 1)
+    size = check_cells((2 * int(nu_m) + 1) * (int(tau_m) + 1), "a basis grid")
     if L > size:
         raise ParameterError(f"L={L} exceeds the {size}-pair grid")
     picks = rng.choice(size, size=L, replace=False)

@@ -3,8 +3,8 @@
 ``check_vector`` (a complex (n,) vector) and ``check_stack`` (a (..., n) stack)
 raise ``ConfigurationError``, also for non-numbers; ``check_finite`` (the
 entries of a checked array), ``check_type``, ``check_pair``, ``check_number``,
-``check_reals``, ``check_nonnegative``, ``check_positive``, ``check_count`` and
-``check_integers`` raise ``ParameterError``.
+``check_reals``, ``check_nonnegative``, ``check_positive``, ``check_count``,
+``check_cells`` and ``check_integers`` raise ``ParameterError``.
 """
 
 import cmath
@@ -117,6 +117,15 @@ def check_count(value, what: str, least: int = 1) -> None:
 
 
 _INT64 = np.iinfo(np.int64)
+
+
+def check_cells(cells: int, what: str, itemsize: int = 8) -> int:
+    """``cells``, an integer budget's entry count formed in Python integers;
+    ``ParameterError`` unless an array of that many ``itemsize``-byte entries
+    fits numpy's limit of 2^63 - 1 bytes, so it is refused before any array is built."""
+    if cells * itemsize > _INT64.max:
+        raise ParameterError(f"{what} of {cells} entries of {itemsize} bytes passes numpy's array limit")
+    return cells
 
 
 def check_integers(values, what: str) -> np.ndarray:

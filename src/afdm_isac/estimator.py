@@ -17,8 +17,11 @@ alpha_i = S_ii (Psi_p^H y)_i / c (for the proposed pilot G = sigma_p^2 I,
 Theorem 4).  Any other Gram goes through one inverse of the normal matrix,
 which gives both the estimate and the posterior variances.
 Psi_p^H is the conjugate of ``PathChannel.images`` of the pilot through the
-unit-gain basis channel, one gather and no transform; it and its Gram depend
-only on the pilot, the basis pairs and the config, so they are built once:
+unit-gain basis channel, one gather and no transform, conjugated in place.
+The Gram is not formed from it: by Theorem 4 it is the pilot's ambiguity
+function at the pair differences times a twiddle (``sensing._gram``, one
+``idaft`` and one correlation), with no L^2*Nc product.  Both depend only
+on the pilot, the basis pairs and the config, so they are built once:
 a bounded cache keyed on (cfg, pairs, pilot bytes) holds the last 4 pilot
 models (Psi_p^H, the Gram, its diagonal when it is diagonal and its
 condition number), read-only, each about L*Nc*16 bytes, for both
@@ -78,6 +81,7 @@ from .errors import (
     check_vector,
 )
 from .modem import FrameSpec, _demap, _map
+from .sensing import _gram
 
 __all__ = [
     "PriorModel",
@@ -176,10 +180,11 @@ def _gram_diagonal(gram: np.ndarray) -> np.ndarray | None:
 
 
 class _PilotModel(NamedTuple):
-    """What a frame needs of its pilot, read-only: Psi_p^H, the Gram Psi_p^H Psi_p,
-    the Gram's diagonal when ``_gram_diagonal`` finds it diagonal (else None) and
-    the Gram's 2-norm condition number: max(d)/min(d) of a diagonal Gram, else from
-    its singular values; inf for a singular Gram and NaN for a non-finite one."""
+    """What a frame needs of its pilot, read-only: Psi_p^H, the Gram Psi_p^H Psi_p
+    by Theorem 4's identity (``sensing._gram``), the Gram's diagonal when
+    ``_gram_diagonal`` finds it diagonal (else None) and the Gram's 2-norm
+    condition number from its singular values, on either route; inf for a
+    singular Gram and NaN for a non-finite one."""
 
     psi_h: np.ndarray
     gram: np.ndarray
@@ -195,24 +200,24 @@ def _pilot_model(cfg: AfdmConfig, pairs: tuple[tuple[int, int], ...], pilot: byt
     integer (delay, Doppler) ``pairs``, a tuple of int pairs.
 
     Row i of the pilot's ``images`` through the unit-gain channel of the
-    pairs is column i of Psi_p.  The pilot is rebuilt from the key, so a
-    caller's later write to its own array cannot reach an entry.  The route
+    pairs is column i of Psi_p, and the table of those images is conjugated
+    in place into Psi_p^H.  The Gram is the pilot's ambiguity function on
+    the pair differences (``sensing._gram``), not the product of the images,
+    and ``analysis.verify_theorem_4`` checks the one against the other.
+    The pilot is rebuilt from the key, so a caller's later write to its own
+    array cannot reach an entry.  The route
     of the posterior and the condition number are decided here, once per
     pilot.  Its two callers validate the pairs: ``iterative_estimate``
     passes ``grid.pairs``, ``verify_theorem_4`` its checked pairs.
     """
-    ones = np.ones(len(pairs))
-    rows = PathChannel(cfg, *np.array(pairs).T, ones).images(np.frombuffer(pilot, dtype=np.complex128))
-    psi_h = rows.conj()
-    gram = psi_h @ rows.T
+    x, (taus, nus) = np.frombuffer(pilot, dtype=np.complex128), np.array(pairs).T
+    rows = PathChannel(cfg, taus, nus, np.ones(len(pairs))).images(x)
+    psi_h = np.conj(rows, out=rows)
+    gram = _gram(x, taus, nus, cfg)
     diagonal = _gram_diagonal(gram)
-    if diagonal is not None:
-        condition = float(diagonal.max() / diagonal.min()) if diagonal.min() > 0 else math.inf
-    else:
-        condition = float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.nan
-    for arr in (psi_h, gram, diagonal):
-        if arr is not None:
-            arr.flags.writeable = False
+    condition = float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.nan
+    for arr in (psi_h, gram) if diagonal is None else (psi_h, gram, diagonal):
+        arr.flags.writeable = False
     return _PilotModel(psi_h, gram, diagonal, condition)
 
 

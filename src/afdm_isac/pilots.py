@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .daft import AfdmConfig
-from .errors import ParameterError, check_count, check_nonnegative, check_positive, check_type, is_integer
+from .errors import ParameterError, check_cells, check_count, check_nonnegative, check_positive, check_type, is_integer
 
 __all__ = [
     "PilotScheme",
@@ -56,9 +56,11 @@ def zc_sequence(length: int, root: int = 1) -> np.ndarray:
     exp(-j*pi*u*n*(n+1)/N) form so the sequence stays N-periodic.  The
     phase numerator is reduced mod 2N in integers, so a large root or length
     loses no precision to the float phase.  A ``length`` that is no integer
-    >= 1 or a ``root`` that is no integer coprime with it: ``ParameterError``.
+    >= 1, past numpy's array limit (``check_cells``), or a ``root`` that is
+    no integer coprime with it: ``ParameterError``.
     """
     check_count(length, "ZC length")
+    check_cells(int(length), "a ZC sequence", itemsize=16)
     if not is_integer(root) or math.gcd(length, root) != 1:
         raise ParameterError(f"ZC root {root!r} is not an integer coprime with length {length}")
     period = 2 * length

@@ -1,6 +1,7 @@
 """Delay-Doppler correlation, detection, and target parameter estimation.
 
-One correlation serves the receiver and the ambiguity analysis:
+One correlation serves the receiver, the ambiguity analysis and the
+pilot model's Gram:
 
     E(tau, nu) = sum_n conj(a[n]) * b(n - tau) * exp(j*2*pi*nu*n/Nc)
 
@@ -10,9 +11,12 @@ fractional-delay convention, and the ramp is the channel's one
 ``_doppler_ramp``, 2*sqrt(Nc) exponentials per Doppler.  ``rdf`` takes
 a = echo and b = transmitted symbol (a target of gain beta peaks at
 conj(beta) * total power), ``analysis.cross_ambiguity`` any two symbols on
-integer axes; both give a ``RangeDopplerMap``.  Detection normalizes |E|^2
-by a local noise floor (cell-averaging window with a guard box, cyclic
-wrap) and thresholds it.
+integer axes; both give a ``RangeDopplerMap``.  ``_gram`` reads a frame's
+ambiguity function on the distinct differences of integer basis pairs and
+forms the frame's Gram over those pairs from it (Theorem 4), with no image
+of the frame through the paths; the estimator takes its pilot model's Gram
+from it.  Detection normalizes |E|^2 by a local noise floor (cell-averaging
+window with a guard box, cyclic wrap) and thresholds it.
 
 ``rdf`` and ``noise_floor`` batch over leading axes: echoes and symbols
 (..., Nc) give maps (..., delays, Dopplers).  Both are checked wrappers over
@@ -49,6 +53,7 @@ from .daft import AfdmConfig, idaft, waveform_samples
 from .errors import (
     ConfigurationError,
     ParameterError,
+    check_cells,
     check_count,
     check_nonnegative,
     check_pair,
@@ -133,6 +138,26 @@ def _correlate(a, b, tau_axis, nu_axis, cfg: AfdmConfig) -> np.ndarray:
     return _ramped_correlate(np.conj(a)[..., None, :] * _doppler_ramp(nu_axis, cfg), b, tau_axis, cfg)
 
 
+def _gram(x: np.ndarray, taus: np.ndarray, nus: np.ndarray, cfg: AfdmConfig) -> np.ndarray:
+    """The L x L Gram Psi^H Psi of the DAFT-domain frame ``x`` over the L integer
+    basis pairs (taus[i], nus[i]), delays in [0, Nc), by Theorem 4, unchecked:
+
+        G[i, j] = exp(-j*2*pi*nu_j*(tau_j - tau_i)/Nc) * chi(tau_j - tau_i, nu_j - nu_i)
+
+    with chi the frame's ambiguity function, one ``_correlate`` of its
+    ``idaft`` on the distinct pair differences, then the twiddle and the
+    (i, j) gather.  Integer Dopplers act mod Nc, so they are centred first
+    and their differences fit in int64.
+    """
+    n, s = cfg.n_sub, idaft(x, cfg)
+    nus = (nus % n + n // 2) % n - n // 2
+    tau_diff = taus[None, :] - taus[:, None]  # [i, j] = tau_j - tau_i
+    tau_hats, t_idx = np.unique(tau_diff, return_inverse=True)  # t_idx, v_idx: (L, L)
+    nu_hats, v_idx = np.unique(nus[None, :] - nus[:, None], return_inverse=True)
+    chi = _correlate(s, s, tau_hats, nu_hats, cfg)
+    return cfg.dft_twiddle[nus[None, :] % n * tau_diff % n] * chi[t_idx, v_idx]
+
+
 def _ramped_correlate(comp: np.ndarray, b, tau_axis, cfg: AfdmConfig) -> np.ndarray:
     """sum_n comp[..., nu, n] * b(n - tau), shape (..., delays, Dopplers), unchecked.
 
@@ -181,17 +206,16 @@ def sensing_grid(
 
     All four parameters are integers (numpy integers too, bools and whole
     floats not), the rule of every integer budget in this module, read as
-    Python integers before any arithmetic; an axis of 2^63 cells or more
-    raises ``ParameterError``.
+    Python integers before any arithmetic; an axis past numpy's array limit
+    (``check_cells``) raises ``ParameterError``.
     """
     check_count(tau_m, "tau_m", least=0)
     check_count(nu_m, "nu_m", least=0)
     check_count(os_tau, "os_tau")
     check_count(os_nu, "os_nu")
     tau_m, nu_m, os_tau, os_nu = map(operator.index, (tau_m, nu_m, os_tau, os_nu))
-    cells = (tau_m * os_tau + 1, 2 * nu_m * os_nu + 1)
-    if max(cells) > np.iinfo(np.int64).max:
-        raise ParameterError(f"grid axes must have fewer than 2^63 cells, got {cells}")
+    for cells in (tau_m * os_tau + 1, 2 * nu_m * os_nu + 1):
+        check_cells(cells, "a grid axis")
     taus = np.arange(0, tau_m * os_tau + 1) / os_tau
     nus = np.arange(-nu_m * os_nu, nu_m * os_nu + 1) / os_nu
     return taus, nus

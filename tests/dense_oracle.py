@@ -18,8 +18,8 @@ extension s[(n - tau) mod Nc] * (-1)^(K*Nc*floor((n - tau)/Nc)) in Python
 integers, where ``sensing._correlate`` reads windows of the extension through
 ``waveform_samples`` (often a strided view).  The pilot's Gram over a list of
 basis pairs is built directly, as the rows of the pilot's images times their
-conjugates, where ``analysis.verify_theorem_4`` reads it from the estimator's
-cached pilot model.  The equalizer's band is read off the dense time-domain
+conjugates, where the estimator's cached pilot model forms it from the
+pilot's ambiguity function on the pair differences (``sensing._gram``).  The equalizer's band is read off the dense time-domain
 normal matrix, where ``PathChannel._band`` forms its cyclic diagonals in closed
 form.  The dense-route iterative estimator forms its own posterior by an
 explicit inverse, its own interference level sigma_d^2 * sum(g) + N0, its

@@ -553,13 +553,33 @@ class TestTheorem4SharedModel:
         cfg = AfdmConfig(n_sub=n_sub, n_cpp=8, c1=two_c1_n / (2 * n_sub))
         x_p = THEOREM_4_PILOTS[family](cfg)
         gram = dense_oracle.pilot_gram(x_p, cfg, self.GRID.pairs)
-        assert np.array_equal(estimator._pilot_model(cfg, self.GRID.pairs, x_p.tobytes()).gram, gram)
+        model = estimator._pilot_model(cfg, self.GRID.pairs, x_p.tobytes())
+        assert np.max(np.abs(model.gram - gram)) <= 1e-13 * np.max(np.abs(gram))
         report = verify_theorem_4(x_p, cfg, self.GRID.pairs)
         assert report.passed
-        # the same report from the Gram built on the spot, bit for bit
-        direct = estimator._PilotModel(None, gram, None, 0.0)
+        # the same report, within rounding, from the Gram built on the spot beside the model's Psi_p^H
+        direct = estimator._PilotModel(model.psi_h, gram, None, 0.0)
         monkeypatch.setattr(analysis, "_pilot_model", lambda *key: direct)
-        assert verify_theorem_4(x_p, cfg, self.GRID.pairs).details == report.details
+        again = verify_theorem_4(x_p, cfg, self.GRID.pairs)
+        assert again.passed and again.details.keys() == report.details.keys()
+        scale = max(report.details["pilot_power"], 1.0)
+        for key, value in report.details.items():
+            assert abs(again.details[key] - value) <= 1e-13 * scale, key
+
+    @pytest.mark.parametrize("family", ["proposed", "random"])
+    def test_a_perturbed_gram_fails_the_check(self, monkeypatch, family):
+        # the check forms Psi_p^H Psi_p from the model's images, a route apart from the
+        # model's Gram, so a Gram entry off by 1e-6 of its largest fails it, also off the diagonal
+        x_p = THEOREM_4_PILOTS[family](self.CFG)
+        model = estimator._pilot_model(self.CFG, self.GRID.pairs, x_p.tobytes())
+        assert verify_theorem_4(x_p, self.CFG, self.GRID.pairs).passed
+        for i, j in [(3, 7), (0, 0)]:
+            gram = model.gram.copy()
+            gram[i, j] += 1e-6 * np.max(np.abs(gram))
+            monkeypatch.setattr(analysis, "_pilot_model", lambda *key, gram=gram: model._replace(gram=gram))
+            report = verify_theorem_4(x_p, self.CFG, self.GRID.pairs)
+            assert not report.passed
+            assert report.details["max_identity_residual"] >= 0.99e-6 * np.max(np.abs(model.gram))
 
     def test_second_call_reads_the_cached_model(self, monkeypatch):
         calls = []

@@ -172,6 +172,34 @@ class TestPathChannel:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("n_sub, two_c1_n", [(64, 4), (63, 5)])
+    def test_tap_table_is_built_in_place(self, rng, n_sub, two_c1_n):
+        # q and the taps keep 24 bytes per entry; building them in place peaks at 40 (one
+        # index or one gather besides), where a temporary per operation takes 72
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        h = PathChannel(cfg, rng.integers(0, n_sub, 45), rng.integers(-n_sub, n_sub, 45), np.ones(45))
+        cfg.c1_chirp, cfg.c2_chirp, cfg.dft_twiddle  # the config's tables, built once per config
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            q, _ = h._daft_taps
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * q.size
+
+    @pytest.mark.parametrize("n_sub, two_c1_n", PATH_CONFIGS)
+    def test_tap_table_is_the_formula_bit_for_bit(self, rng, n_sub, two_c1_n):
+        # the in-place products keep the one-expression form's operand order, so its rounding
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        h = PathChannel(cfg, rng.integers(0, n_sub, 9), rng.integers(-3 * n_sub, 3 * n_sub, 9),
+                        rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        tau, nu = h.delays[:, None], h.dopplers[:, None] % n_sub
+        q = (np.arange(n_sub) + subcarrier_offset(tau, nu, cfg)) % n_sub
+        phase = np.conj(cfg.c1_chirp[tau]) * cfg.dft_twiddle[(q + nu) * tau % n_sub]
+        taps = h.gains[:, None] * phase * cfg.c2_chirp * np.conj(cfg.c2_chirp[q])
+        assert np.array_equal(h._daft_taps[0], q) and np.array_equal(h._daft_taps[1], taps)
+
     @pytest.mark.parametrize("apply_first", [False, True])
     def test_callers_gains_do_not_reach_the_channel(self, rng, apply_first):
         delays, dopplers = np.array([0, 2]), np.array([1, -1])

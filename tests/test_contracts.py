@@ -586,6 +586,18 @@ DEFECTS = {
     "roc_curve gamma_grid letters": lambda: roc_curve(scenario(), ["a"], 100, rng()),
     # a RuntimeWarning from the int64 product, then a 1-cell delay axis
     "sensing_grid delay cells beyond int64": lambda: sensing_grid(np.int64(2**62), 1, 4, 1),
+    # an empty axis, returned without a word: 2^63 - 1 cells, or 2^63 + 1 that wrap in int64
+    "sensing_grid delay cells 2^63 - 1": lambda: sensing_grid(2**63 - 2, 1),
+    "ambiguity_region Doppler cells 2^63 + 1": lambda: ambiguity_region(0, 2**61),
+    "ambiguity_region delay cells 2^63 + 1": lambda: ambiguity_region(2**62, 0),
+    # a bare ValueError from numpy: the axis or the grid passes its 2^63 - 1 bytes
+    "sensing_grid delay bytes past numpy's limit": lambda: sensing_grid(2**61, 1),
+    "ambiguity_region delay bytes past numpy's limit": lambda: ambiguity_region(2**61, 0),
+    "basis_grid pairs past numpy's limit": lambda: basis_grid(2**40, 2**40),
+    "basis_grid numpy-integer pairs past numpy's limit": lambda: basis_grid(np.int64(2**40), np.int64(2**40)),
+    "zc_sequence bytes past numpy's limit": lambda: zc_sequence(2**61),
+    # a bare OverflowError from the Generator's choice
+    "sample_channel grid past int64": lambda: sample_channel(2, 2**62, 2**62, rng()),
     # accepted, numeric strings read as the pairs (0, 0) and (1, 0)
     "verify_theorem_4 numeric strings": lambda: verify_theorem_4(X_P, CFG, [("0", "0"), ("1", "0")]),
     "ambiguity_moments_mc numeric strings": lambda: ambiguity_moments_mc(

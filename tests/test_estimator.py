@@ -568,6 +568,21 @@ class TestDiagonalRoute:
         assert np.max(np.abs(alpha - alpha_inv), initial=0.0) <= 1e-12 * np.max(np.abs(alpha_inv), initial=0.0)
         assert np.max(np.abs(variances - variances_inv), initial=0.0) <= 1e-12 * np.max(variances_inv, initial=0.0)
 
+    @pytest.mark.parametrize("n_sub", [512, 1024])
+    @pytest.mark.parametrize("family", [*sorted(PILOT_FAMILIES), "random"])
+    def test_ambiguity_gram_keeps_the_route_decision(self, rng, n_sub, family):
+        # the link (N = 512) and analysis (N = 1024) grids, tau_m = 8 and nu_m = 2: the Gram by
+        # Theorem 4's identity is diagonal for the three families, as the images' Gram is
+        c1, _ = select_c1_q(2, AfdmConfig(n_sub=n_sub))
+        cfg = AfdmConfig(n_sub=n_sub, n_cpp=8, c1=c1)
+        grid = basis_grid(8, 2)
+        x_p = random_pilot(rng, n_sub) if family == "random" else PILOT_FAMILIES[family](cfg, 8, 2)
+        model = estimator._pilot_model(cfg, grid.pairs, x_p.tobytes())
+        dense = estimator._gram_diagonal(dense_oracle.pilot_gram(x_p, cfg, grid.pairs))
+        assert (model.diagonal is None) == (dense is None) == (family == "random")
+        if dense is not None:
+            assert np.max(np.abs(model.diagonal - dense)) <= 1e-13 * dense.max()
+
     def test_random_pilot_takes_the_inverse_route(self, rng, inverses):
         c1, _ = select_c1_q(2, AfdmConfig(n_sub=512))
         cfg = AfdmConfig(n_sub=512, n_cpp=8, c1=c1)
@@ -1032,7 +1047,8 @@ class TestPilotModel:
         assert estimator._pilot_model.cache_info().misses == 1
 
     def test_model_is_built_without_a_transform(self, rng, monkeypatch):
-        # Psi_p is the closed-form images of the pilot: a cache miss makes no FFT
+        # Psi_p is the closed-form images of the pilot and its Gram is the pilot's ambiguity
+        # function (Theorem 4): a cache miss makes one inverse FFT, the pilot's idaft, and no FFT
         calls = []
         for name in ("ifft", "fft"):
             def counting(*args, _name=name, _inner=getattr(np.fft, name), **kwargs):
@@ -1043,9 +1059,9 @@ class TestPilotModel:
         estimator._pilot_model.cache_clear()
         estimator._pilot_model(self.CFG64, self.GRID64.pairs, random_unit_symbols(rng, 64).tobytes())
         assert estimator._pilot_model.cache_info().misses == 1
-        assert calls == []
+        assert calls == ["ifft"]
         estimator.build_psi(np.ones(64), self.GRID64, self.CFG64)  # the counters do count
-        assert calls == ["ifft", "fft"] * len(self.GRID64)  # one idaft and one daft per pair
+        assert calls == ["ifft"] + ["ifft", "fft"] * len(self.GRID64)  # one idaft and one daft per pair
 
     def test_model_is_read_only(self, rng):
         # the model keeps Psi_p^H, so an iteration multiplies by it without a conjugate copy

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-MODULES = ("errors", "daft", "modem", "pilots", "channel", "estimator", "sensing", "analysis")
+MODULES = ("errors", "daft", "modem", "pilots", "channel", "sensing", "estimator", "analysis")
 
 
 def _run(code: str) -> str:
@@ -282,6 +282,8 @@ def test_argument_checks_are_defined_only_in_errors():
 # stays public; a name that gains a reader must leave the table
 TEST_ONLY = {
     ("analysis", "fim"): "the paper's FIM, checked against the finite-difference Hessian, also where crb raises",
+    ("analysis", "ambiguity_function"): "the paper's auto-ambiguity surface; the pilot model's Gram reads the "
+                                        "same correlation through sensing._gram",
     ("analysis", "ambiguity_region"): "the paper's ambiguity region [-tau_m, tau_m] x [-2 nu_m, 2 nu_m]",
     ("analysis", "ambiguity_decomposition"): "the paper's four bilinear parts of the frame's ambiguity",
     ("analysis", "interference_coefficient"): "the paper's closed-form DAFT-domain coupling of one path",

@@ -11,16 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from afdm_isac import AfdmConfig, idaft, sensing, waveform_samples
+from afdm_isac import AfdmConfig, estimator, idaft, sensing, waveform_samples
 from afdm_isac.analysis import ambiguity_function, ambiguity_region, cross_ambiguity
 from afdm_isac.channel import SensingTarget, sensing_echo
 from afdm_isac.errors import ParameterError
 from afdm_isac.modem import Constellation, FrameSpec, _map, random_data_vector
-from afdm_isac.pilots import PilotScheme, pilot_vector, proposed_pilot
+from afdm_isac.pilots import PilotScheme, pilot_vector, proposed_pilot, single_pilot, traditional_spi_pilot
 from afdm_isac.sensing import (
     _correlate,
     _statistic,
@@ -992,3 +992,46 @@ class TestRocQuality:
             "pd_at_pfa_0.01": "0.828667",
             "argmax_hit_ratio": "0.972",
         }
+
+
+class TestGram:
+    """``_gram``: a frame's Gram over integer basis pairs from its ambiguity function (Theorem 4)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(["random", "proposed", "single", "traditional"]),
+        log_n=st.integers(1, 7),
+        n_sub=st.integers(2, 128),
+        k=st.integers(0, 256),
+        count=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(family="random", log_n=1, n_sub=63, k=5, count=12, seed=1)  # K*Nc odd
+    @example(family="traditional", log_n=1, n_sub=65, k=3, count=12, seed=2)
+    @example(family="proposed", log_n=7, n_sub=2, k=8, count=12, seed=3)
+    def test_matches_the_dense_gram(self, family, log_n, n_sub, k, count, seed):
+        # random frames and the three pilot families, K = 2*c1*Nc with K*Nc even and odd,
+        # Dopplers up to three times Nc either way and delay differences of either sign
+        rng = np.random.default_rng(seed)
+        if family == "proposed":  # a power-of-two Nc and K
+            n_sub = 2**log_n
+            k = 2 ** (k % (log_n + 1))
+        cfg = AfdmConfig(n_sub=n_sub, c1=k % (2 * n_sub + 1) / (2 * n_sub))
+        if family == "random":
+            x = rng.standard_normal(n_sub) + 1j * rng.standard_normal(n_sub)
+        elif family == "proposed":
+            x = proposed_pilot(cfg, 37.5)
+        elif family == "single":
+            x = single_pilot(cfg, 37.5)
+        else:
+            tau_m, nu_m = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+            assume(cfg.two_c1_n * tau_m + 2 * nu_m + 1 <= n_sub)
+            x = traditional_spi_pilot(cfg, 37.5, tau_m, nu_m)
+        taus = rng.integers(0, n_sub, count)
+        nus = rng.integers(-3 * n_sub, 3 * n_sub + 1, count)
+        gram = sensing._gram(x, taus, nus, cfg)
+        expect = dense_oracle.pilot_gram(x, cfg, np.column_stack([taus, nus]))
+        assert np.max(np.abs(gram - expect)) <= 1e-13 * np.max(np.abs(expect))
+        # the pilot model's Gram is this one
+        model = estimator._pilot_model(cfg, tuple(zip(taus.tolist(), nus.tolist())), x.tobytes())
+        assert np.array_equal(model.gram, gram)

@@ -30,6 +30,19 @@ def test_digest_sees_one_ulp_and_the_layout():
     assert len({base} | {workload_digest.outcome_digest(*args) for args in changed}) == 1 + len(changed)
 
 
+def test_moved_names_each_changed_key_with_its_largest_relative_change():
+    theirs = ([{"err": 2.0, "bits": 8, "curve": np.array([1.0, 4.0])}, {"err": 4.0, "bits": 8, "curve": np.ones(2)}],
+              {"ber": 0.5, "nmse": -20.0})
+    ours = ([{"err": 2.2, "bits": 8, "curve": np.array([1.0, 3.0])}, {"err": 5.0, "bits": 8, "curve": np.ones(2)}],
+            {"ber": 0.5, "nmse": -25.0, "extra": 1.0})
+    changes = workload_digest.moved(theirs, ours)
+    assert changes.keys() == {"err", "curve", "quality.nmse", "quality.extra"}
+    assert changes["err"] == pytest.approx(0.2) and changes["curve"] == pytest.approx(0.25)
+    assert changes["quality.nmse"] == pytest.approx(0.2) and changes["quality.extra"] == float("inf")
+    assert workload_digest.moved(theirs, theirs) == {}
+    assert workload_digest.moved(theirs, (ours[0][:1], theirs[1]))["err"] == float("inf")
+
+
 def _git(*args) -> bytes:
     return subprocess.run(["git", "-C", str(workload_digest.ROOT), *args], check=True, stdout=subprocess.PIPE).stdout
 
