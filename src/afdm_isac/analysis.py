@@ -45,9 +45,11 @@ K = 2*c1*Nc makes K*Nc even, Nc-antiperiodic when it is odd.  It is the
 channel's shift, so Theorem 4 holds at either parity.  Leading axes batch.
 The Monte Carlo moments never leave the DAFT domain: the transform is unitary
 and an integer (tau, nu) is one channel path, so each point is x^H H x with H
-that path.  One ``channel.PathChannel`` holds the paths of all points, and a
-block of frames costs one ``images`` call and one batched row dot; the origin
-is the frame energy.  ``interference_coefficient`` provides the closed-form
+that path.  One ``channel.PathChannel`` holds the paths of all points; a path
+is one nonzero per row at a cyclic subcarrier offset, so its image of a block
+of frames is the block shifted cyclically and multiplied by its taps, built
+in one reused row buffer (``PathChannel._forms``); the origin is the frame
+energy.  ``interference_coefficient`` provides the closed-form
 DAFT-domain route (a single cyclic ridge at subcarrier offset
 2*c1*tau*Nc - nu), and the tests cross-check the two.  Theorem 4 reads the
 pilot's Gram from the estimator's cached pilot model, where it is built by
@@ -63,13 +65,17 @@ restate ``af_statistics_closed_form``.
 ``ambiguity_moments_mc`` and ``crb_distribution`` stream over their leading
 axis in blocks sized by the package's one byte budget,
 ``sensing._BLOCK_BYTES`` (1 MiB), so no (frames or draws) x Nc stack is
-built: each holds about one budget of temporaries.  The random stream does
-not depend on the block size.  A block of frames draws its data symbols as
-one ``rng.bytes`` call and reads them through ``modem._PackedFrames``, the
-package's one packed-byte rule (a 256-row table, 8/k symbols per byte for k
-bits per symbol, each frame whole 32-bit words), which ``sensing.roc_curve``
-reads too.  Dirichlet(1, ..., 1) allocations are drawn as the
-normalised unit exponentials that ``rng.dirichlet`` itself draws.
+built: each holds about one budget of temporaries, a block of frames and the
+one (block, Nc) row its points' images share, or a block of draws.  Each
+point's values are one row dot per frame, and each block of draws is
+reduced by one product against [a_m, b_m, 1], its totals the last column.
+The random stream does not depend on the block size.  A block of frames
+draws its data symbols as one ``rng.bytes`` call and reads them through
+``modem._PackedFrames``, the package's one packed-byte rule (a 256-row
+table, 8/k symbols per byte for k bits per symbol, each frame whole 32-bit
+words), which ``sensing.roc_curve`` reads too.  Dirichlet(1, ..., 1)
+allocations are drawn as the normalised unit exponentials that
+``rng.dirichlet`` itself draws.
 """
 
 from __future__ import annotations
@@ -279,9 +285,13 @@ def ambiguity_moments_mc(
     frames, so the draws do not depend on the block size and the generator
     ends where one call for all frames would leave it.  The frames are
     built and read in blocks of rows, as many per block as a complex block
-    and its (block, points, Nc) images fit in ``sensing._BLOCK_BYTES`` (at
-    least one frame), each by one ``images`` call and one batched row dot.
-    Every frame's value is bit for bit the same at any block size.
+    and one complex image row of its size fit in ``sensing._BLOCK_BYTES``
+    (at least one frame; the origin alone needs no row).  Each point but the
+    origin is read by ``PathChannel._forms``: its path's image of the block
+    is the block shifted cyclically into that one reused row and multiplied
+    by the path's taps, then one row dot per frame, bit for bit the row dot
+    of ``images`` at Nc >= 2.  Every frame's value is bit for bit the same
+    at any block size.
 
     ``cfg``, ``spec`` and ``rng`` must be an ``AfdmConfig``, a ``FrameSpec``
     and a numpy ``Generator``, ``x_pilot`` finite of shape (Nc,), ``points``
@@ -301,15 +311,16 @@ def ambiguity_moments_mc(
         whole, t = np.divmod(taus[off], n)
         sign = np.where(cfg.prefix_flips & (whole % 2 == 1), -1.0, 1.0)
         h = PathChannel(cfg, t, nus[off], sign * np.conj(cfg.dft_twiddle[nus[off] % n * t % n]))
-    block = max(1, _BLOCK_BYTES // (16 * n * (1 + paths)))
+    block = max(1, _BLOCK_BYTES // (16 * n * (2 if paths else 1)))
     packed = _PackedFrames(spec, n, min(block, n_frames))
+    image = np.empty((min(block, n_frames), n), dtype=np.complex128) if paths else None
     values = np.empty((len(taus), n_frames), dtype=np.complex128)
     for start in range(0, n_frames, block):
         count = min(block, n_frames - start)
         frames = packed.read(packed.draw(rng, count))
         frames += x_pilot
         if paths:
-            values[off, start : start + count] = np.vecdot(frames[:, None], h.images(frames)).T
+            values[off, start : start + count] = h._forms(frames, image[:count]).T
         values[~off, start : start + count] = np.vecdot(frames, frames)
     mean = values.mean(axis=1)
     centered = values - mean[:, None]
@@ -692,8 +703,10 @@ def crb_distribution(
     ``rng.standard_exponential`` and leave ``rng`` as ``rng.dirichlet``
     would.  A delay bound needs only a = p.a_m, b = p.b_m and the total, so
     each block of draws, as many as fit in ``sensing._BLOCK_BYTES`` (at
-    least one), is reduced by one product against the kernels and scaled by
-    total_power over its sum: no (n_draws, Nc) allocation matrix is built.
+    least one), is reduced by one product against the columns [a_m, b_m, 1],
+    which gives each draw's a, b and total at once, and a and b are scaled
+    by total_power over that total: no (n_draws, Nc) allocation matrix is
+    built.
     ``n_draws`` is an integer >= 1 and ``rng`` a numpy ``Generator``, both
     checked before any draw.  ``crb`` bounds one fixed allocation.
     """
@@ -701,7 +714,7 @@ def crb_distribution(
     check_count(n_draws, "n_draws")
     check_type(rng, np.random.Generator, "rng")
     a_m, b_m, c0, ramp = _fim_kernels(target, cfg)
-    kernels = np.column_stack([a_m, b_m])
+    kernels = np.column_stack([a_m, b_m, np.ones(cfg.n_sub)])
     block = max(1, _BLOCK_BYTES // (8 * cfg.n_sub))
     buffer = np.empty((min(block, n_draws), cfg.n_sub))
     values = np.empty(n_draws)
@@ -709,7 +722,8 @@ def crb_distribution(
         draws = rng.standard_exponential(out=buffer[: min(block, n_draws - start)])
         # draws are >= 0; an all-zero row leaves a NaN determinant (after numpy's
         # division warning), which _crb_from_sums refuses with NumericalError
-        a, b = (draws @ kernels).T * (total_power / draws.sum(axis=-1))
+        products = (draws @ kernels).T  # a, b and the totals
+        a, b = products[:2] * (total_power / products[2])
         # the draws load the subcarriers their allocations load, which is
         # all the degeneracy test reads of them
         values[start : start + len(draws)], *_ = _crb_from_sums(

@@ -298,7 +298,12 @@ class PathChannel:
     or a stack (..., Nc), shape (..., P, Nc), by one gather and one in-place
     product, each row bit for bit its own call; ``h @ x`` sums them, O(P*Nc)
     per vector through a (..., P, Nc) temporary, so the package applies it to
-    single vectors and streams stacks through ``images`` in blocks.
+    single vectors and streams stacks through ``images`` in blocks.  A vector
+    is gathered by ``x[q]`` (numpy's ``take`` copies the read-only q first),
+    a stack by ``take``.  ``_forms(x, image)`` reads the quadratic forms
+    x^H h_i x of a stack (the ambiguity Monte Carlo's points) without the
+    images: path i's image is x shifted cyclically by q[i, 0] into one
+    reused row buffer and multiplied by its taps.
     ``np.asarray(h)`` gives the dense DAFT-domain matrix and ``_daft_solve``
     the equalizer's banded time-domain normal-equation solve, whose band is
     formed in closed form: the cyclic diagonals of H_t^H H_t are the inverse
@@ -380,9 +385,30 @@ class PathChannel:
     def images(self, x) -> np.ndarray:
         """The per-path terms of ``h @ x``, shape x.shape[:-1] + (paths, Nc)."""
         q, taps = self._daft_taps
-        out = check_stack(x, self.cfg.n_sub, "DAFT-domain vector").take(q, axis=-1)
+        x = check_stack(x, self.cfg.n_sub, "DAFT-domain vector")
+        # take copies the read-only q before it gathers; a vector's x[q] does not
+        out = x[q] if x.ndim == 1 else x.take(q, axis=-1)
         # taps first: numpy's SIMD complex product rounds a*b and b*a differently
         return np.multiply(taps, out, out)
+
+    def _forms(self, x: np.ndarray, image: np.ndarray) -> np.ndarray:
+        """x^H h_i x for each path i of the checked stack x (..., Nc), shape x.shape[:-1] + (paths,).
+
+        Bit for bit ``np.vecdot(x[..., None, :], h.images(x))`` at Nc >= 2: row
+        p of path i reads x[<p + k>_Nc] with k = q[i, 0], so each path's image
+        is x shifted cyclically by two slice copies into ``image``, the
+        caller's one reused buffer of x's shape, then multiplied by the taps
+        in place, taps first as in ``images``.
+        """
+        q, taps = self._daft_taps
+        n = self.cfg.n_sub
+        out = np.empty(x.shape[:-1] + (len(q),), dtype=np.complex128)
+        for i, k in enumerate(q[:, 0].tolist()):
+            image[..., : n - k] = x[..., k:]
+            image[..., n - k :] = x[..., :k]
+            np.multiply(taps[i], image, out=image)
+            out[..., i] = np.vecdot(x, image)
+        return out
 
     def __matmul__(self, x) -> np.ndarray:
         return self.images(x).sum(axis=-2)

@@ -46,6 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     ConfigurationError,
     ParameterError,
+    check_cells,
     check_finite,
     check_reals,
     check_stack,
@@ -90,7 +91,9 @@ class AfdmConfig:
         Carrier frequency in Hz.
 
     ``c1_chirp``, ``c2_chirp`` and ``dft_twiddle`` are read-only tables built
-    once per config; ``prefix_flips`` is the parity of K*Nc.
+    once per config; ``prefix_flips`` is the parity of K*Nc.  An ``n_sub``
+    whose complex table would pass numpy's array limit raises
+    ``ParameterError`` (``errors.check_cells``) at construction.
     """
 
     n_sub: int
@@ -111,6 +114,8 @@ class AfdmConfig:
                 raise ConfigurationError(f"{name} must be finite and real, got {value!r}")
         if self.n_sub < 1:
             raise ConfigurationError(f"n_sub must be positive, got {self.n_sub}")
+        # every table is n_sub complex entries: refused before the first is built
+        check_cells(int(self.n_sub), "n_sub", itemsize=16)
         if self.n_cpp < 0:
             raise ConfigurationError(f"n_cpp must be non-negative, got {self.n_cpp}")
         if self.n_cpp >= self.n_sub:

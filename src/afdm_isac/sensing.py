@@ -439,7 +439,8 @@ class SensingScenario:
 # in cache.  Here it bounds the largest stack one block of ROC trials builds,
 # the (trials, Dopplers, Nc) ramped echo, which a scenario's plan keeps with
 # its other block buffers from call to call; ``analysis`` sizes the blocks of
-# its frame and allocation draws by it too.
+# its frame and allocation draws by it too: a block of frames with the one
+# reused image row that reads every ambiguity point, a block of draws alone.
 _BLOCK_BYTES = 1 << 20
 
 

@@ -929,21 +929,23 @@ class TestCrbDistribution:
                              16.0, n_draws, rng)
         assert rng.bit_generator.state == state
 
-    def test_block_totals_are_the_row_sums(self):
-        # the benchmark's report: Nc = 1024, 2000 draws in blocks of 128
+    def test_block_totals_come_from_the_kernel_product(self):
+        # the benchmark's report: Nc = 1024, 2000 draws in blocks of 128; each
+        # block's a, b and totals are one product against [a_m, b_m, 1]
         c1, _ = select_c1_q(2, AfdmConfig(n_sub=1024))
         cfg = AfdmConfig(n_sub=1024, c1=c1)
         target = SensingTarget(1.0 + 0.0j, 3.3, 0.7, 1.0)
         total = 1280.0
         out = crb_distribution(cfg, target, total, 2000, np.random.default_rng(81))
         a_m, b_m, c0, ramp = analysis._fim_kernels(target, cfg)
-        kernels = np.column_stack([a_m, b_m])
+        kernels = np.column_stack([a_m, b_m, np.ones(cfg.n_sub)])
         rng = np.random.default_rng(81)
         block = analysis._BLOCK_BYTES // (8 * cfg.n_sub)
         values = []
         for start in range(0, 2000, block):
             draws = rng.standard_exponential((min(block, 2000 - start), cfg.n_sub))
-            a, b = (draws @ kernels).T * (total / draws.sum(axis=-1))
+            a, b, sums = (draws @ kernels).T
+            a, b = a * (total / sums), b * (total / sums)
             values.append(analysis._crb_from_sums(a, b, total * c0, draws, ramp, target, cfg)[0])
         assert np.array_equal(out["values"], np.concatenate(values))
 
@@ -1029,8 +1031,8 @@ class TestMonteCarloMemory:
 
     @pytest.mark.parametrize("points", [[(0, 0), (1, 0), (0, 1), (3, 2)], [(0, 0)]])
     def test_ambiguity_moments_hold_no_frame_stack(self, rng, points):
-        # a block's frames and their images take about 1 MB; the 500 x 1024
-        # frame stack would take 8.2 MB and an int64 index draw 4.1 MB
+        # a block's frames and the one image row its points share take about 1 MB; the
+        # 500 x 1024 frame stack would take 8.2 MB and an int64 index draw 4.1 MB
         spec = FrameSpec(256.0, 1.0, Constellation.QPSK)
         x_p = proposed_pilot(self.CFG, pilot_power=256.0)
         peak = self.traced_peak(lambda: ambiguity_moments_mc(x_p, spec, self.CFG, points, 500, rng))

@@ -200,6 +200,31 @@ class TestPathChannel:
         taps = h.gains[:, None] * phase * cfg.c2_chirp * np.conj(cfg.c2_chirp[q])
         assert np.array_equal(h._daft_taps[0], q) and np.array_equal(h._daft_taps[1], taps)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sub=st.integers(2, 80),
+        two_c1_n=st.integers(0, 9),
+        paths=st.integers(1, 6),
+        lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # odd K*Nc (the prefix flips); a single row; three leading axes
+    @example(n_sub=63, two_c1_n=5, paths=5, lead=[1], seed=1)
+    @example(n_sub=2, two_c1_n=1, paths=2, lead=[3], seed=2)
+    @example(n_sub=16, two_c1_n=4, paths=3, lead=[2, 1, 3], seed=3)
+    def test_forms_are_the_row_dots_of_the_images(self, n_sub, two_c1_n, paths, lead, seed):
+        # the Monte Carlo's reader: x^H h_i x per path through one reused row, bit for bit
+        # (at Nc = 1 the images' product is one SIMD loop over the P taps, which rounds apart)
+        rng = np.random.default_rng(seed)
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        h = PathChannel(cfg, rng.integers(0, n_sub, paths), rng.integers(-3 * n_sub, 3 * n_sub + 1, paths),
+                        rng.standard_normal(paths) + 1j * rng.standard_normal(paths))
+        shape = (*lead[:-1], lead[-1], n_sub)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        forms = h._forms(x, np.empty(shape, dtype=np.complex128))
+        assert forms.shape == (*shape[:-1], paths)
+        assert np.array_equal(forms, np.vecdot(x[..., None, :], h.images(x)))
+
     @pytest.mark.parametrize("apply_first", [False, True])
     def test_callers_gains_do_not_reach_the_channel(self, rng, apply_first):
         delays, dopplers = np.array([0, 2]), np.array([1, -1])

@@ -596,6 +596,9 @@ DEFECTS = {
     "basis_grid pairs past numpy's limit": lambda: basis_grid(2**40, 2**40),
     "basis_grid numpy-integer pairs past numpy's limit": lambda: basis_grid(np.int64(2**40), np.int64(2**40)),
     "zc_sequence bytes past numpy's limit": lambda: zc_sequence(2**61),
+    # accepted, then a bare ValueError from numpy at the config's first table
+    "AfdmConfig n_sub 2^59 past numpy's limit": lambda: AfdmConfig(n_sub=2**59),
+    "AfdmConfig n_sub 2^61 past numpy's limit": lambda: AfdmConfig(n_sub=2**61),
     # a bare OverflowError from the Generator's choice
     "sample_channel grid past int64": lambda: sample_channel(2, 2**62, 2**62, rng()),
     # accepted, numeric strings read as the pairs (0, 0) and (1, 0)

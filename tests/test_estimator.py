@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1062,6 +1063,26 @@ class TestPilotModel:
         assert calls == ["ifft"]
         estimator.build_psi(np.ones(64), self.GRID64, self.CFG64)  # the counters do count
         assert calls == ["ifft"] + ["ifft", "fft"] * len(self.GRID64)  # one idaft and one daft per pair
+
+    def test_model_build_copies_no_index_table(self):
+        # N = 16384 and the benchmark's 45 pairs: the images (16 bytes per entry), the tap
+        # table (24) and a little besides; gathering a vector by take copied the read-only
+        # source columns first, 8 bytes more per entry (48)
+        c1, _ = select_c1_q(2, AfdmConfig(n_sub=16384))
+        cfg = AfdmConfig(n_sub=16384, c1=c1)
+        pairs = basis_grid(8, 2).pairs
+        key = proposed_pilot(cfg, 256.0).tobytes()
+        cfg.c1_chirp, cfg.c2_chirp, cfg.dft_twiddle  # the config's tables, built once per config
+        estimator._pilot_model.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            estimator._pilot_model(cfg, pairs, key)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            estimator._pilot_model.cache_clear()
+        assert peak <= 42 * len(pairs) * cfg.n_sub
 
     def test_model_is_read_only(self, rng):
         # the model keeps Psi_p^H, so an iteration multiplies by it without a conjugate copy
