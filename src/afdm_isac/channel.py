@@ -24,10 +24,14 @@ integer Doppler the same path in the DAFT domain is the unitary matrix
 A * Gamma * Pi^tau * Delta_nu * A^H scaled by alpha, one nonzero per row;
 ``PathChannel`` keeps a sum of such paths as one table of those nonzeros,
 and the tests check it against the dense matrices.  Arguments are
-validated once at the public entry: the public constructor and the
-transforms check theirs, while the estimator builds its channels by
-``PathChannel._trusted`` and equalizes by ``PathChannel._daft_solve`` over
-arrays it has checked or built itself, with no check.
+validated once, at the public entry: the public constructor, the
+transforms and ``sensing_echo`` check theirs, and what they hand on runs
+unchecked.  The estimator builds its channels by ``PathChannel._trusted``
+and equalizes by ``PathChannel._daft_solve``, and ``sensing``'s ROC trials
+make their echoes by ``_echo``, over arrays the caller has checked or
+built itself; inside, the paths read ``daft._whole_delays`` and the echo
+``daft._waveform``, the unchecked readers of a delayed copy, and the
+equalizer ``daft._idaft`` and ``daft._daft``.
 """
 
 from __future__ import annotations
@@ -46,11 +50,11 @@ from .daft import (
     _broadcasts_to,
     _daft,
     _idaft,
+    _waveform,
     _whole_delays,
     add_cpp,
     daft,
     idaft,
-    waveform_samples,
 )
 from .errors import (
     NumericalError,
@@ -417,7 +421,10 @@ class PathChannel:
         n = self.cfg.n_sub
         q, taps = self._daft_taps
         out = np.zeros((n, n), dtype=np.complex128)
-        np.add.at(out, (np.broadcast_to(np.arange(n), q.shape), q), taps)
+        # path by path, in order: a path's row*Nc + q never repeats, so one fancy += per path
+        flat, starts = out.reshape(-1), np.arange(0, n * n, n)
+        for columns, values in zip(q, taps):
+            flat[starts + columns] += values
         return out if dtype is None else out.astype(dtype, copy=False)
 
     def _band(self, lam: float) -> np.ndarray:
@@ -606,9 +613,8 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget) -> np.ndarray:
     check_type(cfg, AfdmConfig, "cfg")
     check_type(target, SensingTarget, "target")
     s = check_finite(check_stack(s, cfg.n_sub, "symbols"), "symbols")
-    tau, nu, gain = (
-        np.asarray(v) for v in (target.delay_samples, target.doppler_norm, target.gain)
-    )
+    tau = np.asarray(target.delay_samples, dtype=np.float64)  # _echo takes float delays
+    nu, gain = np.asarray(target.doppler_norm), np.asarray(target.gain)
     if not all(_broadcasts_to(v.shape, s.shape[:-1]) for v in (tau, nu, gain)):
         raise ParameterError(
             f"target parameters of shapes {tau.shape}, {nu.shape}, {gain.shape} do not "
@@ -622,9 +628,15 @@ def sensing_echo(s, cfg: AfdmConfig, target: SensingTarget) -> np.ndarray:
 
 
 def _echo(s: np.ndarray, cfg: AfdmConfig, gain: np.ndarray, tau: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """``sensing_echo`` of a finite complex128 symbol stack, unchecked: the target's
-    gain, delay (in [0, n_cpp]) and Doppler are arrays that broadcast over its leading axes."""
-    echo = gain[..., None] * waveform_samples(s, cfg, tau[..., None])[..., 0, :]
+    """``sensing_echo`` of a finite complex128 symbol stack, unchecked.
+
+    The target's gain, float64 delay (in [0, n_cpp]) and Doppler are arrays
+    that broadcast over the stack's leading axes.  The delayed copy is
+    ``daft._waveform``, the unchecked body of ``waveform_samples``, bit for
+    bit its output; ``sensing_echo`` checks the arguments first, and
+    ``sensing``'s ROC trials call this on symbols they built themselves.
+    """
+    echo = gain[..., None] * _waveform(s, cfg, tau[..., None])[..., 0, :]
     echo *= _doppler_ramp(nu, cfg)
     return echo
 

@@ -11,9 +11,11 @@ and both are batch-first: a stack of shape (..., Nc) is transformed along
 its last axis, the chirps broadcasting over the leading axes, so a Monte
 Carlo set of frames is one call.  The dense N x N matrix of the pair
 (``build_daft_matrix``) is a test oracle only.  Every entry point refuses
-a ``cfg`` that is no ``AfdmConfig`` with ``ParameterError``; ``idaft`` and
-``daft`` are their checks plus the unchecked kernels ``_idaft`` and
-``_daft``, which only ``channel`` calls (the equalizer's solve).
+a ``cfg`` that is no ``AfdmConfig`` with ``ParameterError``; ``idaft``,
+``daft`` and ``waveform_samples`` are their checks plus the unchecked
+kernels ``_idaft``, ``_daft`` and ``_waveform``, which only ``channel``
+calls (the equalizer's solve and the radar echo), on arrays it has checked
+or built itself.
 
 Conventions used throughout the package:
 
@@ -26,12 +28,15 @@ Conventions used throughout the package:
   exp(-j*2*pi*c1*(Nc^2 + 2*Nc*i)) is (-1)^(K*Nc): at any integer index i the
   chirp-periodic extension of a symbol is s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)),
   whose sign ``AfdmConfig.prefix_flips`` owns; the prefix (``add_cpp``) and
-  every delayed copy in the package (``waveform_samples``) read the
-  extension through ``_chirp_periodic``, which no other module calls;
+  every whole-sample delayed copy in the package (``waveform_samples``)
+  read the extension over a range of indices from ``_chirp_periodic``,
+  which no other module calls and which copies one slice of the symbol
+  per period it spans, with no index table;
 * a fractional delay tau is split exactly into a whole part w = round(tau)
   and a fraction |f| <= 1/2, so the delayed waveform's per-sample factors
-  are table entries at integer indices (``dft_twiddle``, ``c1_chirp``) and
-  only a handful of exponentials and sincs are evaluated per delay.
+  are entries of tables built once per config (``_delay_factors``, read
+  as whole rows at the delay's cyclic shift) and only a handful of
+  exponentials and sincs are evaluated per delay.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigurationError,
@@ -91,9 +96,11 @@ class AfdmConfig:
         Carrier frequency in Hz.
 
     ``c1_chirp``, ``c2_chirp`` and ``dft_twiddle`` are read-only tables built
-    once per config; ``prefix_flips`` is the parity of K*Nc.  An ``n_sub``
-    whose complex table would pass numpy's array limit raises
-    ``ParameterError`` (``errors.check_cells``) at construction.
+    once per config, and so are the fractional delays' per-sample factors
+    (``_delay_factors``); ``prefix_flips`` is the parity of K*Nc.  Every bad
+    field raises ``ConfigurationError``, an ``n_sub`` whose complex table
+    would pass numpy's array limit too (from the ``ParameterError`` of
+    ``errors.check_cells``), at construction, before any table is built.
     """
 
     n_sub: int
@@ -114,8 +121,10 @@ class AfdmConfig:
                 raise ConfigurationError(f"{name} must be finite and real, got {value!r}")
         if self.n_sub < 1:
             raise ConfigurationError(f"n_sub must be positive, got {self.n_sub}")
-        # every table is n_sub complex entries: refused before the first is built
-        check_cells(int(self.n_sub), "n_sub", itemsize=16)
+        try:  # every table is n_sub complex entries: refused before the first is built
+            check_cells(int(self.n_sub), "n_sub", itemsize=16)
+        except ParameterError as exc:
+            raise ConfigurationError(str(exc)) from exc
         if self.n_cpp < 0:
             raise ConfigurationError(f"n_cpp must be non-negative, got {self.n_cpp}")
         if self.n_cpp >= self.n_sub:
@@ -168,6 +177,21 @@ class AfdmConfig:
         table = np.exp(-2j * np.pi * np.arange(self.n_sub) / self.n_sub)
         table.flags.writeable = False
         return table
+
+    @functools.cached_property
+    def _delay_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The per-sample factors that every fractional delay reads, all read-only:
+        sigma_n = (-1)^(K*n) and c1_chirp[n]*sigma_n, n < Nc, and the (Nc + 1, Nc)
+        tables whose row k holds the cyclic indices <n + k>_Nc and conj(dft_twiddle)
+        read there, each a strided view of one 2Nc table (a row is one slice copy);
+        72*Nc bytes in all, built on the config's first fractional delay."""
+        n = np.arange(2 * self.n_sub) % self.n_sub
+        sign = 1.0 - 2.0 * (self.two_c1_n * n[: self.n_sub] % 2)
+        rows = [as_strided(t, (self.n_sub + 1, self.n_sub), t.strides * 2) for t in (n, np.conj(self.dft_twiddle)[n])]
+        tables = (sign, self.c1_chirp * sign, *rows)
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
 
 def idaft(x, cfg: AfdmConfig) -> np.ndarray:
@@ -225,16 +249,23 @@ def build_daft_matrix(cfg: AfdmConfig) -> np.ndarray:
     return cfg.c2_chirp[:, None] * dft * (cfg.c1_chirp / math.sqrt(n))
 
 
-def _chirp_periodic(s: np.ndarray, cfg: AfdmConfig, idx) -> np.ndarray:
-    """The chirp-periodic extension s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)) at integer ``idx``.
+def _chirp_periodic(s: np.ndarray, cfg: AfdmConfig, start: int, stop: int) -> np.ndarray:
+    """The chirp-periodic extension s[i mod Nc] * (-1)^(K*Nc*floor(i/Nc)) for start <= i < stop.
 
-    ``s`` holds Nc samples on its last axis; the result has shape
-    s.shape[:-1] + idx.shape.
+    ``s`` holds Nc samples on its last axis; the result is a fresh array of
+    shape s.shape[:-1] + (stop - start,).  It is written period by period,
+    one slice copy of ``s`` each (three for the widest range the package
+    reads, start > -2Nc), negated in the odd periods when
+    ``AfdmConfig.prefix_flips``; no index table is built.
     """
     n = cfg.n_sub
-    out = np.take(s, idx % n, axis=-1)
-    if cfg.prefix_flips:
-        out = np.where(idx // n % 2 == 0, out, -out)
+    out = np.empty(s.shape[:-1] + (stop - start,), dtype=s.dtype)
+    for period in range(start // n, -(-stop // n)):
+        lo, hi = max(start, period * n), min(stop, (period + 1) * n)
+        into = out[..., lo - start : hi - start]
+        into[...] = s[..., lo - period * n : hi - period * n]
+        if cfg.prefix_flips and period % 2:
+            np.negative(into, out=into)
     return out
 
 
@@ -246,7 +277,7 @@ def add_cpp(s, cfg: AfdmConfig) -> np.ndarray:
     """
     check_type(cfg, AfdmConfig, "cfg")
     s = check_vector(s, cfg.n_sub, "time-domain vector")
-    return _chirp_periodic(s, cfg, np.arange(-cfg.n_cpp, cfg.n_sub))
+    return _chirp_periodic(s, cfg, -cfg.n_cpp, cfg.n_sub)
 
 
 def remove_cpp(r, cfg: AfdmConfig) -> np.ndarray:
@@ -302,6 +333,7 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
     a = ceil(K f), times exp(j2pi A n/Nc) (-1)^(K n), so a delay costs a
     few exponentials, not one per sample, and the phase stays exact at any
     whole part.  Delays are finite real numbers (else ``ParameterError``).
+    This is the checked entry; the work is ``_waveform``'s.
     """
     check_type(cfg, AfdmConfig, "cfg")
     s = check_stack(s, cfg.n_sub, "signals")
@@ -312,6 +344,19 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
             f"delays must be a scalar or an array whose leading axes broadcast "
             f"to the signals' {lead}, got {tau!r}"
         )
+    return _waveform(s, cfg, tau)
+
+
+def _waveform(s: np.ndarray, cfg: AfdmConfig, tau: np.ndarray) -> np.ndarray:
+    """``waveform_samples`` of a complex128 stack (..., Nc) at the float64 delays
+    ``tau`` (a scalar or an array that broadcasts as there), unchecked.
+
+    All-whole delays are read from the extension's windows
+    (``_whole_delays``); otherwise the closed form runs over every delay
+    (``_fractional_delays``) and the whole ones are then read from the
+    windows.  ``channel._echo`` calls it on symbols and delays its callers
+    checked or drew.
+    """
     taus = np.atleast_1d(tau)
     whole = taus == np.round(taus)
     if np.all(whole):
@@ -326,18 +371,21 @@ def waveform_samples(s, cfg: AfdmConfig, tau) -> np.ndarray:
 def _fractional_delays(s: np.ndarray, cfg: AfdmConfig, tau: np.ndarray) -> np.ndarray:
     """The closed form of ``waveform_samples`` at the delays ``tau`` (shape (..., 1)).
 
-    Per-sample factors are read from the config's tables; exponentials and
-    sincs are evaluated once per delay.  With tau = w + f, w = round(tau)
-    and |f| <= 1/2 (both exact), A = ceil(K*tau) = K*w + ceil(K*f).
+    Every per-sample factor is read from the config's ``_delay_factors``:
+    sigma_n and c1_chirp*sigma_n whole, the kernel's twiddles and the
+    spectrum's shifted bins as one row each per delay, the row of the
+    delay's cyclic shift, gathered by whole rows; the shifted spectrum is
+    then one flat ``take`` at those bins plus each row's offset.
+    Exponentials and sincs are evaluated once per delay.  With tau = w + f,
+    w = round(tau) and |f| <= 1/2 (both exact), A = ceil(K*tau) = K*w + ceil(K*f).
     """
     n_sub, k_rate = cfg.n_sub, cfg.two_c1_n
-    n = np.arange(n_sub)
+    sign, chirp_sign, shifts, twiddles = cfg._delay_factors
     w = np.round(tau)
     f = tau - w
     a = np.ceil(k_rate * f)
-    sign = 1.0 - 2.0 * (k_rate * n % 2)  # sigma_n = (-1)^(K n)
     # D(n - tau) = D(j - f) at j = (n - w) mod Nc is (exp(-j2pi f) - 1)/(exp(j2pi (j - f)/Nc) - 1)
-    # with exp(j2pi j/Nc) read at the index n - w mod Nc (negative below w), and at j = 0
+    # with exp(j2pi j/Nc) read in the twiddle row that starts at -w mod Nc, and at j = 0
     # its limit Nc sinc(f)/sinc(f/Nc) exp(-j pi f (Nc - 1)/Nc), which reads Nc at a
     # subnormal f where the quotient would lose every digit
     at_w = np.mod(w, n_sub).astype(np.int64)
@@ -345,22 +393,23 @@ def _fractional_delays(s: np.ndarray, cfg: AfdmConfig, tau: np.ndarray) -> np.nd
     # written in place where it can be and dropped once read, so that few are alive at
     # once: a caller's block of trials then needs less heap, and a trimmed heap faults
     # fewer pages back in
-    kernel = np.conj(cfg.dft_twiddle)[n - at_w]
+    kernel = twiddles[n_sub - at_w[..., 0]]
     kernel *= np.exp(-2j * np.pi * f / n_sub)
     kernel -= 1.0  # the denominator
-    origin = np.arange(0, kernel.size, n_sub) + at_w.ravel()  # j = 0, one per row
+    rows = np.arange(0, kernel.size, n_sub).reshape(at_w.shape)  # each row's flat offset
+    origin = (rows + at_w).ravel()  # j = 0, one per row
     kernel.flat[origin] = 1.0
     np.divide(-2j * np.sin(np.pi * f) * np.exp(-1j * np.pi * f), kernel, out=kernel)
     limit = n_sub * np.sinc(f) / np.sinc(f / n_sub) * np.exp(-1j * np.pi * f * (n_sub - 1) / n_sub)
     kernel.flat[origin] = limit.ravel()
-    kernel *= cfg.c1_chirp * sign
+    kernel *= chirp_sign
     # the ramp exp(-j2pi A n/Nc) on s sigma and its conjugate on the output are the shift
     # of the kernel's spectrum by A mod Nc (reduced exactly in floats): bin k reads bin
-    # k - A mod Nc
+    # k - A mod Nc of its own row
     shift = np.mod(k_rate % n_sub * at_w + a, n_sub).astype(np.int64)
-    bins = n - shift
-    bins %= n_sub
-    shifted = np.take_along_axis(np.fft.fft(kernel, out=kernel), bins, axis=-1)
+    bins = shifts[n_sub - shift[..., 0]]
+    bins += rows
+    shifted = np.fft.fft(kernel, out=kernel).take(bins)
     del kernel, bins
     spectrum = s * sign
     conv = np.fft.fft(spectrum, out=spectrum)[..., None, :] * shifted
@@ -390,20 +439,22 @@ def _whole_delays(s: np.ndarray, cfg: AfdmConfig, taus: np.ndarray) -> np.ndarra
     axes of ``taus`` pick one row of delays per signal.  Each delay is
     reduced mod 2Nc in floats (exact; it keeps i mod Nc and the parity of
     floor(i/Nc)), a 1-D run of consecutive ascending delays as a whole, so
-    it stays a run.  With the lags in [lo, hi], window k of the extension
-    over [-hi, Nc - lo) is s(n - (hi - k)): a run is the reversed windows,
-    a read-only view, and any other set picks rows of them (one ``take`` on
-    the window axis for a 1-D set).
+    it stays a run.  With the lags in [lo, hi], the extension over
+    [-hi, Nc - lo) is built once (``_chirp_periodic``) and its windows are
+    one read-only strided view, window k being s(n - (hi - k)): a run is
+    the reversed windows, still a view, and any other set picks rows of
+    them (one ``take`` on the window axis for a 1-D set).
     """
     n = cfg.n_sub
     lags = np.mod(taus, 2 * n)
-    run = taus.ndim == 1 and taus.size > 0 and bool(np.all(np.diff(taus) == 1))
+    run = taus.ndim == 1 and taus.size > 0 and bool((taus[1:] - taus[:-1] == 1).all())
     if run:
         lags = lags[0] + np.arange(taus.size)
     lags = lags.astype(np.int64)
     hi = int(lags.max(initial=0))
     lo = int(lags.min(initial=hi))
-    windows = sliding_window_view(_chirp_periodic(s, cfg, np.arange(-hi, n - lo)), n, axis=-1)
+    ext = _chirp_periodic(s, cfg, -hi, n - lo)
+    windows = as_strided(ext, ext.shape[:-1] + (hi - lo + 1, n), ext.strides + ext.strides[-1:], writeable=False)
     if taus.ndim == 1:
         return windows[..., ::-1, :] if run else windows.take(hi - lags, axis=-2)
     rows = (hi - lags).reshape((1,) * (s.ndim - taus.ndim) + lags.shape + (1,))

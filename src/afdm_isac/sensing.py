@@ -22,16 +22,21 @@ window with a guard box, cyclic wrap) and thresholds it.
 (..., Nc) give maps (..., delays, Dopplers).  Both are checked wrappers over
 unchecked kernels (``_correlate`` with ``_ramped_correlate``, and
 ``_floor``), and ``channel.sensing_echo`` over ``channel._echo``;
-``roc_curve`` runs its trials on the kernels, in blocks on that axis, as
-many as fit the byte budget ``_BLOCK_BYTES`` with the largest stack a block
-builds, the (trials, Dopplers, Nc) Doppler-ramped echo.  Its delays are a
-run of whole delays, so ``waveform_samples`` reads the delayed symbols as a
-window view of one chirp-periodic extension and builds no (trials, delays,
-Nc) stack.  What the calls on one scenario share is the scenario's plan
-(``_RocPlan``), built on its first call and kept as long as the scenario:
-the pilot, the grid, its Doppler ramp, the averaging window and the
-buffers of one block, its frames, its noise and its ramped echo (1.3 MB at
-the ``roc`` benchmark's settings).  A call holds the plan's lock, so two
+``roc_curve`` checks its arguments once and runs its trials on the
+kernels, in blocks on that axis, as many as fit the byte budget
+``_BLOCK_BYTES`` with the largest stack a block builds, the (trials,
+Dopplers, Nc) Doppler-ramped echo.  Two routes of a block stay checked
+public calls: ``idaft`` for its symbols and ``waveform_samples`` for the
+delayed symbols the echo is correlated with, as only ``channel`` reads
+the private names of ``daft`` and a benchmark trace counts the public
+name as sensing work.  The search grid's delays are a run of whole
+delays, so ``waveform_samples`` reads those as a window view of one
+chirp-periodic extension and builds no (trials, delays, Nc) stack.  What
+the calls on one scenario share is the scenario's plan (``_RocPlan``),
+built on its first call and kept as long as the scenario: the pilot, the
+grid, its Doppler ramp, the averaging window and the buffers of one
+block, its frames, its noise and its ramped echo (1.3 MB at the ``roc``
+benchmark's settings).  A call holds the plan's lock, so two
 threads on one scenario take turns with the buffers.  The random draws are
 made per call and per block, not per trial: every trial's data bytes, then
 every trial's target uniforms, then each block's noise, so a seed gives
@@ -447,13 +452,14 @@ _BLOCK_BYTES = 1 << 20
 class _RocPlan:
     """What the ``roc_curve`` calls on one scenario share: its invariants and one block's buffers.
 
-    The invariants are the pilot, the search grid, the grid's (Dopplers, Nc)
-    Doppler ramp and the averaging window of ``_training_window``, checked
-    first, before the pilot is built.  The buffers hold one block of trials:
-    the ``_PackedFrames`` reader's frames, the block's (trials, 2, Nc) noise
-    draws (none when noiseless) and its (trials, Dopplers, Nc) ramped echo
-    stack, 1.3 MB in all at the ``roc`` benchmark's settings (blocks of 36
-    trials, N = 256, 7 Dopplers).  ``fit`` sizes them for the block that
+    The invariants are the pilot, the search grid, its delay and Doppler
+    axes as the columns of the trials' near masks, the grid's (Dopplers,
+    Nc) Doppler ramp and the averaging window of ``_training_window``,
+    checked first, before the pilot is built.  The buffers hold one block
+    of trials: the ``_PackedFrames`` reader's frames, the block's (trials,
+    2, Nc) noise draws (none when noiseless) and its (trials, Dopplers, Nc)
+    ramped echo stack, 1.3 MB in all at the ``roc`` benchmark's settings
+    (blocks of 36 trials, N = 256, 7 Dopplers).  ``fit`` sizes them for the block that
     ``_BLOCK_BYTES`` gives and builds them afresh when it gives another.
     The plan lives as long as its scenario; ``roc_curve`` holds ``lock`` for
     a whole call, so calls on one scenario from two threads take turns.
@@ -464,6 +470,8 @@ class _RocPlan:
         self.window = _training_window(scenario.detection, (self.grid[0].size, self.grid[1].size))
         self.x_p = pilot_vector(scenario.pilot, scenario.cfg, scenario.tau_m, scenario.nu_m)
         self.ramp = _doppler_ramp(self.grid[1], scenario.cfg)
+        # the grid as (1, delays, 1) and (1, 1, Dopplers) columns, against a block's targets
+        self.cells = (self.grid[0][None, :, None], self.grid[1][None, None, :])
         self.spec, self.noisy = scenario.frame_spec, scenario.noise_power > 0
         self.lock = threading.Lock()
         self.rows = 0
@@ -489,12 +497,16 @@ def _detection_block(
     buffer, its (delay, Doppler, phase) column of ``uniforms`` and its
     (2, Nc) real and imaginary ``noise``, scaled and added in place (None
     when noiseless).  The echo, the map and its floor come from the
-    unchecked kernels of ``sensing_echo``, ``rdf`` and ``noise_floor``, run
-    on arrays built here; the symbols from the public ``idaft``, as only
-    ``channel`` reads the private names of ``daft``.  Per trial: the
-    statistic at the global argmax, whether that argmax lies within one cell
-    of the truth in both coordinates, and the maximum statistic outside that
-    neighborhood.
+    unchecked kernels of ``sensing_echo`` (``channel._echo``, whose delayed
+    copy is ``daft``'s unchecked ``_waveform``), ``rdf`` and
+    ``noise_floor``, run on arrays built here.  Two routes stay checked
+    public calls, as only ``channel`` reads the private names of ``daft``:
+    the symbols come from ``idaft``, and the delayed symbols that the map
+    correlates against from ``waveform_samples`` (in ``_ramped_correlate``),
+    a window view of one extension per block.  The grid and its near-mask
+    columns are the plan's.  Per trial: the statistic at the global argmax,
+    whether that argmax lies within one cell of the truth in both
+    coordinates, and the maximum statistic outside that neighborhood.
     """
     cfg, size = scenario.cfg, raw.shape[0]
     x = plan.packed.read(raw)
@@ -510,11 +522,10 @@ def _detection_block(
     comp = np.multiply(np.conj(echo, out=echo)[:, None, :], plan.ramp, out=plan.stack[:size])
     values = _ramped_correlate(comp, s, plan.grid[0], cfg)
     stat = _statistic(values, _floor(np.abs(values) ** 2, plan.window)).reshape(size, -1)
-    taus, nus = plan.grid
-    near_mask = (np.abs(taus[:, None] - tau[:, None, None]) <= 1.0) & (np.abs(nus - nu[:, None, None]) <= 1.0)
-    near_mask = near_mask.reshape(size, -1)
+    taus, nus = plan.cells
+    near = ((np.abs(taus - tau[:, None, None]) <= 1.0) & (np.abs(nus - nu[:, None, None]) <= 1.0)).reshape(size, -1)
     best = (np.arange(size), np.argmax(stat, axis=1))
-    return stat[best], near_mask[best], np.where(near_mask, 0.0, stat).max(axis=1)
+    return stat[best], near[best], np.where(near, 0.0, stat).max(axis=1)
 
 
 def roc_curve(scenario: SensingScenario, gamma_grid, n_trials: int, rng) -> np.ndarray:

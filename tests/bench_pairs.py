@@ -13,6 +13,14 @@ medians and the pairs the checkout wins in the metric's ``better``
 direction, and whether a gain is shown: the checkout wins at least 9 of
 every 10 pairs and the medians differ, in its favour, by more than the
 revision's quartile spread.  A run that fails ends the script with status 1.
+
+With ``--trace`` each pair runs ``perfbench/run.py --trace 1`` instead, and
+the script prints, for each per-layer metric of ``BENCHMARK.json`` whose
+medians differ by more than the revision's quartile spread, both sides'
+median and quartiles and whether the checkout moved it the ``better`` way,
+so a change can show in which layer its saving sits:
+
+    OPENBLAS_NUM_THREADS=1 python tests/bench_pairs.py REV --workload roc --pairs 5 --seconds 10 --trace
 """
 
 from __future__ import annotations
@@ -48,10 +56,11 @@ def copy_checkout(into: Path) -> None:
         shutil.copytree(ROOT / name, into / name, ignore=_SKIP)
 
 
-def directions() -> dict[str, str]:
-    """Each end-to-end metric of ``BENCHMARK.json`` with its ``better`` direction, "higher" or "lower"."""
+def directions(section: str = "end_to_end") -> dict[str, str]:
+    """Each metric of a ``BENCHMARK.json`` list (``end_to_end`` or ``per_layer``)
+    with its ``better`` direction, "higher" or "lower"."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    return {metric["name"]: metric["better"] for metric in spec[section]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,10 +107,31 @@ def report(theirs: dict[str, list[float]], ours: dict[str, list[float]], better:
     return lines
 
 
+def layer_report(theirs: dict[str, list[float]], ours: dict[str, list[float]], better: dict[str, str]) -> list[str]:
+    """One line per metric that both sides report and whose medians differ by more
+    than the revision's quartile spread: both sides' median and quartiles, and
+    whether the checkout's median is the better or the worse in ``better``'s direction."""
+    lines = []
+    for name, direction in better.items():
+        if name not in theirs or name not in ours:
+            continue
+        (low, median, high), ours_q = quartiles(theirs[name]), quartiles(ours[name])
+        gap = ours_q[1] - median
+        if abs(gap) <= high - low:
+            continue
+        moved = "better" if (gap > 0) == (direction == "higher") else "worse"
+        lines.append(
+            f"{name:<40} rev {median:.6g} [{low:.6g}, {high:.6g}]"
+            f"  checkout {ours_q[1]:.6g} [{ours_q[0]:.6g}, {ours_q[2]:.6g}]  {moved} ({direction} is better)"
+        )
+    return lines
+
+
 def run_once(tree: Path, args) -> dict[str, float]:
-    """The end-to-end metrics of one ``perfbench/run.py`` run on ``tree``; ``RuntimeError`` if it fails."""
+    """The metrics of one ``perfbench/run.py`` run on ``tree``, end-to-end or, with
+    ``args.trace``, per-layer; ``RuntimeError`` if it fails."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(int(args.trace))]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -117,8 +147,11 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--trace", action="store_true", help="compare the per-layer metrics of traced runs")
     args = ap.parse_args(argv)
-    better = directions()
+    better = directions("per_layer" if args.trace else "end_to_end")
+    # a traced run reports some 90 per-layer metrics: its pair lines show the tracer's overhead only
+    progress = ["trace.overhead_pct"] if args.trace else list(better)
     samples = {"rev": {}, "checkout": {}}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"rev": Path(tmp) / "rev", "checkout": Path(tmp) / "checkout"}
@@ -135,10 +168,16 @@ def main(argv=None) -> int:
                 return 1
             print(f"pair {pair + 1} ({order[0]} first): " + "  ".join(
                 f"{name} {samples['rev'][name][-1]:.6g} | {samples['checkout'][name][-1]:.6g}"
-                for name in better if name in samples["rev"]
+                for name in progress if name in samples["rev"]
             ), flush=True)
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g} s, seed {args.seed}, rev {args.rev}:")
-    for line in report(samples["rev"], samples["checkout"], better):
+    if args.trace:
+        lines = layer_report(samples["rev"], samples["checkout"], better)
+        print("  per-layer metrics whose medians differ by more than the revision's quartile spread:"
+              + ("" if lines else " none"))
+    else:
+        lines = report(samples["rev"], samples["checkout"], better)
+    for line in lines:
         print("  " + line)
     return 0
 

@@ -13,6 +13,40 @@ def test_directions_are_the_benchmarks():
     assert better["items_per_s"] == "higher" and better["peak_mem_mb"] == "lower"
 
 
+def test_per_layer_directions_are_the_benchmarks():
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    better = bench_pairs.directions("per_layer")
+    assert better == {metric["name"]: metric["better"] for metric in spec["per_layer"]}
+    assert better["daft.waveform_samples.self_ms"] == "lower" and better["sensing.pd_at_pfa_0.01"] == "higher"
+
+
+def test_layer_report_keeps_the_medians_that_move_past_the_spread():
+    theirs = {
+        "a.self_ms": [1.0, 1.1, 1.2, 1.0, 1.1],  # quartiles 1.0, 1.1, 1.1
+        "b.self_ms": [1.0, 1.1, 1.2, 1.0, 1.1],
+        "c.ratio": [0.5, 0.5, 0.5, 0.5, 0.5],
+        "d.errors": [0.0, 0.0, 0.0, 0.0, 0.0],
+        "e.self_ms": [2.0, 2.0, 2.0, 2.0, 2.0],
+    }
+    ours = {
+        "a.self_ms": [0.8, 0.8, 0.9, 0.8, 0.8],  # lower by more than the spread: better
+        "b.self_ms": [1.1, 1.1, 1.15, 1.05, 1.1],  # median unchanged
+        "c.ratio": [0.4, 0.4, 0.4, 0.4, 0.4],  # lower, and higher is better: worse
+        "d.errors": [0.0, 0.0, 0.0, 0.0, 0.0],  # zero on both sides
+        "e.self_ms": [2.0, 2.0, 2.0, 2.0, 2.0],
+        "f.self_ms": [9.0],  # the revision does not report it
+    }
+    better = {"a.self_ms": "lower", "b.self_ms": "lower", "c.ratio": "higher", "d.errors": "lower",
+              "e.self_ms": "lower", "f.self_ms": "lower"}
+    lines = bench_pairs.layer_report(theirs, ours, better)
+    assert [line.split()[0] for line in lines] == ["a.self_ms", "c.ratio"]
+    assert lines[0].endswith("better (lower is better)") and lines[1].endswith("worse (higher is better)")
+    assert "rev 1.1 [1, 1.1]" in lines[0] and "checkout 0.8 [0.8, 0.8]" in lines[0]
+    # a spread as wide as the gap hides it; one a hair narrower shows it
+    assert bench_pairs.layer_report({"x": [1.0, 1.0, 2.0]}, {"x": [1.5, 1.5, 1.5]}, {"x": "lower"}) == []
+    assert len(bench_pairs.layer_report({"x": [1.0, 1.0, 1.49]}, {"x": [1.5, 1.5, 1.5]}, {"x": "lower"})) == 1
+
+
 def test_quartiles_of_one_and_of_many():
     assert bench_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)

@@ -140,6 +140,19 @@ class TestPathChannel:
         assert np.max(np.abs(np.asarray(h) - oracle)) < 1e-10
         assert np.max(np.abs(h @ x - oracle @ x)) < 1e-10
 
+    @pytest.mark.parametrize("n_sub, two_c1_n", [(64, 8), (63, 5)])
+    def test_dense_view_adds_a_repeated_pair_as_add_at_does(self, rng, n_sub, two_c1_n):
+        # the pair (1, -1) twice: both paths land on the same entries, added in path order
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        gains = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        h = PathChannel(cfg, [1, 0, 1, 2], [-1, 0, -1, 1], gains)
+        q, taps = h._daft_taps
+        reference = np.zeros((n_sub, n_sub), dtype=np.complex128)
+        np.add.at(reference, (np.broadcast_to(np.arange(n_sub), q.shape), q), taps)
+        dense = np.asarray(h)
+        assert np.array_equal(dense, reference)
+        assert np.max(np.abs(dense - path_sum(h))) < 1e-10
+
     @pytest.mark.parametrize("n_sub, two_c1_n", PATH_CONFIGS)
     def test_regularized_solve_matches_dense(self, rng, n_sub, two_c1_n):
         # the equalizer's solve, K*Nc odd (63, 255) and even: the DAFT-domain normal equations

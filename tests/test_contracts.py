@@ -723,8 +723,12 @@ DEFECTS = {
 }
 
 
-# the defects that a shape check refuses; every other one raises ParameterError
-DEFECT_ERRORS = {"verify_theorem_2 pilot 'abc'": ConfigurationError}
+# the defects that a shape or config check refuses; every other one raises ParameterError
+DEFECT_ERRORS = {
+    "verify_theorem_2 pilot 'abc'": ConfigurationError,
+    "AfdmConfig n_sub 2^59 past numpy's limit": ConfigurationError,
+    "AfdmConfig n_sub 2^61 past numpy's limit": ConfigurationError,
+}
 
 
 @pytest.mark.parametrize("defect", list(DEFECTS))

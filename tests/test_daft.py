@@ -18,6 +18,7 @@ from afdm_isac import (
     waveform_samples,
 )
 
+from afdm_isac.daft import _chirp_periodic
 from conftest import random_unit_symbols
 
 
@@ -196,6 +197,49 @@ class TestChirpTables:
         analysis = c2_chirp * (np.fft.fft(x * c1_chirp) / math.sqrt(n_sub))
         assert np.array_equal(idaft(x, cfg), synth)
         assert np.array_equal(daft(x, cfg), analysis)
+
+
+    @pytest.mark.parametrize("n_sub, two_c1_n", [(1, 3), (15, 5), (16, 3), (16, 4), (63, -7)])
+    def test_delay_factors_are_read_only_and_their_formulas(self, n_sub, two_c1_n):
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        tables = cfg._delay_factors
+        assert tables is cfg._delay_factors
+        n = np.arange(n_sub)
+        sign = np.where(two_c1_n * n % 2 == 1, -1.0, 1.0)  # (-1)^(K n)
+        cyclic = (n[None, :] + np.arange(n_sub + 1)[:, None]) % n_sub  # row k: <n + k>_Nc
+        expected = (sign, cfg.c1_chirp * sign, cyclic, np.conj(cfg.dft_twiddle)[cyclic])
+        for table, formula in zip(tables, expected, strict=True):
+            assert table.dtype == formula.dtype and np.array_equal(table, formula)
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+
+class TestChirpPeriodicExtension:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_sub=st.integers(1, 24),
+        two_c1_n=st.integers(-7, 7),
+        lead=st.sampled_from([(), (2,), (2, 3)]),
+        span=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_sub=5, two_c1_n=1, lead=(2,), span=None, seed=0)  # K*Nc odd, three periods
+    @example(n_sub=6, two_c1_n=1, lead=(), span=None, seed=0)  # K*Nc even, three periods
+    def test_slices_are_the_index_formula(self, n_sub, two_c1_n, lead, span, seed):
+        # start as low as -2Nc + 1 (the widest whole-delay window), ranges over one to three periods
+        cfg = AfdmConfig(n_sub=n_sub, c1=two_c1_n / (2 * n_sub))
+        if span is None:
+            start, stop = -2 * n_sub + 1, n_sub
+        else:
+            start = span.draw(st.integers(-2 * n_sub + 1, n_sub))
+            stop = span.draw(st.integers(start, -(-start // n_sub) * n_sub + 2 * n_sub))
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(lead + (n_sub,)) + 1j * rng.standard_normal(lead + (n_sub,))
+        i = np.arange(start, stop)
+        flips = (two_c1_n * n_sub % 2 == 1) & (i // n_sub % 2 == 1)
+        expected = np.where(flips, -s[..., i % n_sub], s[..., i % n_sub])
+        out = _chirp_periodic(s, cfg, start, stop)
+        assert out.shape == lead + (stop - start,) and np.array_equal(out, expected)
 
 
 class TestDenseMatrix:

@@ -213,8 +213,9 @@ def test_exponentials_are_called_where_listed():
 def test_caches_stay_where_they_are_listed():
     # three caches (the banded solve's band layout and its LAPACK routines in
     # channel, the estimator's pilot model), and each cached property by name
-    # (a scenario's plan keeps the ROC trials' invariants and block buffers):
-    # every one is re-read by some workload, so a new one is a decision
+    # (a scenario's plan keeps the ROC trials' invariants and block buffers; a
+    # config's delay factors are re-read by every fractional delay): every one
+    # is re-read by some workload, so a new one is a decision
     caches, cached_properties = [], set()
     for path in sorted((SRC / "afdm_isac").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -243,6 +244,7 @@ def test_caches_stay_where_they_are_listed():
         ("AfdmConfig", "c1_chirp"),
         ("AfdmConfig", "c2_chirp"),
         ("AfdmConfig", "dft_twiddle"),
+        ("AfdmConfig", "_delay_factors"),
         ("PathChannel", "_daft_taps"),
         ("SensingScenario", "_plan"),
     }
